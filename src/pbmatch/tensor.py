@@ -30,7 +30,8 @@ class Tensor:
         self.grad: Optional[np.ndarray] = None
         # parents kept as a tuple so replay order is deterministic
         self._parents: tuple = ()
-        # rule maps the incoming gradient to one gradient per parent
+        # rule maps the incoming gradient to one gradient per parent; backward
+        # reads only the tracked parents' entries, so a rule may skip the rest
         self._rule: Optional[Callable[[np.ndarray], tuple]] = None
 
     @property
@@ -249,8 +250,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"matmul inner dimensions differ: {a.shape} vs {b.shape}")
 
+    # an untracked operand, such as a constant input batch, gets no gradient
     def rule(g):
-        return g @ b.data.T, a.data.T @ g
+        return (g @ b.data.T if _tracked(a) else None,
+                a.data.T @ g if _tracked(b) else None)
 
     return _node(a.data @ b.data, (a, b), rule)
 

@@ -142,6 +142,14 @@ class NumericalAbort(ArithmeticError):
             f"non-finite value in term {term!r} at epoch {epoch} step {step_idx}")
 
 
+def _reject_unknown_keys(d: Dict, cls, what: str) -> None:
+    if not isinstance(d, dict):
+        raise ValueError(f"{what} must be an object, got {type(d).__name__}")
+    unknown = sorted(set(d) - {f.name for f in dataclasses.fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {unknown}")
+
+
 @dataclass
 class TrainConfig:
     """Everything a run needs besides the datasets themselves."""
@@ -198,8 +206,10 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d: Dict) -> "TrainConfig":
+        _reject_unknown_keys(d, cls, "train config")
         d = dict(d)
         if d.get("loss") is not None:
+            _reject_unknown_keys(d["loss"], LossConfig, "loss config")
             d["loss"] = LossConfig(**d["loss"])
         if d.get("hidden") is not None:
             d["hidden"] = tuple(d["hidden"])

@@ -1,14 +1,17 @@
 """Image operation families: semantic-preserving, interpolation, semantic-transforming.
 
 All operations act on batches of [0,1]-valued H x W grayscale images and are
-deterministic given (seed, sample index): each sample draws from its own
-generator seeded by the pair, so serial and parallel application agree.
+deterministic given (seed, sample index): each sample draws its random
+parameters from its own generator seeded by the pair, so serial and parallel
+application agree. The drawn operations are then applied batch-wise, each
+kind to all the images that drew it at once, and give the same bytes as
+applying every sample's operations to it alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -40,8 +43,9 @@ class ImageBatch:
             raise ValueError(f"ImageBatch needs [batch, H, W], got shape {self.data.shape}")
         if self.height < 4 or self.width < 4:
             raise ValueError(f"images must be at least 4x4, got {self.height}x{self.width}")
-        if self.data.size and (self.data.min() < 0.0 or self.data.max() > 1.0):
-            raise ValueError("image values must lie in [0, 1]")
+        # NaN fails every comparison, so the range test is written to fail on it
+        if self.data.size and not (self.data.min() >= 0.0 and self.data.max() <= 1.0):
+            raise ValueError("image values must be finite and lie in [0, 1]")
 
     def __len__(self) -> int:
         return self.data.shape[0]
@@ -59,81 +63,23 @@ class ImageBatch:
         return self.data.reshape(len(self), -1)
 
 
-@dataclass
-class TransformOp:
-    """One drawn operation: family, kind, and its sampled parameters."""
-
-    family: str
-    kind: str
-    params: Dict[str, float] = field(default_factory=dict)
-
-
 def _sample_rng(seed: int, index: int) -> np.random.Generator:
     # per-sample stream; (seed, index) fully determines the draw
     return np.random.default_rng([int(seed) & 0xFFFFFFFF, int(index)])
 
 
 # ---------------------------------------------------------------------------
-# semantic-preserving kinds (single image helpers)
+# semantic-preserving kinds
 # ---------------------------------------------------------------------------
 
-def _shift(img: np.ndarray, dy: int, dx: int) -> np.ndarray:
-    if dy == 0 and dx == 0:
-        return img
-    h, w = img.shape
-    padded = np.pad(img, ((abs(dy), abs(dy)), (abs(dx), abs(dx))), mode="edge")
-    return padded[abs(dy) - dy:abs(dy) - dy + h, abs(dx) - dx:abs(dx) - dx + w]
+def _draw_sp_ops(seed: int, index: int, h: int, w: int, kinds: Sequence[str],
+                 strength: float) -> List[Tuple[str, Tuple[float, ...]]]:
+    """Draw the 1-2 ``(kind, params)`` ops one sample will receive, in order.
 
-
-def _rotate_nearest(img: np.ndarray, angle_deg: float) -> np.ndarray:
-    if angle_deg == 0.0:
-        return img
-    h, w = img.shape
-    cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
-    theta = np.deg2rad(angle_deg)
-    cos_t, sin_t = np.cos(theta), np.sin(theta)
-    yy, xx = np.meshgrid(np.arange(h) - cy, np.arange(w) - cx, indexing="ij")
-    # inverse map each output pixel back into the source image
-    src_y = cos_t * yy + sin_t * xx + cy
-    src_x = -sin_t * yy + cos_t * xx + cx
-    iy = np.clip(np.rint(src_y).astype(int), 0, h - 1)
-    ix = np.clip(np.rint(src_x).astype(int), 0, w - 1)
-    return img[iy, ix]
-
-
-def _cutout(img: np.ndarray, top: int, left: int, side: int) -> np.ndarray:
-    if side <= 0:
-        return img
-    out = img.copy()
-    out[top:top + side, left:left + side] = 0.0
-    return out
-
-
-def _apply_sp_op(img: np.ndarray, op: TransformOp) -> np.ndarray:
-    p = op.params
-    if op.kind == "shift":
-        return _shift(img, int(p["dy"]), int(p["dx"]))
-    if op.kind == "small_rotate":
-        return _rotate_nearest(img, p["angle_deg"])
-    if op.kind == "cutout":
-        return _cutout(img, int(p["top"]), int(p["left"]), int(p["side"]))
-    if op.kind == "brightness":
-        return img + p["delta"]
-    if op.kind == "contrast":
-        mean = img.mean()
-        return (img - mean) * p["factor"] + mean
-    if op.kind == "gaussian_noise":
-        rng = np.random.default_rng(int(p["noise_seed"]))
-        return img + rng.normal(0.0, p["sigma"], img.shape)
-    raise ValueError(f"unknown semantic-preserving kind: {op.kind!r}")
-
-
-def draw_sp_ops(seed: int, index: int, h: int, w: int,
-                kinds: Sequence[str] = SP_KINDS, strength: float = 1.0) -> list:
-    """Draw the 1-2 op composition one sample will receive."""
-    for k in kinds:
-        if k not in SP_KINDS:
-            raise ValueError(f"unknown semantic-preserving kind: {k!r}")
+    ``params`` per kind: shift ``(dy, dx)``, small_rotate ``(angle_deg,)``,
+    cutout ``(top, left, side)``, brightness ``(delta,)``, contrast
+    ``(factor,)``, gaussian_noise ``(sigma, noise_seed)``.
+    """
     rng = _sample_rng(seed, index)
     n_ops = int(rng.integers(1, 3)) if len(kinds) > 1 else 1
     chosen = rng.choice(len(kinds), size=min(n_ops, len(kinds)), replace=False)
@@ -142,37 +88,121 @@ def draw_sp_ops(seed: int, index: int, h: int, w: int,
         kind = kinds[int(ci)]
         if kind == "shift":
             m = int(round(MAX_SHIFT_PX * strength))
-            params = {"dy": float(rng.integers(-m, m + 1)), "dx": float(rng.integers(-m, m + 1))}
+            params = (int(rng.integers(-m, m + 1)), int(rng.integers(-m, m + 1)))
         elif kind == "small_rotate":
-            params = {"angle_deg": float(rng.uniform(-MAX_ROTATE_DEG, MAX_ROTATE_DEG) * strength)}
+            params = (float(rng.uniform(-MAX_ROTATE_DEG, MAX_ROTATE_DEG) * strength),)
         elif kind == "cutout":
             side = int(round(CUTOUT_SIDE_FRACTION * min(h, w) * strength))
             top = int(rng.integers(0, max(h - side, 0) + 1))
             left = int(rng.integers(0, max(w - side, 0) + 1))
-            params = {"top": float(top), "left": float(left), "side": float(side)}
+            params = (top, left, side)
         elif kind == "brightness":
-            params = {"delta": float(rng.uniform(-MAX_BRIGHTNESS_DELTA, MAX_BRIGHTNESS_DELTA) * strength)}
+            params = (float(rng.uniform(-MAX_BRIGHTNESS_DELTA, MAX_BRIGHTNESS_DELTA) * strength),)
         elif kind == "contrast":
-            params = {"factor": 1.0 + float(rng.uniform(-MAX_CONTRAST_DELTA, MAX_CONTRAST_DELTA) * strength)}
+            params = (1.0 + float(rng.uniform(-MAX_CONTRAST_DELTA, MAX_CONTRAST_DELTA) * strength),)
         else:  # gaussian_noise
-            params = {"sigma": float(rng.uniform(0.02, MAX_NOISE_SIGMA) * strength),
-                      "noise_seed": float(rng.integers(0, 2**31))}
-        ops.append(TransformOp(family="semantic_preserving", kind=kind, params=params))
+            sigma = float(rng.uniform(0.02, MAX_NOISE_SIGMA) * strength)
+            params = (sigma, int(rng.integers(0, 2**31)))
+        ops.append((kind, params))
     return ops
+
+
+def _image_means(imgs: np.ndarray, strided: np.ndarray) -> np.ndarray:
+    """Per-image means, summed in the order ``img.mean()`` sums one image.
+
+    A contiguous image sums pairwise over all its pixels. An x-shifted image
+    is a strided view into its edge padding; numpy reduces a strided view
+    through its buffer, a whole number of rows at a time, and adds up the
+    buffered sums. The two orders differ in the last bits once an image has
+    more pixels than the buffer holds.
+    """
+    k, h, w = imgs.shape
+    flat = imgs.reshape(k, h * w)
+    sums = flat.sum(axis=1)
+    if strided.any():
+        views = flat[strided]
+        step = max(np.getbufsize() // w, 1) * w
+        acc = np.zeros(len(views))
+        for start in range(0, h * w, step):
+            acc = acc + views[:, start:start + step].sum(axis=1)
+        sums[strided] = acc
+    return sums / (h * w)
+
+
+def _apply_sp_kind(kind: str, imgs: np.ndarray, p: np.ndarray,
+                   strided: np.ndarray) -> np.ndarray:
+    """Apply one kind to a fresh [k, H, W] stack, image r with parameters p[r]."""
+    k, h, w = imgs.shape
+    stack = np.arange(k)[:, None, None]
+    if kind == "shift":
+        # edge padding: output pixel (y, x) reads source (y - dy, x - dx), clipped
+        iy = np.clip(np.arange(h) - p[:, :1].astype(np.intp), 0, h - 1)
+        ix = np.clip(np.arange(w) - p[:, 1:2].astype(np.intp), 0, w - 1)
+        return imgs[stack, iy[:, :, None], ix[:, None, :]]
+    if kind == "small_rotate":
+        cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
+        theta = np.deg2rad(p[:, 0])[:, None, None]
+        cos_t, sin_t = np.cos(theta), np.sin(theta)
+        yy, xx = np.meshgrid(np.arange(h) - cy, np.arange(w) - cx, indexing="ij")
+        # inverse map each output pixel back into the source image
+        src_y = cos_t * yy + sin_t * xx + cy
+        src_x = -sin_t * yy + cos_t * xx + cx
+        iy = np.clip(np.rint(src_y).astype(int), 0, h - 1)
+        ix = np.clip(np.rint(src_x).astype(int), 0, w - 1)
+        return imgs[stack, iy, ix]
+    if kind == "cutout":
+        top, left, side = (p[:, j:j + 1].astype(np.intp) for j in range(3))
+        ys, xs = np.arange(h), np.arange(w)
+        in_rows = (ys >= top) & (ys < top + side)
+        in_cols = (xs >= left) & (xs < left + side)
+        imgs[in_rows[:, :, None] & in_cols[:, None, :]] = 0.0
+        return imgs
+    if kind == "brightness":
+        return imgs + p[:, 0, None, None]
+    if kind == "contrast":
+        mean = _image_means(imgs, strided)[:, None, None]
+        return (imgs - mean) * p[:, 0, None, None] + mean
+    # gaussian_noise: every image keeps its own generator
+    noise = np.stack([np.random.default_rng(int(noise_seed)).normal(0.0, sigma, (h, w))
+                      for sigma, noise_seed in p])
+    return imgs + noise
 
 
 def apply_semantic_preserving(x: ImageBatch, seed: int,
                               kinds: Sequence[str] = SP_KINDS,
                               strength: float = 1.0) -> ImageBatch:
-    """Per-sample random composition of 1-2 kinds; output clamped to [0,1]."""
+    """Random composition of 1-2 kinds per sample; output clamped to [0,1].
+
+    Sample i's ops and their parameters are drawn from its own ``(seed, i)``
+    stream (:func:`_draw_sp_ops`). The ops are then applied batch-wise in two
+    slots, every sample's first op and then the second op of the samples
+    that drew two, so each sample keeps its drawn order. Within a slot each
+    kind acts on all of its images at once, and the batch is clipped once at
+    the end. The bytes equal applying each sample's ops to it alone.
+    """
+    for k in kinds:
+        if k not in SP_KINDS:
+            raise ValueError(f"unknown semantic-preserving kind: {k!r}")
     if strength == 0.0:
         return ImageBatch(x.data.copy())
-    out = np.empty_like(x.data)
-    for i in range(len(x)):
-        img = x.data[i]
-        for op in draw_sp_ops(seed, i, x.height, x.width, kinds, strength):
-            img = _apply_sp_op(img, op)
-        out[i] = np.clip(img, 0.0, 1.0)
+    n, h, w = x.data.shape
+    # (slot, kind) -> the rows that apply kind in that slot, and their params
+    groups: Dict[Tuple[int, str], Tuple[list, list]] = {}
+    for i in range(n):
+        for slot, (kind, params) in enumerate(_draw_sp_ops(seed, i, h, w, kinds, strength)):
+            rows, ps = groups.setdefault((slot, kind), ([], []))
+            rows.append(i)
+            ps.append(params)
+    out = x.data.copy()
+    # rows whose current image the one-sample definition holds as a strided view
+    strided = np.zeros(n, dtype=bool)
+    # slot 0 sorts first; the groups of one slot hold disjoint rows
+    for (_, kind), (rows, ps) in sorted(groups.items()):
+        rows = np.asarray(rows)
+        p = np.asarray(ps, dtype=np.float64)
+        out[rows] = _apply_sp_kind(kind, out[rows], p, strided[rows])
+        strided[rows] = p[:, 1] != 0 if kind == "shift" else False
+    np.clip(out, 0.0, 1.0, out=out)
     return ImageBatch(out)
 
 
@@ -216,38 +246,44 @@ def mixup_interpolate(x: ImageBatch, x2: ImageBatch,
 # ---------------------------------------------------------------------------
 
 def rotate90_cw(img: np.ndarray, k: int) -> np.ndarray:
-    """k clockwise quarter-turns."""
-    return np.rot90(img, -int(k) % 4)
+    """k clockwise quarter-turns of an image, or of each image in a stack."""
+    return np.rot90(img, -int(k) % 4, axes=(-2, -1))
 
 
 def vflip(img: np.ndarray, b: int) -> np.ndarray:
-    """b in {0,1} vertical flips (upside down)."""
-    return img[::-1].copy() if b % 2 else img.copy()
+    """b in {0,1} vertical flips (upside down) of an image or a stack."""
+    return img[..., ::-1, :].copy() if b % 2 else img.copy()
 
 
 def extract_quadrant(img: np.ndarray, q: int) -> np.ndarray:
-    """Paste quadrant q at the canvas origin, zero elsewhere.
+    """Paste quadrant q at the canvas origin, zero elsewhere; images or a stack.
 
     Quadrants are indexed row-major: 0 top-left, 1 top-right,
     2 bottom-left, 3 bottom-right.
     """
-    h, w = img.shape
+    h, w = img.shape[-2:]
     if h % 2 or w % 2:
         raise ValueError(f"patch_location needs even dimensions, got {h}x{w}")
     hh, hw = h // 2, w // 2
     top = (q // 2) * hh
     left = (q % 2) * hw
     out = np.zeros_like(img)
-    out[:hh, :hw] = img[top:top + hh, left:left + hw]
+    out[..., :hh, :hw] = img[..., top:top + hh, left:left + hw]
     return out
+
+
+# task -> (transform of one label's images, number of labels)
+_ST_OPS = {"rotate90": (rotate90_cw, 4), "vflip": (vflip, 2),
+           "patch_location": (extract_quadrant, 4)}
 
 
 def apply_semantic_transforming(x: ImageBatch, task: str,
                                 seed: int) -> Tuple[ImageBatch, np.ndarray]:
-    """Apply the pretext task per sample; returns transformed images and labels.
+    """Apply the pretext task; returns transformed images and labels.
 
     Labels come from one task-salted stream, so sample i's label depends
-    only on (seed, task, i) and each task sees a different sequence.
+    only on (seed, task, i) and each task sees a different sequence. The
+    images sharing a label are transformed together.
     """
     if task not in ST_TASKS:
         raise ValueError(f"unknown semantic-transforming task: {task!r}")
@@ -255,17 +291,12 @@ def apply_semantic_transforming(x: ImageBatch, task: str,
         raise ValueError(f"rotate90 needs square images, got {x.height}x{x.width}")
     if task == "patch_location" and (x.height % 2 or x.width % 2):
         raise ValueError(f"patch_location needs even dimensions, got {x.height}x{x.width}")
-    n_classes = {"rotate90": 4, "vflip": 2, "patch_location": 4}[task]
+    op, n_classes = _ST_OPS[task]
     salt = ST_TASKS.index(task) + 101
     rng = np.random.default_rng([int(seed) & 0xFFFFFFFF, salt])
     labels = rng.integers(0, n_classes, len(x)).astype(np.int64)
     out = np.empty_like(x.data)
-    for i in range(len(x)):
-        label = int(labels[i])
-        if task == "rotate90":
-            out[i] = rotate90_cw(x.data[i], label)
-        elif task == "vflip":
-            out[i] = vflip(x.data[i], label)
-        else:
-            out[i] = extract_quadrant(x.data[i], label)
+    for label in range(n_classes):
+        rows = np.flatnonzero(labels == label)
+        out[rows] = op(x.data[rows], label)
     return ImageBatch(out), labels

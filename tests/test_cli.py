@@ -232,6 +232,25 @@ class TestTrainEval:
                      "--out", str(tmp_path / "run")]) == 1
 
 
+    @pytest.mark.parametrize("payload,key", [
+        ({"method": "source_only", "epoch": 3}, "epoch"),
+        ({"method": "source_only", "loss": {"entropy_ceiling": 0.5, "lambda_X": 1.0}},
+         "lambda_X"),
+        ({"method": "source_only", "loss": 0.5}, "loss config must be an object"),
+    ], ids=["top_level", "loss", "loss_not_object"])
+    def test_unknown_config_key_exits_1(self, blob_pair_dir, tmp_path, capsys,
+                                        payload, key):
+        cfg = write_json(tmp_path / "cfg.json", payload)
+        assert main(["train", "--config", cfg,
+                     "--src", str(blob_pair_dir / "source"),
+                     "--tgt", str(blob_pair_dir / "target"),
+                     "--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err
+        assert key in err and "pbmatch: error:" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "run").exists()
+
+
 class TestAblate:
     def test_tiny_matrix(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "abl.json", {
@@ -253,6 +272,15 @@ class TestAblate:
     def test_config_missing_sections(self, tmp_path):
         cfg = write_json(tmp_path / "abl.json", {"train": {}})
         assert main(["ablate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+
+    def test_unknown_train_key_exits_1(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "abl.json", {
+            "train": {"method": "source_only", "epoch": 3},
+            "benchmarks": [{"kind": "LDS", "imbalance_factor": 4.0}]})
+        assert main(["ablate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "epoch" in err and "unknown" in err
+        assert "Traceback" not in err
 
 
 class TestGradcheck:

@@ -74,6 +74,28 @@ def test_matmul_against_triple_loop_oracle():
     assert np.max(np.abs(got - expected)) < 1e-12
 
 
+@pytest.mark.parametrize("tracked", ["left", "right", "both"])
+def test_matmul_gradient_only_for_tracked_operands(tracked):
+    rng = np.random.default_rng(13)
+    a = Tensor(rng.uniform(-2, 2, (5, 4)), requires_grad=tracked in ("left", "both"))
+    b = Tensor(rng.uniform(-2, 2, (4, 3)), requires_grad=tracked in ("right", "both"))
+    weights = rng.uniform(-1, 1, (5, 3))
+    out = matmul(a, b)
+    backward(reduce("sum", out * Tensor(weights)))
+    # the closed forms the rule computes, bit for bit, for each tracked operand
+    if a.requires_grad:
+        assert np.array_equal(a.grad, weights @ b.data.T)
+    else:
+        assert a.grad is None
+    if b.requires_grad:
+        assert np.array_equal(b.grad, a.data.T @ weights)
+    else:
+        assert b.grad is None
+    # the untracked operand's gradient is never formed
+    grads = out._rule(weights)
+    assert [g is not None for g in grads] == [a.requires_grad, b.requires_grad]
+
+
 def test_matmul_dimension_mismatch():
     with pytest.raises(ValueError, match="inner dimensions"):
         matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
@@ -225,6 +247,8 @@ def test_composite_gradient_matches_finite_differences():
         lambda x: elementwise("relu", x).sum(),
         lambda x: elementwise("neg", x).mean(),
         lambda x: matmul(x, Tensor(np.arange(12.0).reshape(4, 3))).sum(),
+        lambda x: (matmul(Tensor(np.arange(6.0).reshape(2, 3) - 2.0), x)
+                   * matmul(Tensor(np.ones((2, 3))), x)).sum(),
         lambda x: reduce("sum", x, axis=1).mean(),
         lambda x: reduce("mean", x, axis=0).sum(),
         lambda x: reduce("max", x, axis=1).sum(),
@@ -233,7 +257,7 @@ def test_composite_gradient_matches_finite_differences():
     ],
     ids=[
         "add", "sub", "mul", "div", "exp", "log", "relu", "neg",
-        "matmul", "sum_axis", "mean_axis", "max_axis", "log_softmax",
+        "matmul", "matmul_right", "sum_axis", "mean_axis", "max_axis", "log_softmax",
         "transpose",
     ],
 )

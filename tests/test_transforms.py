@@ -1,14 +1,23 @@
-"""Image operation families: examples, group laws, determinism, label balance."""
+"""Image operation families: examples, group laws, determinism, label balance,
+and bitwise agreement of the batch-wise transforms with per-sample references."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from pbmatch.transforms import (
+    CUTOUT_SIDE_FRACTION,
+    MAX_BRIGHTNESS_DELTA,
+    MAX_CONTRAST_DELTA,
+    MAX_NOISE_SIGMA,
+    MAX_ROTATE_DEG,
+    MAX_SHIFT_PX,
     ImageBatch,
     NI_KINDS,
     RA_KINDS,
     SP_KINDS,
+    ST_TASKS,
     apply_semantic_preserving,
     apply_semantic_transforming,
     extract_quadrant,
@@ -54,6 +63,15 @@ class TestImageBatch:
             ImageBatch(np.full((1, 4, 4), 1.5))
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             ImageBatch(np.full((1, 4, 4), -0.1))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_values(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            ImageBatch(np.full((1, 4, 4), bad))
+        one_pixel = np.full((2, 4, 4), 0.5)
+        one_pixel[1, 2, 3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            ImageBatch(one_pixel)
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +245,12 @@ class TestSemanticPreserving:
         with pytest.raises(ValueError, match="unknown semantic-preserving kind"):
             apply_semantic_preserving(_random_batch(2), seed=0, kinds=("sharpen",))
 
+    @pytest.mark.parametrize("n,strength", [(0, 1.0), (2, 0.0)])
+    def test_unknown_kind_rejected_without_any_draw(self, n, strength):
+        with pytest.raises(ValueError, match="unknown semantic-preserving kind"):
+            apply_semantic_preserving(_random_batch(n), seed=0, kinds=("sharpen",),
+                                      strength=strength)
+
 
 # ---------------------------------------------------------------------------
 # mixup interpolation
@@ -300,3 +324,191 @@ class TestMixup:
     def test_beta_sampler_rejects_bad_alpha(self):
         with pytest.raises(ValueError, match="positive"):
             sample_mixup_beta(4, 0.0, np.random.default_rng(0))
+
+
+# ---------------------------------------------------------------------------
+# per-sample references: one image at a time, as the transforms are defined
+# ---------------------------------------------------------------------------
+
+def _ref_draw_sp_ops(seed, index, h, w, kinds, strength):
+    rng = np.random.default_rng([int(seed) & 0xFFFFFFFF, int(index)])
+    n_ops = int(rng.integers(1, 3)) if len(kinds) > 1 else 1
+    chosen = rng.choice(len(kinds), size=min(n_ops, len(kinds)), replace=False)
+    ops = []
+    for ci in chosen:
+        kind = kinds[int(ci)]
+        if kind == "shift":
+            m = int(round(MAX_SHIFT_PX * strength))
+            params = {"dy": float(rng.integers(-m, m + 1)), "dx": float(rng.integers(-m, m + 1))}
+        elif kind == "small_rotate":
+            params = {"angle_deg": float(rng.uniform(-MAX_ROTATE_DEG, MAX_ROTATE_DEG) * strength)}
+        elif kind == "cutout":
+            side = int(round(CUTOUT_SIDE_FRACTION * min(h, w) * strength))
+            top = int(rng.integers(0, max(h - side, 0) + 1))
+            left = int(rng.integers(0, max(w - side, 0) + 1))
+            params = {"top": float(top), "left": float(left), "side": float(side)}
+        elif kind == "brightness":
+            params = {"delta": float(rng.uniform(-MAX_BRIGHTNESS_DELTA, MAX_BRIGHTNESS_DELTA) * strength)}
+        elif kind == "contrast":
+            params = {"factor": 1.0 + float(rng.uniform(-MAX_CONTRAST_DELTA, MAX_CONTRAST_DELTA) * strength)}
+        else:  # gaussian_noise
+            params = {"sigma": float(rng.uniform(0.02, MAX_NOISE_SIGMA) * strength),
+                      "noise_seed": float(rng.integers(0, 2**31))}
+        ops.append((kind, params))
+    return ops
+
+
+def _ref_shift(img, dy, dx):
+    if dy == 0 and dx == 0:
+        return img
+    h, w = img.shape
+    padded = np.pad(img, ((abs(dy), abs(dy)), (abs(dx), abs(dx))), mode="edge")
+    return padded[abs(dy) - dy:abs(dy) - dy + h, abs(dx) - dx:abs(dx) - dx + w]
+
+
+def _ref_rotate_nearest(img, angle_deg):
+    if angle_deg == 0.0:
+        return img
+    h, w = img.shape
+    cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
+    theta = np.deg2rad(angle_deg)
+    cos_t, sin_t = np.cos(theta), np.sin(theta)
+    yy, xx = np.meshgrid(np.arange(h) - cy, np.arange(w) - cx, indexing="ij")
+    src_y = cos_t * yy + sin_t * xx + cy
+    src_x = -sin_t * yy + cos_t * xx + cx
+    iy = np.clip(np.rint(src_y).astype(int), 0, h - 1)
+    ix = np.clip(np.rint(src_x).astype(int), 0, w - 1)
+    return img[iy, ix]
+
+
+def _ref_apply_sp_op(img, kind, p):
+    if kind == "shift":
+        return _ref_shift(img, int(p["dy"]), int(p["dx"]))
+    if kind == "small_rotate":
+        return _ref_rotate_nearest(img, p["angle_deg"])
+    if kind == "cutout":
+        top, left, side = int(p["top"]), int(p["left"]), int(p["side"])
+        if side <= 0:
+            return img
+        out = img.copy()
+        out[top:top + side, left:left + side] = 0.0
+        return out
+    if kind == "brightness":
+        return img + p["delta"]
+    if kind == "contrast":
+        mean = img.mean()
+        return (img - mean) * p["factor"] + mean
+    rng = np.random.default_rng(int(p["noise_seed"]))
+    return img + rng.normal(0.0, p["sigma"], img.shape)
+
+
+def reference_semantic_preserving(data, seed, kinds, strength):
+    if strength == 0.0:
+        return data.copy()
+    out = np.empty_like(data)
+    for i in range(data.shape[0]):
+        img = data[i]
+        for kind, params in _ref_draw_sp_ops(seed, i, data.shape[1], data.shape[2],
+                                             kinds, strength):
+            img = _ref_apply_sp_op(img, kind, params)
+        out[i] = np.clip(img, 0.0, 1.0)
+    return out
+
+
+def reference_semantic_transforming(data, task, seed):
+    n_classes = {"rotate90": 4, "vflip": 2, "patch_location": 4}[task]
+    rng = np.random.default_rng([int(seed) & 0xFFFFFFFF, ST_TASKS.index(task) + 101])
+    labels = rng.integers(0, n_classes, data.shape[0]).astype(np.int64)
+    out = np.empty_like(data)
+    h, w = data.shape[1:]
+    for i in range(data.shape[0]):
+        img, label = data[i], int(labels[i])
+        if task == "rotate90":
+            out[i] = np.rot90(img, -label % 4)
+        elif task == "vflip":
+            out[i] = img[::-1].copy() if label % 2 else img.copy()
+        else:
+            top, left = (label // 2) * (h // 2), (label % 2) * (w // 2)
+            quad = np.zeros_like(img)
+            quad[:h // 2, :w // 2] = img[top:top + h // 2, left:left + w // 2]
+            out[i] = quad
+    return out, labels
+
+
+def _same_bytes(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def _assert_sp_matches_reference(data, seed, kinds, strength):
+    got = apply_semantic_preserving(ImageBatch(data), seed, kinds=kinds, strength=strength)
+    want = reference_semantic_preserving(data, seed, kinds, strength)
+    assert _same_bytes(got.data, want), (seed, kinds, strength, data.shape)
+
+
+def _assert_st_matches_reference(data, task, seed):
+    got, labels = apply_semantic_transforming(ImageBatch(data), task, seed)
+    want, want_labels = reference_semantic_transforming(data, task, seed)
+    assert _same_bytes(got.data, want), (task, seed, data.shape)
+    assert np.array_equal(labels, want_labels)
+
+
+KIND_SETS = {"ra": RA_KINDS, "ni": NI_KINDS, "all": SP_KINDS}
+
+
+class TestBatchedMatchesPerSampleReference:
+    @pytest.mark.parametrize("shape", [(32, 16, 16), (16, 12, 20)], ids=["square", "12x20"])
+    @pytest.mark.parametrize("strength", [0.5, 1.0, 1.7])
+    @pytest.mark.parametrize("kinds", list(KIND_SETS), ids=list(KIND_SETS))
+    def test_semantic_preserving_over_seeds(self, kinds, strength, shape):
+        rng = np.random.default_rng(shape[1] * 100 + shape[2])
+        for seed in range(25):
+            _assert_sp_matches_reference(rng.uniform(size=shape), seed,
+                                         KIND_SETS[kinds], strength)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    @pytest.mark.parametrize("kinds", list(KIND_SETS), ids=list(KIND_SETS))
+    def test_semantic_preserving_tiny_batches(self, kinds, n):
+        data = np.random.default_rng(n).uniform(size=(n, 16, 16))
+        for seed in range(40):
+            _assert_sp_matches_reference(data, seed, KIND_SETS[kinds], 1.0)
+
+    @pytest.mark.parametrize("kinds", [("shift", "contrast"), ("contrast", "shift")])
+    def test_contrast_after_shift_on_images_larger_than_the_sum_buffer(self, kinds):
+        # 96x100 pixels exceed numpy's 8192-element reduction buffer, where the
+        # mean of an x-shifted (strided) image is summed in another order
+        rng = np.random.default_rng(5)
+        for seed in range(12):
+            _assert_sp_matches_reference(rng.uniform(size=(4, 96, 100)), seed, kinds, 1.0)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(-2**40, 2**40),
+           n=st.integers(0, 12),
+           kinds=st.lists(st.sampled_from(SP_KINDS), min_size=1, max_size=6),
+           strength=st.sampled_from([0.0, 0.5, 1.0, 1.7]) | st.floats(0.05, 2.5),
+           shape=st.sampled_from([(16, 16), (12, 20), (9, 7), (4, 4)]))
+    def test_semantic_preserving_property(self, seed, n, kinds, strength, shape):
+        data = np.random.default_rng(abs(seed) % 997).uniform(size=(n,) + shape)
+        _assert_sp_matches_reference(data, seed, tuple(kinds), strength)
+
+    @pytest.mark.parametrize("task", ST_TASKS)
+    def test_semantic_transforming_over_seeds(self, task):
+        rng = np.random.default_rng(ST_TASKS.index(task))
+        for seed in range(100):
+            _assert_st_matches_reference(rng.uniform(size=(32, 16, 16)), task, seed)
+        for n in (0, 1):
+            for seed in range(20):
+                _assert_st_matches_reference(rng.uniform(size=(n, 16, 16)), task, seed)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(-2**40, 2**40), n=st.integers(0, 40),
+           task=st.sampled_from(ST_TASKS), side=st.sampled_from([4, 8, 16, 22]))
+    def test_semantic_transforming_property(self, seed, n, task, side):
+        data = np.random.default_rng(abs(seed) % 991).uniform(size=(n, side, side))
+        _assert_st_matches_reference(data, task, seed)
+
+    def test_vflip_and_patch_location_on_non_square_images(self):
+        rng = np.random.default_rng(13)
+        for seed in range(20):
+            data = rng.uniform(size=(24, 12, 20))
+            _assert_st_matches_reference(data, "vflip", seed)
+            _assert_st_matches_reference(data, "patch_location", seed)
