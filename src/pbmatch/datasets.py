@@ -57,6 +57,8 @@ class DomainDataset:
     def __post_init__(self):
         if self.domain_role not in DOMAIN_ROLES:
             raise ValueError(f"domain_role must be one of {DOMAIN_ROLES}, got {self.domain_role!r}")
+        if not self.is_image and not np.all(np.isfinite(self.images)):
+            raise ValueError("point coordinates must be finite")
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.labels.ndim != 1 or self.labels.shape[0] != self.n_samples:
             raise ValueError(

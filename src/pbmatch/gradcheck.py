@@ -48,6 +48,7 @@ from .tensor import (
     relu,
     scale,
     sub,
+    take,
     transpose,
 )
 
@@ -170,6 +171,13 @@ def _build_matmul(rng, i):
 def _build_transpose(rng, i):
     w = Tensor(rng.normal(size=(3, 4)))
     return (lambda x: _sum(mul(transpose(x), w))), Tensor(rng.normal(size=(4, 3)))
+
+
+def _build_take(rng, i):
+    # a slice on even instances, a gather that repeats a row on odd ones
+    rows = slice(1, 3) if i % 2 == 0 else np.array([2, 0, 2, 3])
+    w = Tensor(rng.normal(size=(2 if i % 2 == 0 else 4, 3)))
+    return (lambda x: _sum(mul(take(x, rows), w))), Tensor(rng.normal(size=(4, 3)))
 
 
 def _build_reduce_sum(rng, i):
@@ -298,22 +306,28 @@ def _build_total(rng, i):
     d = 4
     params = init_params([d, 5, k], seed=int(rng.integers(0, 2**31 - 1)),
                          tasks=("rotate90", "vflip"))
+    # the mixup targets are detached target predictions, which the analytic
+    # gradient holds fixed. Odd instances zero the target rows, so the
+    # checked first-layer weights cannot move those predictions and finite
+    # differences see the same fixed targets; even instances drop the mixup
+    # term and keep random target rows.
+    mixup = bool(i % 2)
+    src_y = rng.integers(0, k, 6)
     bundle = BatchBundle(
         src_x=rng.normal(size=(6, d)),
-        src_y=rng.integers(0, k, 6),
-        tgt_x=rng.normal(size=(6, d)),
+        src_y=src_y,
+        tgt_x=np.zeros((6, d)) if mixup else rng.normal(size=(6, d)),
         tgt_x_aug=rng.normal(size=(6, d)),
-        pair_x_a=rng.normal(size=(4, d)),
-        pair_x_b=rng.normal(size=(4, d)),
-        pair_diff_mask=np.array([True, True, False, True]),
-        mixed_x=rng.normal(size=(5, d)),
-        mixed_targets=rng.dirichlet(np.full(k, 1.0), 5),
+        pair_diff_mask=src_y != np.roll(src_y, 1),
+        mixed_x=rng.normal(size=(6, d)),
+        mixed_partner=rng.permutation(6),
+        mixed_beta=rng.uniform(0.0, 1.0, 6),
         st_batches={
             "rotate90": (rng.normal(size=(5, d)), rng.integers(0, 4, 5)),
             "vflip": (rng.normal(size=(5, d)), rng.integers(0, 2, 5)),
         },
     )
-    cfg = LossConfig.for_classes(k)
+    cfg = LossConfig.for_classes(k, **({} if mixup else {"lambda_U": 0.0}))
     q0 = rng.dirichlet(np.full(k, 0.5))
     rest = params.phi[1:]
     bias0 = params.phi[0][1]
@@ -341,6 +355,7 @@ CHECKS: Dict[str, Builder] = {
     "op.scale": _build_scale,
     "op.matmul": _build_matmul,
     "op.transpose": _build_transpose,
+    "op.take": _build_take,
     "op.reduce_sum": _build_reduce_sum,
     "op.reduce_mean": _build_reduce_mean,
     "op.reduce_max": _build_reduce_max,

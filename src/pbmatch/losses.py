@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .nets import ModelParams, forward
+from .nets import ModelParams, forward, softmax_probs
 from .tensor import (
     Tensor,
     add,
@@ -27,6 +28,7 @@ from .tensor import (
     relu,
     scale,
     sub,
+    take,
     transpose,
 )
 
@@ -283,18 +285,41 @@ def tpbm_loss(task_logits_by_task: Mapping[str, Tensor],
 @dataclass
 class BatchBundle:
     """One step's inputs: source labeled batch, target batch, and the
-    pre-applied transform outputs each active term consumes."""
+    pre-applied transform outputs each active term consumes.
+
+    The consistency term's source pairs are the source rows and the same
+    rows rolled by one; ``pair_diff_mask`` marks the pairs whose labels
+    differ. ``mixed_x`` row r mixes target rows r and ``mixed_partner[r]``
+    with weight ``mixed_beta[r]``; its targets mix the two rows' detached
+    predictions the same way.
+    """
 
     src_x: np.ndarray
     src_y: np.ndarray
     tgt_x: Optional[np.ndarray] = None
     tgt_x_aug: Optional[np.ndarray] = None
-    pair_x_a: Optional[np.ndarray] = None
-    pair_x_b: Optional[np.ndarray] = None
     pair_diff_mask: Optional[np.ndarray] = None
     mixed_x: Optional[np.ndarray] = None
-    mixed_targets: Optional[np.ndarray] = None
+    mixed_partner: Optional[np.ndarray] = None
+    mixed_beta: Optional[np.ndarray] = None
     st_batches: Optional[Dict[str, Tuple[np.ndarray, np.ndarray]]] = None
+
+
+def _check_bundle(b: BatchBundle, cfg: LossConfig) -> None:
+    if cfg.lambda_M > 0.0 and b.tgt_x is None:
+        raise ValueError("lambda_M > 0 requires a target batch")
+    if cfg.lambda_C > 0.0 and (b.tgt_x is None or b.tgt_x_aug is None):
+        raise ValueError("lambda_C > 0 requires a target batch and its transformed view")
+    if cfg.lambda_U > 0.0 and (b.tgt_x is None or b.mixed_x is None
+                               or b.mixed_partner is None or b.mixed_beta is None):
+        raise ValueError(
+            "lambda_U > 0 requires a target batch, interpolated inputs and their mixing")
+    if cfg.lambda_S > 0.0 and not b.st_batches:
+        raise ValueError("lambda_S > 0 requires pretext-task batches")
+
+
+def _rows(t: Tensor, start: int, stop: int) -> Tensor:
+    return t if start == 0 and stop == t.shape[0] else take(t, slice(start, stop))
 
 
 def total_objective(batch_bundle: BatchBundle, params: ModelParams,
@@ -302,51 +327,63 @@ def total_objective(batch_bundle: BatchBundle, params: ModelParams,
                     ) -> Tuple[Tensor, Dict[str, float]]:
     """Weighted sum of the active terms; zero-weight terms are never built.
 
-    Returns the scalar loss and a report of each computed term's
-    unweighted value plus the total.
+    Every view the active terms score is stacked into one constant batch
+    and run through the shared extractor once; row blocks of the latent go
+    to the label head and to each pretext head. Returns the scalar loss and
+    a report of each computed term's unweighted value plus the total.
     """
     b = batch_bundle
-    terms: List[Tuple[str, float, Tensor]] = []
-
-    if cfg.supervised_weight > 0.0:
-        logits = forward(params, _const(b.src_x))
-        terms.append(("supervised", cfg.supervised_weight, cross_entropy(logits, b.src_y)))
-
-    tgt_logits = None
-    if cfg.lambda_M > 0.0:
-        if b.tgt_x is None:
-            raise ValueError("lambda_M > 0 requires a target batch")
-        tgt_logits = forward(params, _const(b.tgt_x))
-        terms.append(("mim", cfg.lambda_M, mim_loss(tgt_logits, tracker, cfg.entropy_ceiling)))
-
-    if cfg.lambda_C > 0.0:
-        if b.tgt_x is None or b.tgt_x_aug is None:
-            raise ValueError("lambda_C > 0 requires a target batch and its transformed view")
-        if tgt_logits is None:
-            tgt_logits = forward(params, _const(b.tgt_x))
-        aug_logits = forward(params, _const(b.tgt_x_aug))
-        pair_a = forward(params, _const(b.pair_x_a)) if b.pair_x_a is not None else None
-        pair_b = forward(params, _const(b.pair_x_b)) if b.pair_x_b is not None else None
-        terms.append(("cpbm", cfg.lambda_C,
-                      cpbm_loss(tgt_logits, aug_logits, pair_a, pair_b,
-                                b.pair_diff_mask, cfg.lambda_con)))
-
-    if cfg.lambda_U > 0.0:
-        if b.mixed_x is None or b.mixed_targets is None:
-            raise ValueError("lambda_U > 0 requires interpolated inputs and targets")
-        mixed_logits = forward(params, _const(b.mixed_x))
-        terms.append(("mupbm", cfg.lambda_U, mupbm_loss(mixed_logits, b.mixed_targets)))
-
-    if cfg.lambda_S > 0.0:
-        if not b.st_batches:
-            raise ValueError("lambda_S > 0 requires pretext-task batches")
-        logits_map = {task: forward(params, _const(x), head=task)
-                      for task, (x, _) in b.st_batches.items()}
-        labels_map = {task: labels for task, (_, labels) in b.st_batches.items()}
-        terms.append(("tpbm", cfg.lambda_S, tpbm_loss(logits_map, labels_map)))
-
-    if not terms:
+    _check_bundle(b, cfg)
+    use_pairs = cfg.lambda_C > 0.0 and b.pair_diff_mask is not None
+    # label-head views first, then one block per pretext task
+    label_views = [("src", b.src_x if cfg.supervised_weight > 0.0 or use_pairs else None),
+                   ("tgt", b.tgt_x if cfg.lambda_M > 0.0 or cfg.lambda_C > 0.0
+                    or cfg.lambda_U > 0.0 else None),
+                   ("aug", b.tgt_x_aug if cfg.lambda_C > 0.0 else None),
+                   ("mixed", b.mixed_x if cfg.lambda_U > 0.0 else None)]
+    label_views = [(name, x) for name, x in label_views if x is not None]
+    task_views = sorted(b.st_batches.items()) if cfg.lambda_S > 0.0 else []
+    stacked = [x for _, x in label_views] + [x for _, (x, _) in task_views]
+    if not stacked:
         raise ValueError("all objective weights are zero; nothing to optimize")
+    z = forward(params, _const(np.concatenate(stacked)), head=None)
+
+    bounds = [0, *accumulate(x.shape[0] for x in stacked)]
+    n_label = len(label_views)
+    logits: Dict[str, Tensor] = {}
+    if label_views:
+        w, bias = params.psi
+        label_logits = add(matmul(_rows(z, 0, bounds[n_label]), w), bias)
+        logits = {name: _rows(label_logits, bounds[i], bounds[i + 1])
+                  for i, (name, _) in enumerate(label_views)}
+
+    terms: List[Tuple[str, float, Tensor]] = []
+    if cfg.supervised_weight > 0.0:
+        terms.append(("supervised", cfg.supervised_weight,
+                      cross_entropy(logits["src"], b.src_y)))
+    if cfg.lambda_M > 0.0:
+        terms.append(("mim", cfg.lambda_M,
+                      mim_loss(logits["tgt"], tracker, cfg.entropy_ceiling)))
+    if cfg.lambda_C > 0.0:
+        pair_a = logits["src"] if use_pairs else None
+        pair_b = (take(pair_a, np.roll(np.arange(pair_a.shape[0]), 1))
+                  if use_pairs else None)
+        terms.append(("cpbm", cfg.lambda_C,
+                      cpbm_loss(logits["tgt"], logits["aug"], pair_a, pair_b,
+                                b.pair_diff_mask, cfg.lambda_con)))
+    if cfg.lambda_U > 0.0:
+        # targets mix the detached target predictions; they get no gradient
+        probs = softmax_probs(logits["tgt"].data)
+        beta = b.mixed_beta[:, None]
+        targets = beta * probs + (1.0 - beta) * probs[b.mixed_partner]
+        terms.append(("mupbm", cfg.lambda_U, mupbm_loss(logits["mixed"], targets)))
+    if cfg.lambda_S > 0.0:
+        logits_map = {}
+        for i, (task, _) in enumerate(task_views, start=n_label):
+            w_t, b_t = params.head_tensors(task)
+            logits_map[task] = add(matmul(_rows(z, bounds[i], bounds[i + 1]), w_t), b_t)
+        labels_map = {task: labels for task, (_, labels) in task_views}
+        terms.append(("tpbm", cfg.lambda_S, tpbm_loss(logits_map, labels_map)))
 
     total = None
     report: Dict[str, float] = {}

@@ -60,7 +60,7 @@ class ModelParams:
             return list(self.psi)
         if head in self.omega:
             return list(self.omega[head])
-        raise ValueError(f"unknown head: {head!r}")
+        raise ValueError(f"unknown head: {head!r} (have label, {', '.join(self.omega)})")
 
     def zero_grads(self) -> None:
         for t in self.all_tensors():
@@ -122,32 +122,31 @@ def features(params: ModelParams, x: Tensor) -> Tensor:
     return h
 
 
-def forward(params: ModelParams, x: Tensor, head: str = "label") -> Tensor:
-    """Logits of the requested head applied to g(x), recorded for backward."""
+def forward(params: ModelParams, x: Tensor, head: Optional[str] = "label") -> Tensor:
+    """Logits of the requested head applied to g(x), recorded for backward;
+    ``head=None`` returns the latent g(x) itself, for callers that route its
+    rows to several heads."""
     z = features(params, x)
-    if head == "label":
-        w, b = params.psi
-    elif head in params.omega:
-        w, b = params.omega[head]
-    else:
-        raise ValueError(f"unknown head: {head!r} (have label, {', '.join(params.omega)})")
+    if head is None:
+        return z
+    w, b = params.head_tensors(head)
     return matmul(z, w) + b
 
 
-def predict_logits(params: ModelParams, x: np.ndarray, head: str = "label") -> np.ndarray:
-    """Tape-free inference path over plain arrays (evaluation, pseudo-targets)."""
+def predict_features(params: ModelParams, x: np.ndarray) -> np.ndarray:
+    """Tape-free extractor output g(x) over plain arrays."""
     h = np.asarray(x, dtype=np.float64)
     if h.ndim != 2 or h.shape[1] != params.input_dim:
         raise ValueError(f"input width {h.shape} does not match input dim {params.input_dim}")
     for w, b in params.phi:
         h = np.maximum(h @ w.data + b.data, 0.0)
-    if head == "label":
-        w, b = params.psi
-    elif head in params.omega:
-        w, b = params.omega[head]
-    else:
-        raise ValueError(f"unknown head: {head!r}")
-    return h @ w.data + b.data
+    return h
+
+
+def predict_logits(params: ModelParams, x: np.ndarray, head: str = "label") -> np.ndarray:
+    """Tape-free inference path over plain arrays (evaluation)."""
+    w, b = params.head_tensors(head)
+    return predict_features(params, x) @ w.data + b.data
 
 
 def softmax_probs(logits: np.ndarray) -> np.ndarray:

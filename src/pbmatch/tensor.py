@@ -269,6 +269,30 @@ def transpose(a: Tensor) -> Tensor:
     return _node(a.data.T.copy(), (a,), rule)
 
 
+def take(a: Tensor, rows: Union[slice, np.ndarray]) -> Tensor:
+    """Rows of ``a`` along axis 0: a slice, or an index array (a gather).
+
+    Lets one stacked pass feed several consumers; the gradient scatters
+    back into the selected rows, adding up rows gathered more than once.
+    """
+    if a.ndim < 1:
+        raise ValueError("take needs at least rank 1")
+    if not isinstance(rows, slice):
+        rows = np.asarray(rows, dtype=np.intp)
+        if rows.ndim != 1:
+            raise ValueError(f"take needs a slice or a 1-D index array, got shape {rows.shape}")
+
+    def rule(g):
+        buf = np.zeros_like(a.data)
+        if isinstance(rows, slice):
+            buf[rows] = g
+        else:
+            np.add.at(buf, rows, g)
+        return (buf,)
+
+    return _node(a.data[rows], (a,), rule)
+
+
 def reduce(op_kind: str, a: Tensor, axis: Optional[int] = None) -> Tensor:
     if axis is not None and not (0 <= axis < a.ndim):
         raise ValueError(f"axis {axis} out of range for rank {a.ndim}")

@@ -43,27 +43,28 @@ from .datasets import (
     outlier_pool,
 )
 from .losses import (
+    BatchBundle,
     LossConfig,
     MarginalTracker,
+    _entropy,
     coral_distance,
     cross_entropy,
     mmd_distance,
     total_objective,
 )
-from .losses import BatchBundle
 from .nets import (
     ModelParams,
     OptimState,
     clone_params,
     features,
-    forward,
     init_params,
+    predict_features,
     predict_logits,
     save_checkpoint,
     softmax_probs,
     step,
 )
-from .tensor import Tensor, add, backward, matmul, scale
+from .tensor import Tensor, add, backward, matmul, scale, take
 from .transforms import (
     NI_KINDS,
     RA_KINDS,
@@ -210,11 +211,16 @@ class TrainConfig:
         d = dict(d)
         if d.get("loss") is not None:
             _reject_unknown_keys(d["loss"], LossConfig, "loss config")
+            missing = sorted(f.name for f in dataclasses.fields(LossConfig)
+                             if f.default is dataclasses.MISSING and f.name not in d["loss"])
+            if missing:
+                raise ValueError(f"loss config is missing required keys: {missing}")
             d["loss"] = LossConfig(**d["loss"])
-        if d.get("hidden") is not None:
-            d["hidden"] = tuple(d["hidden"])
-        if d.get("initial_marginal") is not None:
-            d["initial_marginal"] = tuple(d["initial_marginal"])
+        for name in ("hidden", "initial_marginal"):
+            if d.get(name) is not None:
+                if not isinstance(d[name], (list, tuple)):
+                    raise ValueError(f"{name} must be a list, got {d[name]!r}")
+                d[name] = tuple(d[name])
         return cls(**d)
 
 
@@ -254,14 +260,21 @@ class Metrics:
 def evaluate(params: ModelParams, ds: DomainDataset) -> EvalReport:
     """Argmax accuracy over rows with a valid label; sentinel rows are
     excluded from every denominator."""
-    valid = ds.labels >= 0
+    if ds.class_count != params.n_classes:
+        raise ValueError(
+            f"dataset has {ds.class_count} classes but the model predicts "
+            f"{params.n_classes}")
+    return _score(predict_logits(params, ds.x_flat()), ds.labels, ds.class_count)
+
+
+def _score(logits: np.ndarray, labels: np.ndarray, k: int) -> EvalReport:
+    """Accuracy breakdown of argmax predictions; rows labeled -1 are left out."""
+    valid = labels >= 0
     n_valid = int(valid.sum())
     if n_valid == 0:
         raise ValueError("dataset has no labeled samples to evaluate")
-    x = ds.x_flat()[valid]
-    y = ds.labels[valid]
-    preds = predict_logits(params, x).argmax(axis=1)
-    k = ds.class_count
+    preds = logits[valid].argmax(axis=1)
+    y = labels[valid]
     confusion = np.zeros((k, k), dtype=np.int64)
     np.add.at(confusion, (y, preds), 1)
     per_class: List[Optional[float]] = []
@@ -301,23 +314,10 @@ def split_target(labels: np.ndarray, eval_fraction: float,
 # the training loop
 # ---------------------------------------------------------------------------
 
-def _entropy_of(p: np.ndarray) -> float:
-    safe = np.maximum(np.asarray(p, dtype=np.float64), 1e-300)
-    return float(-(safe * np.log(safe)).sum())
-
-
-def _latent_features(params: ModelParams, x: np.ndarray) -> np.ndarray:
-    """Tape-free extractor output (mirrors the forward pass up to the heads)."""
-    h = np.asarray(x, dtype=np.float64)
-    for w, b in params.phi:
-        h = np.maximum(h @ w.data + b.data, 0.0)
-    return h
-
-
 def full_set_mmd(params: ModelParams, src_x: np.ndarray, tgt_x: np.ndarray) -> float:
     """Squared kernel distance between the two domains' full latent sets."""
-    z_s = Tensor(_latent_features(params, src_x))
-    z_t = Tensor(_latent_features(params, tgt_x))
+    z_s = Tensor(predict_features(params, src_x))
+    z_t = Tensor(predict_features(params, tgt_x))
     return float(mmd_distance(z_s, z_t).data)
 
 
@@ -384,7 +384,6 @@ def train(cfg: TrainConfig, src: DomainDataset, tgt: DomainDataset,
 
     adapt_idx, eval_idx = split_target(tgt.labels, cfg.eval_fraction, cfg.seed_data)
     adapt = tgt.take(adapt_idx)
-    held_out = tgt.take(eval_idx)
 
     src_flat = src.x_flat()
     adapt_flat = adapt.x_flat()
@@ -436,7 +435,7 @@ def train(cfg: TrainConfig, src: DomainDataset, tgt: DomainDataset,
                 total, report = _dm_step(cfg, params, x_s, y_s, x_t, global_step)
             else:
                 bundle = _build_bundle(cfg, components, cpbm_kinds, tpbm_tasks,
-                                       params, src, adapt, rows_s, rows_t,
+                                       src, adapt, rows_s, rows_t,
                                        x_s, y_s, x_t, loss_cfg, epoch, s)
                 total, report = total_objective(bundle, params, loss_cfg, tracker)
 
@@ -453,9 +452,11 @@ def train(cfg: TrainConfig, src: DomainDataset, tgt: DomainDataset,
             if on_step is not None:
                 on_step(epoch, s, dict(report))
 
-        eval_rep = evaluate(params, held_out)
-        trans_rep = evaluate(params, adapt)
-        marginal = softmax_probs(predict_logits(params, tgt_flat)).mean(axis=0)
+        # one pass over the whole target; the splits are row subsets of it
+        tgt_logits = predict_logits(params, tgt_flat)
+        eval_rep = _score(tgt_logits[eval_idx], tgt.labels[eval_idx], k)
+        trans_rep = _score(tgt_logits[adapt_idx], tgt.labels[adapt_idx], k)
+        marginal = softmax_probs(tgt_logits).mean(axis=0)
         record = {
             "epoch": epoch,
             "loss_terms": {name: value / steps_per_epoch
@@ -465,7 +466,7 @@ def train(cfg: TrainConfig, src: DomainDataset, tgt: DomainDataset,
             "tgt_acc_transductive": trans_rep.accuracy,
             "per_class_tgt_acc": eval_rep.per_class,
             "prediction_marginal": [float(v) for v in marginal],
-            "h_q": tracker.entropy() if "mim" in components else _entropy_of(marginal),
+            "h_q": tracker.entropy() if "mim" in components else _entropy(marginal),
         }
         metrics.records.append(record)
         metrics.confusion = eval_rep.confusion
@@ -484,10 +485,10 @@ def _dm_step(cfg: TrainConfig, params: ModelParams, x_s: np.ndarray,
              y_s: np.ndarray, x_t: np.ndarray, global_step: int
              ) -> Tuple[Tensor, Dict[str, float]]:
     """Source cross-entropy plus the ramped feature-distance penalty."""
-    z_s = features(params, Tensor(x_s))
-    z_t = features(params, Tensor(x_t))
+    n_s = x_s.shape[0]
+    z = features(params, Tensor(np.concatenate([x_s, x_t])))
+    z_s, z_t = take(z, slice(0, n_s)), take(z, slice(n_s, None))
     w_psi, b_psi = params.psi
-    # logits reuse the source feature tape instead of a second extractor pass
     ce = cross_entropy(add(matmul(z_s, w_psi), b_psi), y_s)
     distance = (mmd_distance(z_s, z_t) if cfg.method == "dm_mmd"
                 else coral_distance(z_s, z_t))
@@ -505,32 +506,30 @@ def _dm_step(cfg: TrainConfig, params: ModelParams, x_s: np.ndarray,
 
 def _build_bundle(cfg: TrainConfig, components: frozenset,
                   cpbm_kinds: Tuple[str, ...], tpbm_tasks: Tuple[str, ...],
-                  params: ModelParams, src: DomainDataset, adapt: DomainDataset,
+                  src: DomainDataset, adapt: DomainDataset,
                   rows_s: np.ndarray, rows_t: np.ndarray,
                   x_s: np.ndarray, y_s: np.ndarray, x_t: np.ndarray,
                   loss_cfg: LossConfig, epoch: int, s: int) -> BatchBundle:
     """Assemble exactly the views the active terms consume."""
     token = _transform_token(cfg.seed_data, epoch, s)
     bundle = BatchBundle(src_x=x_s, src_y=y_s)
-    if components & {"mim", "cpbm"}:
+    if components & {"mim", "cpbm", "mupbm"}:
         bundle.tgt_x = x_t
 
     if "cpbm" in components:
         batch_imgs = ImageBatch(adapt.images.data[rows_t])
         bundle.tgt_x_aug = apply_semantic_preserving(
             batch_imgs, token, kinds=cpbm_kinds).flat()
-        bundle.pair_x_a = x_s
-        bundle.pair_x_b = np.roll(x_s, 1, axis=0)
         bundle.pair_diff_mask = y_s != np.roll(y_s, 1)
 
     if "mupbm" in components:
         rng = np.random.default_rng([cfg.seed_data & _MASK, 17, epoch, s])
         partner = rng.permutation(x_t.shape[0])
         betas = sample_mixup_beta(x_t.shape[0], loss_cfg.mixup_alpha, rng)
-        probs = softmax_probs(predict_logits(params, x_t))
         b_col = betas[:, None]
         bundle.mixed_x = b_col * x_t + (1.0 - b_col) * x_t[partner]
-        bundle.mixed_targets = b_col * probs + (1.0 - b_col) * probs[partner]
+        bundle.mixed_partner = partner
+        bundle.mixed_beta = betas
 
     if "tpbm" in components:
         both = np.concatenate([src.images.data[rows_s], adapt.images.data[rows_t]])

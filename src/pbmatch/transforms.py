@@ -1,17 +1,18 @@
 """Image operation families: semantic-preserving, interpolation, semantic-transforming.
 
 All operations act on batches of [0,1]-valued H x W grayscale images and are
-deterministic given (seed, sample index): each sample draws its random
-parameters from its own generator seeded by the pair, so serial and parallel
-application agree. The drawn operations are then applied batch-wise, each
-kind to all the images that drew it at once, and give the same bytes as
-applying every sample's operations to it alone.
+deterministic: the same seed and the same batch give the same bytes. Each
+call draws every sample's random parameters as arrays from one generator
+seeded by (seed, family salt), so a sample's draw depends on its position
+and on the batch's size and shape. The drawn operations are applied batch-wise, each kind to all the
+images that drew it at once, and give the same bytes as applying every
+sample's operations to it alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -63,74 +64,84 @@ class ImageBatch:
         return self.data.reshape(len(self), -1)
 
 
-def _sample_rng(seed: int, index: int) -> np.random.Generator:
-    # per-sample stream; (seed, index) fully determines the draw
-    return np.random.default_rng([int(seed) & 0xFFFFFFFF, int(index)])
+# salt of the semantic-preserving stream; the other [seed, salt] streams use
+# small constants or per-sample indices, which stay far below it
+SP_STREAM_SALT = 2**31
+
+
+class SpDraw(NamedTuple):
+    """One kind applied in one slot: ``rows`` of the batch and their params.
+
+    ``params`` per kind, one row each: shift ``(dy, dx)``, small_rotate
+    ``(angle_deg,)``, cutout ``(top, left, side)``, brightness ``(delta,)``,
+    contrast ``(factor,)``, gaussian_noise ``(sigma,)``; ``noise`` holds the
+    standard-normal fields that gaussian_noise scales by sigma.
+    """
+
+    slot: int
+    kind: str
+    rows: np.ndarray
+    params: np.ndarray
+    noise: Optional[np.ndarray] = None
 
 
 # ---------------------------------------------------------------------------
 # semantic-preserving kinds
 # ---------------------------------------------------------------------------
 
-def _draw_sp_ops(seed: int, index: int, h: int, w: int, kinds: Sequence[str],
-                 strength: float) -> List[Tuple[str, Tuple[float, ...]]]:
-    """Draw the 1-2 ``(kind, params)`` ops one sample will receive, in order.
+def _sp_params(kind: str, u: np.ndarray, h: int, w: int, strength: float) -> np.ndarray:
+    """Map [k, 2] uniform draws in [0, 1) to the kind's [k, n_params] params."""
+    def centered(cap):
+        return (2.0 * u[:, :1] - 1.0) * cap * strength
 
-    ``params`` per kind: shift ``(dy, dx)``, small_rotate ``(angle_deg,)``,
-    cutout ``(top, left, side)``, brightness ``(delta,)``, contrast
-    ``(factor,)``, gaussian_noise ``(sigma, noise_seed)``.
+    if kind == "shift":
+        m = int(round(MAX_SHIFT_PX * strength))
+        return np.floor(u * (2 * m + 1)) - m
+    if kind == "small_rotate":
+        return centered(MAX_ROTATE_DEG)
+    if kind == "cutout":
+        side = int(round(CUTOUT_SIDE_FRACTION * min(h, w) * strength))
+        span = np.array([max(h - side, 0) + 1, max(w - side, 0) + 1])
+        return np.column_stack([np.floor(u * span), np.full(len(u), side)])
+    if kind == "brightness":
+        return centered(MAX_BRIGHTNESS_DELTA)
+    if kind == "contrast":
+        return 1.0 + centered(MAX_CONTRAST_DELTA)
+    # gaussian_noise
+    return (0.02 + u[:, :1] * (MAX_NOISE_SIGMA - 0.02)) * strength
+
+
+def draw_semantic_preserving(seed: int, n: int, h: int, w: int,
+                             kinds: Sequence[str], strength: float) -> List[SpDraw]:
+    """Draw the ops of a batch of n H x W images from one generator.
+
+    Every sample gets 1-2 distinct kinds (exactly 1 from a single kind) in
+    a random order; slot 0 holds each sample's first op and slot 1 the
+    second op of the samples that drew two. Returns one :class:`SpDraw` per
+    (slot, kind) that some sample uses, by slot and then in ``kinds`` order
+    (repeats in ``kinds`` count once). The draws depend only on ``seed``,
+    the batch geometry, ``kinds`` and ``strength``.
     """
-    rng = _sample_rng(seed, index)
-    n_ops = int(rng.integers(1, 3)) if len(kinds) > 1 else 1
-    chosen = rng.choice(len(kinds), size=min(n_ops, len(kinds)), replace=False)
-    ops = []
-    for ci in chosen:
-        kind = kinds[int(ci)]
-        if kind == "shift":
-            m = int(round(MAX_SHIFT_PX * strength))
-            params = (int(rng.integers(-m, m + 1)), int(rng.integers(-m, m + 1)))
-        elif kind == "small_rotate":
-            params = (float(rng.uniform(-MAX_ROTATE_DEG, MAX_ROTATE_DEG) * strength),)
-        elif kind == "cutout":
-            side = int(round(CUTOUT_SIDE_FRACTION * min(h, w) * strength))
-            top = int(rng.integers(0, max(h - side, 0) + 1))
-            left = int(rng.integers(0, max(w - side, 0) + 1))
-            params = (top, left, side)
-        elif kind == "brightness":
-            params = (float(rng.uniform(-MAX_BRIGHTNESS_DELTA, MAX_BRIGHTNESS_DELTA) * strength),)
-        elif kind == "contrast":
-            params = (1.0 + float(rng.uniform(-MAX_CONTRAST_DELTA, MAX_CONTRAST_DELTA) * strength),)
-        else:  # gaussian_noise
-            sigma = float(rng.uniform(0.02, MAX_NOISE_SIGMA) * strength)
-            params = (sigma, int(rng.integers(0, 2**31)))
-        ops.append((kind, params))
-    return ops
-
-
-def _image_means(imgs: np.ndarray, strided: np.ndarray) -> np.ndarray:
-    """Per-image means, summed in the order ``img.mean()`` sums one image.
-
-    A contiguous image sums pairwise over all its pixels. An x-shifted image
-    is a strided view into its edge padding; numpy reduces a strided view
-    through its buffer, a whole number of rows at a time, and adds up the
-    buffered sums. The two orders differ in the last bits once an image has
-    more pixels than the buffer holds.
-    """
-    k, h, w = imgs.shape
-    flat = imgs.reshape(k, h * w)
-    sums = flat.sum(axis=1)
-    if strided.any():
-        views = flat[strided]
-        step = max(np.getbufsize() // w, 1) * w
-        acc = np.zeros(len(views))
-        for start in range(0, h * w, step):
-            acc = acc + views[:, start:start + step].sum(axis=1)
-        sums[strided] = acc
-    return sums / (h * w)
+    kinds = tuple(dict.fromkeys(kinds))
+    rng = np.random.default_rng([int(seed) & 0xFFFFFFFF, SP_STREAM_SALT])
+    n_ops = rng.integers(1, 3, n) if len(kinds) > 1 else np.ones(n, dtype=np.int64)
+    # a random order of the kinds per sample; its leading entries are distinct
+    order = np.argsort(rng.random((n, len(kinds))), axis=1)
+    u = rng.random((2, n, 2))
+    draws = []
+    for slot in range(min(2, len(kinds))):
+        active = n_ops > slot
+        for ki in np.unique(order[active, slot]):
+            kind = kinds[int(ki)]
+            rows = np.flatnonzero(active & (order[:, slot] == ki))
+            draws.append(SpDraw(slot, kind, rows,
+                                _sp_params(kind, u[slot, rows], h, w, strength)))
+    return [d._replace(noise=rng.standard_normal((len(d.rows), h, w)))
+            if d.kind == "gaussian_noise" else d for d in draws]
 
 
 def _apply_sp_kind(kind: str, imgs: np.ndarray, p: np.ndarray,
-                   strided: np.ndarray) -> np.ndarray:
+                   noise: Optional[np.ndarray]) -> np.ndarray:
     """Apply one kind to a fresh [k, H, W] stack, image r with parameters p[r]."""
     k, h, w = imgs.shape
     stack = np.arange(k)[:, None, None]
@@ -160,12 +171,10 @@ def _apply_sp_kind(kind: str, imgs: np.ndarray, p: np.ndarray,
     if kind == "brightness":
         return imgs + p[:, 0, None, None]
     if kind == "contrast":
-        mean = _image_means(imgs, strided)[:, None, None]
+        mean = (imgs.reshape(k, h * w).sum(axis=1) / (h * w))[:, None, None]
         return (imgs - mean) * p[:, 0, None, None] + mean
-    # gaussian_noise: every image keeps its own generator
-    noise = np.stack([np.random.default_rng(int(noise_seed)).normal(0.0, sigma, (h, w))
-                      for sigma, noise_seed in p])
-    return imgs + noise
+    # gaussian_noise
+    return imgs + p[:, 0, None, None] * noise
 
 
 def apply_semantic_preserving(x: ImageBatch, seed: int,
@@ -173,12 +182,11 @@ def apply_semantic_preserving(x: ImageBatch, seed: int,
                               strength: float = 1.0) -> ImageBatch:
     """Random composition of 1-2 kinds per sample; output clamped to [0,1].
 
-    Sample i's ops and their parameters are drawn from its own ``(seed, i)``
-    stream (:func:`_draw_sp_ops`). The ops are then applied batch-wise in two
-    slots, every sample's first op and then the second op of the samples
-    that drew two, so each sample keeps its drawn order. Within a slot each
-    kind acts on all of its images at once, and the batch is clipped once at
-    the end. The bytes equal applying each sample's ops to it alone.
+    The ops are drawn for the whole batch by
+    :func:`draw_semantic_preserving` and applied in two slots, every
+    sample's first op and then the second op of the samples that drew two,
+    so each sample keeps its drawn order. Within a slot each kind acts on
+    all of its images at once, and the batch is clipped once at the end.
     """
     for k in kinds:
         if k not in SP_KINDS:
@@ -186,22 +194,9 @@ def apply_semantic_preserving(x: ImageBatch, seed: int,
     if strength == 0.0:
         return ImageBatch(x.data.copy())
     n, h, w = x.data.shape
-    # (slot, kind) -> the rows that apply kind in that slot, and their params
-    groups: Dict[Tuple[int, str], Tuple[list, list]] = {}
-    for i in range(n):
-        for slot, (kind, params) in enumerate(_draw_sp_ops(seed, i, h, w, kinds, strength)):
-            rows, ps = groups.setdefault((slot, kind), ([], []))
-            rows.append(i)
-            ps.append(params)
     out = x.data.copy()
-    # rows whose current image the one-sample definition holds as a strided view
-    strided = np.zeros(n, dtype=bool)
-    # slot 0 sorts first; the groups of one slot hold disjoint rows
-    for (_, kind), (rows, ps) in sorted(groups.items()):
-        rows = np.asarray(rows)
-        p = np.asarray(ps, dtype=np.float64)
-        out[rows] = _apply_sp_kind(kind, out[rows], p, strided[rows])
-        strided[rows] = p[:, 1] != 0 if kind == "shift" else False
+    for draw in draw_semantic_preserving(seed, n, h, w, kinds, strength):
+        out[draw.rows] = _apply_sp_kind(draw.kind, out[draw.rows], draw.params, draw.noise)
     np.clip(out, 0.0, 1.0, out=out)
     return ImageBatch(out)
 

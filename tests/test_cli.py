@@ -251,6 +251,45 @@ class TestTrainEval:
         assert not (tmp_path / "run").exists()
 
 
+    @pytest.mark.parametrize("payload,field", [
+        ({"method": "source_only", "loss": {"lambda_M": 1}}, "entropy_ceiling"),
+        ({"method": "source_only", "hidden": 5}, "hidden"),
+    ], ids=["partial_loss", "hidden_not_list"])
+    def test_malformed_config_field_exits_1(self, blob_pair_dir, tmp_path, capsys,
+                                            payload, field):
+        cfg = write_json(tmp_path / "cfg.json", payload)
+        assert main(["train", "--config", cfg,
+                     "--src", str(blob_pair_dir / "source"),
+                     "--tgt", str(blob_pair_dir / "target"),
+                     "--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err
+        assert field in err and "pbmatch: error:" in err
+        assert "Traceback" not in err
+
+    def test_eval_rejects_a_dataset_with_other_classes(self, blob_pair_dir, tmp_path,
+                                                       capsys):
+        cfg = write_json(tmp_path / "cfg.json", {
+            "method": "source_only", "epochs": 1, "batch": 60, "hidden": [4]})
+        out = tmp_path / "run"
+        assert main(["train", "--config", cfg,
+                     "--src", str(blob_pair_dir / "source"),
+                     "--tgt", str(blob_pair_dir / "target"),
+                     "--out", str(out)]) == 0
+        spec = write_json(tmp_path / "blob3.json", {
+            "kind": "blob_pair", "k": 3, "source_priors": [0.4, 0.3, 0.3],
+            "target_priors": [0.4, 0.3, 0.3],
+            "means": [[-2.0, 0.0], [2.0, 0.0], [0.0, 2.0]], "spread": 0.5, "n": 60})
+        three = tmp_path / "blobs3"
+        assert main(["generate", "--spec", spec, "--out", str(three), "--seed", "0"]) == 0
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(out / "checkpoint.bin"),
+                     "--data", str(three / "target")]) == 1
+        captured = capsys.readouterr()
+        assert "3 classes but the model predicts 2" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+
 class TestAblate:
     def test_tiny_matrix(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "abl.json", {
@@ -280,6 +319,20 @@ class TestAblate:
         assert main(["ablate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert "epoch" in err and "unknown" in err
+        assert "Traceback" not in err
+
+
+    @pytest.mark.parametrize("train_cfg,field", [
+        ({"method": "source_only", "loss": {"lambda_M": 1}}, "entropy_ceiling"),
+        ({"method": "source_only", "hidden": 5}, "hidden"),
+    ], ids=["partial_loss", "hidden_not_list"])
+    def test_malformed_train_field_exits_1(self, tmp_path, capsys, train_cfg, field):
+        cfg = write_json(tmp_path / "abl.json", {
+            "train": train_cfg,
+            "benchmarks": [{"kind": "LDS", "imbalance_factor": 4.0}]})
+        assert main(["ablate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert field in err and "pbmatch: error:" in err
         assert "Traceback" not in err
 
 

@@ -200,6 +200,17 @@ def test_dataset_rejects_out_of_range_labels():
                       domain_role="source")
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_dataset_rejects_non_finite_points(bad):
+    src, _ = generate_blob_pair(2, (0.5, 0.5), (0.5, 0.5), ((-2, 0), (2, 0)),
+                                0.5, 20, seed=0)
+    points = src.images.copy()
+    points[3, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        DomainDataset(images=points, labels=src.labels, class_count=2,
+                      domain_role="source")
+
+
 def test_dataset_accepts_outlier_sentinel():
     ds = _tiny_dataset()
     lab = ds.labels.copy()

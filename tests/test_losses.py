@@ -21,7 +21,7 @@ from pbmatch.losses import (
     total_objective,
     _diversity_term,
 )
-from pbmatch.nets import forward, init_params
+from pbmatch.nets import forward, init_params, predict_logits, softmax_probs
 from pbmatch.tensor import Tensor, backward, grad_check, zero_grads
 
 
@@ -370,18 +370,15 @@ class TestTpbmLoss:
 # combined objective
 # ---------------------------------------------------------------------------
 
-def _full_bundle(params, rng, n_src=8, n_tgt=6, n_pairs=6, n_mix=6):
+def _full_bundle(params, rng, n_src=8, n_tgt=6):
     d = params.input_dim
     k = params.n_classes
     src_x = rng.uniform(0, 1, (n_src, d))
     src_y = rng.integers(0, k, n_src)
     tgt_x = rng.uniform(0, 1, (n_tgt, d))
-    pair_shift = np.roll(np.arange(n_pairs), 1)
-    pair_y = rng.integers(0, k, n_pairs)
-    mix_b = rng.beta(0.2, 0.2, n_mix)
-    mix_x = mix_b[:, None] * src_x[:n_mix] + (1 - mix_b[:, None]) * tgt_x[:n_mix]
-    mix_t = (mix_b[:, None] * np.eye(k)[src_y[:n_mix]]
-             + (1 - mix_b[:, None]) * _softmax(rng.uniform(-1, 1, (n_mix, k))))
+    partner = rng.permutation(n_tgt)
+    mix_b = rng.beta(0.2, 0.2, n_tgt)
+    mix_x = mix_b[:, None] * tgt_x + (1 - mix_b[:, None]) * tgt_x[partner]
     st = {
         "rotate90": (rng.uniform(0, 1, (5, d)), rng.integers(0, 4, 5)),
         "vflip": (rng.uniform(0, 1, (5, d)), rng.integers(0, 2, 5)),
@@ -389,9 +386,64 @@ def _full_bundle(params, rng, n_src=8, n_tgt=6, n_pairs=6, n_mix=6):
     return BatchBundle(
         src_x=src_x, src_y=src_y, tgt_x=tgt_x,
         tgt_x_aug=np.clip(tgt_x + rng.normal(0, 0.05, tgt_x.shape), 0, 1),
-        pair_x_a=src_x[:n_pairs], pair_x_b=src_x[:n_pairs][pair_shift],
-        pair_diff_mask=pair_y != pair_y[pair_shift],
-        mixed_x=mix_x, mixed_targets=mix_t, st_batches=st)
+        pair_diff_mask=src_y != np.roll(src_y, 1),
+        mixed_x=mix_x, mixed_partner=partner, mixed_beta=mix_b, st_batches=st)
+
+
+def _per_view_terms(bundle, params, cfg):
+    """The objective's weighted terms built the way it was first written:
+    one extractor pass per view, the source pairs as their own inputs, and
+    the mixup targets from a tape-free prediction of the target batch."""
+    b = bundle
+    probs = softmax_probs(predict_logits(params, b.tgt_x))
+    beta = b.mixed_beta[:, None]
+    targets = beta * probs + (1 - beta) * probs[b.mixed_partner]
+
+    def view(x, head="label"):
+        return forward(params, Tensor(x), head=head)
+
+    return [
+        (cfg.supervised_weight, lambda: cross_entropy(view(b.src_x), b.src_y)),
+        (cfg.lambda_M, lambda: mim_loss(view(b.tgt_x), MarginalTracker.uniform(3),
+                                        cfg.entropy_ceiling)),
+        (cfg.lambda_C, lambda: cpbm_loss(view(b.tgt_x), view(b.tgt_x_aug),
+                                         view(b.src_x), view(np.roll(b.src_x, 1, axis=0)),
+                                         b.pair_diff_mask, cfg.lambda_con)),
+        (cfg.lambda_U, lambda: mupbm_loss(view(b.mixed_x), targets)),
+        (cfg.lambda_S, lambda: tpbm_loss(
+            {t: view(x, head=t) for t, (x, _) in b.st_batches.items()},
+            {t: lab for t, (_, lab) in b.st_batches.items()})),
+    ]
+
+
+def _assert_matches_per_view(bundle, params, cfg):
+    """Loss to 1e-12 and every gradient at atol 1e-12 against the sum of
+    the per-view terms, each backpropagated on its own."""
+    loss, _ = total_objective(bundle, params, cfg, MarginalTracker.uniform(3))
+    params.zero_grads()
+    backward(loss)
+    combined = [t.grad.copy() if t.grad is not None else None
+                for t in params.all_tensors()]
+
+    want_loss = 0.0
+    accumulated = [np.zeros_like(t.data) for t in params.all_tensors()]
+    for weight, build in _per_view_terms(bundle, params, cfg):
+        if weight == 0.0:
+            continue
+        params.zero_grads()
+        term = build()
+        want_loss += weight * float(term.data)
+        backward(term)
+        for i, t in enumerate(params.all_tensors()):
+            if t.grad is not None:
+                accumulated[i] += weight * t.grad
+
+    assert abs(float(loss.data) - want_loss) < 1e-12
+    for got, want in zip(combined, accumulated):
+        if got is None:
+            assert not np.any(want)
+        else:
+            assert np.allclose(got, want, rtol=0.0, atol=1e-12)
 
 
 class TestTotalObjective:
@@ -440,46 +492,19 @@ class TestTotalObjective:
         cfg = LossConfig.for_classes(3, lambda_M=0.7, lambda_C=0.3,
                                      lambda_U=0.4, lambda_S=0.9,
                                      supervised_weight=0.8)
-        loss, _ = total_objective(bundle, params, cfg, MarginalTracker.uniform(3))
-        backward(loss)
-        combined = [t.grad.copy() if t.grad is not None else None
-                    for t in params.all_tensors()]
-        params.zero_grads()
+        _assert_matches_per_view(bundle, params, cfg)
 
-        accumulated = [np.zeros_like(t.data) for t in params.all_tensors()]
-
-        def run(weight, build):
-            params.zero_grads()
-            backward(build())
-            for i, t in enumerate(params.all_tensors()):
-                if t.grad is not None:
-                    accumulated[i] += weight * t.grad
-
-        run(cfg.supervised_weight,
-            lambda: cross_entropy(forward(params, Tensor(bundle.src_x)), bundle.src_y))
-        run(cfg.lambda_M,
-            lambda: mim_loss(forward(params, Tensor(bundle.tgt_x)),
-                             MarginalTracker.uniform(3), cfg.entropy_ceiling))
-        run(cfg.lambda_C,
-            lambda: cpbm_loss(forward(params, Tensor(bundle.tgt_x)),
-                              forward(params, Tensor(bundle.tgt_x_aug)),
-                              forward(params, Tensor(bundle.pair_x_a)),
-                              forward(params, Tensor(bundle.pair_x_b)),
-                              bundle.pair_diff_mask, cfg.lambda_con))
-        run(cfg.lambda_U,
-            lambda: mupbm_loss(forward(params, Tensor(bundle.mixed_x)),
-                               bundle.mixed_targets))
-        run(cfg.lambda_S,
-            lambda: tpbm_loss(
-                {t: forward(params, Tensor(x), head=t)
-                 for t, (x, _) in bundle.st_batches.items()},
-                {t: lab for t, (_, lab) in bundle.st_batches.items()}))
-
-        for got, want in zip(combined, accumulated):
-            if got is None:
-                assert not np.any(want)
-            else:
-                assert np.allclose(got, want, atol=1e-12)
+    @pytest.mark.parametrize("seed", [8, 9])
+    @pytest.mark.parametrize("weights", [
+        {},
+        {"supervised_weight": 0.0},
+        {"supervised_weight": 0.0, "lambda_M": 0.0, "lambda_C": 0.0},
+        {"lambda_M": 0.0, "lambda_C": 0.0, "lambda_S": 0.0},
+        {"lambda_U": 0.0, "lambda_S": 0.0},
+    ], ids=["all", "no_supervised", "mixup_and_pretext", "mixup_only", "mim_and_cpbm"])
+    def test_term_subsets_match_one_pass_per_view(self, weights, seed):
+        params, bundle = self._setup(seed=seed)
+        _assert_matches_per_view(bundle, params, LossConfig.for_classes(3, **weights))
 
     def test_missing_target_batch_rejected(self):
         params, bundle = self._setup(seed=4)
@@ -491,7 +516,8 @@ class TestTotalObjective:
     def test_zero_weight_skips_missing_fields(self):
         params, bundle = self._setup(seed=5)
         bundle.mixed_x = None
-        bundle.mixed_targets = None
+        bundle.mixed_partner = None
+        bundle.mixed_beta = None
         cfg = LossConfig.for_classes(3, lambda_U=0.0)
         _, report = total_objective(bundle, params, cfg, MarginalTracker.uniform(3))
         assert "mupbm" not in report

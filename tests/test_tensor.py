@@ -9,6 +9,7 @@ from pbmatch.tensor import (
     log_softmax,
     matmul,
     reduce,
+    take,
     transpose,
 )
 
@@ -114,6 +115,46 @@ def test_transpose_forward_and_backward():
 def test_transpose_rejects_non_matrix():
     with pytest.raises(ValueError, match="rank"):
         transpose(Tensor([1.0, 2.0]))
+
+
+def test_take_rows_forward_and_backward():
+    a = Tensor(np.arange(12.0).reshape(4, 3), requires_grad=True)
+    weights = np.arange(6.0).reshape(2, 3) + 1.0
+    out = take(a, slice(1, 3))
+    assert np.array_equal(out.data, a.data[1:3])
+    backward(reduce("sum", elementwise("mul", out, Tensor(weights))))
+    want = np.zeros((4, 3))
+    want[1:3] = weights
+    assert np.array_equal(a.grad, want)
+
+
+def test_take_gather_adds_up_repeated_rows():
+    a = Tensor(np.arange(12.0).reshape(4, 3), requires_grad=True)
+    rows = np.array([3, 0, 3])
+    out = take(a, rows)
+    assert np.array_equal(out.data, a.data[rows])
+    backward(reduce("sum", out))
+    assert np.array_equal(a.grad, np.array([[1.0] * 3, [0.0] * 3, [0.0] * 3, [2.0] * 3]))
+
+
+def test_take_blocks_sum_back_to_the_whole():
+    # disjoint blocks of one tensor give the gradient of using it whole
+    a = Tensor(np.arange(12.0).reshape(4, 3) / 7.0, requires_grad=True)
+    w = Tensor(np.linspace(-1.0, 1.0, 12).reshape(4, 3))
+    backward(reduce("sum", elementwise("mul", a, w)))
+    whole = a.grad.copy()
+    a.zero_grad()
+    top = reduce("sum", elementwise("mul", take(a, slice(0, 1)), take(w, slice(0, 1))))
+    rest = reduce("sum", elementwise("mul", take(a, slice(1, 4)), take(w, slice(1, 4))))
+    backward(top + rest)
+    assert np.array_equal(a.grad, whole)
+
+
+def test_take_rejects_bad_indices():
+    with pytest.raises(ValueError, match="rank 1"):
+        take(Tensor(2.0), slice(0, 1))
+    with pytest.raises(ValueError, match="1-D index array"):
+        take(Tensor(np.ones((3, 2))), np.array([[0, 1]]))
 
 
 def test_reduce_basics():
@@ -254,11 +295,13 @@ def test_composite_gradient_matches_finite_differences():
         lambda x: reduce("max", x, axis=1).sum(),
         lambda x: (log_softmax(x) * log_softmax(x)).mean(),
         lambda x: matmul(transpose(x), x).sum(),
+        lambda x: (take(x, slice(1, 3)) * Tensor(np.arange(8.0).reshape(2, 4))).sum(),
+        lambda x: (take(x, np.array([2, 0, 2])) * Tensor(np.arange(12.0).reshape(3, 4))).sum(),
     ],
     ids=[
         "add", "sub", "mul", "div", "exp", "log", "relu", "neg",
         "matmul", "matmul_right", "sum_axis", "mean_axis", "max_axis", "log_softmax",
-        "transpose",
+        "transpose", "take_slice", "take_gather",
     ],
 )
 def test_every_op_matches_finite_differences(fn):

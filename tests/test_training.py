@@ -41,6 +41,7 @@ from pbmatch.training import (
     train,
 )
 from pbmatch.nets import forward
+from pbmatch import nets, training
 
 
 BLOB_MEANS = ((-2.0, 0.0), (2.0, 0.0))
@@ -49,6 +50,11 @@ BLOB_MEANS = ((-2.0, 0.0), (2.0, 0.0))
 def blob_pair(n=200, priors_t=(0.7, 0.3), seed=0, spread=0.5):
     return generate_blob_pair(2, (0.5, 0.5), priors_t, BLOB_MEANS, spread,
                               n, seed=seed)
+
+
+def _glyph_pair():
+    src_spec, tgt_spec = default_pair_specs(samples_per_class=8, seed=0)
+    return generate_glyph_pair(src_spec, tgt_spec)
 
 
 def small_cfg(**kw):
@@ -119,6 +125,15 @@ class TestTrainConfig:
         assert again == cfg
         assert isinstance(again.loss, LossConfig)
 
+    @pytest.mark.parametrize("payload,field", [
+        ({"loss": {"lambda_M": 1}}, "entropy_ceiling"),
+        ({"hidden": 5}, "hidden"),
+        ({"initial_marginal": 0.5}, "initial_marginal"),
+    ], ids=["partial_loss", "hidden_not_list", "marginal_not_list"])
+    def test_from_dict_names_a_malformed_field(self, payload, field):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig.from_dict(payload)
+
     def test_resolved_loss_defaults_track_class_count(self):
         cfg = TrainConfig()
         resolved = cfg.resolved_loss(4)
@@ -176,6 +191,12 @@ class TestEvaluate:
                            class_count=2, domain_role="target")
         with pytest.raises(ValueError, match="no labeled samples"):
             evaluate(sign_params(), ds)
+
+    def test_class_count_mismatch_rejected(self):
+        # a 3-class model scored on a 2-class dataset
+        src, _ = blob_pair(n=60)
+        with pytest.raises(ValueError, match="2 classes but the model predicts 3"):
+            evaluate(init_params([2, 4, 3], seed=0), src)
 
     def test_absent_class_gets_none(self):
         src, _ = blob_pair(n=100)
@@ -377,6 +398,45 @@ class TestTrainLoop:
             assert np.array_equal(before, now.data)
         assert any(not np.array_equal(a.data, b.data)
                    for a, b in zip(donor.all_tensors(), trained.all_tensors()))
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_one_trunk_pass_per_step(self, method, monkeypatch):
+        calls = []
+        tape_trunk = nets.features
+
+        def counting(params, x):
+            calls.append(x.shape[0])
+            return tape_trunk(params, x)
+
+        # losses reach the trunk through nets.forward, _dm_step through its own name
+        monkeypatch.setattr(nets, "features", counting)
+        monkeypatch.setattr(training, "features", counting)
+        per_step = []
+
+        def on_step(epoch, s, report):
+            per_step.append(len(calls))
+            calls.clear()
+
+        src, tgt = _glyph_pair()
+        cfg = small_cfg(method=method, epochs=2, batch=8, hidden=(8, 4))
+        train(cfg, src, tgt, on_step=on_step)
+        assert len(per_step) == 2 * 3
+        assert per_step == [1] * len(per_step)
+        # per-epoch evaluation runs tape-free
+        assert calls == []
+
+    def test_epoch_reports_match_evaluate_on_each_split(self):
+        src, tgt = _glyph_pair()
+        cfg = small_cfg(method="mim", epochs=2, batch=8, hidden=(8, 4))
+        params, metrics = train(cfg, src, tgt)
+        adapt_idx, eval_idx = split_target(tgt.labels, cfg.eval_fraction, cfg.seed_data)
+        held_out = evaluate(params, tgt.take(eval_idx))
+        last = metrics.final()
+        assert last["tgt_acc"] == held_out.accuracy
+        assert last["per_class_tgt_acc"] == held_out.per_class
+        assert np.array_equal(metrics.confusion, held_out.confusion)
+        assert last["tgt_acc_transductive"] == evaluate(params, tgt.take(adapt_idx)).accuracy
+        assert last["src_train_acc"] == evaluate(params, src).accuracy
 
     def test_metrics_final_requires_records(self):
         with pytest.raises(ValueError):
