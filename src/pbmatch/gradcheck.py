@@ -276,21 +276,14 @@ def _build_tpbm(rng, i):
     return fn, Tensor(_rng_logits(rng, 5, heads[vary]))
 
 
-def _mmd_builder(kernel: str) -> Builder:
-    def build(rng, i):
-        z_s = rng.normal(0.0, 1.0, (6, 4))
-        z_t = rng.normal(0.3, 1.1, (5, 4))
-        if kernel == "rbf":
-            med = median_pairwise_distance(z_s, z_t)
-            bws = [s * med for s in (0.5, 1.0, 2.0, 4.0)]
-            kw = {"bandwidths": bws, "kernel": "rbf"}
-        else:
-            kw = {"kernel": "linear"}
-        if i % 2:
-            return (lambda x: mmd_distance(Tensor(z_s), x, **kw)), Tensor(z_t)
-        return (lambda x: mmd_distance(x, Tensor(z_t), **kw)), Tensor(z_s)
-
-    return build
+def _build_mmd(rng, i):
+    z_s = rng.normal(0.0, 1.0, (6, 4))
+    z_t = rng.normal(0.3, 1.1, (5, 4))
+    med = median_pairwise_distance(z_s, z_t)
+    bws = [s * med for s in (0.5, 1.0, 2.0, 4.0)]
+    if i % 2:
+        return (lambda x: mmd_distance(Tensor(z_s), x, bandwidths=bws)), Tensor(z_t)
+    return (lambda x: mmd_distance(x, Tensor(z_t), bandwidths=bws)), Tensor(z_s)
 
 
 def _build_coral(rng, i):
@@ -365,8 +358,7 @@ CHECKS: Dict[str, Builder] = {
     "term.cpbm": _build_cpbm,
     "term.mupbm": _build_mupbm,
     "term.tpbm": _build_tpbm,
-    "term.mmd_rbf": _mmd_builder("rbf"),
-    "term.mmd_linear": _mmd_builder("linear"),
+    "term.mmd_rbf": _build_mmd,
     "term.coral": _build_coral,
     "term.total": _build_total,
 }

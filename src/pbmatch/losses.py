@@ -24,11 +24,13 @@ from .tensor import (
     matmul,
     mul,
     neg,
+    node,
     reduce,
     relu,
     scale,
     sub,
     take,
+    tracked,
     transpose,
 )
 
@@ -49,10 +51,15 @@ def _as_bool_mask(mask) -> np.ndarray:
     return np.asarray(data).astype(bool).reshape(-1)
 
 
-def _entropy(q: np.ndarray) -> float:
+def _row_entropies(q: np.ndarray) -> np.ndarray:
+    """Entropy in nats of each distribution along the last axis."""
     q = np.asarray(q, dtype=np.float64)
     terms = np.where(q > 0.0, q * np.log(np.where(q > 0.0, q, 1.0)), 0.0)
-    return float(-terms.sum())
+    return -terms.sum(axis=-1)
+
+
+def _entropy(q: np.ndarray) -> float:
+    return float(_row_entropies(q))
 
 
 def _mean_row_dot(a: Tensor, b: Tensor) -> Tensor:
@@ -259,7 +266,7 @@ def mupbm_loss(mixed_logits: Tensor, mixed_targets,
         q_smooth = (1.0 - smoothing) * q + smoothing / k
         return _mean_row_dot(exp(logp), sub(logp, _const(np.log(q_smooth))))
     ce = neg(_mean_row_dot(_const(q), logp))
-    mean_target_entropy = float(np.mean([_entropy(row) for row in q]))
+    mean_target_entropy = float(np.mean(_row_entropies(q)))
     return sub(ce, _const(mean_target_entropy))
 
 
@@ -408,62 +415,108 @@ def _check_feature_pair(z_src: Tensor, z_tgt: Tensor) -> None:
             f"feature widths differ: {z_src.shape[1]} vs {z_tgt.shape[1]}")
 
 
-def _pairwise_sq_dists(a: Tensor, b: Tensor) -> Tensor:
-    d = a.shape[1]
-    ones_col = _const(np.ones((d, 1)))
-    a2 = matmul(mul(a, a), ones_col)              # [n, 1]
-    b2t = transpose(matmul(mul(b, b), ones_col))  # [1, m]
-    cross = matmul(a, transpose(b))               # [n, m]
-    # clamp the tiny negatives float cancellation can leave
-    return relu(sub(add(a2, b2t), scale(cross, 2.0)))
+def _joint_sq_dists(joint: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Squared distances between all rows of ``joint``, plus a scratch buffer
+    of the same shape that the caller may overwrite.
+
+    The Gram matrix of ``joint`` with itself is exactly symmetric, so the
+    distances are too; the diagonal is set to 0 and the tiny negatives
+    float cancellation can leave are clamped.
+    """
+    sq = np.sum(joint ** 2, axis=1)
+    d2 = joint @ joint.T
+    d2 *= 2.0
+    scratch = np.add(sq[:, None], sq[None, :])
+    np.subtract(scratch, d2, out=d2)
+    np.maximum(d2, 0.0, out=d2)
+    np.fill_diagonal(d2, 0.0)
+    return d2, scratch
+
+
+def _median_distance(d2: np.ndarray, scratch: np.ndarray) -> float:
+    """Median distance over distinct pairs of a ``_joint_sq_dists`` matrix; 1.0 if degenerate.
+
+    Partitions a copy of the whole matrix in ``scratch``: its N zero
+    diagonal entries sort first and every distinct pair follows twice, so
+    the two middle order statistics of the P pairs sit at N + P - 1 and
+    the smallest entry after it. Taking square roots after selecting gives
+    the same bits as taking them before, since the square root is monotone.
+    """
+    n = d2.shape[0]
+    pairs = n * (n - 1) // 2
+    if pairs == 0:
+        return 1.0
+    flat = scratch.reshape(-1)
+    np.copyto(scratch, d2)
+    mid = n + pairs - 1
+    flat.partition(mid)
+    med = (math.sqrt(flat[mid]) + math.sqrt(flat[mid + 1:].min())) / 2.0
+    return med if med > 0.0 else 1.0
 
 
 def median_pairwise_distance(z_src: np.ndarray, z_tgt: np.ndarray) -> float:
     """Median distance over distinct pairs of the joint batch; 1.0 if degenerate."""
     joint = np.vstack([np.asarray(z_src, dtype=np.float64),
                        np.asarray(z_tgt, dtype=np.float64)])
-    sq = np.sum(joint ** 2, axis=1)
-    d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * joint @ joint.T, 0.0)
-    upper = np.sqrt(d2[np.triu_indices(joint.shape[0], k=1)])
-    med = float(np.median(upper)) if upper.size else 0.0
-    return med if med > 0.0 else 1.0
-
-
-def _mean_kernel(a: Tensor, b: Tensor, bandwidths: Sequence[float]) -> Tensor:
-    d2 = _pairwise_sq_dists(a, b)
-    acc = None
-    for bw in bandwidths:
-        term = exp(scale(d2, -1.0 / (2.0 * bw * bw)))
-        acc = term if acc is None else add(acc, term)
-    return reduce("mean", acc)
+    return _median_distance(*_joint_sq_dists(joint))
 
 
 def mmd_distance(z_src: Tensor, z_tgt: Tensor,
-                 bandwidths: Optional[Sequence[float]] = None,
-                 kernel: str = "rbf") -> Tensor:
+                 bandwidths: Optional[Sequence[float]] = None) -> Tensor:
     """Squared maximum mean discrepancy (biased estimator) between feature sets.
 
-    With ``kernel="rbf"`` a sum of Gaussian kernels over ``bandwidths`` is
-    used (defaults: {0.5,1,2,4} x median pairwise distance of the joint
-    batch, frozen per call). ``kernel="linear"`` gives the closed form
-    ||mean(z_src) - mean(z_tgt)||^2.
+    The kernel is a sum of Gaussians over ``bandwidths`` (defaults:
+    {0.5,1,2,4} x median pairwise distance of the joint batch, frozen per
+    call). One squared-distance matrix D of the stacked rows Z = [z_src;
+    z_tgt] serves the median and every kernel, whose blocks sum to
+    mean(K_ss) + mean(K_tt) - 2 mean(K_st).
+
+    The term is one tape node. With C the block weights (1/n^2, 1/m^2,
+    -1/nm) times sum over bandwidths of -exp(-D / 2bw^2) / 2bw^2, zero
+    where D is 0, the gradient with respect to Z is 4 (diag(C 1) Z - C Z).
+    An untracked call builds no gradient buffers.
     """
     _check_feature_pair(z_src, z_tgt)
-    if kernel == "linear":
-        diff = sub(reduce("mean", z_src, axis=0), reduce("mean", z_tgt, axis=0))
-        return reduce("sum", mul(diff, diff))
-    if kernel != "rbf":
-        raise ValueError(f"unknown kernel: {kernel!r}")
+    n, m = z_src.shape[0], z_tgt.shape[0]
+    if n == 0 or m == 0:
+        raise ValueError(f"need >= 1 row per side, got {n} and {m}")
+    joint = np.concatenate([z_src.data, z_tgt.data])
+    d2, kern = _joint_sq_dists(joint)
     if bandwidths is None:
-        med = median_pairwise_distance(z_src.data, z_tgt.data)
+        med = _median_distance(d2, kern)
         bandwidths = [s * med for s in DEFAULT_BANDWIDTH_SCALES]
     bandwidths = [float(bw) for bw in bandwidths]
     if not bandwidths or any(bw <= 0.0 or not math.isfinite(bw) for bw in bandwidths):
         raise ValueError(f"bandwidths must be positive and finite, got {bandwidths}")
-    k_ss = _mean_kernel(z_src, z_src, bandwidths)
-    k_tt = _mean_kernel(z_tgt, z_tgt, bandwidths)
-    k_st = _mean_kernel(z_src, z_tgt, bandwidths)
-    return add(add(k_ss, k_tt), scale(k_st, -2.0))
+
+    needs_grad = tracked(z_src) or tracked(z_tgt)
+    c = np.zeros_like(d2) if needs_grad else None
+    k_ss = k_tt = k_st = 0.0
+    for bw in bandwidths:
+        coef = -1.0 / (2.0 * bw * bw)
+        np.multiply(d2, coef, out=kern)
+        np.exp(kern, out=kern)
+        k_ss += kern[:n, :n].sum()
+        k_tt += kern[n:, n:].sum()
+        k_st += kern[:n, n:].sum()
+        if needs_grad:
+            kern *= coef
+            c += kern
+    value = k_ss / (n * n) + k_tt / (m * m) - 2.0 * k_st / (n * m)
+    if needs_grad:
+        c[:n, :n] *= 1.0 / (n * n)
+        c[n:, n:] *= 1.0 / (m * m)
+        c[:n, n:] *= -1.0 / (n * m)
+        c[n:, :n] *= -1.0 / (n * m)
+        c[d2 <= 0.0] = 0.0
+
+    def rule(g):
+        grad = c.sum(axis=1)[:, None] * joint
+        grad -= c @ joint
+        grad *= 4.0 * g
+        return grad[:n], grad[n:]
+
+    return node(value, (z_src, z_tgt), rule)
 
 
 def coral_distance(z_src: Tensor, z_tgt: Tensor) -> Tensor:

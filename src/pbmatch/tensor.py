@@ -116,14 +116,20 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad.reshape(shape)
 
 
-def _tracked(t: Tensor) -> bool:
+def tracked(t: Tensor) -> bool:
+    """True if gradients flow through ``t``: a leaf that wants one, or a recorded result."""
     return t.requires_grad or t._rule is not None
 
 
-def _node(data: np.ndarray, parents: tuple, rule: Callable[[np.ndarray], tuple]) -> Tensor:
-    """Build a result tensor, recording the backward rule iff any input is tracked."""
+def node(data: np.ndarray, parents: tuple, rule: Callable[[np.ndarray], tuple]) -> Tensor:
+    """Build a result tensor, recording the backward rule iff any input is tracked.
+
+    ``rule`` maps the incoming gradient to one gradient per parent. Terms
+    outside this module with a closed-form gradient record themselves the
+    same way, as one node.
+    """
     out = Tensor(data)
-    if any(_tracked(p) for p in parents):
+    if any(tracked(p) for p in parents):
         out._parents = parents
         out._rule = rule
     return out
@@ -139,7 +145,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     def rule(g):
         return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
 
-    return _node(a.data + b.data, (a, b), rule)
+    return node(a.data + b.data, (a, b), rule)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -148,7 +154,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     def rule(g):
         return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
 
-    return _node(a.data - b.data, (a, b), rule)
+    return node(a.data - b.data, (a, b), rule)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -157,7 +163,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     def rule(g):
         return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
 
-    return _node(a.data * b.data, (a, b), rule)
+    return node(a.data * b.data, (a, b), rule)
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
@@ -170,7 +176,7 @@ def div(a: Tensor, b: Tensor) -> Tensor:
         gb = _unbroadcast(-g * a.data / (b.data * b.data), b.shape)
         return ga, gb
 
-    return _node(a.data / b.data, (a, b), rule)
+    return node(a.data / b.data, (a, b), rule)
 
 
 def exp(a: Tensor) -> Tensor:
@@ -179,7 +185,7 @@ def exp(a: Tensor) -> Tensor:
     def rule(g):
         return (g * out_data,)
 
-    return _node(out_data, (a,), rule)
+    return node(out_data, (a,), rule)
 
 
 def log(a: Tensor) -> Tensor:
@@ -189,7 +195,7 @@ def log(a: Tensor) -> Tensor:
     def rule(g):
         return (g / a.data,)
 
-    return _node(np.log(a.data), (a,), rule)
+    return node(np.log(a.data), (a,), rule)
 
 
 def relu(a: Tensor) -> Tensor:
@@ -198,14 +204,14 @@ def relu(a: Tensor) -> Tensor:
     def rule(g):
         return (g * mask,)
 
-    return _node(np.where(mask, a.data, 0.0), (a,), rule)
+    return node(np.where(mask, a.data, 0.0), (a,), rule)
 
 
 def neg(a: Tensor) -> Tensor:
     def rule(g):
         return (-g,)
 
-    return _node(-a.data, (a,), rule)
+    return node(-a.data, (a,), rule)
 
 
 def scale(a: Tensor, c: float) -> Tensor:
@@ -215,7 +221,7 @@ def scale(a: Tensor, c: float) -> Tensor:
     def rule(g):
         return (g * c,)
 
-    return _node(a.data * c, (a,), rule)
+    return node(a.data * c, (a,), rule)
 
 
 _ELEMENTWISE_BINARY = {"add": add, "sub": sub, "mul": mul, "div": div}
@@ -252,10 +258,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     # an untracked operand, such as a constant input batch, gets no gradient
     def rule(g):
-        return (g @ b.data.T if _tracked(a) else None,
-                a.data.T @ g if _tracked(b) else None)
+        return (g @ b.data.T if tracked(a) else None,
+                a.data.T @ g if tracked(b) else None)
 
-    return _node(a.data @ b.data, (a, b), rule)
+    return node(a.data @ b.data, (a, b), rule)
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -266,7 +272,7 @@ def transpose(a: Tensor) -> Tensor:
     def rule(g):
         return (g.T.copy(),)
 
-    return _node(a.data.T.copy(), (a,), rule)
+    return node(a.data.T.copy(), (a,), rule)
 
 
 def take(a: Tensor, rows: Union[slice, np.ndarray]) -> Tensor:
@@ -290,7 +296,7 @@ def take(a: Tensor, rows: Union[slice, np.ndarray]) -> Tensor:
             np.add.at(buf, rows, g)
         return (buf,)
 
-    return _node(a.data[rows], (a,), rule)
+    return node(a.data[rows], (a,), rule)
 
 
 def reduce(op_kind: str, a: Tensor, axis: Optional[int] = None) -> Tensor:
@@ -302,7 +308,7 @@ def reduce(op_kind: str, a: Tensor, axis: Optional[int] = None) -> Tensor:
             expanded = g if axis is None else np.expand_dims(g, axis)
             return (np.broadcast_to(expanded, a.shape).copy(),)
 
-        return _node(a.data.sum(axis=axis), (a,), rule)
+        return node(a.data.sum(axis=axis), (a,), rule)
 
     if op_kind == "mean":
         n = a.data.size if axis is None else a.shape[axis]
@@ -311,7 +317,7 @@ def reduce(op_kind: str, a: Tensor, axis: Optional[int] = None) -> Tensor:
             expanded = g if axis is None else np.expand_dims(g, axis)
             return (np.broadcast_to(expanded, a.shape).copy() / n,)
 
-        return _node(a.data.mean(axis=axis), (a,), rule)
+        return node(a.data.mean(axis=axis), (a,), rule)
 
     if op_kind == "max":
         # gradient routed to the first argmax along the reduced extent
@@ -331,7 +337,7 @@ def reduce(op_kind: str, a: Tensor, axis: Optional[int] = None) -> Tensor:
                 np.put_along_axis(buf, arg, np.expand_dims(g, axis), axis)
                 return (buf,)
 
-        return _node(a.data.max(axis=axis), (a,), rule)
+        return node(a.data.max(axis=axis), (a,), rule)
 
     raise ValueError(f"unknown reduce op kind: {op_kind!r}")
 
@@ -350,7 +356,7 @@ def log_softmax(logits: Tensor) -> Tensor:
     def rule(g):
         return (g - softmax * g.sum(axis=1, keepdims=True),)
 
-    return _node(out_data, (logits,), rule)
+    return node(out_data, (logits,), rule)
 
 
 # ---------------------------------------------------------------------------
@@ -363,16 +369,16 @@ def _linearize(root: Tensor) -> list:
     visited: set = set()
     stack = [(root, False)]
     while stack:
-        node, expanded = stack.pop()
+        t, expanded = stack.pop()
         if expanded:
-            order.append(node)
+            order.append(t)
             continue
-        if id(node) in visited:
+        if id(t) in visited:
             continue
-        visited.add(id(node))
-        stack.append((node, True))
+        visited.add(id(t))
+        stack.append((t, True))
         # push reversed so replay preserves left-to-right parent order
-        for p in reversed(node._parents):
+        for p in reversed(t._parents):
             if id(p) not in visited:
                 stack.append((p, False))
     return order
@@ -389,19 +395,19 @@ def backward(loss: Tensor) -> None:
         raise ValueError(f"backward needs a scalar loss, got shape {loss.shape}")
     order = _linearize(loss)
     incoming: dict = {id(loss): np.ones(())}
-    for node in reversed(order):
-        g = incoming.pop(id(node), None)
+    for t in reversed(order):
+        g = incoming.pop(id(t), None)
         if g is None:
             continue
-        if node.requires_grad:
-            if node.grad is None:
-                node.grad = np.zeros_like(node.data)
-            node.grad += g
-        if node._rule is None:
+        if t.requires_grad:
+            if t.grad is None:
+                t.grad = np.zeros_like(t.data)
+            t.grad += g
+        if t._rule is None:
             continue
-        parent_grads = node._rule(np.asarray(g, dtype=np.float64))
-        for p, pg in zip(node._parents, parent_grads):
-            if not _tracked(p):
+        parent_grads = t._rule(np.asarray(g, dtype=np.float64))
+        for p, pg in zip(t._parents, parent_grads):
+            if not tracked(p):
                 continue
             key = id(p)
             if key in incoming:

@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import numbers
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -151,6 +153,25 @@ def _reject_unknown_keys(d: Dict, cls, what: str) -> None:
         raise ValueError(f"unknown {what} keys: {unknown}")
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _is_float(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+def _reject_mistyped_scalars(d: Dict, cls, what: str) -> None:
+    """Name the first int or float field of ``cls`` whose value in ``d`` has
+    another type; a bool is neither, and an int field takes no float."""
+    hints = typing.get_type_hints(cls)
+    for name, v in d.items():
+        if hints[name] is int and not _is_int(v):
+            raise ValueError(f"{what} field {name!r} must be an integer, got {v!r}")
+        if hints[name] is float and not _is_float(v):
+            raise ValueError(f"{what} field {name!r} must be a number, got {v!r}")
+
+
 @dataclass
 class TrainConfig:
     """Everything a run needs besides the datasets themselves."""
@@ -208,18 +229,21 @@ class TrainConfig:
     @classmethod
     def from_dict(cls, d: Dict) -> "TrainConfig":
         _reject_unknown_keys(d, cls, "train config")
+        _reject_mistyped_scalars(d, cls, "train config")
         d = dict(d)
         if d.get("loss") is not None:
             _reject_unknown_keys(d["loss"], LossConfig, "loss config")
+            _reject_mistyped_scalars(d["loss"], LossConfig, "loss config")
             missing = sorted(f.name for f in dataclasses.fields(LossConfig)
                              if f.default is dataclasses.MISSING and f.name not in d["loss"])
             if missing:
                 raise ValueError(f"loss config is missing required keys: {missing}")
             d["loss"] = LossConfig(**d["loss"])
-        for name in ("hidden", "initial_marginal"):
+        for name, ok, want in (("hidden", _is_int, "integers"),
+                               ("initial_marginal", _is_float, "numbers")):
             if d.get(name) is not None:
-                if not isinstance(d[name], (list, tuple)):
-                    raise ValueError(f"{name} must be a list, got {d[name]!r}")
+                if not isinstance(d[name], (list, tuple)) or not all(map(ok, d[name])):
+                    raise ValueError(f"{name} must be a list of {want}, got {d[name]!r}")
                 d[name] = tuple(d[name])
         return cls(**d)
 

@@ -266,6 +266,25 @@ class TestTrainEval:
         assert field in err and "pbmatch: error:" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("payload,field", [
+        ({"method": "source_only", "epochs": "3"}, "epochs"),
+        ({"method": "source_only", "batch": 2.5}, "batch"),
+        ({"method": "source_only", "lr": "fast"}, "lr"),
+        ({"method": "source_only", "loss": {"entropy_ceiling": 0.5, "lambda_M": "x"}},
+         "lambda_M"),
+    ], ids=["int_str", "int_float", "float_str", "loss_float_str"])
+    def test_mistyped_config_field_exits_1(self, blob_pair_dir, tmp_path, capsys,
+                                           payload, field):
+        cfg = write_json(tmp_path / "cfg.json", payload)
+        assert main(["train", "--config", cfg,
+                     "--src", str(blob_pair_dir / "source"),
+                     "--tgt", str(blob_pair_dir / "target"),
+                     "--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err
+        assert f"field '{field}' must be" in err and "pbmatch: error:" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "run").exists()
+
     def test_eval_rejects_a_dataset_with_other_classes(self, blob_pair_dir, tmp_path,
                                                        capsys):
         cfg = write_json(tmp_path / "cfg.json", {
@@ -333,6 +352,16 @@ class TestAblate:
         assert main(["ablate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert field in err and "pbmatch: error:" in err
+        assert "Traceback" not in err
+
+
+    def test_mistyped_train_field_exits_1(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "abl.json", {
+            "train": {"method": "source_only", "epochs": "3"},
+            "benchmarks": [{"kind": "LDS", "imbalance_factor": 4.0}]})
+        assert main(["ablate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "field 'epochs' must be an integer" in err and "pbmatch: error:" in err
         assert "Traceback" not in err
 
 

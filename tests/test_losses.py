@@ -7,6 +7,7 @@ import pytest
 
 from pbmatch.losses import (
     BatchBundle,
+    DEFAULT_BANDWIDTH_SCALES,
     KL_MARGIN,
     LossConfig,
     MarginalTracker,
@@ -22,7 +23,23 @@ from pbmatch.losses import (
     _diversity_term,
 )
 from pbmatch.nets import forward, init_params, predict_logits, softmax_probs
-from pbmatch.tensor import Tensor, backward, grad_check, zero_grads
+from pbmatch.tensor import (
+    Tensor,
+    add,
+    backward,
+    exp,
+    grad_check,
+    log_softmax,
+    matmul,
+    mul,
+    neg,
+    reduce,
+    relu,
+    scale,
+    sub,
+    transpose,
+    zero_grads,
+)
 
 
 def _softmax(z):
@@ -294,6 +311,25 @@ class TestMupbmLoss:
         with pytest.raises(ValueError, match="shape"):
             mupbm_loss(Tensor(np.zeros((2, 3))), np.full((3, 3), 1 / 3))
 
+    def test_target_entropy_matches_per_row_reference_bitwise(self):
+        rng = np.random.default_rng(12)
+
+        def row_entropy(row):
+            terms = np.where(row > 0.0, row * np.log(np.where(row > 0.0, row, 1.0)), 0.0)
+            return float(-terms.sum())
+
+        for trial in range(400):
+            k, n = int(rng.integers(2, 7)), int(rng.integers(1, 130))
+            q = _softmax(rng.normal(0.0, 3.0, (n, k)))
+            if trial % 3 == 0:
+                q[rng.integers(0, n)] = np.eye(k)[rng.integers(0, k)]
+            z = Tensor(rng.normal(size=(n, k)))
+            want = sub(neg(reduce("mean", reduce("sum", mul(Tensor(q), log_softmax(z)),
+                                                 axis=1))),
+                       Tensor(np.mean([row_entropy(row) for row in q])))
+            got = mupbm_loss(z, q)
+            assert got.data.view(np.uint64) == want.data.view(np.uint64), trial
+
     def test_targets_never_receive_gradient(self):
         rng = np.random.default_rng(1)
         logits = Tensor(rng.uniform(-1, 1, (4, 3)), requires_grad=True)
@@ -541,17 +577,147 @@ class TestTotalObjective:
 # distribution distances
 # ---------------------------------------------------------------------------
 
+def _oracle_sq_dists(a: Tensor, b: Tensor) -> Tensor:
+    """The per-op tape formulation the one-node MMD replaced."""
+    ones_col = Tensor(np.ones((a.shape[1], 1)))
+    a2 = matmul(mul(a, a), ones_col)
+    b2t = transpose(matmul(mul(b, b), ones_col))
+    return relu(sub(add(a2, b2t), scale(matmul(a, transpose(b)), 2.0)))
+
+
+def _oracle_mean_kernel(a: Tensor, b: Tensor, bandwidths) -> Tensor:
+    d2 = _oracle_sq_dists(a, b)
+    acc = None
+    for bw in bandwidths:
+        term = exp(scale(d2, -1.0 / (2.0 * bw * bw)))
+        acc = term if acc is None else add(acc, term)
+    return reduce("mean", acc)
+
+
+def _oracle_median(z_src, z_tgt) -> float:
+    """np.median over the upper triangle, on the same distance arithmetic."""
+    joint = np.vstack([z_src, z_tgt])
+    sq = np.sum(joint ** 2, axis=1)
+    d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (joint @ joint.T), 0.0)
+    med = float(np.median(np.sqrt(d2[np.triu_indices(joint.shape[0], k=1)])))
+    return med if med > 0.0 else 1.0
+
+
+def _oracle_mmd(z_src: Tensor, z_tgt: Tensor, bandwidths=None) -> Tensor:
+    if bandwidths is None:
+        med = _oracle_median(z_src.data, z_tgt.data)
+        bandwidths = [s * med for s in DEFAULT_BANDWIDTH_SCALES]
+    k_ss = _oracle_mean_kernel(z_src, z_src, bandwidths)
+    k_tt = _oracle_mean_kernel(z_tgt, z_tgt, bandwidths)
+    k_st = _oracle_mean_kernel(z_src, z_tgt, bandwidths)
+    return add(add(k_ss, k_tt), scale(k_st, -2.0))
+
+
+def _tape_size(t: Tensor) -> int:
+    """Distinct tensors reachable from ``t`` through recorded parents."""
+    seen, stack = set(), [t]
+    while stack:
+        x = stack.pop()
+        if id(x) not in seen:
+            seen.add(id(x))
+            stack.extend(x._parents)
+    return len(seen)
+
+
+def _value_and_grads(fn, a: np.ndarray, b: np.ndarray):
+    ta, tb = Tensor(a.copy(), requires_grad=True), Tensor(b.copy(), requires_grad=True)
+    out = fn(ta, tb)
+    backward(out)
+    return float(out.data), ta.grad, tb.grad
+
+
+class TestMmdMatchesPerOpOracle:
+    @pytest.mark.parametrize("n,m,dup,explicit", [
+        (8, 8, False, True), (7, 12, False, False), (1, 5, False, True),
+        (6, 1, False, False), (1, 1, False, False), (9, 4, True, True),
+        (5, 6, True, False), (64, 48, False, False),
+    ], ids=["equal_sides", "n_ne_m", "one_src_row", "one_tgt_row", "one_row_each",
+            "duplicates_explicit", "duplicates_default", "batch_sized"])
+    def test_value_and_both_gradients(self, n, m, dup, explicit):
+        rng = np.random.default_rng(n * 100 + m)
+        a = rng.normal(size=(n, 5))
+        b = rng.normal(0.4, 1.3, size=(m, 5))
+        if dup:
+            # d^2 = 0 off the diagonal: within a side and across sides
+            a[-1] = a[0]
+            b[0] = a[0]
+        bws = [0.7, 1.9, 3.1] if explicit else None
+        got = _value_and_grads(lambda x, y: mmd_distance(x, y, bandwidths=bws), a, b)
+        want = _value_and_grads(lambda x, y: _oracle_mmd(x, y, bws), a, b)
+        assert got[0] == pytest.approx(want[0], rel=0, abs=1e-12)
+        np.testing.assert_allclose(got[1], want[1], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got[2], want[2], rtol=0, atol=1e-12)
+
+    def test_clamped_pairs_get_no_gradient_like_the_relu(self):
+        # rows 1e4 from the origin and 1e-6 apart: the squared distance
+        # cancels to <= 0, where the oracle's relu passes no gradient; at
+        # this offset the two Gram formulations' values differ by ~1e-8
+        rng = np.random.default_rng(8)
+        a = 1e4 + rng.normal(size=(4, 3))
+        b = a + rng.choice([-1e-6, 1e-6], size=a.shape)
+        got = _value_and_grads(lambda x, y: mmd_distance(x, y, bandwidths=[1.0]), a, b)
+        want = _value_and_grads(lambda x, y: _oracle_mmd(x, y, [1.0]), a, b)
+        assert got[0] == pytest.approx(want[0], rel=0, abs=1e-7)
+        np.testing.assert_allclose(got[1], want[1], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got[2], want[2], rtol=0, atol=1e-12)
+
+    def test_identical_sets_have_zero_gradient(self):
+        z = np.random.default_rng(3).normal(size=(6, 3))
+        value, ga, gb = _value_and_grads(mmd_distance, z, z)
+        assert abs(value) < 1e-12
+        np.testing.assert_allclose(ga + gb, 0.0, atol=1e-12)
+
+    def test_tracked_call_adds_one_tape_node(self):
+        rng = np.random.default_rng(4)
+        leaf = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+        a = scale(leaf, 2.0)
+        b = Tensor(rng.normal(size=(4, 3)))
+        d = mmd_distance(a, b)
+        assert d._rule is not None
+        assert _tape_size(d) == _tape_size(a) + _tape_size(b) + 1
+
+    def test_untracked_inputs_give_untracked_result(self):
+        rng = np.random.default_rng(5)
+        d = mmd_distance(Tensor(rng.normal(size=(5, 3))), Tensor(rng.normal(size=(4, 3))))
+        assert d._parents == () and d._rule is None and not d.requires_grad
+
+    def test_default_bandwidths_use_the_public_median_bitwise(self):
+        rng = np.random.default_rng(6)
+        for n, m in [(3, 4), (10, 7), (1, 1), (33, 20)]:
+            a, b = rng.normal(size=(n, 4)), rng.normal(size=(m, 4))
+            med = median_pairwise_distance(a, b)
+            explicit = mmd_distance(Tensor(a), Tensor(b),
+                                    bandwidths=[s * med for s in DEFAULT_BANDWIDTH_SCALES])
+            default = mmd_distance(Tensor(a), Tensor(b))
+            assert default.data.view(np.uint64) == explicit.data.view(np.uint64)
+
+    def test_median_equals_np_median_of_distinct_pairs_bitwise(self):
+        rng = np.random.default_rng(7)
+        for trial in range(300):
+            n, m, d = (int(v) for v in rng.integers(1, 30, size=3))
+            a, b = rng.normal(size=(n, d)), rng.normal(size=(m, d))
+            if trial % 3 == 0:
+                # coarse grids give tied and zero distances
+                a, b = np.round(a), np.round(b)
+            got = np.float64(median_pairwise_distance(a, b))
+            want = np.float64(_oracle_median(a, b))
+            assert got.view(np.uint64) == want.view(np.uint64), (trial, got, want)
+
+    def test_empty_side_rejected(self):
+        with pytest.raises(ValueError, match="1 row per side"):
+            mmd_distance(Tensor(np.zeros((0, 2))), Tensor(np.zeros((3, 2))))
+
+
 class TestMmdDistance:
     def test_identical_sets_give_zero(self):
         z = np.random.default_rng(0).normal(size=(6, 3))
         d = mmd_distance(Tensor(z), Tensor(z.copy()), bandwidths=[0.5, 1.0, 2.0])
         assert abs(float(d.data)) < 1e-12
-
-    def test_single_points_linear_kernel(self):
-        a = np.array([[1.0, 2.0, 3.0]])
-        b = np.array([[0.0, 4.0, 1.0]])
-        d = mmd_distance(Tensor(a), Tensor(b), kernel="linear")
-        assert float(d.data) == pytest.approx(np.sum((a - b) ** 2), abs=1e-12)
 
     def test_matches_double_loop_oracle(self):
         rng = np.random.default_rng(1)

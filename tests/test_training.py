@@ -134,6 +134,30 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match=field):
             TrainConfig.from_dict(payload)
 
+    @pytest.mark.parametrize("payload,field", [
+        ({"epochs": "3"}, "'epochs' must be an integer"),
+        ({"batch": 2.5}, "'batch' must be an integer"),
+        ({"seed_model": True}, "'seed_model' must be an integer"),
+        ({"dm_ramp_steps": None}, "'dm_ramp_steps' must be an integer"),
+        ({"lr": "fast"}, "'lr' must be a number"),
+        ({"dm_weight": False}, "'dm_weight' must be a number"),
+        ({"loss": {"entropy_ceiling": 1.0, "lambda_M": "x"}}, "'lambda_M' must be a number"),
+        ({"loss": {"entropy_ceiling": "1"}}, "'entropy_ceiling' must be a number"),
+        ({"hidden": [8, "4"]}, "hidden must be a list of integers"),
+        ({"hidden": [8, 2.5]}, "hidden must be a list of integers"),
+        ({"initial_marginal": [0.5, "0.5"]}, "initial_marginal must be a list of numbers"),
+    ], ids=["int_str", "int_float", "int_bool", "int_null", "float_str", "float_bool",
+            "loss_float_str", "loss_required_str", "hidden_str", "hidden_float",
+            "marginal_str"])
+    def test_from_dict_rejects_a_mistyped_scalar(self, payload, field):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig.from_dict(payload)
+
+    def test_from_dict_takes_ints_for_floats(self):
+        cfg = TrainConfig.from_dict({"lr": 1, "dm_weight": 2, "initial_marginal": [0, 1],
+                                     "loss": {"entropy_ceiling": 1, "lambda_M": 0}})
+        assert cfg.lr == 1.0 and cfg.dm_weight == 2.0 and cfg.loss.lambda_M == 0.0
+
     def test_resolved_loss_defaults_track_class_count(self):
         cfg = TrainConfig()
         resolved = cfg.resolved_loss(4)
