@@ -24,7 +24,6 @@ from pbmatch.transforms import (
     ImageBatch,
     apply_semantic_preserving,
     apply_semantic_transforming,
-    mixup_interpolate,
     sample_mixup_beta,
 )
 from pbmatch.losses import (
@@ -92,7 +91,7 @@ __all__ = [
     "init_params", "load_checkpoint", "predict_logits", "save_checkpoint",
     "softmax_probs", "step",
     "ImageBatch", "apply_semantic_preserving", "apply_semantic_transforming",
-    "mixup_interpolate", "sample_mixup_beta",
+    "sample_mixup_beta",
     "BatchBundle", "LossConfig", "MarginalTracker", "coral_distance",
     "cpbm_loss", "cross_entropy", "median_pairwise_distance", "mim_loss",
     "mmd_distance", "mupbm_loss", "total_objective", "tpbm_loss",

@@ -26,10 +26,13 @@ import numpy as np
 from .datasets import (
     OUTLIER_LABEL,
     DomainDataset,
+    _is_int,
+    _reject_mistyped_scalars,
+    _reject_unknown_keys,
     load_dataset,
     save_dataset,
 )
-from .transforms import ImageBatch
+from .transforms import ImageBatch, rng
 
 BENCHMARK_KINDS = ("LDS", "ILDS", "TwO")
 
@@ -40,10 +43,6 @@ _SALT_ILDS_ORDER = 2000
 _SALT_ILDS_ROWS = 2500
 _SALT_TWO_POOL = 3000
 _SALT_TWO_SHUFFLE = 3001
-
-
-def _rng(seed: int, salt: int) -> np.random.Generator:
-    return np.random.default_rng([int(seed) & 0xFFFFFFFF, salt])
 
 
 @dataclass(frozen=True)
@@ -85,9 +84,25 @@ class BenchmarkSpec:
 
     @classmethod
     def from_dict(cls, d: Dict) -> "BenchmarkSpec":
+        _reject_unknown_keys(d, cls, "benchmark spec")
+        _reject_mistyped_scalars(d, cls, "benchmark spec")
+        if "kind" not in d:
+            raise ValueError(f"benchmark spec needs a 'kind', one of {BENCHMARK_KINDS}")
         d = dict(d)
-        if d.get("meta_class_map") is not None:
-            d["meta_class_map"] = {int(k): int(v) for k, v in d["meta_class_map"].items()}
+        order = d.get("class_order", "random")
+        if not (order == "random"
+                or isinstance(order, (list, tuple)) and all(map(_is_int, order))):
+            raise ValueError(
+                "benchmark spec field 'class_order' must be \"random\" or a list "
+                f"of integers, got {order!r}")
+        meta_map = d.get("meta_class_map")
+        if meta_map is not None:
+            if not (isinstance(meta_map, dict) and all(map(_is_int, meta_map.values()))
+                    and all(str(k).lstrip("-").isdigit() for k in meta_map)):
+                raise ValueError(
+                    "benchmark spec field 'meta_class_map' must map integer "
+                    f"sublabels to integer meta-classes, got {meta_map!r}")
+            d["meta_class_map"] = {int(k): v for k, v in meta_map.items()}
         return cls(**d)
 
 
@@ -102,7 +117,7 @@ def decay_counts(n_max: int, positions: int, factor: float) -> np.ndarray:
 
 def _resolve_class_order(spec: BenchmarkSpec, class_count: int) -> np.ndarray:
     if isinstance(spec.class_order, str):
-        return _rng(spec.seed, _SALT_CLASS_ORDER).permutation(class_count)
+        return rng(spec.seed, _SALT_CLASS_ORDER).permutation(class_count)
     order = np.asarray(spec.class_order, dtype=np.int64)
     if sorted(order.tolist()) != list(range(class_count)):
         raise ValueError(
@@ -145,7 +160,7 @@ def resample_lds(target: DomainDataset, spec: BenchmarkSpec) -> DomainDataset:
     selected = []
     for position, cls in enumerate(order):
         rows = np.flatnonzero(target.labels == cls)
-        shuffled = rows[_rng(spec.seed, _SALT_LDS_ROWS + int(cls)).permutation(rows.size)]
+        shuffled = rows[rng(spec.seed, _SALT_LDS_ROWS + int(cls)).permutation(rows.size)]
         selected.append(shuffled[: kept[position]])
     indices = np.sort(np.concatenate(selected))
 
@@ -214,12 +229,12 @@ def build_ilds(target: DomainDataset, spec: BenchmarkSpec) -> DomainDataset:
         n_max = _balanced_count(sub_counts, f"meta-class {meta} sub-classes")
         kept = decay_counts(n_max, len(subs), spec.imbalance_factor)
         _check_tail(kept, n_max, spec.imbalance_factor)
-        order = _rng(spec.seed, _SALT_ILDS_ORDER + meta).permutation(len(subs))
+        order = rng(spec.seed, _SALT_ILDS_ORDER + meta).permutation(len(subs))
         sub_histograms[str(meta)] = {}
         for position, oi in enumerate(order):
             sub = subs[oi]
             rows = np.flatnonzero(sublabels == sub)
-            shuffled = rows[_rng(spec.seed, _SALT_ILDS_ROWS + sub).permutation(rows.size)]
+            shuffled = rows[rng(spec.seed, _SALT_ILDS_ROWS + sub).permutation(rows.size)]
             selected.append(shuffled[: kept[position]])
             sub_histograms[str(meta)][str(sub)] = int(kept[position])
     indices = np.sort(np.concatenate(selected))
@@ -271,7 +286,7 @@ def inject_two(target: DomainDataset, pool: ImageBatch, spec: BenchmarkSpec) -> 
             f"pool image shape {pool.data.shape[1:]} does not match "
             f"target {target.images.data.shape[1:]}")
 
-    pick = _rng(spec.seed, _SALT_TWO_POOL).permutation(len(pool))[:n_out]
+    pick = rng(spec.seed, _SALT_TWO_POOL).permutation(len(pool))[:n_out]
     outlier_imgs = pool.data[pick]
     images = np.concatenate([target.images.data, outlier_imgs], axis=0)
     labels = np.concatenate([target.labels,
@@ -280,7 +295,7 @@ def inject_two(target: DomainDataset, pool: ImageBatch, spec: BenchmarkSpec) -> 
     if target.sublabels is not None:
         sublabels = np.concatenate([target.sublabels,
                                     np.full(n_out, OUTLIER_LABEL, dtype=np.int64)])
-    perm = _rng(spec.seed, _SALT_TWO_SHUFFLE).permutation(n + n_out)
+    perm = rng(spec.seed, _SALT_TWO_SHUFFLE).permutation(n + n_out)
     out = DomainDataset(
         images=ImageBatch(images[perm]), labels=labels[perm],
         class_count=target.class_count, domain_role=target.domain_role,

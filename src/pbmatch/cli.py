@@ -13,33 +13,26 @@ config, inconsistent data), 2 when training aborts on a non-finite loss.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
-from typing import Dict, Optional, Sequence
-
-import numpy as np
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from .benchmarks import (
     BenchmarkSpec,
     benchmark_report,
-    build_ilds,
-    inject_two,
     load_pair,
-    relabel_to_meta,
-    resample_lds,
     write_benchmark,
 )
 from .datasets import (
-    DomainDataset,
     GlyphDomainSpec,
+    _is_float,
+    _is_int,
     default_pair_specs,
     generate_blob_pair,
     generate_glyph_domain,
     generate_glyph_pair,
     load_dataset,
-    outlier_pool,
     save_dataset,
 )
 from .gradcheck import run_gradient_suite, suite_text
@@ -54,6 +47,7 @@ from .training import (
     evaluate,
     lds_failure_probe,
     save_run,
+    shift_pair,
     train,
 )
 
@@ -83,14 +77,44 @@ def _echo(payload: Dict) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
+def _check_fields(d: Dict, fields: Dict[str, Tuple[Callable, str]], what: str) -> None:
+    """Reject a key of ``d`` that ``fields`` lacks, or a value that fails its
+    check; ``fields`` maps each key to (check, what the value must be)."""
+    unknown = sorted(set(d) - set(fields))
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {unknown}")
+    for key, value in d.items():
+        ok, want = fields[key]
+        if not ok(value):
+            raise ValueError(f"{what} field {key!r} must be {want}, got {value!r}")
+
+
+def _list_of(ok: Callable, want: str) -> Tuple[Callable, str]:
+    """The field check of a non-empty JSON list whose items pass ``ok``."""
+    return (lambda v: isinstance(v, list) and len(v) > 0 and all(map(ok, v)),
+            f"a non-empty list of {want}")
+
+
+_ANY = (lambda v: True, "")
+_INT = (_is_int, "an integer")
+_NUMBER = (_is_float, "a number")
+_NUMBERS = _list_of(_is_float, "numbers")
+_POINTS = _list_of(_NUMBERS[0], "points")
+
+
 # ---------------------------------------------------------------------------
 # generate
 # ---------------------------------------------------------------------------
 
+_PAIR_FIELDS = {"n_classes": _INT, "sub_styles": _INT, "samples_per_class": _INT,
+                "seed": _INT}
+_BLOB_FIELDS = {"k": _INT, "source_priors": _NUMBERS, "target_priors": _NUMBERS,
+                "means": _POINTS, "spread": _NUMBER, "n": _INT, "seed": _INT}
+
+
 def _glyph_spec(d: Dict, seed: Optional[int]) -> GlyphDomainSpec:
-    d = dict(d)
-    if seed is not None:
-        d["seed"] = seed
+    if seed is not None and isinstance(d, dict):
+        d = {**d, "seed": seed}
     return GlyphDomainSpec.from_dict(d)
 
 
@@ -99,17 +123,20 @@ def _cmd_generate(args) -> int:
     kind = spec.get("kind")
     out = Path(args.out)
     if kind == "glyph_pair":
-        if "source" in spec or "target" in spec:
-            if not ("source" in spec and "target" in spec):
+        body = {k: v for k, v in spec.items() if k != "kind"}
+        explicit = "source" in body or "target" in body
+        _check_fields(body, {"source": _ANY, "target": _ANY} if explicit else _PAIR_FIELDS,
+                      "glyph_pair")
+        if explicit:
+            if not ("source" in body and "target" in body):
                 raise ValueError('glyph_pair spec needs both "source" and "target"')
-            src_spec = _glyph_spec(spec["source"], args.seed)
+            src_spec = _glyph_spec(body["source"], args.seed)
             tgt_spec = _glyph_spec(
-                spec["target"], None if args.seed is None else args.seed + 1)
+                body["target"], None if args.seed is None else args.seed + 1)
         else:
-            knobs = {k: spec[k] for k in
-                     ("n_classes", "sub_styles", "samples_per_class") if k in spec}
-            src_spec, tgt_spec = default_pair_specs(
-                seed=spec.get("seed", 0) if args.seed is None else args.seed, **knobs)
+            if args.seed is not None:
+                body["seed"] = args.seed
+            src_spec, tgt_spec = default_pair_specs(**body)
         src, tgt = generate_glyph_pair(src_spec, tgt_spec)
     elif kind == "glyph":
         role = spec.pop("domain_role", "source")
@@ -120,13 +147,14 @@ def _cmd_generate(args) -> int:
                "class_count": ds.class_count})
         return 0
     elif kind == "blob_pair":
-        needed = ("k", "source_priors", "target_priors", "means", "spread", "n")
-        missing = [k for k in needed if k not in spec]
+        missing = [k for k in _BLOB_FIELDS if k != "seed" and k not in spec]
         if missing:
             raise ValueError(f"blob_pair spec is missing {missing}")
+        _check_fields({k: v for k, v in spec.items() if k != "kind"}, _BLOB_FIELDS,
+                      "blob_pair")
         src, tgt = generate_blob_pair(
-            int(spec["k"]), spec["source_priors"], spec["target_priors"],
-            spec["means"], float(spec["spread"]), int(spec["n"]),
+            spec["k"], spec["source_priors"], spec["target_priors"],
+            spec["means"], float(spec["spread"]), spec["n"],
             spec.get("seed", 0) if args.seed is None else args.seed)
     else:
         raise ValueError(
@@ -147,27 +175,12 @@ def _cmd_generate(args) -> int:
 _BENCH_KINDS = {"lds": "LDS", "ilds": "ILDS", "two": "TwO"}
 
 
-def _sublabel_meta_map(ds: DomainDataset) -> Dict[int, int]:
-    """Each sublabel already carries exactly one label; read the map off."""
-    if ds.sublabels is None:
-        raise ValueError("ilds needs a dataset with sublabels")
-    return {int(s): int(l) for s, l in zip(ds.sublabels, ds.labels)}
-
-
 def _cmd_bench(args) -> int:
     src, tgt = load_pair(args.in_dir)
-    kind = _BENCH_KINDS[args.kind]
-    spec = BenchmarkSpec(kind=kind, imbalance_factor=args.imbalance_factor,
+    spec = BenchmarkSpec(kind=_BENCH_KINDS[args.kind],
+                         imbalance_factor=args.imbalance_factor,
                          outlier_fraction=args.rho, seed=args.seed)
-    if kind == "LDS":
-        src2, tgt2 = src, resample_lds(tgt, spec)
-    elif kind == "ILDS":
-        spec = dataclasses.replace(spec, meta_class_map=_sublabel_meta_map(tgt))
-        src2, tgt2 = relabel_to_meta(src, spec), build_ilds(tgt, spec)
-    else:
-        n_out = int(round(args.rho * tgt.n_samples / (1.0 - args.rho)))
-        pool = outlier_pool("inverted_random", max(2 * n_out, 8), seed=args.seed)
-        src2, tgt2 = src, inject_two(tgt, pool, spec)
+    src2, tgt2, spec = shift_pair(src, tgt, spec)
     write_benchmark(args.out, src2, tgt2, spec)
     _echo(benchmark_report(spec, src2, tgt2))
     return 0
@@ -200,17 +213,32 @@ def _cmd_eval(args) -> int:
 # ablate
 # ---------------------------------------------------------------------------
 
+def _is_row(r) -> bool:
+    return isinstance(r, list) and len(r) == 2 and all(isinstance(v, str) for v in r)
+
+
+_ABLATE_FIELDS = {
+    "train": _ANY,
+    "benchmarks": _list_of(lambda b: isinstance(b, dict), "benchmark spec objects"),
+    "rows": _list_of(_is_row, "[row name, method] pairs"),
+    "seeds": _list_of(_is_int, "integers"),
+    "samples_per_class": _INT,
+    "data_seed": _INT,
+}
+
+
 def _cmd_ablate(args) -> int:
     cfg = _load_json(args.config, "config")
     if "train" not in cfg or "benchmarks" not in cfg:
         raise ValueError('ablate config needs "train" and "benchmarks" entries')
+    _check_fields(cfg, _ABLATE_FIELDS, "ablate config")
     base = TrainConfig.from_dict(cfg["train"])
     benchmarks = [BenchmarkSpec.from_dict(b) for b in cfg["benchmarks"]]
     rows = [tuple(r) for r in cfg["rows"]] if "rows" in cfg else ABLATION_ROWS
     table = ablation_suite(
         base, benchmarks,
-        samples_per_class=int(cfg.get("samples_per_class", 250)),
-        data_seed=int(cfg.get("data_seed", 0)),
+        samples_per_class=cfg.get("samples_per_class", 250),
+        data_seed=cfg.get("data_seed", 0),
         seeds=tuple(cfg.get("seeds", DEFAULT_SEEDS)),
         rows=rows,
         progress=lambda msg: print(msg, file=sys.stderr))
@@ -249,26 +277,20 @@ def _probe_text(result: Dict) -> str:
     return "\n".join(lines)
 
 
+_PROBE_FIELDS = {
+    "priors_src": _NUMBERS, "priors_tgt": _NUMBERS, "dm_weight_schedule": _NUMBERS,
+    "means": _POINTS, "hidden": _list_of(_is_int, "integers"),
+    "n": _INT, "epochs": _INT, "batch": _INT, "seed_model": _INT, "seed_data": _INT,
+    "dm_ramp_steps": _INT, "spread": _NUMBER, "weight_decay": _NUMBER, "lr": _NUMBER,
+    "optimizer": (lambda v: isinstance(v, str), "a string"),
+}
+
+
 def _cmd_probe(args) -> int:
     kwargs: Dict = {}
     if args.config is not None:
-        raw = _load_json(args.config, "config")
-        for key in ("priors_src", "priors_tgt", "dm_weight_schedule", "means",
-                    "hidden"):
-            if key in raw:
-                kwargs[key] = tuple(
-                    tuple(v) if isinstance(v, list) else v for v in raw.pop(key))
-        for key in ("n", "epochs", "batch", "seed_model", "seed_data",
-                    "dm_ramp_steps"):
-            if key in raw:
-                kwargs[key] = int(raw.pop(key))
-        for key in ("spread", "weight_decay", "lr"):
-            if key in raw:
-                kwargs[key] = float(raw.pop(key))
-        if "optimizer" in raw:
-            kwargs["optimizer"] = str(raw.pop("optimizer"))
-        if raw:
-            raise ValueError(f"unknown probe config keys: {sorted(raw)}")
+        kwargs = _load_json(args.config, "config")
+        _check_fields(kwargs, _PROBE_FIELDS, "probe config")
     if args.seed is not None:
         kwargs["seed_model"] = args.seed
         kwargs["seed_data"] = args.seed

@@ -12,13 +12,15 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import numbers
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .transforms import ImageBatch
+from .transforms import ImageBatch, rng
 
 CANVAS = 16
 INK_LEVEL = 0.95
@@ -32,6 +34,37 @@ OUTLIER_STYLES = ("blank", "checker", "inverted_random")
 def _quantize(x: np.ndarray) -> np.ndarray:
     """Round to exactly representable 32-bit values (disk format precision)."""
     return x.astype(np.float32).astype(np.float64)
+
+
+# ---------------------------------------------------------------------------
+# JSON config checks, shared by every from_dict
+# ---------------------------------------------------------------------------
+
+def _is_int(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _is_float(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+def _reject_unknown_keys(d: Dict, cls, what: str) -> None:
+    if not isinstance(d, dict):
+        raise ValueError(f"{what} must be an object, got {type(d).__name__}")
+    unknown = sorted(set(d) - {f.name for f in dataclasses.fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {unknown}")
+
+
+def _reject_mistyped_scalars(d: Dict, cls, what: str) -> None:
+    """Name the first int or float field of ``cls`` whose value in ``d`` has
+    another type; a bool is neither, and an int field takes no float."""
+    hints = typing.get_type_hints(cls)
+    for name, v in d.items():
+        if hints[name] is int and not _is_int(v):
+            raise ValueError(f"{what} field {name!r} must be an integer, got {v!r}")
+        if hints[name] is float and not _is_float(v):
+            raise ValueError(f"{what} field {name!r} must be a number, got {v!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +170,8 @@ class GlyphDomainSpec:
 
     @classmethod
     def from_dict(cls, d: Dict) -> "GlyphDomainSpec":
+        _reject_unknown_keys(d, cls, "glyph spec")
+        _reject_mistyped_scalars(d, cls, "glyph spec")
         return cls(**d)
 
 
@@ -226,16 +261,16 @@ def generate_glyph_domain(spec: GlyphDomainSpec, domain_role: str) -> DomainData
     for c in range(k):
         for i in range(spec.samples_per_class):
             style = i % s
-            rng = np.random.default_rng([spec.seed & 0xFFFFFFFF, idx])
+            gen = rng(spec.seed, idx)
             mask = base_masks[(c, style)]
             if jit > 0:
-                dy, dx = rng.integers(-jit, jit + 1, 2)
+                dy, dx = gen.integers(-jit, jit + 1, 2)
                 mask = _shift_mask(mask, int(dy), int(dx))
             img = np.where(mask, INK_LEVEL, spec.background)
             if spec.invert:
                 img = 1.0 - img
             if spec.noise > 0.0:
-                img = img + rng.normal(0.0, spec.noise, img.shape)
+                img = img + gen.normal(0.0, spec.noise, img.shape)
             images[idx] = np.clip(img, 0.0, 1.0)
             labels[idx] = c
             sublabels[idx] = c * s + style
@@ -287,10 +322,9 @@ def default_pair_specs(n_classes: int = 4, sub_styles: int = 2,
 
 def _generate_blob_domain(k: int, priors: np.ndarray, means: np.ndarray,
                           spread: float, n: int, seed: int, role: str) -> DomainDataset:
-    salt = DOMAIN_ROLES.index(role)
-    rng = np.random.default_rng([int(seed) & 0xFFFFFFFF, salt])
-    labels = rng.choice(k, size=n, p=priors)
-    points = means[labels] + rng.normal(0.0, spread, (n, 2))
+    gen = rng(seed, DOMAIN_ROLES.index(role))
+    labels = gen.choice(k, size=n, p=priors)
+    points = means[labels] + gen.normal(0.0, spread, (n, 2))
     return DomainDataset(
         images=_quantize(points), labels=labels.astype(np.int64),
         class_count=k, domain_role=role,
@@ -331,18 +365,18 @@ def outlier_pool(style: str, n: int, seed: int) -> ImageBatch:
         raise ValueError(f"style must be one of {OUTLIER_STYLES}, got {style!r}")
     if n < 1:
         raise ValueError("need n >= 1 outliers")
-    rng = np.random.default_rng([int(seed) & 0xFFFFFFFF, OUTLIER_STYLES.index(style)])
+    gen = rng(seed, OUTLIER_STYLES.index(style))
     if style == "blank":
-        levels = rng.integers(0, 2, n).astype(np.float64)
+        levels = gen.integers(0, 2, n).astype(np.float64)
         images = np.broadcast_to(levels[:, None, None], (n, CANVAS, CANVAS)).copy()
     elif style == "checker":
         parity = (_ROWS + _COLS).astype(int) % 2
-        phases = rng.integers(0, 2, n)
+        phases = gen.integers(0, 2, n)
         images = np.stack([(parity == ph).astype(np.float64) for ph in phases])
     else:
         # squared-uniform pulled toward 1: dense brightness, inverse of the
         # sparse-ink glyph statistics
-        images = 1.0 - rng.uniform(0.0, 1.0, (n, CANVAS, CANVAS)) ** 2
+        images = 1.0 - gen.uniform(0.0, 1.0, (n, CANVAS, CANVAS)) ** 2
     return ImageBatch(_quantize(images))
 
 
@@ -387,22 +421,65 @@ def save_dataset(ds: DomainDataset, path) -> None:
             ds.sublabels.astype(np.int64).astype("<u4").tobytes())
 
 
-def load_dataset(path) -> DomainDataset:
-    path = Path(path)
-    meta = json.loads((path / "meta.json").read_text())
-    shape = tuple(meta["shape"])
-    raw = np.frombuffer((path / "images.f32le").read_bytes(),
-                        dtype="<f4").astype(np.float64).reshape(shape)
-    labels = np.frombuffer((path / "labels.u32le").read_bytes(),
-                           dtype="<u4").astype(np.int64)
+_META_KEYS = ("kind", "shape", "class_count", "domain_role")
+
+
+def _read_exact(path: Path, n_bytes: int) -> bytes:
+    """The bytes of ``path``, which must hold exactly ``n_bytes``."""
+    raw = path.read_bytes()
+    if len(raw) != n_bytes:
+        raise ValueError(f"{path} holds {len(raw)} bytes, expected {n_bytes}")
+    return raw
+
+
+def _read_labels(path: Path, n: int) -> np.ndarray:
+    labels = np.frombuffer(_read_exact(path, 4 * n), dtype="<u4").astype(np.int64)
     # the sentinel wraps around in unsigned storage
-    labels = np.where(labels == 0xFFFFFFFF, OUTLIER_LABEL, labels)
+    return np.where(labels == 0xFFFFFFFF, OUTLIER_LABEL, labels)
+
+
+def load_dataset(path) -> DomainDataset:
+    """Read a directory written by :func:`save_dataset`.
+
+    A malformed ``meta.json``, a data file of the wrong byte length, or
+    contents the dataset rejects raise ``ValueError`` naming the file or
+    directory.
+    """
+    path = Path(path)
+    meta_path = path / "meta.json"
+    try:
+        meta = json.loads(meta_path.read_text())
+    except json.JSONDecodeError as e:
+        raise ValueError(f"{meta_path} is not valid JSON: {e}") from e
+    if not isinstance(meta, dict):
+        raise ValueError(f"{meta_path} must hold a JSON object")
+    missing = [k for k in _META_KEYS if k not in meta]
+    if missing:
+        raise ValueError(f"{meta_path} is missing keys: {missing}")
+    if meta["kind"] not in ("images", "points"):
+        raise ValueError(f"{meta_path} key 'kind' must be images or points, "
+                         f"got {meta['kind']!r}")
+    shape = meta["shape"]
+    if not (isinstance(shape, list) and shape
+            and all(_is_int(v) and v >= 0 for v in shape)):
+        raise ValueError(f"{meta_path} key 'shape' must be a list of sizes, got {shape!r}")
+    if not _is_int(meta["class_count"]):
+        raise ValueError(f"{meta_path} key 'class_count' must be an integer, "
+                         f"got {meta['class_count']!r}")
+    if not isinstance(meta.get("metadata", {}), dict):
+        raise ValueError(f"{meta_path} key 'metadata' must be an object")
+    n = shape[0]
+    raw = np.frombuffer(_read_exact(path / "images.f32le", 4 * int(np.prod(shape))),
+                        dtype="<f4").astype(np.float64).reshape(shape)
+    labels = _read_labels(path / "labels.u32le", n)
     sublabels = None
     if meta.get("has_sublabels"):
-        sublabels = np.frombuffer((path / "sublabels.u32le").read_bytes(),
-                                  dtype="<u4").astype(np.int64)
-    images = ImageBatch(raw) if meta["kind"] == "images" else raw
-    return DomainDataset(
-        images=images, labels=labels, class_count=meta["class_count"],
-        domain_role=meta["domain_role"], sublabels=sublabels,
-        metadata=meta.get("metadata", {}))
+        sublabels = _read_labels(path / "sublabels.u32le", n)
+    try:
+        return DomainDataset(
+            images=ImageBatch(raw) if meta["kind"] == "images" else raw,
+            labels=labels, class_count=meta["class_count"],
+            domain_role=meta["domain_role"], sublabels=sublabels,
+            metadata=meta.get("metadata", {}))
+    except ValueError as e:
+        raise ValueError(f"dataset {path}: {e}") from e

@@ -217,8 +217,7 @@ def mim_loss(target_logits: Tensor, tracker: MarginalTracker, ceiling: float) ->
 
 def cpbm_loss(logits_orig: Tensor, logits_aug: Tensor,
               src_logits_a: Optional[Tensor], src_logits_b: Optional[Tensor],
-              diff_class_mask, lambda_con: float,
-              margin: float = KL_MARGIN) -> Tensor:
+              diff_class_mask, lambda_con: float) -> Tensor:
     """Consistency under semantic-preserving views, minus clamped
     disagreement on source pairs with different labels."""
     if logits_orig.shape != logits_aug.shape:
@@ -237,20 +236,18 @@ def cpbm_loss(logits_orig: Tensor, logits_aug: Tensor,
             f"mask length {mask.shape[0]} != pair count {src_logits_a.shape[0]}")
     kl = _kl_rows(log_softmax(src_logits_a), log_softmax(src_logits_b))
     # min(kl, margin) within the op set: margin - relu(margin - kl)
-    clamped = sub(_const(margin), relu(sub(_const(margin), kl)))
+    clamped = sub(_const(KL_MARGIN), relu(sub(_const(KL_MARGIN), kl)))
     masked_sum = reduce("sum", mul(clamped, _const(mask.astype(np.float64))))
     disagreement = scale(masked_sum, 1.0 / int(mask.sum()))
     return sub(agreement, scale(disagreement, lambda_con))
 
 
-def mupbm_loss(mixed_logits: Tensor, mixed_targets,
-               written_direction: bool = False, smoothing: float = 0.01) -> Tensor:
+def mupbm_loss(mixed_logits: Tensor, mixed_targets) -> Tensor:
     """Match predictions on interpolated inputs to interpolated targets.
 
-    Default direction is KL(target || prediction), i.e. cross-entropy minus
-    the constant target entropy; ``written_direction=True`` selects
-    KL(prediction || target) with the targets smoothed by ``smoothing`` so
-    one-hot rows stay finite. Targets never receive gradient.
+    The divergence is KL(target || prediction), i.e. cross-entropy minus
+    the constant target entropy, so one-hot target rows stay finite.
+    Targets never receive gradient.
     """
     q = mixed_targets.data if isinstance(mixed_targets, Tensor) else np.asarray(mixed_targets)
     q = np.asarray(q, dtype=np.float64)
@@ -260,12 +257,7 @@ def mupbm_loss(mixed_logits: Tensor, mixed_targets,
     if np.any(np.abs(row_sums - 1.0) > 1e-6):
         bad = int(np.argmax(np.abs(row_sums - 1.0)))
         raise ValueError(f"target row {bad} sums to {row_sums[bad]}, not 1")
-    logp = log_softmax(mixed_logits)
-    if written_direction:
-        k = q.shape[1]
-        q_smooth = (1.0 - smoothing) * q + smoothing / k
-        return _mean_row_dot(exp(logp), sub(logp, _const(np.log(q_smooth))))
-    ce = neg(_mean_row_dot(_const(q), logp))
+    ce = neg(_mean_row_dot(_const(q), log_softmax(mixed_logits)))
     mean_target_entropy = float(np.mean(_row_entropies(q)))
     return sub(ce, _const(mean_target_entropy))
 

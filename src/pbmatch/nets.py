@@ -19,8 +19,6 @@ from pbmatch.tensor import Tensor, matmul, relu
 # pretext task identifier -> number of prediction classes
 TASK_CLASSES = {"rotate90": 4, "vflip": 2, "patch_location": 4}
 
-DEFAULT_HIDDEN = (128, 64)
-
 
 @dataclass
 class ModelParams:
@@ -230,17 +228,41 @@ def save_checkpoint(path, params: ModelParams, step_count: int = 0) -> None:
             f.write(t.data.astype("<f8").tobytes())
 
 
+_HEADER_KEYS = ("layer_spec", "seed", "tasks", "step_count")
+
+
 def load_checkpoint(path) -> Tuple[ModelParams, int]:
+    """Read a file written by :func:`save_checkpoint`.
+
+    A header that is not a JSON object with every key and usable values,
+    or a parameter blob of the wrong byte length, raises ``ValueError``
+    naming the file.
+    """
     with open(path, "rb") as f:
-        header = json.loads(f.readline().decode("utf-8"))
+        line = f.readline()
         blob = f.read()
-    params = init_params(header["layer_spec"], header["seed"], tasks=header["tasks"])
+    try:
+        header = json.loads(line.decode("utf-8"))
+    except ValueError as e:
+        raise ValueError(f"checkpoint {path} has no JSON header line: {e}") from e
+    if not isinstance(header, dict):
+        raise ValueError(f"checkpoint {path} header must be a JSON object")
+    missing = [k for k in _HEADER_KEYS if k not in header]
+    if missing:
+        raise ValueError(f"checkpoint {path} header is missing keys: {missing}")
+    try:
+        params = init_params(header["layer_spec"], header["seed"], tasks=header["tasks"])
+        step_count = int(header["step_count"])
+    except (TypeError, ValueError) as e:
+        raise ValueError(f"checkpoint {path} header is malformed: {e}") from e
+    n_bytes = 8 * sum(t.data.size for t in params.all_tensors())
+    if len(blob) != n_bytes:
+        raise ValueError(
+            f"checkpoint {path} holds {len(blob)} parameter bytes, expected {n_bytes}")
     flat = np.frombuffer(blob, dtype="<f8")
     offset = 0
     for t in params.all_tensors():
         n = t.data.size
         t.data = flat[offset:offset + n].reshape(t.data.shape).astype(np.float64)
         offset += n
-    if offset != flat.size:
-        raise ValueError(f"checkpoint blob has {flat.size} values, expected {offset}")
-    return params, int(header["step_count"])
+    return params, step_count

@@ -70,9 +70,6 @@ class Tensor:
     def __rmul__(self, other):
         return mul(_wrap(other), self)
 
-    def __truediv__(self, other):
-        return div(self, _wrap(other))
-
     def __neg__(self):
         return neg(self)
 
@@ -84,9 +81,6 @@ class Tensor:
 
     def mean(self, axis: Optional[int] = None):
         return reduce("mean", self, axis)
-
-    def max(self, axis: Optional[int] = None):
-        return reduce("max", self, axis)
 
     def backward(self) -> None:
         backward(self)
@@ -166,19 +160,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return node(a.data * b.data, (a, b), rule)
 
 
-def div(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast(a.shape, b.shape)
-    if np.any(b.data == 0.0):
-        raise ValueError("division by zero")
-
-    def rule(g):
-        ga = _unbroadcast(g / b.data, a.shape)
-        gb = _unbroadcast(-g * a.data / (b.data * b.data), b.shape)
-        return ga, gb
-
-    return node(a.data / b.data, (a, b), rule)
-
-
 def exp(a: Tensor) -> Tensor:
     out_data = np.exp(a.data)
 
@@ -186,16 +167,6 @@ def exp(a: Tensor) -> Tensor:
         return (g * out_data,)
 
     return node(out_data, (a,), rule)
-
-
-def log(a: Tensor) -> Tensor:
-    if np.any(a.data <= 0.0):
-        raise ValueError("log of non-positive value")
-
-    def rule(g):
-        return (g / a.data,)
-
-    return node(np.log(a.data), (a,), rule)
 
 
 def relu(a: Tensor) -> Tensor:
@@ -222,28 +193,6 @@ def scale(a: Tensor, c: float) -> Tensor:
         return (g * c,)
 
     return node(a.data * c, (a,), rule)
-
-
-_ELEMENTWISE_BINARY = {"add": add, "sub": sub, "mul": mul, "div": div}
-_ELEMENTWISE_UNARY = {"exp": exp, "log": log, "relu": relu, "neg": neg}
-
-
-def elementwise(op_kind: str, a: Tensor, b: Optional[Tensor] = None,
-                c: Optional[float] = None) -> Tensor:
-    """Dispatch over the elementwise kinds; ``scale`` takes its constant via ``c``."""
-    if op_kind in _ELEMENTWISE_BINARY:
-        if b is None:
-            raise ValueError(f"{op_kind} requires a second operand")
-        return _ELEMENTWISE_BINARY[op_kind](a, b)
-    if op_kind in _ELEMENTWISE_UNARY:
-        if b is not None:
-            raise ValueError(f"{op_kind} is unary")
-        return _ELEMENTWISE_UNARY[op_kind](a)
-    if op_kind == "scale":
-        if c is None:
-            raise ValueError("scale requires the constant c")
-        return scale(a, c)
-    raise ValueError(f"unknown elementwise op kind: {op_kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -318,26 +267,6 @@ def reduce(op_kind: str, a: Tensor, axis: Optional[int] = None) -> Tensor:
             return (np.broadcast_to(expanded, a.shape).copy() / n,)
 
         return node(a.data.mean(axis=axis), (a,), rule)
-
-    if op_kind == "max":
-        # gradient routed to the first argmax along the reduced extent
-        if axis is None:
-            flat_idx = int(a.data.argmax())
-
-            def rule(g):
-                buf = np.zeros_like(a.data)
-                buf.reshape(-1)[flat_idx] = g
-                return (buf,)
-
-        else:
-            arg = np.expand_dims(a.data.argmax(axis=axis), axis)
-
-            def rule(g):
-                buf = np.zeros_like(a.data)
-                np.put_along_axis(buf, arg, np.expand_dims(g, axis), axis)
-                return (buf,)
-
-        return node(a.data.max(axis=axis), (a,), rule)
 
     raise ValueError(f"unknown reduce op kind: {op_kind!r}")
 
@@ -414,11 +343,6 @@ def backward(loss: Tensor) -> None:
                 incoming[key] = incoming[key] + pg
             else:
                 incoming[key] = pg
-
-
-def zero_grads(tensors) -> None:
-    for t in tensors:
-        t.zero_grad()
 
 
 # ---------------------------------------------------------------------------

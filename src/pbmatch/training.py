@@ -22,8 +22,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import numbers
-import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -39,6 +37,10 @@ from .benchmarks import (
 )
 from .datasets import (
     DomainDataset,
+    _is_float,
+    _is_int,
+    _reject_mistyped_scalars,
+    _reject_unknown_keys,
     default_pair_specs,
     generate_blob_pair,
     generate_glyph_pair,
@@ -74,6 +76,7 @@ from .transforms import (
     ImageBatch,
     apply_semantic_preserving,
     apply_semantic_transforming,
+    rng,
     sample_mixup_beta,
 )
 
@@ -143,33 +146,6 @@ class NumericalAbort(ArithmeticError):
         self.step_idx = step_idx
         super().__init__(
             f"non-finite value in term {term!r} at epoch {epoch} step {step_idx}")
-
-
-def _reject_unknown_keys(d: Dict, cls, what: str) -> None:
-    if not isinstance(d, dict):
-        raise ValueError(f"{what} must be an object, got {type(d).__name__}")
-    unknown = sorted(set(d) - {f.name for f in dataclasses.fields(cls)})
-    if unknown:
-        raise ValueError(f"unknown {what} keys: {unknown}")
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
-
-
-def _is_float(v) -> bool:
-    return isinstance(v, numbers.Real) and not isinstance(v, bool)
-
-
-def _reject_mistyped_scalars(d: Dict, cls, what: str) -> None:
-    """Name the first int or float field of ``cls`` whose value in ``d`` has
-    another type; a bool is neither, and an int field takes no float."""
-    hints = typing.get_type_hints(cls)
-    for name, v in d.items():
-        if hints[name] is int and not _is_int(v):
-            raise ValueError(f"{what} field {name!r} must be an integer, got {v!r}")
-        if hints[name] is float and not _is_float(v):
-            raise ValueError(f"{what} field {name!r} must be a number, got {v!r}")
 
 
 @dataclass
@@ -319,11 +295,11 @@ def split_target(labels: np.ndarray, eval_fraction: float,
     if eval_fraction == 0.0:
         idx = np.arange(labels.shape[0])
         return idx, idx.copy()
-    rng = np.random.default_rng([int(seed) & _MASK, 909])
+    gen = rng(seed, 909)
     adapt, held = [], []
     for value in np.unique(labels):
         rows = np.flatnonzero(labels == value)
-        rows = rows[rng.permutation(rows.size)]
+        rows = rows[gen.permutation(rows.size)]
         n_eval = int(np.floor(eval_fraction * rows.size + 0.5))
         if rows.size >= 2:
             n_eval = min(max(n_eval, 1), rows.size - 1)
@@ -443,10 +419,8 @@ def train(cfg: TrainConfig, src: DomainDataset, tgt: DomainDataset,
     metrics = Metrics()
 
     for epoch in range(cfg.epochs):
-        perm_src = np.random.default_rng(
-            [cfg.seed_data & _MASK, 11, epoch]).permutation(n_src)
-        perm_tgt = np.random.default_rng(
-            [cfg.seed_data & _MASK, 13, epoch]).permutation(n_adapt)
+        perm_src = rng(cfg.seed_data, 11, epoch).permutation(n_src)
+        perm_tgt = rng(cfg.seed_data, 13, epoch).permutation(n_adapt)
         term_sums: Dict[str, float] = {}
 
         for s in range(steps_per_epoch):
@@ -547,9 +521,9 @@ def _build_bundle(cfg: TrainConfig, components: frozenset,
         bundle.pair_diff_mask = y_s != np.roll(y_s, 1)
 
     if "mupbm" in components:
-        rng = np.random.default_rng([cfg.seed_data & _MASK, 17, epoch, s])
-        partner = rng.permutation(x_t.shape[0])
-        betas = sample_mixup_beta(x_t.shape[0], loss_cfg.mixup_alpha, rng)
+        gen = rng(cfg.seed_data, 17, epoch, s)
+        partner = gen.permutation(x_t.shape[0])
+        betas = sample_mixup_beta(x_t.shape[0], loss_cfg.mixup_alpha, gen)
         b_col = betas[:, None]
         bundle.mixed_x = b_col * x_t + (1.0 - b_col) * x_t[partner]
         bundle.mixed_partner = partner
@@ -602,30 +576,38 @@ def save_run(out_dir, cfg: TrainConfig, params: ModelParams,
 # the ablation matrix
 # ---------------------------------------------------------------------------
 
-def _default_meta_map(n_classes: int, sub_styles: int) -> Dict[int, int]:
-    return {c * sub_styles + st: c
-            for c in range(n_classes) for st in range(sub_styles)}
+def shift_pair(src: DomainDataset, tgt: DomainDataset, spec: BenchmarkSpec
+               ) -> Tuple[DomainDataset, DomainDataset, BenchmarkSpec]:
+    """Push the target of a pair through the constructor of ``spec.kind``.
+
+    Returns the shifted pair and the spec as run. An ILDS spec without a
+    meta-class map gets the one the target's sublabels carry, and only ILDS
+    relabels the source. A TwO outlier pool holds twice the outliers the
+    target needs, and at least 8.
+    """
+    if spec.kind == "LDS":
+        return src, resample_lds(tgt, spec), spec
+    if spec.kind == "ILDS":
+        if spec.meta_class_map is None:
+            if tgt.sublabels is None:
+                raise ValueError("ILDS needs a dataset with sublabels")
+            spec = dataclasses.replace(spec, meta_class_map={
+                int(s): int(c) for s, c in zip(tgt.sublabels, tgt.labels)})
+        return relabel_to_meta(src, spec), build_ilds(tgt, spec), spec
+    n_out = int(round(spec.outlier_fraction * tgt.n_samples
+                      / (1.0 - spec.outlier_fraction)))
+    pool = outlier_pool("inverted_random", max(2 * n_out, 8), seed=spec.seed)
+    return src, inject_two(tgt, pool, spec), spec
 
 
 def build_benchmark_pair(spec: BenchmarkSpec, samples_per_class: int = 250,
                          data_seed: int = 0) -> Tuple[DomainDataset, DomainDataset]:
     """Generate the canonical glyph pair and push the target through the
     requested constructor."""
-    src_spec, tgt_spec = default_pair_specs(
-        samples_per_class=samples_per_class, seed=data_seed)
-    src, tgt = generate_glyph_pair(src_spec, tgt_spec)
-    if spec.kind == "LDS":
-        return src, resample_lds(tgt, spec)
-    if spec.kind == "ILDS":
-        if spec.meta_class_map is None:
-            spec = dataclasses.replace(
-                spec, meta_class_map=_default_meta_map(
-                    src_spec.n_classes, src_spec.sub_styles))
-        return relabel_to_meta(src, spec), build_ilds(tgt, spec)
-    n_out = int(round(spec.outlier_fraction * tgt.n_samples
-                      / (1.0 - spec.outlier_fraction)))
-    pool = outlier_pool("inverted_random", max(2 * n_out, 8), seed=spec.seed)
-    return src, inject_two(tgt, pool, spec)
+    src, tgt = generate_glyph_pair(*default_pair_specs(
+        samples_per_class=samples_per_class, seed=data_seed))
+    src, tgt, _ = shift_pair(src, tgt, spec)
+    return src, tgt
 
 
 def ablation_suite(base_cfg: TrainConfig, benchmarks: Sequence[BenchmarkSpec],

@@ -12,7 +12,7 @@ sample's operations to it alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -69,6 +69,15 @@ class ImageBatch:
 SP_STREAM_SALT = 2**31
 
 
+def rng(seed: int, *salts: int) -> np.random.Generator:
+    """Generator of the stream named by ``seed`` and ``salts``.
+
+    Every salted stream in the package is built here, from the seed's low
+    32 bits followed by the salts, so a salt names one stream everywhere.
+    """
+    return np.random.default_rng([int(seed) & 0xFFFFFFFF, *salts])
+
+
 class SpDraw(NamedTuple):
     """One kind applied in one slot: ``rows`` of the batch and their params.
 
@@ -123,11 +132,11 @@ def draw_semantic_preserving(seed: int, n: int, h: int, w: int,
     the batch geometry, ``kinds`` and ``strength``.
     """
     kinds = tuple(dict.fromkeys(kinds))
-    rng = np.random.default_rng([int(seed) & 0xFFFFFFFF, SP_STREAM_SALT])
-    n_ops = rng.integers(1, 3, n) if len(kinds) > 1 else np.ones(n, dtype=np.int64)
+    gen = rng(seed, SP_STREAM_SALT)
+    n_ops = gen.integers(1, 3, n) if len(kinds) > 1 else np.ones(n, dtype=np.int64)
     # a random order of the kinds per sample; its leading entries are distinct
-    order = np.argsort(rng.random((n, len(kinds))), axis=1)
-    u = rng.random((2, n, 2))
+    order = np.argsort(gen.random((n, len(kinds))), axis=1)
+    u = gen.random((2, n, 2))
     draws = []
     for slot in range(min(2, len(kinds))):
         active = n_ops > slot
@@ -136,7 +145,7 @@ def draw_semantic_preserving(seed: int, n: int, h: int, w: int,
             rows = np.flatnonzero(active & (order[:, slot] == ki))
             draws.append(SpDraw(slot, kind, rows,
                                 _sp_params(kind, u[slot, rows], h, w, strength)))
-    return [d._replace(noise=rng.standard_normal((len(d.rows), h, w)))
+    return [d._replace(noise=gen.standard_normal((len(d.rows), h, w)))
             if d.kind == "gaussian_noise" else d for d in draws]
 
 
@@ -212,30 +221,6 @@ def sample_mixup_beta(n: int, alpha: float, rng: np.random.Generator) -> np.ndar
     return rng.beta(alpha, alpha, size=n)
 
 
-def mixup_interpolate(x: ImageBatch, x2: ImageBatch,
-                      y: np.ndarray, y2: np.ndarray,
-                      beta: Union[float, np.ndarray]) -> Tuple[ImageBatch, np.ndarray]:
-    """Exact convex combination of two batches and their label distributions.
-
-    ``beta`` may be a scalar or one weight per pair; mixed labels stay
-    probability vectors.
-    """
-    if x.data.shape != x2.data.shape:
-        raise ValueError(f"image shapes differ: {x.data.shape} vs {x2.data.shape}")
-    y = np.asarray(y, dtype=np.float64)
-    y2 = np.asarray(y2, dtype=np.float64)
-    if y.shape != y2.shape or y.ndim != 2 or y.shape[0] != len(x):
-        raise ValueError(f"label shapes invalid: {y.shape} vs {y2.shape} for batch {len(x)}")
-    b = np.asarray(beta, dtype=np.float64)
-    if np.any(b < 0.0) or np.any(b > 1.0):
-        raise ValueError(f"beta must lie in [0,1], got {beta}")
-    b_img = b.reshape(-1, 1, 1) if b.ndim else b
-    b_lab = b.reshape(-1, 1) if b.ndim else b
-    mixed_x = b_img * x.data + (1.0 - b_img) * x2.data
-    mixed_y = b_lab * y + (1.0 - b_lab) * y2
-    return ImageBatch(mixed_x), mixed_y
-
-
 # ---------------------------------------------------------------------------
 # semantic-transforming tasks
 # ---------------------------------------------------------------------------
@@ -287,9 +272,8 @@ def apply_semantic_transforming(x: ImageBatch, task: str,
     if task == "patch_location" and (x.height % 2 or x.width % 2):
         raise ValueError(f"patch_location needs even dimensions, got {x.height}x{x.width}")
     op, n_classes = _ST_OPS[task]
-    salt = ST_TASKS.index(task) + 101
-    rng = np.random.default_rng([int(seed) & 0xFFFFFFFF, salt])
-    labels = rng.integers(0, n_classes, len(x)).astype(np.int64)
+    labels = rng(seed, ST_TASKS.index(task) + 101).integers(0, n_classes, len(x))
+    labels = labels.astype(np.int64)
     out = np.empty_like(x.data)
     for label in range(n_classes):
         rows = np.flatnonzero(labels == label)

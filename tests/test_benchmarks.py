@@ -68,6 +68,23 @@ def test_spec_rejects_invalid_fields(kwargs, msg):
         BenchmarkSpec(**kwargs)
 
 
+@pytest.mark.parametrize("payload,msg", [
+    ("LDS", "benchmark spec must be an object"),
+    ({"kind": "LDS", "bogus": 1}, "bogus"),
+    ({"imbalance_factor": 4.0}, "'kind'"),
+    ({"kind": "LDS", "imbalance_factor": "4"}, "'imbalance_factor'"),
+    ({"kind": "LDS", "seed": 1.5}, "'seed'"),
+    ({"kind": "LDS", "class_order": 3}, "'class_order'"),
+    ({"kind": "ILDS", "meta_class_map": [0, 1]}, "'meta_class_map'"),
+    ({"kind": "ILDS", "meta_class_map": {"a": 0}}, "'meta_class_map'"),
+    ({"kind": "ILDS", "meta_class_map": {"0": [0]}}, "'meta_class_map'"),
+], ids=["not_object", "unknown_key", "no_kind", "float_str", "int_float",
+        "order_not_list", "map_not_object", "map_key_not_int", "map_value_not_int"])
+def test_spec_from_dict_names_the_bad_field(payload, msg):
+    with pytest.raises(ValueError, match=msg):
+        BenchmarkSpec.from_dict(payload)
+
+
 def test_spec_dict_round_trip():
     spec = BenchmarkSpec(kind="ILDS", imbalance_factor=9.0,
                          class_order=[1, 0, 3, 2],

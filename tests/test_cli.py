@@ -22,7 +22,8 @@ import pytest
 import pbmatch
 from pbmatch.cli import main
 from pbmatch.datasets import load_dataset
-from pbmatch.benchmarks import load_pair
+from pbmatch.benchmarks import BenchmarkSpec, load_pair
+from pbmatch.training import build_benchmark_pair
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -60,6 +61,14 @@ def assert_clean_missing_spec(proc):
 def write_json(path, payload):
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def assert_named_error(capsys, *names):
+    err = capsys.readouterr().err
+    assert "pbmatch: error:" in err
+    for name in names:
+        assert name in err
+    assert "Traceback" not in err
 
 
 @pytest.fixture()
@@ -125,6 +134,22 @@ class TestGenerate:
         assert main(["generate", "--spec", spec, "--out", str(tmp_path / "o")]) == 1
         assert "missing" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("change,name", [
+        ({"k": [2]}, "'k'"),
+        ({"spread": "wide"}, "'spread'"),
+        ({"means": [[-2.0, 0.0], 2.0]}, "'means'"),
+        ({"seed": 1.5}, "'seed'"),
+        ({"sprd": 0.5}, "sprd"),
+    ], ids=["int_list", "float_str", "point_not_list", "seed_float", "unknown_key"])
+    def test_malformed_blob_spec_exits_1(self, tmp_path, capsys, change, name):
+        spec = write_json(tmp_path / "bad.json", {
+            "kind": "blob_pair", "k": 2, "source_priors": [0.5, 0.5],
+            "target_priors": [0.7, 0.3], "means": [[-2.0, 0.0], [2.0, 0.0]],
+            "spread": 0.5, "n": 40, **change})
+        assert main(["generate", "--spec", spec, "--out", str(tmp_path / "o")]) == 1
+        assert_named_error(capsys, name)
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("payload", [
         {"kind": "mystery"},
         {"no_kind": True},
@@ -132,6 +157,20 @@ class TestGenerate:
     def test_unknown_kind(self, tmp_path, payload):
         spec = write_json(tmp_path / "bad.json", payload)
         assert main(["generate", "--spec", spec, "--out", str(tmp_path / "o")]) == 1
+
+    @pytest.mark.parametrize("payload,name", [
+        ({"kind": "glyph", "samples_per_class": 3, "bogus": 1}, "bogus"),
+        ({"kind": "glyph_pair", "source": {"bogus": 1}, "target": {}}, "bogus"),
+        ({"kind": "glyph_pair", "source": 5, "target": {}}, "must be an object"),
+        ({"kind": "glyph_pair", "samples_per_clas": 3}, "samples_per_clas"),
+        ({"kind": "glyph_pair", "n_classes": "4"}, "n_classes"),
+    ], ids=["glyph", "pair_source", "pair_source_not_object", "pair_knob",
+            "pair_knob_mistyped"])
+    def test_malformed_glyph_spec_exits_1(self, tmp_path, capsys, payload, name):
+        spec = write_json(tmp_path / "bad.json", payload)
+        assert main(["generate", "--spec", spec, "--out", str(tmp_path / "o")]) == 1
+        assert_named_error(capsys, name)
+        assert not (tmp_path / "o").exists()
 
     def test_spec_file_missing(self, tmp_path):
         assert main(["generate", "--spec", str(tmp_path / "nope.json"),
@@ -179,6 +218,33 @@ class TestBench:
         report = json.loads((out / "benchmark.json").read_text())
         assert report["target"]["n_outliers"] == 30
         assert report["target"]["n_samples"] == 150
+
+    @pytest.mark.parametrize("kind,flags", [
+        ("lds", ["--if", "4"]), ("ilds", ["--if", "4"]), ("two", ["--rho", "0.2"]),
+    ])
+    def test_writes_what_build_benchmark_pair_builds(self, tmp_path, kind, flags):
+        spec = write_json(tmp_path / "pair.json", {"kind": "glyph_pair",
+                                                   "samples_per_class": 16})
+        pair, out = tmp_path / "pair", tmp_path / kind
+        assert main(["generate", "--spec", spec, "--out", str(pair), "--seed", "3"]) == 0
+        assert main(["bench", "--kind", kind, "--in", str(pair), "--out", str(out),
+                     "--seed", "5", *flags]) == 0
+        spec = BenchmarkSpec(kind={"lds": "LDS", "ilds": "ILDS", "two": "TwO"}[kind],
+                             imbalance_factor=1.0 if kind == "two" else 4.0,
+                             outlier_fraction=0.2 if kind == "two" else 0.0, seed=5)
+        for got, want in zip(load_pair(out), build_benchmark_pair(spec, 16, data_seed=3)):
+            assert got.labels.tobytes() == want.labels.tobytes()
+            assert got.sublabels.tobytes() == want.sublabels.tobytes()
+            assert got.images.data.tobytes() == want.images.data.tobytes()
+
+    def test_meta_without_class_count_exits_1(self, glyph_pair_dir, tmp_path, capsys):
+        meta_path = glyph_pair_dir / "target" / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        del meta["class_count"]
+        meta_path.write_text(json.dumps(meta))
+        assert main(["bench", "--kind", "lds", "--in", str(glyph_pair_dir),
+                     "--out", str(tmp_path / "o")]) == 1
+        assert_named_error(capsys, str(meta_path), "class_count")
 
     def test_missing_input_pair(self, tmp_path):
         assert main(["bench", "--kind", "lds", "--in", str(tmp_path / "void"),
@@ -309,6 +375,26 @@ class TestTrainEval:
         assert captured.out == ""
 
 
+    def test_eval_rejects_a_checkpoint_header_without_tasks(self, blob_pair_dir,
+                                                             tmp_path, capsys):
+        cfg = write_json(tmp_path / "cfg.json", {
+            "method": "source_only", "epochs": 1, "batch": 60, "hidden": [4]})
+        out = tmp_path / "run"
+        assert main(["train", "--config", cfg,
+                     "--src", str(blob_pair_dir / "source"),
+                     "--tgt", str(blob_pair_dir / "target"),
+                     "--out", str(out)]) == 0
+        capsys.readouterr()
+        ckpt = out / "checkpoint.bin"
+        header, _, blob = ckpt.read_bytes().partition(b"\n")
+        header = json.loads(header)
+        del header["tasks"]
+        ckpt.write_bytes(json.dumps(header).encode() + b"\n" + blob)
+        assert main(["eval", "--checkpoint", str(ckpt),
+                     "--data", str(blob_pair_dir / "target")]) == 1
+        assert_named_error(capsys, str(ckpt), "tasks")
+
+
 class TestAblate:
     def test_tiny_matrix(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "abl.json", {
@@ -365,6 +451,27 @@ class TestAblate:
         assert "Traceback" not in err
 
 
+    @pytest.mark.parametrize("change,name", [
+        ({"benchmarks": [{"kind": "LDS", "bogus": 1}]}, "bogus"),
+        ({"benchmarks": [{"imbalance_factor": 4.0}]}, "kind"),
+        ({"benchmarks": [{"kind": "LDS", "seed": "1"}]}, "seed"),
+        ({"benchmarks": "LDS"}, "benchmarks"),
+        ({"seeds": 5}, "seeds"),
+        ({"rows": [["full"]]}, "rows"),
+        ({"samples_per_class": "10"}, "samples_per_class"),
+        ({"seed": 1}, "seed"),
+    ], ids=["bench_unknown_key", "bench_no_kind", "bench_mistyped", "benchmarks_not_list",
+            "seeds_not_list", "row_not_pair", "samples_mistyped", "unknown_key"])
+    def test_malformed_matrix_field_exits_1(self, tmp_path, capsys, change, name):
+        cfg = write_json(tmp_path / "abl.json", {
+            "train": {"method": "source_only", "epochs": 1},
+            "benchmarks": [{"kind": "LDS", "imbalance_factor": 4.0}],
+            "samples_per_class": 10, "seeds": [1], **change})
+        assert main(["ablate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert_named_error(capsys, name)
+        assert not (tmp_path / "o").exists()
+
+
 class TestGradcheck:
     def test_passes_and_reports(self, capsys):
         assert main(["gradcheck", "--tol", "1e-4", "--instances", "2"]) == 0
@@ -393,6 +500,17 @@ class TestProbe:
         cfg = write_json(tmp_path / "p.json", {"warp": 9})
         assert main(["probe-lds", "--out", str(tmp_path / "o"),
                      "--config", cfg]) == 1
+
+    @pytest.mark.parametrize("payload,name", [
+        ({"epochs": [1]}, "epochs"),
+        ({"priors_src": 5}, "priors_src"),
+    ], ids=["int_list", "list_int"])
+    def test_mistyped_config_field_exits_1(self, tmp_path, capsys, payload, name):
+        cfg = write_json(tmp_path / "p.json", payload)
+        assert main(["probe-lds", "--out", str(tmp_path / "o"),
+                     "--config", cfg]) == 1
+        assert_named_error(capsys, f"probe config field {name!r}")
+        assert not (tmp_path / "o").exists()
 
 
 class TestEntryPoints:

@@ -1,5 +1,7 @@
 """Synthetic domain generators: determinism, balance, and disk round-trips."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,17 @@ def test_spec_dict_round_trip():
                            stroke_thickness=2, background=0.3, invert=True,
                            noise=0.2, jitter=2.0, seed=99)
     assert GlyphDomainSpec.from_dict(spec.to_dict()) == spec
+
+
+@pytest.mark.parametrize("payload,msg", [
+    ([4, 2], "glyph spec must be an object"),
+    ({"n_classes": 4, "bogus": 1}, "bogus"),
+    ({"n_classes": "4"}, "'n_classes'"),
+    ({"noise": "0.1"}, "'noise'"),
+], ids=["not_object", "unknown_key", "int_str", "float_str"])
+def test_spec_from_dict_names_the_bad_field(payload, msg):
+    with pytest.raises(ValueError, match=msg):
+        GlyphDomainSpec.from_dict(payload)
 
 
 # ---------------------------------------------------------------------------
@@ -402,6 +415,76 @@ def test_sentinel_label_survives_unsigned_storage(tmp_path):
     back = load_dataset(tmp_path / "s")
     assert np.array_equal(back.labels, lab)
     assert (back.labels == OUTLIER_LABEL).sum() == 2
+
+
+def test_sentinel_sublabel_survives_unsigned_storage(tmp_path):
+    ds = generate_glyph_domain(GlyphDomainSpec(samples_per_class=3), "target")
+    lab, sub = ds.labels.copy(), ds.sublabels.copy()
+    lab[[1, 4]] = sub[[1, 4]] = OUTLIER_LABEL
+    marked = DomainDataset(images=ds.images, labels=lab, class_count=4,
+                           domain_role="target", sublabels=sub)
+    save_dataset(marked, tmp_path / "s")
+    assert np.array_equal(load_dataset(tmp_path / "s").sublabels, sub)
+
+
+def _saved(tmp_path):
+    save_dataset(generate_glyph_domain(GlyphDomainSpec(samples_per_class=3), "target"),
+                 tmp_path / "d")
+    return tmp_path / "d"
+
+
+@pytest.mark.parametrize("key", ["kind", "shape", "class_count", "domain_role"])
+def test_load_names_a_key_missing_from_meta(tmp_path, key):
+    path = _saved(tmp_path)
+    meta = json.loads((path / "meta.json").read_text())
+    del meta[key]
+    (path / "meta.json").write_text(json.dumps(meta))
+    with pytest.raises(ValueError, match=rf"meta\.json is missing keys: \['{key}'\]"):
+        load_dataset(path)
+
+
+@pytest.mark.parametrize("key,value,msg", [
+    ("kind", "voxels", "'kind' must be images or points"),
+    ("shape", [12, "16", 16], "'shape' must be a list of sizes"),
+    ("class_count", "4", "'class_count' must be an integer"),
+    ("metadata", 5, "'metadata' must be an object"),
+    ("domain_role", "sideways", "domain_role must be one of"),
+    ("class_count", 2, "labels must lie in"),
+], ids=["kind", "shape", "class_count", "metadata", "role", "labels_vs_classes"])
+def test_load_names_the_file_of_a_bad_meta_value(tmp_path, key, value, msg):
+    path = _saved(tmp_path)
+    meta = json.loads((path / "meta.json").read_text())
+    meta[key] = value
+    (path / "meta.json").write_text(json.dumps(meta))
+    with pytest.raises(ValueError, match=msg) as err:
+        load_dataset(path)
+    assert str(path) in str(err.value)
+
+
+@pytest.mark.parametrize("text,msg", [
+    ("{not json", "not valid JSON"),
+    ("[1]", "JSON object"),
+])
+def test_load_names_a_malformed_meta_file(tmp_path, text, msg):
+    path = _saved(tmp_path)
+    (path / "meta.json").write_text(text)
+    with pytest.raises(ValueError, match=msg) as err:
+        load_dataset(path)
+    assert str(path / "meta.json") in str(err.value)
+
+
+@pytest.mark.parametrize("name,per_row", [
+    ("images.f32le", 4 * CANVAS * CANVAS), ("labels.u32le", 4), ("sublabels.u32le", 4),
+])
+@pytest.mark.parametrize("delta", [-1, -4, 3])
+def test_load_names_a_file_of_the_wrong_length(tmp_path, name, per_row, delta):
+    path = _saved(tmp_path)
+    raw = (path / name).read_bytes()
+    (path / name).write_bytes(raw[:delta] if delta < 0 else raw + bytes(delta))
+    want = 12 * per_row
+    with pytest.raises(ValueError, match=f"holds {want + delta} bytes, expected {want}") as err:
+        load_dataset(path)
+    assert str(path / name) in str(err.value)
 
 
 def test_regenerate_rejects_unknown_generator():

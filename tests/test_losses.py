@@ -38,7 +38,6 @@ from pbmatch.tensor import (
     scale,
     sub,
     transpose,
-    zero_grads,
 )
 
 
@@ -338,27 +337,12 @@ class TestMupbmLoss:
         assert logits.grad is not None
         assert targets.grad is None
 
-    def test_written_direction_finite_on_one_hot(self):
-        z = np.random.default_rng(2).uniform(-1, 1, (4, 3))
-        onehot = np.eye(3)[[0, 1, 2, 0]]
-        loss = mupbm_loss(Tensor(z), onehot, written_direction=True)
-        assert np.isfinite(float(loss.data))
-        assert float(loss.data) >= 0.0
-
-    def test_directions_differ_on_asymmetric_input(self):
-        z = np.array([[2.0, -2.0]])
-        q = np.array([[0.5, 0.5]])
-        a = float(mupbm_loss(Tensor(z), q).data)
-        b = float(mupbm_loss(Tensor(z), q, written_direction=True).data)
-        assert abs(a - b) > 0.1
-
     def test_gradcheck(self):
         rng = np.random.default_rng(3)
         q = _softmax(rng.uniform(-1, 1, (5, 4)))
         point = Tensor(rng.uniform(-2, 2, (5, 4)))
-        for flag in (False, True):
-            report = grad_check(lambda t: mupbm_loss(t, q, written_direction=flag), point)
-            assert report.passed, str(report)
+        report = grad_check(lambda t: mupbm_loss(t, q), point)
+        assert report.passed, str(report)
 
 
 # ---------------------------------------------------------------------------

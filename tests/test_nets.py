@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from pbmatch.nets import (
     softmax_probs,
     step,
 )
-from pbmatch.tensor import Tensor, backward, log_softmax
+from pbmatch.tensor import Tensor, backward, log_softmax, scale
 
 
 def test_init_deterministic_in_seed():
@@ -96,7 +98,7 @@ def _nll(params, x, labels, head="label"):
     logp = log_softmax(forward(params, Tensor(x), head))
     onehot = np.zeros(logp.shape)
     onehot[np.arange(len(labels)), labels] = 1.0
-    return -(logp * Tensor(onehot)).sum() / len(labels)
+    return scale(-(logp * Tensor(onehot)).sum(), 1.0 / len(labels))
 
 
 def test_sgd_basic_update_rule():
@@ -189,6 +191,60 @@ def test_checkpoint_roundtrip(tmp_path):
     assert loaded.layer_spec == p.layer_spec
     for a, b in zip(p.all_tensors(), loaded.all_tensors()):
         assert np.array_equal(a.data, b.data)
+
+
+@pytest.mark.parametrize("key", ["layer_spec", "seed", "tasks", "step_count"])
+def test_checkpoint_header_missing_key_names_file_and_key(tmp_path, key):
+    path = tmp_path / "checkpoint.bin"
+    save_checkpoint(path, init_params([4, 3, 2], seed=1))
+    header, _, blob = path.read_bytes().partition(b"\n")
+    header = json.loads(header)
+    del header[key]
+    path.write_bytes(json.dumps(header).encode() + b"\n" + blob)
+    with pytest.raises(ValueError, match=rf"header is missing keys: \['{key}'\]") as err:
+        load_checkpoint(path)
+    assert str(path) in str(err.value)
+
+
+@pytest.mark.parametrize("key,value", [
+    ("tasks", 5), ("tasks", ["spin"]), ("layer_spec", [4, "x", 2]), ("seed", 1.5),
+    ("step_count", None)])
+def test_checkpoint_header_bad_value_names_file(tmp_path, key, value):
+    path = tmp_path / "checkpoint.bin"
+    save_checkpoint(path, init_params([4, 3, 2], seed=1))
+    header, _, blob = path.read_bytes().partition(b"\n")
+    header = json.loads(header)
+    header[key] = value
+    path.write_bytes(json.dumps(header).encode() + b"\n" + blob)
+    with pytest.raises(ValueError, match="header is malformed") as err:
+        load_checkpoint(path)
+    assert str(path) in str(err.value)
+
+
+@pytest.mark.parametrize("payload,msg", [
+    (b"not json\n", "no JSON header line"),
+    (b"[1, 2]\n", "header must be a JSON object"),
+])
+def test_checkpoint_bad_header_names_file(tmp_path, payload, msg):
+    path = tmp_path / "checkpoint.bin"
+    path.write_bytes(payload)
+    with pytest.raises(ValueError, match=msg) as err:
+        load_checkpoint(path)
+    assert str(path) in str(err.value)
+
+
+def test_checkpoint_blob_of_any_wrong_length_names_file_and_length(tmp_path):
+    p = init_params([4, 3, 2], seed=1)
+    path = tmp_path / "checkpoint.bin"
+    save_checkpoint(path, p)
+    header, _, blob = path.read_bytes().partition(b"\n")
+    want = 8 * sum(t.data.size for t in p.all_tensors())
+    assert len(blob) == want
+    for n in [*range(len(blob)), len(blob) + 1, len(blob) + 8]:
+        path.write_bytes(header + b"\n" + (blob + bytes(8))[:n])
+        with pytest.raises(ValueError, match=f"holds {n} parameter bytes, expected {want}") as err:
+            load_checkpoint(path)
+        assert str(path) in str(err.value)
 
 
 def test_checkpoint_header_is_json_line(tmp_path):

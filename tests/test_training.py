@@ -41,6 +41,7 @@ from pbmatch.training import (
     train,
 )
 from pbmatch.nets import forward
+from pbmatch.transforms import rng, sample_mixup_beta
 from pbmatch import nets, training
 
 
@@ -473,6 +474,24 @@ class TestTrainLoop:
             0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("pair", ["images", "points"])
+def test_bundle_mixes_each_target_row_with_its_partner(pair):
+    src, tgt = _glyph_pair() if pair == "images" else blob_pair(n=40)
+    cfg = small_cfg(method="mupbm", seed_data=5)
+    loss_cfg = LossConfig.for_classes(src.class_count)
+    rows_s, rows_t = np.arange(10), np.arange(3, 13)
+    x_s, y_s, x_t = src.x_flat()[rows_s], src.labels[rows_s], tgt.x_flat()[rows_t]
+    bundle = training._build_bundle(cfg, frozenset({"mupbm"}), (), (), src, tgt,
+                                    rows_s, rows_t, x_s, y_s, x_t, loss_cfg, 2, 1)
+    # the (seed_data, 17, epoch, step) stream draws the partners, then the weights
+    gen = rng(5, 17, 2, 1)
+    assert np.array_equal(bundle.mixed_partner, gen.permutation(10))
+    assert np.array_equal(bundle.mixed_beta, sample_mixup_beta(10, loss_cfg.mixup_alpha, gen))
+    beta = bundle.mixed_beta[:, None]
+    want = beta * x_t + (1.0 - beta) * x_t[bundle.mixed_partner]
+    assert np.array_equal(bundle.mixed_x.view(np.uint64), want.view(np.uint64))
+
+
 # ---------------------------------------------------------------------------
 # run persistence
 # ---------------------------------------------------------------------------
@@ -556,6 +575,20 @@ class TestAblation:
         assert np.array_equal(src.images.data, plain_src.images.data)
         assert np.array_equal(src.labels, plain_src.labels)
         assert "benchmark" in tgt.metadata
+
+    @pytest.mark.parametrize("samples,seed", [(6, 0), (16, 3), (250, 0), (16, 0)])
+    def test_ilds_map_read_off_sublabels_is_the_canonical_map(self, samples, seed):
+        src, tgt = generate_glyph_pair(*default_pair_specs(
+            samples_per_class=samples, seed=seed))
+        _, _, spec = training.shift_pair(
+            src, tgt, BenchmarkSpec(kind="ILDS", imbalance_factor=2.0, seed=seed))
+        canonical = {c * 2 + style: c for c in range(4) for style in range(2)}
+        assert list(spec.meta_class_map.items()) == list(canonical.items())
+
+    def test_ilds_needs_sublabels_or_a_map(self):
+        src, tgt = blob_pair(n=40)
+        with pytest.raises(ValueError, match="sublabels"):
+            training.shift_pair(src, tgt, BenchmarkSpec(kind="ILDS"))
 
     def test_benchmark_pair_two_adds_sentinel_rows(self):
         spec = BenchmarkSpec(kind="TwO", outlier_fraction=0.1, seed=0)

@@ -1,11 +1,15 @@
 """Image operation families: examples, group laws, determinism, label balance,
 and bitwise agreement of the batch-wise transforms with per-sample references."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
+import pbmatch
 from pbmatch.transforms import (
     CUTOUT_SIDE_FRACTION,
     MAX_BRIGHTNESS_DELTA,
@@ -22,7 +26,7 @@ from pbmatch.transforms import (
     apply_semantic_transforming,
     draw_semantic_preserving,
     extract_quadrant,
-    mixup_interpolate,
+    rng,
     rotate90_cw,
     sample_mixup_beta,
     vflip,
@@ -258,62 +262,6 @@ class TestSemanticPreserving:
 # ---------------------------------------------------------------------------
 
 class TestMixup:
-    def _pair(self, n=6, k=3, seed=0):
-        rng = np.random.default_rng(seed)
-        x = ImageBatch(rng.uniform(size=(n, 4, 4)))
-        x2 = ImageBatch(rng.uniform(size=(n, 4, 4)))
-        y = np.eye(k)[rng.integers(0, k, n)]
-        y2 = np.eye(k)[rng.integers(0, k, n)]
-        return x, x2, y, y2
-
-    def test_beta_one_returns_first(self):
-        x, x2, y, y2 = self._pair()
-        mx, my = mixup_interpolate(x, x2, y, y2, 1.0)
-        assert np.array_equal(mx.data, x.data)
-        assert np.array_equal(my, y)
-
-    def test_beta_zero_returns_second(self):
-        x, x2, y, y2 = self._pair()
-        mx, my = mixup_interpolate(x, x2, y, y2, 0.0)
-        assert np.array_equal(mx.data, x2.data)
-        assert np.array_equal(my, y2)
-
-    def test_midpoint_is_exact_average(self):
-        x, x2, y, y2 = self._pair()
-        mx, my = mixup_interpolate(x, x2, y, y2, 0.5)
-        assert np.allclose(mx.data, 0.5 * (x.data + x2.data))
-        assert np.allclose(my, 0.5 * (y + y2))
-
-    def test_per_pair_weights(self):
-        x, x2, y, y2 = self._pair(n=4)
-        beta = np.array([0.0, 1.0, 0.25, 0.75])
-        mx, my = mixup_interpolate(x, x2, y, y2, beta)
-        assert np.array_equal(mx.data[0], x2.data[0])
-        assert np.array_equal(mx.data[1], x.data[1])
-        assert np.allclose(mx.data[2], 0.25 * x.data[2] + 0.75 * x2.data[2])
-        assert np.allclose(my[3], 0.75 * y[3] + 0.25 * y2[3])
-
-    def test_mixed_labels_are_distributions(self):
-        x, x2, y, y2 = self._pair(n=32, seed=3)
-        rng = np.random.default_rng(1)
-        beta = sample_mixup_beta(32, 0.2, rng)
-        _, my = mixup_interpolate(x, x2, y, y2, beta)
-        assert np.all(my >= 0.0)
-        assert np.allclose(my.sum(axis=1), 1.0)
-
-    def test_rejects_out_of_range_beta(self):
-        x, x2, y, y2 = self._pair()
-        with pytest.raises(ValueError, match="beta"):
-            mixup_interpolate(x, x2, y, y2, 1.5)
-        with pytest.raises(ValueError, match="beta"):
-            mixup_interpolate(x, x2, y, y2, -0.01)
-
-    def test_rejects_shape_mismatch(self):
-        x, x2, y, y2 = self._pair()
-        bad = ImageBatch(np.zeros((3, 4, 4)))
-        with pytest.raises(ValueError, match="shapes"):
-            mixup_interpolate(x, bad, y, y2, 0.5)
-
     def test_beta_sampler_range_and_symmetry(self):
         rng = np.random.default_rng(8)
         draws = sample_mixup_beta(20000, 0.2, rng)
@@ -564,3 +512,42 @@ class TestSemanticPreservingDraws:
         outs = {apply_semantic_preserving(x, seed, kinds=KIND_SETS[kinds]).data.tobytes()
                 for seed in range(40)}
         assert len(outs) == 40
+
+
+# ---------------------------------------------------------------------------
+# the seeding helper
+# ---------------------------------------------------------------------------
+
+class TestSeedingHelper:
+    @pytest.mark.parametrize("seed,salts", [
+        (0, (909,)), (17, (11, 3)), (-1, (2**31,)), (2**40 + 5, (17, 4, 2)),
+        (3, (2**32 - 1,))])
+    def test_same_stream_as_the_masked_seed_list(self, seed, salts):
+        want = np.random.default_rng([seed & 0xFFFFFFFF, *salts]).random(8)
+        assert _same_bytes(rng(seed, *salts).random(8), want)
+
+    def test_no_other_site_builds_a_salted_generator(self):
+        finder = _SaltedGeneratorSites()
+        for path in sorted(Path(pbmatch.__file__).parent.glob("*.py")):
+            finder.module = path.name
+            finder.visit(ast.parse(path.read_text()))
+        assert finder.sites == [("transforms.py", "rng")]
+
+
+class _SaltedGeneratorSites(ast.NodeVisitor):
+    """(module, innermost function) of every ``default_rng([...])`` call."""
+
+    def __init__(self):
+        self.module, self.scope, self.sites = None, None, []
+
+    def visit_FunctionDef(self, node):
+        outer, self.scope = self.scope, node.name
+        self.generic_visit(node)
+        self.scope = outer
+
+    def visit_Call(self, node):
+        f = node.func
+        name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+        if name == "default_rng" and node.args and isinstance(node.args[0], ast.List):
+            self.sites.append((self.module, self.scope))
+        self.generic_visit(node)
