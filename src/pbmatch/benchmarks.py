@@ -70,6 +70,14 @@ class BenchmarkSpec:
         if not (0.0 <= self.outlier_fraction < 1.0):
             raise ValueError(
                 f"outlier_fraction must lie in [0, 1), got {self.outlier_fraction}")
+        if self.kind == "TwO" and self.imbalance_factor != 1.0:
+            raise ValueError(
+                f"imbalance_factor is for LDS and ILDS; a TwO spec leaves it at 1, "
+                f"got {self.imbalance_factor}")
+        if self.kind != "TwO" and self.outlier_fraction != 0.0:
+            raise ValueError(
+                f"outlier_fraction is for TwO; an {self.kind} spec leaves it at 0, "
+                f"got {self.outlier_fraction}")
         if isinstance(self.class_order, str) and self.class_order != "random":
             raise ValueError(
                 f'class_order must be a permutation or "random", got {self.class_order!r}')
@@ -261,6 +269,12 @@ def build_ilds(target: DomainDataset, spec: BenchmarkSpec) -> DomainDataset:
 # TwO: target with outliers
 # ---------------------------------------------------------------------------
 
+def two_outlier_count(n: int, outlier_fraction: float) -> int:
+    """Outliers to append to n target rows so they form ``outlier_fraction``
+    of the result: round(rho * n / (1 - rho))."""
+    return int(round(outlier_fraction * n / (1.0 - outlier_fraction)))
+
+
 def inject_two(target: DomainDataset, pool: ImageBatch, spec: BenchmarkSpec) -> DomainDataset:
     """Append sentinel-labeled outliers so they form outlier_fraction of the result."""
     if spec.kind != "TwO":
@@ -269,7 +283,7 @@ def inject_two(target: DomainDataset, pool: ImageBatch, spec: BenchmarkSpec) -> 
         raise ValueError("outlier injection needs an image dataset")
     rho = spec.outlier_fraction
     n = target.n_samples
-    n_out = int(round(rho * n / (1.0 - rho)))
+    n_out = two_outlier_count(n, rho)
     if n_out == 0:
         out = target.take(np.arange(n))
         out.metadata["benchmark"] = {

@@ -33,22 +33,7 @@ from .losses import (
     total_objective,
 )
 from .nets import ModelParams, init_params
-from .tensor import (
-    Tensor,
-    add,
-    exp,
-    grad_check,
-    log_softmax,
-    matmul,
-    mul,
-    neg,
-    reduce,
-    relu,
-    scale,
-    sub,
-    take,
-    transpose,
-)
+from .tensor import Tensor, add, grad_check, matmul, node, relu
 from .transforms import rng
 
 DEFAULT_INSTANCES = 20
@@ -86,91 +71,31 @@ def _rng_logits(rng, n, k, spread=2.0) -> np.ndarray:
 Builder = Callable[[np.random.Generator, int], Tuple[Callable[[Tensor], Tensor], Tensor]]
 
 
-def _sum(t: Tensor) -> Tensor:
-    return reduce("sum", t)
+def _weighted_sum(t: Tensor, w: np.ndarray) -> Tensor:
+    """sum(t * w) as one node: a scalar readout with the known gradient w."""
+    return node(float(np.sum(t.data * w)), (t,), lambda g: (g * w,))
 
 
 def _build_add(rng, i):
-    b = Tensor(rng.normal(size=(4, 3)))
-    w = Tensor(rng.normal(size=(4, 3)))
-    return (lambda x: _sum(mul(add(x, b), w))), Tensor(rng.normal(size=(4, 3)))
-
-
-def _build_sub(rng, i):
-    b = Tensor(rng.normal(size=(4, 3)))
-    w = Tensor(rng.normal(size=(4, 3)))
     # broadcast on odd instances to exercise the unbroadcast path
-    if i % 2:
-        b = Tensor(rng.normal(size=(3,)))
-    return (lambda x: _sum(mul(sub(x, b), w))), Tensor(rng.normal(size=(4, 3)))
-
-
-def _build_mul(rng, i):
-    b = Tensor(rng.normal(size=(3,)) if i % 2 else rng.normal(size=(4, 3)))
-    return (lambda x: _sum(mul(x, b))), Tensor(rng.normal(size=(4, 3)))
-
-
-def _build_exp(rng, i):
-    w = Tensor(rng.normal(size=(4, 3)))
-    return (lambda x: _sum(mul(exp(x), w))), Tensor(rng.normal(0.0, 0.8, (4, 3)))
+    b = Tensor(rng.normal(size=(3,) if i % 2 else (4, 3)))
+    w = rng.normal(size=(4, 3))
+    return (lambda x: _weighted_sum(add(x, b), w)), Tensor(rng.normal(size=(4, 3)))
 
 
 def _build_relu(rng, i):
-    w = Tensor(rng.normal(size=(4, 3)))
+    w = rng.normal(size=(4, 3))
     point = _away_from_zero(rng.normal(size=(4, 3)))
-    return (lambda x: _sum(mul(relu(x), w))), Tensor(point)
-
-
-def _build_neg(rng, i):
-    w = Tensor(rng.normal(size=(4, 3)))
-    return (lambda x: _sum(mul(neg(x), w))), Tensor(rng.normal(size=(4, 3)))
-
-
-def _build_scale(rng, i):
-    c = float(rng.normal() * 3.0) or 1.7
-    w = Tensor(rng.normal(size=(4, 3)))
-    return (lambda x: _sum(mul(scale(x, c), w))), Tensor(rng.normal(size=(4, 3)))
+    return (lambda x: _weighted_sum(relu(x), w)), Tensor(point)
 
 
 def _build_matmul(rng, i):
+    w = rng.normal(size=(3, 2))
     if i % 2:
         a = Tensor(rng.normal(size=(3, 4)))
-        return (lambda x: _sum(matmul(a, x))), Tensor(rng.normal(size=(4, 2)))
+        return (lambda x: _weighted_sum(matmul(a, x), w)), Tensor(rng.normal(size=(4, 2)))
     b = Tensor(rng.normal(size=(4, 2)))
-    return (lambda x: _sum(matmul(x, b))), Tensor(rng.normal(size=(3, 4)))
-
-
-def _build_transpose(rng, i):
-    w = Tensor(rng.normal(size=(3, 4)))
-    return (lambda x: _sum(mul(transpose(x), w))), Tensor(rng.normal(size=(4, 3)))
-
-
-def _build_take(rng, i):
-    # a slice on even instances, a gather that repeats a row on odd ones
-    rows = slice(1, 3) if i % 2 == 0 else np.array([2, 0, 2, 3])
-    w = Tensor(rng.normal(size=(2 if i % 2 == 0 else 4, 3)))
-    return (lambda x: _sum(mul(take(x, rows), w))), Tensor(rng.normal(size=(4, 3)))
-
-
-def _build_reduce_sum(rng, i):
-    axis = (None, 0, 1)[i % 3]
-    w = None if axis is None else Tensor(rng.normal(size=(3,) if axis == 0 else (4,)))
-    if axis is None:
-        return (lambda x: reduce("sum", x)), Tensor(rng.normal(size=(4, 3)))
-    return (lambda x: _sum(mul(reduce("sum", x, axis=axis), w))), Tensor(rng.normal(size=(4, 3)))
-
-
-def _build_reduce_mean(rng, i):
-    axis = (None, 0, 1)[i % 3]
-    if axis is None:
-        return (lambda x: reduce("mean", x)), Tensor(rng.normal(size=(4, 3)))
-    w = Tensor(rng.normal(size=(3,) if axis == 0 else (4,)))
-    return (lambda x: _sum(mul(reduce("mean", x, axis=axis), w))), Tensor(rng.normal(size=(4, 3)))
-
-
-def _build_log_softmax(rng, i):
-    w = Tensor(rng.normal(size=(4, 3)))
-    return (lambda x: _sum(mul(log_softmax(x), w))), Tensor(_rng_logits(rng, 4, 3))
+    return (lambda x: _weighted_sum(matmul(x, b), w)), Tensor(rng.normal(size=(3, 4)))
 
 
 def _build_cross_entropy(rng, i):
@@ -299,18 +224,8 @@ def _build_total(rng, i):
 
 CHECKS: Dict[str, Builder] = {
     "op.add": _build_add,
-    "op.sub": _build_sub,
-    "op.mul": _build_mul,
-    "op.exp": _build_exp,
     "op.relu": _build_relu,
-    "op.neg": _build_neg,
-    "op.scale": _build_scale,
     "op.matmul": _build_matmul,
-    "op.transpose": _build_transpose,
-    "op.take": _build_take,
-    "op.reduce_sum": _build_reduce_sum,
-    "op.reduce_mean": _build_reduce_mean,
-    "op.log_softmax": _build_log_softmax,
     "term.cross_entropy": _build_cross_entropy,
     "term.mim": _build_mim,
     "term.cpbm": _build_cpbm,

@@ -4,6 +4,13 @@ Four target-side terms (marginal matching, consistency under
 semantic-preserving views, interpolation consistency, pretext-task
 supervision), their weighted combination with source cross-entropy, and
 two feature-distribution distances used by alignment baselines.
+
+Every term is a helper over plain arrays that returns its value together
+with its closed-form gradient with respect to its inputs; the classifier
+terms take row-wise log-probabilities and give the gradient with respect
+to the logits. Each public term records one tape node around its helper,
+and ``total_objective`` records one node for the whole weighted sum, head
+GEMMs included.
 """
 
 from __future__ import annotations
@@ -11,28 +18,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .nets import ModelParams, forward, softmax_probs
-from .tensor import (
-    Tensor,
-    add,
-    exp,
-    log_softmax,
-    matmul,
-    mul,
-    neg,
-    node,
-    reduce,
-    relu,
-    scale,
-    sub,
-    take,
-    tracked,
-    transpose,
-)
+from .nets import ModelParams, forward
+from .tensor import Tensor, node, tracked
 
 # per-pair clamp on the disagreement divergence; unbounded KL invites
 # divergence-chasing on easy pairs
@@ -41,9 +32,7 @@ KL_MARGIN = 5.0
 DEFAULT_BANDWIDTH_SCALES = (0.5, 1.0, 2.0, 4.0)
 MARGINAL_FLOOR = 1e-6
 
-
-def _const(x) -> Tensor:
-    return Tensor(np.asarray(x, dtype=np.float64))
+Grads = Tuple[Optional[np.ndarray], ...]
 
 
 def _as_bool_mask(mask) -> np.ndarray:
@@ -62,28 +51,41 @@ def _entropy(q: np.ndarray) -> float:
     return float(_row_entropies(q))
 
 
-def _mean_row_dot(a: Tensor, b: Tensor) -> Tensor:
-    """E over rows of sum_y a[row, y] * b[row, y] (b may broadcast)."""
-    return reduce("mean", reduce("sum", mul(a, b), axis=1))
+def _log_softmax(logits: np.ndarray) -> np.ndarray:
+    """Row-wise log-softmax over [batch, K] logits, stabilized by max-subtraction."""
+    if logits.ndim != 2 or logits.shape[1] < 2:
+        raise ValueError(f"logits must be [batch, K] with K >= 2, got shape {logits.shape}")
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def _kl_rows(logp_a: Tensor, logp_b: Tensor) -> Tensor:
-    """Per-row KL(p_a || p_b) from two log-probability tensors."""
-    p_a = exp(logp_a)
-    return reduce("sum", mul(p_a, sub(logp_a, logp_b)), axis=1)
+def _term_node(value: float, parents: Sequence[Tensor], grads: Grads) -> Tensor:
+    """One tape node for a term whose gradient to each parent is fixed:
+    the incoming gradient times that parent's entry of ``grads``."""
+    return node(value, tuple(parents), lambda g: tuple(g * grad for grad in grads))
+
+
+def _cross_entropy(logp: np.ndarray, labels) -> Tuple[float, np.ndarray]:
+    """Mean negative log-likelihood of integer labels; gradient (softmax - onehot) / n."""
+    labels = np.asarray(labels)
+    if labels.ndim != 1 or labels.shape[0] != logp.shape[0]:
+        raise ValueError(f"labels shape {labels.shape} does not match logits {logp.shape}")
+    k = logp.shape[1]
+    if labels.size and (labels.min() < 0 or labels.max() >= k):
+        raise ValueError(f"label out of range [0, {k}): {labels.min()}..{labels.max()}")
+    n = logp.shape[0]
+    rows = np.arange(n)
+    value = -logp[rows, labels].mean()
+    grad = np.exp(logp)
+    grad[rows, labels] -= 1.0
+    grad /= n
+    return float(value), grad
 
 
 def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
-    """Mean negative log-likelihood of integer labels under the logits."""
-    labels = np.asarray(labels)
-    if labels.ndim != 1 or labels.shape[0] != logits.shape[0]:
-        raise ValueError(f"labels shape {labels.shape} does not match logits {logits.shape}")
-    k = logits.shape[1]
-    if labels.size and (labels.min() < 0 or labels.max() >= k):
-        raise ValueError(f"label out of range [0, {k}): {labels.min()}..{labels.max()}")
-    onehot = np.zeros((labels.shape[0], k))
-    onehot[np.arange(labels.shape[0]), labels] = 1.0
-    return neg(_mean_row_dot(_const(onehot), log_softmax(logits)))
+    """Mean negative log-likelihood of integer labels under the logits; one tape node."""
+    value, grad = _cross_entropy(_log_softmax(logits.data), labels)
+    return _term_node(value, (logits,), (grad,))
 
 
 # ---------------------------------------------------------------------------
@@ -182,17 +184,33 @@ class MarginalTracker:
 # the four target-side terms
 # ---------------------------------------------------------------------------
 
-def _diversity_term(target_logits: Tensor, log_q: np.ndarray) -> Tensor:
-    """E_x sum_y p(y|x) log q(y) with q constant; its gradient is the
-    moving-average estimator of the marginal-entropy derivative."""
-    p = exp(log_softmax(target_logits))
-    return _mean_row_dot(p, _const(log_q))
+def _mim(logp: np.ndarray, tracker: MarginalTracker, ceiling: float
+         ) -> Tuple[float, np.ndarray]:
+    """Confidence E_x H(p(.|x)), plus the diversity E_x sum_y p(y|x) log q(y)
+    while the tracked marginal's entropy is below ``ceiling``; then the
+    tracker advances with the batch mean prediction.
 
-
-def _confidence_term(target_logits: Tensor) -> Tensor:
-    """+E_x H(p(.|x)): mean conditional entropy, driven down when minimized."""
-    logp = log_softmax(target_logits)
-    return neg(_mean_row_dot(exp(logp), logp))
+    Per row the confidence gradient is -p (log p + H) / n. With q held
+    fixed, the diversity gradient p (log q - p . log q) / n is the
+    moving-average estimator of the marginal-entropy derivative.
+    """
+    if logp.shape[1] != tracker.q.shape[0]:
+        raise ValueError(
+            f"logits shape {logp.shape} does not match marginal of "
+            f"{tracker.q.shape[0]} classes")
+    n = logp.shape[0]
+    p = np.exp(logp)
+    h = -(p * logp).sum(axis=1)
+    value = h.mean()
+    grad = -p * (logp + h[:, None])
+    if tracker.entropy() < ceiling:
+        log_q = np.log(tracker.q)
+        dot = p @ log_q
+        value = dot.mean() + value
+        grad += p * (log_q - dot[:, None])
+    grad /= n
+    tracker.update(p.mean(axis=0))
+    return float(value), grad
 
 
 def mim_loss(target_logits: Tensor, tracker: MarginalTracker, ceiling: float) -> Tensor:
@@ -200,46 +218,78 @@ def mim_loss(target_logits: Tensor, tracker: MarginalTracker, ceiling: float) ->
 
     The diversity part enters only while the tracked marginal's entropy is
     below ``ceiling``; the tracker is advanced with the batch mean
-    prediction after the loss is formed.
+    prediction after the loss is formed. One tape node.
     """
-    if target_logits.ndim != 2 or target_logits.shape[1] != tracker.q.shape[0]:
-        raise ValueError(
-            f"logits shape {target_logits.shape} does not match marginal of "
-            f"{tracker.q.shape[0]} classes")
-    confidence = _confidence_term(target_logits)
-    if tracker.entropy() < ceiling:
-        loss = add(_diversity_term(target_logits, np.log(tracker.q)), confidence)
-    else:
-        loss = confidence
-    tracker.update(exp(log_softmax(target_logits)).data.mean(axis=0))
-    return loss
+    value, grad = _mim(_log_softmax(target_logits.data), tracker, ceiling)
+    return _term_node(value, (target_logits,), (grad,))
+
+
+def _kl_rows(logp_a: np.ndarray, logp_b: np.ndarray
+             ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-row KL(p_a || p_b), with its per-row gradients
+    p_a (log p_a - log p_b - KL) and p_b - p_a for the two sides' logits."""
+    p_a = np.exp(logp_a)
+    gap = logp_a - logp_b
+    kl = (p_a * gap).sum(axis=1)
+    return kl, p_a * (gap - kl[:, None]), np.exp(logp_b) - p_a
+
+
+def _cpbm(orig: np.ndarray, aug: np.ndarray, pair_a: Optional[np.ndarray],
+          pair_b: Optional[np.ndarray], mask: Optional[np.ndarray],
+          lambda_con: float) -> Tuple[float, Grads]:
+    """Mean KL agreement of the two views, minus lambda_con times the mean
+    of min(KL, KL_MARGIN) over the masked source pairs, from the four
+    blocks' log-probabilities.
+
+    The disagreement part is off without pairs, with an empty mask or with
+    lambda_con 0; then the pair gradients are None. A pair whose KL reaches
+    the margin gets no gradient.
+    """
+    n = orig.shape[0]
+    kl, g_orig, g_aug = _kl_rows(orig, aug)
+    value = kl.mean()
+    g_orig /= n
+    g_aug /= n
+    if pair_a is None or pair_b is None or mask is None or not mask.any() or lambda_con == 0.0:
+        return float(value), (g_orig, g_aug, None, None)
+    kl_pair, g_a, g_b = _kl_rows(pair_a, pair_b)
+    m = int(mask.sum())
+    value = value - lambda_con * (np.minimum(kl_pair, KL_MARGIN)[mask].sum() / m)
+    live = np.where(mask & (kl_pair < KL_MARGIN), -lambda_con / m, 0.0)[:, None]
+    return float(value), (g_orig, g_aug, g_a * live, g_b * live)
 
 
 def cpbm_loss(logits_orig: Tensor, logits_aug: Tensor,
               src_logits_a: Optional[Tensor], src_logits_b: Optional[Tensor],
               diff_class_mask, lambda_con: float) -> Tensor:
     """Consistency under semantic-preserving views, minus clamped
-    disagreement on source pairs with different labels."""
+    disagreement on source pairs with different labels; one tape node."""
     if logits_orig.shape != logits_aug.shape:
         raise ValueError(
             f"original and transformed logits differ: {logits_orig.shape} vs {logits_aug.shape}")
-    agreement = reduce("mean", _kl_rows(log_softmax(logits_orig), log_softmax(logits_aug)))
     mask = None if diff_class_mask is None else _as_bool_mask(diff_class_mask)
-    if (src_logits_a is None or src_logits_b is None
-            or mask is None or not mask.any() or lambda_con == 0.0):
-        return agreement
-    if src_logits_a.shape != src_logits_b.shape:
-        raise ValueError(
-            f"pair logits differ: {src_logits_a.shape} vs {src_logits_b.shape}")
-    if mask.shape[0] != src_logits_a.shape[0]:
-        raise ValueError(
-            f"mask length {mask.shape[0]} != pair count {src_logits_a.shape[0]}")
-    kl = _kl_rows(log_softmax(src_logits_a), log_softmax(src_logits_b))
-    # min(kl, margin) within the op set: margin - relu(margin - kl)
-    clamped = sub(_const(KL_MARGIN), relu(sub(_const(KL_MARGIN), kl)))
-    masked_sum = reduce("sum", mul(clamped, _const(mask.astype(np.float64))))
-    disagreement = scale(masked_sum, 1.0 / int(mask.sum()))
-    return sub(agreement, scale(disagreement, lambda_con))
+    pairs = (src_logits_a, src_logits_b)
+    if None not in pairs and mask is not None and mask.any() and lambda_con != 0.0:
+        if src_logits_a.shape != src_logits_b.shape:
+            raise ValueError(
+                f"pair logits differ: {src_logits_a.shape} vs {src_logits_b.shape}")
+        if mask.shape[0] != src_logits_a.shape[0]:
+            raise ValueError(
+                f"mask length {mask.shape[0]} != pair count {src_logits_a.shape[0]}")
+        value, grads = _cpbm(*(_log_softmax(t.data) for t in (logits_orig, logits_aug, *pairs)),
+                             mask, lambda_con)
+        return _term_node(value, (logits_orig, logits_aug, *pairs), grads)
+    value, grads = _cpbm(_log_softmax(logits_orig.data), _log_softmax(logits_aug.data),
+                         None, None, None, lambda_con)
+    return _term_node(value, (logits_orig, logits_aug), grads[:2])
+
+
+def _mupbm(logp: np.ndarray, q: np.ndarray) -> Tuple[float, np.ndarray]:
+    """Mean KL(q || p), as cross-entropy minus the constant target entropy;
+    gradient (p - q) / n, since rows of q sum to 1."""
+    ce = -(q * logp).sum(axis=1).mean()
+    value = ce - float(np.mean(_row_entropies(q)))
+    return float(value), (np.exp(logp) - q) / logp.shape[0]
 
 
 def mupbm_loss(mixed_logits: Tensor, mixed_targets) -> Tensor:
@@ -247,7 +297,7 @@ def mupbm_loss(mixed_logits: Tensor, mixed_targets) -> Tensor:
 
     The divergence is KL(target || prediction), i.e. cross-entropy minus
     the constant target entropy, so one-hot target rows stay finite.
-    Targets never receive gradient.
+    Targets never receive gradient. One tape node.
     """
     q = mixed_targets.data if isinstance(mixed_targets, Tensor) else np.asarray(mixed_targets)
     q = np.asarray(q, dtype=np.float64)
@@ -257,24 +307,31 @@ def mupbm_loss(mixed_logits: Tensor, mixed_targets) -> Tensor:
     if np.any(np.abs(row_sums - 1.0) > 1e-6):
         bad = int(np.argmax(np.abs(row_sums - 1.0)))
         raise ValueError(f"target row {bad} sums to {row_sums[bad]}, not 1")
-    ce = neg(_mean_row_dot(_const(q), log_softmax(mixed_logits)))
-    mean_target_entropy = float(np.mean(_row_entropies(q)))
-    return sub(ce, _const(mean_target_entropy))
+    value, grad = _mupbm(_log_softmax(mixed_logits.data), q)
+    return _term_node(value, (mixed_logits,), (grad,))
+
+
+def _tpbm(logp_by_task: Sequence[np.ndarray], labels_by_task: Sequence[np.ndarray]
+          ) -> Tuple[float, List[np.ndarray]]:
+    """Mean over tasks of label cross-entropy, with each task's logit gradient."""
+    share = 1.0 / len(logp_by_task)
+    parts = [_cross_entropy(logp, labels)
+             for logp, labels in zip(logp_by_task, labels_by_task)]
+    return sum(value for value, _ in parts) * share, [grad * share for _, grad in parts]
 
 
 def tpbm_loss(task_logits_by_task: Mapping[str, Tensor],
               task_labels_by_task: Mapping[str, np.ndarray]) -> Tensor:
-    """Mean over pretext tasks of label cross-entropy."""
+    """Mean over pretext tasks of label cross-entropy; one tape node."""
     if not task_logits_by_task:
         raise ValueError("no pretext tasks given")
     if set(task_logits_by_task) != set(task_labels_by_task):
         raise ValueError(
             f"task keys differ: {sorted(task_logits_by_task)} vs {sorted(task_labels_by_task)}")
-    total = None
-    for task in sorted(task_logits_by_task):
-        ce = cross_entropy(task_logits_by_task[task], task_labels_by_task[task])
-        total = ce if total is None else add(total, ce)
-    return scale(total, 1.0 / len(task_logits_by_task))
+    tasks = sorted(task_logits_by_task)
+    value, grads = _tpbm([_log_softmax(task_logits_by_task[t].data) for t in tasks],
+                         [task_labels_by_task[t] for t in tasks])
+    return _term_node(value, [task_logits_by_task[t] for t in tasks], grads)
 
 
 # ---------------------------------------------------------------------------
@@ -317,19 +374,19 @@ def _check_bundle(b: BatchBundle, cfg: LossConfig) -> None:
         raise ValueError("lambda_S > 0 requires pretext-task batches")
 
 
-def _rows(t: Tensor, start: int, stop: int) -> Tensor:
-    return t if start == 0 and stop == t.shape[0] else take(t, slice(start, stop))
-
-
 def total_objective(batch_bundle: BatchBundle, params: ModelParams,
                     cfg: LossConfig, tracker: MarginalTracker
                     ) -> Tuple[Tensor, Dict[str, float]]:
     """Weighted sum of the active terms; zero-weight terms are never built.
 
     Every view the active terms score is stacked into one constant batch
-    and run through the shared extractor once; row blocks of the latent go
-    to the label head and to each pretext head. Returns the scalar loss and
-    a report of each computed term's unweighted value plus the total.
+    and run through the shared extractor once. The rest is one tape node
+    whose parents are the latent and the weights of the heads in use: it
+    applies the label head to the label views' rows and each pretext head
+    to its task's rows, adds up the terms' weighted closed-form logit
+    gradients row block by row block, and its rule maps them back through
+    the heads. Returns the scalar loss and a report of each computed term's
+    unweighted value plus the total.
     """
     b = batch_bundle
     _check_bundle(b, cfg)
@@ -345,53 +402,80 @@ def total_objective(batch_bundle: BatchBundle, params: ModelParams,
     stacked = [x for _, x in label_views] + [x for _, (x, _) in task_views]
     if not stacked:
         raise ValueError("all objective weights are zero; nothing to optimize")
-    z = forward(params, _const(np.concatenate(stacked)), head=None)
+    z = forward(params, Tensor(np.concatenate(stacked)), head=None)
 
+    # one GEMM per head: the label head over every label view, then each task's
     bounds = [0, *accumulate(x.shape[0] for x in stacked)]
     n_label = len(label_views)
-    logits: Dict[str, Tensor] = {}
+    heads: List[Tuple[slice, Tensor, Tensor]] = []
     if label_views:
-        w, bias = params.psi
-        label_logits = add(matmul(_rows(z, 0, bounds[n_label]), w), bias)
-        logits = {name: _rows(label_logits, bounds[i], bounds[i + 1])
-                  for i, (name, _) in enumerate(label_views)}
+        heads.append((slice(0, bounds[n_label]), *params.psi))
+    for i, (task, _) in enumerate(task_views, start=n_label):
+        heads.append((slice(bounds[i], bounds[i + 1]), *params.head_tensors(task)))
+    logp = [_log_softmax(z.data[rows] @ w.data + bias.data) for rows, w, bias in heads]
+    dlogits = [np.zeros_like(block) for block in logp]
+    view = {name: slice(bounds[i], bounds[i + 1]) for i, (name, _) in enumerate(label_views)}
+    label = logp[0] if label_views else None
+    dlabel = dlogits[0] if label_views else None
 
-    terms: List[Tuple[str, float, Tensor]] = []
+    terms: List[Tuple[str, float, float]] = []
     if cfg.supervised_weight > 0.0:
-        terms.append(("supervised", cfg.supervised_weight,
-                      cross_entropy(logits["src"], b.src_y)))
+        value, grad = _cross_entropy(label[view["src"]], b.src_y)
+        dlabel[view["src"]] += cfg.supervised_weight * grad
+        terms.append(("supervised", cfg.supervised_weight, value))
     if cfg.lambda_M > 0.0:
-        terms.append(("mim", cfg.lambda_M,
-                      mim_loss(logits["tgt"], tracker, cfg.entropy_ceiling)))
+        value, grad = _mim(label[view["tgt"]], tracker, cfg.entropy_ceiling)
+        dlabel[view["tgt"]] += cfg.lambda_M * grad
+        terms.append(("mim", cfg.lambda_M, value))
     if cfg.lambda_C > 0.0:
-        pair_a = logits["src"] if use_pairs else None
-        pair_b = (take(pair_a, np.roll(np.arange(pair_a.shape[0]), 1))
-                  if use_pairs else None)
-        terms.append(("cpbm", cfg.lambda_C,
-                      cpbm_loss(logits["tgt"], logits["aug"], pair_a, pair_b,
-                                b.pair_diff_mask, cfg.lambda_con)))
+        # the source pairs are the source rows and the same rows rolled by one
+        src = label[view["src"]] if use_pairs else None
+        value, (g_tgt, g_aug, g_a, g_b) = _cpbm(
+            label[view["tgt"]], label[view["aug"]], src,
+            np.roll(src, 1, axis=0) if use_pairs else None,
+            _as_bool_mask(b.pair_diff_mask) if use_pairs else None, cfg.lambda_con)
+        dlabel[view["tgt"]] += cfg.lambda_C * g_tgt
+        dlabel[view["aug"]] += cfg.lambda_C * g_aug
+        if g_a is not None:
+            dlabel[view["src"]] += cfg.lambda_C * (g_a + np.roll(g_b, -1, axis=0))
+        terms.append(("cpbm", cfg.lambda_C, value))
     if cfg.lambda_U > 0.0:
         # targets mix the detached target predictions; they get no gradient
-        probs = softmax_probs(logits["tgt"].data)
+        probs = np.exp(label[view["tgt"]])
         beta = b.mixed_beta[:, None]
         targets = beta * probs + (1.0 - beta) * probs[b.mixed_partner]
-        terms.append(("mupbm", cfg.lambda_U, mupbm_loss(logits["mixed"], targets)))
+        value, grad = _mupbm(label[view["mixed"]], targets)
+        dlabel[view["mixed"]] += cfg.lambda_U * grad
+        terms.append(("mupbm", cfg.lambda_U, value))
     if cfg.lambda_S > 0.0:
-        logits_map = {}
-        for i, (task, _) in enumerate(task_views, start=n_label):
-            w_t, b_t = params.head_tensors(task)
-            logits_map[task] = add(matmul(_rows(z, bounds[i], bounds[i + 1]), w_t), b_t)
-        labels_map = {task: labels for task, (_, labels) in task_views}
-        terms.append(("tpbm", cfg.lambda_S, tpbm_loss(logits_map, labels_map)))
+        first = len(heads) - len(task_views)
+        value, grads = _tpbm(logp[first:], [labels for _, (_, labels) in task_views])
+        for dtask, grad in zip(dlogits[first:], grads):
+            dtask += cfg.lambda_S * grad
+        terms.append(("tpbm", cfg.lambda_S, value))
 
     total = None
     report: Dict[str, float] = {}
-    for name, weight, term in terms:
-        report[name] = float(term.data)
-        weighted = scale(term, weight)
-        total = weighted if total is None else add(total, weighted)
-    report["total"] = float(total.data)
-    return total, report
+    for name, weight, value in terms:
+        report[name] = value
+        weighted = value * weight
+        total = weighted if total is None else total + weighted
+    report["total"] = total
+
+    parents = [z]
+    for _, w, bias in heads:
+        parents += [w, bias]
+
+    def rule(g):
+        dz = np.zeros_like(z.data)
+        head_grads = []
+        for (rows, w, _), dblock in zip(heads, dlogits):
+            dblock = dblock * g
+            dz[rows] = dblock @ w.data.T
+            head_grads += [z.data[rows].T @ dblock, dblock.sum(axis=0)]
+        return (dz, *head_grads)
+
+    return node(total, tuple(parents), rule), report
 
 
 # ---------------------------------------------------------------------------
@@ -511,17 +595,26 @@ def mmd_distance(z_src: Tensor, z_tgt: Tensor,
     return node(value, (z_src, z_tgt), rule)
 
 
+def _coral(z_src: np.ndarray, z_tgt: np.ndarray) -> Tuple[float, Grads]:
+    """||C_s - C_t||_F^2 / 4d^2 over the sample covariances C = X^T X / (n - 1)
+    of the centered rows X, with the gradients X_s (C_s - C_t) / (d^2 (n_s - 1))
+    and -X_t (C_s - C_t) / (d^2 (n_t - 1)); centering adds nothing, since
+    the columns of X sum to zero."""
+    d = z_src.shape[1]
+    x_s = z_src - z_src.mean(axis=0)
+    x_t = z_tgt - z_tgt.mean(axis=0)
+    c_s = 1.0 / (z_src.shape[0] - 1)
+    c_t = 1.0 / (z_tgt.shape[0] - 1)
+    diff = (x_s.T @ x_s) * c_s - (x_t.T @ x_t) * c_t
+    value = (diff * diff).sum() * (1.0 / (4.0 * d * d))
+    return float(value), ((x_s @ diff) * (c_s / (d * d)), (x_t @ diff) * (-c_t / (d * d)))
+
+
 def coral_distance(z_src: Tensor, z_tgt: Tensor) -> Tensor:
-    """Frobenius gap between sample covariances, scaled by 1/(4 d^2)."""
+    """Frobenius gap between sample covariances, scaled by 1/(4 d^2); one tape node."""
     _check_feature_pair(z_src, z_tgt)
     if z_src.shape[0] < 2 or z_tgt.shape[0] < 2:
         raise ValueError(
             f"need >= 2 rows per side for covariances, got {z_src.shape[0]} and {z_tgt.shape[0]}")
-    d = z_src.shape[1]
-
-    def cov(z: Tensor) -> Tensor:
-        centered = sub(z, reduce("mean", z, axis=0))
-        return scale(matmul(transpose(centered), centered), 1.0 / (z.shape[0] - 1))
-
-    diff = sub(cov(z_src), cov(z_tgt))
-    return scale(reduce("sum", mul(diff, diff)), 1.0 / (4.0 * d * d))
+    value, grads = _coral(z_src.data, z_tgt.data)
+    return _term_node(value, (z_src, z_tgt), grads)

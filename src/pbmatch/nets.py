@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from pbmatch.tensor import Tensor, matmul, relu
+from pbmatch.tensor import Tensor, add, matmul, relu
 
 # pretext task identifier -> number of prediction classes
 TASK_CLASSES = {"rotate90": 4, "vflip": 2, "patch_location": 4}
@@ -116,7 +116,7 @@ def features(params: ModelParams, x: Tensor) -> Tensor:
         raise ValueError(f"input width {x.shape} does not match input dim {params.input_dim}")
     h = x
     for w, b in params.phi:
-        h = relu(matmul(h, w) + b)
+        h = relu(add(matmul(h, w), b))
     return h
 
 
@@ -128,7 +128,7 @@ def forward(params: ModelParams, x: Tensor, head: Optional[str] = "label") -> Te
     if head is None:
         return z
     w, b = params.head_tensors(head)
-    return matmul(z, w) + b
+    return add(matmul(z, w), b)
 
 
 def predict_features(params: ModelParams, x: np.ndarray) -> np.ndarray:

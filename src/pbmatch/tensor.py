@@ -51,44 +51,6 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    # -- operator sugar; everything dispatches through the module-level ops --
-    def __add__(self, other):
-        return add(self, _wrap(other))
-
-    def __radd__(self, other):
-        return add(_wrap(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _wrap(other))
-
-    def __rsub__(self, other):
-        return sub(_wrap(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _wrap(other))
-
-    def __rmul__(self, other):
-        return mul(_wrap(other), self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, _wrap(other))
-
-    def sum(self, axis: Optional[int] = None):
-        return reduce("sum", self, axis)
-
-    def mean(self, axis: Optional[int] = None):
-        return reduce("mean", self, axis)
-
-    def backward(self) -> None:
-        backward(self)
-
-
-def _wrap(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
 
 def _check_broadcast(a_shape: tuple, b_shape: tuple) -> None:
     # trailing-dimension broadcasting only, numpy semantics
@@ -130,7 +92,7 @@ def node(data: np.ndarray, parents: tuple, rule: Callable[[np.ndarray], tuple]) 
 
 
 # ---------------------------------------------------------------------------
-# elementwise ops
+# ops: what the extractor and the heads use
 # ---------------------------------------------------------------------------
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -142,62 +104,14 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return node(a.data + b.data, (a, b), rule)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast(a.shape, b.shape)
-
-    def rule(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
-
-    return node(a.data - b.data, (a, b), rule)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast(a.shape, b.shape)
-
-    def rule(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
-
-    return node(a.data * b.data, (a, b), rule)
-
-
-def exp(a: Tensor) -> Tensor:
-    out_data = np.exp(a.data)
-
-    def rule(g):
-        return (g * out_data,)
-
-    return node(out_data, (a,), rule)
-
-
 def relu(a: Tensor) -> Tensor:
     mask = a.data > 0.0
 
     def rule(g):
         return (g * mask,)
 
-    return node(np.where(mask, a.data, 0.0), (a,), rule)
+    return node(np.maximum(a.data, 0.0), (a,), rule)
 
-
-def neg(a: Tensor) -> Tensor:
-    def rule(g):
-        return (-g,)
-
-    return node(-a.data, (a,), rule)
-
-
-def scale(a: Tensor, c: float) -> Tensor:
-    """Multiply by a Python constant (no gradient w.r.t. c)."""
-    c = float(c)
-
-    def rule(g):
-        return (g * c,)
-
-    return node(a.data * c, (a,), rule)
-
-
-# ---------------------------------------------------------------------------
-# matmul / reduce / log_softmax
-# ---------------------------------------------------------------------------
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.ndim != 2 or b.ndim != 2:
@@ -211,81 +125,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
                 a.data.T @ g if tracked(b) else None)
 
     return node(a.data @ b.data, (a, b), rule)
-
-
-def transpose(a: Tensor) -> Tensor:
-    """Rank-2 transpose; lets losses form cross terms like zᵀz."""
-    if a.ndim != 2:
-        raise ValueError(f"transpose needs a rank-2 input, got rank {a.ndim}")
-
-    def rule(g):
-        return (g.T.copy(),)
-
-    return node(a.data.T.copy(), (a,), rule)
-
-
-def take(a: Tensor, rows: Union[slice, np.ndarray]) -> Tensor:
-    """Rows of ``a`` along axis 0: a slice, or an index array (a gather).
-
-    Lets one stacked pass feed several consumers; the gradient scatters
-    back into the selected rows, adding up rows gathered more than once.
-    """
-    if a.ndim < 1:
-        raise ValueError("take needs at least rank 1")
-    if not isinstance(rows, slice):
-        rows = np.asarray(rows, dtype=np.intp)
-        if rows.ndim != 1:
-            raise ValueError(f"take needs a slice or a 1-D index array, got shape {rows.shape}")
-
-    def rule(g):
-        buf = np.zeros_like(a.data)
-        if isinstance(rows, slice):
-            buf[rows] = g
-        else:
-            np.add.at(buf, rows, g)
-        return (buf,)
-
-    return node(a.data[rows], (a,), rule)
-
-
-def reduce(op_kind: str, a: Tensor, axis: Optional[int] = None) -> Tensor:
-    if axis is not None and not (0 <= axis < a.ndim):
-        raise ValueError(f"axis {axis} out of range for rank {a.ndim}")
-
-    if op_kind == "sum":
-        def rule(g):
-            expanded = g if axis is None else np.expand_dims(g, axis)
-            return (np.broadcast_to(expanded, a.shape).copy(),)
-
-        return node(a.data.sum(axis=axis), (a,), rule)
-
-    if op_kind == "mean":
-        n = a.data.size if axis is None else a.shape[axis]
-
-        def rule(g):
-            expanded = g if axis is None else np.expand_dims(g, axis)
-            return (np.broadcast_to(expanded, a.shape).copy() / n,)
-
-        return node(a.data.mean(axis=axis), (a,), rule)
-
-    raise ValueError(f"unknown reduce op kind: {op_kind!r}")
-
-
-def log_softmax(logits: Tensor) -> Tensor:
-    """Row-wise log-softmax over [batch, K] logits, stabilized by max-subtraction."""
-    if logits.ndim != 2:
-        raise ValueError(f"log_softmax needs a [batch, K] tensor, got shape {logits.shape}")
-    if logits.shape[1] < 2:
-        raise ValueError("log_softmax needs at least 2 classes")
-    z = logits.data
-    shifted = z - z.max(axis=1, keepdims=True)
-    out_data = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    softmax = np.exp(out_data)
-
-    def rule(g):
-        return (g - softmax * g.sum(axis=1, keepdims=True),)
-
-    return node(out_data, (logits,), rule)
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ from .benchmarks import (
     inject_two,
     relabel_to_meta,
     resample_lds,
+    two_outlier_count,
 )
 from .datasets import (
     DomainDataset,
@@ -68,7 +69,7 @@ from .nets import (
     softmax_probs,
     step,
 )
-from .tensor import Tensor, add, backward, matmul, scale, take
+from .tensor import Tensor, add, backward, matmul, node
 from .transforms import (
     NI_KINDS,
     RA_KINDS,
@@ -482,10 +483,14 @@ def _first_bad_term(report: Dict[str, float]) -> str:
 def _dm_step(cfg: TrainConfig, params: ModelParams, x_s: np.ndarray,
              y_s: np.ndarray, x_t: np.ndarray, global_step: int
              ) -> Tuple[Tensor, Dict[str, float]]:
-    """Source cross-entropy plus the ramped feature-distance penalty."""
+    """Source cross-entropy plus the ramped feature-distance penalty.
+
+    One trunk pass serves both domains. Each term is one tape node over its
+    row block of the latent, and one more node weights and adds the two.
+    """
     n_s = x_s.shape[0]
     z = features(params, Tensor(np.concatenate([x_s, x_t])))
-    z_s, z_t = take(z, slice(0, n_s)), take(z, slice(n_s, None))
+    z_s, z_t = _latent_rows(z, slice(0, n_s)), _latent_rows(z, slice(n_s, None))
     w_psi, b_psi = params.psi
     ce = cross_entropy(add(matmul(z_s, w_psi), b_psi), y_s)
     distance = (mmd_distance(z_s, z_t) if cfg.method == "dm_mmd"
@@ -495,11 +500,21 @@ def _dm_step(cfg: TrainConfig, params: ModelParams, x_s: np.ndarray,
     else:
         ramp = 1.0
     weight = cfg.dm_weight * ramp
-    total = add(ce, scale(distance, weight))
+    total = node(ce.data + distance.data * weight, (ce, distance), lambda g: (g, g * weight))
     name = "mmd" if cfg.method == "dm_mmd" else "coral"
     report = {"supervised": float(ce.data), name: float(distance.data),
               "dm_weight": weight, "total": float(total.data)}
     return total, report
+
+
+def _latent_rows(z: Tensor, rows: slice) -> Tensor:
+    """A row block of the latent as one tape node; its gradient lands in those rows."""
+    def rule(g):
+        grad = np.zeros_like(z.data)
+        grad[rows] = g
+        return (grad,)
+
+    return node(z.data[rows], (z,), rule)
 
 
 def _build_bundle(cfg: TrainConfig, components: frozenset,
@@ -594,8 +609,7 @@ def shift_pair(src: DomainDataset, tgt: DomainDataset, spec: BenchmarkSpec
             spec = dataclasses.replace(spec, meta_class_map={
                 int(s): int(c) for s, c in zip(tgt.sublabels, tgt.labels)})
         return relabel_to_meta(src, spec), build_ilds(tgt, spec), spec
-    n_out = int(round(spec.outlier_fraction * tgt.n_samples
-                      / (1.0 - spec.outlier_fraction)))
+    n_out = two_outlier_count(tgt.n_samples, spec.outlier_fraction)
     pool = outlier_pool("inverted_random", max(2 * n_out, 8), seed=spec.seed)
     return src, inject_two(tgt, pool, spec), spec
 

@@ -68,6 +68,18 @@ def test_spec_rejects_invalid_fields(kwargs, msg):
         BenchmarkSpec(**kwargs)
 
 
+@pytest.mark.parametrize("kwargs,msg", [
+    (dict(kind="TwO", imbalance_factor=10.0, outlier_fraction=0.2), "imbalance_factor"),
+    (dict(kind="LDS", imbalance_factor=4.0, outlier_fraction=0.5), "outlier_fraction"),
+    (dict(kind="ILDS", outlier_fraction=0.1), "outlier_fraction"),
+])
+def test_spec_rejects_the_field_its_kind_does_not_use(kwargs, msg):
+    with pytest.raises(ValueError, match=msg):
+        BenchmarkSpec(**kwargs)
+    with pytest.raises(ValueError, match=msg):
+        BenchmarkSpec.from_dict(kwargs)
+
+
 @pytest.mark.parametrize("payload,msg", [
     ("LDS", "benchmark spec must be an object"),
     ({"kind": "LDS", "bogus": 1}, "bogus"),

@@ -237,6 +237,18 @@ class TestBench:
             assert got.sublabels.tobytes() == want.sublabels.tobytes()
             assert got.images.data.tobytes() == want.images.data.tobytes()
 
+    @pytest.mark.parametrize("kind,flags,name", [
+        ("two", ["--rho", "0.2", "--if", "10"], "imbalance_factor"),
+        ("lds", ["--rho", "0.5"], "outlier_fraction"),
+        ("ilds", ["--if", "2", "--rho", "0.1"], "outlier_fraction"),
+    ])
+    def test_flag_the_kind_does_not_use_exits_1(self, glyph_pair_dir, tmp_path, capsys,
+                                                 kind, flags, name):
+        assert main(["bench", "--kind", kind, "--in", str(glyph_pair_dir),
+                     "--out", str(tmp_path / "o"), *flags]) == 1
+        assert_named_error(capsys, name)
+        assert not (tmp_path / "o").exists()
+
     def test_meta_without_class_count_exits_1(self, glyph_pair_dir, tmp_path, capsys):
         meta_path = glyph_pair_dir / "target" / "meta.json"
         meta = json.loads(meta_path.read_text())

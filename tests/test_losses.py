@@ -1,4 +1,4 @@
-"""Objective terms: analytic identities, direct-summation oracles, gradients."""
+"""Objective terms: analytic identities, direct-summation and per-op tape oracles, gradients."""
 
 import math
 
@@ -20,24 +20,18 @@ from pbmatch.losses import (
     mupbm_loss,
     tpbm_loss,
     total_objective,
-    _diversity_term,
 )
 from pbmatch.nets import forward, init_params, predict_logits, softmax_probs
 from pbmatch.tensor import (
     Tensor,
+    _check_broadcast,
+    _unbroadcast,
     add,
     backward,
-    exp,
     grad_check,
-    log_softmax,
     matmul,
-    mul,
-    neg,
-    reduce,
+    node,
     relu,
-    scale,
-    sub,
-    transpose,
 )
 
 
@@ -53,6 +47,153 @@ def _kl(p, q):
 def _logits_for(probs):
     """log p recovers p exactly through log_softmax (logsumexp(log p) = 0)."""
     return Tensor(np.log(np.asarray(probs, dtype=np.float64)), requires_grad=True)
+
+
+# ---------------------------------------------------------------------------
+# per-op oracles: the tape ops and term formulations the one-node terms replaced
+# ---------------------------------------------------------------------------
+
+def sub(a: Tensor, b: Tensor) -> Tensor:
+    _check_broadcast(a.shape, b.shape)
+    return node(a.data - b.data, (a, b),
+                lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)))
+
+
+def mul(a: Tensor, b: Tensor) -> Tensor:
+    _check_broadcast(a.shape, b.shape)
+    return node(a.data * b.data, (a, b),
+                lambda g: (_unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)))
+
+
+def exp(a: Tensor) -> Tensor:
+    out = np.exp(a.data)
+    return node(out, (a,), lambda g: (g * out,))
+
+
+def neg(a: Tensor) -> Tensor:
+    return node(-a.data, (a,), lambda g: (-g,))
+
+
+def scale(a: Tensor, c: float) -> Tensor:
+    c = float(c)
+    return node(a.data * c, (a,), lambda g: (g * c,))
+
+
+def transpose(a: Tensor) -> Tensor:
+    return node(a.data.T.copy(), (a,), lambda g: (g.T.copy(),))
+
+
+def reduce(op_kind: str, a: Tensor, axis=None) -> Tensor:
+    n = 1 if op_kind == "sum" else (a.data.size if axis is None else a.shape[axis])
+
+    def rule(g):
+        expanded = g if axis is None else np.expand_dims(g, axis)
+        return (np.broadcast_to(expanded, a.shape).copy() / n,)
+
+    out = a.data.sum(axis=axis) if op_kind == "sum" else a.data.mean(axis=axis)
+    return node(out, (a,), rule)
+
+
+def log_softmax(logits: Tensor) -> Tensor:
+    z = logits.data
+    shifted = z - z.max(axis=1, keepdims=True)
+    out = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    softmax = np.exp(out)
+    return node(out, (logits,), lambda g: (g - softmax * g.sum(axis=1, keepdims=True),))
+
+
+def _mean_row_dot(a: Tensor, b: Tensor) -> Tensor:
+    return reduce("mean", reduce("sum", mul(a, b), axis=1))
+
+
+def _kl_rows(logp_a: Tensor, logp_b: Tensor) -> Tensor:
+    return reduce("sum", mul(exp(logp_a), sub(logp_a, logp_b)), axis=1)
+
+
+def _row_entropy_mean(q: np.ndarray) -> float:
+    terms = np.where(q > 0.0, q * np.log(np.where(q > 0.0, q, 1.0)), 0.0)
+    return float(np.mean(-terms.sum(axis=1)))
+
+
+def _oracle_ce(logits: Tensor, labels) -> Tensor:
+    onehot = np.eye(logits.shape[1])[np.asarray(labels)]
+    return neg(_mean_row_dot(Tensor(onehot), log_softmax(logits)))
+
+
+def _oracle_mim(logits: Tensor, tracker: MarginalTracker, ceiling: float) -> Tensor:
+    logp = log_softmax(logits)
+    loss = neg(_mean_row_dot(exp(logp), logp))
+    if tracker.entropy() < ceiling:
+        diversity = _mean_row_dot(exp(log_softmax(logits)), Tensor(np.log(tracker.q)))
+        loss = add(diversity, loss)
+    tracker.update(np.exp(logp.data).mean(axis=0))
+    return loss
+
+
+def _oracle_cpbm(orig, aug, pair_a, pair_b, mask, lambda_con) -> Tensor:
+    agreement = reduce("mean", _kl_rows(log_softmax(orig), log_softmax(aug)))
+    if pair_a is None or mask is None or not np.any(mask) or lambda_con == 0.0:
+        return agreement
+    kl = _kl_rows(log_softmax(pair_a), log_softmax(pair_b))
+    # min(kl, margin) as margin - relu(margin - kl)
+    clamped = sub(Tensor(KL_MARGIN), relu(sub(Tensor(KL_MARGIN), kl)))
+    masked_sum = reduce("sum", mul(clamped, Tensor(np.asarray(mask, dtype=np.float64))))
+    disagreement = scale(masked_sum, 1.0 / int(np.sum(mask)))
+    return sub(agreement, scale(disagreement, lambda_con))
+
+
+def _oracle_mupbm(logits: Tensor, q: np.ndarray) -> Tensor:
+    ce = neg(_mean_row_dot(Tensor(q), log_softmax(logits)))
+    return sub(ce, Tensor(_row_entropy_mean(q)))
+
+
+def _oracle_tpbm(logits_by_task, labels_by_task) -> Tensor:
+    total = None
+    for task in sorted(logits_by_task):
+        ce = _oracle_ce(logits_by_task[task], labels_by_task[task])
+        total = ce if total is None else add(total, ce)
+    return scale(total, 1.0 / len(logits_by_task))
+
+
+def _oracle_coral(z_src: Tensor, z_tgt: Tensor) -> Tensor:
+    d = z_src.shape[1]
+
+    def cov(z: Tensor) -> Tensor:
+        centered = sub(z, reduce("mean", z, axis=0))
+        return scale(matmul(transpose(centered), centered), 1.0 / (z.shape[0] - 1))
+
+    diff = sub(cov(z_src), cov(z_tgt))
+    return scale(reduce("sum", mul(diff, diff)), 1.0 / (4.0 * d * d))
+
+
+def _value_and_grads(fn, *arrays):
+    """The value of fn on fresh leaves, then each leaf's gradient."""
+    leaves = [Tensor(np.array(a, dtype=np.float64), requires_grad=True) for a in arrays]
+    out = fn(*leaves)
+    backward(out)
+    return (float(out.data), *(leaf.grad for leaf in leaves))
+
+
+def _assert_matches_oracle(fn, oracle, *arrays):
+    """Value and every input gradient to 1e-12 against the per-op oracle."""
+    got, want = _value_and_grads(fn, *arrays), _value_and_grads(oracle, *arrays)
+    assert got[0] == pytest.approx(want[0], rel=0, abs=1e-12)
+    for g, w in zip(got[1:], want[1:]):
+        if w is None:
+            assert g is None
+        else:
+            np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
+
+
+def _tape_size(t: Tensor) -> int:
+    """Distinct tensors reachable from ``t`` through recorded parents."""
+    seen, stack = set(), [t]
+    while stack:
+        x = stack.pop()
+        if id(x) not in seen:
+            seen.add(id(x))
+            stack.extend(x._parents)
+    return len(seen)
 
 
 # ---------------------------------------------------------------------------
@@ -167,11 +308,13 @@ class TestMimLoss:
         assert report.passed, str(report)
 
     def test_gradcheck_diversity_estimator(self):
-        # frozen-marginal surrogate: FD must reproduce sum grad(p) * log q
+        # a skewed marginal below the ceiling, frozen per call: FD must
+        # reproduce sum grad(p) * log q plus the confidence gradient
         rng = np.random.default_rng(1)
         point = Tensor(rng.uniform(-2, 2, (6, 3)))
-        log_q = np.log(np.array([0.2, 0.5, 0.3]))
-        report = grad_check(lambda t: _diversity_term(t, log_q), point)
+        q = np.array([0.2, 0.5, 0.3])
+        report = grad_check(
+            lambda t: mim_loss(t, MarginalTracker(q=q.copy()), float("inf")), point)
         assert report.passed, str(report)
 
     def test_confidence_term_bounded_by_ln_k(self):
@@ -387,6 +530,121 @@ class TestTpbmLoss:
 
 
 # ---------------------------------------------------------------------------
+# one-node terms against their per-op oracles
+# ---------------------------------------------------------------------------
+
+class TestTermsMatchPerOpOracles:
+    @pytest.mark.parametrize("n,k,spread", [(1, 2, 1.0), (5, 3, 2.0), (64, 4, 6.0), (7, 5, 40.0)])
+    def test_cross_entropy(self, n, k, spread):
+        rng = np.random.default_rng(n * 10 + k)
+        labels = rng.integers(0, k, n)
+        _assert_matches_oracle(lambda t: cross_entropy(t, labels),
+                               lambda t: _oracle_ce(t, labels), rng.normal(0, spread, (n, k)))
+
+    @pytest.mark.parametrize("diversity", [True, False], ids=["below_ceiling", "above_ceiling"])
+    @pytest.mark.parametrize("n,k", [(1, 3), (6, 4), (64, 4)])
+    def test_mim_on_both_sides_of_the_ceiling(self, diversity, n, k):
+        rng = np.random.default_rng(n + k)
+        q = rng.dirichlet(np.full(k, 0.4))
+        ceiling = float("inf") if diversity else 0.0
+
+        def term(fn):
+            tracker = MarginalTracker(q=q.copy(), momentum=0.1)
+            return lambda t: fn(t, tracker, ceiling)
+
+        _assert_matches_oracle(term(mim_loss), term(_oracle_mim), rng.normal(0, 2.0, (n, k)))
+
+    def test_mim_advances_the_tracker_like_the_oracle(self):
+        rng = np.random.default_rng(3)
+        logits = rng.normal(0, 2.0, (8, 3))
+        got, want = MarginalTracker.uniform(3), MarginalTracker.uniform(3)
+        mim_loss(Tensor(logits), got, float("inf"))
+        _oracle_mim(Tensor(logits), want, float("inf"))
+        np.testing.assert_allclose(got.q, want.q, rtol=0, atol=1e-15)
+        assert got.count == want.count == 1
+
+    @pytest.mark.parametrize("lambda_con", [0.3, 1.0])
+    def test_cpbm_with_rows_where_the_clamp_binds(self, lambda_con):
+        rng = np.random.default_rng(5)
+        orig, aug = rng.normal(0, 2.0, (6, 4)), rng.normal(0, 2.0, (6, 4))
+        pair_a, pair_b = rng.normal(0, 2.0, (5, 4)), rng.normal(0, 2.0, (5, 4))
+        # rows 0 and 3 are far past the margin; row 3 is masked out
+        pair_a[[0, 3]] = [30.0, 0.0, 0.0, 0.0]
+        pair_b[[0, 3]] = [0.0, 30.0, 0.0, 0.0]
+        mask = np.array([True, True, False, False, True])
+        kl = np.sum(_softmax(pair_a) * (np.log(_softmax(pair_a)) - np.log(_softmax(pair_b))),
+                    axis=1)
+        assert kl[0] > KL_MARGIN and kl[[1, 4]].max() < KL_MARGIN
+        _assert_matches_oracle(
+            lambda *t: cpbm_loss(*t, mask, lambda_con),
+            lambda *t: _oracle_cpbm(*t, mask, lambda_con), orig, aug, pair_a, pair_b)
+        # the binding row passes no gradient to either side
+        _, _, _, g_a, g_b = _value_and_grads(
+            lambda *t: cpbm_loss(*t, mask, lambda_con), orig, aug, pair_a, pair_b)
+        assert not np.any(g_a[[0, 2, 3]]) and not np.any(g_b[[0, 2, 3]])
+
+    @pytest.mark.parametrize("mask,lambda_con", [
+        (np.array([False, False, False]), 0.5), (np.array([True, False, True]), 0.0),
+    ], ids=["empty_mask", "zero_lambda"])
+    def test_cpbm_without_the_disagreement_part(self, mask, lambda_con):
+        rng = np.random.default_rng(6)
+        orig, aug = rng.normal(0, 2.0, (4, 3)), rng.normal(0, 2.0, (4, 3))
+        pair = rng.normal(0, 2.0, (3, 3))
+        _assert_matches_oracle(
+            lambda o, a: cpbm_loss(o, a, Tensor(pair), Tensor(pair[::-1].copy()), mask,
+                                   lambda_con),
+            lambda o, a: _oracle_cpbm(o, a, None, None, mask, lambda_con), orig, aug)
+
+    @pytest.mark.parametrize("n,k", [(1, 2), (5, 3), (64, 4)])
+    def test_mupbm(self, n, k):
+        rng = np.random.default_rng(n * 7 + k)
+        q = _softmax(rng.normal(0, 3.0, (n, k)))
+        q[0] = np.eye(k)[rng.integers(0, k)]
+        _assert_matches_oracle(lambda t: mupbm_loss(t, q), lambda t: _oracle_mupbm(t, q),
+                               rng.normal(0, 2.0, (n, k)))
+
+    def test_tpbm(self):
+        rng = np.random.default_rng(8)
+        classes = {"patch_location": 4, "rotate90": 4, "vflip": 2}
+        labels = {t: rng.integers(0, c, 9) for t, c in classes.items()}
+        points = [rng.normal(0, 2.0, (9, c)) for c in classes.values()]
+
+        def as_map(fn):
+            return lambda *ts: fn(dict(zip(classes, ts)), labels)
+
+        _assert_matches_oracle(as_map(tpbm_loss), as_map(_oracle_tpbm), *points)
+
+    @pytest.mark.parametrize("n,m,d", [(2, 2, 1), (9, 6, 5), (64, 64, 32)])
+    def test_coral(self, n, m, d):
+        rng = np.random.default_rng(n + m + d)
+        _assert_matches_oracle(coral_distance, _oracle_coral,
+                               rng.normal(0, 1.0, (n, d)), rng.normal(0.3, 1.4, (m, d)))
+
+    def test_each_term_is_one_node_over_its_inputs(self):
+        rng = np.random.default_rng(9)
+        a, b = (Tensor(rng.normal(size=(4, 3)), requires_grad=True) for _ in range(2))
+        q = _softmax(rng.normal(size=(4, 3)))
+        labels = np.array([0, 2, 1, 1])
+        mask = np.array([True, False, True, True])
+        for term, parents in [
+            (cross_entropy(a, labels), (a,)),
+            (mim_loss(a, MarginalTracker.uniform(3), float("inf")), (a,)),
+            (cpbm_loss(a, b, a, b, mask, 0.1), (a, b, a, b)),
+            (mupbm_loss(a, q), (a,)),
+            (tpbm_loss({"vflip": a, "rotate90": b}, {"vflip": labels, "rotate90": labels}),
+             (b, a)),
+            (coral_distance(a, b), (a, b)),
+        ]:
+            assert term._parents == parents
+
+    def test_cross_entropy_is_stable_for_huge_logit_gaps(self):
+        value, grad = _value_and_grads(lambda t: cross_entropy(t, np.array([1])),
+                                       [[1000.0, 0.0]])
+        assert value == 1000.0
+        np.testing.assert_array_equal(grad, [[1.0, -1.0]])
+
+
+# ---------------------------------------------------------------------------
 # combined objective
 # ---------------------------------------------------------------------------
 
@@ -412,8 +670,9 @@ def _full_bundle(params, rng, n_src=8, n_tgt=6):
 
 def _per_view_terms(bundle, params, cfg):
     """The objective's weighted terms built the way it was first written:
-    one extractor pass per view, the source pairs as their own inputs, and
-    the mixup targets from a tape-free prediction of the target batch."""
+    one extractor pass per view, the per-op term oracles, the source pairs
+    as their own inputs, and the mixup targets from a tape-free prediction
+    of the target batch."""
     b = bundle
     probs = softmax_probs(predict_logits(params, b.tgt_x))
     beta = b.mixed_beta[:, None]
@@ -423,14 +682,14 @@ def _per_view_terms(bundle, params, cfg):
         return forward(params, Tensor(x), head=head)
 
     return [
-        (cfg.supervised_weight, lambda: cross_entropy(view(b.src_x), b.src_y)),
-        (cfg.lambda_M, lambda: mim_loss(view(b.tgt_x), MarginalTracker.uniform(3),
-                                        cfg.entropy_ceiling)),
-        (cfg.lambda_C, lambda: cpbm_loss(view(b.tgt_x), view(b.tgt_x_aug),
-                                         view(b.src_x), view(np.roll(b.src_x, 1, axis=0)),
-                                         b.pair_diff_mask, cfg.lambda_con)),
-        (cfg.lambda_U, lambda: mupbm_loss(view(b.mixed_x), targets)),
-        (cfg.lambda_S, lambda: tpbm_loss(
+        (cfg.supervised_weight, lambda: _oracle_ce(view(b.src_x), b.src_y)),
+        (cfg.lambda_M, lambda: _oracle_mim(view(b.tgt_x), MarginalTracker.uniform(3),
+                                           cfg.entropy_ceiling)),
+        (cfg.lambda_C, lambda: _oracle_cpbm(view(b.tgt_x), view(b.tgt_x_aug),
+                                            view(b.src_x), view(np.roll(b.src_x, 1, axis=0)),
+                                            b.pair_diff_mask, cfg.lambda_con)),
+        (cfg.lambda_U, lambda: _oracle_mupbm(view(b.mixed_x), targets)),
+        (cfg.lambda_S, lambda: _oracle_tpbm(
             {t: view(x, head=t) for t, (x, _) in b.st_batches.items()},
             {t: lab for t, (_, lab) in b.st_batches.items()})),
     ]
@@ -438,7 +697,7 @@ def _per_view_terms(bundle, params, cfg):
 
 def _assert_matches_per_view(bundle, params, cfg):
     """Loss to 1e-12 and every gradient at atol 1e-12 against the sum of
-    the per-view terms, each backpropagated on its own."""
+    the per-view oracle terms, each backpropagated on its own."""
     loss, _ = total_objective(bundle, params, cfg, MarginalTracker.uniform(3))
     params.zero_grads()
     backward(loss)
@@ -549,6 +808,14 @@ class TestTotalObjective:
         with pytest.raises(ValueError, match="zero"):
             total_objective(bundle, params, cfg, MarginalTracker.uniform(3))
 
+    def test_one_node_over_the_latent_and_the_heads_in_use(self):
+        params, bundle = self._setup(seed=10)
+        loss, _ = total_objective(bundle, params, LossConfig.for_classes(3),
+                                  MarginalTracker.uniform(3))
+        heads = (*params.psi, *params.omega["rotate90"], *params.omega["vflip"])
+        assert loss._parents[1:] == heads
+        assert _tape_size(loss) == _tape_size(loss._parents[0]) + len(heads) + 1
+
     def test_deterministic_across_calls(self):
         params, bundle = self._setup(seed=7)
         cfg = LossConfig.for_classes(3)
@@ -595,24 +862,6 @@ def _oracle_mmd(z_src: Tensor, z_tgt: Tensor, bandwidths=None) -> Tensor:
     k_tt = _oracle_mean_kernel(z_tgt, z_tgt, bandwidths)
     k_st = _oracle_mean_kernel(z_src, z_tgt, bandwidths)
     return add(add(k_ss, k_tt), scale(k_st, -2.0))
-
-
-def _tape_size(t: Tensor) -> int:
-    """Distinct tensors reachable from ``t`` through recorded parents."""
-    seen, stack = set(), [t]
-    while stack:
-        x = stack.pop()
-        if id(x) not in seen:
-            seen.add(id(x))
-            stack.extend(x._parents)
-    return len(seen)
-
-
-def _value_and_grads(fn, a: np.ndarray, b: np.ndarray):
-    ta, tb = Tensor(a.copy(), requires_grad=True), Tensor(b.copy(), requires_grad=True)
-    out = fn(ta, tb)
-    backward(out)
-    return float(out.data), ta.grad, tb.grad
 
 
 class TestMmdMatchesPerOpOracle:

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from pbmatch.losses import cross_entropy
 from pbmatch.nets import (
     ModelParams,
     OptimState,
@@ -15,7 +16,7 @@ from pbmatch.nets import (
     softmax_probs,
     step,
 )
-from pbmatch.tensor import Tensor, backward, log_softmax, scale
+from pbmatch.tensor import Tensor, backward
 
 
 def test_init_deterministic_in_seed():
@@ -95,10 +96,7 @@ def test_forward_deterministic():
 
 
 def _nll(params, x, labels, head="label"):
-    logp = log_softmax(forward(params, Tensor(x), head))
-    onehot = np.zeros(logp.shape)
-    onehot[np.arange(len(labels)), labels] = 1.0
-    return scale(-(logp * Tensor(onehot)).sum(), 1.0 / len(labels))
+    return cross_entropy(forward(params, Tensor(x), head), labels)
 
 
 def test_sgd_basic_update_rule():

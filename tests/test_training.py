@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from pbmatch.benchmarks import BenchmarkSpec
+from pbmatch.benchmarks import BenchmarkSpec, two_outlier_count
 from pbmatch.datasets import (
     DomainDataset,
     default_pair_specs,
@@ -23,7 +23,7 @@ from pbmatch.nets import (
     predict_logits,
     step,
 )
-from pbmatch.tensor import Tensor, backward, scale
+from pbmatch.tensor import Tensor, backward
 from pbmatch.training import (
     ABLATION_ROWS,
     METHODS,
@@ -290,8 +290,7 @@ class TestTrainLoop:
                 [cfg.seed_data & mask, 11, epoch]).permutation(src.n_samples)
             for s in range(steps):
                 rows = perm[s * batch:(s + 1) * batch]
-                loss = scale(cross_entropy(
-                    forward(manual, Tensor(x[rows])), y[rows]), 1.0)
+                loss = cross_entropy(forward(manual, Tensor(x[rows])), y[rows])
                 manual.zero_grads()
                 backward(loss)
                 step(manual, opt)
@@ -597,6 +596,24 @@ class TestAblation:
         n_out = round(0.1 * n_clean / 0.9)
         assert tgt.n_samples == n_clean + n_out
         assert int((tgt.labels == -1).sum()) == n_out
+
+    @pytest.mark.parametrize("rho", [0.01, 0.1, 0.2, 0.5])
+    @pytest.mark.parametrize("per_class", [2, 18])
+    def test_two_pool_sizing_and_injection_agree(self, monkeypatch, rho, per_class):
+        pools = []
+        real_pool = training.outlier_pool
+
+        def recording_pool(style, n, seed):
+            pools.append(n)
+            return real_pool(style, n, seed)
+
+        monkeypatch.setattr(training, "outlier_pool", recording_pool)
+        spec = BenchmarkSpec(kind="TwO", outlier_fraction=rho, seed=1)
+        _, tgt = build_benchmark_pair(spec, samples_per_class=per_class)
+        n_out = two_outlier_count(per_class * 4, rho)
+        assert int((tgt.labels == -1).sum()) == n_out
+        assert pools == [max(2 * n_out, 8)]
+        assert tgt.metadata["benchmark"]["n_outliers"] == n_out
 
 
 # ---------------------------------------------------------------------------
