@@ -189,7 +189,8 @@ def _build_total(rng, i):
     # gradient holds fixed. Odd instances zero the target rows, so the
     # checked first-layer weights cannot move those predictions and finite
     # differences see the same fixed targets; even instances drop the mixup
-    # term and keep random target rows.
+    # term and keep random target rows. Instances 2 and 3 of every 4 add a
+    # CORAL distance; term.mmd_rbf checks the MMD with fixed bandwidths.
     mixup = bool(i % 2)
     src_y = rng.integers(0, k, 6)
     bundle = BatchBundle(
@@ -205,6 +206,8 @@ def _build_total(rng, i):
             "rotate90": (rng.normal(size=(5, d)), rng.integers(0, 4, 5)),
             "vflip": (rng.normal(size=(5, d)), rng.integers(0, 2, 5)),
         },
+        distance="coral" if i % 4 >= 2 else None,
+        distance_weight=1.5,
     )
     cfg = LossConfig.for_classes(k, **({} if mixup else {"lambda_U": 0.0}))
     q0 = rng.dirichlet(np.full(k, 0.5))

@@ -2,15 +2,16 @@
 
 Four target-side terms (marginal matching, consistency under
 semantic-preserving views, interpolation consistency, pretext-task
-supervision), their weighted combination with source cross-entropy, and
-two feature-distribution distances used by alignment baselines.
+supervision), two feature-distribution distances for the alignment
+baselines, and their weighted combination with source cross-entropy.
 
 Every term is a helper over plain arrays that returns its value together
 with its closed-form gradient with respect to its inputs; the classifier
 terms take row-wise log-probabilities and give the gradient with respect
-to the logits. Each public term records one tape node around its helper,
+to the logits; the two distances take the stacked source and target
+latent rows. Each public term records one tape node around its helper,
 and ``total_objective`` records one node for the whole weighted sum, head
-GEMMs included.
+GEMMs and feature distance included.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -33,6 +34,8 @@ DEFAULT_BANDWIDTH_SCALES = (0.5, 1.0, 2.0, 4.0)
 MARGINAL_FLOOR = 1e-6
 
 Grads = Tuple[Optional[np.ndarray], ...]
+# a scale s -> s times a distance's gradient with respect to its stacked rows
+GradMap = Callable[[float], np.ndarray]
 
 
 def _as_bool_mask(mask) -> np.ndarray:
@@ -347,7 +350,9 @@ class BatchBundle:
     rows rolled by one; ``pair_diff_mask`` marks the pairs whose labels
     differ. ``mixed_x`` row r mixes target rows r and ``mixed_partner[r]``
     with weight ``mixed_beta[r]``; its targets mix the two rows' detached
-    predictions the same way.
+    predictions the same way. ``distance`` names a feature distance
+    between the source and target latents, "mmd" or "coral", that enters
+    the objective with weight ``distance_weight``.
     """
 
     src_x: np.ndarray
@@ -359,9 +364,16 @@ class BatchBundle:
     mixed_partner: Optional[np.ndarray] = None
     mixed_beta: Optional[np.ndarray] = None
     st_batches: Optional[Dict[str, Tuple[np.ndarray, np.ndarray]]] = None
+    distance: Optional[str] = None
+    distance_weight: float = 1.0
 
 
 def _check_bundle(b: BatchBundle, cfg: LossConfig) -> None:
+    if b.distance is not None and b.distance not in _DISTANCES:
+        raise ValueError(
+            f"distance must be one of {sorted(_DISTANCES)} or None, got {b.distance!r}")
+    if b.distance is not None and b.tgt_x is None:
+        raise ValueError(f"the {b.distance} distance requires a target batch")
     if cfg.lambda_M > 0.0 and b.tgt_x is None:
         raise ValueError("lambda_M > 0 requires a target batch")
     if cfg.lambda_C > 0.0 and (b.tgt_x is None or b.tgt_x_aug is None):
@@ -385,16 +397,20 @@ def total_objective(batch_bundle: BatchBundle, params: ModelParams,
     applies the label head to the label views' rows and each pretext head
     to its task's rows, adds up the terms' weighted closed-form logit
     gradients row block by row block, and its rule maps them back through
-    the heads. Returns the scalar loss and a report of each computed term's
-    unweighted value plus the total.
+    the heads. A feature distance adds its weighted gradient straight into
+    the latent rows of the source and target views. Returns the scalar loss
+    and a report of each computed term's unweighted value, the distance's
+    weight as ``dm_weight`` when there is one, and the total.
     """
     b = batch_bundle
     _check_bundle(b, cfg)
+    dist = b.distance
     use_pairs = cfg.lambda_C > 0.0 and b.pair_diff_mask is not None
-    # label-head views first, then one block per pretext task
-    label_views = [("src", b.src_x if cfg.supervised_weight > 0.0 or use_pairs else None),
+    # label-head views first, then one block per pretext task; a distance
+    # reads the source and target views, which stay the first two
+    label_views = [("src", b.src_x if cfg.supervised_weight > 0.0 or use_pairs or dist else None),
                    ("tgt", b.tgt_x if cfg.lambda_M > 0.0 or cfg.lambda_C > 0.0
-                    or cfg.lambda_U > 0.0 else None),
+                    or cfg.lambda_U > 0.0 or dist else None),
                    ("aug", b.tgt_x_aug if cfg.lambda_C > 0.0 else None),
                    ("mixed", b.mixed_x if cfg.lambda_U > 0.0 else None)]
     label_views = [(name, x) for name, x in label_views if x is not None]
@@ -453,6 +469,10 @@ def total_objective(batch_bundle: BatchBundle, params: ModelParams,
         for dtask, grad in zip(dlogits[first:], grads):
             dtask += cfg.lambda_S * grad
         terms.append(("tpbm", cfg.lambda_S, value))
+    if dist is not None:
+        joint = slice(0, view["tgt"].stop)
+        value, dist_grad = _DISTANCES[dist](z.data[joint], view["src"].stop)
+        terms.append((dist, b.distance_weight, value))
 
     total = None
     report: Dict[str, float] = {}
@@ -460,6 +480,8 @@ def total_objective(batch_bundle: BatchBundle, params: ModelParams,
         report[name] = value
         weighted = value * weight
         total = weighted if total is None else total + weighted
+    if dist is not None:
+        report["dm_weight"] = b.distance_weight
     report["total"] = total
 
     parents = [z]
@@ -473,6 +495,8 @@ def total_objective(batch_bundle: BatchBundle, params: ModelParams,
             dblock = dblock * g
             dz[rows] = dblock @ w.data.T
             head_grads += [z.data[rows].T @ dblock, dblock.sum(axis=0)]
+        if dist is not None:
+            dz[joint] += dist_grad(g * b.distance_weight)
         return (dz, *head_grads)
 
     return node(total, tuple(parents), rule), report
@@ -537,26 +561,26 @@ def median_pairwise_distance(z_src: np.ndarray, z_tgt: np.ndarray) -> float:
     return _median_distance(*_joint_sq_dists(joint))
 
 
-def mmd_distance(z_src: Tensor, z_tgt: Tensor,
-                 bandwidths: Optional[Sequence[float]] = None) -> Tensor:
-    """Squared maximum mean discrepancy (biased estimator) between feature sets.
+def _mmd(joint: np.ndarray, n: int, bandwidths: Optional[Sequence[float]] = None,
+         needs_grad: bool = True) -> Tuple[float, Optional[GradMap]]:
+    """Squared maximum mean discrepancy (biased estimator) between the
+    first ``n`` rows of ``joint`` and the rest.
 
     The kernel is a sum of Gaussians over ``bandwidths`` (defaults:
     {0.5,1,2,4} x median pairwise distance of the joint batch, frozen per
-    call). One squared-distance matrix D of the stacked rows Z = [z_src;
-    z_tgt] serves the median and every kernel, whose blocks sum to
-    mean(K_ss) + mean(K_tt) - 2 mean(K_st).
+    call). One squared-distance matrix D of the rows Z of ``joint`` serves
+    the median and every kernel, whose blocks sum to mean(K_ss) + mean(K_tt)
+    - 2 mean(K_st).
 
-    The term is one tape node. With C the block weights (1/n^2, 1/m^2,
-    -1/nm) times sum over bandwidths of -exp(-D / 2bw^2) / 2bw^2, zero
-    where D is 0, the gradient with respect to Z is 4 (diag(C 1) Z - C Z).
-    An untracked call builds no gradient buffers.
+    With C the block weights (1/n^2, 1/m^2, -1/nm) times sum over
+    bandwidths of -exp(-D / 2bw^2) / 2bw^2, zero where D is 0, the gradient
+    with respect to Z is 4 (diag(C 1) Z - C Z); the returned map scales it
+    by 4s in one multiply. Without ``needs_grad`` no gradient buffers are
+    built and the map is None.
     """
-    _check_feature_pair(z_src, z_tgt)
-    n, m = z_src.shape[0], z_tgt.shape[0]
+    m = joint.shape[0] - n
     if n == 0 or m == 0:
         raise ValueError(f"need >= 1 row per side, got {n} and {m}")
-    joint = np.concatenate([z_src.data, z_tgt.data])
     d2, kern = _joint_sq_dists(joint)
     if bandwidths is None:
         med = _median_distance(d2, kern)
@@ -565,7 +589,6 @@ def mmd_distance(z_src: Tensor, z_tgt: Tensor,
     if not bandwidths or any(bw <= 0.0 or not math.isfinite(bw) for bw in bandwidths):
         raise ValueError(f"bandwidths must be positive and finite, got {bandwidths}")
 
-    needs_grad = tracked(z_src) or tracked(z_tgt)
     c = np.zeros_like(d2) if needs_grad else None
     k_ss = k_tt = k_st = 0.0
     for bw in bandwidths:
@@ -578,43 +601,62 @@ def mmd_distance(z_src: Tensor, z_tgt: Tensor,
         if needs_grad:
             kern *= coef
             c += kern
-    value = k_ss / (n * n) + k_tt / (m * m) - 2.0 * k_st / (n * m)
-    if needs_grad:
-        c[:n, :n] *= 1.0 / (n * n)
-        c[n:, n:] *= 1.0 / (m * m)
-        c[:n, n:] *= -1.0 / (n * m)
-        c[n:, :n] *= -1.0 / (n * m)
-        c[d2 <= 0.0] = 0.0
+    value = float(k_ss / (n * n) + k_tt / (m * m) - 2.0 * k_st / (n * m))
+    if not needs_grad:
+        return value, None
+    c[:n, :n] *= 1.0 / (n * n)
+    c[n:, n:] *= 1.0 / (m * m)
+    c[:n, n:] *= -1.0 / (n * m)
+    c[n:, :n] *= -1.0 / (n * m)
+    c[d2 <= 0.0] = 0.0
 
-    def rule(g):
-        grad = c.sum(axis=1)[:, None] * joint
-        grad -= c @ joint
-        grad *= 4.0 * g
-        return grad[:n], grad[n:]
+    def grad(scale):
+        out = c.sum(axis=1)[:, None] * joint
+        out -= c @ joint
+        out *= 4.0 * scale
+        return out
 
-    return node(value, (z_src, z_tgt), rule)
+    return value, grad
 
 
-def _coral(z_src: np.ndarray, z_tgt: np.ndarray) -> Tuple[float, Grads]:
-    """||C_s - C_t||_F^2 / 4d^2 over the sample covariances C = X^T X / (n - 1)
-    of the centered rows X, with the gradients X_s (C_s - C_t) / (d^2 (n_s - 1))
+def _coral(joint: np.ndarray, n: int) -> Tuple[float, GradMap]:
+    """||C_s - C_t||_F^2 / 4d^2 between the first ``n`` rows of ``joint``
+    and the rest, over the sample covariances C = X^T X / (n - 1) of the
+    centered rows X, with the gradients X_s (C_s - C_t) / (d^2 (n_s - 1))
     and -X_t (C_s - C_t) / (d^2 (n_t - 1)); centering adds nothing, since
     the columns of X sum to zero."""
-    d = z_src.shape[1]
-    x_s = z_src - z_src.mean(axis=0)
-    x_t = z_tgt - z_tgt.mean(axis=0)
-    c_s = 1.0 / (z_src.shape[0] - 1)
-    c_t = 1.0 / (z_tgt.shape[0] - 1)
+    m = joint.shape[0] - n
+    if n < 2 or m < 2:
+        raise ValueError(f"need >= 2 rows per side for covariances, got {n} and {m}")
+    d = joint.shape[1]
+    x_s = joint[:n] - joint[:n].mean(axis=0)
+    x_t = joint[n:] - joint[n:].mean(axis=0)
+    c_s = 1.0 / (n - 1)
+    c_t = 1.0 / (m - 1)
     diff = (x_s.T @ x_s) * c_s - (x_t.T @ x_t) * c_t
     value = (diff * diff).sum() * (1.0 / (4.0 * d * d))
-    return float(value), ((x_s @ diff) * (c_s / (d * d)), (x_t @ diff) * (-c_t / (d * d)))
+    grad = np.concatenate([(x_s @ diff) * (c_s / (d * d)), (x_t @ diff) * (-c_t / (d * d))])
+    return float(value), lambda scale: scale * grad
+
+
+# the feature distances a BatchBundle may name, each over (joint rows, source count)
+_DISTANCES = {"mmd": _mmd, "coral": _coral}
+
+
+def mmd_distance(z_src: Tensor, z_tgt: Tensor,
+                 bandwidths: Optional[Sequence[float]] = None) -> Tensor:
+    """Squared RBF maximum mean discrepancy between feature sets (see
+    :func:`_mmd`); one tape node, with no gradient buffers when untracked."""
+    _check_feature_pair(z_src, z_tgt)
+    n = z_src.shape[0]
+    value, grad = _mmd(np.concatenate([z_src.data, z_tgt.data]), n, bandwidths,
+                       needs_grad=tracked(z_src) or tracked(z_tgt))
+    return node(value, (z_src, z_tgt), lambda g: np.split(grad(g), [n]))
 
 
 def coral_distance(z_src: Tensor, z_tgt: Tensor) -> Tensor:
     """Frobenius gap between sample covariances, scaled by 1/(4 d^2); one tape node."""
     _check_feature_pair(z_src, z_tgt)
-    if z_src.shape[0] < 2 or z_tgt.shape[0] < 2:
-        raise ValueError(
-            f"need >= 2 rows per side for covariances, got {z_src.shape[0]} and {z_tgt.shape[0]}")
-    value, grads = _coral(z_src.data, z_tgt.data)
-    return _term_node(value, (z_src, z_tgt), grads)
+    n = z_src.shape[0]
+    value, grad = _coral(np.concatenate([z_src.data, z_tgt.data]), n)
+    return node(value, (z_src, z_tgt), lambda g: np.split(grad(g), [n]))

@@ -15,9 +15,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from pbmatch.tensor import Tensor, add, matmul, relu
+from pbmatch.transforms import ST_TASKS, _ST_OPS
 
-# pretext task identifier -> number of prediction classes
-TASK_CLASSES = {"rotate90": 4, "vflip": 2, "patch_location": 4}
+# pretext task identifier -> number of prediction classes, one per task label
+TASK_CLASSES = {task: _ST_OPS[task][1] for task in ST_TASKS}
 
 
 @dataclass
@@ -74,7 +75,7 @@ def _dense_init(rng: np.random.Generator, fan_in: int, fan_out: int) -> Tuple[Te
 
 
 def init_params(spec: Sequence[int], seed: int,
-                tasks: Sequence[str] = ("rotate90", "vflip", "patch_location")) -> ModelParams:
+                tasks: Sequence[str] = ST_TASKS) -> ModelParams:
     """Build model parameters for a layer-size chain like [256, 128, 64, K].
 
     All sizes through the latent belong to the extractor; the final pair is

@@ -11,6 +11,8 @@ Methods fall into three groups:
   ``tpbm_flip``, ``tpbm_all``): supervised cross-entropy plus the selected
   predictive-behavior terms on the unlabeled target stream.
 
+Every method takes the same step: it assembles one ``BatchBundle`` and
+trains on the one tape node ``losses.total_objective`` records for it.
 Source and target batches are drawn in lockstep with equal sizes each step.
 Target accuracy is reported on a held-out stratified 20% split; the
 transductive number (accuracy on the adaptation stream itself) is logged
@@ -47,6 +49,8 @@ from .datasets import (
     generate_glyph_pair,
     outlier_pool,
 )
+# coral_distance, cross_entropy and features are not called here; they stay
+# bound because perfbench/spans.py LAYER_CALLS times these names in this module
 from .losses import (
     BatchBundle,
     LossConfig,
@@ -69,7 +73,7 @@ from .nets import (
     softmax_probs,
     step,
 )
-from .tensor import Tensor, add, backward, matmul, node
+from .tensor import Tensor, backward
 from .transforms import (
     NI_KINDS,
     RA_KINDS,
@@ -90,8 +94,8 @@ METHODS = (
 # which behavior-matching terms each method activates
 _METHOD_COMPONENTS: Dict[str, frozenset] = {
     "source_only": frozenset(),
-    "dm_mmd": frozenset({"dm"}),
-    "dm_coral": frozenset({"dm"}),
+    "dm_mmd": frozenset(),
+    "dm_coral": frozenset(),
     "mim": frozenset({"mim"}),
     "cpbm_ra": frozenset({"cpbm"}),
     "cpbm_ni": frozenset({"cpbm"}),
@@ -103,6 +107,9 @@ _METHOD_COMPONENTS: Dict[str, frozenset] = {
     "tpbm_all": frozenset({"tpbm"}),
     "instapbm": frozenset({"mim", "cpbm", "mupbm", "tpbm"}),
 }
+
+# the feature distance each distribution-matching method adds
+_DM_DISTANCES: Dict[str, str] = {"dm_mmd": "mmd", "dm_coral": "coral"}
 
 _CPBM_KIND_SETS: Dict[str, Tuple[str, ...]] = {
     "cpbm_ra": RA_KINDS,
@@ -381,17 +388,12 @@ def train(cfg: TrainConfig, src: DomainDataset, tgt: DomainDataset,
     components = _active_components(cfg, tgt.is_image)
     base_loss = cfg.resolved_loss(k)
     loss_cfg = _effective_loss(base_loss, components)
-    is_dm = "dm" in components
 
     adapt_idx, eval_idx = split_target(tgt.labels, cfg.eval_fraction, cfg.seed_data)
     adapt = tgt.take(adapt_idx)
 
-    src_flat = src.x_flat()
-    adapt_flat = adapt.x_flat()
     tgt_flat = tgt.x_flat()
-    input_dim = src_flat.shape[1]
-
-    layer_spec = [input_dim, *cfg.hidden, k]
+    layer_spec = [tgt_flat.shape[1], *cfg.hidden, k]
     if warm_start is None:
         params = init_params(layer_spec, cfg.seed_model)
     else:
@@ -414,8 +416,6 @@ def train(cfg: TrainConfig, src: DomainDataset, tgt: DomainDataset,
     batch = min(cfg.batch, pair_min)
     steps_per_epoch = max(1, pair_min // batch)
 
-    cpbm_kinds = _CPBM_KIND_SETS.get(cfg.method, ())
-    tpbm_tasks = _TPBM_TASK_SETS.get(cfg.method, ())
     global_step = 0
     metrics = Metrics()
 
@@ -427,16 +427,9 @@ def train(cfg: TrainConfig, src: DomainDataset, tgt: DomainDataset,
         for s in range(steps_per_epoch):
             rows_s = perm_src[s * batch:(s + 1) * batch]
             rows_t = perm_tgt[s * batch:(s + 1) * batch]
-            x_s, y_s = src_flat[rows_s], src.labels[rows_s]
-            x_t = adapt_flat[rows_t]
-
-            if is_dm:
-                total, report = _dm_step(cfg, params, x_s, y_s, x_t, global_step)
-            else:
-                bundle = _build_bundle(cfg, components, cpbm_kinds, tpbm_tasks,
-                                       src, adapt, rows_s, rows_t,
-                                       x_s, y_s, x_t, loss_cfg, epoch, s)
-                total, report = total_objective(bundle, params, loss_cfg, tracker)
+            bundle = _build_bundle(cfg, src, adapt, rows_s, rows_t, loss_cfg,
+                                   epoch, s, global_step)
+            total, report = total_objective(bundle, params, loss_cfg, tracker)
 
             if not np.isfinite(total.data):
                 raise NumericalAbort(_first_bad_term(report), epoch, s)
@@ -480,62 +473,26 @@ def _first_bad_term(report: Dict[str, float]) -> str:
     return "total"
 
 
-def _dm_step(cfg: TrainConfig, params: ModelParams, x_s: np.ndarray,
-             y_s: np.ndarray, x_t: np.ndarray, global_step: int
-             ) -> Tuple[Tensor, Dict[str, float]]:
-    """Source cross-entropy plus the ramped feature-distance penalty.
-
-    One trunk pass serves both domains. Each term is one tape node over its
-    row block of the latent, and one more node weights and adds the two.
-    """
-    n_s = x_s.shape[0]
-    z = features(params, Tensor(np.concatenate([x_s, x_t])))
-    z_s, z_t = _latent_rows(z, slice(0, n_s)), _latent_rows(z, slice(n_s, None))
-    w_psi, b_psi = params.psi
-    ce = cross_entropy(add(matmul(z_s, w_psi), b_psi), y_s)
-    distance = (mmd_distance(z_s, z_t) if cfg.method == "dm_mmd"
-                else coral_distance(z_s, z_t))
-    if cfg.dm_ramp_steps > 0:
-        ramp = min(1.0, (global_step + 1) / cfg.dm_ramp_steps)
-    else:
-        ramp = 1.0
-    weight = cfg.dm_weight * ramp
-    total = node(ce.data + distance.data * weight, (ce, distance), lambda g: (g, g * weight))
-    name = "mmd" if cfg.method == "dm_mmd" else "coral"
-    report = {"supervised": float(ce.data), name: float(distance.data),
-              "dm_weight": weight, "total": float(total.data)}
-    return total, report
-
-
-def _latent_rows(z: Tensor, rows: slice) -> Tensor:
-    """A row block of the latent as one tape node; its gradient lands in those rows."""
-    def rule(g):
-        grad = np.zeros_like(z.data)
-        grad[rows] = g
-        return (grad,)
-
-    return node(z.data[rows], (z,), rule)
-
-
-def _build_bundle(cfg: TrainConfig, components: frozenset,
-                  cpbm_kinds: Tuple[str, ...], tpbm_tasks: Tuple[str, ...],
-                  src: DomainDataset, adapt: DomainDataset,
-                  rows_s: np.ndarray, rows_t: np.ndarray,
-                  x_s: np.ndarray, y_s: np.ndarray, x_t: np.ndarray,
-                  loss_cfg: LossConfig, epoch: int, s: int) -> BatchBundle:
-    """Assemble exactly the views the active terms consume."""
+def _build_bundle(cfg: TrainConfig, src: DomainDataset, adapt: DomainDataset,
+                  rows_s: np.ndarray, rows_t: np.ndarray, loss_cfg: LossConfig,
+                  epoch: int, s: int, global_step: int) -> BatchBundle:
+    """The step's source and target rows, exactly the views that the terms
+    weighted above 0 in ``loss_cfg`` consume, and the ramped feature distance."""
     token = _transform_token(cfg.seed_data, epoch, s)
-    bundle = BatchBundle(src_x=x_s, src_y=y_s)
-    if components & {"mim", "cpbm", "mupbm"}:
-        bundle.tgt_x = x_t
+    ramp = min(1.0, (global_step + 1) / cfg.dm_ramp_steps) if cfg.dm_ramp_steps > 0 else 1.0
+    y_s = src.labels[rows_s]
+    x_t = adapt.x_flat()[rows_t]
+    bundle = BatchBundle(src_x=src.x_flat()[rows_s], src_y=y_s, tgt_x=x_t,
+                         distance=_DM_DISTANCES.get(cfg.method),
+                         distance_weight=cfg.dm_weight * ramp)
 
-    if "cpbm" in components:
+    if loss_cfg.lambda_C > 0.0:
         batch_imgs = ImageBatch(adapt.images.data[rows_t])
         bundle.tgt_x_aug = apply_semantic_preserving(
-            batch_imgs, token, kinds=cpbm_kinds).flat()
+            batch_imgs, token, kinds=_CPBM_KIND_SETS[cfg.method]).flat()
         bundle.pair_diff_mask = y_s != np.roll(y_s, 1)
 
-    if "mupbm" in components:
+    if loss_cfg.lambda_U > 0.0:
         gen = rng(cfg.seed_data, 17, epoch, s)
         partner = gen.permutation(x_t.shape[0])
         betas = sample_mixup_beta(x_t.shape[0], loss_cfg.mixup_alpha, gen)
@@ -544,10 +501,10 @@ def _build_bundle(cfg: TrainConfig, components: frozenset,
         bundle.mixed_partner = partner
         bundle.mixed_beta = betas
 
-    if "tpbm" in components:
+    if loss_cfg.lambda_S > 0.0:
         both = np.concatenate([src.images.data[rows_s], adapt.images.data[rows_t]])
         st: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
-        for task in tpbm_tasks:
+        for task in _TPBM_TASK_SETS[cfg.method]:
             x_task, labels = apply_semantic_transforming(ImageBatch(both), task, token)
             st[task] = (x_task.flat(), labels)
         bundle.st_batches = st

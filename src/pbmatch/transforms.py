@@ -23,7 +23,7 @@ NI_KINDS = ("gaussian_noise",)
 
 ST_TASKS = ("rotate90", "vflip", "patch_location")
 
-# magnitude caps for semantic-preserving kinds (full strength)
+# magnitude caps for semantic-preserving kinds
 MAX_SHIFT_PX = 2
 MAX_ROTATE_DEG = 15.0
 MAX_NOISE_SIGMA = 0.15
@@ -98,18 +98,17 @@ class SpDraw(NamedTuple):
 # semantic-preserving kinds
 # ---------------------------------------------------------------------------
 
-def _sp_params(kind: str, u: np.ndarray, h: int, w: int, strength: float) -> np.ndarray:
+def _sp_params(kind: str, u: np.ndarray, h: int, w: int) -> np.ndarray:
     """Map [k, 2] uniform draws in [0, 1) to the kind's [k, n_params] params."""
     def centered(cap):
-        return (2.0 * u[:, :1] - 1.0) * cap * strength
+        return (2.0 * u[:, :1] - 1.0) * cap
 
     if kind == "shift":
-        m = int(round(MAX_SHIFT_PX * strength))
-        return np.floor(u * (2 * m + 1)) - m
+        return np.floor(u * (2 * MAX_SHIFT_PX + 1)) - MAX_SHIFT_PX
     if kind == "small_rotate":
         return centered(MAX_ROTATE_DEG)
     if kind == "cutout":
-        side = int(round(CUTOUT_SIDE_FRACTION * min(h, w) * strength))
+        side = int(round(CUTOUT_SIDE_FRACTION * min(h, w)))
         span = np.array([max(h - side, 0) + 1, max(w - side, 0) + 1])
         return np.column_stack([np.floor(u * span), np.full(len(u), side)])
     if kind == "brightness":
@@ -117,11 +116,11 @@ def _sp_params(kind: str, u: np.ndarray, h: int, w: int, strength: float) -> np.
     if kind == "contrast":
         return 1.0 + centered(MAX_CONTRAST_DELTA)
     # gaussian_noise
-    return (0.02 + u[:, :1] * (MAX_NOISE_SIGMA - 0.02)) * strength
+    return 0.02 + u[:, :1] * (MAX_NOISE_SIGMA - 0.02)
 
 
 def draw_semantic_preserving(seed: int, n: int, h: int, w: int,
-                             kinds: Sequence[str], strength: float) -> List[SpDraw]:
+                             kinds: Sequence[str]) -> List[SpDraw]:
     """Draw the ops of a batch of n H x W images from one generator.
 
     Every sample gets 1-2 distinct kinds (exactly 1 from a single kind) in
@@ -129,7 +128,7 @@ def draw_semantic_preserving(seed: int, n: int, h: int, w: int,
     second op of the samples that drew two. Returns one :class:`SpDraw` per
     (slot, kind) that some sample uses, by slot and then in ``kinds`` order
     (repeats in ``kinds`` count once). The draws depend only on ``seed``,
-    the batch geometry, ``kinds`` and ``strength``.
+    the batch geometry and ``kinds``.
     """
     kinds = tuple(dict.fromkeys(kinds))
     gen = rng(seed, SP_STREAM_SALT)
@@ -144,7 +143,7 @@ def draw_semantic_preserving(seed: int, n: int, h: int, w: int,
             kind = kinds[int(ki)]
             rows = np.flatnonzero(active & (order[:, slot] == ki))
             draws.append(SpDraw(slot, kind, rows,
-                                _sp_params(kind, u[slot, rows], h, w, strength)))
+                                _sp_params(kind, u[slot, rows], h, w)))
     return [d._replace(noise=gen.standard_normal((len(d.rows), h, w)))
             if d.kind == "gaussian_noise" else d for d in draws]
 
@@ -187,8 +186,7 @@ def _apply_sp_kind(kind: str, imgs: np.ndarray, p: np.ndarray,
 
 
 def apply_semantic_preserving(x: ImageBatch, seed: int,
-                              kinds: Sequence[str] = SP_KINDS,
-                              strength: float = 1.0) -> ImageBatch:
+                              kinds: Sequence[str] = SP_KINDS) -> ImageBatch:
     """Random composition of 1-2 kinds per sample; output clamped to [0,1].
 
     The ops are drawn for the whole batch by
@@ -200,11 +198,9 @@ def apply_semantic_preserving(x: ImageBatch, seed: int,
     for k in kinds:
         if k not in SP_KINDS:
             raise ValueError(f"unknown semantic-preserving kind: {k!r}")
-    if strength == 0.0:
-        return ImageBatch(x.data.copy())
     n, h, w = x.data.shape
     out = x.data.copy()
-    for draw in draw_semantic_preserving(seed, n, h, w, kinds, strength):
+    for draw in draw_semantic_preserving(seed, n, h, w, kinds):
         out[draw.rows] = _apply_sp_kind(draw.kind, out[draw.rows], draw.params, draw.noise)
     np.clip(out, 0.0, 1.0, out=out)
     return ImageBatch(out)

@@ -671,9 +671,10 @@ def _full_bundle(params, rng, n_src=8, n_tgt=6):
 def _per_view_terms(bundle, params, cfg):
     """The objective's weighted terms built the way it was first written:
     one extractor pass per view, the per-op term oracles, the source pairs
-    as their own inputs, and the mixup targets from a tape-free prediction
-    of the target batch."""
+    as their own inputs, the mixup targets from a tape-free prediction of
+    the target batch, and the feature distance on the two latent batches."""
     b = bundle
+    oracle_distance = {"mmd": _oracle_mmd, "coral": _oracle_coral}.get(b.distance)
     probs = softmax_probs(predict_logits(params, b.tgt_x))
     beta = b.mixed_beta[:, None]
     targets = beta * probs + (1 - beta) * probs[b.mixed_partner]
@@ -692,6 +693,8 @@ def _per_view_terms(bundle, params, cfg):
         (cfg.lambda_S, lambda: _oracle_tpbm(
             {t: view(x, head=t) for t, (x, _) in b.st_batches.items()},
             {t: lab for t, (_, lab) in b.st_batches.items()})),
+        (b.distance_weight if b.distance else 0.0,
+         lambda: oracle_distance(view(b.src_x, head=None), view(b.tgt_x, head=None))),
     ]
 
 
@@ -815,6 +818,42 @@ class TestTotalObjective:
         heads = (*params.psi, *params.omega["rotate90"], *params.omega["vflip"])
         assert loss._parents[1:] == heads
         assert _tape_size(loss) == _tape_size(loss._parents[0]) + len(heads) + 1
+
+    @pytest.mark.parametrize("supervised_weight", [1.0, 0.4, 0.0])
+    @pytest.mark.parametrize("distance", ["mmd", "coral"])
+    def test_distance_term_matches_weighted_oracles(self, distance, supervised_weight):
+        params, bundle = self._setup(seed=11)
+        bundle.distance, bundle.distance_weight = distance, 1.7
+        cfg = LossConfig.for_classes(3, lambda_M=0.0, lambda_C=0.0, lambda_U=0.0,
+                                     lambda_S=0.0, supervised_weight=supervised_weight)
+        _assert_matches_per_view(bundle, params, cfg)
+        loss, report = total_objective(bundle, params, cfg, MarginalTracker.uniform(3))
+        names = ["supervised"] if supervised_weight > 0.0 else []
+        assert list(report) == names + [distance, "dm_weight", "total"]
+        assert report["dm_weight"] == 1.7
+        # the trunk, then one node whose other parents are the label head
+        assert loss._parents[1:] == params.psi
+        assert _tape_size(loss) == _tape_size(loss._parents[0]) + len(params.psi) + 1
+
+    @pytest.mark.parametrize("distance", ["mmd", "coral"])
+    def test_distance_adds_to_every_other_term(self, distance):
+        params, bundle = self._setup(seed=12)
+        bundle.distance, bundle.distance_weight = distance, 0.6
+        _assert_matches_per_view(bundle, params, LossConfig.for_classes(3))
+
+    def test_distance_without_target_batch_rejected(self):
+        params, bundle = self._setup(seed=13)
+        bundle.tgt_x, bundle.distance = None, "coral"
+        cfg = LossConfig.for_classes(3, lambda_M=0.0, lambda_C=0.0, lambda_U=0.0)
+        with pytest.raises(ValueError, match="coral distance requires a target batch"):
+            total_objective(bundle, params, cfg, MarginalTracker.uniform(3))
+
+    def test_unknown_distance_rejected(self):
+        params, bundle = self._setup(seed=14)
+        bundle.distance = "wasserstein"
+        with pytest.raises(ValueError, match="distance must be one of"):
+            total_objective(bundle, params, LossConfig.for_classes(3),
+                            MarginalTracker.uniform(3))
 
     def test_deterministic_across_calls(self):
         params, bundle = self._setup(seed=7)

@@ -1,8 +1,10 @@
 """Trainer, evaluation, run persistence, ablation matrix, and the
 label-shift probe."""
 
+import ast
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,7 +44,7 @@ from pbmatch.training import (
 )
 from pbmatch.nets import forward
 from pbmatch.transforms import rng, sample_mixup_beta
-from pbmatch import nets, training
+from pbmatch import losses, nets, training
 
 
 BLOB_MEANS = ((-2.0, 0.0), (2.0, 0.0))
@@ -406,6 +408,23 @@ class TestTrainLoop:
         assert weights[:4] == [0.5, 1.0, 1.5, 2.0]
         assert all(w == 2.0 for w in weights[3:])
 
+    @pytest.mark.parametrize("supervised_weight", [1.0, 0.5, 0.0])
+    @pytest.mark.parametrize("method,name", [("dm_mmd", "mmd"), ("dm_coral", "coral")])
+    def test_dm_methods_honour_the_supervised_weight(self, method, name, supervised_weight):
+        src, tgt = blob_pair(n=200)
+        reports = []
+        cfg = small_cfg(method=method, epochs=1, batch=32, dm_weight=2.0,
+                        loss=LossConfig.for_classes(2, supervised_weight=supervised_weight))
+        train(cfg, src, tgt, on_step=lambda e, s, rep: reports.append(rep))
+        for rep in reports:
+            want = rep[name] * rep["dm_weight"]
+            if supervised_weight > 0.0:
+                assert list(rep) == ["supervised", name, "dm_weight", "total"]
+                want = rep["supervised"] * supervised_weight + want
+            else:
+                assert list(rep) == [name, "dm_weight", "total"]
+            assert rep["total"] == want
+
     def test_warm_start_layer_mismatch_rejected(self):
         src, tgt = blob_pair(n=80)
         donor = init_params([2, 4, 2], seed=0)
@@ -432,7 +451,9 @@ class TestTrainLoop:
             calls.append(x.shape[0])
             return tape_trunk(params, x)
 
-        # losses reach the trunk through nets.forward, _dm_step through its own name
+        # every method reaches the trunk through nets.forward in losses; training
+        # keeps a features name bound for the benchmark tracer, counted too in
+        # case a step ever calls it
         monkeypatch.setattr(nets, "features", counting)
         monkeypatch.setattr(training, "features", counting)
         per_step = []
@@ -477,11 +498,11 @@ class TestTrainLoop:
 def test_bundle_mixes_each_target_row_with_its_partner(pair):
     src, tgt = _glyph_pair() if pair == "images" else blob_pair(n=40)
     cfg = small_cfg(method="mupbm", seed_data=5)
-    loss_cfg = LossConfig.for_classes(src.class_count)
+    loss_cfg = LossConfig.for_classes(src.class_count, lambda_M=0.0, lambda_C=0.0,
+                                      lambda_S=0.0)
     rows_s, rows_t = np.arange(10), np.arange(3, 13)
-    x_s, y_s, x_t = src.x_flat()[rows_s], src.labels[rows_s], tgt.x_flat()[rows_t]
-    bundle = training._build_bundle(cfg, frozenset({"mupbm"}), (), (), src, tgt,
-                                    rows_s, rows_t, x_s, y_s, x_t, loss_cfg, 2, 1)
+    x_t = tgt.x_flat()[rows_t]
+    bundle = training._build_bundle(cfg, src, tgt, rows_s, rows_t, loss_cfg, 2, 1, 0)
     # the (seed_data, 17, epoch, step) stream draws the partners, then the weights
     gen = rng(5, 17, 2, 1)
     assert np.array_equal(bundle.mixed_partner, gen.permutation(10))
@@ -489,6 +510,55 @@ def test_bundle_mixes_each_target_row_with_its_partner(pair):
     beta = bundle.mixed_beta[:, None]
     want = beta * x_t + (1.0 - beta) * x_t[bundle.mixed_partner]
     assert np.array_equal(bundle.mixed_x.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("weights,sp_calls,st_calls", [
+    ({}, 3, 9),
+    ({"lambda_C": 0.0}, 0, 9),
+    ({"lambda_S": 0.0}, 3, 0),
+    ({"lambda_C": 0.0, "lambda_S": 0.0}, 0, 0),
+], ids=["all", "no_cpbm", "no_tpbm", "neither"])
+def test_bundle_builds_only_the_views_a_weighted_term_scores(weights, sp_calls, st_calls,
+                                                               monkeypatch):
+    counts = {"sp": 0, "st": 0}
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(training, "apply_semantic_preserving",
+                        counting("sp", training.apply_semantic_preserving))
+    monkeypatch.setattr(training, "apply_semantic_transforming",
+                        counting("st", training.apply_semantic_transforming))
+    src, tgt = _glyph_pair()
+    cfg = small_cfg(method="instapbm", epochs=1, batch=8, hidden=(8, 4),
+                    loss=LossConfig.for_classes(src.class_count, **weights))
+    train(cfg, src, tgt)
+    assert counts == {"sp": sp_calls, "st": st_calls}
+
+
+def _layer_calls():
+    """LAYER_CALLS as written in perfbench/spans.py, read without importing it."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    for stmt in ast.parse(path.read_text()).body:
+        if not isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            continue
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        if any(getattr(t, "id", None) == "LAYER_CALLS" for t in targets):
+            return ast.literal_eval(stmt.value)
+    raise AssertionError(f"no LAYER_CALLS in {path}")
+
+
+def test_every_traced_layer_name_resolves():
+    # the tracer rebinds these names in the library's namespaces; a name the
+    # library drops leaves its layer unmeasured and fails a traced run
+    modules = {"training": training, "losses": losses}
+    calls = _layer_calls()
+    missing = [f"{module}.{name}" for module, name, *_ in calls
+               if not hasattr(modules[module], name)]
+    assert calls and missing == []
 
 
 # ---------------------------------------------------------------------------

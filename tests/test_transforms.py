@@ -215,11 +215,6 @@ class TestSemanticPreserving:
         b = apply_semantic_preserving(x, seed=2)
         assert not np.array_equal(a.data, b.data)
 
-    def test_zero_strength_is_identity(self):
-        x = _random_batch(16)
-        out = apply_semantic_preserving(x, seed=5, strength=0.0)
-        assert np.array_equal(out.data, x.data)
-
     def test_does_not_mutate_input(self):
         x = _random_batch(16)
         before = x.data.copy()
@@ -250,11 +245,10 @@ class TestSemanticPreserving:
         with pytest.raises(ValueError, match="unknown semantic-preserving kind"):
             apply_semantic_preserving(_random_batch(2), seed=0, kinds=("sharpen",))
 
-    @pytest.mark.parametrize("n,strength", [(0, 1.0), (2, 0.0)])
-    def test_unknown_kind_rejected_without_any_draw(self, n, strength):
+    @pytest.mark.parametrize("n", [0, 2])
+    def test_unknown_kind_rejected_without_any_draw(self, n):
         with pytest.raises(ValueError, match="unknown semantic-preserving kind"):
-            apply_semantic_preserving(_random_batch(n), seed=0, kinds=("sharpen",),
-                                      strength=strength)
+            apply_semantic_preserving(_random_batch(n), seed=0, kinds=("sharpen",))
 
 
 # ---------------------------------------------------------------------------
@@ -333,12 +327,10 @@ def _ops_per_sample(draws, n):
     return [sorted(o, key=lambda op: op[0]) for o in ops]
 
 
-def reference_semantic_preserving(data, seed, kinds, strength):
+def reference_semantic_preserving(data, seed, kinds):
     """Each sample's drawn ops applied to that image alone, one at a time."""
-    if strength == 0.0:
-        return data.copy()
     n, h, w = data.shape
-    ops = _ops_per_sample(draw_semantic_preserving(seed, n, h, w, kinds, strength), n)
+    ops = _ops_per_sample(draw_semantic_preserving(seed, n, h, w, kinds), n)
     out = np.empty_like(data)
     for i in range(n):
         img = data[i]
@@ -372,10 +364,10 @@ def _same_bytes(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
-def _assert_sp_matches_reference(data, seed, kinds, strength):
-    got = apply_semantic_preserving(ImageBatch(data), seed, kinds=kinds, strength=strength)
-    want = reference_semantic_preserving(data, seed, kinds, strength)
-    assert _same_bytes(got.data, want), (seed, kinds, strength, data.shape)
+def _assert_sp_matches_reference(data, seed, kinds):
+    got = apply_semantic_preserving(ImageBatch(data), seed, kinds=kinds)
+    want = reference_semantic_preserving(data, seed, kinds)
+    assert _same_bytes(got.data, want), (seed, kinds, data.shape)
 
 
 def _assert_st_matches_reference(data, task, seed):
@@ -390,30 +382,27 @@ KIND_SETS = {"ra": RA_KINDS, "ni": NI_KINDS, "all": SP_KINDS}
 
 class TestBatchedMatchesPerSampleReference:
     @pytest.mark.parametrize("shape", [(32, 16, 16), (16, 12, 20)], ids=["square", "12x20"])
-    @pytest.mark.parametrize("strength", [0.5, 1.0, 1.7])
     @pytest.mark.parametrize("kinds", list(KIND_SETS), ids=list(KIND_SETS))
-    def test_semantic_preserving_over_seeds(self, kinds, strength, shape):
+    def test_semantic_preserving_over_seeds(self, kinds, shape):
         rng = np.random.default_rng(shape[1] * 100 + shape[2])
         for seed in range(25):
-            _assert_sp_matches_reference(rng.uniform(size=shape), seed,
-                                         KIND_SETS[kinds], strength)
+            _assert_sp_matches_reference(rng.uniform(size=shape), seed, KIND_SETS[kinds])
 
     @pytest.mark.parametrize("n", [0, 1])
     @pytest.mark.parametrize("kinds", list(KIND_SETS), ids=list(KIND_SETS))
     def test_semantic_preserving_tiny_batches(self, kinds, n):
         data = np.random.default_rng(n).uniform(size=(n, 16, 16))
         for seed in range(40):
-            _assert_sp_matches_reference(data, seed, KIND_SETS[kinds], 1.0)
+            _assert_sp_matches_reference(data, seed, KIND_SETS[kinds])
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(seed=st.integers(-2**40, 2**40),
            n=st.integers(0, 12),
            kinds=st.lists(st.sampled_from(SP_KINDS), min_size=1, max_size=6),
-           strength=st.sampled_from([0.0, 0.5, 1.0, 1.7]) | st.floats(0.05, 2.5),
            shape=st.sampled_from([(16, 16), (12, 20), (9, 7), (4, 4)]))
-    def test_semantic_preserving_property(self, seed, n, kinds, strength, shape):
+    def test_semantic_preserving_property(self, seed, n, kinds, shape):
         data = np.random.default_rng(abs(seed) % 997).uniform(size=(n,) + shape)
-        _assert_sp_matches_reference(data, seed, tuple(kinds), strength)
+        _assert_sp_matches_reference(data, seed, tuple(kinds))
 
     @pytest.mark.parametrize("task", ST_TASKS)
     def test_semantic_transforming_over_seeds(self, task):
@@ -445,7 +434,7 @@ class TestSemanticPreservingDraws:
     def test_each_sample_gets_one_or_two_distinct_kinds(self, kinds):
         kinds = KIND_SETS.get(kinds, ("shift", "contrast"))
         for seed in range(30):
-            ops = _ops_per_sample(draw_semantic_preserving(seed, 40, 16, 16, kinds, 1.0), 40)
+            ops = _ops_per_sample(draw_semantic_preserving(seed, 40, 16, 16, kinds), 40)
             for sample in ops:
                 drawn = [kind for _, kind, _, _ in sample]
                 assert [slot for slot, _, _, _ in sample] == list(range(len(drawn)))
@@ -454,37 +443,35 @@ class TestSemanticPreservingDraws:
                 assert set(drawn) <= set(kinds)
 
     def test_repeated_kinds_count_once(self):
-        draws = draw_semantic_preserving(3, 50, 16, 16, ("shift", "shift"), 1.0)
+        draws = draw_semantic_preserving(3, 50, 16, 16, ("shift", "shift"))
         assert [d.slot for d in draws] == [0]
         assert np.array_equal(draws[0].rows, np.arange(50))
 
-    @pytest.mark.parametrize("strength", [0.5, 1.0, 1.7])
     @pytest.mark.parametrize("shape", [(16, 16), (12, 20)], ids=["square", "12x20"])
-    def test_parameters_stay_within_the_caps(self, strength, shape):
+    def test_parameters_stay_within_the_caps(self, shape):
         h, w = shape
         seen = set()
         for seed in range(40):
-            for d in draw_semantic_preserving(seed, 64, h, w, SP_KINDS, strength):
+            for d in draw_semantic_preserving(seed, 64, h, w, SP_KINDS):
                 seen.add(d.kind)
                 p = d.params
                 if d.kind == "shift":
-                    m = int(round(MAX_SHIFT_PX * strength))
-                    assert p.shape[1] == 2 and np.all(np.abs(p) <= m)
+                    assert p.shape[1] == 2 and np.all(np.abs(p) <= MAX_SHIFT_PX)
                     assert np.array_equal(p, np.round(p))
                 elif d.kind == "small_rotate":
-                    assert np.all(np.abs(p) <= MAX_ROTATE_DEG * strength)
+                    assert np.all(np.abs(p) <= MAX_ROTATE_DEG)
                 elif d.kind == "cutout":
-                    side = int(round(CUTOUT_SIDE_FRACTION * min(h, w) * strength))
+                    side = int(round(CUTOUT_SIDE_FRACTION * min(h, w)))
                     assert np.all(p[:, 2] == side)
                     assert np.all((p[:, 0] >= 0) & (p[:, 0] <= h - side))
                     assert np.all((p[:, 1] >= 0) & (p[:, 1] <= w - side))
                     assert np.array_equal(p, np.round(p))
                 elif d.kind == "brightness":
-                    assert np.all(np.abs(p) <= MAX_BRIGHTNESS_DELTA * strength)
+                    assert np.all(np.abs(p) <= MAX_BRIGHTNESS_DELTA)
                 elif d.kind == "contrast":
-                    assert np.all(np.abs(p - 1.0) <= MAX_CONTRAST_DELTA * strength)
+                    assert np.all(np.abs(p - 1.0) <= MAX_CONTRAST_DELTA)
                 else:
-                    assert np.all((p >= 0.02 * strength) & (p <= MAX_NOISE_SIGMA * strength))
+                    assert np.all((p >= 0.02) & (p <= MAX_NOISE_SIGMA))
                     assert d.noise.shape == (len(d.rows), h, w)
                 if d.kind != "gaussian_noise":
                     assert d.noise is None
@@ -492,7 +479,7 @@ class TestSemanticPreservingDraws:
 
     def test_kinds_and_op_counts_are_balanced(self):
         # chi-square goodness of fit over a large batch
-        draws = draw_semantic_preserving(23, 6000, 16, 16, SP_KINDS, 1.0)
+        draws = draw_semantic_preserving(23, 6000, 16, 16, SP_KINDS)
         first = {d.kind: len(d.rows) for d in draws if d.slot == 0}
         assert sum(first.values()) == 6000
         assert stats.chisquare([first[k] for k in SP_KINDS]).pvalue > 0.01
