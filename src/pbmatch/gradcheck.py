@@ -1,17 +1,18 @@
 """Randomized gradient verification sweep.
 
-Every differentiable tensor op and every objective term is checked against
+The extractor trunk, a head and every objective term are checked against
 central differences on a batch of random instances. The sweep is what the
 ``pbmatch gradcheck`` subcommand and the numerical acceptance tests run; it
 returns per-check worst-case relative errors so a regression in any single
 backward rule is attributable by name.
 
-Points are drawn to stay away from the genuine kinks (relu at zero), since
-a subgradient mismatch there is not a bug.
+Points are drawn to stay away from the genuine kinks (ReLU pre-activations
+at zero), since a subgradient mismatch there is not a bug.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import zlib
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Tuple
@@ -32,8 +33,8 @@ from .losses import (
     tpbm_loss,
     total_objective,
 )
-from .nets import ModelParams, init_params
-from .tensor import Tensor, add, grad_check, matmul, node, relu
+from .nets import ModelParams, features, forward, init_params
+from .tensor import Tensor, grad_check, node
 from .transforms import rng
 
 DEFAULT_INSTANCES = 20
@@ -54,12 +55,6 @@ class CheckResult:
         return self.max_rel_error < self.tol
 
 
-def _away_from_zero(x: np.ndarray) -> np.ndarray:
-    """Push coordinates out of the +-0.05 band so the kink stays far away."""
-    shift = np.where(x >= 0.0, 0.05, -0.05)
-    return np.where(np.abs(x) < 0.05, x + shift, x)
-
-
 def _rng_logits(rng, n, k, spread=2.0) -> np.ndarray:
     return rng.normal(0.0, spread, (n, k))
 
@@ -76,26 +71,55 @@ def _weighted_sum(t: Tensor, w: np.ndarray) -> Tensor:
     return node(float(np.sum(t.data * w)), (t,), lambda g: (g * w,))
 
 
-def _build_add(rng, i):
-    # broadcast on odd instances to exercise the unbroadcast path
-    b = Tensor(rng.normal(size=(3,) if i % 2 else (4, 3)))
-    w = rng.normal(size=(4, 3))
-    return (lambda x: _weighted_sum(add(x, b), w)), Tensor(rng.normal(size=(4, 3)))
+def _off_kink_net(rng) -> Tuple[ModelParams, np.ndarray]:
+    """A three-layer extractor with random biases and a 3-row input batch
+    whose pre-activations all lie at least 0.05 from the ReLU kink;
+    redrawn until they do."""
+    while True:
+        params = init_params([4, 5, 4, 3, 2], seed=int(rng.integers(0, 2**31 - 1)), tasks=())
+        for _, b in params.phi:
+            b.data = rng.normal(0.0, 0.5, b.shape)
+        x = rng.normal(size=(3, 4))
+        h = x
+        for w, b in params.phi:
+            a = h @ w.data + b.data
+            if np.min(np.abs(a)) < 0.05:
+                break
+            h = np.maximum(a, 0.0)
+        else:
+            return params, x
 
 
-def _build_relu(rng, i):
-    w = rng.normal(size=(4, 3))
-    point = _away_from_zero(rng.normal(size=(4, 3)))
-    return (lambda x: _weighted_sum(relu(x), w)), Tensor(point)
+def _build_features(rng, i):
+    # instance i varies the input (i % 7 == 0) or one layer's W or b
+    params, x = _off_kink_net(rng)
+    readout = rng.normal(size=(3, 3))
+    slot = i % 7
+    if slot == 0:
+        return (lambda p: _weighted_sum(features(params, p), readout)), Tensor(x)
+    layer, part = divmod(slot - 1, 2)
+
+    def fn(p: Tensor) -> Tensor:
+        phi = list(params.phi)
+        phi[layer] = (p, phi[layer][1]) if part == 0 else (phi[layer][0], p)
+        return _weighted_sum(features(dataclasses.replace(params, phi=phi), Tensor(x)), readout)
+
+    return fn, Tensor(params.phi[layer][part].data.copy())
 
 
-def _build_matmul(rng, i):
-    w = rng.normal(size=(3, 2))
-    if i % 2:
-        a = Tensor(rng.normal(size=(3, 4)))
-        return (lambda x: _weighted_sum(matmul(a, x), w)), Tensor(rng.normal(size=(4, 2)))
-    b = Tensor(rng.normal(size=(4, 2)))
-    return (lambda x: _weighted_sum(matmul(x, b), w)), Tensor(rng.normal(size=(3, 4)))
+def _build_head(rng, i):
+    # instance i varies the input, the label head's W or its b
+    params, x = _off_kink_net(rng)
+    readout = rng.normal(size=(3, 2))
+    slot = i % 3
+    if slot == 0:
+        return (lambda p: _weighted_sum(forward(params, p), readout)), Tensor(x)
+
+    def fn(p: Tensor) -> Tensor:
+        psi = (p, params.psi[1]) if slot == 1 else (params.psi[0], p)
+        return _weighted_sum(forward(dataclasses.replace(params, psi=psi), Tensor(x)), readout)
+
+    return fn, Tensor(params.psi[slot - 1].data.copy())
 
 
 def _build_cross_entropy(rng, i):
@@ -226,9 +250,8 @@ def _build_total(rng, i):
 
 
 CHECKS: Dict[str, Builder] = {
-    "op.add": _build_add,
-    "op.relu": _build_relu,
-    "op.matmul": _build_matmul,
+    "net.features": _build_features,
+    "net.head": _build_head,
     "term.cross_entropy": _build_cross_entropy,
     "term.mim": _build_mim,
     "term.cpbm": _build_cpbm,

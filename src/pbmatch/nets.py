@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from pbmatch.tensor import Tensor, add, matmul, relu
+from pbmatch.tensor import Tensor, node, tracked
 from pbmatch.transforms import ST_TASKS, _ST_OPS
 
 # pretext task identifier -> number of prediction classes, one per task label
@@ -112,24 +112,46 @@ def clone_params(params: ModelParams) -> ModelParams:
 
 
 def features(params: ModelParams, x: Tensor) -> Tensor:
-    """Latent representation g(x); ReLU after every extractor layer."""
+    """Latent representation g(x); ReLU after every extractor layer.
+
+    The layers run over plain arrays and the trunk is recorded as one tape
+    node whose parents are ``x`` and every (W, b) of the extractor. Its rule
+    walks the layers back: the mask of positive pre-activations, then
+    dW = h^T g, db = sum of g's rows and, below the first layer or for a
+    tracked input, g W^T.
+    """
     if x.ndim != 2 or x.shape[1] != params.input_dim:
         raise ValueError(f"input width {x.shape} does not match input dim {params.input_dim}")
-    h = x
+    h = x.data
+    layers = []
     for w, b in params.phi:
-        h = relu(add(matmul(h, w), b))
-    return h
+        a = h @ w.data + b.data
+        mask = a > 0.0
+        layers.append((h, w.data, mask))
+        h = np.maximum(a, 0.0)
+
+    def rule(g):
+        grads = []
+        for i in reversed(range(len(layers))):
+            h_in, w, mask = layers[i]
+            g = g * mask
+            grads += [g.sum(axis=0), h_in.T @ g]
+            g = g @ w.T if i > 0 or tracked(x) else None
+        return (g, *reversed(grads))
+
+    return node(h, (x, *[t for layer in params.phi for t in layer]), rule)
 
 
 def forward(params: ModelParams, x: Tensor, head: Optional[str] = "label") -> Tensor:
-    """Logits of the requested head applied to g(x), recorded for backward;
-    ``head=None`` returns the latent g(x) itself, for callers that route its
-    rows to several heads."""
+    """Logits of the requested head applied to g(x), the head recorded as
+    one node over the latent and its (W, b); ``head=None`` returns the
+    latent g(x) itself, for callers that route its rows to several heads."""
     z = features(params, x)
     if head is None:
         return z
     w, b = params.head_tensors(head)
-    return add(matmul(z, w), b)
+    return node(z.data @ w.data + b.data, (z, w, b),
+                lambda g: (g @ w.data.T, z.data.T @ g, g.sum(axis=0)))
 
 
 def predict_features(params: ModelParams, x: np.ndarray) -> np.ndarray:
@@ -158,6 +180,12 @@ def softmax_probs(logits: np.ndarray) -> np.ndarray:
 # optimizers
 # ---------------------------------------------------------------------------
 
+# Adam's moment decay rates and denominator guard
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class OptimState:
     """SGD-with-momentum or Adam state over a fixed parameter list."""
@@ -165,9 +193,6 @@ class OptimState:
     kind: str = "adam"
     lr: float = 1e-3
     momentum: float = 0.9
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     weight_decay: float = 1e-5
     step_count: int = 0
     _m: List[np.ndarray] = field(default_factory=list)
@@ -204,11 +229,11 @@ def step(params: ModelParams, opt: OptimState) -> None:
             opt._m[i] = opt.momentum * opt._m[i] + g
             t.data -= opt.lr * opt._m[i]
         else:
-            opt._m[i] = opt.beta1 * opt._m[i] + (1 - opt.beta1) * g
-            opt._v[i] = opt.beta2 * opt._v[i] + (1 - opt.beta2) * g * g
-            m_hat = opt._m[i] / (1 - opt.beta1 ** t_count)
-            v_hat = opt._v[i] / (1 - opt.beta2 ** t_count)
-            t.data -= opt.lr * m_hat / (np.sqrt(v_hat) + opt.eps)
+            opt._m[i] = ADAM_BETA1 * opt._m[i] + (1 - ADAM_BETA1) * g
+            opt._v[i] = ADAM_BETA2 * opt._v[i] + (1 - ADAM_BETA2) * g * g
+            m_hat = opt._m[i] / (1 - ADAM_BETA1 ** t_count)
+            v_hat = opt._v[i] / (1 - ADAM_BETA2 ** t_count)
+            t.data -= opt.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Minimal reverse-mode autodiff over dense float64 arrays.
 
 Every differentiable value is a :class:`Tensor` wrapping a numpy array.
-Operations record their inputs and a backward rule on the result node;
+The module has no op set: each caller computes its value over plain arrays
+and records one :func:`node` with its inputs and a closed-form backward
+rule (the trunk in ``nets``, the objective terms in ``losses``);
 ``backward`` linearizes the recorded graph in topological order (inputs
 before consumers) and replays it exactly once, accumulating ``dLoss/dLeaf``
 into every ``requires_grad`` tensor. Gradients accumulate across calls
@@ -52,26 +54,6 @@ class Tensor:
         self.grad = None
 
 
-def _check_broadcast(a_shape: tuple, b_shape: tuple) -> None:
-    # trailing-dimension broadcasting only, numpy semantics
-    for da, db in zip(reversed(a_shape), reversed(b_shape)):
-        if da != db and da != 1 and db != 1:
-            raise ValueError(f"shapes not broadcast-compatible: {a_shape} vs {b_shape}")
-
-
-def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum out broadcast dimensions so grad matches an input's shape."""
-    if grad.shape == shape:
-        return grad
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, d in enumerate(shape) if d == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad.reshape(shape)
-
-
 def tracked(t: Tensor) -> bool:
     """True if gradients flow through ``t``: a leaf that wants one, or a recorded result."""
     return t.requires_grad or t._rule is not None
@@ -80,51 +62,13 @@ def tracked(t: Tensor) -> bool:
 def node(data: np.ndarray, parents: tuple, rule: Callable[[np.ndarray], tuple]) -> Tensor:
     """Build a result tensor, recording the backward rule iff any input is tracked.
 
-    ``rule`` maps the incoming gradient to one gradient per parent. Terms
-    outside this module with a closed-form gradient record themselves the
-    same way, as one node.
+    ``rule`` maps the incoming gradient to one gradient per parent.
     """
     out = Tensor(data)
     if any(tracked(p) for p in parents):
         out._parents = parents
         out._rule = rule
     return out
-
-
-# ---------------------------------------------------------------------------
-# ops: what the extractor and the heads use
-# ---------------------------------------------------------------------------
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast(a.shape, b.shape)
-
-    def rule(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
-
-    return node(a.data + b.data, (a, b), rule)
-
-
-def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0.0
-
-    def rule(g):
-        return (g * mask,)
-
-    return node(np.maximum(a.data, 0.0), (a,), rule)
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError(f"matmul needs rank-2 inputs, got ranks {a.ndim} and {b.ndim}")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"matmul inner dimensions differ: {a.shape} vs {b.shape}")
-
-    # an untracked operand, such as a constant input batch, gets no gradient
-    def rule(g):
-        return (g @ b.data.T if tracked(a) else None,
-                a.data.T @ g if tracked(b) else None)
-
-    return node(a.data @ b.data, (a, b), rule)
 
 
 # ---------------------------------------------------------------------------

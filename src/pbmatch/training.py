@@ -85,46 +85,36 @@ from .transforms import (
     sample_mixup_beta,
 )
 
-METHODS = (
-    "source_only", "dm_mmd", "dm_coral", "instapbm",
-    "mim", "cpbm_ra", "cpbm_ni", "cpbm_all", "mupbm",
-    "tpbm_rot", "tpbm_qdr", "tpbm_flip", "tpbm_all",
-)
+@dataclass(frozen=True)
+class _Method:
+    """The terms a method trains on top of source cross-entropy: MIM on or
+    off, the consistency view kinds, interpolation consistency on or off,
+    the pretext tasks, and the feature distance."""
 
-# which behavior-matching terms each method activates
-_METHOD_COMPONENTS: Dict[str, frozenset] = {
-    "source_only": frozenset(),
-    "dm_mmd": frozenset(),
-    "dm_coral": frozenset(),
-    "mim": frozenset({"mim"}),
-    "cpbm_ra": frozenset({"cpbm"}),
-    "cpbm_ni": frozenset({"cpbm"}),
-    "cpbm_all": frozenset({"cpbm"}),
-    "mupbm": frozenset({"mupbm"}),
-    "tpbm_rot": frozenset({"tpbm"}),
-    "tpbm_qdr": frozenset({"tpbm"}),
-    "tpbm_flip": frozenset({"tpbm"}),
-    "tpbm_all": frozenset({"tpbm"}),
-    "instapbm": frozenset({"mim", "cpbm", "mupbm", "tpbm"}),
+    mim: bool = False
+    cpbm_kinds: Tuple[str, ...] = ()
+    mupbm: bool = False
+    tasks: Tuple[str, ...] = ()
+    distance: Optional[str] = None
+
+
+_METHODS: Dict[str, _Method] = {
+    "source_only": _Method(),
+    "dm_mmd": _Method(distance="mmd"),
+    "dm_coral": _Method(distance="coral"),
+    "instapbm": _Method(mim=True, cpbm_kinds=RA_KINDS + NI_KINDS, mupbm=True, tasks=ST_TASKS),
+    "mim": _Method(mim=True),
+    "cpbm_ra": _Method(cpbm_kinds=RA_KINDS),
+    "cpbm_ni": _Method(cpbm_kinds=NI_KINDS),
+    "cpbm_all": _Method(cpbm_kinds=RA_KINDS + NI_KINDS),
+    "mupbm": _Method(mupbm=True),
+    "tpbm_rot": _Method(tasks=("rotate90",)),
+    "tpbm_qdr": _Method(tasks=("patch_location",)),
+    "tpbm_flip": _Method(tasks=("vflip",)),
+    "tpbm_all": _Method(tasks=ST_TASKS),
 }
 
-# the feature distance each distribution-matching method adds
-_DM_DISTANCES: Dict[str, str] = {"dm_mmd": "mmd", "dm_coral": "coral"}
-
-_CPBM_KIND_SETS: Dict[str, Tuple[str, ...]] = {
-    "cpbm_ra": RA_KINDS,
-    "cpbm_ni": NI_KINDS,
-    "cpbm_all": RA_KINDS + NI_KINDS,
-    "instapbm": RA_KINDS + NI_KINDS,
-}
-
-_TPBM_TASK_SETS: Dict[str, Tuple[str, ...]] = {
-    "tpbm_rot": ("rotate90",),
-    "tpbm_qdr": ("patch_location",),
-    "tpbm_flip": ("vflip",),
-    "tpbm_all": ST_TASKS,
-    "instapbm": ST_TASKS,
-}
+METHODS = tuple(_METHODS)
 
 ABLATION_ROWS: Tuple[Tuple[str, str], ...] = (
     ("Baseline", "source_only"),
@@ -333,25 +323,19 @@ def _transform_token(seed_data: int, epoch: int, step_idx: int) -> int:
     return ((int(seed_data) & _MASK) * 1_000_003 + epoch * 1_009 + step_idx) % (2 ** 31 - 1)
 
 
-def _effective_loss(base: LossConfig, components: frozenset) -> LossConfig:
+def _effective_loss(base: LossConfig, method: str, tgt_is_image: bool) -> LossConfig:
+    """``base`` with the weight of every term ``method`` does not train set to 0."""
+    m = _METHODS[method]
+    if (m.cpbm_kinds or m.tasks) and not tgt_is_image and method != "instapbm":
+        raise ValueError(f"method {method!r} needs image data")
+    # point data has no transform geometry; instapbm keeps the input-agnostic terms
     return dataclasses.replace(
         base,
-        lambda_M=base.lambda_M if "mim" in components else 0.0,
-        lambda_C=base.lambda_C if "cpbm" in components else 0.0,
-        lambda_U=base.lambda_U if "mupbm" in components else 0.0,
-        lambda_S=base.lambda_S if "tpbm" in components else 0.0,
+        lambda_M=base.lambda_M if m.mim else 0.0,
+        lambda_C=base.lambda_C if m.cpbm_kinds and tgt_is_image else 0.0,
+        lambda_U=base.lambda_U if m.mupbm else 0.0,
+        lambda_S=base.lambda_S if m.tasks and tgt_is_image else 0.0,
     )
-
-
-def _active_components(cfg: TrainConfig, tgt_is_image: bool) -> frozenset:
-    components = _METHOD_COMPONENTS[cfg.method]
-    needs_images = components & {"cpbm", "tpbm"}
-    if needs_images and not tgt_is_image:
-        if cfg.method == "instapbm":
-            # point data has no transform geometry; keep the input-agnostic terms
-            return components - {"cpbm", "tpbm"}
-        raise ValueError(f"method {cfg.method!r} needs image data")
-    return components
 
 
 def _check_pair(src: DomainDataset, tgt: DomainDataset) -> None:
@@ -385,9 +369,7 @@ def train(cfg: TrainConfig, src: DomainDataset, tgt: DomainDataset,
     if src.n_samples == 0:
         raise ValueError("source dataset has no labeled samples")
 
-    components = _active_components(cfg, tgt.is_image)
-    base_loss = cfg.resolved_loss(k)
-    loss_cfg = _effective_loss(base_loss, components)
+    loss_cfg = _effective_loss(cfg.resolved_loss(k), cfg.method, tgt.is_image)
 
     adapt_idx, eval_idx = split_target(tgt.labels, cfg.eval_fraction, cfg.seed_data)
     adapt = tgt.take(adapt_idx)
@@ -458,7 +440,8 @@ def train(cfg: TrainConfig, src: DomainDataset, tgt: DomainDataset,
             "tgt_acc_transductive": trans_rep.accuracy,
             "per_class_tgt_acc": eval_rep.per_class,
             "prediction_marginal": [float(v) for v in marginal],
-            "h_q": tracker.entropy() if "mim" in components else _entropy(marginal),
+            # the tracker only advances while the MIM term is weighted
+            "h_q": tracker.entropy() if loss_cfg.lambda_M > 0.0 else _entropy(marginal),
         }
         metrics.records.append(record)
         metrics.confusion = eval_rep.confusion
@@ -483,13 +466,13 @@ def _build_bundle(cfg: TrainConfig, src: DomainDataset, adapt: DomainDataset,
     y_s = src.labels[rows_s]
     x_t = adapt.x_flat()[rows_t]
     bundle = BatchBundle(src_x=src.x_flat()[rows_s], src_y=y_s, tgt_x=x_t,
-                         distance=_DM_DISTANCES.get(cfg.method),
+                         distance=_METHODS[cfg.method].distance,
                          distance_weight=cfg.dm_weight * ramp)
 
     if loss_cfg.lambda_C > 0.0:
         batch_imgs = ImageBatch(adapt.images.data[rows_t])
         bundle.tgt_x_aug = apply_semantic_preserving(
-            batch_imgs, token, kinds=_CPBM_KIND_SETS[cfg.method]).flat()
+            batch_imgs, token, kinds=_METHODS[cfg.method].cpbm_kinds).flat()
         bundle.pair_diff_mask = y_s != np.roll(y_s, 1)
 
     if loss_cfg.lambda_U > 0.0:
@@ -504,7 +487,7 @@ def _build_bundle(cfg: TrainConfig, src: DomainDataset, adapt: DomainDataset,
     if loss_cfg.lambda_S > 0.0:
         both = np.concatenate([src.images.data[rows_s], adapt.images.data[rows_t]])
         st: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
-        for task in _TPBM_TASK_SETS[cfg.method]:
+        for task in _METHODS[cfg.method].tasks:
             x_task, labels = apply_semantic_transforming(ImageBatch(both), task, token)
             st[task] = (x_task.flat(), labels)
         bundle.st_batches = st

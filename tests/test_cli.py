@@ -489,7 +489,7 @@ class TestGradcheck:
         assert main(["gradcheck", "--tol", "1e-4", "--instances", "2"]) == 0
         out = capsys.readouterr().out
         assert "0 failed" in out
-        assert "op.matmul" in out and "term.total" in out
+        assert "net.features" in out and "term.total" in out
 
     def test_bad_instances(self):
         assert main(["gradcheck", "--instances", "0"]) == 1

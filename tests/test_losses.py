@@ -22,16 +22,23 @@ from pbmatch.losses import (
     total_objective,
 )
 from pbmatch.nets import forward, init_params, predict_logits, softmax_probs
-from pbmatch.tensor import (
-    Tensor,
-    _check_broadcast,
-    _unbroadcast,
-    add,
-    backward,
-    grad_check,
-    matmul,
-    node,
-    relu,
+from pbmatch.tensor import Tensor, backward, grad_check
+
+from oracles import (
+    log_softmax,
+    mul,
+    neg,
+    oracle_ce,
+    oracle_coral,
+    oracle_cpbm,
+    oracle_median,
+    oracle_mim,
+    oracle_mmd,
+    oracle_mupbm,
+    oracle_tpbm,
+    reduce,
+    scale,
+    sub,
 )
 
 
@@ -50,121 +57,8 @@ def _logits_for(probs):
 
 
 # ---------------------------------------------------------------------------
-# per-op oracles: the tape ops and term formulations the one-node terms replaced
+# comparing a one-node term with its per-op oracle (see oracles.py)
 # ---------------------------------------------------------------------------
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast(a.shape, b.shape)
-    return node(a.data - b.data, (a, b),
-                lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)))
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast(a.shape, b.shape)
-    return node(a.data * b.data, (a, b),
-                lambda g: (_unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)))
-
-
-def exp(a: Tensor) -> Tensor:
-    out = np.exp(a.data)
-    return node(out, (a,), lambda g: (g * out,))
-
-
-def neg(a: Tensor) -> Tensor:
-    return node(-a.data, (a,), lambda g: (-g,))
-
-
-def scale(a: Tensor, c: float) -> Tensor:
-    c = float(c)
-    return node(a.data * c, (a,), lambda g: (g * c,))
-
-
-def transpose(a: Tensor) -> Tensor:
-    return node(a.data.T.copy(), (a,), lambda g: (g.T.copy(),))
-
-
-def reduce(op_kind: str, a: Tensor, axis=None) -> Tensor:
-    n = 1 if op_kind == "sum" else (a.data.size if axis is None else a.shape[axis])
-
-    def rule(g):
-        expanded = g if axis is None else np.expand_dims(g, axis)
-        return (np.broadcast_to(expanded, a.shape).copy() / n,)
-
-    out = a.data.sum(axis=axis) if op_kind == "sum" else a.data.mean(axis=axis)
-    return node(out, (a,), rule)
-
-
-def log_softmax(logits: Tensor) -> Tensor:
-    z = logits.data
-    shifted = z - z.max(axis=1, keepdims=True)
-    out = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    softmax = np.exp(out)
-    return node(out, (logits,), lambda g: (g - softmax * g.sum(axis=1, keepdims=True),))
-
-
-def _mean_row_dot(a: Tensor, b: Tensor) -> Tensor:
-    return reduce("mean", reduce("sum", mul(a, b), axis=1))
-
-
-def _kl_rows(logp_a: Tensor, logp_b: Tensor) -> Tensor:
-    return reduce("sum", mul(exp(logp_a), sub(logp_a, logp_b)), axis=1)
-
-
-def _row_entropy_mean(q: np.ndarray) -> float:
-    terms = np.where(q > 0.0, q * np.log(np.where(q > 0.0, q, 1.0)), 0.0)
-    return float(np.mean(-terms.sum(axis=1)))
-
-
-def _oracle_ce(logits: Tensor, labels) -> Tensor:
-    onehot = np.eye(logits.shape[1])[np.asarray(labels)]
-    return neg(_mean_row_dot(Tensor(onehot), log_softmax(logits)))
-
-
-def _oracle_mim(logits: Tensor, tracker: MarginalTracker, ceiling: float) -> Tensor:
-    logp = log_softmax(logits)
-    loss = neg(_mean_row_dot(exp(logp), logp))
-    if tracker.entropy() < ceiling:
-        diversity = _mean_row_dot(exp(log_softmax(logits)), Tensor(np.log(tracker.q)))
-        loss = add(diversity, loss)
-    tracker.update(np.exp(logp.data).mean(axis=0))
-    return loss
-
-
-def _oracle_cpbm(orig, aug, pair_a, pair_b, mask, lambda_con) -> Tensor:
-    agreement = reduce("mean", _kl_rows(log_softmax(orig), log_softmax(aug)))
-    if pair_a is None or mask is None or not np.any(mask) or lambda_con == 0.0:
-        return agreement
-    kl = _kl_rows(log_softmax(pair_a), log_softmax(pair_b))
-    # min(kl, margin) as margin - relu(margin - kl)
-    clamped = sub(Tensor(KL_MARGIN), relu(sub(Tensor(KL_MARGIN), kl)))
-    masked_sum = reduce("sum", mul(clamped, Tensor(np.asarray(mask, dtype=np.float64))))
-    disagreement = scale(masked_sum, 1.0 / int(np.sum(mask)))
-    return sub(agreement, scale(disagreement, lambda_con))
-
-
-def _oracle_mupbm(logits: Tensor, q: np.ndarray) -> Tensor:
-    ce = neg(_mean_row_dot(Tensor(q), log_softmax(logits)))
-    return sub(ce, Tensor(_row_entropy_mean(q)))
-
-
-def _oracle_tpbm(logits_by_task, labels_by_task) -> Tensor:
-    total = None
-    for task in sorted(logits_by_task):
-        ce = _oracle_ce(logits_by_task[task], labels_by_task[task])
-        total = ce if total is None else add(total, ce)
-    return scale(total, 1.0 / len(logits_by_task))
-
-
-def _oracle_coral(z_src: Tensor, z_tgt: Tensor) -> Tensor:
-    d = z_src.shape[1]
-
-    def cov(z: Tensor) -> Tensor:
-        centered = sub(z, reduce("mean", z, axis=0))
-        return scale(matmul(transpose(centered), centered), 1.0 / (z.shape[0] - 1))
-
-    diff = sub(cov(z_src), cov(z_tgt))
-    return scale(reduce("sum", mul(diff, diff)), 1.0 / (4.0 * d * d))
-
 
 def _value_and_grads(fn, *arrays):
     """The value of fn on fresh leaves, then each leaf's gradient."""
@@ -539,7 +433,7 @@ class TestTermsMatchPerOpOracles:
         rng = np.random.default_rng(n * 10 + k)
         labels = rng.integers(0, k, n)
         _assert_matches_oracle(lambda t: cross_entropy(t, labels),
-                               lambda t: _oracle_ce(t, labels), rng.normal(0, spread, (n, k)))
+                               lambda t: oracle_ce(t, labels), rng.normal(0, spread, (n, k)))
 
     @pytest.mark.parametrize("diversity", [True, False], ids=["below_ceiling", "above_ceiling"])
     @pytest.mark.parametrize("n,k", [(1, 3), (6, 4), (64, 4)])
@@ -552,14 +446,14 @@ class TestTermsMatchPerOpOracles:
             tracker = MarginalTracker(q=q.copy(), momentum=0.1)
             return lambda t: fn(t, tracker, ceiling)
 
-        _assert_matches_oracle(term(mim_loss), term(_oracle_mim), rng.normal(0, 2.0, (n, k)))
+        _assert_matches_oracle(term(mim_loss), term(oracle_mim), rng.normal(0, 2.0, (n, k)))
 
     def test_mim_advances_the_tracker_like_the_oracle(self):
         rng = np.random.default_rng(3)
         logits = rng.normal(0, 2.0, (8, 3))
         got, want = MarginalTracker.uniform(3), MarginalTracker.uniform(3)
         mim_loss(Tensor(logits), got, float("inf"))
-        _oracle_mim(Tensor(logits), want, float("inf"))
+        oracle_mim(Tensor(logits), want, float("inf"))
         np.testing.assert_allclose(got.q, want.q, rtol=0, atol=1e-15)
         assert got.count == want.count == 1
 
@@ -577,7 +471,7 @@ class TestTermsMatchPerOpOracles:
         assert kl[0] > KL_MARGIN and kl[[1, 4]].max() < KL_MARGIN
         _assert_matches_oracle(
             lambda *t: cpbm_loss(*t, mask, lambda_con),
-            lambda *t: _oracle_cpbm(*t, mask, lambda_con), orig, aug, pair_a, pair_b)
+            lambda *t: oracle_cpbm(*t, mask, lambda_con), orig, aug, pair_a, pair_b)
         # the binding row passes no gradient to either side
         _, _, _, g_a, g_b = _value_and_grads(
             lambda *t: cpbm_loss(*t, mask, lambda_con), orig, aug, pair_a, pair_b)
@@ -593,14 +487,14 @@ class TestTermsMatchPerOpOracles:
         _assert_matches_oracle(
             lambda o, a: cpbm_loss(o, a, Tensor(pair), Tensor(pair[::-1].copy()), mask,
                                    lambda_con),
-            lambda o, a: _oracle_cpbm(o, a, None, None, mask, lambda_con), orig, aug)
+            lambda o, a: oracle_cpbm(o, a, None, None, mask, lambda_con), orig, aug)
 
     @pytest.mark.parametrize("n,k", [(1, 2), (5, 3), (64, 4)])
     def test_mupbm(self, n, k):
         rng = np.random.default_rng(n * 7 + k)
         q = _softmax(rng.normal(0, 3.0, (n, k)))
         q[0] = np.eye(k)[rng.integers(0, k)]
-        _assert_matches_oracle(lambda t: mupbm_loss(t, q), lambda t: _oracle_mupbm(t, q),
+        _assert_matches_oracle(lambda t: mupbm_loss(t, q), lambda t: oracle_mupbm(t, q),
                                rng.normal(0, 2.0, (n, k)))
 
     def test_tpbm(self):
@@ -612,12 +506,12 @@ class TestTermsMatchPerOpOracles:
         def as_map(fn):
             return lambda *ts: fn(dict(zip(classes, ts)), labels)
 
-        _assert_matches_oracle(as_map(tpbm_loss), as_map(_oracle_tpbm), *points)
+        _assert_matches_oracle(as_map(tpbm_loss), as_map(oracle_tpbm), *points)
 
     @pytest.mark.parametrize("n,m,d", [(2, 2, 1), (9, 6, 5), (64, 64, 32)])
     def test_coral(self, n, m, d):
         rng = np.random.default_rng(n + m + d)
-        _assert_matches_oracle(coral_distance, _oracle_coral,
+        _assert_matches_oracle(coral_distance, oracle_coral,
                                rng.normal(0, 1.0, (n, d)), rng.normal(0.3, 1.4, (m, d)))
 
     def test_each_term_is_one_node_over_its_inputs(self):
@@ -674,7 +568,7 @@ def _per_view_terms(bundle, params, cfg):
     as their own inputs, the mixup targets from a tape-free prediction of
     the target batch, and the feature distance on the two latent batches."""
     b = bundle
-    oracle_distance = {"mmd": _oracle_mmd, "coral": _oracle_coral}.get(b.distance)
+    oracle_distance = {"mmd": oracle_mmd, "coral": oracle_coral}.get(b.distance)
     probs = softmax_probs(predict_logits(params, b.tgt_x))
     beta = b.mixed_beta[:, None]
     targets = beta * probs + (1 - beta) * probs[b.mixed_partner]
@@ -683,14 +577,14 @@ def _per_view_terms(bundle, params, cfg):
         return forward(params, Tensor(x), head=head)
 
     return [
-        (cfg.supervised_weight, lambda: _oracle_ce(view(b.src_x), b.src_y)),
-        (cfg.lambda_M, lambda: _oracle_mim(view(b.tgt_x), MarginalTracker.uniform(3),
+        (cfg.supervised_weight, lambda: oracle_ce(view(b.src_x), b.src_y)),
+        (cfg.lambda_M, lambda: oracle_mim(view(b.tgt_x), MarginalTracker.uniform(3),
                                            cfg.entropy_ceiling)),
-        (cfg.lambda_C, lambda: _oracle_cpbm(view(b.tgt_x), view(b.tgt_x_aug),
+        (cfg.lambda_C, lambda: oracle_cpbm(view(b.tgt_x), view(b.tgt_x_aug),
                                             view(b.src_x), view(np.roll(b.src_x, 1, axis=0)),
                                             b.pair_diff_mask, cfg.lambda_con)),
-        (cfg.lambda_U, lambda: _oracle_mupbm(view(b.mixed_x), targets)),
-        (cfg.lambda_S, lambda: _oracle_tpbm(
+        (cfg.lambda_U, lambda: oracle_mupbm(view(b.mixed_x), targets)),
+        (cfg.lambda_S, lambda: oracle_tpbm(
             {t: view(x, head=t) for t, (x, _) in b.st_batches.items()},
             {t: lab for t, (_, lab) in b.st_batches.items()})),
         (b.distance_weight if b.distance else 0.0,
@@ -867,42 +761,6 @@ class TestTotalObjective:
 # distribution distances
 # ---------------------------------------------------------------------------
 
-def _oracle_sq_dists(a: Tensor, b: Tensor) -> Tensor:
-    """The per-op tape formulation the one-node MMD replaced."""
-    ones_col = Tensor(np.ones((a.shape[1], 1)))
-    a2 = matmul(mul(a, a), ones_col)
-    b2t = transpose(matmul(mul(b, b), ones_col))
-    return relu(sub(add(a2, b2t), scale(matmul(a, transpose(b)), 2.0)))
-
-
-def _oracle_mean_kernel(a: Tensor, b: Tensor, bandwidths) -> Tensor:
-    d2 = _oracle_sq_dists(a, b)
-    acc = None
-    for bw in bandwidths:
-        term = exp(scale(d2, -1.0 / (2.0 * bw * bw)))
-        acc = term if acc is None else add(acc, term)
-    return reduce("mean", acc)
-
-
-def _oracle_median(z_src, z_tgt) -> float:
-    """np.median over the upper triangle, on the same distance arithmetic."""
-    joint = np.vstack([z_src, z_tgt])
-    sq = np.sum(joint ** 2, axis=1)
-    d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (joint @ joint.T), 0.0)
-    med = float(np.median(np.sqrt(d2[np.triu_indices(joint.shape[0], k=1)])))
-    return med if med > 0.0 else 1.0
-
-
-def _oracle_mmd(z_src: Tensor, z_tgt: Tensor, bandwidths=None) -> Tensor:
-    if bandwidths is None:
-        med = _oracle_median(z_src.data, z_tgt.data)
-        bandwidths = [s * med for s in DEFAULT_BANDWIDTH_SCALES]
-    k_ss = _oracle_mean_kernel(z_src, z_src, bandwidths)
-    k_tt = _oracle_mean_kernel(z_tgt, z_tgt, bandwidths)
-    k_st = _oracle_mean_kernel(z_src, z_tgt, bandwidths)
-    return add(add(k_ss, k_tt), scale(k_st, -2.0))
-
-
 class TestMmdMatchesPerOpOracle:
     @pytest.mark.parametrize("n,m,dup,explicit", [
         (8, 8, False, True), (7, 12, False, False), (1, 5, False, True),
@@ -920,7 +778,7 @@ class TestMmdMatchesPerOpOracle:
             b[0] = a[0]
         bws = [0.7, 1.9, 3.1] if explicit else None
         got = _value_and_grads(lambda x, y: mmd_distance(x, y, bandwidths=bws), a, b)
-        want = _value_and_grads(lambda x, y: _oracle_mmd(x, y, bws), a, b)
+        want = _value_and_grads(lambda x, y: oracle_mmd(x, y, bws), a, b)
         assert got[0] == pytest.approx(want[0], rel=0, abs=1e-12)
         np.testing.assert_allclose(got[1], want[1], rtol=0, atol=1e-12)
         np.testing.assert_allclose(got[2], want[2], rtol=0, atol=1e-12)
@@ -933,7 +791,7 @@ class TestMmdMatchesPerOpOracle:
         a = 1e4 + rng.normal(size=(4, 3))
         b = a + rng.choice([-1e-6, 1e-6], size=a.shape)
         got = _value_and_grads(lambda x, y: mmd_distance(x, y, bandwidths=[1.0]), a, b)
-        want = _value_and_grads(lambda x, y: _oracle_mmd(x, y, [1.0]), a, b)
+        want = _value_and_grads(lambda x, y: oracle_mmd(x, y, [1.0]), a, b)
         assert got[0] == pytest.approx(want[0], rel=0, abs=1e-7)
         np.testing.assert_allclose(got[1], want[1], rtol=0, atol=1e-12)
         np.testing.assert_allclose(got[2], want[2], rtol=0, atol=1e-12)
@@ -977,7 +835,7 @@ class TestMmdMatchesPerOpOracle:
                 # coarse grids give tied and zero distances
                 a, b = np.round(a), np.round(b)
             got = np.float64(median_pairwise_distance(a, b))
-            want = np.float64(_oracle_median(a, b))
+            want = np.float64(oracle_median(a, b))
             assert got.view(np.uint64) == want.view(np.uint64), (trial, got, want)
 
     def test_empty_side_rejected(self):

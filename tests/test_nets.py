@@ -18,6 +18,8 @@ from pbmatch.nets import (
 )
 from pbmatch.tensor import Tensor, backward
 
+from oracles import dot, oracle_forward
+
 
 def test_init_deterministic_in_seed():
     a = init_params([256, 64, 10], seed=3)
@@ -93,6 +95,47 @@ def test_forward_deterministic():
     p = init_params([6, 4, 2], seed=5)
     x = Tensor(np.random.default_rng(1).uniform(0, 1, (3, 6)))
     assert np.array_equal(forward(p, x).data, forward(p, x).data)
+
+
+def _bits(a) -> bytes:
+    return np.asarray(a, dtype=np.float64).tobytes()
+
+
+@pytest.mark.parametrize("head", [None, "label", "rotate90"])
+@pytest.mark.parametrize("hidden", [(5,), (5, 4), (6, 5, 4)], ids=["1", "2", "3"])
+def test_trunk_and_head_nodes_equal_the_per_op_chain_bit_for_bit(hidden, head):
+    rng = np.random.default_rng(len(hidden))
+    x_data = rng.normal(size=(7, 6))
+    readout = None
+    results = []
+    for build in (forward, oracle_forward):
+        p = init_params([6, *hidden, 3], seed=4)
+        for _, b in p.phi:
+            b.data = np.random.default_rng(1).normal(0.0, 0.5, b.shape)
+        x = Tensor(x_data, requires_grad=True)
+        out = build(p, x, head)
+        if readout is None:
+            readout = rng.normal(size=out.shape)
+        backward(dot(out, readout))
+        results.append([out.data, x.grad] + [t.grad for t in p.all_tensors()
+                                             if t.grad is not None])
+    got, want = results
+    assert len(got) == len(want) == 2 + 2 * len(hidden) + (head is not None) * 2
+    for g, w in zip(got, want):
+        assert _bits(g) == _bits(w)
+
+
+@pytest.mark.parametrize("tracked", ["input", "params", "both"])
+def test_trunk_forms_the_input_gradient_only_for_a_tracked_input(tracked):
+    rng = np.random.default_rng(13)
+    p = init_params([5, 4, 3, 2], seed=1)
+    for t in p.all_tensors():
+        t.requires_grad = tracked != "input"
+    x = Tensor(rng.uniform(-2, 2, (6, 5)), requires_grad=tracked != "params")
+    z = forward(p, x, head=None)
+    grads = z._rule(rng.uniform(-1, 1, z.shape))
+    assert (grads[0] is not None) == x.requires_grad
+    assert len(grads) == 1 + 2 * len(p.phi)
 
 
 def _nll(params, x, labels, head="label"):

@@ -1,17 +1,17 @@
+"""The tape engine (backward, grad_check) driven through the per-op oracles
+of oracles.py, and those oracle ops themselves; the library records only
+closed-form nodes."""
+
 import ast
 import inspect
 
 import numpy as np
 import pytest
 
-from pbmatch import losses, nets, tensor
-from pbmatch.tensor import Tensor, add, backward, grad_check, matmul, node, relu
+from pbmatch import gradcheck, losses, nets, tensor
+from pbmatch.tensor import Tensor, backward, grad_check, node
 
-
-def _dot(t, w):
-    """sum(t * w) as one node: the scalar readout these tests backpropagate."""
-    w = np.asarray(w, dtype=np.float64)
-    return node(float(np.sum(t.data * w)), (t,), lambda g: (g * w,))
+from oracles import add, dot, matmul, relu
 
 
 def test_elementwise_basics():
@@ -23,7 +23,7 @@ def test_elementwise_broadcasting_trailing():
     a = Tensor(np.ones((3, 4)), requires_grad=True)
     b = Tensor(np.arange(4.0), requires_grad=True)
     w = np.arange(12.0).reshape(3, 4)
-    backward(_dot(add(a, b), w))
+    backward(dot(add(a, b), w))
     assert np.array_equal(a.grad, w)
     assert np.array_equal(b.grad, w.sum(axis=0))
 
@@ -61,7 +61,7 @@ def test_matmul_gradient_only_for_tracked_operands(tracked):
     b = Tensor(rng.uniform(-2, 2, (4, 3)), requires_grad=tracked in ("right", "both"))
     weights = rng.uniform(-1, 1, (5, 3))
     out = matmul(a, b)
-    backward(_dot(out, weights))
+    backward(dot(out, weights))
     # the closed forms the rule computes, bit for bit, for each tracked operand
     if a.requires_grad:
         assert np.array_equal(a.grad, weights @ b.data.T)
@@ -86,7 +86,7 @@ def test_matmul_dimension_mismatch():
 def test_backward_matmul_of_a_tensor_with_itself():
     x = Tensor(np.array([[1.0, 2.0], [3.0, -1.0]]), requires_grad=True)
     w = np.array([[0.5, -1.0], [2.0, 1.5]])
-    backward(_dot(matmul(x, x), w))
+    backward(dot(matmul(x, x), w))
     # d/dX sum(W * XX) = W X^T + X^T W
     assert np.allclose(x.grad, w @ x.data.T + x.data.T @ w)
 
@@ -105,7 +105,7 @@ def test_backward_requires_scalar():
 
 def test_backward_accumulates_across_calls():
     x = Tensor([1.0, 2.0], requires_grad=True)
-    loss = _dot(relu(x), [3.0, 5.0])
+    loss = dot(relu(x), [3.0, 5.0])
     backward(loss)
     backward(loss)
     assert np.array_equal(x.grad, [6.0, 10.0])
@@ -123,10 +123,10 @@ def test_backward_linearity():
         return x.grad
 
     def first(x):
-        return _dot(relu(x), w1)
+        return dot(relu(x), w1)
 
     def second(x):
-        return _dot(matmul(x, m), w2)
+        return dot(matmul(x, m), w2)
 
     def combined(x):
         a, b = first(x), second(x)
@@ -139,7 +139,7 @@ def test_backward_linearity():
 def test_backward_shared_subexpression_counted_once_per_consumer():
     x = Tensor([3.0], requires_grad=True)
     y = relu(x)      # used twice below
-    backward(_dot(add(y, y), [2.0]))
+    backward(dot(add(y, y), [2.0]))
     assert np.array_equal(x.grad, [4.0])
 
 
@@ -152,7 +152,7 @@ def test_backward_deterministic_bit_identical():
     def run():
         w = Tensor(w_data.copy(), requires_grad=True)
         h = relu(matmul(Tensor(x_data), w))
-        backward(_dot(add(h, h), readout))
+        backward(dot(add(h, h), readout))
         return w.grad.copy()
 
     g1, g2 = run(), run()
@@ -164,7 +164,7 @@ def _random_composite(x):
     m = Tensor(np.linspace(-1.0, 1.0, 12).reshape(4, 3))
     h = add(relu(x), matmul(x, Tensor(np.eye(4) * 0.3)))
     h = relu(add(matmul(h, m), Tensor(np.array([0.1, -0.2, 0.3]))))
-    return _dot(h, np.full((3, 3), 0.5))
+    return dot(h, np.full((3, 3), 0.5))
 
 
 def test_composite_gradient_matches_finite_differences():
@@ -177,10 +177,10 @@ def test_composite_gradient_matches_finite_differences():
 @pytest.mark.parametrize(
     "fn",
     [
-        lambda x: _dot(add(x, Tensor(np.full((3, 4), 0.5))), np.arange(12.0).reshape(3, 4)),
-        lambda x: _dot(relu(x), np.arange(12.0).reshape(3, 4)),
-        lambda x: _dot(matmul(x, Tensor(np.arange(12.0).reshape(4, 3))), np.ones((3, 3))),
-        lambda x: _dot(add(matmul(Tensor(np.arange(6.0).reshape(2, 3) - 2.0), x),
+        lambda x: dot(add(x, Tensor(np.full((3, 4), 0.5))), np.arange(12.0).reshape(3, 4)),
+        lambda x: dot(relu(x), np.arange(12.0).reshape(3, 4)),
+        lambda x: dot(matmul(x, Tensor(np.arange(12.0).reshape(4, 3))), np.ones((3, 3))),
+        lambda x: dot(add(matmul(Tensor(np.arange(6.0).reshape(2, 3) - 2.0), x),
                            matmul(Tensor(np.ones((2, 3))), x)), np.arange(8.0).reshape(2, 4)),
     ],
     ids=["add", "relu", "matmul", "matmul_right"],
@@ -194,7 +194,7 @@ def test_every_op_matches_finite_differences(fn):
 
 
 def test_grad_check_linear_function_near_exact():
-    report = grad_check(lambda x: _dot(x, np.ones(3)), Tensor(np.array([1.0, -2.0, 3.0])))
+    report = grad_check(lambda x: dot(x, np.ones(3)), Tensor(np.array([1.0, -2.0, 3.0])))
     assert report.max_rel_error < 1e-9
     assert report.passed
 
@@ -205,7 +205,7 @@ def test_grad_check_rejects_nonscalar():
 
 
 def test_grad_check_report_fields():
-    report = grad_check(lambda x: _dot(relu(x), [2.0, 3.0]), Tensor(np.array([1.0, 2.0])))
+    report = grad_check(lambda x: dot(relu(x), [2.0, 3.0]), Tensor(np.array([1.0, 2.0])))
     assert report.analytic.shape == (2,)
     assert report.numeric.shape == (2,)
     assert "PASS" in str(report)
@@ -223,3 +223,30 @@ def test_public_ops_are_exactly_what_nets_and_losses_import():
             if isinstance(node, ast.ImportFrom) and node.module in ("tensor", "pbmatch.tensor"):
                 imported |= {alias.name for alias in node.names}
     assert public == {name for name in imported if inspect.isfunction(getattr(tensor, name))}
+
+
+def _called_names(tree) -> set:
+    """Names of every function that ``tree`` calls, by name or attribute."""
+    return {n.func.id if isinstance(n.func, ast.Name) else n.func.attr
+            for n in ast.walk(tree)
+            if isinstance(n, ast.Call) and isinstance(n.func, (ast.Name, ast.Attribute))}
+
+
+def _node_recorders(module) -> set:
+    """Public top-level functions of ``module`` that record a tape node."""
+    return {f.name for f in ast.parse(inspect.getsource(module)).body
+            if isinstance(f, ast.FunctionDef) and not f.name.startswith("_")
+            and _called_names(f) & {"node", "_term_node"}}
+
+
+def test_every_node_recorder_in_nets_and_losses_has_a_gradcheck_builder():
+    recorders = _node_recorders(nets) | _node_recorders(losses)
+    # the walk sees the trunk, a head, a term, the objective and a distance
+    assert {"features", "forward", "cross_entropy", "total_objective",
+            "mmd_distance"} <= recorders
+    builders = {build.__name__ for build in gradcheck.CHECKS.values()}
+    checked = set()
+    for f in ast.parse(inspect.getsource(gradcheck)).body:
+        if isinstance(f, ast.FunctionDef) and f.name in builders:
+            checked |= _called_names(f)
+    assert recorders - checked == set()

@@ -16,7 +16,7 @@ from pbmatch.datasets import (
     generate_blob_pair,
     generate_glyph_pair,
 )
-from pbmatch.losses import LossConfig, cross_entropy
+from pbmatch.losses import LossConfig, _entropy, cross_entropy
 from pbmatch.nets import (
     ModelParams,
     OptimState,
@@ -469,6 +469,41 @@ class TestTrainLoop:
         assert per_step == [1] * len(per_step)
         # per-epoch evaluation runs tape-free
         assert calls == []
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_step_tape_records_the_trunk_and_the_objective(self, method, monkeypatch):
+        recorded = []
+        tape_backward = training.backward
+
+        def counting(loss):
+            seen, stack = set(), [loss]
+            while stack:
+                t = stack.pop()
+                if id(t) not in seen:
+                    seen.add(id(t))
+                    stack.extend(t._parents)
+                    if t._rule is not None:
+                        recorded.append(t)
+            return tape_backward(loss)
+
+        monkeypatch.setattr(training, "backward", counting)
+        src, tgt = _glyph_pair()
+        train(small_cfg(method=method, epochs=1, batch=8, hidden=(8, 4)), src, tgt)
+        assert len(recorded) == 2 * 3
+        # per step: the objective node over one trunk node over the constant batch
+        for objective, trunk in zip(recorded[::2], recorded[1::2]):
+            assert objective._parents[0] is trunk
+            assert not any(p._rule for p in objective._parents[1:])
+            assert not any(p._rule for p in trunk._parents)
+
+    def test_h_q_is_the_prediction_marginal_entropy_without_the_mim_weight(self):
+        src, tgt = _glyph_pair()
+        loss = LossConfig.for_classes(src.class_count, lambda_M=0.0)
+        cfg = small_cfg(method="instapbm", epochs=2, batch=8, hidden=(8, 4), loss=loss)
+        _, metrics = train(cfg, src, tgt)
+        for record in metrics.records:
+            assert record["h_q"] == _entropy(np.array(record["prediction_marginal"]))
+        assert record["h_q"] != pytest.approx(np.log(src.class_count), abs=1e-9)
 
     def test_epoch_reports_match_evaluate_on_each_split(self):
         src, tgt = _glyph_pair()
