@@ -33,7 +33,6 @@ from pbmatch.losses import (
     coral_distance,
     cpbm_loss,
     cross_entropy,
-    median_pairwise_distance,
     mim_loss,
     mmd_distance,
     mupbm_loss,
@@ -93,7 +92,7 @@ __all__ = [
     "ImageBatch", "apply_semantic_preserving", "apply_semantic_transforming",
     "sample_mixup_beta",
     "BatchBundle", "LossConfig", "MarginalTracker", "coral_distance",
-    "cpbm_loss", "cross_entropy", "median_pairwise_distance", "mim_loss",
+    "cpbm_loss", "cross_entropy", "mim_loss",
     "mmd_distance", "mupbm_loss", "total_objective", "tpbm_loss",
     "OUTLIER_LABEL", "DomainDataset", "GlyphDomainSpec", "default_pair_specs",
     "generate_blob_pair", "generate_glyph_domain", "generate_glyph_pair",

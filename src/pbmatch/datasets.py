@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import numbers
 import typing
 from dataclasses import dataclass, field
@@ -469,7 +470,7 @@ def load_dataset(path) -> DomainDataset:
     if not isinstance(meta.get("metadata", {}), dict):
         raise ValueError(f"{meta_path} key 'metadata' must be an object")
     n = shape[0]
-    raw = np.frombuffer(_read_exact(path / "images.f32le", 4 * int(np.prod(shape))),
+    raw = np.frombuffer(_read_exact(path / "images.f32le", 4 * math.prod(shape)),
                         dtype="<f4").astype(np.float64).reshape(shape)
     labels = _read_labels(path / "labels.u32le", n)
     sublabels = None

@@ -1,10 +1,13 @@
 """Randomized gradient verification sweep.
 
-The extractor trunk, a head and every objective term are checked against
-central differences on a batch of random instances. The sweep is what the
-``pbmatch gradcheck`` subcommand and the numerical acceptance tests run; it
-returns per-check worst-case relative errors so a regression in any single
-backward rule is attributable by name.
+The extractor trunk, a head, every objective term and the whole objective
+are checked against central differences on a batch of random instances.
+A term is checked as the function ``total_objective`` calls: its
+closed-form gradient to the varied input becomes the rule of one node
+over that input. The sweep is what the ``pbmatch gradcheck`` subcommand
+and the numerical acceptance tests run; it returns per-check worst-case
+relative errors so a regression in any single backward rule is
+attributable by name.
 
 Points are drawn to stay away from the genuine kinks (ReLU pre-activations
 at zero), since a subgradient mismatch there is not a bug.
@@ -20,13 +23,16 @@ from typing import Callable, Dict, List, Tuple
 import numpy as np
 
 from .losses import (
+    DEFAULT_BANDWIDTH_SCALES,
     BatchBundle,
     LossConfig,
     MarginalTracker,
+    _joint_sq_dists,
+    _log_softmax,
+    _median_distance,
     coral_distance,
     cpbm_loss,
     cross_entropy,
-    median_pairwise_distance,
     mim_loss,
     mmd_distance,
     mupbm_loss,
@@ -66,9 +72,15 @@ def _rng_logits(rng, n, k, spread=2.0) -> np.ndarray:
 Builder = Callable[[np.random.Generator, int], Tuple[Callable[[Tensor], Tensor], Tensor]]
 
 
+def _recorded(point: Tensor, value: float, grad: np.ndarray) -> Tensor:
+    """``value`` as one node over ``point`` whose gradient to it is ``grad``:
+    how a closed-form term, or a scalar readout, meets finite differences."""
+    return node(value, (point,), lambda g: (g * grad,))
+
+
 def _weighted_sum(t: Tensor, w: np.ndarray) -> Tensor:
     """sum(t * w) as one node: a scalar readout with the known gradient w."""
-    return node(float(np.sum(t.data * w)), (t,), lambda g: (g * w,))
+    return _recorded(t, float(np.sum(t.data * w)), w)
 
 
 def _off_kink_net(rng) -> Tuple[ModelParams, np.ndarray]:
@@ -125,7 +137,11 @@ def _build_head(rng, i):
 def _build_cross_entropy(rng, i):
     k = 3 + i % 2
     labels = rng.integers(0, k, 5)
-    return (lambda x: cross_entropy(x, labels)), Tensor(_rng_logits(rng, 5, k))
+
+    def fn(x: Tensor) -> Tensor:
+        return _recorded(x, *cross_entropy(_log_softmax(x.data), labels))
+
+    return fn, Tensor(_rng_logits(rng, 5, k))
 
 
 def _build_mim(rng, i):
@@ -139,29 +155,26 @@ def _build_mim(rng, i):
 
     def fn(x: Tensor) -> Tensor:
         tracker = MarginalTracker(q=q.copy(), momentum=momentum)
-        return mim_loss(x, tracker, ceiling)
+        return _recorded(x, *mim_loss(_log_softmax(x.data), tracker, ceiling))
 
     return fn, Tensor(_rng_logits(rng, 6, k))
 
 
 def _build_cpbm(rng, i):
+    # instance i varies the original view, the transformed view or the
+    # first side of the source pairs
     k = 3
-    orig = _rng_logits(rng, 5, k)
-    aug = _rng_logits(rng, 5, k)
-    pa = _rng_logits(rng, 4, k)
-    pb = _rng_logits(rng, 4, k)
+    blocks = [_rng_logits(rng, 5, k), _rng_logits(rng, 5, k),
+              _rng_logits(rng, 4, k), _rng_logits(rng, 4, k)]
     mask = np.array([True, False, True, True])
     slot = i % 3
-    if slot == 0:
-        fn = lambda x: cpbm_loss(x, Tensor(aug), Tensor(pa), Tensor(pb), mask, 0.3)
-        point = orig
-    elif slot == 1:
-        fn = lambda x: cpbm_loss(Tensor(orig), x, Tensor(pa), Tensor(pb), mask, 0.3)
-        point = aug
-    else:
-        fn = lambda x: cpbm_loss(Tensor(orig), Tensor(aug), x, Tensor(pb), mask, 0.3)
-        point = pa
-    return fn, Tensor(point)
+
+    def fn(x: Tensor) -> Tensor:
+        logp = [_log_softmax(x.data if j == slot else z) for j, z in enumerate(blocks)]
+        value, grads = cpbm_loss(*logp, mask, 0.3)
+        return _recorded(x, value, grads[slot])
+
+    return fn, Tensor(blocks[slot])
 
 
 def _build_mupbm(rng, i):
@@ -169,39 +182,55 @@ def _build_mupbm(rng, i):
     lam = rng.uniform(0.1, 0.9, (5, 1))
     eye = np.eye(k)
     targets = lam * eye[rng.integers(0, k, 5)] + (1 - lam) * eye[rng.integers(0, k, 5)]
-    return (lambda x: mupbm_loss(x, targets)), Tensor(_rng_logits(rng, 5, k))
+
+    def fn(x: Tensor) -> Tensor:
+        return _recorded(x, *mupbm_loss(_log_softmax(x.data), targets))
+
+    return fn, Tensor(_rng_logits(rng, 5, k))
 
 
 def _build_tpbm(rng, i):
     heads = {"rotate90": 4, "vflip": 2}
     vary = ("rotate90", "vflip")[i % 2]
-    fixed = {t: Tensor(_rng_logits(rng, 5, c)) for t, c in heads.items() if t != vary}
+    fixed = {t: _rng_logits(rng, 5, c) for t, c in heads.items() if t != vary}
     labels = {t: rng.integers(0, c, 5) for t, c in heads.items()}
+    tasks = sorted(heads)
 
     def fn(x: Tensor) -> Tensor:
-        logits = dict(fixed)
-        logits[vary] = x
-        return tpbm_loss(logits, labels)
+        logp = [_log_softmax(x.data if t == vary else fixed[t]) for t in tasks]
+        value, grads = tpbm_loss(logp, [labels[t] for t in tasks])
+        return _recorded(x, value, grads[tasks.index(vary)])
 
     return fn, Tensor(_rng_logits(rng, 5, heads[vary]))
 
 
+def _distance_fn(distance, z_s: np.ndarray, z_t: np.ndarray, vary_target: bool):
+    """fn(x) for a feature distance over stacked latent rows,
+    ``distance(joint)``, with one side replaced by ``x``."""
+    n = z_s.shape[0]
+    rows = slice(n, None) if vary_target else slice(0, n)
+
+    def fn(x: Tensor) -> Tensor:
+        value, grad = distance(np.concatenate((z_s, x.data) if vary_target else (x.data, z_t)))
+        return _recorded(x, value, grad(1.0)[rows])
+
+    return fn, Tensor(z_t if vary_target else z_s)
+
+
 def _build_mmd(rng, i):
+    # the default bandwidths follow the median distance, which finite
+    # differences would move; the check freezes them at the point's median
     z_s = rng.normal(0.0, 1.0, (6, 4))
     z_t = rng.normal(0.3, 1.1, (5, 4))
-    med = median_pairwise_distance(z_s, z_t)
-    bws = [s * med for s in (0.5, 1.0, 2.0, 4.0)]
-    if i % 2:
-        return (lambda x: mmd_distance(Tensor(z_s), x, bandwidths=bws)), Tensor(z_t)
-    return (lambda x: mmd_distance(x, Tensor(z_t), bandwidths=bws)), Tensor(z_s)
+    med = _median_distance(*_joint_sq_dists(np.concatenate([z_s, z_t])))
+    bws = [s * med for s in DEFAULT_BANDWIDTH_SCALES]
+    return _distance_fn(lambda joint: mmd_distance(joint, 6, bws), z_s, z_t, bool(i % 2))
 
 
 def _build_coral(rng, i):
     z_s = rng.normal(0.0, 1.0, (6, 4))
     z_t = rng.normal(0.3, 1.2, (5, 4))
-    if i % 2:
-        return (lambda x: coral_distance(Tensor(z_s), x)), Tensor(z_t)
-    return (lambda x: coral_distance(x, Tensor(z_t))), Tensor(z_s)
+    return _distance_fn(lambda joint: coral_distance(joint, 6), z_s, z_t, bool(i % 2))
 
 
 def _build_total(rng, i):

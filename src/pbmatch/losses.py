@@ -5,13 +5,14 @@ semantic-preserving views, interpolation consistency, pretext-task
 supervision), two feature-distribution distances for the alignment
 baselines, and their weighted combination with source cross-entropy.
 
-Every term is a helper over plain arrays that returns its value together
-with its closed-form gradient with respect to its inputs; the classifier
-terms take row-wise log-probabilities and give the gradient with respect
-to the logits; the two distances take the stacked source and target
-latent rows. Each public term records one tape node around its helper,
-and ``total_objective`` records one node for the whole weighted sum, head
-GEMMs and feature distance included.
+Every term is a function over plain arrays that returns its value
+together with its closed-form gradient. The classifier terms take
+row-wise log-probabilities and give the gradient with respect to the
+logits; the two distances take the stacked source and target latent rows
+and the source row count, and give a map from a scale to the scaled
+gradient with respect to those rows. No term touches the tape:
+``total_objective`` runs the terms and records one node for the whole
+weighted sum, head GEMMs and feature distance included.
 """
 
 from __future__ import annotations
@@ -19,12 +20,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .nets import ModelParams, forward
-from .tensor import Tensor, node, tracked
+from .tensor import Tensor, node
 
 # per-pair clamp on the disagreement divergence; unbounded KL invites
 # divergence-chasing on easy pairs
@@ -39,8 +40,7 @@ GradMap = Callable[[float], np.ndarray]
 
 
 def _as_bool_mask(mask) -> np.ndarray:
-    data = mask.data if isinstance(mask, Tensor) else mask
-    return np.asarray(data).astype(bool).reshape(-1)
+    return np.asarray(mask).astype(bool).reshape(-1)
 
 
 def _row_entropies(q: np.ndarray) -> np.ndarray:
@@ -62,14 +62,9 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def _term_node(value: float, parents: Sequence[Tensor], grads: Grads) -> Tensor:
-    """One tape node for a term whose gradient to each parent is fixed:
-    the incoming gradient times that parent's entry of ``grads``."""
-    return node(value, tuple(parents), lambda g: tuple(g * grad for grad in grads))
-
-
-def _cross_entropy(logp: np.ndarray, labels) -> Tuple[float, np.ndarray]:
-    """Mean negative log-likelihood of integer labels; gradient (softmax - onehot) / n."""
+def cross_entropy(logp: np.ndarray, labels) -> Tuple[float, np.ndarray]:
+    """Mean negative log-likelihood of integer labels under the row-wise
+    log-probabilities ``logp``; gradient to the logits (softmax - onehot) / n."""
     labels = np.asarray(labels)
     if labels.ndim != 1 or labels.shape[0] != logp.shape[0]:
         raise ValueError(f"labels shape {labels.shape} does not match logits {logp.shape}")
@@ -83,12 +78,6 @@ def _cross_entropy(logp: np.ndarray, labels) -> Tuple[float, np.ndarray]:
     grad[rows, labels] -= 1.0
     grad /= n
     return float(value), grad
-
-
-def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
-    """Mean negative log-likelihood of integer labels under the logits; one tape node."""
-    value, grad = _cross_entropy(_log_softmax(logits.data), labels)
-    return _term_node(value, (logits,), (grad,))
 
 
 # ---------------------------------------------------------------------------
@@ -187,8 +176,8 @@ class MarginalTracker:
 # the four target-side terms
 # ---------------------------------------------------------------------------
 
-def _mim(logp: np.ndarray, tracker: MarginalTracker, ceiling: float
-         ) -> Tuple[float, np.ndarray]:
+def mim_loss(logp: np.ndarray, tracker: MarginalTracker, ceiling: float
+             ) -> Tuple[float, np.ndarray]:
     """Confidence E_x H(p(.|x)), plus the diversity E_x sum_y p(y|x) log q(y)
     while the tracked marginal's entropy is below ``ceiling``; then the
     tracker advances with the batch mean prediction.
@@ -216,17 +205,6 @@ def _mim(logp: np.ndarray, tracker: MarginalTracker, ceiling: float
     return float(value), grad
 
 
-def mim_loss(target_logits: Tensor, tracker: MarginalTracker, ceiling: float) -> Tensor:
-    """Marginal-diversity plus confidence objective on an unlabeled batch.
-
-    The diversity part enters only while the tracked marginal's entropy is
-    below ``ceiling``; the tracker is advanced with the batch mean
-    prediction after the loss is formed. One tape node.
-    """
-    value, grad = _mim(_log_softmax(target_logits.data), tracker, ceiling)
-    return _term_node(value, (target_logits,), (grad,))
-
-
 def _kl_rows(logp_a: np.ndarray, logp_b: np.ndarray
              ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-row KL(p_a || p_b), with its per-row gradients
@@ -237,9 +215,9 @@ def _kl_rows(logp_a: np.ndarray, logp_b: np.ndarray
     return kl, p_a * (gap - kl[:, None]), np.exp(logp_b) - p_a
 
 
-def _cpbm(orig: np.ndarray, aug: np.ndarray, pair_a: Optional[np.ndarray],
-          pair_b: Optional[np.ndarray], mask: Optional[np.ndarray],
-          lambda_con: float) -> Tuple[float, Grads]:
+def cpbm_loss(orig: np.ndarray, aug: np.ndarray, pair_a: Optional[np.ndarray],
+              pair_b: Optional[np.ndarray], mask: Optional[np.ndarray],
+              lambda_con: float) -> Tuple[float, Grads]:
     """Mean KL agreement of the two views, minus lambda_con times the mean
     of min(KL, KL_MARGIN) over the masked source pairs, from the four
     blocks' log-probabilities.
@@ -248,6 +226,8 @@ def _cpbm(orig: np.ndarray, aug: np.ndarray, pair_a: Optional[np.ndarray],
     lambda_con 0; then the pair gradients are None. A pair whose KL reaches
     the margin gets no gradient.
     """
+    if orig.shape != aug.shape:
+        raise ValueError(f"original and transformed logits differ: {orig.shape} vs {aug.shape}")
     n = orig.shape[0]
     kl, g_orig, g_aug = _kl_rows(orig, aug)
     value = kl.mean()
@@ -255,6 +235,8 @@ def _cpbm(orig: np.ndarray, aug: np.ndarray, pair_a: Optional[np.ndarray],
     g_aug /= n
     if pair_a is None or pair_b is None or mask is None or not mask.any() or lambda_con == 0.0:
         return float(value), (g_orig, g_aug, None, None)
+    if mask.shape[0] != pair_a.shape[0]:
+        raise ValueError(f"mask length {mask.shape[0]} != pair count {pair_a.shape[0]}")
     kl_pair, g_a, g_b = _kl_rows(pair_a, pair_b)
     m = int(mask.sum())
     value = value - lambda_con * (np.minimum(kl_pair, KL_MARGIN)[mask].sum() / m)
@@ -262,79 +244,34 @@ def _cpbm(orig: np.ndarray, aug: np.ndarray, pair_a: Optional[np.ndarray],
     return float(value), (g_orig, g_aug, g_a * live, g_b * live)
 
 
-def cpbm_loss(logits_orig: Tensor, logits_aug: Tensor,
-              src_logits_a: Optional[Tensor], src_logits_b: Optional[Tensor],
-              diff_class_mask, lambda_con: float) -> Tensor:
-    """Consistency under semantic-preserving views, minus clamped
-    disagreement on source pairs with different labels; one tape node."""
-    if logits_orig.shape != logits_aug.shape:
-        raise ValueError(
-            f"original and transformed logits differ: {logits_orig.shape} vs {logits_aug.shape}")
-    mask = None if diff_class_mask is None else _as_bool_mask(diff_class_mask)
-    pairs = (src_logits_a, src_logits_b)
-    if None not in pairs and mask is not None and mask.any() and lambda_con != 0.0:
-        if src_logits_a.shape != src_logits_b.shape:
-            raise ValueError(
-                f"pair logits differ: {src_logits_a.shape} vs {src_logits_b.shape}")
-        if mask.shape[0] != src_logits_a.shape[0]:
-            raise ValueError(
-                f"mask length {mask.shape[0]} != pair count {src_logits_a.shape[0]}")
-        value, grads = _cpbm(*(_log_softmax(t.data) for t in (logits_orig, logits_aug, *pairs)),
-                             mask, lambda_con)
-        return _term_node(value, (logits_orig, logits_aug, *pairs), grads)
-    value, grads = _cpbm(_log_softmax(logits_orig.data), _log_softmax(logits_aug.data),
-                         None, None, None, lambda_con)
-    return _term_node(value, (logits_orig, logits_aug), grads[:2])
-
-
-def _mupbm(logp: np.ndarray, q: np.ndarray) -> Tuple[float, np.ndarray]:
-    """Mean KL(q || p), as cross-entropy minus the constant target entropy;
-    gradient (p - q) / n, since rows of q sum to 1."""
+def mupbm_loss(logp: np.ndarray, q: np.ndarray) -> Tuple[float, np.ndarray]:
+    """Mean KL(q || p) of predictions on interpolated inputs from the
+    interpolated target rows ``q``, as cross-entropy minus the constant
+    target entropy, so one-hot target rows stay finite; gradient
+    (p - q) / n, since the rows of q must be distributions. The targets
+    get no gradient."""
+    if q.shape != logp.shape:
+        raise ValueError(f"target shape {q.shape} does not match logits {logp.shape}")
+    row_sums = q.sum(axis=1)
+    if np.any(np.abs(row_sums - 1.0) > 1e-6):
+        bad = int(np.argmax(np.abs(row_sums - 1.0)))
+        raise ValueError(f"target row {bad} sums to {row_sums[bad]}, not 1")
     ce = -(q * logp).sum(axis=1).mean()
     value = ce - float(np.mean(_row_entropies(q)))
     return float(value), (np.exp(logp) - q) / logp.shape[0]
 
 
-def mupbm_loss(mixed_logits: Tensor, mixed_targets) -> Tensor:
-    """Match predictions on interpolated inputs to interpolated targets.
-
-    The divergence is KL(target || prediction), i.e. cross-entropy minus
-    the constant target entropy, so one-hot target rows stay finite.
-    Targets never receive gradient. One tape node.
-    """
-    q = mixed_targets.data if isinstance(mixed_targets, Tensor) else np.asarray(mixed_targets)
-    q = np.asarray(q, dtype=np.float64)
-    if q.shape != mixed_logits.shape:
-        raise ValueError(f"target shape {q.shape} does not match logits {mixed_logits.shape}")
-    row_sums = q.sum(axis=1)
-    if np.any(np.abs(row_sums - 1.0) > 1e-6):
-        bad = int(np.argmax(np.abs(row_sums - 1.0)))
-        raise ValueError(f"target row {bad} sums to {row_sums[bad]}, not 1")
-    value, grad = _mupbm(_log_softmax(mixed_logits.data), q)
-    return _term_node(value, (mixed_logits,), (grad,))
-
-
-def _tpbm(logp_by_task: Sequence[np.ndarray], labels_by_task: Sequence[np.ndarray]
-          ) -> Tuple[float, List[np.ndarray]]:
-    """Mean over tasks of label cross-entropy, with each task's logit gradient."""
-    share = 1.0 / len(logp_by_task)
-    parts = [_cross_entropy(logp, labels)
-             for logp, labels in zip(logp_by_task, labels_by_task)]
-    return sum(value for value, _ in parts) * share, [grad * share for _, grad in parts]
-
-
-def tpbm_loss(task_logits_by_task: Mapping[str, Tensor],
-              task_labels_by_task: Mapping[str, np.ndarray]) -> Tensor:
-    """Mean over pretext tasks of label cross-entropy; one tape node."""
-    if not task_logits_by_task:
+def tpbm_loss(logp_by_task: Sequence[np.ndarray], labels_by_task: Sequence[np.ndarray]
+              ) -> Tuple[float, List[np.ndarray]]:
+    """Mean over pretext tasks of label cross-entropy, from one block of
+    log-probabilities and one label vector per task, with each task's
+    logit gradient."""
+    if not logp_by_task:
         raise ValueError("no pretext tasks given")
-    if set(task_logits_by_task) != set(task_labels_by_task):
-        raise ValueError(
-            f"task keys differ: {sorted(task_logits_by_task)} vs {sorted(task_labels_by_task)}")
-    tasks = sorted(task_logits_by_task)
-    value, grads = _tpbm([_log_softmax(task_logits_by_task[t].data) for t in tasks],
-                         [task_labels_by_task[t] for t in tasks])
-    return _term_node(value, [task_logits_by_task[t] for t in tasks], grads)
+    share = 1.0 / len(logp_by_task)
+    parts = [cross_entropy(logp, labels)
+             for logp, labels in zip(logp_by_task, labels_by_task, strict=True)]
+    return sum(value for value, _ in parts) * share, [grad * share for _, grad in parts]
 
 
 # ---------------------------------------------------------------------------
@@ -436,17 +373,17 @@ def total_objective(batch_bundle: BatchBundle, params: ModelParams,
 
     terms: List[Tuple[str, float, float]] = []
     if cfg.supervised_weight > 0.0:
-        value, grad = _cross_entropy(label[view["src"]], b.src_y)
+        value, grad = cross_entropy(label[view["src"]], b.src_y)
         dlabel[view["src"]] += cfg.supervised_weight * grad
         terms.append(("supervised", cfg.supervised_weight, value))
     if cfg.lambda_M > 0.0:
-        value, grad = _mim(label[view["tgt"]], tracker, cfg.entropy_ceiling)
+        value, grad = mim_loss(label[view["tgt"]], tracker, cfg.entropy_ceiling)
         dlabel[view["tgt"]] += cfg.lambda_M * grad
         terms.append(("mim", cfg.lambda_M, value))
     if cfg.lambda_C > 0.0:
         # the source pairs are the source rows and the same rows rolled by one
         src = label[view["src"]] if use_pairs else None
-        value, (g_tgt, g_aug, g_a, g_b) = _cpbm(
+        value, (g_tgt, g_aug, g_a, g_b) = cpbm_loss(
             label[view["tgt"]], label[view["aug"]], src,
             np.roll(src, 1, axis=0) if use_pairs else None,
             _as_bool_mask(b.pair_diff_mask) if use_pairs else None, cfg.lambda_con)
@@ -460,12 +397,12 @@ def total_objective(batch_bundle: BatchBundle, params: ModelParams,
         probs = np.exp(label[view["tgt"]])
         beta = b.mixed_beta[:, None]
         targets = beta * probs + (1.0 - beta) * probs[b.mixed_partner]
-        value, grad = _mupbm(label[view["mixed"]], targets)
+        value, grad = mupbm_loss(label[view["mixed"]], targets)
         dlabel[view["mixed"]] += cfg.lambda_U * grad
         terms.append(("mupbm", cfg.lambda_U, value))
     if cfg.lambda_S > 0.0:
         first = len(heads) - len(task_views)
-        value, grads = _tpbm(logp[first:], [labels for _, (_, labels) in task_views])
+        value, grads = tpbm_loss(logp[first:], [labels for _, (_, labels) in task_views])
         for dtask, grad in zip(dlogits[first:], grads):
             dtask += cfg.lambda_S * grad
         terms.append(("tpbm", cfg.lambda_S, value))
@@ -506,15 +443,6 @@ def total_objective(batch_bundle: BatchBundle, params: ModelParams,
 # feature-distribution distances (alignment baselines)
 # ---------------------------------------------------------------------------
 
-def _check_feature_pair(z_src: Tensor, z_tgt: Tensor) -> None:
-    if z_src.ndim != 2 or z_tgt.ndim != 2:
-        raise ValueError(
-            f"features must be rank-2, got ranks {z_src.ndim} and {z_tgt.ndim}")
-    if z_src.shape[1] != z_tgt.shape[1]:
-        raise ValueError(
-            f"feature widths differ: {z_src.shape[1]} vs {z_tgt.shape[1]}")
-
-
 def _joint_sq_dists(joint: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Squared distances between all rows of ``joint``, plus a scratch buffer
     of the same shape that the caller may overwrite.
@@ -554,15 +482,8 @@ def _median_distance(d2: np.ndarray, scratch: np.ndarray) -> float:
     return med if med > 0.0 else 1.0
 
 
-def median_pairwise_distance(z_src: np.ndarray, z_tgt: np.ndarray) -> float:
-    """Median distance over distinct pairs of the joint batch; 1.0 if degenerate."""
-    joint = np.vstack([np.asarray(z_src, dtype=np.float64),
-                       np.asarray(z_tgt, dtype=np.float64)])
-    return _median_distance(*_joint_sq_dists(joint))
-
-
-def _mmd(joint: np.ndarray, n: int, bandwidths: Optional[Sequence[float]] = None,
-         needs_grad: bool = True) -> Tuple[float, Optional[GradMap]]:
+def mmd_distance(joint: np.ndarray, n: int, bandwidths: Optional[Sequence[float]] = None,
+                 needs_grad: bool = True) -> Tuple[float, Optional[GradMap]]:
     """Squared maximum mean discrepancy (biased estimator) between the
     first ``n`` rows of ``joint`` and the rest.
 
@@ -619,7 +540,7 @@ def _mmd(joint: np.ndarray, n: int, bandwidths: Optional[Sequence[float]] = None
     return value, grad
 
 
-def _coral(joint: np.ndarray, n: int) -> Tuple[float, GradMap]:
+def coral_distance(joint: np.ndarray, n: int) -> Tuple[float, GradMap]:
     """||C_s - C_t||_F^2 / 4d^2 between the first ``n`` rows of ``joint``
     and the rest, over the sample covariances C = X^T X / (n - 1) of the
     centered rows X, with the gradients X_s (C_s - C_t) / (d^2 (n_s - 1))
@@ -640,23 +561,4 @@ def _coral(joint: np.ndarray, n: int) -> Tuple[float, GradMap]:
 
 
 # the feature distances a BatchBundle may name, each over (joint rows, source count)
-_DISTANCES = {"mmd": _mmd, "coral": _coral}
-
-
-def mmd_distance(z_src: Tensor, z_tgt: Tensor,
-                 bandwidths: Optional[Sequence[float]] = None) -> Tensor:
-    """Squared RBF maximum mean discrepancy between feature sets (see
-    :func:`_mmd`); one tape node, with no gradient buffers when untracked."""
-    _check_feature_pair(z_src, z_tgt)
-    n = z_src.shape[0]
-    value, grad = _mmd(np.concatenate([z_src.data, z_tgt.data]), n, bandwidths,
-                       needs_grad=tracked(z_src) or tracked(z_tgt))
-    return node(value, (z_src, z_tgt), lambda g: np.split(grad(g), [n]))
-
-
-def coral_distance(z_src: Tensor, z_tgt: Tensor) -> Tensor:
-    """Frobenius gap between sample covariances, scaled by 1/(4 d^2); one tape node."""
-    _check_feature_pair(z_src, z_tgt)
-    n = z_src.shape[0]
-    value, grad = _coral(np.concatenate([z_src.data, z_tgt.data]), n)
-    return node(value, (z_src, z_tgt), lambda g: np.split(grad(g), [n]))
+_DISTANCES = {"mmd": mmd_distance, "coral": coral_distance}

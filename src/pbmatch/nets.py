@@ -74,14 +74,8 @@ def _dense_init(rng: np.random.Generator, fan_in: int, fan_out: int) -> Tuple[Te
     return w, b
 
 
-def init_params(spec: Sequence[int], seed: int,
-                tasks: Sequence[str] = ST_TASKS) -> ModelParams:
-    """Build model parameters for a layer-size chain like [256, 128, 64, K].
-
-    All sizes through the latent belong to the extractor; the final pair is
-    the label head. Auxiliary heads map the latent to each task's classes.
-    Deterministic in the seed.
-    """
+def _checked_spec(spec: Sequence[int], tasks: Sequence[str]) -> List[int]:
+    """The layer sizes as ints, once they and the task names are usable."""
     spec = [int(s) for s in spec]
     if len(spec) < 2:
         raise ValueError("layer spec needs at least input and output sizes")
@@ -90,7 +84,18 @@ def init_params(spec: Sequence[int], seed: int,
     for task in tasks:
         if task not in TASK_CLASSES:
             raise ValueError(f"unknown task: {task!r}")
+    return spec
 
+
+def init_params(spec: Sequence[int], seed: int,
+                tasks: Sequence[str] = ST_TASKS) -> ModelParams:
+    """Build model parameters for a layer-size chain like [256, 128, 64, K].
+
+    All sizes through the latent belong to the extractor; the final pair is
+    the label head. Auxiliary heads map the latent to each task's classes.
+    Deterministic in the seed.
+    """
+    spec = _checked_spec(spec, tasks)
     rng = np.random.default_rng(seed)
     phi = [_dense_init(rng, spec[i], spec[i + 1]) for i in range(len(spec) - 2)]
     psi = _dense_init(rng, spec[-2], spec[-1])
@@ -277,14 +282,22 @@ def load_checkpoint(path) -> Tuple[ModelParams, int]:
     if missing:
         raise ValueError(f"checkpoint {path} header is missing keys: {missing}")
     try:
-        params = init_params(header["layer_spec"], header["seed"], tasks=header["tasks"])
+        spec = _checked_spec(header["layer_spec"], header["tasks"])
         step_count = int(header["step_count"])
     except (TypeError, ValueError) as e:
         raise ValueError(f"checkpoint {path} header is malformed: {e}") from e
-    n_bytes = 8 * sum(t.data.size for t in params.all_tensors())
+    # the blob length the header implies, in Python ints: a header naming
+    # huge layers fails here, before any parameter is allocated
+    layers = list(zip(spec[:-1], spec[1:]))
+    layers += [(spec[-2], TASK_CLASSES[task]) for task in header["tasks"]]
+    n_bytes = 8 * sum((fan_in + 1) * fan_out for fan_in, fan_out in layers)
     if len(blob) != n_bytes:
         raise ValueError(
             f"checkpoint {path} holds {len(blob)} parameter bytes, expected {n_bytes}")
+    try:
+        params = init_params(spec, header["seed"], tasks=header["tasks"])
+    except (TypeError, ValueError) as e:
+        raise ValueError(f"checkpoint {path} header is malformed: {e}") from e
     flat = np.frombuffer(blob, dtype="<f8")
     offset = 0
     for t in params.all_tensors():

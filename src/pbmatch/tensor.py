@@ -3,7 +3,7 @@
 Every differentiable value is a :class:`Tensor` wrapping a numpy array.
 The module has no op set: each caller computes its value over plain arrays
 and records one :func:`node` with its inputs and a closed-form backward
-rule (the trunk in ``nets``, the objective terms in ``losses``);
+rule (the trunk and heads in ``nets``, the objective in ``losses``);
 ``backward`` linearizes the recorded graph in topological order (inputs
 before consumers) and replays it exactly once, accumulating ``dLoss/dLeaf``
 into every ``requires_grad`` tensor. Gradients accumulate across calls

@@ -73,7 +73,7 @@ from .nets import (
     softmax_probs,
     step,
 )
-from .tensor import Tensor, backward
+from .tensor import backward
 from .transforms import (
     NI_KINDS,
     RA_KINDS,
@@ -175,6 +175,8 @@ class TrainConfig:
             raise ValueError(f"batch must be >= 2 (distances need pairs), got {self.batch}")
         if self.optimizer not in ("adam", "sgd_momentum"):
             raise ValueError(f"optimizer must be adam or sgd_momentum, got {self.optimizer!r}")
+        if self.seed_model < 0:
+            raise ValueError(f"seed_model must be >= 0, got {self.seed_model}")
         if self.dm_weight < 0.0:
             raise ValueError(f"dm_weight must be >= 0, got {self.dm_weight}")
         if self.dm_ramp_steps < 0:
@@ -314,9 +316,9 @@ def split_target(labels: np.ndarray, eval_fraction: float,
 
 def full_set_mmd(params: ModelParams, src_x: np.ndarray, tgt_x: np.ndarray) -> float:
     """Squared kernel distance between the two domains' full latent sets."""
-    z_s = Tensor(predict_features(params, src_x))
-    z_t = Tensor(predict_features(params, tgt_x))
-    return float(mmd_distance(z_s, z_t).data)
+    z_s = predict_features(params, src_x)
+    z_t = predict_features(params, tgt_x)
+    return mmd_distance(np.concatenate([z_s, z_t]), z_s.shape[0], needs_grad=False)[0]
 
 
 def _transform_token(seed_data: int, epoch: int, step_idx: int) -> int:

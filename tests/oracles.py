@@ -1,14 +1,16 @@
-"""Per-op tape oracles: the ops the library's one-node trunk and terms
-replaced, and the objective terms and trunk formulated over them.
+"""Per-op tape oracles: the ops the library's one-node trunk and
+closed-form terms replaced, and the objective terms and trunk formulated
+over them.
 
-The library computes every tape node in closed form; these formulations
-record one node per elementary op instead, so a test can compare a
-closed-form node against an independent chain of simple rules.
+The library computes the trunk node and every objective term in closed
+form; these formulations record one node per elementary op instead, so a
+test can compare a closed-form value and gradient against an independent
+chain of simple rules.
 """
 
 import numpy as np
 
-from pbmatch.losses import DEFAULT_BANDWIDTH_SCALES, KL_MARGIN, MarginalTracker
+from pbmatch.losses import DEFAULT_BANDWIDTH_SCALES, KL_MARGIN, MarginalTracker, _log_softmax
 from pbmatch.tensor import Tensor, node, tracked
 
 
@@ -126,6 +128,14 @@ def dot(t: Tensor, w) -> Tensor:
 # ---------------------------------------------------------------------------
 # the objective terms
 # ---------------------------------------------------------------------------
+
+def closed_form_node(logits: Tensor, term, *args) -> Tensor:
+    """A classifier term of ``pbmatch.losses`` as one node over ``logits``:
+    its value on their log-probabilities, with its closed-form gradient to
+    them. How a test trains or gradient-checks one term on its own."""
+    value, grad = term(_log_softmax(logits.data), *args)
+    return node(value, (logits,), lambda g: (g * grad,))
+
 
 def _mean_row_dot(a: Tensor, b: Tensor) -> Tensor:
     return reduce("mean", reduce("sum", mul(a, b), axis=1))

@@ -30,8 +30,7 @@ from pbmatch.datasets import (
     outlier_pool,
 )
 from pbmatch.gradcheck import run_gradient_suite
-from pbmatch.losses import MarginalTracker, cpbm_loss, mim_loss, tpbm_loss
-from pbmatch.tensor import Tensor
+from pbmatch.losses import MarginalTracker, _log_softmax, cpbm_loss, mim_loss, tpbm_loss
 from pbmatch.training import (
     ABLATION_ROWS,
     TrainConfig,
@@ -79,22 +78,22 @@ def test_criterion_1_gradient_suite(capsys):
 def test_criterion_2_analytic_values(capsys):
     k = 4
     # uniform predictions: diversity -ln K cancels confidence +ln K
-    uniform = float(mim_loss(Tensor(np.zeros((8, k))),
-                             MarginalTracker.uniform(k),
-                             ceiling=float("inf")).data)
+    # each term takes the log-probabilities of its logits
+    uniform, _ = mim_loss(_log_softmax(np.zeros((8, k))),
+                          MarginalTracker.uniform(k),
+                          ceiling=float("inf"))
     # confident balanced predictions reach the -ln K minimum
     one_hot_logits = 200.0 * np.eye(k)[np.arange(8) % k]
-    balanced = float(mim_loss(Tensor(one_hot_logits),
-                              MarginalTracker.uniform(k),
-                              ceiling=float("inf")).data)
+    balanced, _ = mim_loss(_log_softmax(one_hot_logits),
+                           MarginalTracker.uniform(k),
+                           ceiling=float("inf"))
     # agreement term on a single row pair vs direct summation
     p, q = np.array([0.5, 0.5]), np.array([0.25, 0.75])
-    kl = float(cpbm_loss(Tensor(np.log(p)[None, :]), Tensor(np.log(q)[None, :]),
-                         None, None, None, 0.0).data)
+    kl, _ = cpbm_loss(_log_softmax(np.log(p)[None, :]), _log_softmax(np.log(q)[None, :]),
+                      None, None, None, 0.0)
     kl_oracle = float(np.sum(p * np.log(p / q)))
     # indifferent rotation head: cross entropy is ln 4 for any labels
-    rot = float(tpbm_loss({"rotate90": Tensor(np.zeros((8, 4)))},
-                          {"rotate90": np.arange(8) % 4}).data)
+    rot, _ = tpbm_loss([_log_softmax(np.zeros((8, 4)))], [np.arange(8) % 4])
 
     checks = {
         "L_M(uniform) = 0": abs(uniform - 0.0),

@@ -332,7 +332,8 @@ class TestTrainEval:
     @pytest.mark.parametrize("payload,field", [
         ({"method": "source_only", "loss": {"lambda_M": 1}}, "entropy_ceiling"),
         ({"method": "source_only", "hidden": 5}, "hidden"),
-    ], ids=["partial_loss", "hidden_not_list"])
+        ({"method": "source_only", "seed_model": -1}, "seed_model"),
+    ], ids=["partial_loss", "hidden_not_list", "negative_seed_model"])
     def test_malformed_config_field_exits_1(self, blob_pair_dir, tmp_path, capsys,
                                             payload, field):
         cfg = write_json(tmp_path / "cfg.json", payload)
@@ -405,6 +406,16 @@ class TestTrainEval:
         assert main(["eval", "--checkpoint", str(ckpt),
                      "--data", str(blob_pair_dir / "target")]) == 1
         assert_named_error(capsys, str(ckpt), "tasks")
+
+
+    def test_eval_rejects_a_checkpoint_header_naming_huge_layers(self, blob_pair_dir,
+                                                                 tmp_path, capsys):
+        ckpt = tmp_path / "checkpoint.bin"
+        header = {"layer_spec": [10**7, 10**7, 2], "seed": 0, "tasks": [], "step_count": 0}
+        ckpt.write_bytes(json.dumps(header).encode() + b"\n" + bytes(16))
+        assert main(["eval", "--checkpoint", str(ckpt),
+                     "--data", str(blob_pair_dir / "target")]) == 1
+        assert_named_error(capsys, str(ckpt), "holds 16 parameter bytes")
 
 
 class TestAblate:

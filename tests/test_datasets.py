@@ -25,6 +25,8 @@ from pbmatch.losses import cross_entropy
 from pbmatch.nets import OptimState, forward, init_params, predict_logits, step
 from pbmatch.tensor import Tensor, backward
 
+from oracles import closed_form_node
+
 
 # ---------------------------------------------------------------------------
 # spec validation
@@ -487,6 +489,18 @@ def test_load_names_a_file_of_the_wrong_length(tmp_path, name, per_row, delta):
     assert str(path / name) in str(err.value)
 
 
+def test_load_names_the_image_file_when_the_shape_product_overflows_int64(tmp_path):
+    # 2**32 * 2**32 wraps to 0 in int64, which an empty file would match
+    path = _saved(tmp_path)
+    meta = json.loads((path / "meta.json").read_text())
+    meta["shape"] = [2**32, 2**32]
+    (path / "meta.json").write_text(json.dumps(meta))
+    (path / "images.f32le").write_bytes(b"")
+    with pytest.raises(ValueError, match=f"holds 0 bytes, expected {4 * 2**64}") as err:
+        load_dataset(path)
+    assert str(path / "images.f32le") in str(err.value)
+
+
 def test_regenerate_rejects_unknown_generator():
     with pytest.raises(ValueError, match="generator"):
         regenerate({"generator": "fractal", "domain_role": "source"})
@@ -508,7 +522,7 @@ def test_source_glyphs_are_separable_by_small_mlp():
         for start in range(0, len(x), 64):
             rows = order[start:start + 64]
             logits = forward(params, Tensor(x[rows]))
-            loss = cross_entropy(logits, y[rows])
+            loss = closed_form_node(logits, cross_entropy, y[rows])
             params.zero_grads()
             backward(loss)
             step(params, opt)

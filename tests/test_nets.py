@@ -16,9 +16,10 @@ from pbmatch.nets import (
     softmax_probs,
     step,
 )
+from pbmatch import nets
 from pbmatch.tensor import Tensor, backward
 
-from oracles import dot, oracle_forward
+from oracles import closed_form_node, dot, oracle_forward
 
 
 def test_init_deterministic_in_seed():
@@ -139,7 +140,7 @@ def test_trunk_forms_the_input_gradient_only_for_a_tracked_input(tracked):
 
 
 def _nll(params, x, labels, head="label"):
-    return cross_entropy(forward(params, Tensor(x), head), labels)
+    return closed_form_node(forward(params, Tensor(x), head), cross_entropy, labels)
 
 
 def test_sgd_basic_update_rule():
@@ -286,6 +287,19 @@ def test_checkpoint_blob_of_any_wrong_length_names_file_and_length(tmp_path):
         with pytest.raises(ValueError, match=f"holds {n} parameter bytes, expected {want}") as err:
             load_checkpoint(path)
         assert str(path) in str(err.value)
+
+
+def test_checkpoint_header_naming_huge_layers_fails_before_allocating(tmp_path, monkeypatch):
+    # [1e7, 1e7, 2] would need ~800 TB of float64; the 16-byte blob is
+    # rejected from the header's own count, before init_params runs
+    path = tmp_path / "checkpoint.bin"
+    header = {"layer_spec": [10**7, 10**7, 2], "seed": 0, "tasks": ["vflip"], "step_count": 0}
+    path.write_bytes(json.dumps(header).encode() + b"\n" + bytes(16))
+    monkeypatch.setattr(nets, "init_params", lambda *a, **k: pytest.fail("allocated"))
+    want = 8 * ((10**7 + 1) * 10**7 + (10**7 + 1) * 2 + (10**7 + 1) * 2)
+    with pytest.raises(ValueError, match=f"holds 16 parameter bytes, expected {want}") as err:
+        load_checkpoint(path)
+    assert str(path) in str(err.value)
 
 
 def test_checkpoint_header_is_json_line(tmp_path):

@@ -232,21 +232,32 @@ def _called_names(tree) -> set:
             if isinstance(n, ast.Call) and isinstance(n.func, (ast.Name, ast.Attribute))}
 
 
+def _public_functions(module) -> list:
+    """Public top-level function definitions of ``module``."""
+    return [f for f in ast.parse(inspect.getsource(module)).body
+            if isinstance(f, ast.FunctionDef) and not f.name.startswith("_")]
+
+
 def _node_recorders(module) -> set:
     """Public top-level functions of ``module`` that record a tape node."""
-    return {f.name for f in ast.parse(inspect.getsource(module)).body
-            if isinstance(f, ast.FunctionDef) and not f.name.startswith("_")
-            and _called_names(f) & {"node", "_term_node"}}
+    return {f.name for f in _public_functions(module) if "node" in _called_names(f)}
 
 
 def test_every_node_recorder_in_nets_and_losses_has_a_gradcheck_builder():
     recorders = _node_recorders(nets) | _node_recorders(losses)
-    # the walk sees the trunk, a head, a term, the objective and a distance
-    assert {"features", "forward", "cross_entropy", "total_objective",
-            "mmd_distance"} <= recorders
+    # the trunk, a head and the objective are the only tape nodes
+    assert recorders == {"features", "forward", "total_objective"}
+    # every other public function of losses is a closed-form term over arrays
+    terms = {f.name: f for f in _public_functions(losses)
+             if f.name not in recorders}
+    assert set(terms) == {"cross_entropy", "mim_loss", "cpbm_loss", "mupbm_loss",
+                          "tpbm_loss", "mmd_distance", "coral_distance"}
+    for f in terms.values():
+        signature = ast.unparse(f.args) + (ast.unparse(f.returns) if f.returns else "")
+        assert "Tensor" not in signature, f.name
     builders = {build.__name__ for build in gradcheck.CHECKS.values()}
     checked = set()
     for f in ast.parse(inspect.getsource(gradcheck)).body:
         if isinstance(f, ast.FunctionDef) and f.name in builders:
             checked |= _called_names(f)
-    assert recorders - checked == set()
+    assert (recorders | set(terms)) - checked == set()

@@ -46,6 +46,8 @@ from pbmatch.nets import forward
 from pbmatch.transforms import rng, sample_mixup_beta
 from pbmatch import losses, nets, training
 
+from oracles import closed_form_node
+
 
 BLOB_MEANS = ((-2.0, 0.0), (2.0, 0.0))
 
@@ -110,6 +112,10 @@ class TestTrainConfig:
     def test_rejects_bad_fields(self, kw):
         with pytest.raises(ValueError):
             TrainConfig(**kw)
+
+    def test_negative_seed_model_is_named(self):
+        with pytest.raises(ValueError, match="seed_model must be >= 0, got -1"):
+            TrainConfig(seed_model=-1)
 
     def test_every_method_constructs(self):
         for method in METHODS:
@@ -292,7 +298,7 @@ class TestTrainLoop:
                 [cfg.seed_data & mask, 11, epoch]).permutation(src.n_samples)
             for s in range(steps):
                 rows = perm[s * batch:(s + 1) * batch]
-                loss = cross_entropy(forward(manual, Tensor(x[rows])), y[rows])
+                loss = closed_form_node(forward(manual, Tensor(x[rows])), cross_entropy, y[rows])
                 manual.zero_grads()
                 backward(loss)
                 step(manual, opt)
