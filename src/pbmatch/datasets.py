@@ -6,6 +6,11 @@ class-conditionals but different label priors (pure label shift). Both
 regenerate bit-identically from their recorded metadata; pixel values are
 quantized to 32-bit float precision at generation time so the on-disk
 format round-trips exactly.
+
+A glyph sample's random draws, its shift and then its noise field, come
+from its own stream ``rng(seed, idx)`` (built by ``transforms.rngs``);
+everything else about the images is built for the whole domain at once,
+with the same bytes as rendering each sample alone.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .transforms import ImageBatch, rng
+from .transforms import ImageBatch, rng, rngs
 
 CANVAS = 16
 INK_LEVEL = 0.95
@@ -238,47 +243,43 @@ def _render_glyph_mask(class_idx: int, style: int, thickness: int) -> np.ndarray
     return mask
 
 
-def _shift_mask(mask: np.ndarray, dy: int, dx: int) -> np.ndarray:
-    out = np.zeros_like(mask)
-    src_r = slice(max(0, -dy), CANVAS - max(0, dy))
-    dst_r = slice(max(0, dy), CANVAS - max(0, -dy))
-    src_c = slice(max(0, -dx), CANVAS - max(0, dx))
-    dst_c = slice(max(0, dx), CANVAS - max(0, -dx))
-    out[dst_r, dst_c] = mask[src_r, src_c]
-    return out
-
-
 def generate_glyph_domain(spec: GlyphDomainSpec, domain_role: str) -> DomainDataset:
-    """Render one glyph domain: balanced classes, round-robin sub-styles."""
+    """Render one glyph domain: balanced classes, round-robin sub-styles.
+
+    Sample ``idx`` draws its shift ``(dy, dx)`` and then its noise field
+    from its own stream ``rng(spec.seed, idx)``; the images are then built
+    for the whole domain at once.
+    """
     k, s = spec.n_classes, spec.sub_styles
     n = k * spec.samples_per_class
-    base_masks = {(c, st): _render_glyph_mask(c, st, spec.stroke_thickness)
-                  for c in range(k) for st in range(s)}
-    images = np.empty((n, CANVAS, CANVAS))
-    labels = np.empty(n, dtype=np.int64)
-    sublabels = np.empty(n, dtype=np.int64)
+    labels = np.repeat(np.arange(k, dtype=np.int64), spec.samples_per_class)
+    styles = np.tile(np.arange(spec.samples_per_class, dtype=np.int64) % s, k)
     jit = int(round(spec.jitter))
-    idx = 0
-    for c in range(k):
-        for i in range(spec.samples_per_class):
-            style = i % s
-            gen = rng(spec.seed, idx)
-            mask = base_masks[(c, style)]
+    shifts = np.zeros((n, 2), dtype=np.int64)
+    noise = np.zeros((n, CANVAS, CANVAS)) if spec.noise > 0.0 else None
+    if jit > 0 or noise is not None:
+        for idx, gen in enumerate(rngs(spec.seed, n)):
             if jit > 0:
-                dy, dx = gen.integers(-jit, jit + 1, 2)
-                mask = _shift_mask(mask, int(dy), int(dx))
-            img = np.where(mask, INK_LEVEL, spec.background)
-            if spec.invert:
-                img = 1.0 - img
-            if spec.noise > 0.0:
-                img = img + gen.normal(0.0, spec.noise, img.shape)
-            images[idx] = np.clip(img, 0.0, 1.0)
-            labels[idx] = c
-            sublabels[idx] = c * s + style
-            idx += 1
+                shifts[idx] = gen.integers(-jit, jit + 1, 2)
+            if noise is not None:
+                noise[idx] = gen.normal(0.0, spec.noise, (CANVAS, CANVAS))
+    # every (dy, dx) shift of every base mask, zero-filled where it moves in
+    padded = np.pad(np.array([[_render_glyph_mask(c, st, spec.stroke_thickness)
+                               for st in range(s)] for c in range(k)]),
+                    ((0, 0), (0, 0), (jit, jit), (jit, jit)))
+    windows = np.lib.stride_tricks.sliding_window_view(padded, (CANVAS, CANVAS), axis=(2, 3))
+    images = np.where(windows[labels, styles, jit - shifts[:, 0], jit - shifts[:, 1]],
+                      INK_LEVEL, spec.background)
+    if spec.invert:
+        np.subtract(1.0, images, out=images)
+    if noise is not None:
+        # noise + ink gives the bytes of ink + noise; the ink buffer is freed here
+        noise += images
+        images = noise
+    np.clip(images, 0.0, 1.0, out=images)
     return DomainDataset(
         images=ImageBatch(_quantize(images)), labels=labels,
-        class_count=k, domain_role=domain_role, sublabels=sublabels,
+        class_count=k, domain_role=domain_role, sublabels=labels * s + styles,
         metadata={"generator": "glyph", "spec": spec.to_dict(),
                   "domain_role": domain_role})
 
@@ -426,11 +427,12 @@ _META_KEYS = ("kind", "shape", "class_count", "domain_role")
 
 
 def _read_exact(path: Path, n_bytes: int) -> bytes:
-    """The bytes of ``path``, which must hold exactly ``n_bytes``."""
-    raw = path.read_bytes()
-    if len(raw) != n_bytes:
-        raise ValueError(f"{path} holds {len(raw)} bytes, expected {n_bytes}")
-    return raw
+    """The bytes of ``path``, which must hold exactly ``n_bytes``; the size
+    is checked before anything is read."""
+    size = path.stat().st_size
+    if size != n_bytes:
+        raise ValueError(f"{path} holds {size} bytes, expected {n_bytes}")
+    return path.read_bytes()
 
 
 def _read_labels(path: Path, n: int) -> np.ndarray:

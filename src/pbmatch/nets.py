@@ -9,6 +9,7 @@ a step driven by any head moves the shared trunk.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -271,7 +272,8 @@ def load_checkpoint(path) -> Tuple[ModelParams, int]:
     """
     with open(path, "rb") as f:
         line = f.readline()
-        blob = f.read()
+    # the blob is sized before it is read
+    blob_bytes = os.path.getsize(path) - len(line)
     try:
         header = json.loads(line.decode("utf-8"))
     except ValueError as e:
@@ -291,14 +293,14 @@ def load_checkpoint(path) -> Tuple[ModelParams, int]:
     layers = list(zip(spec[:-1], spec[1:]))
     layers += [(spec[-2], TASK_CLASSES[task]) for task in header["tasks"]]
     n_bytes = 8 * sum((fan_in + 1) * fan_out for fan_in, fan_out in layers)
-    if len(blob) != n_bytes:
+    if blob_bytes != n_bytes:
         raise ValueError(
-            f"checkpoint {path} holds {len(blob)} parameter bytes, expected {n_bytes}")
+            f"checkpoint {path} holds {blob_bytes} parameter bytes, expected {n_bytes}")
     try:
         params = init_params(spec, header["seed"], tasks=header["tasks"])
     except (TypeError, ValueError) as e:
         raise ValueError(f"checkpoint {path} header is malformed: {e}") from e
-    flat = np.frombuffer(blob, dtype="<f8")
+    flat = np.fromfile(path, dtype="<f8", offset=len(line))
     offset = 0
     for t in params.all_tensors():
         n = t.data.size

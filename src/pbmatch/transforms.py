@@ -7,14 +7,18 @@ seeded by (seed, family salt), so a sample's draw depends on its position
 and on the batch's size and shape. The drawn operations are applied batch-wise, each kind to all the
 images that drew it at once, and give the same bytes as applying every
 sample's operations to it alone.
+
+The package's random streams are all named here: :func:`rng` builds one,
+and :func:`rngs` yields a run of per-index ones.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 SP_KINDS = ("shift", "small_rotate", "cutout", "brightness", "contrast", "gaussian_noise")
 # semantic-preserving subsets used by the consistency objective
@@ -72,10 +76,79 @@ SP_STREAM_SALT = 2**31
 def rng(seed: int, *salts: int) -> np.random.Generator:
     """Generator of the stream named by ``seed`` and ``salts``.
 
-    Every salted stream in the package is built here, from the seed's low
-    32 bits followed by the salts, so a salt names one stream everywhere.
+    Every salted stream in the package is built here or by :func:`rngs`,
+    from the seed's low 32 bits followed by the salts, so a salt names one
+    stream everywhere.
     """
     return np.random.default_rng([int(seed) & 0xFFFFFFFF, *salts])
+
+
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+_MASK32 = 0xFFFFFFFF
+
+
+class _SeedState(ISeedSequence):
+    """Hands PCG64 a seed state computed in advance."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def _pcg64_seed_states(seed: int, n: int) -> np.ndarray:
+    """[n, 4] uint64: the PCG64 seed state of ``rng(seed, i)`` for each i < n.
+
+    numpy's SeedSequence mixing of the entropy ``[seed & 0xFFFFFFFF, i]``
+    into a 4-word pool, then the pool's 8 output words, run on all n pools
+    at once in wrapping uint32 arithmetic.
+    """
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = (hash_const * _MULT_A) & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> np.uint32(_XSHIFT))
+
+    def mix(x, y):
+        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return result ^ (result >> np.uint32(_XSHIFT))
+
+    entropy = (np.full(n, int(seed) & _MASK32, dtype=np.uint32),
+               np.arange(n, dtype=np.uint32), np.zeros(n, dtype=np.uint32))
+    pool = [hashmix(entropy[min(i, 2)]) for i in range(4)]
+    for i_src in range(4):
+        for i_dst in range(4):
+            if i_src != i_dst:
+                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+    words = np.empty((n, 8), dtype=np.uint32)
+    hash_const = _INIT_B
+    for i_dst in range(8):
+        value = pool[i_dst % 4] ^ np.uint32(hash_const)
+        hash_const = (hash_const * _MULT_B) & _MASK32
+        value = value * np.uint32(hash_const)
+        words[:, i_dst] = value ^ (value >> np.uint32(_XSHIFT))
+    # word pairs read as little-endian uint64, as SeedSequence returns them
+    return words.astype("<u4").view("<u8").astype(np.uint64)
+
+
+def rngs(seed: int, n: int) -> Iterator[np.random.Generator]:
+    """``rng(seed, 0)``, ..., ``rng(seed, n - 1)``, in order.
+
+    The n seed states are computed together; each generator is built only
+    when it is asked for.
+    """
+    if not 0 <= n <= 2**32:
+        raise ValueError(f"need 0 <= n <= 2**32 per-index streams, got {n}")
+    for state in _pcg64_seed_states(seed, n):
+        yield np.random.Generator(np.random.PCG64(_SeedState(state)))
 
 
 class SpDraw(NamedTuple):

@@ -1,17 +1,24 @@
-"""Per-op tape oracles: the ops the library's one-node trunk and
-closed-form terms replaced, and the objective terms and trunk formulated
-over them.
+"""Reference formulations the library's batched code replaced.
 
+Per-op tape oracles: the ops the library's one-node trunk and closed-form
+terms replaced, and the objective terms and trunk formulated over them.
 The library computes the trunk node and every objective term in closed
 form; these formulations record one node per elementary op instead, so a
 test can compare a closed-form value and gradient against an independent
 chain of simple rules.
+
+The glyph oracle renders a domain one sample at a time, each from its own
+``rng(seed, idx)``, as the library did before it built the images with
+array ops.
 """
 
 import numpy as np
 
+from pbmatch.datasets import (
+    CANVAS, INK_LEVEL, DomainDataset, GlyphDomainSpec, _quantize, _render_glyph_mask)
 from pbmatch.losses import DEFAULT_BANDWIDTH_SCALES, KL_MARGIN, MarginalTracker, _log_softmax
 from pbmatch.tensor import Tensor, node, tracked
+from pbmatch.transforms import ImageBatch, rng
 
 
 # ---------------------------------------------------------------------------
@@ -258,3 +265,51 @@ def oracle_coral(z_src: Tensor, z_tgt: Tensor) -> Tensor:
 
     diff = sub(cov(z_src), cov(z_tgt))
     return scale(reduce("sum", mul(diff, diff)), 1.0 / (4.0 * d * d))
+
+
+# ---------------------------------------------------------------------------
+# glyph rendering, one sample at a time
+# ---------------------------------------------------------------------------
+
+def _shift_mask(mask: np.ndarray, dy: int, dx: int) -> np.ndarray:
+    out = np.zeros_like(mask)
+    src_r = slice(max(0, -dy), CANVAS - max(0, dy))
+    dst_r = slice(max(0, dy), CANVAS - max(0, -dy))
+    src_c = slice(max(0, -dx), CANVAS - max(0, dx))
+    dst_c = slice(max(0, dx), CANVAS - max(0, -dx))
+    out[dst_r, dst_c] = mask[src_r, src_c]
+    return out
+
+
+def oracle_glyph_domain(spec: GlyphDomainSpec, domain_role: str) -> DomainDataset:
+    k, s = spec.n_classes, spec.sub_styles
+    n = k * spec.samples_per_class
+    base_masks = {(c, st): _render_glyph_mask(c, st, spec.stroke_thickness)
+                  for c in range(k) for st in range(s)}
+    images = np.empty((n, CANVAS, CANVAS))
+    labels = np.empty(n, dtype=np.int64)
+    sublabels = np.empty(n, dtype=np.int64)
+    jit = int(round(spec.jitter))
+    idx = 0
+    for c in range(k):
+        for i in range(spec.samples_per_class):
+            style = i % s
+            gen = rng(spec.seed, idx)
+            mask = base_masks[(c, style)]
+            if jit > 0:
+                dy, dx = gen.integers(-jit, jit + 1, 2)
+                mask = _shift_mask(mask, int(dy), int(dx))
+            img = np.where(mask, INK_LEVEL, spec.background)
+            if spec.invert:
+                img = 1.0 - img
+            if spec.noise > 0.0:
+                img = img + gen.normal(0.0, spec.noise, img.shape)
+            images[idx] = np.clip(img, 0.0, 1.0)
+            labels[idx] = c
+            sublabels[idx] = c * s + style
+            idx += 1
+    return DomainDataset(
+        images=ImageBatch(_quantize(images)), labels=labels,
+        class_count=k, domain_role=domain_role, sublabels=sublabels,
+        metadata={"generator": "glyph", "spec": spec.to_dict(),
+                  "domain_role": domain_role})

@@ -8,10 +8,8 @@ holds source accuracy >= 0.98 at MMD <= 0.01 with a damaged target; see
 the probe curve artifacts for what actually happens.
 """
 
-import json
 import math
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest

@@ -1,6 +1,9 @@
 """Synthetic domain generators: determinism, balance, and disk round-trips."""
 
+import itertools
 import json
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +28,7 @@ from pbmatch.losses import cross_entropy
 from pbmatch.nets import OptimState, forward, init_params, predict_logits, step
 from pbmatch.tensor import Tensor, backward
 
-from oracles import closed_form_node
+from oracles import closed_form_node, oracle_glyph_domain
 
 
 # ---------------------------------------------------------------------------
@@ -132,6 +135,37 @@ def test_glyph_regenerates_bit_identically_from_metadata():
     assert np.array_equal(ds.labels, rebuilt.labels)
     assert np.array_equal(ds.sublabels, rebuilt.sublabels)
     assert rebuilt.domain_role == "target"
+
+
+# n_classes, noise and jitter set how many streams there are and what each
+# draws; the jitters round to 0, 0, 2 and 3 pixels
+_DRAW_KNOBS = list(itertools.product((2, 6), (0.0, 0.3), (0.0, 0.4, 2.5, 3.0)))
+# sub_styles, stroke_thickness and invert set only the rendered levels
+_RENDER_KNOBS = list(itertools.product((1, 4), (1, 3), (False, True)))
+
+
+def _oracle_grid(samples_per_class):
+    """Every knob combination; at 250 per class, every draw combination
+    once, with the render combinations taken in turn (each twice)."""
+    if samples_per_class < 250:
+        return itertools.product(_DRAW_KNOBS, _RENDER_KNOBS)
+    return zip(_DRAW_KNOBS, itertools.cycle(_RENDER_KNOBS))
+
+
+@pytest.mark.parametrize("samples_per_class", [1, 7, 250])
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, -5])
+def test_glyph_domain_equals_the_per_sample_oracle_byte_for_byte(samples_per_class, seed):
+    for (k, noise, jitter), (s, thickness, invert) in _oracle_grid(samples_per_class):
+        spec = GlyphDomainSpec(n_classes=k, sub_styles=s, samples_per_class=samples_per_class,
+                               stroke_thickness=thickness, background=0.15, invert=invert,
+                               noise=noise, jitter=jitter, seed=seed)
+        got = generate_glyph_domain(spec, "target")
+        want = oracle_glyph_domain(spec, "target")
+        assert np.array_equal(got.images.data.view(np.uint64),
+                              want.images.data.view(np.uint64)), spec
+        assert np.array_equal(got.labels, want.labels), spec
+        assert np.array_equal(got.sublabels, want.sublabels), spec
+        assert got.metadata == want.metadata, spec
 
 
 def test_glyph_pixels_survive_f32_quantization():
@@ -487,6 +521,21 @@ def test_load_names_a_file_of_the_wrong_length(tmp_path, name, per_row, delta):
     with pytest.raises(ValueError, match=f"holds {want + delta} bytes, expected {want}") as err:
         load_dataset(path)
     assert str(path / name) in str(err.value)
+
+
+@pytest.mark.parametrize("name", ["images.f32le", "labels.u32le", "sublabels.u32le"])
+def test_load_rejects_a_file_with_a_huge_tail_before_reading_it(tmp_path, name):
+    path = _saved(tmp_path)
+    os.truncate(path / name, (path / name).stat().st_size + 64 * 2**20)  # a sparse zero tail
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="bytes, expected") as err:
+            load_dataset(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(path / name) in str(err.value)
+    assert peak < 2**20
 
 
 def test_load_names_the_image_file_when_the_shape_product_overflows_int64(tmp_path):

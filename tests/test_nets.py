@@ -1,13 +1,13 @@
 import json
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from pbmatch.losses import cross_entropy
 from pbmatch.nets import (
-    ModelParams,
     OptimState,
-    features,
     forward,
     init_params,
     load_checkpoint,
@@ -300,6 +300,21 @@ def test_checkpoint_header_naming_huge_layers_fails_before_allocating(tmp_path, 
     with pytest.raises(ValueError, match=f"holds 16 parameter bytes, expected {want}") as err:
         load_checkpoint(path)
     assert str(path) in str(err.value)
+
+
+def test_checkpoint_with_a_huge_tail_is_rejected_before_it_is_read(tmp_path):
+    path = tmp_path / "checkpoint.bin"
+    save_checkpoint(path, init_params([4, 3, 2], seed=1))
+    os.truncate(path, path.stat().st_size + 64 * 2**20)  # a sparse zero tail
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="parameter bytes") as err:
+            load_checkpoint(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(path) in str(err.value)
+    assert peak < 2**20
 
 
 def test_checkpoint_header_is_json_line(tmp_path):

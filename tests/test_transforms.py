@@ -27,6 +27,7 @@ from pbmatch.transforms import (
     draw_semantic_preserving,
     extract_quadrant,
     rng,
+    rngs,
     rotate90_cw,
     sample_mixup_beta,
     vflip,
@@ -513,17 +514,67 @@ class TestSeedingHelper:
         want = np.random.default_rng([seed & 0xFFFFFFFF, *salts]).random(8)
         assert _same_bytes(rng(seed, *salts).random(8), want)
 
+    @pytest.mark.parametrize("n", [1, 2, 4097])
+    @pytest.mark.parametrize("seed", [0, 17, 2**31, 2**32 - 1, -1, 2**40 + 5])
+    def test_rngs_yields_the_per_index_streams_in_order(self, seed, n):
+        count = 0
+        for i, gen in enumerate(rngs(seed, n)):
+            seq = np.random.SeedSequence([seed & 0xFFFFFFFF, i])
+            want = np.random.Generator(np.random.PCG64(seq))
+            assert gen.bit_generator.state == want.bit_generator.state, (seed, i)
+            assert gen.bit_generator.state == rng(seed, i).bit_generator.state, (seed, i)
+            assert _same_bytes(gen.random(8), want.random(8)), (seed, i)
+            assert _same_bytes(gen.normal(size=8), want.normal(size=8)), (seed, i)
+            count += 1
+        assert count == n
+
+    def test_rngs_of_no_index_is_empty_and_a_negative_count_is_rejected(self):
+        assert list(rngs(3, 0)) == []
+        with pytest.raises(ValueError, match="n"):
+            next(rngs(3, -1))
+
     def test_no_other_site_builds_a_salted_generator(self):
-        finder = _SaltedGeneratorSites()
-        for path in sorted(Path(pbmatch.__file__).parent.glob("*.py")):
-            finder.module = path.name
-            finder.visit(ast.parse(path.read_text()))
-        assert finder.sites == [("transforms.py", "rng")]
+        sites = _generator_sites({path.name: path.read_text()
+                                  for path in Path(pbmatch.__file__).parent.glob("*.py")})
+        assert _stray(sites) == []
+        assert sorted({scope for module, scope, _ in sites if module == "transforms.py"}) == [
+            "rng", "rngs"]
+
+    @pytest.mark.parametrize("call", [
+        "np.random.default_rng(seed)", "np.random.default_rng([seed, 3])",
+        "default_rng(seed + 1)", "np.random.Generator(np.random.PCG64(seed))",
+        "Generator(PCG64(seed))", "np.random.SeedSequence(seed)"])
+    def test_the_guard_flags_a_generator_built_in_datasets(self, call):
+        source = f"def generate(seed):\n    return {call}\n"
+        assert _stray(_generator_sites({"datasets.py": source})) != []
+
+    def test_the_guard_flags_a_salted_generator_in_init_params(self):
+        source = "def init_params(seed):\n    return np.random.default_rng([seed, 1])\n"
+        assert _stray(_generator_sites({"nets.py": source})) != []
 
 
-class _SaltedGeneratorSites(ast.NodeVisitor):
-    """(module, innermost function) of every ``default_rng([...])`` call."""
+_GENERATOR_CONSTRUCTORS = {"default_rng", "Generator", "PCG64", "SeedSequence"}
 
+
+def _generator_sites(sources):
+    """(module, innermost function, call source) of every generator,
+    bit generator or seed sequence built in ``sources``, by module name."""
+    finder = _GeneratorSites()
+    for module in sorted(sources):
+        finder.module = module
+        finder.visit(ast.parse(sources[module]))
+    return finder.sites
+
+
+def _stray(sites):
+    """The sites other than the seeding helpers in ``transforms`` and the
+    unsalted model-initialisation generator."""
+    allowed = {("nets.py", "init_params", "np.random.default_rng(seed)")}
+    return [site for site in sites if site not in allowed
+            and not (site[0] == "transforms.py" and site[1] in ("rng", "rngs"))]
+
+
+class _GeneratorSites(ast.NodeVisitor):
     def __init__(self):
         self.module, self.scope, self.sites = None, None, []
 
@@ -535,6 +586,6 @@ class _SaltedGeneratorSites(ast.NodeVisitor):
     def visit_Call(self, node):
         f = node.func
         name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
-        if name == "default_rng" and node.args and isinstance(node.args[0], ast.List):
-            self.sites.append((self.module, self.scope))
+        if name in _GENERATOR_CONSTRUCTORS:
+            self.sites.append((self.module, self.scope, ast.unparse(node)))
         self.generic_visit(node)
