@@ -13,6 +13,11 @@ and the source row count, and give a map from a scale to the scaled
 gradient with respect to those rows. No term touches the tape:
 ``total_objective`` runs the terms and records one node for the whole
 weighted sum, head GEMMs and feature distance included.
+
+``_streamed_mmd`` is the MMD's value alone over a whole data set, such as
+the label-shift probe's reading after each weight. It forms the distance
+matrix in row tiles and never holds an N x N array: N(N-1)/2 float64
+pair distances for the median, then two tiles for the kernel.
 """
 
 from __future__ import annotations
@@ -482,8 +487,23 @@ def _median_distance(d2: np.ndarray, scratch: np.ndarray) -> float:
     return med if med > 0.0 else 1.0
 
 
-def mmd_distance(joint: np.ndarray, n: int, bandwidths: Optional[Sequence[float]] = None,
-                 needs_grad: bool = True) -> Tuple[float, Optional[GradMap]]:
+def _check_sides(joint: np.ndarray, n: int) -> int:
+    """The target row count of ``joint`` split after its first ``n`` rows."""
+    m = joint.shape[0] - n
+    if n == 0 or m == 0:
+        raise ValueError(f"need >= 1 row per side, got {n} and {m}")
+    return m
+
+
+def _checked_bandwidths(bandwidths: Sequence[float]) -> List[float]:
+    bandwidths = [float(bw) for bw in bandwidths]
+    if not bandwidths or any(bw <= 0.0 or not math.isfinite(bw) for bw in bandwidths):
+        raise ValueError(f"bandwidths must be positive and finite, got {bandwidths}")
+    return bandwidths
+
+
+def mmd_distance(joint: np.ndarray, n: int, bandwidths: Optional[Sequence[float]] = None
+                 ) -> Tuple[float, GradMap]:
     """Squared maximum mean discrepancy (biased estimator) between the
     first ``n`` rows of ``joint`` and the rest.
 
@@ -496,21 +516,16 @@ def mmd_distance(joint: np.ndarray, n: int, bandwidths: Optional[Sequence[float]
     With C the block weights (1/n^2, 1/m^2, -1/nm) times sum over
     bandwidths of -exp(-D / 2bw^2) / 2bw^2, zero where D is 0, the gradient
     with respect to Z is 4 (diag(C 1) Z - C Z); the returned map scales it
-    by 4s in one multiply. Without ``needs_grad`` no gradient buffers are
-    built and the map is None.
+    by 4s in one multiply.
     """
-    m = joint.shape[0] - n
-    if n == 0 or m == 0:
-        raise ValueError(f"need >= 1 row per side, got {n} and {m}")
+    m = _check_sides(joint, n)
     d2, kern = _joint_sq_dists(joint)
     if bandwidths is None:
         med = _median_distance(d2, kern)
         bandwidths = [s * med for s in DEFAULT_BANDWIDTH_SCALES]
-    bandwidths = [float(bw) for bw in bandwidths]
-    if not bandwidths or any(bw <= 0.0 or not math.isfinite(bw) for bw in bandwidths):
-        raise ValueError(f"bandwidths must be positive and finite, got {bandwidths}")
+    bandwidths = _checked_bandwidths(bandwidths)
 
-    c = np.zeros_like(d2) if needs_grad else None
+    c = np.zeros_like(d2)
     k_ss = k_tt = k_st = 0.0
     for bw in bandwidths:
         coef = -1.0 / (2.0 * bw * bw)
@@ -519,12 +534,9 @@ def mmd_distance(joint: np.ndarray, n: int, bandwidths: Optional[Sequence[float]
         k_ss += kern[:n, :n].sum()
         k_tt += kern[n:, n:].sum()
         k_st += kern[:n, n:].sum()
-        if needs_grad:
-            kern *= coef
-            c += kern
+        kern *= coef
+        c += kern
     value = float(k_ss / (n * n) + k_tt / (m * m) - 2.0 * k_st / (n * m))
-    if not needs_grad:
-        return value, None
     c[:n, :n] *= 1.0 / (n * n)
     c[n:, n:] *= 1.0 / (m * m)
     c[:n, n:] *= -1.0 / (n * m)
@@ -538,6 +550,85 @@ def mmd_distance(joint: np.ndarray, n: int, bandwidths: Optional[Sequence[float]
         return out
 
     return value, grad
+
+
+# rows per tile of the streamed reading: 64 rows of 2048 distances are 1 MiB
+_TILE_ROWS = 64
+
+
+def _sq_dist_rows(joint: np.ndarray, sq: np.ndarray, a: int, b: int) -> np.ndarray:
+    """Rows [a, b) of ``_joint_sq_dists``' matrix, in its operation order;
+    ``sq`` holds the squared norms of ``joint``'s rows."""
+    d2 = joint[a:b] @ joint.T
+    d2 *= 2.0
+    np.subtract(np.add(sq[a:b, None], sq[None, :]), d2, out=d2)
+    np.maximum(d2, 0.0, out=d2)
+    d2[np.arange(b - a), np.arange(a, b)] = 0.0
+    return d2
+
+
+def _tiles(a: int, b: int) -> List[Tuple[int, int]]:
+    return [(lo, min(lo + _TILE_ROWS, b)) for lo in range(a, b, _TILE_ROWS)]
+
+
+def _streamed_median_distance(joint: np.ndarray) -> float:
+    """``_median_distance`` of ``joint``'s rows, bit for bit, from row tiles.
+
+    Each distinct pair's squared distance is copied once, from its upper
+    triangle entry, into one buffer of P = N(N-1)/2 values, so the two
+    middle order statistics sit at (P-1)//2 and P//2.
+    """
+    n = joint.shape[0]
+    pairs = n * (n - 1) // 2
+    if pairs == 0:
+        return 1.0
+    sq = np.sum(joint ** 2, axis=1)
+    flat = np.empty(pairs)
+    end = 0
+    for a, b in _tiles(0, n):
+        d2 = _sq_dist_rows(joint, sq, a, b)
+        for i in range(a, b):
+            row = d2[i - a, i + 1:]
+            flat[end:end + row.size] = row
+            end += row.size
+    lo = (pairs - 1) // 2
+    flat.partition(lo)
+    hi = flat[lo] if pairs % 2 else flat[lo + 1:].min()
+    med = (math.sqrt(flat[lo]) + math.sqrt(hi)) / 2.0
+    return med if med > 0.0 else 1.0
+
+
+def _streamed_mmd(joint: np.ndarray, n: int) -> float:
+    """``mmd_distance(joint, n)``'s value at the default bandwidths, from
+    row tiles of the distance matrix, with no gradient.
+
+    It holds N(N-1)/2 float64 distances for the median, then two tiles of
+    ``_TILE_ROWS`` rows for the kernel, never an N x N array. Each tile's
+    distances are formed once and the kernel goes one bandwidth at a time
+    over them: source tiles add to K_ss and K_st, target tiles to K_tt.
+    The median is ``mmd_distance``'s, bit for bit; the block sums run tile
+    by tile, so the value may differ from ``mmd_distance``'s in its last
+    bits.
+    """
+    m = _check_sides(joint, n)
+    med = _streamed_median_distance(joint)
+    coefs = [-1.0 / (2.0 * bw * bw)
+             for bw in _checked_bandwidths([s * med for s in DEFAULT_BANDWIDTH_SCALES])]
+    sq = np.sum(joint ** 2, axis=1)
+    kern = np.empty((min(_TILE_ROWS, joint.shape[0]), joint.shape[0]))
+    k_ss = k_tt = k_st = 0.0
+    for a, b in _tiles(0, n) + _tiles(n, n + m):
+        d2 = _sq_dist_rows(joint, sq, a, b)
+        k = kern[:b - a]
+        for coef in coefs:
+            np.multiply(d2, coef, out=k)
+            np.exp(k, out=k)
+            if a < n:
+                k_ss += k[:, :n].sum()
+                k_st += k[:, n:].sum()
+            else:
+                k_tt += k[:, n:].sum()
+    return float(k_ss / (n * n) + k_tt / (m * m) - 2.0 * k_st / (n * m))
 
 
 def coral_distance(joint: np.ndarray, n: int) -> Tuple[float, GradMap]:

@@ -261,17 +261,22 @@ def save_checkpoint(path, params: ModelParams, step_count: int = 0) -> None:
 
 
 _HEADER_KEYS = ("layer_spec", "seed", "tasks", "step_count")
+# longest header line read, newline included; a real header is a few hundred bytes
+_MAX_HEADER_BYTES = 1 << 16
 
 
 def load_checkpoint(path) -> Tuple[ModelParams, int]:
     """Read a file written by :func:`save_checkpoint`.
 
-    A header that is not a JSON object with every key and usable values,
-    or a parameter blob of the wrong byte length, raises ``ValueError``
-    naming the file.
+    A header line longer than ``_MAX_HEADER_BYTES``, a header that is not
+    a JSON object with every key and usable values, or a parameter blob of
+    the wrong byte length raises ``ValueError`` naming the file.
     """
     with open(path, "rb") as f:
-        line = f.readline()
+        line = f.readline(_MAX_HEADER_BYTES + 1)
+    if len(line) > _MAX_HEADER_BYTES:
+        raise ValueError(
+            f"checkpoint {path} header line is longer than {_MAX_HEADER_BYTES} bytes")
     # the blob is sized before it is read
     blob_bytes = os.path.getsize(path) - len(line)
     try:

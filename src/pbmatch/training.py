@@ -49,13 +49,15 @@ from .datasets import (
     generate_glyph_pair,
     outlier_pool,
 )
-# coral_distance, cross_entropy and features are not called here; they stay
-# bound because perfbench/spans.py LAYER_CALLS times these names in this module
+# coral_distance, cross_entropy, features and mmd_distance are not called here;
+# they stay bound because perfbench/spans.py LAYER_CALLS times these names in
+# this module
 from .losses import (
     BatchBundle,
     LossConfig,
     MarginalTracker,
     _entropy,
+    _streamed_mmd,
     coral_distance,
     cross_entropy,
     mmd_distance,
@@ -315,10 +317,11 @@ def split_target(labels: np.ndarray, eval_fraction: float,
 # ---------------------------------------------------------------------------
 
 def full_set_mmd(params: ModelParams, src_x: np.ndarray, tgt_x: np.ndarray) -> float:
-    """Squared kernel distance between the two domains' full latent sets."""
+    """Squared kernel distance between the two domains' full latent sets,
+    streamed in row tiles (see ``losses._streamed_mmd``)."""
     z_s = predict_features(params, src_x)
     z_t = predict_features(params, tgt_x)
-    return mmd_distance(np.concatenate([z_s, z_t]), z_s.shape[0], needs_grad=False)[0]
+    return _streamed_mmd(np.concatenate([z_s, z_t]), z_s.shape[0])
 
 
 def _transform_token(seed_data: int, epoch: int, step_idx: int) -> int:

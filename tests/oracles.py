@@ -10,7 +10,12 @@ chain of simple rules.
 The glyph oracle renders a domain one sample at a time, each from its own
 ``rng(seed, idx)``, as the library did before it built the images with
 array ops.
+
+``traced_peak`` measures the memory a call allocates, for the tests that
+bound it.
 """
+
+import tracemalloc
 
 import numpy as np
 
@@ -313,3 +318,18 @@ def oracle_glyph_domain(spec: GlyphDomainSpec, domain_role: str) -> DomainDatase
         class_count=k, domain_role=domain_role, sublabels=sublabels,
         metadata={"generator": "glyph", "spec": spec.to_dict(),
                   "domain_role": domain_role})
+
+
+# ---------------------------------------------------------------------------
+# memory
+# ---------------------------------------------------------------------------
+
+def traced_peak(call):
+    """Run ``call()`` under tracemalloc; return its result and the peak
+    bytes traced while it ran."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -3,7 +3,6 @@
 import itertools
 import json
 import os
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,7 +27,7 @@ from pbmatch.losses import cross_entropy
 from pbmatch.nets import OptimState, forward, init_params, predict_logits, step
 from pbmatch.tensor import Tensor, backward
 
-from oracles import closed_form_node, oracle_glyph_domain
+from oracles import closed_form_node, oracle_glyph_domain, traced_peak
 
 
 # ---------------------------------------------------------------------------
@@ -527,14 +526,14 @@ def test_load_names_a_file_of_the_wrong_length(tmp_path, name, per_row, delta):
 def test_load_rejects_a_file_with_a_huge_tail_before_reading_it(tmp_path, name):
     path = _saved(tmp_path)
     os.truncate(path / name, (path / name).stat().st_size + 64 * 2**20)  # a sparse zero tail
-    tracemalloc.start()
-    try:
+
+    def load():
         with pytest.raises(ValueError, match="bytes, expected") as err:
             load_dataset(path)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert str(path / name) in str(err.value)
+        return err.value
+
+    error, peak = traced_peak(load)
+    assert str(path / name) in str(error)
     assert peak < 2**20
 
 

@@ -19,7 +19,10 @@ from pbmatch.losses import (
     MarginalTracker,
     _joint_sq_dists,
     _log_softmax,
+    _TILE_ROWS,
     _median_distance,
+    _streamed_median_distance,
+    _streamed_mmd,
     coral_distance,
     cpbm_loss,
     cross_entropy,
@@ -846,16 +849,6 @@ class TestMmdMatchesPerOpOracle:
         assert abs(value) < 1e-12
         np.testing.assert_allclose(ga + gb, 0.0, atol=1e-12)
 
-    def test_untracked_inputs_give_untracked_result(self):
-        # what a caller with constant inputs asks for: the same value, and
-        # no gradient buffers
-        rng = np.random.default_rng(5)
-        joint = rng.normal(size=(9, 3))
-        value, grad = mmd_distance(joint, 5, needs_grad=False)
-        assert grad is None
-        assert np.float64(value).view(np.uint64) == np.float64(
-            mmd_distance(joint, 5)[0]).view(np.uint64)
-
     def test_default_bandwidths_use_the_median_bitwise(self):
         rng = np.random.default_rng(6)
         for n, m in [(3, 4), (10, 7), (1, 1), (33, 20)]:
@@ -882,6 +875,48 @@ class TestMmdMatchesPerOpOracle:
     def test_empty_side_rejected(self):
         with pytest.raises(ValueError, match="1 row per side"):
             mmd_distance(np.zeros((3, 2)), 0)
+
+
+class TestStreamedMmdMatchesThePerStepTerm:
+    """The full-set reading, from row tiles, against ``mmd_distance``'s
+    one distance matrix: the same median bits, the value to 1e-14."""
+
+    @pytest.mark.parametrize("rows,n,width", [
+        (2, 1, 16), (3, 1, 1), (3, 2, 32),
+        (_TILE_ROWS - 1, 20, 16), (_TILE_ROWS, 20, 32), (_TILE_ROWS, 1, 1),
+        (_TILE_ROWS + 1, _TILE_ROWS, 16), (_TILE_ROWS + 1, 33, 32),
+        (2000, 1000, 16), (2000, 16 * _TILE_ROWS, 32), (2000, 777, 1),
+    ])
+    def test_value_and_median(self, rows, n, width):
+        rng = np.random.default_rng(rows * 1000 + n + width)
+        joint = rng.normal(size=(rows, width))
+        joint[n:] += 0.5
+        self._assert_matches(joint, n)
+
+    @pytest.mark.parametrize("rows", [3, _TILE_ROWS + 1])
+    def test_collapsed_latent_falls_back_to_unit_median(self, rows):
+        # every row equal, so every distance is 0 and the median degenerate
+        joint = np.full((rows, 16), 0.5)
+        assert _streamed_median_distance(joint) == 1.0
+        assert _streamed_mmd(joint, 2) == 0.0
+        self._assert_matches(joint, 2)
+
+    @staticmethod
+    def _assert_matches(joint, n):
+        want = np.float64(_median_distance(*_joint_sq_dists(joint)))
+        got = np.float64(_streamed_median_distance(joint))
+        assert got.view(np.uint64) == want.view(np.uint64)
+        assert abs(_streamed_mmd(joint, n) - mmd_distance(joint, n)[0]) <= 1e-14
+
+    @pytest.mark.parametrize("distance", [lambda j, n: mmd_distance(j, n)[0], _streamed_mmd],
+                             ids=["per_step", "streamed"])
+    def test_both_check_rows_and_bandwidths_alike(self, distance):
+        with pytest.raises(ValueError, match="1 row per side"):
+            distance(np.zeros((3, 2)), 3)
+        # the two rows' squared distance overflows, so the median is inf
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ValueError, match="bandwidths must be positive and finite"):
+            distance(np.array([[-1e154], [1e154]]), 1)
 
 
 class TestMmdDistance:

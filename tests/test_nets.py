@@ -1,6 +1,5 @@
 import json
 import os
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +18,7 @@ from pbmatch.nets import (
 from pbmatch import nets
 from pbmatch.tensor import Tensor, backward
 
-from oracles import closed_form_node, dot, oracle_forward
+from oracles import closed_form_node, dot, oracle_forward, traced_peak
 
 
 def test_init_deterministic_in_seed():
@@ -302,18 +301,28 @@ def test_checkpoint_header_naming_huge_layers_fails_before_allocating(tmp_path, 
     assert str(path) in str(err.value)
 
 
+def _load_error(path, match):
+    with pytest.raises(ValueError, match=match) as err:
+        load_checkpoint(path)
+    return err.value
+
+
 def test_checkpoint_with_a_huge_tail_is_rejected_before_it_is_read(tmp_path):
     path = tmp_path / "checkpoint.bin"
     save_checkpoint(path, init_params([4, 3, 2], seed=1))
     os.truncate(path, path.stat().st_size + 64 * 2**20)  # a sparse zero tail
-    tracemalloc.start()
-    try:
-        with pytest.raises(ValueError, match="parameter bytes") as err:
-            load_checkpoint(path)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert str(path) in str(err.value)
+    error, peak = traced_peak(lambda: _load_error(path, "parameter bytes"))
+    assert str(path) in str(error)
+    assert peak < 2**20
+
+
+def test_checkpoint_without_a_header_line_is_rejected_before_it_is_read(tmp_path):
+    # a truncated JSON prefix, then a sparse zero tail: 64 MiB and no newline
+    path = tmp_path / "checkpoint.bin"
+    path.write_bytes(b'{"layer_spec": [4, 3, 2], "seed"')
+    os.truncate(path, 64 * 2**20)
+    error, peak = traced_peak(lambda: _load_error(path, "header line is longer than"))
+    assert str(path) in str(error)
     assert peak < 2**20
 
 

@@ -46,7 +46,7 @@ from pbmatch.nets import forward
 from pbmatch.transforms import rng, sample_mixup_beta
 from pbmatch import losses, nets, training
 
-from oracles import closed_form_node
+from oracles import closed_form_node, traced_peak
 
 
 BLOB_MEANS = ((-2.0, 0.0), (2.0, 0.0))
@@ -533,6 +533,14 @@ class TestTrainLoop:
         params = init_params([2, 8, 2], seed=1)
         assert full_set_mmd(params, src.x_flat(), src.x_flat()) == pytest.approx(
             0.0, abs=1e-12)
+
+    def test_full_set_mmd_holds_no_square_distance_matrix(self):
+        # 2000 rows would need 2 x 30.5 MiB for two N x N float64 arrays; the
+        # streamed reading holds the N(N-1)/2 pair distances, 15.2 MiB
+        src, tgt = blob_pair(n=1000)
+        params = init_params([2, 32, 16, 2], seed=1)
+        _, peak = traced_peak(lambda: full_set_mmd(params, src.x_flat(), tgt.x_flat()))
+        assert peak < 24 * 2**20
 
 
 @pytest.mark.parametrize("pair", ["images", "points"])
