@@ -27,7 +27,6 @@ from .losses import (
     BatchBundle,
     LossConfig,
     MarginalTracker,
-    _joint_sq_dists,
     _log_softmax,
     _median_distance,
     coral_distance,
@@ -222,7 +221,7 @@ def _build_mmd(rng, i):
     # differences would move; the check freezes them at the point's median
     z_s = rng.normal(0.0, 1.0, (6, 4))
     z_t = rng.normal(0.3, 1.1, (5, 4))
-    med = _median_distance(*_joint_sq_dists(np.concatenate([z_s, z_t])))
+    med = _median_distance(np.concatenate([z_s, z_t]), 6)
     bws = [s * med for s in DEFAULT_BANDWIDTH_SCALES]
     return _distance_fn(lambda joint: mmd_distance(joint, 6, bws), z_s, z_t, bool(i % 2))
 

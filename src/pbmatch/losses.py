@@ -14,10 +14,11 @@ gradient with respect to those rows. No term touches the tape:
 ``total_objective`` runs the terms and records one node for the whole
 weighted sum, head GEMMs and feature distance included.
 
-``_streamed_mmd`` is the MMD's value alone over a whole data set, such as
+One ``mmd_distance`` serves a step's batch and a whole data set, such as
 the label-shift probe's reading after each weight. It forms the distance
-matrix in row tiles and never holds an N x N array: N(N-1)/2 float64
-pair distances for the median, then two tiles for the kernel.
+matrix in row tiles: a matrix of up to 362 rows is one tile, shared by
+the median and the kernel; a larger one is never held whole, only its
+N(N-1)/2 float64 pair distances for the median, then a few tiles.
 """
 
 from __future__ import annotations
@@ -448,49 +449,81 @@ def total_objective(batch_bundle: BatchBundle, params: ModelParams,
 # feature-distribution distances (alignment baselines)
 # ---------------------------------------------------------------------------
 
-def _joint_sq_dists(joint: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Squared distances between all rows of ``joint``, plus a scratch buffer
-    of the same shape that the caller may overwrite.
+# rows per tile of the squared-distance matrix: 64 rows of 2048 distances
+# are 1 MiB, and a matrix of at most that many entries is a single tile
+_TILE_ROWS = 64
+_TILE_ENTRIES = _TILE_ROWS * 2048
+# the strict upper triangle of the largest tile's diagonal block, 362 x 362
+_UPPER = np.triu(np.ones((math.isqrt(_TILE_ENTRIES),) * 2, dtype=bool), 1)
+_UPPER.flags.writeable = False
 
-    The Gram matrix of ``joint`` with itself is exactly symmetric, so the
-    distances are too; the diagonal is set to 0 and the tiny negatives
-    float cancellation can leave are clamped.
-    """
-    sq = np.sum(joint ** 2, axis=1)
-    d2 = joint @ joint.T
+
+def _tiles(total: int, n: int) -> List[Tuple[int, int]]:
+    """Row ranges [a, b) of the distance matrix of ``total`` rows, of which
+    the first ``n`` are source rows: the whole matrix when it fits one
+    tile, else ``_TILE_ROWS``-row tiles of the source rows, then of the
+    target rows. The plan depends only on the row counts."""
+    if total * total <= _TILE_ENTRIES:
+        return [(0, total)]
+    return [(lo, min(lo + _TILE_ROWS, b)) for a, b in ((0, n), (n, total))
+            for lo in range(a, b, _TILE_ROWS)]
+
+
+def _sq_dist_rows(joint: np.ndarray, sq: np.ndarray, a: int, b: int) -> np.ndarray:
+    """Rows [a, b) of the squared distances between the rows of ``joint``,
+    whose squared norms are ``sq``: sq_i + sq_j - 2 z_i . z_j, with the tiny
+    negatives float cancellation can leave clamped and each row's own
+    entry 0. The whole matrix is exactly symmetric: its Gram product is."""
+    d2 = joint[a:b] @ joint.T
     d2 *= 2.0
-    scratch = np.add(sq[:, None], sq[None, :])
-    np.subtract(scratch, d2, out=d2)
+    np.subtract(np.add(sq[a:b, None], sq[None, :]), d2, out=d2)
     np.maximum(d2, 0.0, out=d2)
-    np.fill_diagonal(d2, 0.0)
-    return d2, scratch
+    np.fill_diagonal(d2[:, a:b], 0.0)
+    return d2
 
 
-def _median_distance(d2: np.ndarray, scratch: np.ndarray) -> float:
-    """Median distance over distinct pairs of a ``_joint_sq_dists`` matrix; 1.0 if degenerate.
+def _median_distance(joint: np.ndarray, n: int, whole: Optional[np.ndarray] = None) -> float:
+    """Median distance over the distinct pairs of ``joint``'s rows, split
+    after the first ``n``; 1.0 if degenerate. ``whole`` is the distance
+    matrix of a one-tile plan, when the caller has formed it already.
 
-    Partitions a copy of the whole matrix in ``scratch``: its N zero
-    diagonal entries sort first and every distinct pair follows twice, so
-    the two middle order statistics of the P pairs sit at N + P - 1 and
-    the smallest entry after it. Taking square roots after selecting gives
-    the same bits as taking them before, since the square root is monotone.
+    Each pair's squared distance is read once, from the strict upper
+    triangle of the tile holding its first row: the tile's columns right
+    of its diagonal block whole, and the block's upper triangle through
+    one mask. The P = N(N-1)/2 values go into one buffer, freed on return,
+    where the two middle order statistics sit at (P-1)//2 and P//2. Taking
+    square roots after selecting gives the same bits as taking them first,
+    since the square root is monotone.
     """
-    n = d2.shape[0]
-    pairs = n * (n - 1) // 2
-    if pairs == 0:
-        return 1.0
-    flat = scratch.reshape(-1)
-    np.copyto(scratch, d2)
-    mid = n + pairs - 1
-    flat.partition(mid)
-    med = (math.sqrt(flat[mid]) + math.sqrt(flat[mid + 1:].min())) / 2.0
+    total = joint.shape[0]
+    pairs = total * (total - 1) // 2
+    if whole is not None:
+        flat = whole[_UPPER[:total, :total]]
+    else:
+        sq = np.sum(joint ** 2, axis=1)
+        flat = np.empty(pairs)
+        end = 0
+        for a, b in _tiles(total, n):
+            d2 = _sq_dist_rows(joint, sq, a, b)
+            block = d2[:, a:b][_UPPER[:b - a, :b - a]]
+            flat[end:end + block.size] = block
+            end += block.size
+            right = d2[:, b:]
+            flat[end:end + right.size].reshape(right.shape)[...] = right
+            end += right.size
+            # free this tile before the next one is formed
+            del d2, block, right
+    lo = (pairs - 1) // 2
+    flat.partition(lo)
+    hi = flat[lo] if pairs % 2 else flat[lo + 1:].min()
+    med = (math.sqrt(flat[lo]) + math.sqrt(hi)) / 2.0
     return med if med > 0.0 else 1.0
 
 
 def _check_sides(joint: np.ndarray, n: int) -> int:
     """The target row count of ``joint`` split after its first ``n`` rows."""
     m = joint.shape[0] - n
-    if n == 0 or m == 0:
+    if n < 1 or m < 1:
         raise ValueError(f"need >= 1 row per side, got {n} and {m}")
     return m
 
@@ -508,127 +541,55 @@ def mmd_distance(joint: np.ndarray, n: int, bandwidths: Optional[Sequence[float]
     first ``n`` rows of ``joint`` and the rest.
 
     The kernel is a sum of Gaussians over ``bandwidths`` (defaults:
-    {0.5,1,2,4} x median pairwise distance of the joint batch, frozen per
-    call). One squared-distance matrix D of the rows Z of ``joint`` serves
-    the median and every kernel, whose blocks sum to mean(K_ss) + mean(K_tt)
-    - 2 mean(K_st).
+    {0.5,1,2,4} x median pairwise distance of the joint rows, frozen per
+    call). The squared-distance matrix D of the rows Z of ``joint`` is
+    formed in the row tiles of ``_tiles`` and never held whole unless it
+    is one tile, whose distances then serve the median and the kernel.
+    Each tile's kernel rows add to the block sums of mean(K_ss) +
+    mean(K_tt) - 2 mean(K_st), its source rows to K_ss and K_st, its
+    target rows to K_tt.
 
     With C the block weights (1/n^2, 1/m^2, -1/nm) times sum over
     bandwidths of -exp(-D / 2bw^2) / 2bw^2, zero where D is 0, the gradient
-    with respect to Z is 4 (diag(C 1) Z - C Z); the returned map scales it
-    by 4s in one multiply.
+    with respect to Z is 4 (diag(C 1) Z - C Z), formed tile by tile with
+    the value; the returned map scales it by 4s in one multiply.
     """
     m = _check_sides(joint, n)
-    d2, kern = _joint_sq_dists(joint)
+    total = n + m
+    tiles = _tiles(total, n)
+    sq = np.sum(joint ** 2, axis=1)
+    whole = _sq_dist_rows(joint, sq, 0, total) if len(tiles) == 1 else None
     if bandwidths is None:
-        med = _median_distance(d2, kern)
+        med = _median_distance(joint, n, whole)
         bandwidths = [s * med for s in DEFAULT_BANDWIDTH_SCALES]
-    bandwidths = _checked_bandwidths(bandwidths)
+    coefs = [-1.0 / (2.0 * bw * bw) for bw in _checked_bandwidths(bandwidths)]
 
-    c = np.zeros_like(d2)
+    kern = np.empty((max(b - a for a, b in tiles), total))
+    grad = np.empty_like(joint)
     k_ss = k_tt = k_st = 0.0
-    for bw in bandwidths:
-        coef = -1.0 / (2.0 * bw * bw)
-        np.multiply(d2, coef, out=kern)
-        np.exp(kern, out=kern)
-        k_ss += kern[:n, :n].sum()
-        k_tt += kern[n:, n:].sum()
-        k_st += kern[:n, n:].sum()
-        kern *= coef
-        c += kern
-    value = float(k_ss / (n * n) + k_tt / (m * m) - 2.0 * k_st / (n * m))
-    c[:n, :n] *= 1.0 / (n * n)
-    c[n:, n:] *= 1.0 / (m * m)
-    c[:n, n:] *= -1.0 / (n * m)
-    c[n:, :n] *= -1.0 / (n * m)
-    c[d2 <= 0.0] = 0.0
-
-    def grad(scale):
-        out = c.sum(axis=1)[:, None] * joint
-        out -= c @ joint
-        out *= 4.0 * scale
-        return out
-
-    return value, grad
-
-
-# rows per tile of the streamed reading: 64 rows of 2048 distances are 1 MiB
-_TILE_ROWS = 64
-
-
-def _sq_dist_rows(joint: np.ndarray, sq: np.ndarray, a: int, b: int) -> np.ndarray:
-    """Rows [a, b) of ``_joint_sq_dists``' matrix, in its operation order;
-    ``sq`` holds the squared norms of ``joint``'s rows."""
-    d2 = joint[a:b] @ joint.T
-    d2 *= 2.0
-    np.subtract(np.add(sq[a:b, None], sq[None, :]), d2, out=d2)
-    np.maximum(d2, 0.0, out=d2)
-    d2[np.arange(b - a), np.arange(a, b)] = 0.0
-    return d2
-
-
-def _tiles(a: int, b: int) -> List[Tuple[int, int]]:
-    return [(lo, min(lo + _TILE_ROWS, b)) for lo in range(a, b, _TILE_ROWS)]
-
-
-def _streamed_median_distance(joint: np.ndarray) -> float:
-    """``_median_distance`` of ``joint``'s rows, bit for bit, from row tiles.
-
-    Each distinct pair's squared distance is copied once, from its upper
-    triangle entry, into one buffer of P = N(N-1)/2 values, so the two
-    middle order statistics sit at (P-1)//2 and P//2.
-    """
-    n = joint.shape[0]
-    pairs = n * (n - 1) // 2
-    if pairs == 0:
-        return 1.0
-    sq = np.sum(joint ** 2, axis=1)
-    flat = np.empty(pairs)
-    end = 0
-    for a, b in _tiles(0, n):
-        d2 = _sq_dist_rows(joint, sq, a, b)
-        for i in range(a, b):
-            row = d2[i - a, i + 1:]
-            flat[end:end + row.size] = row
-            end += row.size
-    lo = (pairs - 1) // 2
-    flat.partition(lo)
-    hi = flat[lo] if pairs % 2 else flat[lo + 1:].min()
-    med = (math.sqrt(flat[lo]) + math.sqrt(hi)) / 2.0
-    return med if med > 0.0 else 1.0
-
-
-def _streamed_mmd(joint: np.ndarray, n: int) -> float:
-    """``mmd_distance(joint, n)``'s value at the default bandwidths, from
-    row tiles of the distance matrix, with no gradient.
-
-    It holds N(N-1)/2 float64 distances for the median, then two tiles of
-    ``_TILE_ROWS`` rows for the kernel, never an N x N array. Each tile's
-    distances are formed once and the kernel goes one bandwidth at a time
-    over them: source tiles add to K_ss and K_st, target tiles to K_tt.
-    The median is ``mmd_distance``'s, bit for bit; the block sums run tile
-    by tile, so the value may differ from ``mmd_distance``'s in its last
-    bits.
-    """
-    m = _check_sides(joint, n)
-    med = _streamed_median_distance(joint)
-    coefs = [-1.0 / (2.0 * bw * bw)
-             for bw in _checked_bandwidths([s * med for s in DEFAULT_BANDWIDTH_SCALES])]
-    sq = np.sum(joint ** 2, axis=1)
-    kern = np.empty((min(_TILE_ROWS, joint.shape[0]), joint.shape[0]))
-    k_ss = k_tt = k_st = 0.0
-    for a, b in _tiles(0, n) + _tiles(n, n + m):
-        d2 = _sq_dist_rows(joint, sq, a, b)
+    for a, b in tiles:
+        d2 = whole if whole is not None else _sq_dist_rows(joint, sq, a, b)
         k = kern[:b - a]
+        # local rows [0, s) are source rows and [t, b - a) target rows
+        s, t = min(b, n) - a, max(a, n) - a
+        c = np.zeros_like(d2)
         for coef in coefs:
             np.multiply(d2, coef, out=k)
             np.exp(k, out=k)
-            if a < n:
-                k_ss += k[:, :n].sum()
-                k_st += k[:, n:].sum()
-            else:
-                k_tt += k[:, n:].sum()
-    return float(k_ss / (n * n) + k_tt / (m * m) - 2.0 * k_st / (n * m))
+            k_ss += k[:s, :n].sum()
+            k_st += k[:s, n:].sum()
+            k_tt += k[t:, n:].sum()
+            k *= coef
+            c += k
+        c[:s, :n] *= 1.0 / (n * n)
+        c[t:, n:] *= 1.0 / (m * m)
+        c[:s, n:] *= -1.0 / (n * m)
+        c[t:, :n] *= -1.0 / (n * m)
+        c[d2 <= 0.0] = 0.0
+        np.multiply(c.sum(axis=1)[:, None], joint[a:b], out=grad[a:b])
+        grad[a:b] -= c @ joint
+    value = float(k_ss / (n * n) + k_tt / (m * m) - 2.0 * k_st / (n * m))
+    return value, lambda scale: grad * (4.0 * scale)
 
 
 def coral_distance(joint: np.ndarray, n: int) -> Tuple[float, GradMap]:

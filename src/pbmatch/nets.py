@@ -38,10 +38,6 @@ class ModelParams:
         return self.layer_spec[0]
 
     @property
-    def latent_dim(self) -> int:
-        return self.layer_spec[-2]
-
-    @property
     def n_classes(self) -> int:
         return self.layer_spec[-1]
 
@@ -207,8 +203,8 @@ class OptimState:
     def __post_init__(self):
         if self.kind not in ("sgd_momentum", "adam"):
             raise ValueError(f"unknown optimizer kind: {self.kind!r}")
-        if self.weight_decay < 0:
-            raise ValueError("weight decay must be >= 0")
+        if not self.weight_decay >= 0:
+            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
 
 
 def step(params: ModelParams, opt: OptimState) -> None:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -49,15 +50,13 @@ from .datasets import (
     generate_glyph_pair,
     outlier_pool,
 )
-# coral_distance, cross_entropy, features and mmd_distance are not called here;
-# they stay bound because perfbench/spans.py LAYER_CALLS times these names in
-# this module
+# coral_distance, cross_entropy and features are not called here; they stay
+# bound because perfbench/spans.py LAYER_CALLS times these names in this module
 from .losses import (
     BatchBundle,
     LossConfig,
     MarginalTracker,
     _entropy,
-    _streamed_mmd,
     coral_distance,
     cross_entropy,
     mmd_distance,
@@ -177,10 +176,16 @@ class TrainConfig:
             raise ValueError(f"batch must be >= 2 (distances need pairs), got {self.batch}")
         if self.optimizer not in ("adam", "sgd_momentum"):
             raise ValueError(f"optimizer must be adam or sgd_momentum, got {self.optimizer!r}")
+        if not (math.isfinite(self.lr) and self.lr > 0.0):
+            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
+        if not (0.0 <= self.momentum < 1.0):
+            raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0.0):
+            raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         if self.seed_model < 0:
             raise ValueError(f"seed_model must be >= 0, got {self.seed_model}")
-        if self.dm_weight < 0.0:
-            raise ValueError(f"dm_weight must be >= 0, got {self.dm_weight}")
+        if not (math.isfinite(self.dm_weight) and self.dm_weight >= 0.0):
+            raise ValueError(f"dm_weight must be finite and >= 0, got {self.dm_weight}")
         if self.dm_ramp_steps < 0:
             raise ValueError(f"dm_ramp_steps must be >= 0, got {self.dm_ramp_steps}")
         if not (0.0 <= self.eval_fraction <= 0.5):
@@ -317,11 +322,11 @@ def split_target(labels: np.ndarray, eval_fraction: float,
 # ---------------------------------------------------------------------------
 
 def full_set_mmd(params: ModelParams, src_x: np.ndarray, tgt_x: np.ndarray) -> float:
-    """Squared kernel distance between the two domains' full latent sets,
-    streamed in row tiles (see ``losses._streamed_mmd``)."""
+    """Squared kernel distance between the two domains' full latent sets:
+    ``mmd_distance``'s value, formed in row tiles; its gradient is unused."""
     z_s = predict_features(params, src_x)
     z_t = predict_features(params, tgt_x)
-    return _streamed_mmd(np.concatenate([z_s, z_t]), z_s.shape[0])
+    return mmd_distance(np.concatenate([z_s, z_t]), z_s.shape[0])[0]
 
 
 def _transform_token(seed_data: int, epoch: int, step_idx: int) -> int:

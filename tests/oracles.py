@@ -7,6 +7,10 @@ form; these formulations record one node per elementary op instead, so a
 test can compare a closed-form value and gradient against an independent
 chain of simple rules.
 
+``whole_matrix_mmd`` is the MMD on one whole N x N distance matrix, the
+arithmetic the library's row-tiled ``mmd_distance`` must reproduce bit
+for bit whenever the matrix is one tile.
+
 The glyph oracle renders a domain one sample at a time, each from its own
 ``rng(seed, idx)``, as the library did before it built the images with
 array ops.
@@ -15,6 +19,7 @@ array ops.
 bound it.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -259,6 +264,68 @@ def oracle_mmd(z_src: Tensor, z_tgt: Tensor, bandwidths=None) -> Tensor:
     k_tt = _mean_kernel(z_tgt, z_tgt, bandwidths)
     k_st = _mean_kernel(z_src, z_tgt, bandwidths)
     return add(add(k_ss, k_tt), scale(k_st, -2.0))
+
+
+def whole_matrix_sq_dists(joint: np.ndarray):
+    """Squared distances between all rows of ``joint``, plus a scratch
+    buffer of the same shape: the Gram matrix doubled and subtracted from
+    sq_i + sq_j, clamped at 0, with a zero diagonal."""
+    sq = np.sum(joint ** 2, axis=1)
+    d2 = joint @ joint.T
+    d2 *= 2.0
+    scratch = np.add(sq[:, None], sq[None, :])
+    np.subtract(scratch, d2, out=d2)
+    np.maximum(d2, 0.0, out=d2)
+    np.fill_diagonal(d2, 0.0)
+    return d2, scratch
+
+
+def whole_matrix_median(d2: np.ndarray, scratch: np.ndarray) -> float:
+    """Median distance over distinct pairs of a ``whole_matrix_sq_dists``
+    matrix; 1.0 if degenerate. Partitions a copy of the whole matrix: its N
+    zero diagonal entries sort first and every pair follows twice, so the
+    two middle order statistics sit at N + P - 1 and the smallest entry
+    after it."""
+    n = d2.shape[0]
+    pairs = n * (n - 1) // 2
+    flat = scratch.reshape(-1)
+    np.copyto(scratch, d2)
+    mid = n + pairs - 1
+    flat.partition(mid)
+    med = (math.sqrt(flat[mid]) + math.sqrt(flat[mid + 1:].min())) / 2.0
+    return med if med > 0.0 else 1.0
+
+
+def whole_matrix_mmd(joint: np.ndarray, n: int, bandwidths=None):
+    """The MMD's value and its gradient to ``joint``'s rows, from one whole
+    distance matrix: every kernel block summed over the whole matrix, and
+    4 (diag(C 1) Z - C Z) from the whole weight matrix C."""
+    m = joint.shape[0] - n
+    d2, kern = whole_matrix_sq_dists(joint)
+    if bandwidths is None:
+        med = whole_matrix_median(d2, kern)
+        bandwidths = [s * med for s in DEFAULT_BANDWIDTH_SCALES]
+    c = np.zeros_like(d2)
+    k_ss = k_tt = k_st = 0.0
+    for bw in bandwidths:
+        coef = -1.0 / (2.0 * bw * bw)
+        np.multiply(d2, coef, out=kern)
+        np.exp(kern, out=kern)
+        k_ss += kern[:n, :n].sum()
+        k_tt += kern[n:, n:].sum()
+        k_st += kern[:n, n:].sum()
+        kern *= coef
+        c += kern
+    value = float(k_ss / (n * n) + k_tt / (m * m) - 2.0 * k_st / (n * m))
+    c[:n, :n] *= 1.0 / (n * n)
+    c[n:, n:] *= 1.0 / (m * m)
+    c[:n, n:] *= -1.0 / (n * m)
+    c[n:, :n] *= -1.0 / (n * m)
+    c[d2 <= 0.0] = 0.0
+    grad = c.sum(axis=1)[:, None] * joint
+    grad -= c @ joint
+    grad *= 4.0
+    return value, grad
 
 
 def oracle_coral(z_src: Tensor, z_tgt: Tensor) -> Tensor:

@@ -333,7 +333,12 @@ class TestTrainEval:
         ({"method": "source_only", "loss": {"lambda_M": 1}}, "entropy_ceiling"),
         ({"method": "source_only", "hidden": 5}, "hidden"),
         ({"method": "source_only", "seed_model": -1}, "seed_model"),
-    ], ids=["partial_loss", "hidden_not_list", "negative_seed_model"])
+        ({"method": "source_only", "lr": -1.0}, "lr"),
+        ({"method": "source_only", "lr": float("nan")}, "lr"),
+        ({"method": "source_only", "momentum": 1.0}, "momentum"),
+        ({"method": "dm_mmd", "dm_weight": float("inf")}, "dm_weight"),
+    ], ids=["partial_loss", "hidden_not_list", "negative_seed_model", "negative_lr", "nan_lr",
+            "unit_momentum", "infinite_dm_weight"])
     def test_malformed_config_field_exits_1(self, blob_pair_dir, tmp_path, capsys,
                                             payload, field):
         cfg = write_json(tmp_path / "cfg.json", payload)

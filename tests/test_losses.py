@@ -17,12 +17,10 @@ from pbmatch.losses import (
     KL_MARGIN,
     LossConfig,
     MarginalTracker,
-    _joint_sq_dists,
     _log_softmax,
     _TILE_ROWS,
     _median_distance,
-    _streamed_median_distance,
-    _streamed_mmd,
+    _tiles,
     coral_distance,
     cpbm_loss,
     cross_entropy,
@@ -50,6 +48,9 @@ from oracles import (
     oracle_tpbm,
     reduce,
     sub,
+    whole_matrix_median,
+    whole_matrix_mmd,
+    whole_matrix_sq_dists,
 )
 
 
@@ -74,7 +75,7 @@ def _logp_for(probs):
 
 def _median(a, b):
     """The median distance the default MMD bandwidths scale."""
-    return _median_distance(*_joint_sq_dists(np.concatenate([a, b])))
+    return _median_distance(np.concatenate([a, b]), len(a))
 
 
 # ---------------------------------------------------------------------------
@@ -872,51 +873,85 @@ class TestMmdMatchesPerOpOracle:
             want = np.float64(oracle_median(a, b))
             assert got.view(np.uint64) == want.view(np.uint64), (trial, got, want)
 
-    def test_empty_side_rejected(self):
+    @pytest.mark.parametrize("n", [0, 3, 5, -1])
+    def test_empty_side_rejected(self, n):
+        # a split past either end once gave a finite value with no error
         with pytest.raises(ValueError, match="1 row per side"):
-            mmd_distance(np.zeros((3, 2)), 0)
+            mmd_distance(np.zeros((3, 2)), n)
 
 
-class TestStreamedMmdMatchesThePerStepTerm:
-    """The full-set reading, from row tiles, against ``mmd_distance``'s
-    one distance matrix: the same median bits, the value to 1e-14."""
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+
+class TestMmdMatchesTheWholeMatrixArithmetic:
+    """``mmd_distance`` forms its distance matrix in row tiles. While the
+    matrix is one tile (N <= 362 rows) its value, gradient and median have
+    the bits of the whole-matrix arithmetic in oracles.py; past that the
+    median keeps its bits and the block sums, summed tile by tile, move in
+    their last bits."""
+
+    @staticmethod
+    def _joint(n, m, width, tied, seed):
+        rng = np.random.default_rng(seed)
+        joint = rng.normal(size=(n + m, width))
+        joint[n:] += 0.5
+        # coarse grids give tied and zero distances
+        return np.round(joint) if tied else joint
+
+    @pytest.mark.parametrize("n,m,width,tied", [
+        (64, 64, 16, False), (64, 64, 32, False), (64, 64, 16, True),
+        (7, 12, 5, False), (33, 20, 4, True), (6, 5, 3, False), (2, 1, 5, True),
+        (1, 1, 2, False), (100, 100, 8, True), (181, 181, 16, False), (300, 62, 32, True),
+    ])
+    def test_one_tile_is_bitwise(self, n, m, width, tied):
+        assert _tiles(n + m, n) == [(0, n + m)]
+        for trial in range(3):
+            joint = self._joint(n, m, width, tied, seed=(n * 1000 + m) * 10 + trial)
+            assert _bits(_median_distance(joint, n)) == _bits(
+                whole_matrix_median(*whole_matrix_sq_dists(joint)))
+            for bandwidths in (None, [0.7, 1.9, 3.1]):
+                value, grad = mmd_distance(joint, n, bandwidths)
+                want_value, want_grad = whole_matrix_mmd(joint, n, bandwidths)
+                assert _bits(value) == _bits(want_value)
+                assert np.array_equal(_bits(grad(1.0)), _bits(want_grad))
 
     @pytest.mark.parametrize("rows,n,width", [
-        (2, 1, 16), (3, 1, 1), (3, 2, 32),
-        (_TILE_ROWS - 1, 20, 16), (_TILE_ROWS, 20, 32), (_TILE_ROWS, 1, 1),
-        (_TILE_ROWS + 1, _TILE_ROWS, 16), (_TILE_ROWS + 1, 33, 32),
-        (2000, 1000, 16), (2000, 16 * _TILE_ROWS, 32), (2000, 777, 1),
+        (362, 181, 16), (363, 181, 16), (363, 1, 32), (363, 362, 1),
+        (_TILE_ROWS * 7, _TILE_ROWS * 3, 16), (2000, 1000, 16), (2000, 777, 1),
     ])
-    def test_value_and_median(self, rows, n, width):
-        rng = np.random.default_rng(rows * 1000 + n + width)
-        joint = rng.normal(size=(rows, width))
-        joint[n:] += 0.5
-        self._assert_matches(joint, n)
+    def test_past_one_tile_the_median_is_bitwise(self, rows, n, width):
+        # the plan's boundary is 362 rows: 362^2 distances fit one 1 MiB tile
+        assert (len(_tiles(rows, n)) == 1) == (rows <= 362)
+        joint = self._joint(n, rows - n, width, False, seed=rows + n + width)
+        assert _bits(_median_distance(joint, n)) == _bits(
+            whole_matrix_median(*whole_matrix_sq_dists(joint)))
+        value, grad = mmd_distance(joint, n)
+        want_value, want_grad = whole_matrix_mmd(joint, n)
+        assert abs(value - want_value) <= 1e-14
+        np.testing.assert_allclose(grad(1.0), want_grad, rtol=0, atol=1e-14)
 
-    @pytest.mark.parametrize("rows", [3, _TILE_ROWS + 1])
+    def test_multi_tile_matches_the_per_op_oracle(self):
+        rng = np.random.default_rng(11)
+        a = rng.normal(size=(200, 6))
+        b = rng.normal(0.4, 1.3, size=(163, 6))
+        assert len(_tiles(363, 200)) > 1
+        _assert_matches_oracle(_distance(mmd_distance, a, b), _oracle(oracle_mmd, a, b))
+
+    @pytest.mark.parametrize("rows", [3, 400])
     def test_collapsed_latent_falls_back_to_unit_median(self, rows):
         # every row equal, so every distance is 0 and the median degenerate
         joint = np.full((rows, 16), 0.5)
-        assert _streamed_median_distance(joint) == 1.0
-        assert _streamed_mmd(joint, 2) == 0.0
-        self._assert_matches(joint, 2)
+        assert _median_distance(joint, 2) == 1.0
+        value, grad = mmd_distance(joint, 2)
+        assert value == 0.0
+        assert not grad(1.0).any()
 
-    @staticmethod
-    def _assert_matches(joint, n):
-        want = np.float64(_median_distance(*_joint_sq_dists(joint)))
-        got = np.float64(_streamed_median_distance(joint))
-        assert got.view(np.uint64) == want.view(np.uint64)
-        assert abs(_streamed_mmd(joint, n) - mmd_distance(joint, n)[0]) <= 1e-14
-
-    @pytest.mark.parametrize("distance", [lambda j, n: mmd_distance(j, n)[0], _streamed_mmd],
-                             ids=["per_step", "streamed"])
-    def test_both_check_rows_and_bandwidths_alike(self, distance):
-        with pytest.raises(ValueError, match="1 row per side"):
-            distance(np.zeros((3, 2)), 3)
+    def test_infinite_median_is_rejected(self):
         # the two rows' squared distance overflows, so the median is inf
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(ValueError, match="bandwidths must be positive and finite"):
-            distance(np.array([[-1e154], [1e154]]), 1)
+            mmd_distance(np.array([[-1e154], [1e154]]), 1)
 
 
 class TestMmdDistance:

@@ -152,6 +152,12 @@ def test_sgd_basic_update_rule():
     assert np.allclose(p.psi[0].data, 0.9)
 
 
+@pytest.mark.parametrize("weight_decay", [-1e-5, float("nan")])
+def test_optimizer_rejects_unusable_weight_decay(weight_decay):
+    with pytest.raises(ValueError, match="weight_decay must be >= 0"):
+        OptimState(kind="adam", weight_decay=weight_decay)
+
+
 def test_step_with_zero_grads_leaves_params():
     p = init_params([4, 3, 2], seed=0)
     before = [t.data.copy() for t in p.all_tensors()]

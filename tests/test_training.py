@@ -113,6 +113,21 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(**kw)
 
+    @pytest.mark.parametrize("field,value", [
+        ("lr", float("nan")), ("lr", float("inf")), ("lr", 0.0), ("lr", -1.0),
+        ("momentum", -0.1), ("momentum", 1.0), ("momentum", float("nan")),
+        ("weight_decay", float("nan")), ("weight_decay", float("inf")),
+        ("weight_decay", -1e-5), ("dm_weight", float("nan")), ("dm_weight", float("inf")),
+    ])
+    def test_unusable_optimizer_settings_are_named(self, field, value):
+        # a NaN lr trained to NaN parameters, and a negative one ascended, silently
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            TrainConfig(method="instapbm", epochs=1, hidden=(8,), **{field: value})
+
+    def test_large_finite_optimizer_settings_pass(self):
+        cfg = TrainConfig(lr=1e300, momentum=0.0, weight_decay=1e300, dm_weight=1e300)
+        assert cfg.lr == 1e300
+
     def test_negative_seed_model_is_named(self):
         with pytest.raises(ValueError, match="seed_model must be >= 0, got -1"):
             TrainConfig(seed_model=-1)
@@ -533,6 +548,17 @@ class TestTrainLoop:
         params = init_params([2, 8, 2], seed=1)
         assert full_set_mmd(params, src.x_flat(), src.x_flat()) == pytest.approx(
             0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [60, 1000])
+    def test_full_set_mmd_is_the_per_step_term_bitwise(self, n):
+        # 120 rows are one tile of the distance matrix, 2000 rows many
+        src, tgt = blob_pair(n=n)
+        params = init_params([2, 32, 16, 2], seed=1)
+        z_s = nets.predict_features(params, src.x_flat())
+        z_t = nets.predict_features(params, tgt.x_flat())
+        want = losses.mmd_distance(np.concatenate([z_s, z_t]), len(z_s))[0]
+        got = full_set_mmd(params, src.x_flat(), tgt.x_flat())
+        assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64)
 
     def test_full_set_mmd_holds_no_square_distance_matrix(self):
         # 2000 rows would need 2 x 30.5 MiB for two N x N float64 arrays; the
