@@ -2,11 +2,12 @@
 
 Predictive-behavior matching objectives, distribution-matching baseline
 distances, procedural domain-pair generators, realistic-shift benchmark
-constructors, and a deterministic training/evaluation harness, all on a
-small pure-numpy autodiff engine.
+constructors, and a deterministic training/evaluation harness, in pure
+numpy. Every gradient is closed-form: the objective's terms return theirs,
+and a training step maps them back through the heads and the trunk with
+no autodiff tape.
 """
 
-from pbmatch.tensor import Tensor, backward, grad_check
 from pbmatch.nets import (
     ModelParams,
     OptimState,
@@ -82,10 +83,9 @@ from pbmatch.training import (
     split_target,
     train,
 )
-from pbmatch.gradcheck import run_gradient_suite, suite_text
+from pbmatch.gradcheck import grad_check, run_gradient_suite, suite_text
 
 __all__ = [
-    "Tensor", "backward", "grad_check",
     "ModelParams", "OptimState", "clone_params", "features", "forward",
     "init_params", "load_checkpoint", "predict_logits", "save_checkpoint",
     "softmax_probs", "step",
@@ -104,6 +104,6 @@ __all__ = [
     "NumericalAbort", "TrainConfig", "ablation_suite", "ablation_table_text",
     "build_benchmark_pair", "evaluate", "full_set_mmd", "lds_failure_probe",
     "save_run", "split_target", "train",
-    "run_gradient_suite", "suite_text",
+    "grad_check", "run_gradient_suite", "suite_text",
 ]
 __version__ = "0.1.0"

@@ -1,12 +1,13 @@
 """Randomized gradient verification sweep.
 
-The extractor trunk, a head, every objective term and the whole objective
-are checked against central differences on a batch of random instances.
-A term is checked as the function ``total_objective`` calls: its
-closed-form gradient to the varied input becomes the rule of one node
-over that input. The sweep is what the ``pbmatch gradcheck`` subcommand
-and the numerical acceptance tests run; it returns per-check worst-case
-relative errors so a regression in any single backward rule is
+The trunk rule, a head's part of the objective's rule, every objective
+term and the whole objective are checked against central differences on
+a batch of random instances. A check is a function ``x -> (value,
+gradient)``: a term as ``total_objective`` calls it, with its closed-form
+gradient to the varied input, or a rule of ``nets`` or ``losses`` read at
+the varied parameter. The sweep is what the ``pbmatch gradcheck``
+subcommand and the numerical acceptance tests run; it returns per-check
+worst-case relative errors so a regression in any single rule is
 attributable by name.
 
 Points are drawn to stay away from the genuine kinks (ReLU pre-activations
@@ -16,6 +17,7 @@ at zero), since a subgradient mismatch there is not a bug.
 from __future__ import annotations
 
 import dataclasses
+import math
 import zlib
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Tuple
@@ -29,6 +31,7 @@ from .losses import (
     MarginalTracker,
     _log_softmax,
     _median_distance,
+    backward,
     coral_distance,
     cpbm_loss,
     cross_entropy,
@@ -38,12 +41,69 @@ from .losses import (
     tpbm_loss,
     total_objective,
 )
-from .nets import ModelParams, features, forward, init_params
-from .tensor import Tensor, grad_check, node
+from .nets import ModelParams, forward, init_params, trunk_grads
 from .transforms import rng
 
 DEFAULT_INSTANCES = 20
 DEFAULT_TOL = 1e-4
+
+# a scalar function with its analytic gradient: x -> (value, d value / d x)
+Checked = Callable[[np.ndarray], Tuple[float, np.ndarray]]
+
+
+@dataclass
+class GradCheckReport:
+    """Per-coordinate analytic vs central-difference comparison."""
+
+    analytic: np.ndarray
+    numeric: np.ndarray
+    max_rel_error: float
+    tol: float
+
+    @property
+    def passed(self) -> bool:
+        return self.max_rel_error < self.tol
+
+    def __str__(self) -> str:
+        verdict = "PASS" if self.passed else "FAIL"
+        return (f"grad_check: max relative error {self.max_rel_error:.3e} "
+                f"vs tol {self.tol:.1e} -> {verdict}")
+
+
+def grad_check(fn: Checked, point: np.ndarray, step: float = 1e-5,
+               tol: float = 1e-4) -> GradCheckReport:
+    """Compare the analytic gradient ``fn`` returns at ``point`` against
+    central differences of its value.
+
+    Relative error per coordinate uses max(|analytic|, |numeric|, 1e-6) as the
+    denominator so near-zero coordinates are judged on absolute error.
+    """
+    x = np.array(point, dtype=np.float64)
+    value, grad = fn(x)
+    if np.shape(value) != ():
+        raise ValueError("grad_check requires a scalar-valued function")
+    if np.shape(grad) != x.shape:
+        raise ValueError(f"gradient shape {np.shape(grad)} does not match point {x.shape}")
+    if not np.isfinite(value):
+        raise ValueError("function value is not finite at the given point")
+    analytic = np.array(grad, dtype=np.float64)
+
+    numeric = np.zeros_like(x)
+    for i in np.ndindex(x.shape):
+        orig = x[i]
+        x[i] = orig + step
+        f_plus = float(fn(x)[0])
+        x[i] = orig - step
+        f_minus = float(fn(x)[0])
+        x[i] = orig
+        if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
+            raise ValueError("function value is not finite near the given point")
+        numeric[i] = (f_plus - f_minus) / (2.0 * step)
+
+    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-6)
+    max_rel = float(np.max(np.abs(analytic - numeric) / denom)) if x.size else 0.0
+    return GradCheckReport(analytic=analytic, numeric=numeric,
+                           max_rel_error=max_rel, tol=tol)
 
 
 @dataclass
@@ -68,18 +128,7 @@ def _rng_logits(rng, n, k, spread=2.0) -> np.ndarray:
 # instance builders: (rng, i) -> (fn, point)
 # ---------------------------------------------------------------------------
 
-Builder = Callable[[np.random.Generator, int], Tuple[Callable[[Tensor], Tensor], Tensor]]
-
-
-def _recorded(point: Tensor, value: float, grad: np.ndarray) -> Tensor:
-    """``value`` as one node over ``point`` whose gradient to it is ``grad``:
-    how a closed-form term, or a scalar readout, meets finite differences."""
-    return node(value, (point,), lambda g: (g * grad,))
-
-
-def _weighted_sum(t: Tensor, w: np.ndarray) -> Tensor:
-    """sum(t * w) as one node: a scalar readout with the known gradient w."""
-    return _recorded(t, float(np.sum(t.data * w)), w)
+Builder = Callable[[np.random.Generator, int], Tuple[Checked, np.ndarray]]
 
 
 def _off_kink_net(rng) -> Tuple[ModelParams, np.ndarray]:
@@ -89,11 +138,11 @@ def _off_kink_net(rng) -> Tuple[ModelParams, np.ndarray]:
     while True:
         params = init_params([4, 5, 4, 3, 2], seed=int(rng.integers(0, 2**31 - 1)), tasks=())
         for _, b in params.phi:
-            b.data = rng.normal(0.0, 0.5, b.shape)
+            b[...] = rng.normal(0.0, 0.5, b.shape)
         x = rng.normal(size=(3, 4))
         h = x
         for w, b in params.phi:
-            a = h @ w.data + b.data
+            a = h @ w + b
             if np.min(np.abs(a)) < 0.05:
                 break
             h = np.maximum(a, 0.0)
@@ -102,45 +151,43 @@ def _off_kink_net(rng) -> Tuple[ModelParams, np.ndarray]:
 
 
 def _build_features(rng, i):
-    # instance i varies the input (i % 7 == 0) or one layer's W or b
+    # instance i varies one layer's W or b; the trunk rule reads the
+    # gradient of a fixed readout of the latent
     params, x = _off_kink_net(rng)
     readout = rng.normal(size=(3, 3))
-    slot = i % 7
-    if slot == 0:
-        return (lambda p: _weighted_sum(features(params, p), readout)), Tensor(x)
-    layer, part = divmod(slot - 1, 2)
+    layer, part = divmod(i % 6, 2)
 
-    def fn(p: Tensor) -> Tensor:
+    def fn(p: np.ndarray) -> Tuple[float, np.ndarray]:
         phi = list(params.phi)
         phi[layer] = (p, phi[layer][1]) if part == 0 else (phi[layer][0], p)
-        return _weighted_sum(features(dataclasses.replace(params, phi=phi), Tensor(x)), readout)
+        z, cache = forward(dataclasses.replace(params, phi=phi), x)
+        return float(np.sum(z * readout)), trunk_grads(cache, readout)[layer][part]
 
-    return fn, Tensor(params.phi[layer][part].data.copy())
+    return fn, params.phi[layer][part]
 
 
 def _build_head(rng, i):
-    # instance i varies the input, the label head's W or its b
+    # instance i varies the label head's W or its b under the supervised
+    # objective; backward maps its logit gradient through the head
     params, x = _off_kink_net(rng)
-    readout = rng.normal(size=(3, 2))
-    slot = i % 3
-    if slot == 0:
-        return (lambda p: _weighted_sum(forward(params, p), readout)), Tensor(x)
+    bundle = BatchBundle(src_x=x, src_y=rng.integers(0, 2, 3))
+    cfg = LossConfig.for_classes(2, lambda_M=0.0, lambda_C=0.0, lambda_U=0.0, lambda_S=0.0)
+    slot = i % 2
 
-    def fn(p: Tensor) -> Tensor:
-        psi = (p, params.psi[1]) if slot == 1 else (params.psi[0], p)
-        return _weighted_sum(forward(dataclasses.replace(params, psi=psi), Tensor(x)), readout)
+    def fn(p: np.ndarray) -> Tuple[float, np.ndarray]:
+        psi = (p, params.psi[1]) if slot == 0 else (params.psi[0], p)
+        obj = total_objective(bundle, dataclasses.replace(params, psi=psi), cfg,
+                              MarginalTracker.uniform(2))
+        # the label head's W and b are the last two parameters
+        return obj.total, backward(obj)[slot - 2]
 
-    return fn, Tensor(params.psi[slot - 1].data.copy())
+    return fn, params.psi[slot]
 
 
 def _build_cross_entropy(rng, i):
     k = 3 + i % 2
     labels = rng.integers(0, k, 5)
-
-    def fn(x: Tensor) -> Tensor:
-        return _recorded(x, *cross_entropy(_log_softmax(x.data), labels))
-
-    return fn, Tensor(_rng_logits(rng, 5, k))
+    return (lambda x: cross_entropy(_log_softmax(x), labels)), _rng_logits(rng, 5, k)
 
 
 def _build_mim(rng, i):
@@ -152,11 +199,11 @@ def _build_mim(rng, i):
         q = rng.dirichlet(np.full(k, 0.3))  # usually skewed: both terms active
     momentum = 0.1
 
-    def fn(x: Tensor) -> Tensor:
+    def fn(x: np.ndarray) -> Tuple[float, np.ndarray]:
         tracker = MarginalTracker(q=q.copy(), momentum=momentum)
-        return _recorded(x, *mim_loss(_log_softmax(x.data), tracker, ceiling))
+        return mim_loss(_log_softmax(x), tracker, ceiling)
 
-    return fn, Tensor(_rng_logits(rng, 6, k))
+    return fn, _rng_logits(rng, 6, k)
 
 
 def _build_cpbm(rng, i):
@@ -168,12 +215,12 @@ def _build_cpbm(rng, i):
     mask = np.array([True, False, True, True])
     slot = i % 3
 
-    def fn(x: Tensor) -> Tensor:
-        logp = [_log_softmax(x.data if j == slot else z) for j, z in enumerate(blocks)]
+    def fn(x: np.ndarray) -> Tuple[float, np.ndarray]:
+        logp = [_log_softmax(x if j == slot else z) for j, z in enumerate(blocks)]
         value, grads = cpbm_loss(*logp, mask, 0.3)
-        return _recorded(x, value, grads[slot])
+        return value, grads[slot]
 
-    return fn, Tensor(blocks[slot])
+    return fn, blocks[slot]
 
 
 def _build_mupbm(rng, i):
@@ -181,11 +228,7 @@ def _build_mupbm(rng, i):
     lam = rng.uniform(0.1, 0.9, (5, 1))
     eye = np.eye(k)
     targets = lam * eye[rng.integers(0, k, 5)] + (1 - lam) * eye[rng.integers(0, k, 5)]
-
-    def fn(x: Tensor) -> Tensor:
-        return _recorded(x, *mupbm_loss(_log_softmax(x.data), targets))
-
-    return fn, Tensor(_rng_logits(rng, 5, k))
+    return (lambda x: mupbm_loss(_log_softmax(x), targets)), _rng_logits(rng, 5, k)
 
 
 def _build_tpbm(rng, i):
@@ -195,12 +238,12 @@ def _build_tpbm(rng, i):
     labels = {t: rng.integers(0, c, 5) for t, c in heads.items()}
     tasks = sorted(heads)
 
-    def fn(x: Tensor) -> Tensor:
-        logp = [_log_softmax(x.data if t == vary else fixed[t]) for t in tasks]
+    def fn(x: np.ndarray) -> Tuple[float, np.ndarray]:
+        logp = [_log_softmax(x if t == vary else fixed[t]) for t in tasks]
         value, grads = tpbm_loss(logp, [labels[t] for t in tasks])
-        return _recorded(x, value, grads[tasks.index(vary)])
+        return value, grads[tasks.index(vary)]
 
-    return fn, Tensor(_rng_logits(rng, 5, heads[vary]))
+    return fn, _rng_logits(rng, 5, heads[vary])
 
 
 def _distance_fn(distance, z_s: np.ndarray, z_t: np.ndarray, vary_target: bool):
@@ -209,11 +252,11 @@ def _distance_fn(distance, z_s: np.ndarray, z_t: np.ndarray, vary_target: bool):
     n = z_s.shape[0]
     rows = slice(n, None) if vary_target else slice(0, n)
 
-    def fn(x: Tensor) -> Tensor:
-        value, grad = distance(np.concatenate((z_s, x.data) if vary_target else (x.data, z_t)))
-        return _recorded(x, value, grad(1.0)[rows])
+    def fn(x: np.ndarray) -> Tuple[float, np.ndarray]:
+        value, grad = distance(np.concatenate((z_s, x) if vary_target else (x, z_t)))
+        return value, grad(1.0)[rows]
 
-    return fn, Tensor(z_t if vary_target else z_s)
+    return fn, z_t if vary_target else z_s
 
 
 def _build_mmd(rng, i):
@@ -266,15 +309,13 @@ def _build_total(rng, i):
     rest = params.phi[1:]
     bias0 = params.phi[0][1]
 
-    def fn(x: Tensor) -> Tensor:
-        p = ModelParams(phi=[(x, bias0)] + rest, psi=params.psi,
-                        omega=params.omega, layer_spec=params.layer_spec,
-                        seed=params.seed, tasks=params.tasks)
+    def fn(x: np.ndarray) -> Tuple[float, np.ndarray]:
+        p = dataclasses.replace(params, phi=[(x, bias0)] + rest)
         tracker = MarginalTracker(q=q0.copy(), momentum=cfg.marginal_momentum)
-        loss, _ = total_objective(bundle, p, cfg, tracker)
-        return loss
+        obj = total_objective(bundle, p, cfg, tracker)
+        return obj.total, backward(obj)[0]
 
-    return fn, Tensor(params.phi[0][0].data.copy())
+    return fn, params.phi[0][0]
 
 
 CHECKS: Dict[str, Builder] = {
@@ -303,15 +344,15 @@ def run_gradient_suite(tol: float = DEFAULT_TOL,
     """
     if instances < 1:
         raise ValueError(f"instances must be >= 1, got {instances}")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
     selected = CHECKS if names is None else {n: CHECKS[n] for n in names}
     results = []
     for name, build in selected.items():
         gen = rng(seed, zlib.crc32(name.encode()))
-        worst = 0.0
-        for i in range(instances):
-            fn, point = build(gen, i)
-            report = grad_check(fn, point, tol=tol)
-            worst = max(worst, report.max_rel_error)
+        # a NaN error anywhere makes the worst case NaN, which fails
+        worst = float(np.max([grad_check(*build(gen, i), tol=tol).max_rel_error
+                              for i in range(instances)]))
         results.append(CheckResult(name=name, instances=instances,
                                    max_rel_error=worst, tol=tol))
     return results

@@ -10,9 +10,9 @@ together with its closed-form gradient. The classifier terms take
 row-wise log-probabilities and give the gradient with respect to the
 logits; the two distances take the stacked source and target latent rows
 and the source row count, and give a map from a scale to the scaled
-gradient with respect to those rows. No term touches the tape:
-``total_objective`` runs the terms and records one node for the whole
-weighted sum, head GEMMs and feature distance included.
+gradient with respect to those rows. ``total_objective`` returns a plain
+record of their weighted sum, and ``backward`` maps it to every
+parameter's gradient: through the heads into the latent, then the trunk.
 
 One ``mmd_distance`` serves a step's batch and a whole data set, such as
 the label-shift probe's reading after each weight. It forms the distance
@@ -30,8 +30,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .nets import ModelParams, forward
-from .tensor import Tensor, node
+from .nets import Cache, ModelParams, forward, trunk_grads
 
 # per-pair clamp on the disagreement divergence; unbounded KL invites
 # divergence-chasing on easy pairs
@@ -185,7 +184,7 @@ class MarginalTracker:
 def mim_loss(logp: np.ndarray, tracker: MarginalTracker, ceiling: float
              ) -> Tuple[float, np.ndarray]:
     """Confidence E_x H(p(.|x)), plus the diversity E_x sum_y p(y|x) log q(y)
-    while the tracked marginal's entropy is below ``ceiling``; then the
+    while the tracker's marginal entropy is below ``ceiling``; then the
     tracker advances with the batch mean prediction.
 
     Per row the confidence gradient is -p (log p + H) / n. With q held
@@ -329,21 +328,35 @@ def _check_bundle(b: BatchBundle, cfg: LossConfig) -> None:
         raise ValueError("lambda_S > 0 requires pretext-task batches")
 
 
+@dataclass
+class Objective:
+    """One step's objective: the weighted ``total``, the ``report`` of each
+    computed term's unweighted value (plus ``dm_weight`` and ``total``),
+    and what :func:`backward` takes back to the parameters: the latent
+    ``z`` with its trunk ``cache``, each head in use as (head name, rows
+    of ``z``, W, b) with the weighted gradient of its logit block, and the
+    feature distance as (rows of ``z``, gradient map, weight)."""
+
+    total: float
+    report: Dict[str, float]
+    params: ModelParams
+    z: np.ndarray
+    cache: Cache
+    heads: List[Tuple[str, slice, np.ndarray, np.ndarray]]
+    dlogits: List[np.ndarray]
+    distance: Optional[Tuple[slice, GradMap, float]]
+
+
 def total_objective(batch_bundle: BatchBundle, params: ModelParams,
-                    cfg: LossConfig, tracker: MarginalTracker
-                    ) -> Tuple[Tensor, Dict[str, float]]:
+                    cfg: LossConfig, tracker: MarginalTracker) -> Objective:
     """Weighted sum of the active terms; zero-weight terms are never built.
 
-    Every view the active terms score is stacked into one constant batch
-    and run through the shared extractor once. The rest is one tape node
-    whose parents are the latent and the weights of the heads in use: it
-    applies the label head to the label views' rows and each pretext head
-    to its task's rows, adds up the terms' weighted closed-form logit
-    gradients row block by row block, and its rule maps them back through
-    the heads. A feature distance adds its weighted gradient straight into
-    the latent rows of the source and target views. Returns the scalar loss
-    and a report of each computed term's unweighted value, the distance's
-    weight as ``dm_weight`` when there is one, and the total.
+    Every view the active terms score is stacked into one batch and run
+    through the shared extractor once. The label head is applied to the
+    label views' rows and each pretext head to its task's rows, and the
+    terms' weighted closed-form logit gradients are added up row block by
+    row block; a feature distance keeps its gradient map over the latent
+    rows of the source and target views.
     """
     b = batch_bundle
     _check_bundle(b, cfg)
@@ -361,17 +374,16 @@ def total_objective(batch_bundle: BatchBundle, params: ModelParams,
     stacked = [x for _, x in label_views] + [x for _, (x, _) in task_views]
     if not stacked:
         raise ValueError("all objective weights are zero; nothing to optimize")
-    z = forward(params, Tensor(np.concatenate(stacked)), head=None)
+    z, cache = forward(params, np.concatenate(stacked))
 
     # one GEMM per head: the label head over every label view, then each task's
     bounds = [0, *accumulate(x.shape[0] for x in stacked)]
     n_label = len(label_views)
-    heads: List[Tuple[slice, Tensor, Tensor]] = []
-    if label_views:
-        heads.append((slice(0, bounds[n_label]), *params.psi))
-    for i, (task, _) in enumerate(task_views, start=n_label):
-        heads.append((slice(bounds[i], bounds[i + 1]), *params.head_tensors(task)))
-    logp = [_log_softmax(z.data[rows] @ w.data + bias.data) for rows, w, bias in heads]
+    heads = [("label", slice(0, bounds[n_label]))] if label_views else []
+    heads += [(task, slice(bounds[i], bounds[i + 1]))
+              for i, (task, _) in enumerate(task_views, start=n_label)]
+    heads = [(head, rows, *params.head_tensors(head)) for head, rows in heads]
+    logp = [_log_softmax(z[rows] @ w + bias) for _, rows, w, bias in heads]
     dlogits = [np.zeros_like(block) for block in logp]
     view = {name: slice(bounds[i], bounds[i + 1]) for i, (name, _) in enumerate(label_views)}
     label = logp[0] if label_views else None
@@ -414,7 +426,7 @@ def total_objective(batch_bundle: BatchBundle, params: ModelParams,
         terms.append(("tpbm", cfg.lambda_S, value))
     if dist is not None:
         joint = slice(0, view["tgt"].stop)
-        value, dist_grad = _DISTANCES[dist](z.data[joint], view["src"].stop)
+        value, dist_grad = _DISTANCES[dist](z[joint], view["src"].stop)
         terms.append((dist, b.distance_weight, value))
 
     total = None
@@ -427,22 +439,33 @@ def total_objective(batch_bundle: BatchBundle, params: ModelParams,
         report["dm_weight"] = b.distance_weight
     report["total"] = total
 
-    parents = [z]
-    for _, w, bias in heads:
-        parents += [w, bias]
+    return Objective(total=total, report=report, params=params, z=z, cache=cache,
+                     heads=heads, dlogits=dlogits,
+                     distance=(joint, dist_grad, b.distance_weight) if dist else None)
 
-    def rule(g):
-        dz = np.zeros_like(z.data)
-        head_grads = []
-        for (rows, w, _), dblock in zip(heads, dlogits):
-            dblock = dblock * g
-            dz[rows] = dblock @ w.data.T
-            head_grads += [z.data[rows].T @ dblock, dblock.sum(axis=0)]
-        if dist is not None:
-            dz[joint] += dist_grad(g * b.distance_weight)
-        return (dz, *head_grads)
 
-    return node(total, tuple(parents), rule), report
+def backward(obj: Objective) -> List[Optional[np.ndarray]]:
+    """Every parameter's gradient of ``obj.total``, in
+    ``ModelParams.all_tensors`` order, with None for a head not in use.
+
+    The objective's rule maps each head's logit gradient to the head's
+    dW = z^T g and db = sum of g's rows and into the latent rows as g W^T,
+    and adds the distance's weighted gradient to its rows; the trunk rule,
+    ``nets.trunk_grads``, takes the latent's gradient to every layer.
+    """
+    dz = np.zeros_like(obj.z)
+    head_grads: Dict[str, List[np.ndarray]] = {}
+    for (head, rows, w, _), dblock in zip(obj.heads, obj.dlogits):
+        dz[rows] = dblock @ w.T
+        head_grads[head] = [obj.z[rows].T @ dblock, dblock.sum(axis=0)]
+    if obj.distance is not None:
+        joint, dist_grad, weight = obj.distance
+        dz[joint] += dist_grad(weight)
+    grads: List[Optional[np.ndarray]] = [
+        g for pair in trunk_grads(obj.cache, dz) for g in pair]
+    for head in ("label", *obj.params.tasks):
+        grads += head_grads.get(head, [None, None])
+    return grads
 
 
 # ---------------------------------------------------------------------------

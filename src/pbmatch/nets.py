@@ -4,6 +4,10 @@ The feature extractor maps flattened images to a latent vector through
 ReLU dense layers; the label head and each pretext-task head are single
 dense layers on the latent. All heads share the extractor parameters, so
 a step driven by any head moves the shared trunk.
+
+Parameters are plain float64 arrays. ``forward`` caches what
+``trunk_grads`` needs to map the latent's gradient to every layer's
+(dW, db) in closed form; ``step`` applies one gradient per parameter.
 """
 
 from __future__ import annotations
@@ -15,20 +19,27 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from pbmatch.tensor import Tensor, node, tracked
+from pbmatch.datasets import _is_int
 from pbmatch.transforms import ST_TASKS, _ST_OPS
 
 # pretext task identifier -> number of prediction classes, one per task label
 TASK_CLASSES = {task: _ST_OPS[task][1] for task in ST_TASKS}
 
 
+# a dense layer's weight and bias
+Pair = Tuple[np.ndarray, np.ndarray]
+# per extractor layer: its input, its weight and the mask of its positive
+# pre-activations, the trunk rule's inputs
+Cache = List[Tuple[np.ndarray, np.ndarray, np.ndarray]]
+
+
 @dataclass
 class ModelParams:
     """Parameters of the feature extractor (phi), label head (psi), and task heads (omega)."""
 
-    phi: List[Tuple[Tensor, Tensor]]
-    psi: Tuple[Tensor, Tensor]
-    omega: Dict[str, Tuple[Tensor, Tensor]]
+    phi: List[Pair]
+    psi: Pair
+    omega: Dict[str, Pair]
     layer_spec: List[int]
     seed: int
     tasks: Tuple[str, ...]
@@ -41,34 +52,26 @@ class ModelParams:
     def n_classes(self) -> int:
         return self.layer_spec[-1]
 
-    def all_tensors(self) -> List[Tensor]:
-        """Every parameter tensor in declaration order: phi, psi, then task heads."""
-        out: List[Tensor] = []
-        for w, b in self.phi:
-            out.extend([w, b])
-        out.extend(self.psi)
-        for task in self.tasks:
-            out.extend(self.omega[task])
-        return out
+    def pairs(self) -> List[Pair]:
+        """Every dense layer's (W, b) in declaration order: phi, psi, then task heads."""
+        return [*self.phi, self.psi, *(self.omega[task] for task in self.tasks)]
 
-    def head_tensors(self, head: str) -> List[Tensor]:
+    def all_tensors(self) -> List[np.ndarray]:
+        """Every parameter array in declaration order: phi, psi, then task heads."""
+        return [t for pair in self.pairs() for t in pair]
+
+    def head_tensors(self, head: str) -> List[np.ndarray]:
         if head == "label":
             return list(self.psi)
         if head in self.omega:
             return list(self.omega[head])
         raise ValueError(f"unknown head: {head!r} (have label, {', '.join(self.omega)})")
 
-    def zero_grads(self) -> None:
-        for t in self.all_tensors():
-            t.zero_grad()
 
-
-def _dense_init(rng: np.random.Generator, fan_in: int, fan_out: int) -> Tuple[Tensor, Tensor]:
+def _dense_init(rng: np.random.Generator, fan_in: int, fan_out: int) -> Pair:
     # Kaiming-style fan-in scaling: uniform with std sqrt(2/fan_in)
     limit = np.sqrt(6.0 / fan_in)
-    w = Tensor(rng.uniform(-limit, limit, (fan_in, fan_out)), requires_grad=True)
-    b = Tensor(np.zeros(fan_out), requires_grad=True)
-    return w, b
+    return rng.uniform(-limit, limit, (fan_in, fan_out)), np.zeros(fan_out)
 
 
 def _checked_spec(spec: Sequence[int], tasks: Sequence[str]) -> List[int]:
@@ -84,6 +87,20 @@ def _checked_spec(spec: Sequence[int], tasks: Sequence[str]) -> List[int]:
     return spec
 
 
+def _layer_shapes(spec: List[int], tasks: Sequence[str]) -> List[Tuple[int, int]]:
+    """(fan_in, fan_out) of every dense layer in ``all_tensors`` order: the
+    extractor's, the label head's, then each task head's."""
+    return list(zip(spec[:-1], spec[1:])) + [(spec[-2], TASK_CLASSES[t]) for t in tasks]
+
+
+def _assemble(spec: List[int], seed: int, tasks: Sequence[str], pairs: List[Pair]
+              ) -> ModelParams:
+    n_phi = len(spec) - 2
+    return ModelParams(phi=pairs[:n_phi], psi=pairs[n_phi],
+                       omega=dict(zip(tasks, pairs[n_phi + 1:])), layer_spec=spec,
+                       seed=int(seed), tasks=tuple(tasks))
+
+
 def init_params(spec: Sequence[int], seed: int,
                 tasks: Sequence[str] = ST_TASKS) -> ModelParams:
     """Build model parameters for a layer-size chain like [256, 128, 64, K].
@@ -94,82 +111,63 @@ def init_params(spec: Sequence[int], seed: int,
     """
     spec = _checked_spec(spec, tasks)
     rng = np.random.default_rng(seed)
-    phi = [_dense_init(rng, spec[i], spec[i + 1]) for i in range(len(spec) - 2)]
-    psi = _dense_init(rng, spec[-2], spec[-1])
-    omega = {task: _dense_init(rng, spec[-2], TASK_CLASSES[task]) for task in tasks}
-    return ModelParams(phi=phi, psi=psi, omega=omega, layer_spec=spec,
-                       seed=int(seed), tasks=tuple(tasks))
+    return _assemble(spec, seed, tasks,
+                     [_dense_init(rng, *shape) for shape in _layer_shapes(spec, tasks)])
 
 
 def clone_params(params: ModelParams) -> ModelParams:
     """Deep-copy parameters so further training leaves the original intact."""
-    def pair(p: Tuple[Tensor, Tensor]) -> Tuple[Tensor, Tensor]:
-        return (Tensor(p[0].data.copy(), requires_grad=p[0].requires_grad),
-                Tensor(p[1].data.copy(), requires_grad=p[1].requires_grad))
-
-    return ModelParams(phi=[pair(p) for p in params.phi], psi=pair(params.psi),
-                       omega={t: pair(p) for t, p in params.omega.items()},
-                       layer_spec=list(params.layer_spec), seed=params.seed,
-                       tasks=params.tasks)
+    return _assemble(list(params.layer_spec), params.seed, params.tasks,
+                     [(w.copy(), b.copy()) for w, b in params.pairs()])
 
 
-def features(params: ModelParams, x: Tensor) -> Tensor:
-    """Latent representation g(x); ReLU after every extractor layer.
-
-    The layers run over plain arrays and the trunk is recorded as one tape
-    node whose parents are ``x`` and every (W, b) of the extractor. Its rule
-    walks the layers back: the mask of positive pre-activations, then
-    dW = h^T g, db = sum of g's rows and, below the first layer or for a
-    tracked input, g W^T.
-    """
-    if x.ndim != 2 or x.shape[1] != params.input_dim:
-        raise ValueError(f"input width {x.shape} does not match input dim {params.input_dim}")
-    h = x.data
-    layers = []
-    for w, b in params.phi:
-        a = h @ w.data + b.data
-        mask = a > 0.0
-        layers.append((h, w.data, mask))
-        h = np.maximum(a, 0.0)
-
-    def rule(g):
-        grads = []
-        for i in reversed(range(len(layers))):
-            h_in, w, mask = layers[i]
-            g = g * mask
-            grads += [g.sum(axis=0), h_in.T @ g]
-            g = g @ w.T if i > 0 or tracked(x) else None
-        return (g, *reversed(grads))
-
-    return node(h, (x, *[t for layer in params.phi for t in layer]), rule)
-
-
-def forward(params: ModelParams, x: Tensor, head: Optional[str] = "label") -> Tensor:
-    """Logits of the requested head applied to g(x), the head recorded as
-    one node over the latent and its (W, b); ``head=None`` returns the
-    latent g(x) itself, for callers that route its rows to several heads."""
-    z = features(params, x)
-    if head is None:
-        return z
-    w, b = params.head_tensors(head)
-    return node(z.data @ w.data + b.data, (z, w, b),
-                lambda g: (g @ w.data.T, z.data.T @ g, g.sum(axis=0)))
-
-
-def predict_features(params: ModelParams, x: np.ndarray) -> np.ndarray:
-    """Tape-free extractor output g(x) over plain arrays."""
+def _checked_input(params: ModelParams, x) -> np.ndarray:
     h = np.asarray(x, dtype=np.float64)
     if h.ndim != 2 or h.shape[1] != params.input_dim:
         raise ValueError(f"input width {h.shape} does not match input dim {params.input_dim}")
+    return h
+
+
+def forward(params: ModelParams, x: np.ndarray) -> Tuple[np.ndarray, Cache]:
+    """Latent representation g(x), ReLU after every extractor layer, and
+    the layer cache :func:`trunk_grads` takes it back through."""
+    h = _checked_input(params, x)
+    cache: Cache = []
     for w, b in params.phi:
-        h = np.maximum(h @ w.data + b.data, 0.0)
+        a = h @ w + b
+        mask = a > 0.0
+        cache.append((h, w, mask))
+        h = np.maximum(a, 0.0)
+    return h, cache
+
+
+def trunk_grads(cache: Cache, dz: np.ndarray) -> List[Pair]:
+    """Each extractor layer's (dW, db), given the gradient ``dz`` of the
+    latent that :func:`forward` cached: walking the layers back, the mask
+    of positive pre-activations, then db = sum of g's rows, dW = h^T g and,
+    below every layer but the first, g W^T. The input gets no gradient."""
+    g = dz
+    grads: List[Pair] = []
+    for i in reversed(range(len(cache))):
+        h_in, w, mask = cache[i]
+        g = g * mask
+        grads.append((h_in.T @ g, g.sum(axis=0)))
+        g = g @ w.T if i > 0 else None
+    return grads[::-1]
+
+
+def features(params: ModelParams, x: np.ndarray) -> np.ndarray:
+    """The latent g(x) alone, with no layer cache (evaluation)."""
+    h = _checked_input(params, x)
+    for w, b in params.phi:
+        h = np.maximum(h @ w + b, 0.0)
     return h
 
 
 def predict_logits(params: ModelParams, x: np.ndarray, head: str = "label") -> np.ndarray:
-    """Tape-free inference path over plain arrays (evaluation)."""
+    """Logits of the requested head on g(x) (evaluation)."""
     w, b = params.head_tensors(head)
-    return predict_features(params, x) @ w.data + b.data
+    return features(params, x) @ w + b
 
 
 def softmax_probs(logits: np.ndarray) -> np.ndarray:
@@ -207,35 +205,35 @@ class OptimState:
             raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
 
 
-def step(params: ModelParams, opt: OptimState) -> None:
-    """Apply one optimizer update from the accumulated gradients.
-
-    Gradients are left untouched; the caller zeroes them.
-    """
+def step(params: ModelParams, opt: OptimState,
+         grads: Sequence[Optional[np.ndarray]]) -> None:
+    """Apply one optimizer update in place from one gradient per parameter,
+    in :meth:`ModelParams.all_tensors` order; a head the objective did not
+    use has None and is left as it is."""
     tensors = params.all_tensors()
-    if all(t.grad is None for t in tensors):
-        raise ValueError("no parameter has a gradient; run backward first")
+    if len(grads) != len(tensors):
+        raise ValueError(f"got {len(grads)} gradients for {len(tensors)} parameters")
+    if all(g is None for g in grads):
+        raise ValueError("no parameter has a gradient")
     if not opt._m:
-        opt._m = [np.zeros_like(t.data) for t in tensors]
-        opt._v = [np.zeros_like(t.data) for t in tensors]
+        opt._m = [np.zeros_like(t) for t in tensors]
+        opt._v = [np.zeros_like(t) for t in tensors]
     opt.step_count += 1
     t_count = opt.step_count
-    for i, t in enumerate(tensors):
-        # heads untouched by the current objective carry no gradient; skip them
-        if t.grad is None:
+    for i, (t, g) in enumerate(zip(tensors, grads)):
+        if g is None:
             continue
-        g = t.grad
         if opt.weight_decay > 0:
-            g = g + opt.weight_decay * t.data
+            g = g + opt.weight_decay * t
         if opt.kind == "sgd_momentum":
             opt._m[i] = opt.momentum * opt._m[i] + g
-            t.data -= opt.lr * opt._m[i]
+            t -= opt.lr * opt._m[i]
         else:
             opt._m[i] = ADAM_BETA1 * opt._m[i] + (1 - ADAM_BETA1) * g
             opt._v[i] = ADAM_BETA2 * opt._v[i] + (1 - ADAM_BETA2) * g * g
             m_hat = opt._m[i] / (1 - ADAM_BETA1 ** t_count)
             v_hat = opt._v[i] / (1 - ADAM_BETA2 ** t_count)
-            t.data -= opt.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+            t -= opt.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +251,7 @@ def save_checkpoint(path, params: ModelParams, step_count: int = 0) -> None:
         f.write(json.dumps(header).encode("utf-8"))
         f.write(b"\n")
         for t in params.all_tensors():
-            f.write(t.data.astype("<f8").tobytes())
+            f.write(t.astype("<f8").tobytes())
 
 
 _HEADER_KEYS = ("layer_spec", "seed", "tasks", "step_count")
@@ -286,25 +284,24 @@ def load_checkpoint(path) -> Tuple[ModelParams, int]:
         raise ValueError(f"checkpoint {path} header is missing keys: {missing}")
     try:
         spec = _checked_spec(header["layer_spec"], header["tasks"])
-        step_count = int(header["step_count"])
     except (TypeError, ValueError) as e:
         raise ValueError(f"checkpoint {path} header is malformed: {e}") from e
+    for name in ("seed", "step_count"):
+        if not _is_int(header[name]) or header[name] < 0:
+            raise ValueError(f"checkpoint {path} header is malformed: {name} must be a "
+                             f"non-negative integer, got {header[name]!r}")
     # the blob length the header implies, in Python ints: a header naming
     # huge layers fails here, before any parameter is allocated
-    layers = list(zip(spec[:-1], spec[1:]))
-    layers += [(spec[-2], TASK_CLASSES[task]) for task in header["tasks"]]
+    layers = _layer_shapes(spec, header["tasks"])
     n_bytes = 8 * sum((fan_in + 1) * fan_out for fan_in, fan_out in layers)
     if blob_bytes != n_bytes:
         raise ValueError(
             f"checkpoint {path} holds {blob_bytes} parameter bytes, expected {n_bytes}")
-    try:
-        params = init_params(spec, header["seed"], tasks=header["tasks"])
-    except (TypeError, ValueError) as e:
-        raise ValueError(f"checkpoint {path} header is malformed: {e}") from e
     flat = np.fromfile(path, dtype="<f8", offset=len(line))
-    offset = 0
-    for t in params.all_tensors():
-        n = t.data.size
-        t.data = flat[offset:offset + n].reshape(t.data.shape).astype(np.float64)
-        offset += n
-    return params, step_count
+    pairs, start = [], 0
+    for fan_in, fan_out in layers:
+        end = start + fan_in * fan_out
+        pairs.append((flat[start:end].reshape(fan_in, fan_out).astype(np.float64),
+                      flat[end:end + fan_out].astype(np.float64)))
+        start = end + fan_out
+    return _assemble(spec, header["seed"], header["tasks"], pairs), header["step_count"]

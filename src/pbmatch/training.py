@@ -11,8 +11,10 @@ Methods fall into three groups:
   ``tpbm_flip``, ``tpbm_all``): supervised cross-entropy plus the selected
   predictive-behavior terms on the unlabeled target stream.
 
-Every method takes the same step: it assembles one ``BatchBundle`` and
-trains on the one tape node ``losses.total_objective`` records for it.
+Every method takes the same step: it assembles one ``BatchBundle``,
+``losses.total_objective`` scores it into one record, ``losses.backward``
+turns the record into every parameter's gradient and ``nets.step``
+applies them.
 Source and target batches are drawn in lockstep with equal sizes each step.
 Target accuracy is reported on a held-out stratified 20% split; the
 transductive number (accuracy on the adaptation stream itself) is logged
@@ -50,13 +52,14 @@ from .datasets import (
     generate_glyph_pair,
     outlier_pool,
 )
-# coral_distance, cross_entropy and features are not called here; they stay
-# bound because perfbench/spans.py LAYER_CALLS times these names in this module
+# coral_distance and cross_entropy are not called here; they stay bound
+# because perfbench/spans.py LAYER_CALLS times these names in this module
 from .losses import (
     BatchBundle,
     LossConfig,
     MarginalTracker,
     _entropy,
+    backward,
     coral_distance,
     cross_entropy,
     mmd_distance,
@@ -68,13 +71,11 @@ from .nets import (
     clone_params,
     features,
     init_params,
-    predict_features,
     predict_logits,
     save_checkpoint,
     softmax_probs,
     step,
 )
-from .tensor import backward
 from .transforms import (
     NI_KINDS,
     RA_KINDS,
@@ -193,6 +194,11 @@ class TrainConfig:
         if not self.hidden or any(int(h) < 1 for h in self.hidden):
             raise ValueError(f"hidden sizes must be positive, got {self.hidden}")
         self.hidden = tuple(int(h) for h in self.hidden)
+        if self.initial_marginal is not None:
+            q = np.asarray(self.initial_marginal, dtype=np.float64)
+            if q.ndim != 1 or not (np.isfinite(q).all() and (q >= 0.0).all() and q.any()):
+                raise ValueError("initial_marginal must be a list of finite, non-negative "
+                                 f"numbers, not all zero, got {self.initial_marginal!r}")
 
     def resolved_loss(self, n_classes: int) -> LossConfig:
         if self.loss is None:
@@ -324,8 +330,8 @@ def split_target(labels: np.ndarray, eval_fraction: float,
 def full_set_mmd(params: ModelParams, src_x: np.ndarray, tgt_x: np.ndarray) -> float:
     """Squared kernel distance between the two domains' full latent sets:
     ``mmd_distance``'s value, formed in row tiles; its gradient is unused."""
-    z_s = predict_features(params, src_x)
-    z_t = predict_features(params, tgt_x)
+    z_s = features(params, src_x)
+    z_t = features(params, tgt_x)
     return mmd_distance(np.concatenate([z_s, z_t]), z_s.shape[0])[0]
 
 
@@ -396,6 +402,9 @@ def train(cfg: TrainConfig, src: DomainDataset, tgt: DomainDataset,
         params = clone_params(warm_start)
     opt = OptimState(kind=cfg.optimizer, lr=cfg.lr, momentum=cfg.momentum,
                      weight_decay=cfg.weight_decay)
+    if cfg.initial_marginal is not None and len(cfg.initial_marginal) != k:
+        raise ValueError(f"initial_marginal has {len(cfg.initial_marginal)} entries, "
+                         f"but the pair has {k} classes")
     tracker = MarginalTracker(
         q=np.asarray(cfg.initial_marginal, dtype=np.float64)
         if cfg.initial_marginal is not None else np.full(k, 1.0 / k),
@@ -421,20 +430,16 @@ def train(cfg: TrainConfig, src: DomainDataset, tgt: DomainDataset,
             rows_t = perm_tgt[s * batch:(s + 1) * batch]
             bundle = _build_bundle(cfg, src, adapt, rows_s, rows_t, loss_cfg,
                                    epoch, s, global_step)
-            total, report = total_objective(bundle, params, loss_cfg, tracker)
-
-            if not np.isfinite(total.data):
-                raise NumericalAbort(_first_bad_term(report), epoch, s)
-
-            params.zero_grads()
-            backward(total)
-            step(params, opt)
+            obj = total_objective(bundle, params, loss_cfg, tracker)
+            if not np.isfinite(obj.total):
+                raise NumericalAbort(_first_bad_term(obj.report), epoch, s)
+            step(params, opt, backward(obj))
             global_step += 1
 
-            for name, value in report.items():
+            for name, value in obj.report.items():
                 term_sums[name] = term_sums.get(name, 0.0) + value
             if on_step is not None:
-                on_step(epoch, s, dict(report))
+                on_step(epoch, s, dict(obj.report))
 
         # one pass over the whole target; the splits are row subsets of it
         tgt_logits = predict_logits(params, tgt_flat)

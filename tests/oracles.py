@@ -1,11 +1,12 @@
 """Reference formulations the library's batched code replaced.
 
-Per-op tape oracles: the ops the library's one-node trunk and closed-form
-terms replaced, and the objective terms and trunk formulated over them.
-The library computes the trunk node and every objective term in closed
-form; these formulations record one node per elementary op instead, so a
-test can compare a closed-form value and gradient against an independent
-chain of simple rules.
+Per-op tape oracles: a minimal reverse-mode tape, the elementary ops the
+library's closed-form trunk rule and terms replaced, and the objective
+terms and trunk formulated over them. The library computes every
+gradient in closed form and keeps no tape; these formulations record one
+node per elementary op instead, so a test can compare a closed-form
+value and gradient against an independent chain of simple rules.
+``head_objective`` is how a test trains one head through the library.
 
 ``whole_matrix_mmd`` is the MMD on one whole N x N distance matrix, the
 arithmetic the library's row-tiled ``mmd_distance`` must reproduce bit
@@ -19,6 +20,7 @@ array ops.
 bound it.
 """
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -26,9 +28,98 @@ import numpy as np
 
 from pbmatch.datasets import (
     CANVAS, INK_LEVEL, DomainDataset, GlyphDomainSpec, _quantize, _render_glyph_mask)
-from pbmatch.losses import DEFAULT_BANDWIDTH_SCALES, KL_MARGIN, MarginalTracker, _log_softmax
-from pbmatch.tensor import Tensor, node, tracked
+from pbmatch.losses import (
+    DEFAULT_BANDWIDTH_SCALES, KL_MARGIN, BatchBundle, LossConfig, MarginalTracker,
+    _log_softmax, total_objective)
 from pbmatch.transforms import ImageBatch, rng
+
+
+# ---------------------------------------------------------------------------
+# the tape
+# ---------------------------------------------------------------------------
+
+class Tensor:
+    """A float64 value on the tape; a leaf with ``requires_grad`` gets a
+    ``grad`` from :func:`backward`."""
+
+    def __init__(self, data, requires_grad: bool = False):
+        self.data = np.asarray(data, dtype=np.float64)
+        self.requires_grad = requires_grad
+        self.grad = None
+        self._parents: tuple = ()
+        # maps the incoming gradient to one gradient per parent
+        self._rule = None
+
+    @property
+    def shape(self) -> tuple:
+        return self.data.shape
+
+    @property
+    def ndim(self) -> int:
+        return self.data.ndim
+
+
+def tracked(t: Tensor) -> bool:
+    """True if gradients flow through ``t``: a leaf that wants one, or a recorded result."""
+    return t.requires_grad or t._rule is not None
+
+
+def node(data, parents: tuple, rule) -> Tensor:
+    """A result tensor, recording ``rule`` iff any parent is tracked."""
+    out = Tensor(data)
+    if any(tracked(p) for p in parents):
+        out._parents = parents
+        out._rule = rule
+    return out
+
+
+def backward(loss: Tensor) -> None:
+    """Add dLoss/dLeaf into every ``requires_grad`` leaf's ``grad``, each
+    recorded rule fired once, in reverse topological order. A leaf's first
+    gradient is stored as it arrives, signed zeros included."""
+    if loss.shape != ():
+        raise ValueError(f"backward needs a scalar loss, got shape {loss.shape}")
+    order, seen, stack = [], set(), [(loss, False)]
+    while stack:
+        t, expanded = stack.pop()
+        if expanded:
+            order.append(t)
+        elif id(t) not in seen:
+            seen.add(id(t))
+            stack.append((t, True))
+            stack.extend((p, False) for p in reversed(t._parents))
+    incoming = {id(loss): np.ones(())}
+    for t in reversed(order):
+        g = incoming.pop(id(t), None)
+        if g is None:
+            continue
+        if t.requires_grad:
+            t.grad = np.array(g) if t.grad is None else t.grad + g
+        if t._rule is not None:
+            for p, pg in zip(t._parents, t._rule(g)):
+                if tracked(p):
+                    incoming[id(p)] = pg if id(p) not in incoming else incoming[id(p)] + pg
+
+
+def replayed(fn):
+    """``fn`` over a tensor as the ``x -> (value, gradient)`` function
+    ``gradcheck.grad_check`` takes."""
+    def checked(x):
+        leaf = Tensor(x, requires_grad=True)
+        out = fn(leaf)
+        backward(out)
+        return float(out.data), leaf.grad if leaf.grad is not None else np.zeros_like(x)
+    return checked
+
+
+def leaves(params):
+    """``params`` with every array wrapped in a tensor that wants a gradient."""
+    def pair(p):
+        return Tensor(p[0], requires_grad=True), Tensor(p[1], requires_grad=True)
+
+    return dataclasses.replace(params, phi=[pair(p) for p in params.phi],
+                               psi=pair(params.psi),
+                               omega={t: pair(p) for t, p in params.omega.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +315,21 @@ def oracle_forward(params, x: Tensor, head="label") -> Tensor:
         return z
     w, b = params.head_tensors(head)
     return add(matmul(z, w), b)
+
+
+def head_objective(params, x, labels, head="label"):
+    """The library's objective record of one head's mean cross-entropy on
+    g(x): the supervised term for the label head, the pretext term over
+    that one task for a task head."""
+    k = params.n_classes
+    off = dict(lambda_M=0.0, lambda_C=0.0, lambda_U=0.0)
+    if head == "label":
+        cfg = LossConfig.for_classes(k, lambda_S=0.0, **off)
+        bundle = BatchBundle(src_x=x, src_y=labels)
+    else:
+        cfg = LossConfig.for_classes(k, supervised_weight=0.0, lambda_S=1.0, **off)
+        bundle = BatchBundle(src_x=x, src_y=labels, st_batches={head: (x, labels)})
+    return total_objective(bundle, params, cfg, MarginalTracker.uniform(k))
 
 
 # ---------------------------------------------------------------------------

@@ -302,6 +302,21 @@ class TestTrainEval:
                      "--out", str(tmp_path / "run")]) == 2
         assert "numerical abort" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("marginal", [[0.5, float("nan")], [0.5, float("inf")],
+                                          [0.0, 0.0], [0.2, 0.3, 0.5]],
+                             ids=["nan", "inf", "all_zero", "three_of_two"])
+    @pytest.mark.parametrize("method", ["source_only", "instapbm"])
+    def test_unusable_initial_marginal_exits_1(self, blob_pair_dir, tmp_path, capsys,
+                                               method, marginal):
+        cfg = write_json(tmp_path / "cfg.json", {
+            "method": method, "epochs": 1, "hidden": [8], "initial_marginal": marginal})
+        assert main(["train", "--config", cfg,
+                     "--src", str(blob_pair_dir / "source"),
+                     "--tgt", str(blob_pair_dir / "target"),
+                     "--out", str(tmp_path / "run")]) == 1
+        assert_named_error(capsys, "initial_marginal")
+        assert not (tmp_path / "run").exists()
+
     def test_bad_method_exits_1(self, blob_pair_dir, tmp_path):
         cfg = write_json(tmp_path / "cfg.json", {"method": "alchemy"})
         assert main(["train", "--config", cfg,
@@ -509,6 +524,13 @@ class TestGradcheck:
 
     def test_bad_instances(self):
         assert main(["gradcheck", "--instances", "0"]) == 1
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
+    def test_unusable_tol_exits_1_and_names_it(self, capsys, tol):
+        assert main(["gradcheck", "--tol", tol, "--instances", "1"]) == 1
+        captured = capsys.readouterr()
+        assert "pbmatch: error: tol must be finite and > 0" in captured.err
+        assert captured.out == ""
 
 
 class TestProbe:

@@ -23,11 +23,10 @@ from pbmatch.datasets import (
     regenerate,
     save_dataset,
 )
-from pbmatch.losses import cross_entropy
-from pbmatch.nets import OptimState, forward, init_params, predict_logits, step
-from pbmatch.tensor import Tensor, backward
+from pbmatch.losses import backward
+from pbmatch.nets import OptimState, init_params, predict_logits, step
 
-from oracles import closed_form_node, oracle_glyph_domain, traced_peak
+from oracles import head_objective, oracle_glyph_domain, traced_peak
 
 
 # ---------------------------------------------------------------------------
@@ -569,10 +568,6 @@ def test_source_glyphs_are_separable_by_small_mlp():
         order = rng.permutation(len(x))
         for start in range(0, len(x), 64):
             rows = order[start:start + 64]
-            logits = forward(params, Tensor(x[rows]))
-            loss = closed_form_node(logits, cross_entropy, y[rows])
-            params.zero_grads()
-            backward(loss)
-            step(params, opt)
+            step(params, opt, backward(head_objective(params, x[rows], y[rows])))
     preds = predict_logits(params, x).argmax(axis=1)
     assert (preds == y).mean() >= 0.95

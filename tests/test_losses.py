@@ -21,6 +21,7 @@ from pbmatch.losses import (
     _TILE_ROWS,
     _median_distance,
     _tiles,
+    backward,
     coral_distance,
     cpbm_loss,
     cross_entropy,
@@ -30,17 +31,21 @@ from pbmatch.losses import (
     tpbm_loss,
     total_objective,
 )
-from pbmatch.nets import forward, init_params, predict_logits, softmax_probs
-from pbmatch.tensor import Tensor, backward, grad_check, node
+from pbmatch.gradcheck import grad_check
+from pbmatch.nets import init_params, predict_logits, softmax_probs
 
+import oracles
 from oracles import (
+    Tensor,
     closed_form_node,
+    leaves,
     log_softmax,
     mul,
     neg,
     oracle_ce,
     oracle_coral,
     oracle_cpbm,
+    oracle_forward,
     oracle_median,
     oracle_mim,
     oracle_mmd,
@@ -99,10 +104,10 @@ def _distance(fn, a, b, **kw):
 
 def _oracle(fn, *arrays):
     """The oracle's value on fresh leaves, then each leaf's gradient."""
-    leaves = [Tensor(np.array(a, dtype=np.float64), requires_grad=True) for a in arrays]
-    out = fn(*leaves)
-    backward(out)
-    return (float(out.data), *(leaf.grad for leaf in leaves))
+    inputs = [Tensor(np.array(a, dtype=np.float64), requires_grad=True) for a in arrays]
+    out = fn(*inputs)
+    oracles.backward(out)
+    return (float(out.data), *(leaf.grad for leaf in inputs))
 
 
 def _assert_matches_oracle(got, want):
@@ -117,28 +122,16 @@ def _assert_matches_oracle(got, want):
     assert all(g is None for g in got[len(want):])
 
 
-def _distance_node(fn, a, b, vary_target, **kw):
-    """fn(t) for grad_check: the distance with one side replaced by t, as
-    one node over t with the distance's gradient to that side."""
+def _distance_fn(fn, a, b, vary_target, **kw):
+    """x -> (value, gradient) for grad_check: the distance with one side
+    replaced by x, and its gradient to that side."""
     n = len(a)
 
-    def build(t):
-        value, grad = fn(np.concatenate([a, t.data] if vary_target else [t.data, b]), n, **kw)
-        side = grad(1.0)[n:] if vary_target else grad(1.0)[:n]
-        return node(value, (t,), lambda g: (g * side,))
+    def checked(x):
+        value, grad = fn(np.concatenate([a, x] if vary_target else [x, b]), n, **kw)
+        return value, grad(1.0)[n:] if vary_target else grad(1.0)[:n]
 
-    return build
-
-
-def _tape_size(t: Tensor) -> int:
-    """Distinct tensors reachable from ``t`` through recorded parents."""
-    seen, stack = set(), [t]
-    while stack:
-        x = stack.pop()
-        if id(x) not in seen:
-            seen.add(id(x))
-            stack.extend(x._parents)
-    return len(seen)
+    return checked
 
 
 # ---------------------------------------------------------------------------
@@ -245,21 +238,19 @@ class TestMimLoss:
 
     def test_gradcheck_full_loss(self):
         rng = np.random.default_rng(0)
-        point = Tensor(rng.uniform(-2, 2, (5, 4)))
+        point = rng.uniform(-2, 2, (5, 4))
         report = grad_check(
-            lambda t: closed_form_node(t, mim_loss, MarginalTracker.uniform(4), float("inf")),
-            point)
+            lambda x: mim_loss(_logp(x), MarginalTracker.uniform(4), float("inf")), point)
         assert report.passed, str(report)
 
     def test_gradcheck_diversity_estimator(self):
         # a skewed marginal below the ceiling, frozen per call: FD must
         # reproduce sum grad(p) * log q plus the confidence gradient
         rng = np.random.default_rng(1)
-        point = Tensor(rng.uniform(-2, 2, (6, 3)))
+        point = rng.uniform(-2, 2, (6, 3))
         q = np.array([0.2, 0.5, 0.3])
         report = grad_check(
-            lambda t: closed_form_node(t, mim_loss, MarginalTracker(q=q.copy()), float("inf")),
-            point)
+            lambda x: mim_loss(_logp(x), MarginalTracker(q=q.copy()), float("inf")), point)
         assert report.passed, str(report)
 
     def test_confidence_term_bounded_by_ln_k(self):
@@ -351,14 +342,14 @@ class TestCpbmLoss:
         mask = np.array([True, False, True])
 
         def build(slot):
-            def fn(t):
-                logp = [_logp(t.data if i == slot else z) for i, z in enumerate(blocks)]
+            def fn(x):
+                logp = [_logp(x if i == slot else z) for i, z in enumerate(blocks)]
                 value, grads = cpbm_loss(*logp, mask, 0.4)
-                return node(value, (t,), lambda g: (g * grads[slot],))
+                return value, grads[slot]
             return fn
 
         for slot, pt in enumerate(blocks):
-            report = grad_check(build(slot), Tensor(np.array(pt)))
+            report = grad_check(build(slot), pt)
             assert report.passed, str(report)
 
 
@@ -424,8 +415,8 @@ class TestMupbmLoss:
     def test_gradcheck(self):
         rng = np.random.default_rng(3)
         q = _softmax(rng.uniform(-1, 1, (5, 4)))
-        point = Tensor(rng.uniform(-2, 2, (5, 4)))
-        report = grad_check(lambda t: closed_form_node(t, mupbm_loss, q), point)
+        point = rng.uniform(-2, 2, (5, 4))
+        report = grad_check(lambda x: mupbm_loss(_logp(x), q), point)
         assert report.passed, str(report)
 
 
@@ -613,57 +604,56 @@ def _full_bundle(params, rng, n_src=8, n_tgt=6):
 
 def _per_view_terms(bundle, params, cfg):
     """The objective's weighted terms built the way it was first written:
-    one extractor pass per view, the per-op term oracles, the source pairs
-    as their own inputs, the mixup targets from a tape-free prediction of
-    the target batch, and the feature distance on the two latent batches."""
+    one per-op extractor pass per view, the per-op term oracles, the source
+    pairs as their own inputs, the mixup targets from a prediction of the
+    target batch, and the feature distance on the two latent batches. Each
+    term is built over the parameter leaves it is given."""
     b = bundle
     oracle_distance = {"mmd": oracle_mmd, "coral": oracle_coral}.get(b.distance)
     probs = softmax_probs(predict_logits(params, b.tgt_x))
     beta = b.mixed_beta[:, None]
     targets = beta * probs + (1 - beta) * probs[b.mixed_partner]
 
-    def view(x, head="label"):
-        return forward(params, Tensor(x), head=head)
+    def view(tp, x, head="label"):
+        return oracle_forward(tp, Tensor(x), head=head)
 
     return [
-        (cfg.supervised_weight, lambda: oracle_ce(view(b.src_x), b.src_y)),
-        (cfg.lambda_M, lambda: oracle_mim(view(b.tgt_x), MarginalTracker.uniform(3),
-                                           cfg.entropy_ceiling)),
-        (cfg.lambda_C, lambda: oracle_cpbm(view(b.tgt_x), view(b.tgt_x_aug),
-                                            view(b.src_x), view(np.roll(b.src_x, 1, axis=0)),
-                                            b.pair_diff_mask, cfg.lambda_con)),
-        (cfg.lambda_U, lambda: oracle_mupbm(view(b.mixed_x), targets)),
-        (cfg.lambda_S, lambda: oracle_tpbm(
-            {t: view(x, head=t) for t, (x, _) in b.st_batches.items()},
+        (cfg.supervised_weight, lambda tp: oracle_ce(view(tp, b.src_x), b.src_y)),
+        (cfg.lambda_M, lambda tp: oracle_mim(view(tp, b.tgt_x), MarginalTracker.uniform(3),
+                                             cfg.entropy_ceiling)),
+        (cfg.lambda_C, lambda tp: oracle_cpbm(
+            view(tp, b.tgt_x), view(tp, b.tgt_x_aug), view(tp, b.src_x),
+            view(tp, np.roll(b.src_x, 1, axis=0)), b.pair_diff_mask, cfg.lambda_con)),
+        (cfg.lambda_U, lambda tp: oracle_mupbm(view(tp, b.mixed_x), targets)),
+        (cfg.lambda_S, lambda tp: oracle_tpbm(
+            {t: view(tp, x, head=t) for t, (x, _) in b.st_batches.items()},
             {t: lab for t, (_, lab) in b.st_batches.items()})),
         (b.distance_weight if b.distance else 0.0,
-         lambda: oracle_distance(view(b.src_x, head=None), view(b.tgt_x, head=None))),
+         lambda tp: oracle_distance(view(tp, b.src_x, head=None),
+                                    view(tp, b.tgt_x, head=None))),
     ]
 
 
 def _assert_matches_per_view(bundle, params, cfg):
     """Loss to 1e-12 and every gradient at atol 1e-12 against the sum of
     the per-view oracle terms, each backpropagated on its own."""
-    loss, _ = total_objective(bundle, params, cfg, MarginalTracker.uniform(3))
-    params.zero_grads()
-    backward(loss)
-    combined = [t.grad.copy() if t.grad is not None else None
-                for t in params.all_tensors()]
+    obj = total_objective(bundle, params, cfg, MarginalTracker.uniform(3))
+    combined = backward(obj)
 
     want_loss = 0.0
-    accumulated = [np.zeros_like(t.data) for t in params.all_tensors()]
+    accumulated = [np.zeros_like(t) for t in params.all_tensors()]
     for weight, build in _per_view_terms(bundle, params, cfg):
         if weight == 0.0:
             continue
-        params.zero_grads()
-        term = build()
+        tp = leaves(params)
+        term = build(tp)
         want_loss += weight * float(term.data)
-        backward(term)
-        for i, t in enumerate(params.all_tensors()):
+        oracles.backward(term)
+        for i, t in enumerate(tp.all_tensors()):
             if t.grad is not None:
                 accumulated[i] += weight * t.grad
 
-    assert abs(float(loss.data) - want_loss) < 1e-12
+    assert abs(obj.total - want_loss) < 1e-12
     for got, want in zip(combined, accumulated):
         if got is None:
             assert not np.any(want)
@@ -682,37 +672,34 @@ class TestTotalObjective:
         cfg = LossConfig(entropy_ceiling=1.0, lambda_M=0, lambda_C=0,
                          lambda_U=0, lambda_S=0, supervised_weight=1.0)
         tracker = MarginalTracker.uniform(3)
-        loss, report = total_objective(bundle, params, cfg, tracker)
-        direct, _ = cross_entropy(_logp(forward(params, Tensor(bundle.src_x)).data),
-                                  bundle.src_y)
-        assert float(loss.data) == direct
-        assert set(report) == {"supervised", "total"}
+        obj = total_objective(bundle, params, cfg, tracker)
+        direct, _ = cross_entropy(_logp(predict_logits(params, bundle.src_x)), bundle.src_y)
+        assert obj.total == direct
+        assert set(obj.report) == {"supervised", "total"}
 
     def test_degenerate_weights_match_supervised_gradients_bitwise(self):
         params, bundle = self._setup(seed=1)
         cfg = LossConfig(entropy_ceiling=1.0, lambda_M=0, lambda_C=0,
                          lambda_U=0, lambda_S=0)
-        loss, _ = total_objective(bundle, params, cfg, MarginalTracker.uniform(3))
-        backward(loss)
-        got = {id(t): t.grad.copy() for t in params.all_tensors() if t.grad is not None}
-        params.zero_grads()
-        backward(closed_form_node(forward(params, Tensor(bundle.src_x)), cross_entropy,
-                                  bundle.src_y))
-        for t in params.all_tensors():
-            if t.grad is not None:
-                assert np.array_equal(t.grad, got[id(t)])
-            else:
-                assert id(t) not in got
+        got = backward(total_objective(bundle, params, cfg, MarginalTracker.uniform(3)))
+        tp = leaves(params)
+        oracles.backward(closed_form_node(oracle_forward(tp, Tensor(bundle.src_x)),
+                                          cross_entropy, bundle.src_y))
+        want = [t.grad for t in tp.all_tensors()]
+        assert [g is None for g in got] == [w is None for w in want]
+        for g, w in zip(got, want):
+            if w is not None:
+                assert np.array_equal(g, w)
 
     def test_report_reweights_to_total(self):
         params, bundle = self._setup(seed=2)
         cfg = LossConfig.for_classes(3)
-        loss, report = total_objective(bundle, params, cfg, MarginalTracker.uniform(3))
+        obj = total_objective(bundle, params, cfg, MarginalTracker.uniform(3))
         weights = {"supervised": cfg.supervised_weight, "mim": cfg.lambda_M,
                    "cpbm": cfg.lambda_C, "mupbm": cfg.lambda_U, "tpbm": cfg.lambda_S}
-        recombined = sum(weights[k] * v for k, v in report.items() if k != "total")
-        assert report["total"] == pytest.approx(recombined, abs=1e-9)
-        assert float(loss.data) == report["total"]
+        recombined = sum(weights[k] * v for k, v in obj.report.items() if k != "total")
+        assert obj.report["total"] == pytest.approx(recombined, abs=1e-9)
+        assert obj.total == obj.report["total"]
 
     def test_gradient_is_weighted_sum_of_term_gradients(self):
         params, bundle = self._setup(seed=3)
@@ -746,7 +733,7 @@ class TestTotalObjective:
         bundle.mixed_partner = None
         bundle.mixed_beta = None
         cfg = LossConfig.for_classes(3, lambda_U=0.0)
-        _, report = total_objective(bundle, params, cfg, MarginalTracker.uniform(3))
+        report = total_objective(bundle, params, cfg, MarginalTracker.uniform(3)).report
         assert "mupbm" not in report
 
     def test_all_zero_weights_rejected(self):
@@ -756,13 +743,20 @@ class TestTotalObjective:
         with pytest.raises(ValueError, match="zero"):
             total_objective(bundle, params, cfg, MarginalTracker.uniform(3))
 
-    def test_one_node_over_the_latent_and_the_heads_in_use(self):
+    def test_record_holds_one_latent_and_the_heads_in_use(self):
         params, bundle = self._setup(seed=10)
-        loss, _ = total_objective(bundle, params, LossConfig.for_classes(3),
-                                  MarginalTracker.uniform(3))
-        heads = (*params.psi, *params.omega["rotate90"], *params.omega["vflip"])
-        assert loss._parents[1:] == heads
-        assert _tape_size(loss) == _tape_size(loss._parents[0]) + len(heads) + 1
+        obj = total_objective(bundle, params, LossConfig.for_classes(3),
+                              MarginalTracker.uniform(3))
+        assert [head for head, *_ in obj.heads] == ["label", "rotate90", "vflip"]
+        assert obj.z.shape[0] == sum(len(x) for x in (
+            bundle.src_x, bundle.tgt_x, bundle.tgt_x_aug, bundle.mixed_x,
+            *(x for x, _ in bundle.st_batches.values())))
+        assert [block.shape for block in obj.dlogits] == [
+            (obj.z[rows].shape[0], w.shape[1]) for _, rows, w, _ in obj.heads]
+        # a head the objective does not use gets no gradient
+        grads = backward(obj)
+        unused = {id(t) for t in params.omega["patch_location"]}
+        assert [g is None for g in grads] == [id(t) in unused for t in params.all_tensors()]
 
     @pytest.mark.parametrize("supervised_weight", [1.0, 0.4, 0.0])
     @pytest.mark.parametrize("distance", ["mmd", "coral"])
@@ -772,13 +766,14 @@ class TestTotalObjective:
         cfg = LossConfig.for_classes(3, lambda_M=0.0, lambda_C=0.0, lambda_U=0.0,
                                      lambda_S=0.0, supervised_weight=supervised_weight)
         _assert_matches_per_view(bundle, params, cfg)
-        loss, report = total_objective(bundle, params, cfg, MarginalTracker.uniform(3))
+        obj = total_objective(bundle, params, cfg, MarginalTracker.uniform(3))
         names = ["supervised"] if supervised_weight > 0.0 else []
-        assert list(report) == names + [distance, "dm_weight", "total"]
-        assert report["dm_weight"] == 1.7
-        # the trunk, then one node whose other parents are the label head
-        assert loss._parents[1:] == params.psi
-        assert _tape_size(loss) == _tape_size(loss._parents[0]) + len(params.psi) + 1
+        assert list(obj.report) == names + [distance, "dm_weight", "total"]
+        assert obj.report["dm_weight"] == 1.7
+        # the latent rows of the source and target views, under the label head only
+        assert [head for head, *_ in obj.heads] == ["label"]
+        assert obj.distance[0] == slice(0, len(bundle.src_x) + len(bundle.tgt_x))
+        assert obj.distance[2] == 1.7
 
     @pytest.mark.parametrize("distance", ["mmd", "coral"])
     def test_distance_adds_to_every_other_term(self, distance):
@@ -803,9 +798,9 @@ class TestTotalObjective:
     def test_deterministic_across_calls(self):
         params, bundle = self._setup(seed=7)
         cfg = LossConfig.for_classes(3)
-        a, _ = total_objective(bundle, params, cfg, MarginalTracker.uniform(3))
-        b, _ = total_objective(bundle, params, cfg, MarginalTracker.uniform(3))
-        assert float(a.data) == float(b.data)
+        a = total_objective(bundle, params, cfg, MarginalTracker.uniform(3))
+        b = total_objective(bundle, params, cfg, MarginalTracker.uniform(3))
+        assert a.total == b.total
 
 
 # ---------------------------------------------------------------------------
@@ -1008,8 +1003,8 @@ class TestMmdDistance:
         rng = np.random.default_rng(5)
         a, b = rng.normal(size=(4, 3)), rng.normal(size=(5, 3))
         for vary_target, pt in [(False, a), (True, b)]:
-            fn = _distance_node(mmd_distance, a, b, vary_target, bandwidths=[1.0, 2.0])
-            report = grad_check(fn, Tensor(np.array(pt)))
+            fn = _distance_fn(mmd_distance, a, b, vary_target, bandwidths=[1.0, 2.0])
+            report = grad_check(fn, pt)
             assert report.passed, str(report)
 
 
@@ -1050,8 +1045,7 @@ class TestCoralDistance:
         rng = np.random.default_rng(3)
         a, b = rng.normal(size=(5, 3)), rng.normal(size=(4, 3))
         for vary_target, pt in [(False, a), (True, b)]:
-            report = grad_check(_distance_node(coral_distance, a, b, vary_target),
-                                Tensor(np.array(pt)))
+            report = grad_check(_distance_fn(coral_distance, a, b, vary_target), pt)
             assert report.passed, str(report)
 
 

@@ -4,9 +4,10 @@ import os
 import numpy as np
 import pytest
 
-from pbmatch.losses import cross_entropy
+from pbmatch.losses import backward, cross_entropy
 from pbmatch.nets import (
     OptimState,
+    features,
     forward,
     init_params,
     load_checkpoint,
@@ -14,20 +15,21 @@ from pbmatch.nets import (
     save_checkpoint,
     softmax_probs,
     step,
+    trunk_grads,
 )
 from pbmatch import nets
-from pbmatch.tensor import Tensor, backward
 
-from oracles import closed_form_node, dot, oracle_forward, traced_peak
+import oracles
+from oracles import Tensor, closed_form_node, dot, head_objective, leaves, oracle_forward, traced_peak
 
 
 def test_init_deterministic_in_seed():
     a = init_params([256, 64, 10], seed=3)
     b = init_params([256, 64, 10], seed=3)
     for ta, tb in zip(a.all_tensors(), b.all_tensors()):
-        assert np.array_equal(ta.data, tb.data)
+        assert np.array_equal(ta, tb)
     c = init_params([256, 64, 10], seed=4)
-    assert not np.array_equal(a.phi[0][0].data, c.phi[0][0].data)
+    assert not np.array_equal(a.phi[0][0], c.phi[0][0])
 
 
 def test_init_shapes():
@@ -37,13 +39,13 @@ def test_init_shapes():
     assert p.omega["rotate90"][0].shape == (64, 4)
     assert p.omega["vflip"][0].shape == (64, 2)
     assert p.omega["patch_location"][0].shape == (64, 4)
-    assert all(b.data.sum() == 0.0 for _, b in p.phi)
+    assert all(b.sum() == 0.0 for _, b in p.phi)
 
 
 def test_init_weight_scale_matches_fan_in():
     # sample-statistics oracle: std should be near sqrt(2/fan_in)
     p = init_params([256, 128, 4], seed=12)
-    w = p.phi[0][0].data
+    w = p.phi[0][0]
     target = np.sqrt(2.0 / 256)
     assert abs(w.std() - target) / target < 0.2
 
@@ -60,23 +62,26 @@ def test_init_rejects_bad_spec():
 def test_forward_zero_params_gives_uniform_softmax():
     p = init_params([8, 4, 3], seed=0)
     for t in p.all_tensors():
-        t.data[:] = 0.0
-    logits = forward(p, Tensor(np.ones((5, 8))))
-    assert np.array_equal(logits.data, np.zeros((5, 3)))
-    probs = softmax_probs(logits.data)
+        t[...] = 0.0
+    logits = predict_logits(p, np.ones((5, 8)))
+    assert np.array_equal(logits, np.zeros((5, 3)))
+    probs = softmax_probs(logits)
     assert np.allclose(probs, np.full((5, 3), 1 / 3))
 
 
 def test_forward_shapes_and_heads():
     p = init_params([16, 8, 4], seed=1)
-    x = Tensor(np.random.default_rng(0).uniform(0, 1, (8, 16)))
-    assert forward(p, x, "label").shape == (8, 4)
-    assert forward(p, x, "rotate90").shape == (8, 4)
-    assert forward(p, x, "vflip").shape == (8, 2)
+    x = np.random.default_rng(0).uniform(0, 1, (8, 16))
+    z, cache = forward(p, x)
+    assert z.shape == (8, 8) and len(cache) == 1
+    assert predict_logits(p, x, "label").shape == (8, 4)
+    assert predict_logits(p, x, "rotate90").shape == (8, 4)
+    assert predict_logits(p, x, "vflip").shape == (8, 2)
     with pytest.raises(ValueError, match="unknown head"):
-        forward(p, x, "jigsaw")
-    with pytest.raises(ValueError, match="input width"):
-        forward(p, Tensor(np.ones((2, 7))))
+        predict_logits(p, x, "jigsaw")
+    for run in (forward, features, predict_logits):
+        with pytest.raises(ValueError, match="input width"):
+            run(p, np.ones((2, 7)))
 
 
 def test_forward_matches_hand_unrolled_chain():
@@ -84,72 +89,76 @@ def test_forward_matches_hand_unrolled_chain():
     x = np.random.default_rng(2).uniform(-1, 1, (4, 6))
     h = x
     for w, b in p.phi:
-        h = np.maximum(h @ w.data + b.data, 0.0)
-    expected = h @ p.psi[0].data + p.psi[1].data
-    got = forward(p, Tensor(x)).data
-    assert np.max(np.abs(got - expected)) < 1e-12
+        h = np.maximum(h @ w + b, 0.0)
+    expected = h @ p.psi[0] + p.psi[1]
+    assert np.max(np.abs(forward(p, x)[0] - h)) < 1e-12
     assert np.max(np.abs(predict_logits(p, x) - expected)) < 1e-12
 
 
 def test_forward_deterministic():
     p = init_params([6, 4, 2], seed=5)
-    x = Tensor(np.random.default_rng(1).uniform(0, 1, (3, 6)))
-    assert np.array_equal(forward(p, x).data, forward(p, x).data)
+    x = np.random.default_rng(1).uniform(0, 1, (3, 6))
+    z = forward(p, x)[0]
+    assert _bits(z) == _bits(forward(p, x)[0]) == _bits(features(p, x))
 
 
 def _bits(a) -> bytes:
     return np.asarray(a, dtype=np.float64).tobytes()
 
 
-@pytest.mark.parametrize("head", [None, "label", "rotate90"])
 @pytest.mark.parametrize("hidden", [(5,), (5, 4), (6, 5, 4)], ids=["1", "2", "3"])
-def test_trunk_and_head_nodes_equal_the_per_op_chain_bit_for_bit(hidden, head):
+def test_trunk_rule_equals_the_per_op_chain_bit_for_bit(hidden):
     rng = np.random.default_rng(len(hidden))
-    x_data = rng.normal(size=(7, 6))
-    readout = None
-    results = []
-    for build in (forward, oracle_forward):
-        p = init_params([6, *hidden, 3], seed=4)
-        for _, b in p.phi:
-            b.data = np.random.default_rng(1).normal(0.0, 0.5, b.shape)
-        x = Tensor(x_data, requires_grad=True)
-        out = build(p, x, head)
-        if readout is None:
-            readout = rng.normal(size=out.shape)
-        backward(dot(out, readout))
-        results.append([out.data, x.grad] + [t.grad for t in p.all_tensors()
-                                             if t.grad is not None])
-    got, want = results
-    assert len(got) == len(want) == 2 + 2 * len(hidden) + (head is not None) * 2
+    x = rng.normal(size=(7, 6))
+    p = init_params([6, *hidden, 3], seed=4)
+    for _, b in p.phi:
+        b[...] = np.random.default_rng(1).normal(0.0, 0.5, b.shape)
+    z, cache = forward(p, x)
+    readout = rng.normal(size=z.shape)
+    got = [z] + [g for pair in trunk_grads(cache, readout) for g in pair]
+    tp = leaves(p)
+    out = oracle_forward(tp, Tensor(x), head=None)
+    oracles.backward(dot(out, readout))
+    want = [out.data] + [t.grad for t in tp.all_tensors()[:2 * len(hidden)]]
+    assert len(got) == len(want) == 1 + 2 * len(hidden)
     for g, w in zip(got, want):
         assert _bits(g) == _bits(w)
 
 
-@pytest.mark.parametrize("tracked", ["input", "params", "both"])
-def test_trunk_forms_the_input_gradient_only_for_a_tracked_input(tracked):
+@pytest.mark.parametrize("head", ["label", "rotate90"])
+@pytest.mark.parametrize("hidden", [(5,), (5, 4), (6, 5, 4)], ids=["1", "2", "3"])
+def test_objective_rule_through_a_head_equals_the_per_op_chain_bit_for_bit(hidden, head):
+    rng = np.random.default_rng(len(hidden))
+    x = rng.normal(size=(7, 6))
+    labels = rng.integers(0, 3, 7)
+    p = init_params([6, *hidden, 3], seed=4)
+    obj = head_objective(p, x, labels, head)
+    got = backward(obj)
+    tp = leaves(p)
+    loss = closed_form_node(oracle_forward(tp, Tensor(x), head), cross_entropy, labels)
+    oracles.backward(loss)
+    assert obj.total == float(loss.data)
+    want = [t.grad for t in tp.all_tensors()]
+    assert [g is None for g in got] == [w is None for w in want]
+    for g, w in zip(got, want):
+        if g is not None:
+            assert _bits(g) == _bits(w)
+
+
+def test_trunk_rule_gives_one_pair_per_layer_and_no_input_gradient():
     rng = np.random.default_rng(13)
     p = init_params([5, 4, 3, 2], seed=1)
-    for t in p.all_tensors():
-        t.requires_grad = tracked != "input"
-    x = Tensor(rng.uniform(-2, 2, (6, 5)), requires_grad=tracked != "params")
-    z = forward(p, x, head=None)
-    grads = z._rule(rng.uniform(-1, 1, z.shape))
-    assert (grads[0] is not None) == x.requires_grad
-    assert len(grads) == 1 + 2 * len(p.phi)
-
-
-def _nll(params, x, labels, head="label"):
-    return closed_form_node(forward(params, Tensor(x), head), cross_entropy, labels)
+    z, cache = forward(p, rng.uniform(-2, 2, (6, 5)))
+    grads = trunk_grads(cache, rng.uniform(-1, 1, z.shape))
+    assert [(dw.shape, db.shape) for dw, db in grads] == [(w.shape, b.shape) for w, b in p.phi]
 
 
 def test_sgd_basic_update_rule():
     p = init_params([2, 2], seed=0, tasks=())
-    p.psi[0].data[:] = 1.0
-    for t in p.all_tensors():
-        t.grad = np.ones_like(t.data)
+    p.psi[0][...] = 1.0
     opt = OptimState(kind="sgd_momentum", lr=0.1, momentum=0.0, weight_decay=0.0)
-    step(p, opt)
-    assert np.allclose(p.psi[0].data, 0.9)
+    step(p, opt, [np.ones_like(t) for t in p.all_tensors()])
+    assert np.allclose(p.psi[0], 0.9)
 
 
 @pytest.mark.parametrize("weight_decay", [-1e-5, float("nan")])
@@ -160,30 +169,29 @@ def test_optimizer_rejects_unusable_weight_decay(weight_decay):
 
 def test_step_with_zero_grads_leaves_params():
     p = init_params([4, 3, 2], seed=0)
-    before = [t.data.copy() for t in p.all_tensors()]
-    for t in p.all_tensors():
-        t.grad = np.zeros_like(t.data)
-    step(p, OptimState(kind="sgd_momentum", lr=0.5, weight_decay=0.0))
+    before = [t.copy() for t in p.all_tensors()]
+    step(p, OptimState(kind="sgd_momentum", lr=0.5, weight_decay=0.0),
+         [np.zeros_like(t) for t in p.all_tensors()])
     for b, t in zip(before, p.all_tensors()):
-        assert np.array_equal(b, t.data)
+        assert np.array_equal(b, t)
 
 
 def test_step_requires_gradients():
     p = init_params([4, 3, 2], seed=0)
-    with pytest.raises(ValueError, match="gradient"):
-        step(p, OptimState())
+    with pytest.raises(ValueError, match="no parameter has a gradient"):
+        step(p, OptimState(), [None] * len(p.all_tensors()))
+    with pytest.raises(ValueError, match="got 2 gradients for 10 parameters"):
+        step(p, OptimState(), [np.zeros(1)] * 2)
 
 
 def test_adam_first_step_magnitude_is_lr():
     # closed-form: first Adam update is lr * sign(g) regardless of |g|
     for g_scale in (1e-4, 1.0, 1e4):
         p = init_params([2, 2], seed=0, tasks=())
-        for t in p.all_tensors():
-            t.grad = np.full_like(t.data, g_scale)
         opt = OptimState(kind="adam", lr=0.01, weight_decay=0.0)
-        before = p.psi[0].data.copy()
-        step(p, opt)
-        delta = np.abs(p.psi[0].data - before)
+        before = p.psi[0].copy()
+        step(p, opt, [np.full_like(t, g_scale) for t in p.all_tensors()])
+        delta = np.abs(p.psi[0] - before)
         assert np.allclose(delta, 0.01, rtol=1e-3)
 
 
@@ -195,11 +203,9 @@ def test_gradients_flow_and_loss_descends():
     opt = OptimState(kind="sgd_momentum", lr=1e-2, momentum=0.0, weight_decay=0.0)
     losses = []
     for _ in range(50):
-        p.zero_grads()
-        loss = _nll(p, x, labels)
-        backward(loss)
-        step(p, opt)
-        losses.append(loss.item())
+        obj = head_objective(p, x, labels)
+        step(p, opt, backward(obj))
+        losses.append(obj.total)
     diffs = np.diff(losses)
     assert np.all(diffs < 0.0), "loss must strictly decrease on a fixed tiny batch"
 
@@ -209,35 +215,33 @@ def test_aux_head_step_touches_only_shared_trunk_and_its_own_head():
     rng = np.random.default_rng(0)
     x = rng.uniform(0, 1, (6, 8))
     labels = rng.integers(0, 4, 6)
-    p.zero_grads()
-    backward(_nll(p, x, labels, head="rotate90"))
+    grads = backward(head_objective(p, x, labels, head="rotate90"))
+    by_id = {id(t): g for t, g in zip(p.all_tensors(), grads)}
 
-    for w, b in p.phi:
-        assert w.grad is not None and np.abs(w.grad).sum() > 0
-    for t in p.omega["rotate90"]:
-        assert t.grad is not None and np.abs(t.grad).sum() > 0
+    for t in [t for pair in p.phi for t in pair] + list(p.omega["rotate90"]):
+        assert by_id[id(t)] is not None and np.abs(by_id[id(t)]).sum() > 0
     for t in list(p.psi) + list(p.omega["vflip"]) + list(p.omega["patch_location"]):
-        assert t.grad is None
+        assert by_id[id(t)] is None
 
-    before = {h: [t.data.copy() for t in p.head_tensors(h)] for h in ("label", "vflip")}
-    step(p, OptimState(kind="sgd_momentum", lr=0.1, momentum=0.0, weight_decay=0.0))
+    before = {h: [t.copy() for t in p.head_tensors(h)] for h in ("label", "vflip")}
+    step(p, OptimState(kind="sgd_momentum", lr=0.1, momentum=0.0, weight_decay=0.0), grads)
     for h, snap in before.items():
         for s, t in zip(snap, p.head_tensors(h)):
-            assert np.array_equal(s, t.data)
+            assert np.array_equal(s, t)
 
 
 def test_checkpoint_roundtrip(tmp_path):
     p = init_params([16, 8, 4], seed=7)
     rng = np.random.default_rng(1)
     for t in p.all_tensors():
-        t.data = rng.uniform(-1, 1, t.data.shape)
+        t[...] = rng.uniform(-1, 1, t.shape)
     path = tmp_path / "checkpoint.bin"
     save_checkpoint(path, p, step_count=123)
     loaded, steps = load_checkpoint(path)
     assert steps == 123
     assert loaded.layer_spec == p.layer_spec
     for a, b in zip(p.all_tensors(), loaded.all_tensors()):
-        assert np.array_equal(a.data, b.data)
+        assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("key", ["layer_spec", "seed", "tasks", "step_count"])
@@ -255,7 +259,8 @@ def test_checkpoint_header_missing_key_names_file_and_key(tmp_path, key):
 
 @pytest.mark.parametrize("key,value", [
     ("tasks", 5), ("tasks", ["spin"]), ("layer_spec", [4, "x", 2]), ("seed", 1.5),
-    ("step_count", None)])
+    ("step_count", None), ("seed", True), ("seed", -1), ("seed", "3"),
+    ("step_count", False), ("step_count", -2), ("step_count", 2.0)])
 def test_checkpoint_header_bad_value_names_file(tmp_path, key, value):
     path = tmp_path / "checkpoint.bin"
     save_checkpoint(path, init_params([4, 3, 2], seed=1))
@@ -285,7 +290,7 @@ def test_checkpoint_blob_of_any_wrong_length_names_file_and_length(tmp_path):
     path = tmp_path / "checkpoint.bin"
     save_checkpoint(path, p)
     header, _, blob = path.read_bytes().partition(b"\n")
-    want = 8 * sum(t.data.size for t in p.all_tensors())
+    want = 8 * sum(t.size for t in p.all_tensors())
     assert len(blob) == want
     for n in [*range(len(blob)), len(blob) + 1, len(blob) + 8]:
         path.write_bytes(header + b"\n" + (blob + bytes(8))[:n])
@@ -342,8 +347,30 @@ def test_checkpoint_header_is_json_line(tmp_path):
         header = json.loads(f.readline())
         blob = f.read()
     assert header["layer_spec"] == [4, 3, 2]
-    n_params = sum(t.data.size for t in p.all_tensors())
+    n_params = sum(t.size for t in p.all_tensors())
     assert len(blob) == 8 * n_params
     # little-endian float64, declaration order: first value is phi[0] weight[0,0]
     first = np.frombuffer(blob[:8], dtype="<f8")[0]
-    assert first == p.phi[0][0].data[0, 0]
+    assert first == p.phi[0][0][0, 0]
+
+
+def test_checkpoint_header_names_the_field_that_is_not_a_non_negative_integer(tmp_path):
+    path = tmp_path / "checkpoint.bin"
+    save_checkpoint(path, init_params([4, 3, 2], seed=1))
+    header, _, blob = path.read_bytes().partition(b"\n")
+    for key, value in (("seed", True), ("step_count", -1)):
+        bad = {**json.loads(header), key: value}
+        path.write_bytes(json.dumps(bad).encode() + b"\n" + blob)
+        _load_error(path, f"{key} must be a non-negative integer, got {value!r}")
+
+
+def test_checkpoint_loads_from_the_blob_without_a_random_init(tmp_path, monkeypatch):
+    p = init_params([5, 4, 3], seed=2, tasks=("vflip", "rotate90"))
+    path = tmp_path / "checkpoint.bin"
+    save_checkpoint(path, p, step_count=7)
+    monkeypatch.setattr(nets, "init_params", lambda *a, **k: pytest.fail("init drawn"))
+    monkeypatch.setattr(np.random, "default_rng", lambda *a, **k: pytest.fail("rng drawn"))
+    loaded, steps = load_checkpoint(path)
+    assert (steps, loaded.seed, loaded.tasks) == (7, 2, ("vflip", "rotate90"))
+    assert [_bits(t) for t in loaded.all_tensors()] == [_bits(t) for t in p.all_tensors()]
+    assert all(t.flags.owndata for t in loaded.all_tensors())

@@ -47,7 +47,7 @@ def checkpoints(draw):
     params = init_params(spec, seed=draw(st.integers(0, 2**31 - 1)), tasks=tasks)
     gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     for t in params.all_tensors():
-        t.data = gen.normal(0.0, 2.0, t.data.shape)
+        t[...] = gen.normal(0.0, 2.0, t.shape)
     return params, draw(st.integers(0, 10**6))
 
 
@@ -106,7 +106,7 @@ def test_checkpoint_round_trip_gives_back_the_same_bytes(saved):
     assert (back.layer_spec, back.seed, back.tasks) == (
         params.layer_spec, params.seed, params.tasks)
     for got, want in zip(back.all_tensors(), params.all_tensors()):
-        assert got.data.tobytes() == want.data.tobytes()
+        assert got.tobytes() == want.tobytes()
 
 
 @TRUNCATIONS

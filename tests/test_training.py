@@ -3,6 +3,7 @@ label-shift probe."""
 
 import ast
 import dataclasses
+import importlib.util
 import json
 from pathlib import Path
 
@@ -25,7 +26,6 @@ from pbmatch.nets import (
     predict_logits,
     step,
 )
-from pbmatch.tensor import Tensor, backward
 from pbmatch.training import (
     ABLATION_ROWS,
     METHODS,
@@ -42,11 +42,11 @@ from pbmatch.training import (
     split_target,
     train,
 )
-from pbmatch.nets import forward
 from pbmatch.transforms import rng, sample_mixup_beta
 from pbmatch import losses, nets, training
 
-from oracles import closed_form_node, traced_peak
+import oracles
+from oracles import Tensor, closed_form_node, leaves, oracle_forward, traced_peak
 
 
 BLOB_MEANS = ((-2.0, 0.0), (2.0, 0.0))
@@ -72,18 +72,17 @@ def small_cfg(**kw):
 def sign_params() -> ModelParams:
     """Hand-built 2-input classifier: class 1 iff x0 > 0."""
     params = init_params([2, 2], seed=0)
-    params.psi[0].data[:] = np.array([[-1.0, 1.0], [0.0, 0.0]])
-    params.psi[1].data[:] = 0.0
+    params.psi[0][...] = np.array([[-1.0, 1.0], [0.0, 0.0]])
+    params.psi[1][...] = 0.0
     return params
 
 
 def constant_params(k=2, win=2) -> ModelParams:
     """Always predicts class 0."""
     params = init_params([win, k], seed=0)
-    params.psi[0].data[:] = 0.0
-    b = np.zeros(k)
-    b[0] = 10.0
-    params.psi[1].data[:] = b
+    params.psi[0][...] = 0.0
+    params.psi[1][...] = 0.0
+    params.psi[1][0] = 10.0
     return params
 
 
@@ -181,6 +180,14 @@ class TestTrainConfig:
         cfg = TrainConfig.from_dict({"lr": 1, "dm_weight": 2, "initial_marginal": [0, 1],
                                      "loss": {"entropy_ceiling": 1, "lambda_M": 0}})
         assert cfg.lr == 1.0 and cfg.dm_weight == 2.0 and cfg.loss.lambda_M == 0.0
+
+    @pytest.mark.parametrize("marginal", [
+        (0.5, float("nan")), (float("inf"), 0.5), (0.7, -0.1), (0.0, 0.0), ((0.5, 0.5),),
+    ], ids=["nan", "inf", "negative", "all_zero", "nested"])
+    def test_unusable_initial_marginal_is_rejected_by_name(self, marginal):
+        with pytest.raises(ValueError, match="initial_marginal must be a list of finite, "
+                                             "non-negative numbers, not all zero"):
+            TrainConfig(initial_marginal=marginal)
 
     def test_resolved_loss_defaults_track_class_count(self):
         cfg = TrainConfig()
@@ -313,13 +320,21 @@ class TestTrainLoop:
                 [cfg.seed_data & mask, 11, epoch]).permutation(src.n_samples)
             for s in range(steps):
                 rows = perm[s * batch:(s + 1) * batch]
-                loss = closed_form_node(forward(manual, Tensor(x[rows])), cross_entropy, y[rows])
-                manual.zero_grads()
-                backward(loss)
-                step(manual, opt)
+                tp = leaves(manual)
+                oracles.backward(closed_form_node(oracle_forward(tp, Tensor(x[rows])),
+                                                  cross_entropy, y[rows]))
+                step(manual, opt, [t.grad for t in tp.all_tensors()])
 
         for got, want in zip(params.all_tensors(), manual.all_tensors()):
-            assert np.array_equal(got.data, want.data)
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("method", ["source_only", "instapbm"])
+    def test_initial_marginal_of_another_length_is_rejected_by_name(self, method):
+        src, tgt = blob_pair(n=40)
+        cfg = small_cfg(method=method, epochs=1, initial_marginal=(0.2, 0.3, 0.5))
+        with pytest.raises(ValueError, match="initial_marginal has 3 entries, "
+                                             "but the pair has 2 classes"):
+            train(cfg, src, tgt)
 
     def test_dm_mmd_on_matching_domains_stays_at_noise_floor(self):
         src, _ = blob_pair(n=200, priors_t=(0.5, 0.5))
@@ -456,66 +471,61 @@ class TestTrainLoop:
         src, tgt = blob_pair(n=80)
         cfg = small_cfg(epochs=2)
         donor, _ = train(cfg, src, tgt)
-        snapshot = [t.data.copy() for t in donor.all_tensors()]
+        snapshot = [t.copy() for t in donor.all_tensors()]
         trained, _ = train(cfg, src, tgt, warm_start=donor)
         for before, now in zip(snapshot, donor.all_tensors()):
-            assert np.array_equal(before, now.data)
-        assert any(not np.array_equal(a.data, b.data)
+            assert np.array_equal(before, now)
+        assert any(not np.array_equal(a, b)
                    for a, b in zip(donor.all_tensors(), trained.all_tensors()))
 
     @pytest.mark.parametrize("method", METHODS)
     def test_one_trunk_pass_per_step(self, method, monkeypatch):
         calls = []
-        tape_trunk = nets.features
 
-        def counting(params, x):
-            calls.append(x.shape[0])
-            return tape_trunk(params, x)
+        def counting(name, fn):
+            def wrapper(params, x):
+                calls.append((name, x.shape[0]))
+                return fn(params, x)
+            return wrapper
 
         # every method reaches the trunk through nets.forward in losses; training
         # keeps a features name bound for the benchmark tracer, counted too in
         # case a step ever calls it
-        monkeypatch.setattr(nets, "features", counting)
-        monkeypatch.setattr(training, "features", counting)
+        monkeypatch.setattr(losses, "forward", counting("forward", nets.forward))
+        monkeypatch.setattr(training, "features", counting("features", nets.features))
         per_step = []
 
         def on_step(epoch, s, report):
-            per_step.append(len(calls))
+            per_step.append([name for name, _ in calls])
             calls.clear()
 
         src, tgt = _glyph_pair()
         cfg = small_cfg(method=method, epochs=2, batch=8, hidden=(8, 4))
         train(cfg, src, tgt, on_step=on_step)
-        assert len(per_step) == 2 * 3
-        assert per_step == [1] * len(per_step)
-        # per-epoch evaluation runs tape-free
+        assert per_step == [["forward"]] * (2 * 3)
+        # per-epoch evaluation forms no layer cache
         assert calls == []
 
     @pytest.mark.parametrize("method", METHODS)
-    def test_step_tape_records_the_trunk_and_the_objective(self, method, monkeypatch):
-        recorded = []
-        tape_backward = training.backward
+    def test_step_is_the_objective_record_then_one_backward(self, method, monkeypatch):
+        events = []
 
-        def counting(loss):
-            seen, stack = set(), [loss]
-            while stack:
-                t = stack.pop()
-                if id(t) not in seen:
-                    seen.add(id(t))
-                    stack.extend(t._parents)
-                    if t._rule is not None:
-                        recorded.append(t)
-            return tape_backward(loss)
+        def recording(name, fn):
+            def wrapper(*args):
+                out = fn(*args)
+                events.append((name, args, out))
+                return out
+            return wrapper
 
-        monkeypatch.setattr(training, "backward", counting)
+        for name in ("total_objective", "backward", "step"):
+            monkeypatch.setattr(training, name, recording(name, getattr(training, name)))
         src, tgt = _glyph_pair()
         train(small_cfg(method=method, epochs=1, batch=8, hidden=(8, 4)), src, tgt)
-        assert len(recorded) == 2 * 3
-        # per step: the objective node over one trunk node over the constant batch
-        for objective, trunk in zip(recorded[::2], recorded[1::2]):
-            assert objective._parents[0] is trunk
-            assert not any(p._rule for p in objective._parents[1:])
-            assert not any(p._rule for p in trunk._parents)
+        assert [name for name, _, _ in events] == ["total_objective", "backward", "step"] * 3
+        # backward reads the step's record, and the optimizer applies its gradients
+        for objective, rule, update in zip(events[::3], events[1::3], events[2::3]):
+            assert rule[1] == (objective[2],)
+            assert update[1][2] is rule[2]
 
     def test_h_q_is_the_prediction_marginal_entropy_without_the_mim_weight(self):
         src, tgt = _glyph_pair()
@@ -554,8 +564,8 @@ class TestTrainLoop:
         # 120 rows are one tile of the distance matrix, 2000 rows many
         src, tgt = blob_pair(n=n)
         params = init_params([2, 32, 16, 2], seed=1)
-        z_s = nets.predict_features(params, src.x_flat())
-        z_t = nets.predict_features(params, tgt.x_flat())
+        z_s = nets.features(params, src.x_flat())
+        z_t = nets.features(params, tgt.x_flat())
         want = losses.mmd_distance(np.concatenate([z_s, z_t]), len(z_s))[0]
         got = full_set_mmd(params, src.x_flat(), tgt.x_flat())
         assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64)
@@ -634,6 +644,31 @@ def test_every_traced_layer_name_resolves():
     missing = [f"{module}.{name}" for module, name, *_ in calls
                if not hasattr(modules[module], name)]
     assert calls and missing == []
+
+
+def test_the_benchmark_tracer_wraps_a_training_run_and_unwraps():
+    # perfbench/spans.py loaded by path, as it is: a lost or re-signed traced
+    # name fails every perfbench run, so its tracer must run a step unchanged
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    modules = {"training": training, "losses": losses}
+    before = spans.snapshot(modules)
+    tracer = spans.Tracer(modules)
+    steps = []
+    tracer.install()
+    try:
+        src, tgt = _glyph_pair()
+        train(small_cfg(method="instapbm", epochs=2, batch=8, hidden=(8, 4)), src, tgt,
+              on_step=lambda epoch, s, report: steps.append(s))
+    finally:
+        tracer.remove()
+    assert tracer.missing == [] and len(steps) == 6
+    names = [span[0] for span in tracer.spans]
+    assert names.count("tensor.backward") == names.count("losses.objective") == len(steps)
+    assert all(span[2] is not None for span in tracer.spans)
+    assert tracer.removed_cleanly(before)
 
 
 # ---------------------------------------------------------------------------
