@@ -26,9 +26,7 @@ import numpy as np
 from .datasets import (
     OUTLIER_LABEL,
     DomainDataset,
-    _is_int,
-    _reject_mistyped_scalars,
-    _reject_unknown_keys,
+    checked,
     load_dataset,
     save_dataset,
 )
@@ -92,26 +90,7 @@ class BenchmarkSpec:
 
     @classmethod
     def from_dict(cls, d: Dict) -> "BenchmarkSpec":
-        _reject_unknown_keys(d, cls, "benchmark spec")
-        _reject_mistyped_scalars(d, cls, "benchmark spec")
-        if "kind" not in d:
-            raise ValueError(f"benchmark spec needs a 'kind', one of {BENCHMARK_KINDS}")
-        d = dict(d)
-        order = d.get("class_order", "random")
-        if not (order == "random"
-                or isinstance(order, (list, tuple)) and all(map(_is_int, order))):
-            raise ValueError(
-                "benchmark spec field 'class_order' must be \"random\" or a list "
-                f"of integers, got {order!r}")
-        meta_map = d.get("meta_class_map")
-        if meta_map is not None:
-            if not (isinstance(meta_map, dict) and all(map(_is_int, meta_map.values()))
-                    and all(str(k).lstrip("-").isdigit() for k in meta_map)):
-                raise ValueError(
-                    "benchmark spec field 'meta_class_map' must map integer "
-                    f"sublabels to integer meta-classes, got {meta_map!r}")
-            d["meta_class_map"] = {int(k): v for k, v in meta_map.items()}
-        return cls(**d)
+        return cls(**checked(cls, d, "benchmark spec"))
 
 
 def decay_counts(n_max: int, positions: int, factor: float) -> np.ndarray:

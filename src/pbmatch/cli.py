@@ -6,6 +6,11 @@ model (``train``), score a checkpoint (``eval``), run the component matrix
 (``ablate``), verify gradients (``gradcheck``), and trace the
 distribution-matching failure curve (``probe-lds``).
 
+Every JSON spec or config is read by ``datasets.checked`` against the type
+hints of the dataclass or function it feeds, one key per parameter (an
+ablate config's "train" is ``ablation_suite``'s ``base_cfg``); ``--seed``
+overrides a seed after the file is checked.
+
 Exit codes: 0 on success, 1 on a validation problem (bad flags, malformed
 config, inconsistent data), 2 when training aborts on a non-finite loss.
 """
@@ -13,10 +18,11 @@ config, inconsistent data), 2 when training aborts on a non-finite loss.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 from .benchmarks import (
     BenchmarkSpec,
@@ -26,8 +32,7 @@ from .benchmarks import (
 )
 from .datasets import (
     GlyphDomainSpec,
-    _is_float,
-    _is_int,
+    checked,
     default_pair_specs,
     generate_blob_pair,
     generate_glyph_domain,
@@ -38,8 +43,6 @@ from .datasets import (
 from .gradcheck import run_gradient_suite, suite_text
 from .nets import load_checkpoint
 from .training import (
-    ABLATION_ROWS,
-    DEFAULT_SEEDS,
     NumericalAbort,
     TrainConfig,
     ablation_suite,
@@ -77,85 +80,41 @@ def _echo(payload: Dict) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
-def _check_fields(d: Dict, fields: Dict[str, Tuple[Callable, str]], what: str) -> None:
-    """Reject a key of ``d`` that ``fields`` lacks, or a value that fails its
-    check; ``fields`` maps each key to (check, what the value must be)."""
-    unknown = sorted(set(d) - set(fields))
-    if unknown:
-        raise ValueError(f"unknown {what} keys: {unknown}")
-    for key, value in d.items():
-        ok, want = fields[key]
-        if not ok(value):
-            raise ValueError(f"{what} field {key!r} must be {want}, got {value!r}")
-
-
-def _list_of(ok: Callable, want: str) -> Tuple[Callable, str]:
-    """The field check of a non-empty JSON list whose items pass ``ok``."""
-    return (lambda v: isinstance(v, list) and len(v) > 0 and all(map(ok, v)),
-            f"a non-empty list of {want}")
-
-
-_ANY = (lambda v: True, "")
-_INT = (_is_int, "an integer")
-_NUMBER = (_is_float, "a number")
-_NUMBERS = _list_of(_is_float, "numbers")
-_POINTS = _list_of(_NUMBERS[0], "points")
-
-
 # ---------------------------------------------------------------------------
 # generate
 # ---------------------------------------------------------------------------
 
-_PAIR_FIELDS = {"n_classes": _INT, "sub_styles": _INT, "samples_per_class": _INT,
-                "seed": _INT}
-_BLOB_FIELDS = {"k": _INT, "source_priors": _NUMBERS, "target_priors": _NUMBERS,
-                "means": _POINTS, "spread": _NUMBER, "n": _INT, "seed": _INT}
-
-
-def _glyph_spec(d: Dict, seed: Optional[int]) -> GlyphDomainSpec:
-    if seed is not None and isinstance(d, dict):
-        d = {**d, "seed": seed}
-    return GlyphDomainSpec.from_dict(d)
-
-
 def _cmd_generate(args) -> int:
     spec = _load_json(args.spec, "spec")
-    kind = spec.get("kind")
+    kind = spec.pop("kind", None)
     out = Path(args.out)
-    if kind == "glyph_pair":
-        body = {k: v for k, v in spec.items() if k != "kind"}
-        explicit = "source" in body or "target" in body
-        _check_fields(body, {"source": _ANY, "target": _ANY} if explicit else _PAIR_FIELDS,
-                      "glyph_pair")
-        if explicit:
-            if not ("source" in body and "target" in body):
-                raise ValueError('glyph_pair spec needs both "source" and "target"')
-            src_spec = _glyph_spec(body["source"], args.seed)
-            tgt_spec = _glyph_spec(
-                body["target"], None if args.seed is None else args.seed + 1)
-        else:
-            if args.seed is not None:
-                body["seed"] = args.seed
-            src_spec, tgt_spec = default_pair_specs(**body)
+    if kind == "glyph_pair" and ("source" in spec or "target" in spec):
+        pair = checked(generate_glyph_pair, spec, "glyph_pair")
+        src_spec, tgt_spec = pair["source"], pair["target"]
+        if args.seed is not None:
+            src_spec = dataclasses.replace(src_spec, seed=args.seed)
+            tgt_spec = dataclasses.replace(tgt_spec, seed=args.seed + 1)
         src, tgt = generate_glyph_pair(src_spec, tgt_spec)
+    elif kind == "glyph_pair":
+        pair = checked(default_pair_specs, spec, "glyph_pair")
+        if args.seed is not None:
+            pair["seed"] = args.seed
+        src, tgt = generate_glyph_pair(*default_pair_specs(**pair))
     elif kind == "glyph":
         role = spec.pop("domain_role", "source")
-        spec.pop("kind")
-        ds = generate_glyph_domain(_glyph_spec(spec, args.seed), role)
+        glyph = GlyphDomainSpec.from_dict(spec)
+        if args.seed is not None:
+            glyph = dataclasses.replace(glyph, seed=args.seed)
+        ds = generate_glyph_domain(glyph, role)
         save_dataset(ds, out)
         _echo({"out": str(out), "kind": "glyph", "n_samples": ds.n_samples,
                "class_count": ds.class_count})
         return 0
     elif kind == "blob_pair":
-        missing = [k for k in _BLOB_FIELDS if k != "seed" and k not in spec]
-        if missing:
-            raise ValueError(f"blob_pair spec is missing {missing}")
-        _check_fields({k: v for k, v in spec.items() if k != "kind"}, _BLOB_FIELDS,
-                      "blob_pair")
-        src, tgt = generate_blob_pair(
-            spec["k"], spec["source_priors"], spec["target_priors"],
-            spec["means"], float(spec["spread"]), spec["n"],
-            spec.get("seed", 0) if args.seed is None else args.seed)
+        blobs = checked(generate_blob_pair, {"seed": 0, **spec}, "blob_pair")
+        if args.seed is not None:
+            blobs["seed"] = args.seed
+        src, tgt = generate_blob_pair(**blobs)
     else:
         raise ValueError(
             f'spec "kind" must be glyph_pair, glyph, or blob_pair, got {kind!r}')
@@ -213,35 +172,14 @@ def _cmd_eval(args) -> int:
 # ablate
 # ---------------------------------------------------------------------------
 
-def _is_row(r) -> bool:
-    return isinstance(r, list) and len(r) == 2 and all(isinstance(v, str) for v in r)
-
-
-_ABLATE_FIELDS = {
-    "train": _ANY,
-    "benchmarks": _list_of(lambda b: isinstance(b, dict), "benchmark spec objects"),
-    "rows": _list_of(_is_row, "[row name, method] pairs"),
-    "seeds": _list_of(_is_int, "integers"),
-    "samples_per_class": _INT,
-    "data_seed": _INT,
-}
-
-
 def _cmd_ablate(args) -> int:
     cfg = _load_json(args.config, "config")
-    if "train" not in cfg or "benchmarks" not in cfg:
-        raise ValueError('ablate config needs "train" and "benchmarks" entries')
-    _check_fields(cfg, _ABLATE_FIELDS, "ablate config")
-    base = TrainConfig.from_dict(cfg["train"])
-    benchmarks = [BenchmarkSpec.from_dict(b) for b in cfg["benchmarks"]]
-    rows = [tuple(r) for r in cfg["rows"]] if "rows" in cfg else ABLATION_ROWS
-    table = ablation_suite(
-        base, benchmarks,
-        samples_per_class=cfg.get("samples_per_class", 250),
-        data_seed=cfg.get("data_seed", 0),
-        seeds=tuple(cfg.get("seeds", DEFAULT_SEEDS)),
-        rows=rows,
-        progress=lambda msg: print(msg, file=sys.stderr))
+    # ablation_suite's base_cfg is the config's "train" entry, not a key of its own
+    if "train" not in cfg or "base_cfg" in cfg:
+        raise ValueError('ablate config needs a "train" entry, and takes no "base_cfg" key')
+    suite = checked(ablation_suite, {("base_cfg" if k == "train" else k): v
+                                     for k, v in cfg.items()}, "ablate config")
+    table = ablation_suite(**suite, progress=lambda msg: print(msg, file=sys.stderr))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     text = ablation_table_text(table)
@@ -277,26 +215,14 @@ def _probe_text(result: Dict) -> str:
     return "\n".join(lines)
 
 
-_PROBE_FIELDS = {
-    "priors_src": _NUMBERS, "priors_tgt": _NUMBERS, "dm_weight_schedule": _NUMBERS,
-    "means": _POINTS, "hidden": _list_of(_is_int, "integers"),
-    "n": _INT, "epochs": _INT, "batch": _INT, "seed_model": _INT, "seed_data": _INT,
-    "dm_ramp_steps": _INT, "spread": _NUMBER, "weight_decay": _NUMBER, "lr": _NUMBER,
-    "optimizer": (lambda v: isinstance(v, str), "a string"),
-}
-
-
 def _cmd_probe(args) -> int:
-    kwargs: Dict = {}
+    probe = {"priors_src": (0.5, 0.5), "priors_tgt": (0.7, 0.3)}
     if args.config is not None:
-        kwargs = _load_json(args.config, "config")
-        _check_fields(kwargs, _PROBE_FIELDS, "probe config")
+        probe.update(_load_json(args.config, "config"))
+    probe = checked(lds_failure_probe, probe, "probe config")
     if args.seed is not None:
-        kwargs["seed_model"] = args.seed
-        kwargs["seed_data"] = args.seed
-    kwargs.setdefault("priors_src", (0.5, 0.5))
-    kwargs.setdefault("priors_tgt", (0.7, 0.3))
-    result = lds_failure_probe(**kwargs)
+        probe["seed_model"] = probe["seed_data"] = args.seed
+    result = lds_failure_probe(**probe)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "probe.json").write_text(json.dumps(result, indent=2, sort_keys=True))

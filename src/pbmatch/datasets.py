@@ -16,10 +16,13 @@ with the same bytes as rendering each sample alone.
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import json
 import math
 import numbers
+import re
 import typing
+from collections import abc
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -43,7 +46,7 @@ def _quantize(x: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# JSON config checks, shared by every from_dict
+# the JSON boundary: every config and spec is read through ``checked``
 # ---------------------------------------------------------------------------
 
 def _is_int(v) -> bool:
@@ -54,23 +57,112 @@ def _is_float(v) -> bool:
     return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
-def _reject_unknown_keys(d: Dict, cls, what: str) -> None:
+# hint -> (check, one value in words, several in words)
+_SCALARS = {
+    int: (_is_int, "an integer", "integers"),
+    float: (_is_float, "a number", "numbers"),
+    bool: (lambda v: isinstance(v, bool), "true or false", "true or false values"),
+    str: (lambda v: isinstance(v, str), "a string", "strings"),
+    type(None): (lambda v: v is None, "null", "nulls"),
+}
+
+
+class _Misfit(Exception):
+    """``args[0]`` is the value, or the part of it, that fits no hint."""
+
+
+def _want(hint, plural: bool = False) -> str:
+    """What a JSON value of type ``hint`` must be, in words; a hint that
+    :func:`checked` cannot check raises ``TypeError``."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if hint in _SCALARS:
+        return _SCALARS[hint][2 if plural else 1]
+    if origin is Union:
+        return " or ".join(_want(h, plural) for h in args)
+    if origin is abc.Sequence or origin is tuple and args[1:] == (...,):
+        return f"{'lists' if plural else 'a list'} of {_want(args[0], True)}" + (
+            "" if plural else " (not empty)")
+    if origin is tuple and len(set(args)) == 1:
+        return f"{'lists' if plural else 'a list'} of {len(args)} {_want(args[0], True)}"
+    if origin is dict and args[0] is int:
+        return f"{'objects' if plural else 'an object'} mapping integers to {_want(args[1], True)}"
+    if dataclasses.is_dataclass(hint) and hasattr(hint, "from_dict"):
+        return f"{hint.__name__} objects" if plural else f"a {hint.__name__} object"
+    raise TypeError(f"no JSON check for the type hint {hint!r}")
+
+
+def _fit(hint, v):
+    """``v`` as a value of type ``hint``: a list becomes a tuple, and an
+    object a dict or, through its ``from_dict``, a dataclass."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if hint in _SCALARS:
+        if not _SCALARS[hint][0](v):
+            raise _Misfit(v)
+        return v
+    if origin is Union:
+        if v is None and type(None) in args:
+            return v
+        misfits = []
+        for h in args:
+            try:
+                return _fit(h, v)
+            except _Misfit as e:
+                misfits.append(e)
+        # name the deepest part that fits no alternative
+        raise next((e for e in misfits if e.args[0] is not v), _Misfit(v))
+    if origin in (abc.Sequence, tuple):
+        if not (isinstance(v, (list, tuple)) and v):
+            raise _Misfit(v)
+        items = args[:1] * len(v) if origin is abc.Sequence or args[1:] == (...,) else args
+        if len(items) != len(v):
+            raise _Misfit(v)
+        return tuple(map(_fit, items, v))
+    if origin is dict:
+        if not isinstance(v, dict):
+            raise _Misfit(v)
+        # a JSON object's keys are strings, so an int key is written as one
+        return {_fit(int, int(k) if re.fullmatch(r"-?[0-9]+", str(k)) else k): _fit(args[1], x)
+                for k, x in v.items()}
+    if dataclasses.is_dataclass(hint):
+        return hint.from_dict(v)
+    raise TypeError(f"no JSON check for the type hint {hint!r}")
+
+
+def checked(target, d, what: str) -> Dict:
+    """The JSON object ``d`` as keyword arguments of ``target``, a dataclass
+    or a function, each value checked against its type hint.
+
+    An unknown key, a missing required key, or a value that does not fit
+    its hint raises ``ValueError`` naming ``what`` and the key: an int
+    takes no float or bool, a bool only true or false, a list is not
+    empty. Lists come back as tuples, and an object for a dataclass goes
+    through its ``from_dict``. A keyword-only parameter is for Python
+    callers and is no JSON key. A parameter whose hint cannot be checked
+    raises ``TypeError`` on every call, whatever ``d`` holds.
+    """
     if not isinstance(d, dict):
         raise ValueError(f"{what} must be an object, got {type(d).__name__}")
-    unknown = sorted(set(d) - {f.name for f in dataclasses.fields(cls)})
+    hints = typing.get_type_hints(target)
+    params = {name: p for name, p in inspect.signature(target).parameters.items()
+              if p.kind is p.POSITIONAL_OR_KEYWORD}
+    wants = {name: _want(hints.get(name)) for name in params}
+    unknown = sorted(set(d) - set(params))
     if unknown:
         raise ValueError(f"unknown {what} keys: {unknown}")
-
-
-def _reject_mistyped_scalars(d: Dict, cls, what: str) -> None:
-    """Name the first int or float field of ``cls`` whose value in ``d`` has
-    another type; a bool is neither, and an int field takes no float."""
-    hints = typing.get_type_hints(cls)
+    missing = [name for name, p in params.items() if p.default is p.empty and name not in d]
+    if missing:
+        raise ValueError(f"{what} is missing required keys: {missing}")
+    kwargs = {}
     for name, v in d.items():
-        if hints[name] is int and not _is_int(v):
-            raise ValueError(f"{what} field {name!r} must be an integer, got {v!r}")
-        if hints[name] is float and not _is_float(v):
-            raise ValueError(f"{what} field {name!r} must be a number, got {v!r}")
+        try:
+            kwargs[name] = _fit(hints[name], v)
+        except _Misfit as e:
+            part = e.args[0]
+            raise ValueError(
+                f"{what} field {name!r} must be {wants[name]}, got {v!r}" if part is v
+                else f"{what} field {name!r} holds {part!r}, but {name} must be "
+                     f"{wants[name]}") from None
+    return kwargs
 
 
 # ---------------------------------------------------------------------------
@@ -176,9 +268,7 @@ class GlyphDomainSpec:
 
     @classmethod
     def from_dict(cls, d: Dict) -> "GlyphDomainSpec":
-        _reject_unknown_keys(d, cls, "glyph spec")
-        _reject_mistyped_scalars(d, cls, "glyph spec")
-        return cls(**d)
+        return cls(**checked(cls, d, "glyph spec"))
 
 
 # ---------------------------------------------------------------------------
@@ -284,18 +374,18 @@ def generate_glyph_domain(spec: GlyphDomainSpec, domain_role: str) -> DomainData
                   "domain_role": domain_role})
 
 
-def generate_glyph_pair(src_spec: GlyphDomainSpec,
-                        tgt_spec: GlyphDomainSpec) -> Tuple[DomainDataset, DomainDataset]:
+def generate_glyph_pair(source: GlyphDomainSpec,
+                        target: GlyphDomainSpec) -> Tuple[DomainDataset, DomainDataset]:
     """Source and target glyph domains; shapes must agree so only the
     rendering knobs differ."""
-    if src_spec.n_classes != tgt_spec.n_classes:
+    if source.n_classes != target.n_classes:
         raise ValueError(
-            f"class counts differ: {src_spec.n_classes} vs {tgt_spec.n_classes}")
-    if src_spec.sub_styles != tgt_spec.sub_styles:
+            f"class counts differ: {source.n_classes} vs {target.n_classes}")
+    if source.sub_styles != target.sub_styles:
         raise ValueError(
-            f"sub-style counts differ: {src_spec.sub_styles} vs {tgt_spec.sub_styles}")
-    return (generate_glyph_domain(src_spec, "source"),
-            generate_glyph_domain(tgt_spec, "target"))
+            f"sub-style counts differ: {source.sub_styles} vs {target.sub_styles}")
+    return (generate_glyph_domain(source, "source"),
+            generate_glyph_domain(target, "target"))
 
 
 def default_pair_specs(n_classes: int = 4, sub_styles: int = 2,
@@ -336,7 +426,7 @@ def _generate_blob_domain(k: int, priors: np.ndarray, means: np.ndarray,
                              "n": n, "seed": seed}})
 
 
-def generate_blob_pair(K: int, source_priors: Sequence[float],
+def generate_blob_pair(k: int, source_priors: Sequence[float],
                        target_priors: Sequence[float],
                        means: Sequence[Sequence[float]], spread: float,
                        n: int, seed: int) -> Tuple[DomainDataset, DomainDataset]:
@@ -345,15 +435,16 @@ def generate_blob_pair(K: int, source_priors: Sequence[float],
     source_priors = np.asarray(source_priors, dtype=np.float64)
     target_priors = np.asarray(target_priors, dtype=np.float64)
     means_arr = np.asarray(means, dtype=np.float64)
+    spread = float(spread)
     if spread < 0.0:
         raise ValueError(f"spread must be non-negative, got {spread}")
-    if means_arr.shape != (K, 2):
-        raise ValueError(f"means must be {K} 2-D points, got shape {means_arr.shape}")
+    if means_arr.shape != (k, 2):
+        raise ValueError(f"means must be {k} 2-D points, got shape {means_arr.shape}")
     for name, p in (("source_priors", source_priors), ("target_priors", target_priors)):
-        if p.shape != (K,) or np.any(p < 0.0) or abs(p.sum() - 1.0) > 1e-9:
-            raise ValueError(f"{name} must be {K} non-negative values summing to 1")
-    return (_generate_blob_domain(K, source_priors, means_arr, spread, n, seed, "source"),
-            _generate_blob_domain(K, target_priors, means_arr, spread, n, seed, "target"))
+        if p.shape != (k,) or np.any(p < 0.0) or abs(p.sum() - 1.0) > 1e-9:
+            raise ValueError(f"{name} must be {k} non-negative values summing to 1")
+    return (_generate_blob_domain(k, source_priors, means_arr, spread, n, seed, "source"),
+            _generate_blob_domain(k, target_priors, means_arr, spread, n, seed, "target"))
 
 
 # ---------------------------------------------------------------------------

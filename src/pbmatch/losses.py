@@ -30,6 +30,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .datasets import checked
 from .nets import Cache, ModelParams, forward, trunk_grads
 
 # per-pair clamp on the disagreement divergence; unbounded KL invites
@@ -131,6 +132,10 @@ class LossConfig:
         cfg = cls(**overrides)
         cfg.check_ceiling(n_classes)
         return cfg
+
+    @classmethod
+    def from_dict(cls, d: Dict) -> "LossConfig":
+        return cls(**checked(cls, d, "loss config"))
 
     def check_ceiling(self, n_classes: int) -> None:
         if self.entropy_ceiling > math.log(n_classes) + 1e-12:

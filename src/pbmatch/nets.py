@@ -75,15 +75,21 @@ def _dense_init(rng: np.random.Generator, fan_in: int, fan_out: int) -> Pair:
 
 
 def _checked_spec(spec: Sequence[int], tasks: Sequence[str]) -> List[int]:
-    """The layer sizes as ints, once they and the task names are usable."""
+    """The layer sizes as Python ints, once they and the task names are
+    usable: a size that is not an integer (a bool included) and a task
+    named twice are rejected, not coerced or doubled."""
+    if not all(map(_is_int, spec)):
+        raise ValueError(f"layer_spec sizes must be integers, got {list(spec)!r}")
     spec = [int(s) for s in spec]
     if len(spec) < 2:
         raise ValueError("layer spec needs at least input and output sizes")
     if any(s < 1 for s in spec):
         raise ValueError(f"all layer sizes must be >= 1, got {spec}")
-    for task in tasks:
+    for i, task in enumerate(tasks):
         if task not in TASK_CLASSES:
             raise ValueError(f"unknown task: {task!r}")
+        if task in tasks[:i]:
+            raise ValueError(f"task {task!r} is named twice")
     return spec
 
 

@@ -43,10 +43,7 @@ from .benchmarks import (
 )
 from .datasets import (
     DomainDataset,
-    _is_float,
-    _is_int,
-    _reject_mistyped_scalars,
-    _reject_unknown_keys,
+    checked,
     default_pair_specs,
     generate_blob_pair,
     generate_glyph_pair,
@@ -217,24 +214,7 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d: Dict) -> "TrainConfig":
-        _reject_unknown_keys(d, cls, "train config")
-        _reject_mistyped_scalars(d, cls, "train config")
-        d = dict(d)
-        if d.get("loss") is not None:
-            _reject_unknown_keys(d["loss"], LossConfig, "loss config")
-            _reject_mistyped_scalars(d["loss"], LossConfig, "loss config")
-            missing = sorted(f.name for f in dataclasses.fields(LossConfig)
-                             if f.default is dataclasses.MISSING and f.name not in d["loss"])
-            if missing:
-                raise ValueError(f"loss config is missing required keys: {missing}")
-            d["loss"] = LossConfig(**d["loss"])
-        for name, ok, want in (("hidden", _is_int, "integers"),
-                               ("initial_marginal", _is_float, "numbers")):
-            if d.get(name) is not None:
-                if not isinstance(d[name], (list, tuple)) or not all(map(ok, d[name])):
-                    raise ValueError(f"{name} must be a list of {want}, got {d[name]!r}")
-                d[name] = tuple(d[name])
-        return cls(**d)
+        return cls(**checked(cls, d, "train config"))
 
 
 @dataclass
@@ -582,7 +562,7 @@ def build_benchmark_pair(spec: BenchmarkSpec, samples_per_class: int = 250,
 def ablation_suite(base_cfg: TrainConfig, benchmarks: Sequence[BenchmarkSpec],
                    samples_per_class: int = 250, data_seed: int = 0,
                    seeds: Sequence[int] = DEFAULT_SEEDS,
-                   rows: Sequence[Tuple[str, str]] = ABLATION_ROWS,
+                   rows: Sequence[Tuple[str, str]] = ABLATION_ROWS, *,
                    progress: Optional[Callable[[str], None]] = None) -> Dict:
     """Run every component row on every benchmark; report per-seed and mean
     target accuracies in a row-major table."""

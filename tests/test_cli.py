@@ -515,6 +515,57 @@ class TestAblate:
         assert not (tmp_path / "o").exists()
 
 
+# Every JSON reader, a field it feeds and the payload that puts a value there.
+_BLOB = {"kind": "blob_pair", "k": 2, "source_priors": [0.5, 0.5],
+         "target_priors": [0.7, 0.3], "means": [[-2.0, 0.0], [2.0, 0.0]],
+         "spread": 0.5, "n": 40}
+_READERS = {
+    "glyph": ("generate", lambda f, v: {"kind": "glyph", "samples_per_class": 2, f: v}),
+    "glyph_pair_explicit": ("generate", lambda f, v: {
+        "kind": "glyph_pair", "source": {"samples_per_class": 2, f: v},
+        "target": {"samples_per_class": 2}}),
+    "glyph_pair": ("generate", lambda f, v: {"kind": "glyph_pair", "samples_per_class": 2,
+                                             f: v}),
+    "blob_pair": ("generate", lambda f, v: {**_BLOB, f: v}),
+    "train_config": ("train", lambda f, v: {"method": "source_only", "epochs": 1, f: v}),
+    "loss_config": ("train", lambda f, v: {"loss": {"entropy_ceiling": 0.5, f: v}}),
+    "benchmark_spec": ("ablate", lambda f, v: {
+        "train": {"epochs": 1}, "benchmarks": [{"kind": "LDS", f: v}], "seeds": [1]}),
+    "ablate_config": ("ablate", lambda f, v: {
+        "train": {"epochs": 1}, "benchmarks": [{"kind": "LDS"}], "seeds": [1], f: v}),
+    "probe_config": ("probe-lds", lambda f, v: {"n": 40, "epochs": 1, f: v}),
+}
+_BOUNDARY_CASES = [
+    # a string or an int where a bool is expected
+    *[(r, "invert", v) for r in ("glyph", "glyph_pair_explicit") for v in ("no", 1)],
+    # a bool or a float where an int is expected
+    *[(r, f, v) for r, f in [("glyph", "n_classes"), ("glyph_pair_explicit", "seed"),
+                             ("glyph_pair", "sub_styles"), ("blob_pair", "n"),
+                             ("train_config", "batch"), ("benchmark_spec", "seed"),
+                             ("ablate_config", "data_seed"), ("probe_config", "epochs")]
+      for v in (True, 2.0)],
+    # a bool where a number is expected, the loss config having no int field
+    ("loss_config", "lambda_M", True),
+]
+
+
+@pytest.mark.parametrize("reader,field,value", _BOUNDARY_CASES,
+                         ids=[f"{r}-{f}-{v!r}" for r, f, v in _BOUNDARY_CASES])
+def test_every_json_reader_rejects_a_mistyped_value_by_name(tmp_path, capsys, reader,
+                                                            field, value):
+    command, payload = _READERS[reader]
+    path = write_json(tmp_path / "in.json", payload(field, value))
+    out = str(tmp_path / "o")
+    argv = {"generate": ["generate", "--spec", path, "--out", out],
+            "train": ["train", "--config", path, "--src", str(tmp_path / "src"),
+                      "--tgt", str(tmp_path / "tgt"), "--out", out],
+            "ablate": ["ablate", "--config", path, "--out", out],
+            "probe-lds": ["probe-lds", "--config", path, "--out", out]}[command]
+    assert main(argv) == 1
+    assert_named_error(capsys, f"field {field!r} must be")
+    assert not (tmp_path / "o").exists()
+
+
 class TestGradcheck:
     def test_passes_and_reports(self, capsys):
         assert main(["gradcheck", "--tol", "1e-4", "--instances", "2"]) == 0

@@ -1,8 +1,11 @@
 """Synthetic domain generators: determinism, balance, and disk round-trips."""
 
+import inspect
 import itertools
 import json
 import os
+import typing
+from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 import pytest
@@ -14,6 +17,8 @@ from pbmatch.datasets import (
     OUTLIER_STYLES,
     DomainDataset,
     GlyphDomainSpec,
+    _want,
+    checked,
     default_pair_specs,
     generate_blob_pair,
     generate_glyph_domain,
@@ -23,8 +28,10 @@ from pbmatch.datasets import (
     regenerate,
     save_dataset,
 )
-from pbmatch.losses import backward
+from pbmatch.benchmarks import BenchmarkSpec
+from pbmatch.losses import LossConfig, backward
 from pbmatch.nets import OptimState, init_params, predict_logits, step
+from pbmatch.training import TrainConfig, ablation_suite, lds_failure_probe
 
 from oracles import head_objective, oracle_glyph_domain, traced_peak
 
@@ -69,6 +76,84 @@ def test_spec_dict_round_trip():
 def test_spec_from_dict_names_the_bad_field(payload, msg):
     with pytest.raises(ValueError, match=msg):
         GlyphDomainSpec.from_dict(payload)
+
+
+# ---------------------------------------------------------------------------
+# the JSON boundary
+# ---------------------------------------------------------------------------
+
+# every dataclass and function a JSON config or spec is read into
+JSON_TARGETS = [GlyphDomainSpec, TrainConfig, LossConfig, BenchmarkSpec, default_pair_specs,
+                generate_glyph_pair, generate_blob_pair, ablation_suite, lds_failure_probe]
+
+
+@pytest.mark.parametrize("target", JSON_TARGETS, ids=lambda t: t.__name__)
+def test_checked_can_check_every_hint_a_json_reader_feeds(target):
+    # a field whose hint checked cannot check would pass a JSON value unchecked
+    hints = typing.get_type_hints(target)
+    params = [p for p in inspect.signature(target).parameters.values()
+              if p.kind is p.POSITIONAL_OR_KEYWORD]
+    assert params
+    for p in params:
+        assert _want(hints[p.name]), p.name
+
+
+def _reader(a: int, b: float = 0.5, c: bool = False, d: str = "x",
+            e: Optional[Tuple[int, ...]] = None, f: Sequence[Sequence[float]] = ((0.0,),),
+            g: Sequence[Tuple[str, str]] = (("a", "b"),), h: Optional[Dict[int, int]] = None,
+            i: Union[Sequence[int], str] = "all", j: Optional[LossConfig] = None, *,
+            hook: Optional[Callable[[], None]] = None):
+    pass
+
+
+def test_checked_converts_what_fits():
+    got = checked(_reader, {"a": 3, "b": 1, "c": True, "e": [1, 2], "f": [[1, 2.5]],
+                            "g": [["x", "y"]], "h": {"-1": 2, "3": 4}, "i": [0],
+                            "j": {"entropy_ceiling": 0.5}}, "reader")
+    assert got == {"a": 3, "b": 1, "c": True, "e": (1, 2), "f": ((1, 2.5),),
+                   "g": (("x", "y"),), "h": {-1: 2, 3: 4}, "i": (0,),
+                   "j": LossConfig(entropy_ceiling=0.5)}
+    assert checked(_reader, {"a": 1, "e": None, "h": None, "i": "all"}, "reader") == {
+        "a": 1, "e": None, "h": None, "i": "all"}
+
+
+@pytest.mark.parametrize("payload,msg", [
+    ({"a": 2.0}, "reader field 'a' must be an integer, got 2.0"),
+    ({"a": True}, "reader field 'a' must be an integer, got True"),
+    ({"a": 1, "b": False}, "reader field 'b' must be a number, got False"),
+    ({"a": 1, "c": 1}, "reader field 'c' must be true or false, got 1"),
+    ({"a": 1, "c": "no"}, "reader field 'c' must be true or false, got 'no'"),
+    ({"a": 1, "d": None}, "reader field 'd' must be a string, got None"),
+    ({"a": 1, "e": []}, r"reader field 'e' must be a list of integers \(not empty\) or null"),
+    ({"a": 1, "e": [1, 2.5]}, r"field 'e' holds 2.5, but e must be a list of integers"),
+    ({"a": 1, "f": [[]]}, r"field 'f' holds \[\], but f must be a list of lists of numbers"),
+    ({"a": 1, "g": [["x"]]}, r"field 'g' holds \['x'\], but g must be a list of lists of 2"),
+    ({"a": 1, "h": {"1.5": 0}}, "field 'h' holds '1.5', but h must be an object mapping "
+                                "integers to integers or null"),
+    ({"a": 1, "h": {"1": "0"}}, "field 'h' holds '0'"),
+    ({"a": 1, "i": "all", "j": 3}, "loss config must be an object"),
+    ({"a": 1, "i": 3}, r"field 'i' must be a list of integers \(not empty\) or a string"),
+    ({"a": 1, "hook": None}, r"unknown reader keys: \['hook'\]"),
+    ({"b": 1.0}, r"reader is missing required keys: \['a'\]"),
+    ([1], "reader must be an object, got list"),
+], ids=["int_float", "int_bool", "float_bool", "bool_int", "bool_str", "str_null",
+        "list_empty", "list_item", "nested_empty", "pair_short", "key_not_int",
+        "value_not_int", "dataclass_not_object", "union", "keyword_only", "missing",
+        "not_object"])
+def test_checked_names_the_field_and_the_rule(payload, msg):
+    with pytest.raises(ValueError, match=msg):
+        checked(_reader, payload, "reader")
+
+
+def test_checked_raises_on_a_hint_it_cannot_check_whatever_the_value():
+    def reader(a: int = 0, hook: Optional[Callable[[], None]] = None):
+        pass
+
+    for payload in ({}, {"a": 1}):
+        with pytest.raises(TypeError, match="no JSON check for the type hint"):
+            checked(reader, payload, "reader")
+    with pytest.raises(TypeError):
+        _want(np.ndarray)
 
 
 # ---------------------------------------------------------------------------
@@ -353,13 +438,13 @@ def test_blob_regenerates_from_metadata():
 
 
 @pytest.mark.parametrize("kwargs,msg", [
-    (dict(K=2, source_priors=[0.5, 0.5], target_priors=[0.7, 0.3],
+    (dict(k=2, source_priors=[0.5, 0.5], target_priors=[0.7, 0.3],
           means=_MEANS, spread=-0.1, n=10, seed=0), "spread"),
-    (dict(K=2, source_priors=[0.5, 0.5], target_priors=[0.7, 0.3],
+    (dict(k=2, source_priors=[0.5, 0.5], target_priors=[0.7, 0.3],
           means=[[0, 0]], spread=0.5, n=10, seed=0), "means"),
-    (dict(K=2, source_priors=[0.6, 0.5], target_priors=[0.7, 0.3],
+    (dict(k=2, source_priors=[0.6, 0.5], target_priors=[0.7, 0.3],
           means=_MEANS, spread=0.5, n=10, seed=0), "source_priors"),
-    (dict(K=2, source_priors=[0.5, 0.5], target_priors=[1.2, -0.2],
+    (dict(k=2, source_priors=[0.5, 0.5], target_priors=[1.2, -0.2],
           means=_MEANS, spread=0.5, n=10, seed=0), "target_priors"),
 ])
 def test_blob_pair_validation_errors(kwargs, msg):

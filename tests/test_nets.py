@@ -273,6 +273,45 @@ def test_checkpoint_header_bad_value_names_file(tmp_path, key, value):
     assert str(path) in str(err.value)
 
 
+@pytest.mark.parametrize("spec", [[4.7, 3, 2], [4, 3.0, 2], [True, 3, 2], [4, 3, False]],
+                         ids=["fraction", "whole_float", "true", "false"])
+def test_a_layer_size_that_is_no_integer_is_rejected_not_coerced(tmp_path, spec):
+    # int() read 4.7 as 4 and true as 1, so a model of other sizes loaded
+    with pytest.raises(ValueError, match="layer_spec"):
+        init_params(spec, seed=1)
+    path = tmp_path / "checkpoint.bin"
+    save_checkpoint(path, init_params([4, 3, 2], seed=1))
+    header, _, blob = path.read_bytes().partition(b"\n")
+    header = {**json.loads(header), "layer_spec": spec}
+    path.write_bytes(json.dumps(header).encode() + b"\n" + blob)
+    with pytest.raises(ValueError, match="header is malformed: layer_spec") as err:
+        load_checkpoint(path)
+    assert str(path) in str(err.value)
+
+
+def test_numpy_integer_layer_sizes_load_as_python_ints():
+    p = init_params([np.int64(4), 3, np.int32(2)], seed=1)
+    assert p.layer_spec == [4, 3, 2]
+    assert all(type(s) is int for s in p.layer_spec)
+
+
+@pytest.mark.parametrize("tasks", [("vflip", "vflip"), ("rotate90", "vflip", "rotate90")],
+                         ids=["pair", "apart"])
+def test_a_task_named_twice_is_rejected(tmp_path, tasks):
+    # the head was listed twice, so step moved it twice per step
+    repeated = tasks[0]
+    with pytest.raises(ValueError, match=f"task '{repeated}' is named twice"):
+        init_params([4, 3, 2], seed=1, tasks=tasks)
+    path = tmp_path / "checkpoint.bin"
+    save_checkpoint(path, init_params([4, 3, 2], seed=1, tasks=tasks[:-1]))
+    header, _, blob = path.read_bytes().partition(b"\n")
+    header = {**json.loads(header), "tasks": list(tasks)}
+    path.write_bytes(json.dumps(header).encode() + b"\n" + blob)
+    with pytest.raises(ValueError, match=f"header is malformed: task '{repeated}'") as err:
+        load_checkpoint(path)
+    assert str(path) in str(err.value)
+
+
 @pytest.mark.parametrize("payload,msg", [
     (b"not json\n", "no JSON header line"),
     (b"[1, 2]\n", "header must be a JSON object"),
