@@ -5,7 +5,9 @@ Each case writes into its own directory and is hashed file by file:
 - ``train/<method>``: each of the 13 methods, plus ``instapbm`` under
   ``sgd_momentum``, trained for 2 epochs on a 24-per-class LDS pair and
   written with ``save_run``;
-- ``probe``: ``pbmatch probe-lds`` over three warm-started weights;
+- ``probe``, ``probe_tiled``: ``pbmatch probe-lds`` over three warm-started
+  weights, at 160 and at 200 rows per domain, whose full-set MMD is one
+  row tile and several;
 - ``gradcheck``: the text ``pbmatch gradcheck --instances 7`` prints;
 - ``bench``: ``pbmatch generate`` of a small glyph pair, then
   ``pbmatch bench --kind lds|ilds|two`` on it.
@@ -84,12 +86,20 @@ def _train_cases(work: Path) -> Hashes:
     return hashes
 
 
-def _probe_case(work: Path) -> Hashes:
-    config = work / "probe_config.json"
-    config.write_text(json.dumps({"dm_weight_schedule": [1.0, 10.0, 100.0], "n": 160,
-                                  "epochs": 3, "batch": 32, "hidden": [8, 4]}))
-    _cli("probe-lds", "--out", str(work / "probe"), "--config", str(config), "--seed", "3")
-    return {"probe": _hash_tree(work / "probe")}
+# case -> rows per domain; 160 + 160 rows are one tile of the full-set MMD's
+# distance matrix, 200 + 200 rows several, so its median is selected across tiles
+_PROBE_ROWS = {"probe": 160, "probe_tiled": 200}
+
+
+def _probe_cases(work: Path) -> Hashes:
+    hashes = {}
+    for case, n in _PROBE_ROWS.items():
+        config = work / f"{case}_config.json"
+        config.write_text(json.dumps({"dm_weight_schedule": [1.0, 10.0, 100.0], "n": n,
+                                      "epochs": 3, "batch": 32, "hidden": [8, 4]}))
+        _cli("probe-lds", "--out", str(work / case), "--config", str(config), "--seed", "3")
+        hashes[case] = _hash_tree(work / case)
+    return hashes
 
 
 def _gradcheck_case() -> Hashes:
@@ -116,7 +126,7 @@ def compute() -> Hashes:
     """Every case's {file: sha256}, computed in a scratch directory."""
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        return {**_train_cases(work), **_probe_case(work), **_gradcheck_case(),
+        return {**_train_cases(work), **_probe_cases(work), **_gradcheck_case(),
                 **_bench_case(work)}
 
 
