@@ -26,6 +26,7 @@ import numpy as np
 from .datasets import (
     OUTLIER_LABEL,
     DomainDataset,
+    check_fields,
     checked,
     load_dataset,
     save_dataset,
@@ -60,6 +61,7 @@ class BenchmarkSpec:
     seed: int = 0
 
     def __post_init__(self):
+        check_fields(self)
         if self.kind not in BENCHMARK_KINDS:
             raise ValueError(f"kind must be one of {BENCHMARK_KINDS}, got {self.kind!r}")
         if not np.isfinite(self.imbalance_factor) or self.imbalance_factor < 1.0:

@@ -16,6 +16,7 @@ with the same bytes as rendering each sample alone.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import inspect
 import json
 import math
@@ -25,7 +26,7 @@ import typing
 from collections import abc
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -165,6 +166,38 @@ def checked(target, d, what: str) -> Dict:
     return kwargs
 
 
+def check_fields(obj) -> None:
+    """Hold a dataclass built in Python to the JSON rules of
+    :func:`checked`: each field whose hint is a scalar, or a tuple of
+    scalars, must fit it, or ``ValueError`` names the field. So an int
+    takes no float or bool and a bool only True or False, where ``int()``
+    or truthiness would turn them into another value; a list stands for a
+    tuple, and numpy numbers count as numbers."""
+    for name, hint, fits in _field_checks(type(obj)):
+        v = getattr(obj, name)
+        # a value of exactly the hinted type fits; the rules, whose ABC
+        # checks cost more, judge the rest
+        if type(v) is not hint and not fits(v):
+            raise ValueError(f"{name} must be {_want(hint)}, got {v!r}")
+
+
+@functools.lru_cache(maxsize=None)
+def _field_checks(cls) -> Tuple[Tuple[str, object, Callable[[object], bool]], ...]:
+    """(name, hint, check) of each field of ``cls`` hinted a scalar or a
+    ``Tuple[scalar, ...]``; built once per class, since resolving hints is
+    slow and configs are built at every run's start."""
+    checks = []
+    for name, hint in typing.get_type_hints(cls).items():
+        args = typing.get_args(hint)
+        if hint in _SCALARS:
+            checks.append((name, hint, _SCALARS[hint][0]))
+        elif typing.get_origin(hint) is tuple and args[1:] == (...,) and args[0] in _SCALARS:
+            item = _SCALARS[args[0]][0]
+            checks.append((name, hint, lambda v, item=item: (
+                isinstance(v, (list, tuple)) and len(v) > 0 and all(map(item, v)))))
+    return tuple(checks)
+
+
 # ---------------------------------------------------------------------------
 # containers
 # ---------------------------------------------------------------------------
@@ -248,6 +281,7 @@ class GlyphDomainSpec:
     seed: int = 0
 
     def __post_init__(self):
+        check_fields(self)
         if not (2 <= self.n_classes <= MAX_CLASSES):
             raise ValueError(f"n_classes must lie in [2, {MAX_CLASSES}], got {self.n_classes}")
         if not (1 <= self.sub_styles <= MAX_SUB_STYLES):

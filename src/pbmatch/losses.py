@@ -17,8 +17,10 @@ parameter's gradient: through the heads into the latent, then the trunk.
 One ``mmd_distance`` serves a step's batch and a whole data set, such as
 the label-shift probe's reading after each weight. It forms the distance
 matrix in row tiles: a matrix of up to 362 rows is one tile, shared by
-the median and the kernel; a larger one is never held whole, only its
-N(N-1)/2 float64 pair distances for the median, then a few tiles.
+the median and the kernel; a larger one is never held whole. Its median
+is selected by radix on the distances' float64 bits, in a few passes
+over the tiles, and its kernel formed in one more, so the memory a call
+holds grows with the rows, not with the N(N-1)/2 pairs.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .datasets import checked
+from .datasets import check_fields, checked
 from .nets import Cache, ModelParams, forward, trunk_grads
 
 # per-pair clamp on the disagreement divergence; unbounded KL invites
@@ -112,6 +114,7 @@ class LossConfig:
     supervised_weight: float = 1.0
 
     def __post_init__(self):
+        check_fields(self)
         for name in ("lambda_M", "lambda_C", "lambda_U", "lambda_S",
                      "lambda_con", "supervised_weight"):
             v = getattr(self, name)
@@ -510,41 +513,119 @@ def _sq_dist_rows(joint: np.ndarray, sq: np.ndarray, a: int, b: int) -> np.ndarr
     return d2
 
 
+def _pair_bits(joint: np.ndarray, sq: np.ndarray, tiles: List[Tuple[int, int]],
+               visit: Callable[[np.ndarray], None]) -> None:
+    """Call ``visit`` on the float64 bits, as uint64, of every pair's
+    squared distance, tile by tile. Each pair is read once, from the strict
+    upper triangle of the tile holding its first row: the diagonal block's
+    upper triangle through one mask, then the tile's columns right of it."""
+    for a, b in tiles:
+        d2 = _sq_dist_rows(joint, sq, a, b).view(np.uint64)
+        visit(d2[:, a:b][_UPPER[:b - a, :b - a]])
+        visit(d2[:, b:])
+        # free this tile before the next one is formed
+        del d2
+
+
+# radix selection reads the float64 bits 16 at a time, most significant first
+_DIGIT = 16
+_BINS = 1 << _DIGIT
+# past the top digit of +inf's bits (0x7FF0) every value is a quiet NaN, the
+# only NaN arithmetic yields; a squared distance is never negative
+_NAN_TOP = 0x7FF1
+
+
+def _middle_sq_dists(joint: np.ndarray, tiles: List[Tuple[int, int]], pairs: int
+                     ) -> Tuple[float, float]:
+    """The squared distances of ranks (P-1)//2 and P//2 among the P pairs
+    of ``joint``'s rows, found by radix selection without holding the P
+    values. For an even P the second is NaN if any pair is, as ``min``
+    over the ranks above the first gives.
+
+    A squared distance is >= +0.0, so its float64 bits sort as uint64 in
+    the order of the values, with NaN last, as in ``partition``. Each
+    middle rank keeps a prefix, its top 16 x depth bits, and its rank among
+    the pairs that share it. While more than a tile of pairs share the live
+    prefixes, one pass over the tiles counts the next digit of those pairs
+    in a 65,536-bin histogram, and each rank moves into the bin that holds
+    it. Then one more pass keeps only those pairs, at most a tile, and
+    partitions them. After four digits a prefix is the value itself, so
+    any number of ties costs no memory.
+    """
+    sq = np.sum(joint ** 2, axis=1)
+    prefixes, ranks = [0, 0], [(pairs - 1) // 2, pairs // 2]
+    sizes = {0: pairs}  # live prefix -> how many pairs share it
+    nan = False
+    depth = 0
+    while depth < 64 // _DIGIT and sum(sizes.values()) > _TILE_ENTRIES:
+        shift = 64 - _DIGIT * depth
+        hists = {p: np.zeros(_BINS, dtype=np.int64) for p in sizes}
+
+        def count(bits: np.ndarray) -> None:
+            for p, hist in hists.items():
+                digits = (bits[(bits >> shift) == p] if depth else bits) >> (shift - _DIGIT)
+                digits &= _BINS - 1
+                # the digits fit int64, whose view bincount reads without a copy
+                hist += np.bincount(digits.view(np.int64).reshape(-1), minlength=_BINS)
+
+        _pair_bits(joint, sq, tiles, count)
+        if depth == 0:
+            nan = bool(hists[0][_NAN_TOP:].any())
+        sizes = {}
+        for i, p in enumerate(prefixes):
+            below = np.cumsum(hists[p])
+            digit = int(np.searchsorted(below, ranks[i], side="right"))
+            ranks[i] -= int(below[digit] - hists[p][digit])
+            prefixes[i] = p << _DIGIT | digit
+            sizes[prefixes[i]] = int(hists[p][digit])
+        depth += 1
+    if depth == 64 // _DIGIT:
+        low, high = np.array(prefixes, dtype=np.uint64).view(np.float64)
+    else:
+        shift = 64 - _DIGIT * depth
+        kept = np.empty(sum(sizes.values()), dtype=np.uint64)
+        end = 0
+
+        def keep(bits: np.ndarray) -> None:
+            nonlocal end
+            for p in sizes:
+                part = bits[(bits >> shift) == p] if depth else bits
+                kept[end:end + part.size].reshape(part.shape)[...] = part
+                end += part.size
+
+        _pair_bits(joint, sq, tiles, keep)
+        # the lower prefix's pairs sort first, and the first rank is among them
+        flat, lo = kept.view(np.float64), ranks[0]
+        flat.partition(lo)
+        low, high = flat[lo], flat[lo] if pairs % 2 else flat[lo + 1:].min()
+    return low, math.nan if nan and pairs % 2 == 0 else high
+
+
 def _median_distance(joint: np.ndarray, n: int, whole: Optional[np.ndarray] = None) -> float:
     """Median distance over the distinct pairs of ``joint``'s rows, split
     after the first ``n``; 1.0 if degenerate. ``whole`` is the distance
     matrix of a one-tile plan, when the caller has formed it already.
 
-    Each pair's squared distance is read once, from the strict upper
-    triangle of the tile holding its first row: the tile's columns right
-    of its diagonal block whole, and the block's upper triangle through
-    one mask. The P = N(N-1)/2 values go into one buffer, freed on return,
-    where the two middle order statistics sit at (P-1)//2 and P//2. Taking
-    square roots after selecting gives the same bits as taking them first,
-    since the square root is monotone.
+    The two middle order statistics of the P = N(N-1)/2 pair squared
+    distances sit at ranks (P-1)//2 and P//2. A one-tile matrix gives its
+    strict upper triangle through one mask into one buffer, which is
+    partitioned; past one tile ``_middle_sq_dists`` selects them without
+    holding the P values. Taking square roots after selecting gives the
+    same bits as taking them first, since the square root is monotone.
     """
     total = joint.shape[0]
     pairs = total * (total - 1) // 2
-    if whole is not None:
-        flat = whole[_UPPER[:total, :total]]
+    tiles = _tiles(total, n)
+    if len(tiles) > 1:
+        low, high = _middle_sq_dists(joint, tiles, pairs)
     else:
-        sq = np.sum(joint ** 2, axis=1)
-        flat = np.empty(pairs)
-        end = 0
-        for a, b in _tiles(total, n):
-            d2 = _sq_dist_rows(joint, sq, a, b)
-            block = d2[:, a:b][_UPPER[:b - a, :b - a]]
-            flat[end:end + block.size] = block
-            end += block.size
-            right = d2[:, b:]
-            flat[end:end + right.size].reshape(right.shape)[...] = right
-            end += right.size
-            # free this tile before the next one is formed
-            del d2, block, right
-    lo = (pairs - 1) // 2
-    flat.partition(lo)
-    hi = flat[lo] if pairs % 2 else flat[lo + 1:].min()
-    med = (math.sqrt(flat[lo]) + math.sqrt(hi)) / 2.0
+        if whole is None:
+            whole = _sq_dist_rows(joint, np.sum(joint ** 2, axis=1), 0, total)
+        flat = whole[_UPPER[:total, :total]]
+        lo = (pairs - 1) // 2
+        flat.partition(lo)
+        low, high = flat[lo], flat[lo] if pairs % 2 else flat[lo + 1:].min()
+    med = (math.sqrt(low) + math.sqrt(high)) / 2.0
     return med if med > 0.0 else 1.0
 
 

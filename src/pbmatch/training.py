@@ -43,6 +43,8 @@ from .benchmarks import (
 )
 from .datasets import (
     DomainDataset,
+    _is_float,
+    check_fields,
     checked,
     default_pair_specs,
     generate_blob_pair,
@@ -166,6 +168,7 @@ class TrainConfig:
     initial_marginal: Optional[Tuple[float, ...]] = None
 
     def __post_init__(self):
+        check_fields(self)
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
         if self.epochs < 1:
@@ -188,12 +191,15 @@ class TrainConfig:
             raise ValueError(f"dm_ramp_steps must be >= 0, got {self.dm_ramp_steps}")
         if not (0.0 <= self.eval_fraction <= 0.5):
             raise ValueError(f"eval_fraction must lie in [0, 0.5], got {self.eval_fraction}")
-        if not self.hidden or any(int(h) < 1 for h in self.hidden):
+        if any(h < 1 for h in self.hidden):
             raise ValueError(f"hidden sizes must be positive, got {self.hidden}")
         self.hidden = tuple(int(h) for h in self.hidden)
         if self.initial_marginal is not None:
-            q = np.asarray(self.initial_marginal, dtype=np.float64)
-            if q.ndim != 1 or not (np.isfinite(q).all() and (q >= 0.0).all() and q.any()):
+            m = self.initial_marginal
+            # a bool or a numeric string is no number, though numpy would convert it
+            q = np.asarray(m if isinstance(m, (list, tuple)) and all(map(_is_float, m)) else [],
+                           dtype=np.float64)
+            if not (np.isfinite(q).all() and (q >= 0.0).all() and q.any()):
                 raise ValueError("initial_marginal must be a list of finite, non-negative "
                                  f"numbers, not all zero, got {self.initial_marginal!r}")
 

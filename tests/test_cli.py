@@ -10,6 +10,7 @@ distribution is installed, the installed `pbmatch` launcher itself.
 
 import importlib.metadata
 import json
+from concurrent.futures import ThreadPoolExecutor
 import os
 import shutil
 import subprocess
@@ -612,6 +613,47 @@ class TestProbe:
                      "--config", cfg]) == 1
         assert_named_error(capsys, f"probe config field {name!r}")
         assert not (tmp_path / "o").exists()
+
+
+class TestBlasThreads:
+    """OpenBLAS splits a large product across its threads, so the same run
+    at 1 and at 2 threads must still write the same bytes: sharding runs
+    across processes relies on that. The thread count is read only when
+    numpy loads, so each count runs in its own process."""
+
+    def test_train_and_probe_write_the_same_bytes_at_one_and_two_threads(
+            self, blob_pair_dir, tmp_path):
+        train = write_json(tmp_path / "train.json", {
+            "method": "dm_mmd", "epochs": 2, "batch": 60, "hidden": [32, 16]})
+        # 1000 + 1000 rows: the full-set MMD's tiles are products large
+        # enough to thread, and its median is selected across tiles
+        probe = write_json(tmp_path / "probe.json", {
+            "dm_weight_schedule": [1.0], "n": 1000, "epochs": 1, "batch": 64,
+            "hidden": [32, 16]})
+        script = ("import sys\nfrom pbmatch.cli import main\nout = sys.argv[1]\n"
+                  f"assert main(['train', '--config', {train!r}, "
+                  f"'--src', {str(blob_pair_dir / 'source')!r}, "
+                  f"'--tgt', {str(blob_pair_dir / 'target')!r}, '--out', out + '/train']) == 0\n"
+                  f"assert main(['probe-lds', '--config', {probe!r}, '--seed', '1', "
+                  "'--out', out + '/probe']) == 0\n")
+        package_root = str(Path(pbmatch.__file__).resolve().parents[1])
+
+        def run(threads):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
+                   "PYTHONPATH": os.pathsep.join(filter(None, [
+                       package_root, os.environ.get("PYTHONPATH")]))}
+            out = tmp_path / f"threads{threads}"
+            proc = subprocess.run([sys.executable, "-c", script, str(out)],
+                                  capture_output=True, text=True, env=env)
+            assert proc.returncode == 0, proc.stderr
+            return {p.relative_to(out).as_posix(): p.read_bytes()
+                    for p in sorted(out.rglob("*")) if p.is_file()}
+
+        with ThreadPoolExecutor(max_workers=min(2, os.cpu_count() or 1)) as pool:
+            one, two = pool.map(run, (1, 2))
+        assert {"train/metrics.jsonl", "probe/probe.json"} <= set(one)
+        assert sorted(one) == sorted(two)
+        assert [name for name in one if one[name] != two[name]] == []
 
 
 class TestEntryPoints:

@@ -156,6 +156,39 @@ def test_checked_raises_on_a_hint_it_cannot_check_whatever_the_value():
         _want(np.ndarray)
 
 
+@pytest.mark.parametrize("build,msg", [
+    (lambda: TrainConfig(hidden=(4.7, True)), "hidden must be a list of integers"),
+    (lambda: TrainConfig(hidden=5), "hidden must be a list of integers"),
+    (lambda: TrainConfig(batch=2.5), "batch must be an integer"),
+    (lambda: TrainConfig(epochs=True), "epochs must be an integer"),
+    (lambda: TrainConfig(seed_model=1.5), "seed_model must be an integer"),
+    (lambda: TrainConfig(lr="0.1"), "lr must be a number"),
+    (lambda: TrainConfig(initial_marginal=(True, False)), "initial_marginal must be a list of"),
+    (lambda: TrainConfig(initial_marginal=("0.5", "0.5")), "initial_marginal must be a list of"),
+    (lambda: BenchmarkSpec(kind="LDS", imbalance_factor=True), "imbalance_factor must be a number"),
+    (lambda: BenchmarkSpec(kind="LDS", seed=1.5), "seed must be an integer"),
+    (lambda: LossConfig(entropy_ceiling=1.0, lambda_M=True), "lambda_M must be a number"),
+    (lambda: GlyphDomainSpec(invert="no"), "invert must be true or false"),
+    (lambda: GlyphDomainSpec(samples_per_class=7.5), "samples_per_class must be an integer"),
+], ids=["hidden_float_bool", "hidden_not_list", "batch_float", "epochs_bool", "seed_float",
+        "lr_str", "marginal_bool", "marginal_str", "imbalance_bool", "spec_seed_float", "loss_bool", "invert_str",
+        "samples_float"])
+def test_a_python_built_config_is_checked_not_coerced(build, msg):
+    # int() once turned (4.7, True) into (4, 1), and the rest were stored as given
+    with pytest.raises(ValueError, match=msg):
+        build()
+
+
+def test_a_python_built_config_takes_lists_and_numpy_numbers():
+    cfg = TrainConfig(hidden=[np.int64(8), 4], epochs=np.int32(3), lr=np.float32(0.5),
+                      dm_weight=2, initial_marginal=[np.float32(0.25), 3])
+    assert cfg.hidden == (8, 4) and all(type(h) is int for h in cfg.hidden)
+    assert cfg.to_dict()["initial_marginal"] == [0.25, 3.0]
+    assert cfg.epochs == 3 and cfg.lr == 0.5 and cfg.dm_weight == 2
+    spec = BenchmarkSpec(kind="LDS", imbalance_factor=np.int64(3), seed=np.uint8(2))
+    assert spec.imbalance_factor == 3 and spec.seed == 2
+
+
 # ---------------------------------------------------------------------------
 # glyph generation
 # ---------------------------------------------------------------------------

@@ -10,7 +10,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from pbmatch import losses
 from pbmatch.losses import (
     BatchBundle,
     DEFAULT_BANDWIDTH_SCALES,
@@ -55,6 +57,7 @@ from oracles import (
     sub,
     whole_matrix_median,
     whole_matrix_mmd,
+    traced_peak,
     whole_matrix_sq_dists,
 )
 
@@ -926,6 +929,78 @@ class TestMmdMatchesTheWholeMatrixArithmetic:
         assert abs(value - want_value) <= 1e-14
         np.testing.assert_allclose(grad(1.0), want_grad, rtol=0, atol=1e-14)
 
+    @staticmethod
+    def _passes(monkeypatch):
+        """The passes the median makes over the tiles, by name, in order."""
+        passes = []
+        pair_bits = losses._pair_bits
+
+        def counted(joint, sq, tiles, visit):
+            passes.append(visit.__name__)
+            pair_bits(joint, sq, tiles, visit)
+
+        monkeypatch.setattr(losses, "_pair_bits", counted)
+        return passes
+
+    @staticmethod
+    def _two_clusters():
+        # 1035 rows at one point and 990 at another: as many pairs lie
+        # within the clusters (distance 0) as across them, so the two middle
+        # ranks fall into two bins, each far larger than a tile
+        return np.concatenate([np.zeros((1035, 3)), np.ones((990, 3))]), 1035
+
+    @pytest.mark.parametrize("case,passes", [
+        ("normal", ["count", "count", "keep"]),
+        ("tied", ["count"] * 4),
+        ("collapsed", ["count"] * 4),
+        ("two_clusters", ["count"] * 4),
+    ])
+    def test_past_one_tile_every_digit_path_is_bitwise(self, case, passes, monkeypatch):
+        # a tied latent past one tile puts more than a tile of pairs in
+        # every bin down to the last digit, whose prefix is the value itself
+        if case == "two_clusters":
+            joint, n = self._two_clusters()
+        elif case == "collapsed":
+            joint, n = np.full((2000, 16), 0.5), 1000
+        else:
+            joint, n = self._joint(1000, 1000, 16 if case == "normal" else 2,
+                                   case == "tied", seed=0), 1000
+        want = whole_matrix_median(*whole_matrix_sq_dists(joint))
+        got = self._passes(monkeypatch)
+        assert _bits(_median_distance(joint, n)) == _bits(want)
+        assert got == passes
+        value, grad = mmd_distance(joint, n)
+        want_value, want_grad = whole_matrix_mmd(joint, n)
+        assert abs(value - want_value) <= 1e-14
+        np.testing.assert_allclose(grad(1.0), want_grad, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("rows", [600, 602])
+    def test_past_one_tile_a_nan_sorts_last(self, rows):
+        # as partitioning every pair did: the lower middle rank counts NaN
+        # last, and the smallest pair above it is NaN if any pair is
+        joint = self._joint(rows // 2, rows // 2, 4, True, seed=rows)
+        joint[7] = np.nan
+        d2, _ = whole_matrix_sq_dists(joint)
+        pairs = np.sort(d2[np.triu_indices(rows, 1)])
+        lo = (pairs.size - 1) // 2
+        want = math.sqrt(pairs[lo]) if pairs.size % 2 else 1.0
+        assert pairs.size % 2 == (rows == 602)
+        assert _bits(_median_distance(joint, rows // 2)) == _bits(want)
+
+    @pytest.mark.parametrize("case,rows,bound_mib", [
+        ("normal", 2000, 6), ("tied", 2000, 6), ("two_clusters", 2025, 6), ("normal", 8000, 24),
+    ])
+    def test_past_one_tile_memory_grows_with_rows_not_pairs(self, case, rows, bound_mib):
+        # the P = N(N-1)/2 pair distances alone would be 15.25 MiB at 2000
+        # rows and 244 MiB at 8000; the call holds a few tiles instead
+        if case == "two_clusters":
+            joint, n = self._two_clusters()
+        else:
+            joint, n = self._joint(rows // 2, rows // 2, 16 if case == "normal" else 2,
+                                   case == "tied", seed=rows), rows // 2
+        _, peak = traced_peak(lambda: mmd_distance(joint, n))
+        assert peak <= bound_mib * 2**20
+
     def test_multi_tile_matches_the_per_op_oracle(self):
         rng = np.random.default_rng(11)
         a = rng.normal(size=(200, 6))
@@ -947,6 +1022,35 @@ class TestMmdMatchesTheWholeMatrixArithmetic:
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(ValueError, match="bandwidths must be positive and finite"):
             mmd_distance(np.array([[-1e154], [1e154]]), 1)
+
+
+# the parity of P = N(N-1)/2 follows N % 4: odd for 2 and 3, even for 0 and 1
+_TILED_MEDIANS = settings(max_examples=25, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def _tiled_joints(draw, odd_pairs):
+    rows = 4 * draw(st.integers(91, 174)) + draw(st.sampled_from((2, 3) if odd_pairs else (0, 1)))
+    width = draw(st.integers(1, 4))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    joint = gen.normal(size=(rows, width)) * draw(st.sampled_from((1e-3, 1.0, 30.0)))
+    if draw(st.booleans()):
+        # a coarse grid: tied and zero distances, and -0.0 where a negative rounds to 0
+        joint = np.round(joint)
+    copies = draw(st.integers(0, rows // 2))
+    joint[gen.integers(0, rows, copies)] = joint[gen.integers(0, rows, copies)]
+    return joint, draw(st.integers(1, rows - 1))
+
+
+@pytest.mark.parametrize("odd_pairs", [False, True])
+@_TILED_MEDIANS
+@given(data=st.data())
+def test_past_one_tile_the_median_has_the_whole_matrix_bits(odd_pairs, data):
+    joint, n = data.draw(_tiled_joints(odd_pairs))
+    assert len(_tiles(len(joint), n)) > 1
+    assert (len(joint) * (len(joint) - 1) // 2) % 2 == odd_pairs
+    assert _bits(_median_distance(joint, n)) == _bits(
+        whole_matrix_median(*whole_matrix_sq_dists(joint)))
 
 
 class TestMmdDistance:
