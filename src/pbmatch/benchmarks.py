@@ -26,6 +26,7 @@ import numpy as np
 from .datasets import (
     OUTLIER_LABEL,
     DomainDataset,
+    _is_int,
     check_fields,
     checked,
     load_dataset,
@@ -78,7 +79,10 @@ class BenchmarkSpec:
             raise ValueError(
                 f"outlier_fraction is for TwO; an {self.kind} spec leaves it at 0, "
                 f"got {self.outlier_fraction}")
-        if isinstance(self.class_order, str) and self.class_order != "random":
+        # np.asarray(..., int64) would truncate a float entry into a permutation
+        order = self.class_order
+        if (order != "random" if isinstance(order, str) else not (
+                isinstance(order, (list, tuple, np.ndarray)) and all(map(_is_int, order)))):
             raise ValueError(
                 f'class_order must be a permutation or "random", got {self.class_order!r}')
 

@@ -167,11 +167,14 @@ def test_checked_raises_on_a_hint_it_cannot_check_whatever_the_value():
     (lambda: TrainConfig(initial_marginal=("0.5", "0.5")), "initial_marginal must be a list of"),
     (lambda: BenchmarkSpec(kind="LDS", imbalance_factor=True), "imbalance_factor must be a number"),
     (lambda: BenchmarkSpec(kind="LDS", seed=1.5), "seed must be an integer"),
+    (lambda: BenchmarkSpec(kind="LDS", class_order=(1.7, 0.2, 2.9, 3.5)),
+     "class_order must be a permutation"),
+    (lambda: BenchmarkSpec(kind="LDS", class_order=5), "class_order must be a permutation"),
     (lambda: LossConfig(entropy_ceiling=1.0, lambda_M=True), "lambda_M must be a number"),
     (lambda: GlyphDomainSpec(invert="no"), "invert must be true or false"),
     (lambda: GlyphDomainSpec(samples_per_class=7.5), "samples_per_class must be an integer"),
 ], ids=["hidden_float_bool", "hidden_not_list", "batch_float", "epochs_bool", "seed_float",
-        "lr_str", "marginal_bool", "marginal_str", "imbalance_bool", "spec_seed_float", "loss_bool", "invert_str",
+        "lr_str", "marginal_bool", "marginal_str", "imbalance_bool", "spec_seed_float", "order_float", "order_int", "loss_bool", "invert_str",
         "samples_float"])
 def test_a_python_built_config_is_checked_not_coerced(build, msg):
     # int() once turned (4.7, True) into (4, 1), and the rest were stored as given
@@ -185,8 +188,10 @@ def test_a_python_built_config_takes_lists_and_numpy_numbers():
     assert cfg.hidden == (8, 4) and all(type(h) is int for h in cfg.hidden)
     assert cfg.to_dict()["initial_marginal"] == [0.25, 3.0]
     assert cfg.epochs == 3 and cfg.lr == 0.5 and cfg.dm_weight == 2
-    spec = BenchmarkSpec(kind="LDS", imbalance_factor=np.int64(3), seed=np.uint8(2))
+    spec = BenchmarkSpec(kind="LDS", imbalance_factor=np.int64(3), seed=np.uint8(2),
+                         class_order=np.array([1, 0]))
     assert spec.imbalance_factor == 3 and spec.seed == 2
+    assert spec.to_dict()["class_order"] == [1, 0]
 
 
 # ---------------------------------------------------------------------------

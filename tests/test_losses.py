@@ -55,9 +55,9 @@ from oracles import (
     oracle_tpbm,
     reduce,
     sub,
+    traced_peak,
     whole_matrix_median,
     whole_matrix_mmd,
-    traced_peak,
     whole_matrix_sq_dists,
 )
 
@@ -942,29 +942,35 @@ class TestMmdMatchesTheWholeMatrixArithmetic:
         monkeypatch.setattr(losses, "_pair_bits", counted)
         return passes
 
-    @staticmethod
-    def _two_clusters():
-        # 1035 rows at one point and 990 at another: as many pairs lie
-        # within the clusters (distance 0) as across them, so the two middle
-        # ranks fall into two bins, each far larger than a tile
-        return np.concatenate([np.zeros((1035, 3)), np.ones((990, 3))]), 1035
+    @classmethod
+    def _latent(cls, case, rows=2000):
+        """A joint past one tile and its source row count: a normal latent,
+        a tied one (a coarse grid at width 2), a collapsed one, or two
+        clusters of 1035 and 990 rows, which put as many pairs within the
+        clusters as across, so the two middle ranks fall into two bins.
+        Two point clusters make both bins far larger than a tile; clusters
+        spread over 0.1 make both small."""
+        if case in ("two_clusters", "two_spread_clusters"):
+            spread = 0.1 if case == "two_spread_clusters" else 0.0
+            gen = np.random.default_rng(0)
+            return np.concatenate([gen.uniform(0.0, spread, (1035, 1)),
+                                   1.0 + gen.uniform(0.0, spread, (990, 1))]), 1035
+        if case == "collapsed":
+            return np.full((rows, 16), 0.5), rows // 2
+        return cls._joint(rows // 2, rows // 2, 16 if case == "normal" else 2,
+                          case == "tied", seed=0), rows // 2
 
     @pytest.mark.parametrize("case,passes", [
         ("normal", ["count", "count", "keep"]),
         ("tied", ["count"] * 4),
         ("collapsed", ["count"] * 4),
         ("two_clusters", ["count"] * 4),
+        ("two_spread_clusters", ["count", "keep"]),
     ])
     def test_past_one_tile_every_digit_path_is_bitwise(self, case, passes, monkeypatch):
         # a tied latent past one tile puts more than a tile of pairs in
         # every bin down to the last digit, whose prefix is the value itself
-        if case == "two_clusters":
-            joint, n = self._two_clusters()
-        elif case == "collapsed":
-            joint, n = np.full((2000, 16), 0.5), 1000
-        else:
-            joint, n = self._joint(1000, 1000, 16 if case == "normal" else 2,
-                                   case == "tied", seed=0), 1000
+        joint, n = self._latent(case)
         want = whole_matrix_median(*whole_matrix_sq_dists(joint))
         got = self._passes(monkeypatch)
         assert _bits(_median_distance(joint, n)) == _bits(want)
@@ -993,11 +999,8 @@ class TestMmdMatchesTheWholeMatrixArithmetic:
     def test_past_one_tile_memory_grows_with_rows_not_pairs(self, case, rows, bound_mib):
         # the P = N(N-1)/2 pair distances alone would be 15.25 MiB at 2000
         # rows and 244 MiB at 8000; the call holds a few tiles instead
-        if case == "two_clusters":
-            joint, n = self._two_clusters()
-        else:
-            joint, n = self._joint(rows // 2, rows // 2, 16 if case == "normal" else 2,
-                                   case == "tied", seed=rows), rows // 2
+        joint, n = self._latent(case, rows)
+        assert len(joint) == rows
         _, peak = traced_peak(lambda: mmd_distance(joint, n))
         assert peak <= bound_mib * 2**20
 
