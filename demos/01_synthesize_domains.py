@@ -47,8 +47,8 @@ def main():
         i = int(np.flatnonzero(src.labels == cls)[0])
         j = int(np.flatnonzero(tgt.labels == cls)[0])
         print(f"class {cls}: source (left) vs target (right)")
-        print(side_by_side(ascii_image(src.images.data[i]),
-                           ascii_image(tgt.images.data[j])))
+        print(side_by_side(ascii_image(src.images[i]),
+                           ascii_image(tgt.images[j])))
         print()
 
     print("=== blob pair (pure label shift) ===")
@@ -69,7 +69,7 @@ def main():
     print("\n=== outlier pool ===")
     pool = outlier_pool("inverted_random", 6, seed=4)
     print(f"{len(pool)} images off the glyph manifold; one of them:")
-    print(ascii_image(pool.data[0]))
+    print(ascii_image(pool[0]))
 
 
 if __name__ == "__main__":

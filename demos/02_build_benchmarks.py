@@ -57,7 +57,7 @@ def main():
     sub_counts = np.bincount(ilds_tgt.sublabels)
     print(f"  but sub-style counts are skewed: {sub_counts.tolist()}")
     relabeled_src = relabel_to_meta(src, ilds_spec)
-    same = relabeled_src.images.data.tobytes() == src.images.data.tobytes()
+    same = relabeled_src.images.tobytes() == src.images.tobytes()
     print(f"  source images byte-identical after relabeling: {same}")
 
     print("\n--- TwO: inject out-of-support rows ---")

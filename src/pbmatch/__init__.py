@@ -22,7 +22,6 @@ from pbmatch.nets import (
     step,
 )
 from pbmatch.transforms import (
-    ImageBatch,
     apply_semantic_preserving,
     apply_semantic_transforming,
     sample_mixup_beta,
@@ -89,8 +88,7 @@ __all__ = [
     "ModelParams", "OptimState", "clone_params", "features", "forward",
     "init_params", "load_checkpoint", "predict_logits", "save_checkpoint",
     "softmax_probs", "step",
-    "ImageBatch", "apply_semantic_preserving", "apply_semantic_transforming",
-    "sample_mixup_beta",
+    "apply_semantic_preserving", "apply_semantic_transforming", "sample_mixup_beta",
     "BatchBundle", "LossConfig", "MarginalTracker", "coral_distance",
     "cpbm_loss", "cross_entropy", "mim_loss",
     "mmd_distance", "mupbm_loss", "total_objective", "tpbm_loss",

@@ -6,11 +6,13 @@ never resampled):
 - LDS: long-tail the target label marginal with a single imbalance factor.
 - ILDS: keep meta-class labels but long-tail the sub-class composition
   inside every meta-class.
-- TwO: append out-of-support images carrying the sentinel label -1.
+- TwO: append out-of-support images, drawn from a plain [m, H, W] pool
+  array, carrying the sentinel label -1.
 
 Counts follow the exponential decay n_k = round(n_max * IF^(-k/(K-1))),
 the standard single-knob long-tail construction. Everything is
-deterministic in (input, spec).
+deterministic in (input, spec). Each constructor returns a new
+``DomainDataset``, whose one images array is checked as it is built.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .datasets import (
     load_dataset,
     save_dataset,
 )
-from .transforms import ImageBatch, rng
+from .transforms import rng
 
 BENCHMARK_KINDS = ("LDS", "ILDS", "TwO")
 
@@ -260,8 +262,9 @@ def two_outlier_count(n: int, outlier_fraction: float) -> int:
     return int(round(outlier_fraction * n / (1.0 - outlier_fraction)))
 
 
-def inject_two(target: DomainDataset, pool: ImageBatch, spec: BenchmarkSpec) -> DomainDataset:
-    """Append sentinel-labeled outliers so they form outlier_fraction of the result."""
+def inject_two(target: DomainDataset, pool: np.ndarray, spec: BenchmarkSpec) -> DomainDataset:
+    """Append sentinel-labeled outliers, drawn from the [m, H, W] images
+    ``pool``, so they form outlier_fraction of the result."""
     if spec.kind != "TwO":
         raise ValueError(f"inject_two needs kind TwO, got {spec.kind}")
     if not target.is_image:
@@ -280,14 +283,13 @@ def inject_two(target: DomainDataset, pool: ImageBatch, spec: BenchmarkSpec) -> 
         raise ValueError(
             f"outlier pool has {len(pool)} images but fraction {rho} of "
             f"{n} target samples needs {n_out}")
-    if pool.data.shape[1:] != target.images.data.shape[1:]:
+    if pool.shape[1:] != target.images.shape[1:]:
         raise ValueError(
-            f"pool image shape {pool.data.shape[1:]} does not match "
-            f"target {target.images.data.shape[1:]}")
+            f"pool image shape {pool.shape[1:]} does not match "
+            f"target {target.images.shape[1:]}")
 
     pick = rng(spec.seed, _SALT_TWO_POOL).permutation(len(pool))[:n_out]
-    outlier_imgs = pool.data[pick]
-    images = np.concatenate([target.images.data, outlier_imgs], axis=0)
+    images = np.concatenate([target.images, pool[pick]], axis=0)
     labels = np.concatenate([target.labels,
                              np.full(n_out, OUTLIER_LABEL, dtype=np.int64)])
     sublabels = None
@@ -296,7 +298,7 @@ def inject_two(target: DomainDataset, pool: ImageBatch, spec: BenchmarkSpec) -> 
                                     np.full(n_out, OUTLIER_LABEL, dtype=np.int64)])
     perm = rng(spec.seed, _SALT_TWO_SHUFFLE).permutation(n + n_out)
     out = DomainDataset(
-        images=ImageBatch(images[perm]), labels=labels[perm],
+        images=images[perm], labels=labels[perm],
         class_count=target.class_count, domain_role=target.domain_role,
         sublabels=None if sublabels is None else sublabels[perm],
         metadata=dict(target.metadata))

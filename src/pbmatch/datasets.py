@@ -5,7 +5,9 @@ controllable domain gap, and 2-D Gaussian blob pairs with identical
 class-conditionals but different label priors (pure label shift). Both
 regenerate bit-identically from their recorded metadata; pixel values are
 quantized to 32-bit float precision at generation time so the on-disk
-format round-trips exactly.
+format round-trips exactly. A dataset holds its samples in one float64
+array, [n, H, W] images or [n, d] points, checked once when the dataset
+is built; outlier pools are plain [n, H, W] arrays.
 
 A glyph sample's random draws, its shift and then its noise field, come
 from its own stream ``rng(seed, idx)`` (built by ``transforms.rngs``);
@@ -30,7 +32,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .transforms import ImageBatch, rng, rngs
+from .transforms import rng, rngs
 
 CANVAS = 16
 INK_LEVEL = 0.95
@@ -206,12 +208,15 @@ def _field_checks(cls) -> Tuple[Tuple[str, object, Callable[[object], bool]], ..
 class DomainDataset:
     """Labeled sample collection for one side of a domain pair.
 
-    ``images`` holds an ImageBatch for glyph data or an [n, 2] point array
-    for blob data. Label -1 marks outlier rows with no valid class (they are
-    excluded from accuracy denominators).
+    ``images`` is one float64 array, and its rank says what it holds:
+    [n, H, W] grayscale images (glyph data; at least 4x4, values in
+    [0, 1]) or [n, d] points (blob data; finite). Every dataset is checked
+    here, whether generated, subset, injected or loaded, so code that reads
+    one need not check it again. Label -1 marks outlier rows with no valid
+    class (they are excluded from accuracy denominators).
     """
 
-    images: Union[ImageBatch, np.ndarray]
+    images: np.ndarray
     labels: np.ndarray
     class_count: int
     domain_role: str
@@ -221,8 +226,19 @@ class DomainDataset:
     def __post_init__(self):
         if self.domain_role not in DOMAIN_ROLES:
             raise ValueError(f"domain_role must be one of {DOMAIN_ROLES}, got {self.domain_role!r}")
-        if not self.is_image and not np.all(np.isfinite(self.images)):
-            raise ValueError("point coordinates must be finite")
+        x = self.images = np.asarray(self.images, dtype=np.float64)
+        if x.ndim == 3:
+            if x.shape[1] < 4 or x.shape[2] < 4:
+                raise ValueError(f"images must be at least 4x4, got {x.shape[1]}x{x.shape[2]}")
+            # NaN fails every comparison, so the range test is written to fail on it
+            if x.size and not (x.min() >= 0.0 and x.max() <= 1.0):
+                raise ValueError("image values must be finite and lie in [0, 1]")
+        elif x.ndim == 2:
+            if not np.all(np.isfinite(x)):
+                raise ValueError("point coordinates must be finite")
+        else:
+            raise ValueError(
+                f"images must be [n, H, W] images or [n, d] points, got shape {x.shape}")
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.labels.ndim != 1 or self.labels.shape[0] != self.n_samples:
             raise ValueError(
@@ -244,23 +260,21 @@ class DomainDataset:
 
     @property
     def is_image(self) -> bool:
-        return isinstance(self.images, ImageBatch)
+        return self.images.ndim == 3
 
     @property
     def n_samples(self) -> int:
-        return len(self.images) if self.is_image else self.images.shape[0]
+        return self.images.shape[0]
 
     def x_flat(self) -> np.ndarray:
         """Row-major [n, D] feature view (pixels or point coordinates)."""
-        return self.images.flat() if self.is_image else np.asarray(self.images)
+        return self.images.reshape(self.n_samples, -1)
 
     def take(self, indices: np.ndarray) -> "DomainDataset":
         """Row subset in the given order; metadata is carried over."""
         indices = np.asarray(indices)
-        data = (ImageBatch(self.images.data[indices]) if self.is_image
-                else self.images[indices])
         return DomainDataset(
-            images=data, labels=self.labels[indices],
+            images=self.images[indices], labels=self.labels[indices],
             class_count=self.class_count, domain_role=self.domain_role,
             sublabels=None if self.sublabels is None else self.sublabels[indices],
             metadata=dict(self.metadata))
@@ -402,7 +416,7 @@ def generate_glyph_domain(spec: GlyphDomainSpec, domain_role: str) -> DomainData
         images = noise
     np.clip(images, 0.0, 1.0, out=images)
     return DomainDataset(
-        images=ImageBatch(_quantize(images)), labels=labels,
+        images=_quantize(images), labels=labels,
         class_count=k, domain_role=domain_role, sublabels=labels * s + styles,
         metadata={"generator": "glyph", "spec": spec.to_dict(),
                   "domain_role": domain_role})
@@ -485,9 +499,9 @@ def generate_blob_pair(k: int, source_priors: Sequence[float],
 # outlier pools
 # ---------------------------------------------------------------------------
 
-def outlier_pool(style: str, n: int, seed: int) -> ImageBatch:
-    """Images far from the glyph manifold: flat fields, checkerboards, or
-    bright-skewed noise."""
+def outlier_pool(style: str, n: int, seed: int) -> np.ndarray:
+    """[n, 16, 16] images far from the glyph manifold: flat fields,
+    checkerboards, or bright-skewed noise."""
     if style not in OUTLIER_STYLES:
         raise ValueError(f"style must be one of {OUTLIER_STYLES}, got {style!r}")
     if n < 1:
@@ -504,7 +518,7 @@ def outlier_pool(style: str, n: int, seed: int) -> ImageBatch:
         # squared-uniform pulled toward 1: dense brightness, inverse of the
         # sparse-ink glyph statistics
         images = 1.0 - gen.uniform(0.0, 1.0, (n, CANVAS, CANVAS)) ** 2
-    return ImageBatch(_quantize(images))
+    return _quantize(images)
 
 
 # ---------------------------------------------------------------------------
@@ -529,10 +543,9 @@ def save_dataset(ds: DomainDataset, path) -> None:
     """Write meta.json + images.f32le + labels.u32le (+ sublabels.u32le)."""
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
-    raw = ds.images.data if ds.is_image else np.asarray(ds.images)
     meta = {
         "kind": "images" if ds.is_image else "points",
-        "shape": list(raw.shape),
+        "shape": list(ds.images.shape),
         "class_count": ds.class_count,
         "domain_role": ds.domain_role,
         "n": ds.n_samples,
@@ -540,7 +553,7 @@ def save_dataset(ds: DomainDataset, path) -> None:
         "metadata": ds.metadata,
     }
     (path / "meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True))
-    (path / "images.f32le").write_bytes(raw.astype("<f4").tobytes())
+    (path / "images.f32le").write_bytes(ds.images.astype("<f4").tobytes())
     (path / "labels.u32le").write_bytes(
         ds.labels.astype(np.int64).astype("<u4").tobytes())
     if ds.sublabels is not None:
@@ -591,6 +604,9 @@ def load_dataset(path) -> DomainDataset:
     if not (isinstance(shape, list) and shape
             and all(_is_int(v) and v >= 0 for v in shape)):
         raise ValueError(f"{meta_path} key 'shape' must be a list of sizes, got {shape!r}")
+    if len(shape) != (3 if meta["kind"] == "images" else 2):
+        raise ValueError(f"{meta_path} key 'shape' {shape} does not fit kind "
+                         f"{meta['kind']!r}: images are [n, H, W], points [n, d]")
     if not _is_int(meta["class_count"]):
         raise ValueError(f"{meta_path} key 'class_count' must be an integer, "
                          f"got {meta['class_count']!r}")
@@ -605,8 +621,7 @@ def load_dataset(path) -> DomainDataset:
         sublabels = _read_labels(path / "sublabels.u32le", n)
     try:
         return DomainDataset(
-            images=ImageBatch(raw) if meta["kind"] == "images" else raw,
-            labels=labels, class_count=meta["class_count"],
+            images=raw, labels=labels, class_count=meta["class_count"],
             domain_role=meta["domain_role"], sublabels=sublabels,
             metadata=meta.get("metadata", {}))
     except ValueError as e:

@@ -163,11 +163,8 @@ def trunk_grads(cache: Cache, dz: np.ndarray) -> List[Pair]:
 
 
 def features(params: ModelParams, x: np.ndarray) -> np.ndarray:
-    """The latent g(x) alone, with no layer cache (evaluation)."""
-    h = _checked_input(params, x)
-    for w, b in params.phi:
-        h = np.maximum(h @ w + b, 0.0)
-    return h
+    """The latent g(x) of :func:`forward`, without its layer cache (evaluation)."""
+    return forward(params, x)[0]
 
 
 def predict_logits(params: ModelParams, x: np.ndarray, head: str = "label") -> np.ndarray:

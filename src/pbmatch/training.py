@@ -79,7 +79,6 @@ from .transforms import (
     NI_KINDS,
     RA_KINDS,
     ST_TASKS,
-    ImageBatch,
     apply_semantic_preserving,
     apply_semantic_transforming,
     rng,
@@ -169,6 +168,8 @@ class TrainConfig:
 
     def __post_init__(self):
         check_fields(self)
+        if self.loss is not None and not isinstance(self.loss, LossConfig):
+            raise ValueError(f"loss must be a LossConfig or None, got {self.loss!r}")
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
         if self.epochs < 1:
@@ -211,8 +212,6 @@ class TrainConfig:
 
     def to_dict(self) -> Dict:
         d = dataclasses.asdict(self)
-        if self.loss is not None:
-            d["loss"] = dataclasses.asdict(self.loss)
         if self.initial_marginal is not None:
             d["initial_marginal"] = [float(v) for v in self.initial_marginal]
         d["hidden"] = list(self.hidden)
@@ -465,15 +464,16 @@ def _build_bundle(cfg: TrainConfig, src: DomainDataset, adapt: DomainDataset,
     token = _transform_token(cfg.seed_data, epoch, s)
     ramp = min(1.0, (global_step + 1) / cfg.dm_ramp_steps) if cfg.dm_ramp_steps > 0 else 1.0
     y_s = src.labels[rows_s]
-    x_t = adapt.x_flat()[rows_t]
-    bundle = BatchBundle(src_x=src.x_flat()[rows_s], src_y=y_s, tgt_x=x_t,
+    # each side's rows, gathered once: images or points, then flat for the trunk
+    imgs_s, imgs_t = src.images[rows_s], adapt.images[rows_t]
+    x_t = imgs_t.reshape(len(rows_t), -1)
+    bundle = BatchBundle(src_x=imgs_s.reshape(len(rows_s), -1), src_y=y_s, tgt_x=x_t,
                          distance=_METHODS[cfg.method].distance,
                          distance_weight=cfg.dm_weight * ramp)
 
     if loss_cfg.lambda_C > 0.0:
-        batch_imgs = ImageBatch(adapt.images.data[rows_t])
         bundle.tgt_x_aug = apply_semantic_preserving(
-            batch_imgs, token, kinds=_METHODS[cfg.method].cpbm_kinds).flat()
+            imgs_t, token, kinds=_METHODS[cfg.method].cpbm_kinds).reshape(len(rows_t), -1)
         bundle.pair_diff_mask = y_s != np.roll(y_s, 1)
 
     if loss_cfg.lambda_U > 0.0:
@@ -486,11 +486,11 @@ def _build_bundle(cfg: TrainConfig, src: DomainDataset, adapt: DomainDataset,
         bundle.mixed_beta = betas
 
     if loss_cfg.lambda_S > 0.0:
-        both = np.concatenate([src.images.data[rows_s], adapt.images.data[rows_t]])
+        both = np.concatenate([imgs_s, imgs_t])
         st: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
         for task in _METHODS[cfg.method].tasks:
-            x_task, labels = apply_semantic_transforming(ImageBatch(both), task, token)
-            st[task] = (x_task.flat(), labels)
+            x_task, labels = apply_semantic_transforming(both, task, token)
+            st[task] = (x_task.reshape(len(both), -1), labels)
         bundle.st_batches = st
 
     return bundle

@@ -1,12 +1,14 @@
 """Image operation families: semantic-preserving, interpolation, semantic-transforming.
 
-All operations act on batches of [0,1]-valued H x W grayscale images and are
-deterministic: the same seed and the same batch give the same bytes. Each
-call draws every sample's random parameters as arrays from one generator
-seeded by (seed, family salt), so a sample's draw depends on its position
-and on the batch's size and shape. The drawn operations are applied batch-wise, each kind to all the
-images that drew it at once, and give the same bytes as applying every
-sample's operations to it alone.
+All operations take a plain [n, H, W] array of [0,1]-valued grayscale
+images and return a new array; the values are checked once, where a
+``DomainDataset`` is built, not on each call. They are deterministic: the
+same seed and the same batch give the same bytes. Each call draws every
+sample's random parameters as arrays from one generator seeded by (seed,
+family salt), so a sample's draw depends on its position and on the
+batch's size and shape. The drawn operations are applied batch-wise, each
+kind to all the images that drew it at once, and give the same bytes as
+applying every sample's operations to it alone.
 
 The package's random streams are all named here: :func:`rng` builds one,
 and :func:`rngs` yields a run of per-index ones.
@@ -14,7 +16,6 @@ and :func:`rngs` yields a run of per-index ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -34,38 +35,6 @@ MAX_NOISE_SIGMA = 0.15
 MAX_BRIGHTNESS_DELTA = 0.2
 MAX_CONTRAST_DELTA = 0.3
 CUTOUT_SIDE_FRACTION = 0.25
-
-
-@dataclass
-class ImageBatch:
-    """Batch of grayscale images, values in [0,1], shape [batch, H, W]."""
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=np.float64)
-        if self.data.ndim != 3:
-            raise ValueError(f"ImageBatch needs [batch, H, W], got shape {self.data.shape}")
-        if self.height < 4 or self.width < 4:
-            raise ValueError(f"images must be at least 4x4, got {self.height}x{self.width}")
-        # NaN fails every comparison, so the range test is written to fail on it
-        if self.data.size and not (self.data.min() >= 0.0 and self.data.max() <= 1.0):
-            raise ValueError("image values must be finite and lie in [0, 1]")
-
-    def __len__(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def height(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[2]
-
-    def flat(self) -> np.ndarray:
-        """Row-major [batch, H*W] view for the MLP input."""
-        return self.data.reshape(len(self), -1)
 
 
 # salt of the semantic-preserving stream; the other [seed, salt] streams use
@@ -258,9 +227,10 @@ def _apply_sp_kind(kind: str, imgs: np.ndarray, p: np.ndarray,
     return imgs + p[:, 0, None, None] * noise
 
 
-def apply_semantic_preserving(x: ImageBatch, seed: int,
-                              kinds: Sequence[str] = SP_KINDS) -> ImageBatch:
-    """Random composition of 1-2 kinds per sample; output clamped to [0,1].
+def apply_semantic_preserving(x: np.ndarray, seed: int,
+                              kinds: Sequence[str] = SP_KINDS) -> np.ndarray:
+    """Random composition of 1-2 kinds per sample of the [n, H, W] images
+    ``x``; returns a new array clamped to [0,1].
 
     The ops are drawn for the whole batch by
     :func:`draw_semantic_preserving` and applied in two slots, every
@@ -271,12 +241,12 @@ def apply_semantic_preserving(x: ImageBatch, seed: int,
     for k in kinds:
         if k not in SP_KINDS:
             raise ValueError(f"unknown semantic-preserving kind: {k!r}")
-    n, h, w = x.data.shape
-    out = x.data.copy()
+    n, h, w = x.shape
+    out = np.array(x, dtype=np.float64)
     for draw in draw_semantic_preserving(seed, n, h, w, kinds):
         out[draw.rows] = _apply_sp_kind(draw.kind, out[draw.rows], draw.params, draw.noise)
     np.clip(out, 0.0, 1.0, out=out)
-    return ImageBatch(out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -326,9 +296,10 @@ _ST_OPS = {"rotate90": (rotate90_cw, 4), "vflip": (vflip, 2),
            "patch_location": (extract_quadrant, 4)}
 
 
-def apply_semantic_transforming(x: ImageBatch, task: str,
-                                seed: int) -> Tuple[ImageBatch, np.ndarray]:
-    """Apply the pretext task; returns transformed images and labels.
+def apply_semantic_transforming(x: np.ndarray, task: str,
+                                seed: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Apply the pretext task to the [n, H, W] images ``x``; returns the
+    transformed images, a new array, and their labels.
 
     Labels come from one task-salted stream, so sample i's label depends
     only on (seed, task, i) and each task sees a different sequence. The
@@ -336,15 +307,16 @@ def apply_semantic_transforming(x: ImageBatch, task: str,
     """
     if task not in ST_TASKS:
         raise ValueError(f"unknown semantic-transforming task: {task!r}")
-    if task == "rotate90" and x.height != x.width:
-        raise ValueError(f"rotate90 needs square images, got {x.height}x{x.width}")
-    if task == "patch_location" and (x.height % 2 or x.width % 2):
-        raise ValueError(f"patch_location needs even dimensions, got {x.height}x{x.width}")
+    n, h, w = x.shape
+    if task == "rotate90" and h != w:
+        raise ValueError(f"rotate90 needs square images, got {h}x{w}")
+    if task == "patch_location" and (h % 2 or w % 2):
+        raise ValueError(f"patch_location needs even dimensions, got {h}x{w}")
     op, n_classes = _ST_OPS[task]
-    labels = rng(seed, ST_TASKS.index(task) + 101).integers(0, n_classes, len(x))
+    labels = rng(seed, ST_TASKS.index(task) + 101).integers(0, n_classes, n)
     labels = labels.astype(np.int64)
-    out = np.empty_like(x.data)
+    out = np.empty_like(x, dtype=np.float64)
     for label in range(n_classes):
         rows = np.flatnonzero(labels == label)
-        out[rows] = op(x.data[rows], label)
-    return ImageBatch(out), labels
+        out[rows] = op(x[rows], label)
+    return out, labels

@@ -31,7 +31,7 @@ from pbmatch.datasets import (
 from pbmatch.losses import (
     DEFAULT_BANDWIDTH_SCALES, KL_MARGIN, BatchBundle, LossConfig, MarginalTracker,
     _log_softmax, total_objective)
-from pbmatch.transforms import ImageBatch, rng
+from pbmatch.transforms import rng
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +487,7 @@ def oracle_glyph_domain(spec: GlyphDomainSpec, domain_role: str) -> DomainDatase
             sublabels[idx] = c * s + style
             idx += 1
     return DomainDataset(
-        images=ImageBatch(_quantize(images)), labels=labels,
+        images=_quantize(images), labels=labels,
         class_count=k, domain_role=domain_role, sublabels=sublabels,
         metadata={"generator": "glyph", "spec": spec.to_dict(),
                   "domain_role": domain_role})

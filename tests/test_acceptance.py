@@ -208,7 +208,7 @@ def test_criterion_4_constructor_exactness(capsys):
         src, _ = build_benchmark_pair(BenchmarkSpec(kind=kind, seed=0, **kwargs),
                                       samples_per_class=24, data_seed=0)
         sources[kind] = src
-    raw = {k: s.images.data.tobytes() for k, s in sources.items()}
+    raw = {k: s.images.tobytes() for k, s in sources.items()}
     byte_identical = len(set(raw.values())) == 1
 
     # outlier budget: 900 clean rows at rho = 0.1 -> exactly 1000 in total

@@ -26,7 +26,6 @@ from pbmatch.datasets import (
     generate_glyph_domain,
     outlier_pool,
 )
-from pbmatch.transforms import ImageBatch
 
 
 def _balanced_glyphs(samples_per_class=100, seed=0, role="target"):
@@ -149,7 +148,7 @@ def test_lds_factor_one_is_identity():
     ds = _balanced_glyphs(samples_per_class=30, seed=2)
     spec = BenchmarkSpec(kind="LDS", imbalance_factor=1.0, seed=0)
     out = resample_lds(ds, spec)
-    assert np.array_equal(out.images.data, ds.images.data)
+    assert np.array_equal(out.images, ds.images)
     assert np.array_equal(out.labels, ds.labels)
     assert np.array_equal(out.sublabels, ds.sublabels)
 
@@ -167,8 +166,8 @@ def test_lds_output_is_sub_multiset_of_input():
     ds = _balanced_glyphs(samples_per_class=50, seed=4)
     spec = BenchmarkSpec(kind="LDS", imbalance_factor=5.0, seed=2)
     out = resample_lds(ds, spec)
-    leftover = _row_multiset(ds.images.data)
-    leftover.subtract(_row_multiset(out.images.data))
+    leftover = _row_multiset(ds.images)
+    leftover.subtract(_row_multiset(out.images))
     assert all(v >= 0 for v in leftover.values())
     assert out.n_samples < ds.n_samples
 
@@ -187,7 +186,7 @@ def test_lds_random_class_order_is_seeded():
     a = resample_lds(ds, BenchmarkSpec(kind="LDS", imbalance_factor=8.0, seed=11))
     b = resample_lds(ds, BenchmarkSpec(kind="LDS", imbalance_factor=8.0, seed=11))
     c = resample_lds(ds, BenchmarkSpec(kind="LDS", imbalance_factor=8.0, seed=12))
-    assert np.array_equal(a.images.data, b.images.data)
+    assert np.array_equal(a.images, b.images)
     assert sorted(np.bincount(c.labels, minlength=4).tolist()) == \
         sorted(np.bincount(a.labels, minlength=4).tolist())
 
@@ -214,10 +213,10 @@ def test_lds_rejects_wrong_kind():
 
 def test_lds_does_not_mutate_input():
     ds = _balanced_glyphs(samples_per_class=25, seed=10)
-    before_imgs = ds.images.data.copy()
+    before_imgs = ds.images.copy()
     before_labels = ds.labels.copy()
     resample_lds(ds, BenchmarkSpec(kind="LDS", imbalance_factor=4.0, seed=3))
-    assert np.array_equal(ds.images.data, before_imgs)
+    assert np.array_equal(ds.images, before_imgs)
     assert np.array_equal(ds.labels, before_labels)
 
 
@@ -314,7 +313,7 @@ def test_relabel_to_meta_keeps_bytes_and_count():
     spec = BenchmarkSpec(kind="ILDS", imbalance_factor=3.0, meta_class_map=mapping)
     out = relabel_to_meta(ds, spec)
     assert out.n_samples == ds.n_samples
-    assert out.images.data.tobytes() == ds.images.data.tobytes()
+    assert out.images.tobytes() == ds.images.tobytes()
     assert out.class_count == 2
     assert np.array_equal(out.labels, np.array([mapping[int(s)] for s in ds.sublabels]))
 
@@ -336,7 +335,7 @@ def test_two_zero_fraction_is_identity():
     ds = _balanced_glyphs(samples_per_class=10, seed=13)
     out = inject_two(ds, outlier_pool("blank", 4, seed=0),
                      BenchmarkSpec(kind="TwO", outlier_fraction=0.0))
-    assert np.array_equal(out.images.data, ds.images.data)
+    assert np.array_equal(out.images, ds.images)
     assert np.array_equal(out.labels, ds.labels)
 
 
@@ -362,8 +361,8 @@ def test_two_preserves_valid_rows_exactly():
     ds = _balanced_glyphs(samples_per_class=50, seed=16)
     pool = outlier_pool("blank", 64, seed=5)
     out = inject_two(ds, pool, BenchmarkSpec(kind="TwO", outlier_fraction=0.2, seed=6))
-    valid = out.images.data[out.labels != OUTLIER_LABEL]
-    assert _row_multiset(valid) == _row_multiset(ds.images.data)
+    valid = out.images[out.labels != OUTLIER_LABEL]
+    assert _row_multiset(valid) == _row_multiset(ds.images)
 
 
 def test_two_insufficient_pool_error():
@@ -383,7 +382,7 @@ def test_two_rejects_point_datasets():
 
 def test_two_rejects_shape_mismatch():
     ds = _balanced_glyphs(samples_per_class=10, seed=18)
-    odd_pool = ImageBatch(np.zeros((8, 8, 8)))
+    odd_pool = np.zeros((8, 8, 8))
     with pytest.raises(ValueError, match="shape"):
         inject_two(ds, odd_pool, BenchmarkSpec(kind="TwO", outlier_fraction=0.1))
 
@@ -393,7 +392,7 @@ def test_two_deterministic():
     pool = outlier_pool("checker", 32, seed=8)
     spec = BenchmarkSpec(kind="TwO", outlier_fraction=0.15, seed=9)
     a, b = inject_two(ds, pool, spec), inject_two(ds, pool, spec)
-    assert np.array_equal(a.images.data, b.images.data)
+    assert np.array_equal(a.images, b.images)
     assert np.array_equal(a.labels, b.labels)
 
 
@@ -444,8 +443,8 @@ def test_write_benchmark_round_trip(tmp_path):
     assert report["target"]["benchmark"]["imbalance_factor"] == 5.0
 
     src_back, tgt_back = load_pair(tmp_path)
-    assert np.array_equal(src_back.images.data, src.images.data)
-    assert np.array_equal(tgt_back.images.data, shifted.images.data)
+    assert np.array_equal(src_back.images, src.images)
+    assert np.array_equal(tgt_back.images, shifted.images)
     assert np.array_equal(tgt_back.labels, shifted.labels)
 
 

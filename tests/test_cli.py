@@ -22,7 +22,7 @@ import pytest
 
 import pbmatch
 from pbmatch.cli import main
-from pbmatch.datasets import load_dataset
+from pbmatch.datasets import DomainDataset, load_dataset, save_dataset
 from pbmatch.benchmarks import BenchmarkSpec, load_pair
 from pbmatch.training import build_benchmark_pair
 
@@ -200,7 +200,7 @@ class TestBench:
         assert sorted(report["target"]["counts"]) == [3, 6, 14, 30]
         src_in, _ = load_pair(glyph_pair_dir)
         src_out, _ = load_pair(out)
-        assert src_out.images.data.tobytes() == src_in.images.data.tobytes()
+        assert src_out.images.tobytes() == src_in.images.tobytes()
 
     def test_ilds_keeps_meta_marginal(self, glyph_pair_dir, tmp_path):
         out = tmp_path / "ilds"
@@ -236,7 +236,7 @@ class TestBench:
         for got, want in zip(load_pair(out), build_benchmark_pair(spec, 16, data_seed=3)):
             assert got.labels.tobytes() == want.labels.tobytes()
             assert got.sublabels.tobytes() == want.sublabels.tobytes()
-            assert got.images.data.tobytes() == want.images.data.tobytes()
+            assert got.images.tobytes() == want.images.tobytes()
 
     @pytest.mark.parametrize("kind,flags,name", [
         ("two", ["--rho", "0.2", "--if", "10"], "imbalance_factor"),
@@ -316,6 +316,23 @@ class TestTrainEval:
                      "--tgt", str(blob_pair_dir / "target"),
                      "--out", str(tmp_path / "run")]) == 1
         assert_named_error(capsys, "initial_marginal")
+        assert not (tmp_path / "run").exists()
+
+    def test_dataset_whose_kind_disagrees_with_its_rank_exits_1(self, tmp_path, capsys):
+        # 3-D rows in a directory that says points: the data is refused where
+        # it is read, naming its meta.json, before training sees a width
+        ds = DomainDataset(images=np.full((8, 4, 4), 0.5), labels=np.arange(8) % 2,
+                           class_count=2, domain_role="target")
+        data = tmp_path / "data"
+        save_dataset(ds, data)
+        meta = json.loads((data / "meta.json").read_text())
+        meta["kind"] = "points"
+        (data / "meta.json").write_text(json.dumps(meta))
+        cfg = write_json(tmp_path / "cfg.json", {"method": "source_only", "epochs": 1,
+                                                 "hidden": [4]})
+        assert main(["train", "--config", cfg, "--src", str(data), "--tgt", str(data),
+                     "--out", str(tmp_path / "run")]) == 1
+        assert_named_error(capsys, str(data / "meta.json"), "does not fit kind 'points'")
         assert not (tmp_path / "run").exists()
 
     def test_bad_method_exits_1(self, blob_pair_dir, tmp_path):

@@ -173,9 +173,10 @@ def test_checked_raises_on_a_hint_it_cannot_check_whatever_the_value():
     (lambda: LossConfig(entropy_ceiling=1.0, lambda_M=True), "lambda_M must be a number"),
     (lambda: GlyphDomainSpec(invert="no"), "invert must be true or false"),
     (lambda: GlyphDomainSpec(samples_per_class=7.5), "samples_per_class must be an integer"),
+    (lambda: TrainConfig(loss={"entropy_ceiling": 1.0}), "loss must be a LossConfig or None"),
 ], ids=["hidden_float_bool", "hidden_not_list", "batch_float", "epochs_bool", "seed_float",
         "lr_str", "marginal_bool", "marginal_str", "imbalance_bool", "spec_seed_float", "order_float", "order_int", "loss_bool", "invert_str",
-        "samples_float"])
+        "samples_float", "loss_dict"])
 def test_a_python_built_config_is_checked_not_coerced(build, msg):
     # int() once turned (4.7, True) into (4, 1), and the rest were stored as given
     with pytest.raises(ValueError, match=msg):
@@ -202,11 +203,11 @@ def test_glyph_domain_shapes_and_ranges():
     spec = GlyphDomainSpec(n_classes=4, sub_styles=2, samples_per_class=25, seed=3)
     ds = generate_glyph_domain(spec, "source")
     assert ds.is_image
-    assert ds.images.data.shape == (100, CANVAS, CANVAS)
+    assert ds.images.shape == (100, CANVAS, CANVAS)
     assert ds.n_samples == 100
     assert ds.class_count == 4
     assert ds.domain_role == "source"
-    assert ds.images.data.min() >= 0.0 and ds.images.data.max() <= 1.0
+    assert ds.images.min() >= 0.0 and ds.images.max() <= 1.0
 
 
 def test_glyph_domain_exact_label_histogram():
@@ -233,7 +234,7 @@ def test_glyph_domain_deterministic():
     spec = GlyphDomainSpec(n_classes=4, sub_styles=2, samples_per_class=20, seed=11)
     a = generate_glyph_domain(spec, "source")
     b = generate_glyph_domain(spec, "source")
-    assert np.array_equal(a.images.data, b.images.data)
+    assert np.array_equal(a.images, b.images)
     assert np.array_equal(a.labels, b.labels)
     assert np.array_equal(a.sublabels, b.sublabels)
 
@@ -242,7 +243,7 @@ def test_glyph_domain_seed_changes_pixels():
     base = dict(n_classes=4, sub_styles=2, samples_per_class=20)
     a = generate_glyph_domain(GlyphDomainSpec(seed=11, **base), "source")
     b = generate_glyph_domain(GlyphDomainSpec(seed=12, **base), "source")
-    assert not np.array_equal(a.images.data, b.images.data)
+    assert not np.array_equal(a.images, b.images)
     assert np.array_equal(a.labels, b.labels)  # layout is class-major either way
 
 
@@ -252,7 +253,7 @@ def test_glyph_regenerates_bit_identically_from_metadata():
                            jitter=2.0, seed=42)
     ds = generate_glyph_domain(spec, "target")
     rebuilt = regenerate(ds.metadata)
-    assert np.array_equal(ds.images.data, rebuilt.images.data)
+    assert np.array_equal(ds.images, rebuilt.images)
     assert np.array_equal(ds.labels, rebuilt.labels)
     assert np.array_equal(ds.sublabels, rebuilt.sublabels)
     assert rebuilt.domain_role == "target"
@@ -282,8 +283,8 @@ def test_glyph_domain_equals_the_per_sample_oracle_byte_for_byte(samples_per_cla
                                noise=noise, jitter=jitter, seed=seed)
         got = generate_glyph_domain(spec, "target")
         want = oracle_glyph_domain(spec, "target")
-        assert np.array_equal(got.images.data.view(np.uint64),
-                              want.images.data.view(np.uint64)), spec
+        assert np.array_equal(got.images.view(np.uint64),
+                              want.images.view(np.uint64)), spec
         assert np.array_equal(got.labels, want.labels), spec
         assert np.array_equal(got.sublabels, want.sublabels), spec
         assert got.metadata == want.metadata, spec
@@ -292,7 +293,7 @@ def test_glyph_domain_equals_the_per_sample_oracle_byte_for_byte(samples_per_cla
 def test_glyph_pixels_survive_f32_quantization():
     spec = GlyphDomainSpec(samples_per_class=10, noise=0.1, seed=7)
     ds = generate_glyph_domain(spec, "source")
-    raw = ds.images.data
+    raw = ds.images
     assert np.array_equal(raw, raw.astype(np.float32).astype(np.float64))
 
 
@@ -300,7 +301,7 @@ def test_glyph_classes_are_distinct_templates():
     spec = GlyphDomainSpec(n_classes=6, sub_styles=1, samples_per_class=1,
                            background=0.0, noise=0.0, jitter=0.0, seed=0)
     ds = generate_glyph_domain(spec, "source")
-    imgs = ds.images.data
+    imgs = ds.images
     for i in range(6):
         for j in range(i + 1, 6):
             assert not np.array_equal(imgs[i], imgs[j])
@@ -311,14 +312,14 @@ def test_glyph_invert_flips_intensities():
                 background=0.1, noise=0.0, jitter=0.0, seed=0)
     plain = generate_glyph_domain(GlyphDomainSpec(invert=False, **base), "source")
     flipped = generate_glyph_domain(GlyphDomainSpec(invert=True, **base), "source")
-    assert np.allclose(plain.images.data + flipped.images.data, 1.0, atol=1e-6)
+    assert np.allclose(plain.images + flipped.images, 1.0, atol=1e-6)
 
 
 def test_glyph_zero_noise_zero_jitter_is_two_level():
     spec = GlyphDomainSpec(n_classes=4, sub_styles=1, samples_per_class=3,
                            background=0.2, noise=0.0, jitter=0.0, seed=0)
     ds = generate_glyph_domain(spec, "source")
-    values = np.unique(ds.images.data)
+    values = np.unique(ds.images)
     assert set(np.round(values, 6).tolist()) <= {0.2, round(INK_LEVEL, 6)}
 
 
@@ -338,7 +339,7 @@ def test_default_pair_specs_builds_a_shifted_pair():
     assert src.domain_role == "source" and tgt.domain_role == "target"
     assert src.n_samples == tgt.n_samples == 40
     assert src_spec.stroke_thickness != tgt_spec.stroke_thickness
-    assert not np.array_equal(src.images.data, tgt.images.data)
+    assert not np.array_equal(src.images, tgt.images)
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +382,29 @@ def test_dataset_rejects_non_finite_points(bad):
                       domain_role="source")
 
 
+@pytest.mark.parametrize("images,msg", [
+    (np.zeros(4), r"\[n, H, W\] images or \[n, d\] points"),
+    (np.zeros((4, 4, 4, 1)), r"\[n, H, W\] images or \[n, d\] points"),
+    (np.zeros((4, 2, 2)), "at least 4x4"),
+    (np.zeros((4, 4, 3)), "at least 4x4"),
+    (np.full((4, 4, 4), 1.5), r"\[0, 1\]"),
+    (np.full((4, 4, 4), -0.1), r"\[0, 1\]"),
+], ids=["rank_1", "rank_4", "2x2", "4x3", "above_1", "below_0"])
+def test_dataset_rejects_unusable_images(images, msg):
+    with pytest.raises(ValueError, match=msg):
+        DomainDataset(images=images, labels=np.zeros(4, dtype=np.int64), class_count=2,
+                      domain_role="source")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_dataset_rejects_non_finite_images(bad):
+    images = np.full((2, 4, 4), 0.5)
+    images[1, 2, 3] = bad
+    for x in (images, np.full((2, 4, 4), bad)):
+        with pytest.raises(ValueError, match="finite"):
+            DomainDataset(images=x, labels=[0, 1], class_count=2, domain_role="source")
+
+
 def test_dataset_accepts_outlier_sentinel():
     ds = _tiny_dataset()
     lab = ds.labels.copy()
@@ -411,7 +435,7 @@ def test_take_selects_rows_in_order():
     idx = np.array([5, 0, 17])
     sub = ds.take(idx)
     assert sub.n_samples == 3
-    assert np.array_equal(sub.images.data, ds.images.data[idx])
+    assert np.array_equal(sub.images, ds.images[idx])
     assert np.array_equal(sub.labels, ds.labels[idx])
     assert np.array_equal(sub.sublabels, ds.sublabels[idx])
     assert sub.metadata == ds.metadata
@@ -421,7 +445,7 @@ def test_x_flat_matches_row_major_reshape():
     ds = _tiny_dataset()
     flat = ds.x_flat()
     assert flat.shape == (ds.n_samples, CANVAS * CANVAS)
-    assert np.array_equal(flat, ds.images.data.reshape(ds.n_samples, -1))
+    assert np.array_equal(flat, ds.images.reshape(ds.n_samples, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -496,8 +520,7 @@ def test_blob_pair_validation_errors(kwargs, msg):
 
 def test_outlier_blank_images_are_constant_fields():
     pool = outlier_pool("blank", 32, seed=0)
-    data = pool.data
-    per_image = data.reshape(32, -1)
+    per_image = pool.reshape(32, -1)
     assert all(np.unique(img).size == 1 for img in per_image)
     levels = {img[0] for img in per_image}
     assert levels <= {0.0, 1.0} and len(levels) == 2
@@ -505,10 +528,10 @@ def test_outlier_blank_images_are_constant_fields():
 
 def test_outlier_checker_has_exactly_half_bright():
     pool = outlier_pool("checker", 16, seed=1)
-    bright = pool.data.reshape(16, -1).sum(axis=1)
+    bright = pool.reshape(16, -1).sum(axis=1)
     assert np.all(bright == CANVAS * CANVAS / 2)
     # both phases occur and are complements
-    flat = pool.data.reshape(16, -1)
+    flat = pool.reshape(16, -1)
     distinct = np.unique(flat, axis=0)
     assert distinct.shape[0] == 2
     assert np.array_equal(distinct[0], 1.0 - distinct[1])
@@ -516,15 +539,15 @@ def test_outlier_checker_has_exactly_half_bright():
 
 def test_outlier_inverted_random_is_bright_skewed():
     pool = outlier_pool("inverted_random", 64, seed=2)
-    assert pool.data.min() >= 0.0 and pool.data.max() <= 1.0
-    assert pool.data.mean() > 0.6  # mean of 1 - U^2 is 2/3
+    assert pool.min() >= 0.0 and pool.max() <= 1.0
+    assert pool.mean() > 0.6  # mean of 1 - U^2 is 2/3
 
 
 @pytest.mark.parametrize("style", OUTLIER_STYLES)
 def test_outlier_pool_deterministic(style):
     a = outlier_pool(style, 8, seed=5)
     b = outlier_pool(style, 8, seed=5)
-    assert np.array_equal(a.data, b.data)
+    assert np.array_equal(a, b)
 
 
 def test_outlier_pool_rejects_bad_arguments():
@@ -545,7 +568,7 @@ def test_glyph_save_load_round_trip(tmp_path):
     save_dataset(ds, tmp_path / "d")
     back = load_dataset(tmp_path / "d")
     assert back.is_image
-    assert np.array_equal(back.images.data, ds.images.data)
+    assert np.array_equal(back.images, ds.images)
     assert np.array_equal(back.labels, ds.labels)
     assert np.array_equal(back.sublabels, ds.sublabels)
     assert back.class_count == 4 and back.domain_role == "target"
@@ -618,6 +641,25 @@ def test_load_names_the_file_of_a_bad_meta_value(tmp_path, key, value, msg):
     assert str(path) in str(err.value)
 
 
+@pytest.mark.parametrize("kind,shape", [("points", (8, 4, 4)), ("images", (8, 16))],
+                         ids=["points_3d", "images_2d"])
+def test_load_refuses_a_kind_that_disagrees_with_the_rank(tmp_path, kind, shape):
+    # a points directory of 3-D shape once loaded, and training then failed
+    # on the input width without naming any file
+    other = "images" if kind == "points" else "points"
+    ds = DomainDataset(images=np.full(shape, 0.5), labels=np.arange(8) % 2,
+                       class_count=2, domain_role="target")
+    save_dataset(ds, tmp_path / "d")
+    meta_path = tmp_path / "d" / "meta.json"
+    meta = json.loads(meta_path.read_text())
+    assert meta["kind"] == other
+    meta["kind"] = kind
+    meta_path.write_text(json.dumps(meta))
+    with pytest.raises(ValueError, match="does not fit kind") as err:
+        load_dataset(tmp_path / "d")
+    assert str(meta_path) in str(err.value)
+
+
 @pytest.mark.parametrize("text,msg", [
     ("{not json", "not valid JSON"),
     ("[1]", "JSON object"),
@@ -660,10 +702,10 @@ def test_load_rejects_a_file_with_a_huge_tail_before_reading_it(tmp_path, name):
 
 
 def test_load_names_the_image_file_when_the_shape_product_overflows_int64(tmp_path):
-    # 2**32 * 2**32 wraps to 0 in int64, which an empty file would match
+    # 2**32 * 2**16 * 2**16 wraps to 0 in int64, which an empty file would match
     path = _saved(tmp_path)
     meta = json.loads((path / "meta.json").read_text())
-    meta["shape"] = [2**32, 2**32]
+    meta["shape"] = [2**32, 2**16, 2**16]
     (path / "meta.json").write_text(json.dumps(meta))
     (path / "images.f32le").write_bytes(b"")
     with pytest.raises(ValueError, match=f"holds 0 bytes, expected {4 * 2**64}") as err:

@@ -503,7 +503,7 @@ class TestTrainLoop:
         cfg = small_cfg(method=method, epochs=2, batch=8, hidden=(8, 4))
         train(cfg, src, tgt, on_step=on_step)
         assert per_step == [["forward"]] * (2 * 3)
-        # per-epoch evaluation forms no layer cache
+        # per-epoch evaluation reaches the trunk through neither traced name
         assert calls == []
 
     @pytest.mark.parametrize("method", METHODS)
@@ -572,7 +572,8 @@ class TestTrainLoop:
 
     def test_full_set_mmd_holds_no_square_distance_matrix(self):
         # 2000 rows would need 2 x 30.5 MiB for two N x N float64 arrays; the
-        # streamed reading holds the N(N-1)/2 pair distances, 15.2 MiB
+        # streamed reading holds a few row tiles and selects the median by
+        # radix, without a buffer of the N(N-1)/2 pair distances
         src, tgt = blob_pair(n=1000)
         params = init_params([2, 32, 16, 2], seed=1)
         _, peak = traced_peak(lambda: full_set_mmd(params, src.x_flat(), tgt.x_flat()))
@@ -743,7 +744,7 @@ class TestAblation:
         assert np.bincount(tgt.labels).tolist() == [40, 32, 25, 20]
         plain_src, _ = generate_glyph_pair(*default_pair_specs(
             samples_per_class=40, seed=0))
-        assert np.array_equal(src.images.data, plain_src.images.data)
+        assert np.array_equal(src.images, plain_src.images)
 
     def test_benchmark_pair_ilds_relabels_source(self):
         spec = BenchmarkSpec(kind="ILDS", imbalance_factor=2.0, seed=0)
@@ -751,7 +752,7 @@ class TestAblation:
         assert src.class_count == 4 and tgt.class_count == 4
         plain_src, _ = generate_glyph_pair(*default_pair_specs(
             samples_per_class=16, seed=0))
-        assert np.array_equal(src.images.data, plain_src.images.data)
+        assert np.array_equal(src.images, plain_src.images)
         assert np.array_equal(src.labels, plain_src.labels)
         assert "benchmark" in tgt.metadata
 

@@ -17,7 +17,6 @@ from pbmatch.transforms import (
     MAX_NOISE_SIGMA,
     MAX_ROTATE_DEG,
     MAX_SHIFT_PX,
-    ImageBatch,
     NI_KINDS,
     RA_KINDS,
     SP_KINDS,
@@ -36,48 +35,7 @@ from pbmatch.transforms import (
 
 def _random_batch(n, h=16, w=16, seed=0):
     rng = np.random.default_rng(seed)
-    return ImageBatch(rng.uniform(0.0, 1.0, (n, h, w)))
-
-
-# ---------------------------------------------------------------------------
-# ImageBatch validation
-# ---------------------------------------------------------------------------
-
-class TestImageBatch:
-    def test_shape_and_accessors(self):
-        b = _random_batch(5, 8, 12)
-        assert len(b) == 5
-        assert b.height == 8
-        assert b.width == 12
-        assert b.flat().shape == (5, 96)
-
-    def test_flat_is_row_major(self):
-        img = np.arange(16, dtype=np.float64).reshape(1, 4, 4) / 15.0
-        b = ImageBatch(img)
-        assert np.array_equal(b.flat()[0], img[0].ravel())
-
-    def test_rejects_wrong_rank(self):
-        with pytest.raises(ValueError, match="batch, H, W"):
-            ImageBatch(np.zeros((4, 4)))
-
-    def test_rejects_tiny_images(self):
-        with pytest.raises(ValueError, match="at least 4x4"):
-            ImageBatch(np.zeros((1, 2, 2)))
-
-    def test_rejects_out_of_range_values(self):
-        with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            ImageBatch(np.full((1, 4, 4), 1.5))
-        with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            ImageBatch(np.full((1, 4, 4), -0.1))
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_rejects_non_finite_values(self, bad):
-        with pytest.raises(ValueError, match="finite"):
-            ImageBatch(np.full((1, 4, 4), bad))
-        one_pixel = np.full((2, 4, 4), 0.5)
-        one_pixel[1, 2, 3] = bad
-        with pytest.raises(ValueError, match="finite"):
-            ImageBatch(one_pixel)
+    return rng.uniform(0.0, 1.0, (n, h, w))
 
 
 # ---------------------------------------------------------------------------
@@ -151,26 +109,26 @@ class TestSemanticTransforming:
         x = _random_batch(32)
         out1, lab1 = apply_semantic_transforming(x, "rotate90", seed=7)
         out2, lab2 = apply_semantic_transforming(x, "rotate90", seed=7)
-        assert np.array_equal(out1.data, out2.data)
+        assert np.array_equal(out1, out2)
         assert np.array_equal(lab1, lab2)
 
     def test_labels_match_applied_op(self):
         x = _random_batch(64)
         out, labels = apply_semantic_transforming(x, "rotate90", seed=11)
         for i in range(len(x)):
-            assert np.array_equal(out.data[i], rotate90_cw(x.data[i], labels[i]))
+            assert np.array_equal(out[i], rotate90_cw(x[i], labels[i]))
 
     def test_vflip_labels_match(self):
         x = _random_batch(64)
         out, labels = apply_semantic_transforming(x, "vflip", seed=5)
         for i in range(len(x)):
-            assert np.array_equal(out.data[i], vflip(x.data[i], labels[i]))
+            assert np.array_equal(out[i], vflip(x[i], labels[i]))
 
     def test_patch_labels_match(self):
         x = _random_batch(64)
         out, labels = apply_semantic_transforming(x, "patch_location", seed=9)
         for i in range(len(x)):
-            assert np.array_equal(out.data[i], extract_quadrant(x.data[i], labels[i]))
+            assert np.array_equal(out[i], extract_quadrant(x[i], labels[i]))
 
     @pytest.mark.parametrize("task,k", [("rotate90", 4), ("vflip", 2), ("patch_location", 4)])
     def test_labels_close_to_uniform(self, task, k):
@@ -201,32 +159,32 @@ class TestSemanticPreserving:
     def test_output_in_unit_range(self):
         x = _random_batch(64)
         out = apply_semantic_preserving(x, seed=3)
-        assert out.data.min() >= 0.0
-        assert out.data.max() <= 1.0
+        assert out.min() >= 0.0
+        assert out.max() <= 1.0
 
     def test_deterministic_given_seed(self):
         x = _random_batch(32)
         a = apply_semantic_preserving(x, seed=13)
         b = apply_semantic_preserving(x, seed=13)
-        assert np.array_equal(a.data, b.data)
+        assert np.array_equal(a, b)
 
     def test_different_seeds_differ(self):
         x = _random_batch(32)
         a = apply_semantic_preserving(x, seed=1)
         b = apply_semantic_preserving(x, seed=2)
-        assert not np.array_equal(a.data, b.data)
+        assert not np.array_equal(a, b)
 
     def test_does_not_mutate_input(self):
         x = _random_batch(16)
-        before = x.data.copy()
+        before = x.copy()
         apply_semantic_preserving(x, seed=5)
-        assert np.array_equal(x.data, before)
+        assert np.array_equal(x, before)
 
     def test_usually_changes_the_image(self):
         x = _random_batch(64)
         out = apply_semantic_preserving(x, seed=21)
         changed = sum(
-            not np.array_equal(out.data[i], x.data[i]) for i in range(len(x))
+            not np.array_equal(out[i], x[i]) for i in range(len(x))
         )
         assert changed >= 56
 
@@ -234,13 +192,13 @@ class TestSemanticPreserving:
         x = _random_batch(16)
         ra = apply_semantic_preserving(x, seed=2, kinds=RA_KINDS)
         ni = apply_semantic_preserving(x, seed=2, kinds=NI_KINDS)
-        assert not np.array_equal(ra.data, ni.data)
+        assert not np.array_equal(ra, ni)
 
     def test_noise_only_stays_close(self):
         # additive noise capped at sigma 0.15 cannot move pixels far
         x = _random_batch(8)
         out = apply_semantic_preserving(x, seed=4, kinds=NI_KINDS)
-        assert np.abs(out.data - x.data).max() < 1.0
+        assert np.abs(out - x).max() < 1.0
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown semantic-preserving kind"):
@@ -366,15 +324,15 @@ def _same_bytes(a, b):
 
 
 def _assert_sp_matches_reference(data, seed, kinds):
-    got = apply_semantic_preserving(ImageBatch(data), seed, kinds=kinds)
+    got = apply_semantic_preserving(data, seed, kinds=kinds)
     want = reference_semantic_preserving(data, seed, kinds)
-    assert _same_bytes(got.data, want), (seed, kinds, data.shape)
+    assert _same_bytes(got, want), (seed, kinds, data.shape)
 
 
 def _assert_st_matches_reference(data, task, seed):
-    got, labels = apply_semantic_transforming(ImageBatch(data), task, seed)
+    got, labels = apply_semantic_transforming(data, task, seed)
     want, want_labels = reference_semantic_transforming(data, task, seed)
-    assert _same_bytes(got.data, want), (task, seed, data.shape)
+    assert _same_bytes(got, want), (task, seed, data.shape)
     assert np.array_equal(labels, want_labels)
 
 
@@ -491,13 +449,13 @@ class TestSemanticPreservingDraws:
         x = _random_batch(32)
         first = apply_semantic_preserving(x, seed=13)
         apply_semantic_preserving(_random_batch(32, seed=1), seed=14)
-        again = apply_semantic_preserving(ImageBatch(x.data.copy()), seed=13)
-        assert _same_bytes(first.data, again.data)
+        again = apply_semantic_preserving(x.copy(), seed=13)
+        assert _same_bytes(first, again)
 
     @pytest.mark.parametrize("kinds", list(KIND_SETS), ids=list(KIND_SETS))
     def test_different_seeds_differ(self, kinds):
         x = _random_batch(16)
-        outs = {apply_semantic_preserving(x, seed, kinds=KIND_SETS[kinds]).data.tobytes()
+        outs = {apply_semantic_preserving(x, seed, kinds=KIND_SETS[kinds]).tobytes()
                 for seed in range(40)}
         assert len(outs) == 40
 
