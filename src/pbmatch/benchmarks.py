@@ -21,14 +21,16 @@ import dataclasses
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Annotated, Dict, Literal, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .datasets import (
     OUTLIER_LABEL,
     DomainDataset,
-    _is_int,
+    Range,
+    Seed,
+    Share,
     check_fields,
     checked,
     load_dataset,
@@ -56,23 +58,15 @@ class BenchmarkSpec:
     ``meta_class_map`` sends every sublabel to its meta-class (ILDS only).
     """
 
-    kind: str
-    imbalance_factor: float = 1.0
+    kind: Literal[BENCHMARK_KINDS]
+    imbalance_factor: Annotated[float, Range(1)] = 1.0
     class_order: Union[Sequence[int], str] = "random"
     meta_class_map: Optional[Dict[int, int]] = None
-    outlier_fraction: float = 0.0
-    seed: int = 0
+    outlier_fraction: Share = 0.0
+    seed: Seed = 0
 
     def __post_init__(self):
         check_fields(self)
-        if self.kind not in BENCHMARK_KINDS:
-            raise ValueError(f"kind must be one of {BENCHMARK_KINDS}, got {self.kind!r}")
-        if not np.isfinite(self.imbalance_factor) or self.imbalance_factor < 1.0:
-            raise ValueError(
-                f"imbalance_factor must be finite and >= 1, got {self.imbalance_factor}")
-        if not (0.0 <= self.outlier_fraction < 1.0):
-            raise ValueError(
-                f"outlier_fraction must lie in [0, 1), got {self.outlier_fraction}")
         if self.kind == "TwO" and self.imbalance_factor != 1.0:
             raise ValueError(
                 f"imbalance_factor is for LDS and ILDS; a TwO spec leaves it at 1, "
@@ -81,10 +75,7 @@ class BenchmarkSpec:
             raise ValueError(
                 f"outlier_fraction is for TwO; an {self.kind} spec leaves it at 0, "
                 f"got {self.outlier_fraction}")
-        # np.asarray(..., int64) would truncate a float entry into a permutation
-        order = self.class_order
-        if (order != "random" if isinstance(order, str) else not (
-                isinstance(order, (list, tuple, np.ndarray)) and all(map(_is_int, order)))):
+        if isinstance(self.class_order, str) and self.class_order != "random":
             raise ValueError(
                 f'class_order must be a permutation or "random", got {self.class_order!r}')
 

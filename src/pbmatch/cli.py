@@ -9,7 +9,7 @@ distribution-matching failure curve (``probe-lds``).
 Every JSON spec or config is read by ``datasets.checked`` against the type
 hints of the dataclass or function it feeds, one key per parameter (an
 ablate config's "train" is ``ablation_suite``'s ``base_cfg``); ``--seed``
-overrides a seed after the file is checked.
+overrides a seed after the file is checked, and obeys the same rule.
 
 Exit codes: 0 on success, 1 on a validation problem (bad flags, malformed
 config, inconsistent data), 2 when training aborts on a non-finite loss.
@@ -32,12 +32,14 @@ from .benchmarks import (
 )
 from .datasets import (
     GlyphDomainSpec,
+    Seed,
     checked,
     default_pair_specs,
     generate_blob_pair,
     generate_glyph_domain,
     generate_glyph_pair,
     load_dataset,
+    read_json,
     save_dataset,
 )
 from .gradcheck import run_gradient_suite, suite_text
@@ -63,14 +65,19 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(self.prog + ": error: " + message)
 
 
+def _seed(text: str) -> int:
+    """argparse type of every ``--seed`` flag: the rule of a JSON seed."""
+    rule = Seed.__metadata__[0]
+    if not (text.isdecimal() and rule(int(text))):
+        raise argparse.ArgumentTypeError(f"must be an integer {rule}, got {text!r}")
+    return int(text)
+
+
 def _load_json(path, what: str) -> Dict:
     p = Path(path)
     if not p.is_file():
         raise ValueError(f"{what} file not found: {p}")
-    try:
-        data = json.loads(p.read_text())
-    except json.JSONDecodeError as e:
-        raise ValueError(f"{what} file {p} is not valid JSON: {e}") from e
+    data = read_json(p, f"{what} file {p}")
     if not isinstance(data, dict):
         raise ValueError(f"{what} file {p} must hold a JSON object")
     return data
@@ -88,7 +95,10 @@ def _cmd_generate(args) -> int:
     spec = _load_json(args.spec, "spec")
     kind = spec.pop("kind", None)
     out = Path(args.out)
-    if kind == "glyph_pair" and ("source" in spec or "target" in spec):
+    explicit = kind == "glyph_pair" and ("source" in spec or "target" in spec)
+    if args.seed is not None and not explicit:
+        spec["seed"] = args.seed
+    if explicit:
         pair = checked(generate_glyph_pair, spec, "glyph_pair")
         src_spec, tgt_spec = pair["source"], pair["target"]
         if args.seed is not None:
@@ -97,14 +107,10 @@ def _cmd_generate(args) -> int:
         src, tgt = generate_glyph_pair(src_spec, tgt_spec)
     elif kind == "glyph_pair":
         pair = checked(default_pair_specs, spec, "glyph_pair")
-        if args.seed is not None:
-            pair["seed"] = args.seed
         src, tgt = generate_glyph_pair(*default_pair_specs(**pair))
     elif kind == "glyph":
         role = spec.pop("domain_role", "source")
         glyph = GlyphDomainSpec.from_dict(spec)
-        if args.seed is not None:
-            glyph = dataclasses.replace(glyph, seed=args.seed)
         ds = generate_glyph_domain(glyph, role)
         save_dataset(ds, out)
         _echo({"out": str(out), "kind": "glyph", "n_samples": ds.n_samples,
@@ -112,8 +118,6 @@ def _cmd_generate(args) -> int:
         return 0
     elif kind == "blob_pair":
         blobs = checked(generate_blob_pair, {"seed": 0, **spec}, "blob_pair")
-        if args.seed is not None:
-            blobs["seed"] = args.seed
         src, tgt = generate_blob_pair(**blobs)
     else:
         raise ValueError(
@@ -245,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="synthesize a dataset or domain pair")
     p.add_argument("--spec", required=True, help="JSON recipe (see README)")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--seed", type=_seed, default=None,
                    help="override the recipe's seed")
     p.set_defaults(func=_cmd_generate)
 
@@ -258,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="head/tail imbalance factor (lds, ilds)")
     p.add_argument("--rho", type=float, default=0.0,
                    help="outlier fraction of the final target (two)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("train", help="adapt a model on a source/target pair")
@@ -281,13 +285,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gradcheck", help="verify gradients against central differences")
     p.add_argument("--tol", type=float, default=1e-4)
     p.add_argument("--instances", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=_cmd_gradcheck)
 
     p = sub.add_parser("probe-lds",
                        help="trace feature matching vs target accuracy under label shift")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--seed", type=_seed, default=None,
                    help="sets both the model and data seeds")
     p.add_argument("--config", default=None,
                    help="optional JSON overriding probe parameters")

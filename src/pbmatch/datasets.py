@@ -24,11 +24,12 @@ import json
 import math
 import numbers
 import re
+import sys
 import typing
 from collections import abc
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Annotated, Dict, List, Literal, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -53,17 +54,50 @@ def _quantize(x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _is_int(v) -> bool:
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+    # an exact type is judged first, since the ABC checks cost more
+    return type(v) is int or isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 def _is_float(v) -> bool:
-    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+    return type(v) is float or isinstance(v, numbers.Real) and not isinstance(v, bool)
 
+
+@dataclass(frozen=True)
+class Range:
+    """The interval of a number field, in its hint: ``Annotated[float,
+    Range(0, 1, high_open=True)]``; no ``high`` is no upper bound."""
+
+    low: float
+    high: Optional[float] = None
+    low_open: bool = False
+    high_open: bool = False
+
+    def __call__(self, v) -> bool:
+        return ((v > self.low if self.low_open else v >= self.low)
+                and (self.high is None or (v < self.high if self.high_open else v <= self.high)))
+
+    def __str__(self) -> str:
+        if self.high is None:
+            return f"{'>' if self.low_open else '>='} {self.low}"
+        return f"in {'(['[not self.low_open]}{self.low}, {self.high}{')]'[not self.high_open]}"
+
+
+# the rules that several fields share
+Weight = Annotated[float, Range(0)]
+Positive = Annotated[float, Range(0, low_open=True)]
+Count = Annotated[int, Range(1)]
+Share = Annotated[float, Range(0, 1, high_open=True)]
+# a stream is named by its seed's low 32 bits (transforms.rng), so a wider seed
+# would alias; a glyph pair renders its target from its seed + 1
+Seed = Annotated[int, Range(0, 2**32 - 1)]
+PairSeed = Annotated[int, Range(0, 2**32 - 2)]
 
 # hint -> (check, one value in words, several in words)
 _SCALARS = {
     int: (_is_int, "an integer", "integers"),
-    float: (_is_float, "a number", "numbers"),
+    # finite: NaN, the infinities and an int past every float are no setting
+    float: (lambda v: abs(v) <= sys.float_info.max if _is_int(v) else
+            _is_float(v) and math.isfinite(v), "a finite number", "finite numbers"),
     bool: (lambda v: isinstance(v, bool), "true or false", "true or false values"),
     str: (lambda v: isinstance(v, str), "a string", "strings"),
     type(None): (lambda v: v is None, "null", "nulls"),
@@ -80,6 +114,10 @@ def _want(hint, plural: bool = False) -> str:
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if hint in _SCALARS:
         return _SCALARS[hint][2 if plural else 1]
+    if origin is Annotated:
+        return f"{_want(args[0], plural)} {args[1]}"
+    if origin is Literal and all(isinstance(a, str) for a in args):
+        return f"one of {args}"
     if origin is Union:
         return " or ".join(_want(h, plural) for h in args)
     if origin is abc.Sequence or origin is tuple and args[1:] == (...,):
@@ -95,26 +133,36 @@ def _want(hint, plural: bool = False) -> str:
 
 
 def _fit(hint, v):
-    """``v`` as a value of type ``hint``: a list becomes a tuple, and an
-    object a dict or, through its ``from_dict``, a dataclass."""
-    origin, args = typing.get_origin(hint), typing.get_args(hint)
-    if hint in _SCALARS:
+    """``v`` as a value of type ``hint``: a list (or numpy array) becomes a
+    tuple, and an object a dict or, through its ``from_dict``, a dataclass."""
+    origin = typing.get_origin(hint)
+    if origin is None and hint in _SCALARS:
         if not _SCALARS[hint][0](v):
+            raise _Misfit(v)
+        return v
+    if origin is Annotated:
+        fitted = _fit(hint.__origin__, v)
+        if not hint.__metadata__[0](fitted):
+            raise _Misfit(v)
+        return fitted
+    args = typing.get_args(hint)
+    if origin is Literal:
+        if not (isinstance(v, str) and v in args):
             raise _Misfit(v)
         return v
     if origin is Union:
         if v is None and type(None) in args:
             return v
-        misfits = []
+        parts = []  # not the exceptions, whose tracebacks would pin these frames in a cycle
         for h in args:
             try:
                 return _fit(h, v)
             except _Misfit as e:
-                misfits.append(e)
+                parts.append(e.args[0])
         # name the deepest part that fits no alternative
-        raise next((e for e in misfits if e.args[0] is not v), _Misfit(v))
+        raise _Misfit(next((p for p in parts if p is not v), v))
     if origin in (abc.Sequence, tuple):
-        if not (isinstance(v, (list, tuple)) and v):
+        if not (isinstance(v, (list, tuple, np.ndarray)) and len(v) > 0):
             raise _Misfit(v)
         items = args[:1] * len(v) if origin is abc.Sequence or args[1:] == (...,) else args
         if len(items) != len(v):
@@ -127,6 +175,10 @@ def _fit(hint, v):
         return {_fit(int, int(k) if re.fullmatch(r"-?[0-9]+", str(k)) else k): _fit(args[1], x)
                 for k, x in v.items()}
     if dataclasses.is_dataclass(hint):
+        if isinstance(v, hint):
+            return v
+        if not isinstance(v, dict):
+            raise _Misfit(v)
         return hint.from_dict(v)
     raise TypeError(f"no JSON check for the type hint {hint!r}")
 
@@ -137,15 +189,18 @@ def checked(target, d, what: str) -> Dict:
 
     An unknown key, a missing required key, or a value that does not fit
     its hint raises ``ValueError`` naming ``what`` and the key: an int
-    takes no float or bool, a bool only true or false, a list is not
-    empty. Lists come back as tuples, and an object for a dataclass goes
-    through its ``from_dict``. A keyword-only parameter is for Python
-    callers and is no JSON key. A parameter whose hint cannot be checked
-    raises ``TypeError`` on every call, whatever ``d`` holds.
+    takes no float or bool, a float is finite, a bool is only true or
+    false, a list is not empty, and a ``Literal`` or a :class:`Range` in
+    ``Annotated`` states the values a field takes. Lists come back as
+    tuples, and an object for a dataclass goes through its ``from_dict``.
+    A keyword-only parameter is for Python callers and is no JSON key. A
+    parameter whose hint cannot be checked raises ``TypeError`` on every
+    call, whatever ``d`` holds.
     """
     if not isinstance(d, dict):
         raise ValueError(f"{what} must be an object, got {type(d).__name__}")
-    hints = typing.get_type_hints(target)
+    # without the extras, get_type_hints strips every Range from its hint
+    hints = typing.get_type_hints(target, include_extras=True)
     params = {name: p for name, p in inspect.signature(target).parameters.items()
               if p.kind is p.POSITIONAL_OR_KEYWORD}
     wants = {name: _want(hints.get(name)) for name in params}
@@ -170,34 +225,24 @@ def checked(target, d, what: str) -> Dict:
 
 def check_fields(obj) -> None:
     """Hold a dataclass built in Python to the JSON rules of
-    :func:`checked`: each field whose hint is a scalar, or a tuple of
-    scalars, must fit it, or ``ValueError`` names the field. So an int
-    takes no float or bool and a bool only True or False, where ``int()``
-    or truthiness would turn them into another value; a list stands for a
-    tuple, and numpy numbers count as numbers."""
-    for name, hint, fits in _field_checks(type(obj)):
+    :func:`checked`, rules in ``Literal`` and :class:`Range` included: a
+    field that does not fit its hint raises ``ValueError`` naming it and
+    its rule, where ``int()`` or truthiness would turn a float or a bool
+    into another value. Values are checked, not converted: a list or a
+    numpy array stands for a tuple, and numpy numbers count as numbers."""
+    for name, hint in _field_checks(type(obj)):
         v = getattr(obj, name)
-        # a value of exactly the hinted type fits; the rules, whose ABC
-        # checks cost more, judge the rest
-        if type(v) is not hint and not fits(v):
-            raise ValueError(f"{name} must be {_want(hint)}, got {v!r}")
+        try:
+            _fit(hint, v)
+        except _Misfit:
+            raise ValueError(f"{name} must be {_want(hint)}, got {v!r}") from None
 
 
 @functools.lru_cache(maxsize=None)
-def _field_checks(cls) -> Tuple[Tuple[str, object, Callable[[object], bool]], ...]:
-    """(name, hint, check) of each field of ``cls`` hinted a scalar or a
-    ``Tuple[scalar, ...]``; built once per class, since resolving hints is
-    slow and configs are built at every run's start."""
-    checks = []
-    for name, hint in typing.get_type_hints(cls).items():
-        args = typing.get_args(hint)
-        if hint in _SCALARS:
-            checks.append((name, hint, _SCALARS[hint][0]))
-        elif typing.get_origin(hint) is tuple and args[1:] == (...,) and args[0] in _SCALARS:
-            item = _SCALARS[args[0]][0]
-            checks.append((name, hint, lambda v, item=item: (
-                isinstance(v, (list, tuple)) and len(v) > 0 and all(map(item, v)))))
-    return tuple(checks)
+def _field_checks(cls) -> Tuple[Tuple[str, object], ...]:
+    """(name, hint) of each field of ``cls``; resolved once per class, since
+    resolving hints is slow and configs are built at every run's start."""
+    return tuple(typing.get_type_hints(cls, include_extras=True).items())
 
 
 # ---------------------------------------------------------------------------
@@ -284,32 +329,18 @@ class DomainDataset:
 class GlyphDomainSpec:
     """Rendering recipe for one glyph domain; knobs carry the domain shift."""
 
-    n_classes: int = 4
-    sub_styles: int = 2
-    samples_per_class: int = 100
-    stroke_thickness: int = 1
-    background: float = 0.1
+    n_classes: Annotated[int, Range(2, MAX_CLASSES)] = 4
+    sub_styles: Annotated[int, Range(1, MAX_SUB_STYLES)] = 2
+    samples_per_class: Count = 100
+    stroke_thickness: Annotated[int, Range(1, 3)] = 1
+    background: Annotated[float, Range(0, 0.5)] = 0.1
     invert: bool = False
-    noise: float = 0.05
-    jitter: float = 1.0
-    seed: int = 0
+    noise: Annotated[float, Range(0, 0.3)] = 0.05
+    jitter: Annotated[float, Range(0, 3)] = 1.0
+    seed: Seed = 0
 
     def __post_init__(self):
         check_fields(self)
-        if not (2 <= self.n_classes <= MAX_CLASSES):
-            raise ValueError(f"n_classes must lie in [2, {MAX_CLASSES}], got {self.n_classes}")
-        if not (1 <= self.sub_styles <= MAX_SUB_STYLES):
-            raise ValueError(f"sub_styles must lie in [1, {MAX_SUB_STYLES}], got {self.sub_styles}")
-        if self.samples_per_class < 1:
-            raise ValueError("samples_per_class must be >= 1")
-        if not (1 <= self.stroke_thickness <= 3):
-            raise ValueError(f"stroke_thickness must lie in [1, 3], got {self.stroke_thickness}")
-        if not (0.0 <= self.background <= 0.5):
-            raise ValueError(f"background must lie in [0, 0.5], got {self.background}")
-        if not (0.0 <= self.noise <= 0.3):
-            raise ValueError(f"noise must lie in [0, 0.3], got {self.noise}")
-        if not (0.0 <= self.jitter <= 3.0):
-            raise ValueError(f"jitter must lie in [0, 3], got {self.jitter}")
 
     def to_dict(self) -> Dict:
         return dataclasses.asdict(self)
@@ -436,8 +467,10 @@ def generate_glyph_pair(source: GlyphDomainSpec,
             generate_glyph_domain(target, "target"))
 
 
-def default_pair_specs(n_classes: int = 4, sub_styles: int = 2,
-                       samples_per_class: int = 100, seed: int = 0
+def default_pair_specs(n_classes: Annotated[int, Range(2, MAX_CLASSES)] = 4,
+                       sub_styles: Annotated[int, Range(1, MAX_SUB_STYLES)] = 2,
+                       samples_per_class: Count = 100,
+                       seed: PairSeed = 0
                        ) -> Tuple[GlyphDomainSpec, GlyphDomainSpec]:
     """Canonical shifted pair: thin strokes on a dark field vs thick strokes
     on a brighter, noisier field with more positional jitter.
@@ -474,10 +507,10 @@ def _generate_blob_domain(k: int, priors: np.ndarray, means: np.ndarray,
                              "n": n, "seed": seed}})
 
 
-def generate_blob_pair(k: int, source_priors: Sequence[float],
-                       target_priors: Sequence[float],
-                       means: Sequence[Sequence[float]], spread: float,
-                       n: int, seed: int) -> Tuple[DomainDataset, DomainDataset]:
+def generate_blob_pair(k: Count, source_priors: Sequence[Weight],
+                       target_priors: Sequence[Weight],
+                       means: Sequence[Sequence[float]], spread: Weight,
+                       n: Count, seed: Seed) -> Tuple[DomainDataset, DomainDataset]:
     """2-D Gaussian clusters with shared class-conditionals and per-domain
     label priors."""
     source_priors = np.asarray(source_priors, dtype=np.float64)
@@ -561,7 +594,19 @@ def save_dataset(ds: DomainDataset, path) -> None:
             ds.sublabels.astype(np.int64).astype("<u4").tobytes())
 
 
-_META_KEYS = ("kind", "shape", "class_count", "domain_role")
+_META_RULES = {"kind": Literal["images", "points"], "shape": Tuple[Annotated[int, Range(0)], ...],
+               "class_count": int, "domain_role": str}
+
+
+def read_json(path: Path, name: str):
+    """The JSON value in ``path``; ``ValueError``, starting with ``name``, for
+    text that is not JSON, ``NaN``, ``Infinity`` and ``-Infinity`` included."""
+    def refuse(token):
+        raise ValueError(f"{name} holds {token}, which is not JSON")
+    try:
+        return json.loads(path.read_text(), parse_constant=refuse)
+    except json.JSONDecodeError as e:
+        raise ValueError(f"{name} is not valid JSON: {e}") from e
 
 
 def _read_exact(path: Path, n_bytes: int) -> bytes:
@@ -588,28 +633,22 @@ def load_dataset(path) -> DomainDataset:
     """
     path = Path(path)
     meta_path = path / "meta.json"
-    try:
-        meta = json.loads(meta_path.read_text())
-    except json.JSONDecodeError as e:
-        raise ValueError(f"{meta_path} is not valid JSON: {e}") from e
+    meta = read_json(meta_path, str(meta_path))
     if not isinstance(meta, dict):
         raise ValueError(f"{meta_path} must hold a JSON object")
-    missing = [k for k in _META_KEYS if k not in meta]
+    missing = [k for k in _META_RULES if k not in meta]
     if missing:
         raise ValueError(f"{meta_path} is missing keys: {missing}")
-    if meta["kind"] not in ("images", "points"):
-        raise ValueError(f"{meta_path} key 'kind' must be images or points, "
-                         f"got {meta['kind']!r}")
+    for key, hint in _META_RULES.items():
+        try:
+            _fit(hint, meta[key])
+        except _Misfit:
+            raise ValueError(f"{meta_path} key {key!r} must be {_want(hint)}, "
+                             f"got {meta[key]!r}") from None
     shape = meta["shape"]
-    if not (isinstance(shape, list) and shape
-            and all(_is_int(v) and v >= 0 for v in shape)):
-        raise ValueError(f"{meta_path} key 'shape' must be a list of sizes, got {shape!r}")
     if len(shape) != (3 if meta["kind"] == "images" else 2):
         raise ValueError(f"{meta_path} key 'shape' {shape} does not fit kind "
                          f"{meta['kind']!r}: images are [n, H, W], points [n, d]")
-    if not _is_int(meta["class_count"]):
-        raise ValueError(f"{meta_path} key 'class_count' must be an integer, "
-                         f"got {meta['class_count']!r}")
     if not isinstance(meta.get("metadata", {}), dict):
         raise ValueError(f"{meta_path} key 'metadata' must be an object")
     n = shape[0]

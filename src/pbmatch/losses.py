@@ -28,11 +28,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Annotated, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .datasets import check_fields, checked
+from .datasets import Positive, Range, Weight, check_fields, checked
 from .nets import Cache, ModelParams, forward, trunk_grads
 
 # per-pair clamp on the disagreement divergence; unbounded KL invites
@@ -96,55 +96,42 @@ def cross_entropy(logp: np.ndarray, labels) -> Tuple[float, np.ndarray]:
 class LossConfig:
     """Weights and knobs for the combined objective.
 
-    ``entropy_ceiling`` is an absolute value in nats; build configs with
-    :meth:`for_classes` to get the default 0.85 * ln K. The ceiling gates the
+    ``entropy_ceiling`` is an absolute value in nats, or None for the default
+    0.85 * ln K that :meth:`for_classes` fills in. The ceiling gates the
     marginal-diversity term: below it the term pushes predictions apart
     (anti-collapse brake), above it legitimately skewed marginals are left
     alone.
     """
 
-    entropy_ceiling: float
-    lambda_M: float = 0.25
-    lambda_C: float = 1.0
-    lambda_U: float = 0.5
-    lambda_S: float = 0.5
-    lambda_con: float = 0.1
-    marginal_momentum: float = 0.1
-    mixup_alpha: float = 0.2
-    supervised_weight: float = 1.0
+    entropy_ceiling: Optional[Positive] = None
+    lambda_M: Weight = 0.25
+    lambda_C: Weight = 1.0
+    lambda_U: Weight = 0.5
+    lambda_S: Weight = 0.5
+    lambda_con: Weight = 0.1
+    marginal_momentum: Annotated[float, Range(0, 1, low_open=True, high_open=True)] = 0.1
+    mixup_alpha: Positive = 0.2
+    supervised_weight: Weight = 1.0
 
     def __post_init__(self):
         check_fields(self)
-        for name in ("lambda_M", "lambda_C", "lambda_U", "lambda_S",
-                     "lambda_con", "supervised_weight"):
-            v = getattr(self, name)
-            if not math.isfinite(v) or v < 0.0:
-                raise ValueError(f"{name} must be finite and >= 0, got {v}")
-        if not (0.0 < self.marginal_momentum < 1.0):
-            raise ValueError(f"marginal_momentum must lie in (0,1), got {self.marginal_momentum}")
-        if self.mixup_alpha <= 0.0:
-            raise ValueError(f"mixup_alpha must be positive, got {self.mixup_alpha}")
-        if not (self.entropy_ceiling > 0.0):
-            raise ValueError(f"entropy_ceiling must be positive, got {self.entropy_ceiling}")
 
     @classmethod
     def for_classes(cls, n_classes: int, **overrides) -> "LossConfig":
         if n_classes < 2:
             raise ValueError("need at least 2 classes")
-        overrides.setdefault("entropy_ceiling", 0.85 * math.log(n_classes))
+        if overrides.get("entropy_ceiling") is None:
+            overrides["entropy_ceiling"] = 0.85 * math.log(n_classes)
         cfg = cls(**overrides)
-        cfg.check_ceiling(n_classes)
+        if cfg.entropy_ceiling > math.log(n_classes) + 1e-12:
+            raise ValueError(
+                f"entropy_ceiling {cfg.entropy_ceiling} exceeds ln {n_classes} "
+                f"= {math.log(n_classes):.6f}")
         return cfg
 
     @classmethod
     def from_dict(cls, d: Dict) -> "LossConfig":
         return cls(**checked(cls, d, "loss config"))
-
-    def check_ceiling(self, n_classes: int) -> None:
-        if self.entropy_ceiling > math.log(n_classes) + 1e-12:
-            raise ValueError(
-                f"entropy_ceiling {self.entropy_ceiling} exceeds ln {n_classes} "
-                f"= {math.log(n_classes):.6f}")
 
 
 @dataclass
@@ -319,6 +306,8 @@ class BatchBundle:
 
 
 def _check_bundle(b: BatchBundle, cfg: LossConfig) -> None:
+    if cfg.entropy_ceiling is None:
+        raise ValueError("entropy_ceiling is unresolved; build it with LossConfig.for_classes")
     if b.distance is not None and b.distance not in _DISTANCES:
         raise ValueError(
             f"distance must be one of {sorted(_DISTANCES)} or None, got {b.distance!r}")

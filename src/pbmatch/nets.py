@@ -188,6 +188,8 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
+OPTIMIZERS = ("adam", "sgd_momentum")
+
 
 @dataclass
 class OptimState:
@@ -202,7 +204,7 @@ class OptimState:
     _v: List[np.ndarray] = field(default_factory=list)
 
     def __post_init__(self):
-        if self.kind not in ("sgd_momentum", "adam"):
+        if self.kind not in OPTIMIZERS:
             raise ValueError(f"unknown optimizer kind: {self.kind!r}")
         if not self.weight_decay >= 0:
             raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")

@@ -26,10 +26,9 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Annotated, Callable, Dict, List, Literal, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,8 +41,14 @@ from .benchmarks import (
     two_outlier_count,
 )
 from .datasets import (
+    Count,
     DomainDataset,
-    _is_float,
+    PairSeed,
+    Positive,
+    Range,
+    Seed,
+    Share,
+    Weight,
     check_fields,
     checked,
     default_pair_specs,
@@ -65,6 +70,7 @@ from .losses import (
     total_objective,
 )
 from .nets import (
+    OPTIMIZERS,
     ModelParams,
     OptimState,
     clone_params,
@@ -132,9 +138,6 @@ ABLATION_ROWS: Tuple[Tuple[str, str], ...] = (
 
 DEFAULT_SEEDS = (17, 29, 41)
 
-_MASK = 0xFFFFFFFF
-
-
 class NumericalAbort(ArithmeticError):
     """The objective produced a non-finite value; names the offending term."""
 
@@ -150,71 +153,38 @@ class NumericalAbort(ArithmeticError):
 class TrainConfig:
     """Everything a run needs besides the datasets themselves."""
 
-    method: str = "source_only"
-    epochs: int = 200
-    batch: int = 64
-    optimizer: str = "adam"
-    lr: float = 1e-3
-    momentum: float = 0.9
-    weight_decay: float = 1e-5
+    method: Literal[METHODS] = "source_only"
+    epochs: Count = 200
+    batch: Annotated[int, Range(2)] = 64  # distances need pairs
+    optimizer: Literal[OPTIMIZERS] = "adam"
+    lr: Positive = 1e-3
+    momentum: Share = 0.9
+    weight_decay: Weight = 1e-5
     loss: Optional[LossConfig] = None  # resolved per class count when None
-    dm_weight: float = 1.0
-    dm_ramp_steps: int = 10
-    hidden: Tuple[int, ...] = (128, 64)
-    seed_model: int = 17
-    seed_data: int = 0
-    eval_fraction: float = 0.2
-    initial_marginal: Optional[Tuple[float, ...]] = None
+    dm_weight: Weight = 1.0
+    dm_ramp_steps: Annotated[int, Range(0)] = 10
+    hidden: Tuple[Count, ...] = (128, 64)
+    seed_model: Annotated[int, Range(0)] = 17
+    seed_data: Seed = 0
+    eval_fraction: Annotated[float, Range(0, 0.5)] = 0.2
+    initial_marginal: Optional[Tuple[Weight, ...]] = None
 
     def __post_init__(self):
         check_fields(self)
         if self.loss is not None and not isinstance(self.loss, LossConfig):
             raise ValueError(f"loss must be a LossConfig or None, got {self.loss!r}")
-        if self.method not in METHODS:
-            raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch < 2:
-            raise ValueError(f"batch must be >= 2 (distances need pairs), got {self.batch}")
-        if self.optimizer not in ("adam", "sgd_momentum"):
-            raise ValueError(f"optimizer must be adam or sgd_momentum, got {self.optimizer!r}")
-        if not (math.isfinite(self.lr) and self.lr > 0.0):
-            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
-        if not (0.0 <= self.momentum < 1.0):
-            raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
-        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0.0):
-            raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
-        if self.seed_model < 0:
-            raise ValueError(f"seed_model must be >= 0, got {self.seed_model}")
-        if not (math.isfinite(self.dm_weight) and self.dm_weight >= 0.0):
-            raise ValueError(f"dm_weight must be finite and >= 0, got {self.dm_weight}")
-        if self.dm_ramp_steps < 0:
-            raise ValueError(f"dm_ramp_steps must be >= 0, got {self.dm_ramp_steps}")
-        if not (0.0 <= self.eval_fraction <= 0.5):
-            raise ValueError(f"eval_fraction must lie in [0, 0.5], got {self.eval_fraction}")
-        if any(h < 1 for h in self.hidden):
-            raise ValueError(f"hidden sizes must be positive, got {self.hidden}")
         self.hidden = tuple(int(h) for h in self.hidden)
-        if self.initial_marginal is not None:
-            m = self.initial_marginal
-            # a bool or a numeric string is no number, though numpy would convert it
-            q = np.asarray(m if isinstance(m, (list, tuple)) and all(map(_is_float, m)) else [],
-                           dtype=np.float64)
-            if not (np.isfinite(q).all() and (q >= 0.0).all() and q.any()):
-                raise ValueError("initial_marginal must be a list of finite, non-negative "
-                                 f"numbers, not all zero, got {self.initial_marginal!r}")
+        if self.initial_marginal is not None and not any(self.initial_marginal):
+            raise ValueError(f"initial_marginal must not be all 0, got {self.initial_marginal!r}")
 
     def resolved_loss(self, n_classes: int) -> LossConfig:
-        if self.loss is None:
-            return LossConfig.for_classes(n_classes)
-        self.loss.check_ceiling(n_classes)
-        return self.loss
+        return LossConfig.for_classes(
+            n_classes, **({} if self.loss is None else dataclasses.asdict(self.loss)))
 
     def to_dict(self) -> Dict:
         d = dataclasses.asdict(self)
         if self.initial_marginal is not None:
             d["initial_marginal"] = [float(v) for v in self.initial_marginal]
-        d["hidden"] = list(self.hidden)
         return d
 
     @classmethod
@@ -321,7 +291,7 @@ def full_set_mmd(params: ModelParams, src_x: np.ndarray, tgt_x: np.ndarray) -> f
 
 
 def _transform_token(seed_data: int, epoch: int, step_idx: int) -> int:
-    return ((int(seed_data) & _MASK) * 1_000_003 + epoch * 1_009 + step_idx) % (2 ** 31 - 1)
+    return (int(seed_data) * 1_000_003 + epoch * 1_009 + step_idx) % (2 ** 31 - 1)
 
 
 def _effective_loss(base: LossConfig, method: str, tgt_is_image: bool) -> LossConfig:
@@ -566,8 +536,9 @@ def build_benchmark_pair(spec: BenchmarkSpec, samples_per_class: int = 250,
 
 
 def ablation_suite(base_cfg: TrainConfig, benchmarks: Sequence[BenchmarkSpec],
-                   samples_per_class: int = 250, data_seed: int = 0,
-                   seeds: Sequence[int] = DEFAULT_SEEDS,
+                   samples_per_class: Count = 250,
+                   data_seed: PairSeed = 0,
+                   seeds: Sequence[Seed] = DEFAULT_SEEDS,
                    rows: Sequence[Tuple[str, str]] = ABLATION_ROWS, *,
                    progress: Optional[Callable[[str], None]] = None) -> Dict:
     """Run every component row on every benchmark; report per-seed and mean
@@ -620,16 +591,17 @@ def ablation_table_text(table: Dict) -> str:
 DEFAULT_PROBE_SCHEDULE = (1.0, 3.0, 10.0, 30.0, 100.0)
 
 
-def lds_failure_probe(priors_src: Sequence[float], priors_tgt: Sequence[float],
-                      dm_weight_schedule: Sequence[float] = DEFAULT_PROBE_SCHEDULE,
-                      n: int = 1000, spread: float = 0.5,
+def lds_failure_probe(priors_src: Sequence[Weight], priors_tgt: Sequence[Weight],
+                      dm_weight_schedule: Sequence[Weight] = DEFAULT_PROBE_SCHEDULE,
+                      # the fewest rows that split into an eval row and an adapt pair
+                      n: Annotated[int, Range(3)] = 1000, spread: Weight = 0.5,
                       means: Sequence[Sequence[float]] = ((-2.0, 0.0), (2.0, 0.0)),
-                      seed_model: int = 17, seed_data: int = 0,
-                      epochs: int = 120, batch: int = 64,
-                      hidden: Tuple[int, ...] = (32, 16),
-                      weight_decay: float = 1e-5,
-                      optimizer: str = "adam", lr: float = 1e-3,
-                      dm_ramp_steps: int = 10) -> Dict:
+                      seed_model: Annotated[int, Range(0)] = 17, seed_data: Seed = 0,
+                      epochs: Count = 120, batch: Annotated[int, Range(2)] = 64,
+                      hidden: Tuple[Count, ...] = (32, 16),
+                      weight_decay: Weight = 1e-5,
+                      optimizer: Literal[OPTIMIZERS] = "adam", lr: Positive = 1e-3,
+                      dm_ramp_steps: Annotated[int, Range(0)] = 10) -> Dict:
     """Escalate the feature-distance weight on a two-cluster pair with
     shifted label priors and record what tightly-matched features do to
     accuracy.

@@ -10,6 +10,7 @@ distribution is installed, the installed `pbmatch` launcher itself.
 
 import importlib.metadata
 import json
+import math
 from concurrent.futures import ThreadPoolExecutor
 import os
 import shutil
@@ -162,7 +163,8 @@ class TestGenerate:
     @pytest.mark.parametrize("payload,name", [
         ({"kind": "glyph", "samples_per_class": 3, "bogus": 1}, "bogus"),
         ({"kind": "glyph_pair", "source": {"bogus": 1}, "target": {}}, "bogus"),
-        ({"kind": "glyph_pair", "source": 5, "target": {}}, "must be an object"),
+        ({"kind": "glyph_pair", "source": 5, "target": {}},
+         "field 'source' must be a GlyphDomainSpec object"),
         ({"kind": "glyph_pair", "samples_per_clas": 3}, "samples_per_clas"),
         ({"kind": "glyph_pair", "n_classes": "4"}, "n_classes"),
     ], ids=["glyph", "pair_source", "pair_source_not_object", "pair_knob",
@@ -318,6 +320,39 @@ class TestTrainEval:
         assert_named_error(capsys, "initial_marginal")
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("value,name", [
+        ("1e999", "field 'mixup_alpha' must be a finite number > 0, got inf"),
+        ("-1e999", "field 'mixup_alpha' must be a finite number > 0, got -inf"),
+        ("NaN", "holds NaN, which is not JSON"),
+        ("Infinity", "holds Infinity, which is not JSON"),
+        ("-Infinity", "holds -Infinity, which is not JSON"),
+    ], ids=["overflow", "negative_overflow", "nan", "infinity", "negative_infinity"])
+    def test_a_non_finite_mixup_alpha_exits_1_by_name(self, blob_pair_dir, tmp_path, capsys,
+                                                      value, name):
+        # the concentration once reached the mixup draw and exited 2, a
+        # numerical abort in the mupbm term that named no field
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"method": "mupbm", "epochs": 1, "batch": 8, "hidden": [8], '
+                       '"loss": {"entropy_ceiling": 0.5, "mixup_alpha": %s}}' % value)
+        assert main(["train", "--config", str(cfg),
+                     "--src", str(blob_pair_dir / "source"),
+                     "--tgt", str(blob_pair_dir / "target"),
+                     "--out", str(tmp_path / "run")]) == 1
+        assert_named_error(capsys, name)
+        assert not (tmp_path / "run").exists()
+
+    def test_a_loss_dict_without_a_ceiling_trains_on_the_default(self, blob_pair_dir,
+                                                                 tmp_path, capsys):
+        cfg = write_json(tmp_path / "cfg.json", {
+            "method": "instapbm", "epochs": 1, "batch": 60, "hidden": [8],
+            "loss": {"lambda_M": 0.5}})
+        assert main(["train", "--config", cfg,
+                     "--src", str(blob_pair_dir / "source"),
+                     "--tgt", str(blob_pair_dir / "target"),
+                     "--out", str(tmp_path / "run")]) == 0
+        loss = json.loads((tmp_path / "run" / "config.json").read_text())["loss"]
+        assert loss["entropy_ceiling"] == 0.85 * math.log(2) and loss["lambda_M"] == 0.5
+
     def test_dataset_whose_kind_disagrees_with_its_rank_exits_1(self, tmp_path, capsys):
         # 3-D rows in a directory that says points: the data is refused where
         # it is read, naming its meta.json, before training sees a width
@@ -347,7 +382,7 @@ class TestTrainEval:
         ({"method": "source_only", "epoch": 3}, "epoch"),
         ({"method": "source_only", "loss": {"entropy_ceiling": 0.5, "lambda_X": 1.0}},
          "lambda_X"),
-        ({"method": "source_only", "loss": 0.5}, "loss config must be an object"),
+        ({"method": "source_only", "loss": 0.5}, "field 'loss' must be a LossConfig object"),
     ], ids=["top_level", "loss", "loss_not_object"])
     def test_unknown_config_key_exits_1(self, blob_pair_dir, tmp_path, capsys,
                                         payload, key):
@@ -363,14 +398,14 @@ class TestTrainEval:
 
 
     @pytest.mark.parametrize("payload,field", [
-        ({"method": "source_only", "loss": {"lambda_M": 1}}, "entropy_ceiling"),
+        ({"method": "source_only", "loss": {"entropy_ceiling": 0}}, "entropy_ceiling"),
         ({"method": "source_only", "hidden": 5}, "hidden"),
         ({"method": "source_only", "seed_model": -1}, "seed_model"),
         ({"method": "source_only", "lr": -1.0}, "lr"),
-        ({"method": "source_only", "lr": float("nan")}, "lr"),
+        ({"method": "source_only", "lr": float("nan")}, "holds NaN, which is not JSON"),
         ({"method": "source_only", "momentum": 1.0}, "momentum"),
-        ({"method": "dm_mmd", "dm_weight": float("inf")}, "dm_weight"),
-    ], ids=["partial_loss", "hidden_not_list", "negative_seed_model", "negative_lr", "nan_lr",
+        ({"method": "dm_mmd", "dm_weight": float("inf")}, "holds Infinity, which is not JSON"),
+    ], ids=["zero_ceiling", "hidden_not_list", "negative_seed_model", "negative_lr", "nan_lr",
             "unit_momentum", "infinite_dm_weight"])
     def test_malformed_config_field_exits_1(self, blob_pair_dir, tmp_path, capsys,
                                             payload, field):
@@ -489,9 +524,9 @@ class TestAblate:
 
 
     @pytest.mark.parametrize("train_cfg,field", [
-        ({"method": "source_only", "loss": {"lambda_M": 1}}, "entropy_ceiling"),
+        ({"method": "source_only", "loss": {"entropy_ceiling": 0}}, "entropy_ceiling"),
         ({"method": "source_only", "hidden": 5}, "hidden"),
-    ], ids=["partial_loss", "hidden_not_list"])
+    ], ids=["zero_ceiling", "hidden_not_list"])
     def test_malformed_train_field_exits_1(self, tmp_path, capsys, train_cfg, field):
         cfg = write_json(tmp_path / "abl.json", {
             "train": train_cfg,
@@ -630,6 +665,38 @@ class TestProbe:
                      "--config", cfg]) == 1
         assert_named_error(capsys, f"probe config field {name!r}")
         assert not (tmp_path / "o").exists()
+
+
+    @pytest.mark.parametrize("text,name", [
+        ('{"n": 0}', "n"),
+        ('{"n": -5}', "n"),
+        ('{"priors_src": [1e999, 0.5]}', "priors_src"),
+        ('{"spread": 1e999}', "spread"),
+    ], ids=["no_rows", "negative_rows", "infinite_prior", "infinite_spread"])
+    def test_out_of_range_config_field_exits_1_by_name(self, tmp_path, capsys, text, name):
+        # these once failed inside numpy, in messages that named no field
+        cfg = tmp_path / "p.json"
+        cfg.write_text(text)
+        assert main(["probe-lds", "--out", str(tmp_path / "o"), "--config", str(cfg)]) == 1
+        assert_named_error(capsys, f"probe config field {name!r}")
+        assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--spec", "blobs.json", "--out", "o"],
+    ["bench", "--kind", "lds", "--in", "pair", "--out", "o"],
+    ["gradcheck", "--instances", "1"],
+    ["probe-lds", "--out", "o"],
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("seed", ["-1", "4294967296", "1.5"])
+def test_every_seed_flag_takes_only_a_32_bit_seed(tmp_path, capsys, monkeypatch, argv, seed):
+    # a stream keeps its seed's low 32 bits, so --seed -1 once ran as 2**32 - 1
+    monkeypatch.chdir(tmp_path)
+    write_json(tmp_path / "blobs.json", _BLOB)
+    assert main([*argv, "--seed", seed]) == 1
+    err = capsys.readouterr().err
+    assert f"argument --seed: must be an integer in [0, 4294967295], got '{seed}'" in err
+    assert not (tmp_path / "o").exists()
 
 
 class TestBlasThreads:

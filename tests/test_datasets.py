@@ -1,10 +1,14 @@
 """Synthetic domain generators: determinism, balance, and disk round-trips."""
 
+import dataclasses
+import gc
 import inspect
 import itertools
 import json
+import math
 import os
 import typing
+from collections import abc
 from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -29,6 +33,7 @@ from pbmatch.datasets import (
     save_dataset,
 )
 from pbmatch.benchmarks import BenchmarkSpec
+from pbmatch.cli import _load_json
 from pbmatch.losses import LossConfig, backward
 from pbmatch.nets import OptimState, init_params, predict_logits, step
 from pbmatch.training import TrainConfig, ablation_suite, lds_failure_probe
@@ -58,6 +63,20 @@ from oracles import head_objective, oracle_glyph_domain, traced_peak
 def test_spec_rejects_out_of_range_knobs(kwargs):
     with pytest.raises(ValueError):
         GlyphDomainSpec(**kwargs)
+
+
+@pytest.mark.parametrize("build", [
+    lambda seed: GlyphDomainSpec(seed=seed),
+    lambda seed: TrainConfig(seed_data=seed),
+    lambda seed: BenchmarkSpec(kind="LDS", seed=seed),
+], ids=["glyph_spec", "train_config", "benchmark_spec"])
+@pytest.mark.parametrize("seed", [-1, 2**32])
+def test_a_seed_past_32_bits_is_refused_not_aliased(build, seed):
+    # a stream keeps its seed's low 32 bits: seed -1 rendered the bytes of
+    # 2**32 - 1, and 2**32 trained the run of 0
+    with pytest.raises(ValueError, match=rf"seed\w* must be an integer in \[0, 4294967295\], "
+                                         rf"got {seed}"):
+        build(seed)
 
 
 def test_spec_dict_round_trip():
@@ -90,12 +109,109 @@ JSON_TARGETS = [GlyphDomainSpec, TrainConfig, LossConfig, BenchmarkSpec, default
 @pytest.mark.parametrize("target", JSON_TARGETS, ids=lambda t: t.__name__)
 def test_checked_can_check_every_hint_a_json_reader_feeds(target):
     # a field whose hint checked cannot check would pass a JSON value unchecked
-    hints = typing.get_type_hints(target)
+    hints = typing.get_type_hints(target, include_extras=True)
     params = [p for p in inspect.signature(target).parameters.values()
               if p.kind is p.POSITIONAL_OR_KEYWORD]
     assert params
     for p in params:
         assert _want(hints[p.name]), p.name
+
+
+# one valid JSON object per target; every case below changes one key of it
+_MINIMAL = {
+    GlyphDomainSpec: {}, TrainConfig: {}, LossConfig: {}, BenchmarkSpec: {"kind": "LDS"},
+    default_pair_specs: {}, generate_glyph_pair: {"source": {}, "target": {}},
+    generate_blob_pair: {"k": 2, "source_priors": [0.5, 0.5], "target_priors": [0.7, 0.3],
+                         "means": [[-2, 0], [2, 0]], "spread": 0.5, "n": 40, "seed": 0},
+    ablation_suite: {"base_cfg": {}, "benchmarks": [{"kind": "LDS"}]},
+    lds_failure_probe: {"priors_src": [0.5, 0.5], "priors_tgt": [0.7, 0.3]},
+}
+# values no field takes (JSON spells the infinities 1e999 and -1e999, and has
+# no NaN), then values that only a bool or a string field takes
+_NON_FINITE = [float("nan"), float("inf"), -float("inf")]
+_OTHER_TYPES = [True, "text"]
+
+
+def _leaf(hint):
+    """The first scalar or object hint inside ``hint``, and a function that
+    places a value there: inside a list, or in an Optional's first choice."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is Union:
+        return _leaf(args[0])
+    if origin in (abc.Sequence, tuple):
+        leaf, wrap = _leaf(args[0])
+        n = 1 if origin is abc.Sequence or args[1:] == (...,) else len(args)
+        return leaf, lambda v: [wrap(v)] * n
+    return hint, lambda v: v
+
+
+def _rule_values(hint):
+    """Each edge of a leaf hint's rule and one step either side of it, or
+    each value of a Literal and one more."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is typing.Literal:
+        return [*args, "none of these"]
+    if origin is not typing.Annotated:
+        return []
+    base, rule = args
+    edges = [rule.low] + ([] if rule.high is None else [rule.high])
+    if base is int:
+        return [e + step for e in edges for step in (-1, 0, 1)]
+    return [v for e in map(float, edges)
+            for v in (math.nextafter(e, -math.inf), e, math.nextafter(e, math.inf))]
+
+
+@pytest.mark.parametrize("target", JSON_TARGETS, ids=lambda t: t.__name__)
+def test_every_json_field_takes_what_its_rule_allows_or_refuses_it_by_name(target, tmp_path):
+    # every value derived from a field's rule, read as a config file is: it
+    # is accepted, or refused with a ValueError naming its key
+    assert set(_MINIMAL) == set(JSON_TARGETS)
+    hints = typing.get_type_hints(target, include_extras=True)
+    path = tmp_path / "in.json"
+    for name, p in inspect.signature(target).parameters.items():
+        if p.kind is not p.POSITIONAL_OR_KEYWORD:
+            continue
+        leaf, wrap = _leaf(hints[name])
+        ruled = _rule_values(leaf)
+        outcomes = {}
+        junk = _NON_FINITE + _OTHER_TYPES
+        for value in [*junk, *map(wrap, junk + ruled)]:
+            payload = {**_MINIMAL[target], name: value}
+            path.write_text(json.dumps(payload).replace("Infinity", "1e999"))
+            try:
+                d = _load_json(path, "config")
+            except ValueError as e:
+                assert "holds NaN, which is not JSON" in str(e)
+                d = payload
+            try:
+                kwargs = checked(target, d, "config")
+                if dataclasses.is_dataclass(target):
+                    target(**kwargs)
+                outcomes[repr(value)] = True
+            except ValueError as e:
+                assert f"field '{name}'" in str(e) or str(e).startswith(f"{name} "), (
+                    target.__name__, name, value, str(e))
+                outcomes[repr(value)] = False
+        assert not any(outcomes[repr(v)] or outcomes[repr(wrap(v))] for v in _NON_FINITE), (
+            target.__name__, name)
+        if ruled:
+            # a rule both takes and refuses some of its edge values
+            assert {outcomes[repr(wrap(v))] for v in ruled} == {True, False}, (
+                target.__name__, name)
+
+
+def test_checking_a_union_field_leaves_no_garbage_cycle():
+    # a kept _Misfit's traceback holds the checking frames, and through them
+    # the callers' frames and arrays, until the cyclic collector runs; and
+    # configs are checked at every run's start
+    gc.collect()
+    gc.disable()
+    try:
+        BenchmarkSpec(kind="LDS")
+        BenchmarkSpec.from_dict({"kind": "LDS", "class_order": "random"})
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def _reader(a: int, b: float = 0.5, c: bool = False, d: str = "x",
@@ -120,18 +236,18 @@ def test_checked_converts_what_fits():
 @pytest.mark.parametrize("payload,msg", [
     ({"a": 2.0}, "reader field 'a' must be an integer, got 2.0"),
     ({"a": True}, "reader field 'a' must be an integer, got True"),
-    ({"a": 1, "b": False}, "reader field 'b' must be a number, got False"),
+    ({"a": 1, "b": False}, "reader field 'b' must be a finite number, got False"),
     ({"a": 1, "c": 1}, "reader field 'c' must be true or false, got 1"),
     ({"a": 1, "c": "no"}, "reader field 'c' must be true or false, got 'no'"),
     ({"a": 1, "d": None}, "reader field 'd' must be a string, got None"),
     ({"a": 1, "e": []}, r"reader field 'e' must be a list of integers \(not empty\) or null"),
     ({"a": 1, "e": [1, 2.5]}, r"field 'e' holds 2.5, but e must be a list of integers"),
-    ({"a": 1, "f": [[]]}, r"field 'f' holds \[\], but f must be a list of lists of numbers"),
+    ({"a": 1, "f": [[]]}, r"field 'f' holds \[\], but f must be a list of lists of finite numbers"),
     ({"a": 1, "g": [["x"]]}, r"field 'g' holds \['x'\], but g must be a list of lists of 2"),
     ({"a": 1, "h": {"1.5": 0}}, "field 'h' holds '1.5', but h must be an object mapping "
                                 "integers to integers or null"),
     ({"a": 1, "h": {"1": "0"}}, "field 'h' holds '0'"),
-    ({"a": 1, "i": "all", "j": 3}, "loss config must be an object"),
+    ({"a": 1, "i": "all", "j": 3}, "reader field 'j' must be a LossConfig object or null, got 3"),
     ({"a": 1, "i": 3}, r"field 'i' must be a list of integers \(not empty\) or a string"),
     ({"a": 1, "hook": None}, r"unknown reader keys: \['hook'\]"),
     ({"b": 1.0}, r"reader is missing required keys: \['a'\]"),
@@ -162,15 +278,16 @@ def test_checked_raises_on_a_hint_it_cannot_check_whatever_the_value():
     (lambda: TrainConfig(batch=2.5), "batch must be an integer"),
     (lambda: TrainConfig(epochs=True), "epochs must be an integer"),
     (lambda: TrainConfig(seed_model=1.5), "seed_model must be an integer"),
-    (lambda: TrainConfig(lr="0.1"), "lr must be a number"),
+    (lambda: TrainConfig(lr="0.1"), "lr must be a finite number"),
     (lambda: TrainConfig(initial_marginal=(True, False)), "initial_marginal must be a list of"),
     (lambda: TrainConfig(initial_marginal=("0.5", "0.5")), "initial_marginal must be a list of"),
-    (lambda: BenchmarkSpec(kind="LDS", imbalance_factor=True), "imbalance_factor must be a number"),
+    (lambda: BenchmarkSpec(kind="LDS", imbalance_factor=True),
+     "imbalance_factor must be a finite number"),
     (lambda: BenchmarkSpec(kind="LDS", seed=1.5), "seed must be an integer"),
     (lambda: BenchmarkSpec(kind="LDS", class_order=(1.7, 0.2, 2.9, 3.5)),
-     "class_order must be a permutation"),
-    (lambda: BenchmarkSpec(kind="LDS", class_order=5), "class_order must be a permutation"),
-    (lambda: LossConfig(entropy_ceiling=1.0, lambda_M=True), "lambda_M must be a number"),
+     "class_order must be a list of integers"),
+    (lambda: BenchmarkSpec(kind="LDS", class_order=5), "class_order must be a list of integers"),
+    (lambda: LossConfig(entropy_ceiling=1.0, lambda_M=True), "lambda_M must be a finite number"),
     (lambda: GlyphDomainSpec(invert="no"), "invert must be true or false"),
     (lambda: GlyphDomainSpec(samples_per_class=7.5), "samples_per_class must be an integer"),
     (lambda: TrainConfig(loss={"entropy_ceiling": 1.0}), "loss must be a LossConfig or None"),
@@ -275,7 +392,7 @@ def _oracle_grid(samples_per_class):
 
 
 @pytest.mark.parametrize("samples_per_class", [1, 7, 250])
-@pytest.mark.parametrize("seed", [0, 2**32 - 1, -5])
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32 - 5])
 def test_glyph_domain_equals_the_per_sample_oracle_byte_for_byte(samples_per_class, seed):
     for (k, noise, jitter), (s, thickness, invert) in _oracle_grid(samples_per_class):
         spec = GlyphDomainSpec(n_classes=k, sub_styles=s, samples_per_class=samples_per_class,
@@ -624,8 +741,8 @@ def test_load_names_a_key_missing_from_meta(tmp_path, key):
 
 
 @pytest.mark.parametrize("key,value,msg", [
-    ("kind", "voxels", "'kind' must be images or points"),
-    ("shape", [12, "16", 16], "'shape' must be a list of sizes"),
+    ("kind", "voxels", "'kind' must be one of \\('images', 'points'\\), got 'voxels'"),
+    ("shape", [12, "16", 16], "'shape' must be a list of integers >= 0"),
     ("class_count", "4", "'class_count' must be an integer"),
     ("metadata", 5, "'metadata' must be an object"),
     ("domain_role", "sideways", "domain_role must be one of"),
@@ -663,6 +780,9 @@ def test_load_refuses_a_kind_that_disagrees_with_the_rank(tmp_path, kind, shape)
 @pytest.mark.parametrize("text,msg", [
     ("{not json", "not valid JSON"),
     ("[1]", "JSON object"),
+    # Python's reader takes these tokens, so a NaN in the metadata once loaded
+    *[(f'{{"metadata": {{"noise": {t}}}}}', f"holds {t}, which is not JSON")
+      for t in ("NaN", "Infinity", "-Infinity")],
 ])
 def test_load_names_a_malformed_meta_file(tmp_path, text, msg):
     path = _saved(tmp_path)

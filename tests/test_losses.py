@@ -162,9 +162,16 @@ class TestLossConfig:
             LossConfig(entropy_ceiling=1.0, mixup_alpha=0.0)
 
     def test_rejects_ceiling_above_ln_k(self):
-        cfg = LossConfig(entropy_ceiling=math.log(3) + 0.1)
         with pytest.raises(ValueError, match="entropy_ceiling"):
-            cfg.check_ceiling(3)
+            LossConfig.for_classes(3, entropy_ceiling=math.log(3) + 0.1)
+
+    def test_an_unset_ceiling_takes_the_default_for_k(self):
+        assert LossConfig(lambda_M=0.5).entropy_ceiling is None
+        for ceiling in (None, 0.85 * math.log(4)):
+            cfg = LossConfig.for_classes(4, entropy_ceiling=ceiling, lambda_M=0.5)
+            assert cfg == LossConfig(entropy_ceiling=0.85 * math.log(4), lambda_M=0.5)
+        with pytest.raises(ValueError, match="need at least 2 classes"):
+            LossConfig.for_classes(1)
 
 
 class TestMarginalTracker:
@@ -790,6 +797,11 @@ class TestTotalObjective:
         cfg = LossConfig.for_classes(3, lambda_M=0.0, lambda_C=0.0, lambda_U=0.0)
         with pytest.raises(ValueError, match="coral distance requires a target batch"):
             total_objective(bundle, params, cfg, MarginalTracker.uniform(3))
+
+    def test_an_unresolved_ceiling_is_refused_by_name(self):
+        params, bundle = self._setup(seed=15)
+        with pytest.raises(ValueError, match="entropy_ceiling is unresolved"):
+            total_objective(bundle, params, LossConfig(), MarginalTracker.uniform(3))
 
     def test_unknown_distance_rejected(self):
         params, bundle = self._setup(seed=14)
