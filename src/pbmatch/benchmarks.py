@@ -4,15 +4,16 @@ Three kinds, all operating on the target side only (the source dataset is
 never resampled):
 
 - LDS: long-tail the target label marginal with a single imbalance factor.
-- ILDS: keep meta-class labels but long-tail the sub-class composition
-  inside every meta-class.
+- ILDS: the LDS long tail applied to the sub-classes inside each
+  meta-class, then the labels replaced by meta-classes.
 - TwO: append out-of-support images, drawn from a plain [m, H, W] pool
   array, carrying the sentinel label -1.
 
 Counts follow the exponential decay n_k = round(n_max * IF^(-k/(K-1))),
-the standard single-knob long-tail construction. Everything is
-deterministic in (input, spec). Each constructor returns a new
-``DomainDataset``, whose one images array is checked as it is built.
+the standard single-knob long-tail construction, which one resampler
+applies for LDS and ILDS; both refuse a target holding outlier rows, so
+TwO comes last. Everything is deterministic in (input, spec). Each
+constructor returns a new ``DomainDataset``, checked as it is built.
 """
 
 from __future__ import annotations
@@ -111,21 +112,39 @@ def _resolve_class_order(spec: BenchmarkSpec, class_count: int) -> np.ndarray:
     return order
 
 
-def _balanced_count(counts: np.ndarray, what: str) -> int:
-    present = counts[counts > 0]
-    if present.size == 0:
+def _long_tail(labels: np.ndarray, groups: Sequence[int], factor: float, seed: int,
+               salt: int, what: str) -> Tuple[np.ndarray, np.ndarray]:
+    """Rows kept, and the count kept per group, when the balanced ``groups``
+    (head first) decay by ``factor``: group g keeps the head of its rows
+    shuffled by the stream ``rng(seed, salt + g)``."""
+    counts = np.array([(labels == g).sum() for g in sorted(groups)], dtype=np.int64)
+    if not counts.any():
         raise ValueError(f"no samples found for {what}")
     if counts.min() != counts.max():
         raise ValueError(
             f"{what} must be balanced before resampling, got counts {counts.tolist()}")
-    return int(counts[0])
-
-
-def _check_tail(counts: np.ndarray, n_max: int, factor: float) -> None:
-    if counts[-1] == 0:
+    n_max = int(counts[0])
+    kept = decay_counts(n_max, len(groups), factor)
+    if kept[-1] == 0:
         raise ValueError(
             f"imbalance factor {factor} drives the tail to 0 of {n_max} samples "
             "per class; generate more samples per class or lower the factor")
+    selected = []
+    for g, n in zip(groups, kept):
+        rows = np.flatnonzero(labels == g)
+        selected.append(rows[rng(seed, salt + int(g)).permutation(rows.size)][:n])
+    return np.concatenate(selected), kept
+
+
+def _checked_target(target: DomainDataset, spec: BenchmarkSpec, kind: str,
+                    caller: str) -> None:
+    if spec.kind != kind:
+        raise ValueError(f"{caller} needs kind {kind}, got {spec.kind}")
+    n_out = int((target.labels == OUTLIER_LABEL).sum())
+    if n_out:
+        raise ValueError(
+            f"{kind} needs a target without outlier rows, got {n_out} rows labeled "
+            f"{OUTLIER_LABEL}; build TwO last, on the {kind} target")
 
 
 # ---------------------------------------------------------------------------
@@ -134,44 +153,32 @@ def _check_tail(counts: np.ndarray, n_max: int, factor: float) -> None:
 
 def resample_lds(target: DomainDataset, spec: BenchmarkSpec) -> DomainDataset:
     """Keep a decaying sample count per class, majority first in class_order."""
-    if spec.kind != "LDS":
-        raise ValueError(f"resample_lds needs kind LDS, got {spec.kind}")
+    _checked_target(target, spec, "LDS", "resample_lds")
     k = target.class_count
-    counts_in = np.bincount(target.labels, minlength=k)
-    n_max = _balanced_count(counts_in, "target classes")
     order = _resolve_class_order(spec, k)
-    kept = decay_counts(n_max, k, spec.imbalance_factor)
-    _check_tail(kept, n_max, spec.imbalance_factor)
-
-    selected = []
-    for position, cls in enumerate(order):
-        rows = np.flatnonzero(target.labels == cls)
-        shuffled = rows[rng(spec.seed, _SALT_LDS_ROWS + int(cls)).permutation(rows.size)]
-        selected.append(shuffled[: kept[position]])
-    indices = np.sort(np.concatenate(selected))
-
-    out = target.take(indices)
-    hist = np.bincount(out.labels, minlength=k)
+    rows, _ = _long_tail(target.labels, order, spec.imbalance_factor, spec.seed,
+                         _SALT_LDS_ROWS, "target classes")
+    out = target.take(np.sort(rows))
     out.metadata["benchmark"] = {
         "kind": "LDS",
         "imbalance_factor": spec.imbalance_factor,
         "class_order": [int(c) for c in order],
         "seed": spec.seed,
-        "achieved_histogram": hist.tolist(),
+        "achieved_histogram": np.bincount(out.labels, minlength=k).tolist(),
         "tv_vs_uniform": label_histogram(out)[1],
     }
     return out
 
 
 # ---------------------------------------------------------------------------
-# ILDS: long-tail the sub-class mix inside each meta-class
+# ILDS: the LDS long tail inside each meta-class
 # ---------------------------------------------------------------------------
 
 def relabel_to_meta(ds: DomainDataset, spec: BenchmarkSpec) -> DomainDataset:
     """Replace labels by the meta-class of each sublabel; no resampling.
 
-    This is the source-side half of the ILDS construction: pixel data is
-    carried over byte-identically, only the label vector changes.
+    The source-side half of the ILDS construction and the target side's
+    last step: pixels carry over byte-identically, only the labels change.
     """
     mapping, meta_count = _validated_meta_map(ds, spec)
     labels = np.array([mapping[int(s)] for s in ds.sublabels], dtype=np.int64)
@@ -198,39 +205,23 @@ def _validated_meta_map(ds: DomainDataset, spec: BenchmarkSpec) -> Tuple[Dict[in
 
 
 def build_ilds(target: DomainDataset, spec: BenchmarkSpec) -> DomainDataset:
-    """Relabel to meta-classes and long-tail sub-classes within each meta."""
-    if spec.kind != "ILDS":
-        raise ValueError(f"build_ilds needs kind ILDS, got {spec.kind}")
+    """Long-tail the sub-classes of each meta-class, in a seeded order per
+    meta-class, then relabel to meta-classes."""
+    _checked_target(target, spec, "ILDS", "build_ilds")
     mapping, meta_count = _validated_meta_map(target, spec)
-    sublabels = target.sublabels
-    per_meta: Dict[int, list] = {m: [] for m in range(meta_count)}
-    for sub in np.unique(sublabels):
-        per_meta[mapping[int(sub)]].append(int(sub))
-
+    present = np.unique(target.sublabels).tolist()
     selected = []
     sub_histograms: Dict[str, Dict[str, int]] = {}
     for meta in range(meta_count):
-        subs = sorted(per_meta[meta])
-        sub_counts = np.array([(sublabels == s).sum() for s in subs])
-        n_max = _balanced_count(sub_counts, f"meta-class {meta} sub-classes")
-        kept = decay_counts(n_max, len(subs), spec.imbalance_factor)
-        _check_tail(kept, n_max, spec.imbalance_factor)
+        subs = [s for s in present if mapping[s] == meta]
         order = rng(spec.seed, _SALT_ILDS_ORDER + meta).permutation(len(subs))
-        sub_histograms[str(meta)] = {}
-        for position, oi in enumerate(order):
-            sub = subs[oi]
-            rows = np.flatnonzero(sublabels == sub)
-            shuffled = rows[rng(spec.seed, _SALT_ILDS_ROWS + sub).permutation(rows.size)]
-            selected.append(shuffled[: kept[position]])
-            sub_histograms[str(meta)][str(sub)] = int(kept[position])
-    indices = np.sort(np.concatenate(selected))
+        groups = [subs[i] for i in order]
+        rows, kept = _long_tail(target.sublabels, groups, spec.imbalance_factor,
+                                spec.seed, _SALT_ILDS_ROWS, f"meta-class {meta} sub-classes")
+        selected.append(rows)
+        sub_histograms[str(meta)] = {str(s): int(n) for s, n in zip(groups, kept)}
 
-    trimmed = target.take(indices)
-    labels = np.array([mapping[int(s)] for s in trimmed.sublabels], dtype=np.int64)
-    out = DomainDataset(
-        images=trimmed.images, labels=labels, class_count=meta_count,
-        domain_role=trimmed.domain_role, sublabels=trimmed.sublabels,
-        metadata=dict(trimmed.metadata))
+    out = relabel_to_meta(target.take(np.sort(np.concatenate(selected))), spec)
     out.metadata["benchmark"] = {
         "kind": "ILDS",
         "imbalance_factor": spec.imbalance_factor,

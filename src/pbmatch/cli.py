@@ -32,6 +32,7 @@ from .benchmarks import (
 )
 from .datasets import (
     GlyphDomainSpec,
+    PairSeed,
     Seed,
     checked,
     default_pair_specs,
@@ -96,6 +97,10 @@ def _cmd_generate(args) -> int:
     kind = spec.pop("kind", None)
     out = Path(args.out)
     explicit = kind == "glyph_pair" and ("source" in spec or "target" in spec)
+    rule = PairSeed.__metadata__[0]
+    if kind == "glyph_pair" and args.seed is not None and not rule(args.seed):
+        raise ValueError(f"argument --seed: a glyph pair's seed must be an integer {rule}, "
+                         f"since its target renders from seed + 1, got {args.seed}")
     if args.seed is not None and not explicit:
         spec["seed"] = args.seed
     if explicit:

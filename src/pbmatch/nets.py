@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from pbmatch.datasets import _is_int
-from pbmatch.transforms import ST_TASKS, _ST_OPS
+from pbmatch.transforms import ST_TASKS, _ST_OPS, rng
 
 # pretext task identifier -> number of prediction classes, one per task label
 TASK_CLASSES = {task: _ST_OPS[task][1] for task in ST_TASKS}
@@ -68,10 +68,10 @@ class ModelParams:
         raise ValueError(f"unknown head: {head!r} (have label, {', '.join(self.omega)})")
 
 
-def _dense_init(rng: np.random.Generator, fan_in: int, fan_out: int) -> Pair:
+def _dense_init(gen: np.random.Generator, fan_in: int, fan_out: int) -> Pair:
     # Kaiming-style fan-in scaling: uniform with std sqrt(2/fan_in)
     limit = np.sqrt(6.0 / fan_in)
-    return rng.uniform(-limit, limit, (fan_in, fan_out)), np.zeros(fan_out)
+    return gen.uniform(-limit, limit, (fan_in, fan_out)), np.zeros(fan_out)
 
 
 def _checked_spec(spec: Sequence[int], tasks: Sequence[str]) -> List[int]:
@@ -116,9 +116,9 @@ def init_params(spec: Sequence[int], seed: int,
     Deterministic in the seed.
     """
     spec = _checked_spec(spec, tasks)
-    rng = np.random.default_rng(seed)
+    gen = rng(seed)
     return _assemble(spec, seed, tasks,
-                     [_dense_init(rng, *shape) for shape in _layer_shapes(spec, tasks)])
+                     [_dense_init(gen, *shape) for shape in _layer_shapes(spec, tasks)])
 
 
 def clone_params(params: ModelParams) -> ModelParams:

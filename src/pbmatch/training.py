@@ -164,7 +164,7 @@ class TrainConfig:
     dm_weight: Weight = 1.0
     dm_ramp_steps: Annotated[int, Range(0)] = 10
     hidden: Tuple[Count, ...] = (128, 64)
-    seed_model: Annotated[int, Range(0)] = 17
+    seed_model: Seed = 17
     seed_data: Seed = 0
     eval_fraction: Annotated[float, Range(0, 0.5)] = 0.2
     initial_marginal: Optional[Tuple[Weight, ...]] = None
@@ -519,7 +519,8 @@ def shift_pair(src: DomainDataset, tgt: DomainDataset, spec: BenchmarkSpec
                 raise ValueError("ILDS needs a dataset with sublabels")
             spec = dataclasses.replace(spec, meta_class_map={
                 int(s): int(c) for s, c in zip(tgt.sublabels, tgt.labels)})
-        return relabel_to_meta(src, spec), build_ilds(tgt, spec), spec
+        tgt = build_ilds(tgt, spec)  # first, so outlier rows are named as such
+        return relabel_to_meta(src, spec), tgt, spec
     n_out = two_outlier_count(tgt.n_samples, spec.outlier_fraction)
     pool = outlier_pool("inverted_random", max(2 * n_out, 8), seed=spec.seed)
     return src, inject_two(tgt, pool, spec), spec
@@ -596,7 +597,7 @@ def lds_failure_probe(priors_src: Sequence[Weight], priors_tgt: Sequence[Weight]
                       # the fewest rows that split into an eval row and an adapt pair
                       n: Annotated[int, Range(3)] = 1000, spread: Weight = 0.5,
                       means: Sequence[Sequence[float]] = ((-2.0, 0.0), (2.0, 0.0)),
-                      seed_model: Annotated[int, Range(0)] = 17, seed_data: Seed = 0,
+                      seed_model: Seed = 17, seed_data: Seed = 0,
                       epochs: Count = 120, batch: Annotated[int, Range(2)] = 64,
                       hidden: Tuple[Count, ...] = (32, 16),
                       weight_decay: Weight = 1e-5,
@@ -617,8 +618,9 @@ def lds_failure_probe(priors_src: Sequence[Weight], priors_tgt: Sequence[Weight]
     """
     priors_src = [float(p) for p in priors_src]
     priors_tgt = [float(p) for p in priors_tgt]
-    if len(priors_src) != 2 or len(priors_tgt) != 2:
-        raise ValueError("the probe is a 2-class construction")
+    for name, priors in (("priors_src", priors_src), ("priors_tgt", priors_tgt)):
+        if len(priors) != 2 or abs(sum(priors) - 1.0) > 1e-9:
+            raise ValueError(f"{name} must be 2 values summing to 1 (a 2-class probe), got {priors}")
     tv = 0.5 * sum(abs(a - b) for a, b in zip(priors_src, priors_tgt))
     src, tgt = generate_blob_pair(2, priors_src, priors_tgt, means, spread,
                                   n, seed=seed_data)

@@ -26,6 +26,7 @@ from pbmatch.datasets import (
     generate_glyph_domain,
     outlier_pool,
 )
+from pbmatch.transforms import rng
 
 
 def _balanced_glyphs(samples_per_class=100, seed=0, role="target"):
@@ -325,6 +326,128 @@ def test_ilds_deterministic():
     a, b = build_ilds(ds, spec), build_ilds(ds, spec)
     assert np.array_equal(np.asarray(a.images), np.asarray(b.images))
     assert np.array_equal(a.labels, b.labels)
+
+
+# ---------------------------------------------------------------------------
+# one long-tail resampler for LDS and ILDS
+# ---------------------------------------------------------------------------
+
+def _reference_lds(target, spec):
+    """LDS as two separate loops once wrote it, on a balanced target."""
+    k = target.class_count
+    n_max = int(np.bincount(target.labels, minlength=k)[0])
+    if isinstance(spec.class_order, str):
+        order = rng(spec.seed, 7).permutation(k)
+    else:
+        order = np.asarray(spec.class_order, dtype=np.int64)
+    kept = decay_counts(n_max, k, spec.imbalance_factor)
+    selected = []
+    for position, cls in enumerate(order):
+        rows = np.flatnonzero(target.labels == cls)
+        shuffled = rows[rng(spec.seed, 1000 + int(cls)).permutation(rows.size)]
+        selected.append(shuffled[: kept[position]])
+    out = target.take(np.sort(np.concatenate(selected)))
+    out.metadata["benchmark"] = {
+        "kind": "LDS",
+        "imbalance_factor": spec.imbalance_factor,
+        "class_order": [int(c) for c in order],
+        "seed": spec.seed,
+        "achieved_histogram": np.bincount(out.labels, minlength=k).tolist(),
+        "tv_vs_uniform": label_histogram(out)[1],
+    }
+    return out
+
+
+def _reference_ilds(target, spec):
+    """ILDS as two separate loops once wrote it, on a balanced target."""
+    mapping = {int(k): int(v) for k, v in spec.meta_class_map.items()}
+    meta_count = len(set(mapping.values()))
+    sublabels = target.sublabels
+    per_meta = {m: [] for m in range(meta_count)}
+    for sub in np.unique(sublabels):
+        per_meta[mapping[int(sub)]].append(int(sub))
+    selected = []
+    sub_histograms = {}
+    for meta in range(meta_count):
+        subs = sorted(per_meta[meta])
+        n_max = int((sublabels == subs[0]).sum())
+        kept = decay_counts(n_max, len(subs), spec.imbalance_factor)
+        order = rng(spec.seed, 2000 + meta).permutation(len(subs))
+        sub_histograms[str(meta)] = {}
+        for position, oi in enumerate(order):
+            sub = subs[oi]
+            rows = np.flatnonzero(sublabels == sub)
+            shuffled = rows[rng(spec.seed, 2500 + sub).permutation(rows.size)]
+            selected.append(shuffled[: kept[position]])
+            sub_histograms[str(meta)][str(sub)] = int(kept[position])
+    trimmed = target.take(np.sort(np.concatenate(selected)))
+    labels = np.array([mapping[int(s)] for s in trimmed.sublabels], dtype=np.int64)
+    out = DomainDataset(
+        images=trimmed.images, labels=labels, class_count=meta_count,
+        domain_role=trimmed.domain_role, sublabels=trimmed.sublabels,
+        metadata=dict(trimmed.metadata))
+    out.metadata["benchmark"] = {
+        "kind": "ILDS",
+        "imbalance_factor": spec.imbalance_factor,
+        "meta_class_map": {str(k): v for k, v in mapping.items()},
+        "seed": spec.seed,
+        "achieved_histogram": np.bincount(out.labels, minlength=meta_count).tolist(),
+        "sub_histograms": sub_histograms,
+        "tv_vs_uniform": label_histogram(out)[1],
+    }
+    return out
+
+
+def _styled_points(classes, styles, per_style=20):
+    """Shuffled points: class c, sub-style st carries sublabel c * styles + st."""
+    gen = np.random.default_rng([classes, styles])
+    sublabels = gen.permutation(np.repeat(np.arange(classes * styles), per_style))
+    return DomainDataset(images=gen.normal(size=(sublabels.size, 2)),
+                         labels=sublabels // styles, class_count=classes,
+                         domain_role="target", sublabels=sublabels)
+
+
+def _assert_same_dataset(got, want):
+    assert got.images.tobytes() == want.images.tobytes()
+    assert got.labels.tobytes() == want.labels.tobytes()
+    assert got.sublabels.tobytes() == want.sublabels.tobytes()
+    assert got.class_count == want.class_count
+    assert got.metadata["benchmark"] == want.metadata["benchmark"]
+    assert json.dumps(got.metadata["benchmark"]) == json.dumps(want.metadata["benchmark"])
+
+
+@pytest.mark.parametrize("styles", [1, 2, 3, 4])
+@pytest.mark.parametrize("classes", [2, 3, 4, 5, 6])
+def test_the_shared_resampler_matches_the_two_loops(classes, styles):
+    ds = _styled_points(classes, styles)
+    meta_map = {int(s): int(c) for s, c in zip(ds.sublabels, ds.labels)}
+    for seed in range(10):
+        explicit = np.random.default_rng([seed, classes]).permutation(classes).tolist()
+        for factor in (1.0, 2.0, 9.5, 10.0):
+            for order in (explicit, "random"):
+                spec = BenchmarkSpec(kind="LDS", imbalance_factor=factor,
+                                     class_order=order, seed=seed)
+                _assert_same_dataset(resample_lds(ds, spec), _reference_lds(ds, spec))
+            spec = BenchmarkSpec(kind="ILDS", imbalance_factor=factor,
+                                 meta_class_map=meta_map, seed=seed)
+            _assert_same_dataset(build_ilds(ds, spec), _reference_ilds(ds, spec))
+
+
+@pytest.mark.parametrize("kind", ["LDS", "ILDS"])
+def test_a_target_holding_outlier_rows_is_refused_by_name(kind):
+    clean = _balanced_glyphs(samples_per_class=10, seed=14)
+    two = inject_two(clean, outlier_pool("blank", 10, seed=0),
+                     BenchmarkSpec(kind="TwO", outlier_fraction=0.2))
+    # the map a dispatcher reads off these sublabels sends -1 to -1, and the
+    # outlier rows are named before the map is checked
+    meta_map = {int(s): int(c) for s, c in zip(two.sublabels, two.labels)}
+    spec = BenchmarkSpec(kind=kind, imbalance_factor=2.0,
+                         meta_class_map=meta_map if kind == "ILDS" else None)
+    build = resample_lds if kind == "LDS" else build_ilds
+    with pytest.raises(ValueError, match=(
+            f"^{kind} needs a target without outlier rows, got 10 rows labeled -1; "
+            "build TwO last")):
+        build(two, spec)
 
 
 # ---------------------------------------------------------------------------

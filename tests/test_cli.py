@@ -125,6 +125,24 @@ class TestGenerate:
         assert tgt.metadata["spec"]["seed"] == 8
         assert tgt.metadata["spec"]["stroke_thickness"] == 3
 
+    @pytest.mark.parametrize("explicit", [True, False], ids=["explicit", "default"])
+    def test_a_pair_seed_whose_target_seed_overflows_names_the_flag(self, tmp_path, capsys,
+                                                                   explicit):
+        # the target renders from --seed + 1, so the flag is held to the pair rule
+        base = {"n_classes": 2, "sub_styles": 1, "samples_per_class": 4}
+        payload = ({"kind": "glyph_pair", "source": base, "target": base} if explicit
+                   else {"kind": "glyph_pair", **base})
+        spec = write_json(tmp_path / "pair.json", payload)
+        out = tmp_path / "pair"
+        assert main(["generate", "--spec", spec, "--out", str(out),
+                     "--seed", "4294967295"]) == 1
+        assert_named_error(capsys, "argument --seed: a glyph pair's seed must be an "
+                                   "integer in [0, 4294967294]", "got 4294967295")
+        assert not out.exists()
+        assert main(["generate", "--spec", spec, "--out", str(out),
+                     "--seed", "4294967294"]) == 0
+        assert load_pair(out)[1].metadata["spec"]["seed"] == 4294967295
+
     def test_blob_pair(self, blob_pair_dir):
         src, tgt = load_pair(blob_pair_dir)
         assert not src.is_image
@@ -260,6 +278,20 @@ class TestBench:
         assert main(["bench", "--kind", "lds", "--in", str(glyph_pair_dir),
                      "--out", str(tmp_path / "o")]) == 1
         assert_named_error(capsys, str(meta_path), "class_count")
+
+    @pytest.mark.parametrize("kind", ["lds", "ilds"])
+    def test_a_target_holding_outliers_exits_1_by_name(self, glyph_pair_dir, tmp_path, capsys,
+                                                       kind):
+        # a TwO output holds label -1 rows, which no long tail can place
+        two = tmp_path / "two"
+        assert main(["bench", "--kind", "two", "--in", str(glyph_pair_dir),
+                     "--out", str(two), "--rho", "0.2"]) == 0
+        capsys.readouterr()
+        assert main(["bench", "--kind", kind, "--in", str(two),
+                     "--out", str(tmp_path / "o"), "--if", "2"]) == 1
+        assert_named_error(capsys, f"{kind.upper()} needs a target without outlier rows, "
+                                   "got 30 rows labeled -1; build TwO last")
+        assert not (tmp_path / "o").exists()
 
     def test_missing_input_pair(self, tmp_path):
         assert main(["bench", "--kind", "lds", "--in", str(tmp_path / "void"),
@@ -679,6 +711,14 @@ class TestProbe:
         cfg.write_text(text)
         assert main(["probe-lds", "--out", str(tmp_path / "o"), "--config", str(cfg)]) == 1
         assert_named_error(capsys, f"probe config field {name!r}")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("name", ["priors_src", "priors_tgt"])
+    def test_priors_that_do_not_sum_to_1_exit_1_by_name(self, tmp_path, capsys, name):
+        # named by the probe's own key, not by generate_blob_pair's
+        cfg = write_json(tmp_path / "p.json", {name: [0.6, 0.6], "n": 40, "epochs": 1})
+        assert main(["probe-lds", "--out", str(tmp_path / "o"), "--config", cfg]) == 1
+        assert_named_error(capsys, f"{name} must be 2 values summing to 1")
         assert not (tmp_path / "o").exists()
 
 

@@ -5,6 +5,7 @@ import ast
 import dataclasses
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -130,7 +131,8 @@ class TestTrainConfig:
         assert cfg.lr == 1e300
 
     def test_negative_seed_model_is_named(self):
-        with pytest.raises(ValueError, match="seed_model must be an integer >= 0, got -1"):
+        msg = "seed_model must be an integer in [0, 4294967295], got -1"
+        with pytest.raises(ValueError, match=re.escape(msg)):
             TrainConfig(seed_model=-1)
 
     def test_every_method_constructs(self):

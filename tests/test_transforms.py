@@ -491,7 +491,7 @@ class TestSeedingHelper:
         with pytest.raises(ValueError, match="n"):
             next(rngs(3, -1))
 
-    def test_no_other_site_builds_a_salted_generator(self):
+    def test_no_site_outside_transforms_builds_a_generator(self):
         sites = _generator_sites({path.name: path.read_text()
                                   for path in Path(pbmatch.__file__).parent.glob("*.py")})
         assert _stray(sites) == []
@@ -501,7 +501,8 @@ class TestSeedingHelper:
     @pytest.mark.parametrize("call", [
         "np.random.default_rng(seed)", "np.random.default_rng([seed, 3])",
         "default_rng(seed + 1)", "np.random.Generator(np.random.PCG64(seed))",
-        "Generator(PCG64(seed))", "np.random.SeedSequence(seed)"])
+        "Generator(PCG64(seed))", "np.random.SeedSequence(seed)",
+        "np.random.RandomState(seed)"])
     def test_the_guard_flags_a_generator_built_in_datasets(self, call):
         source = f"def generate(seed):\n    return {call}\n"
         assert _stray(_generator_sites({"datasets.py": source})) != []
@@ -510,8 +511,13 @@ class TestSeedingHelper:
         source = "def init_params(seed):\n    return np.random.default_rng([seed, 1])\n"
         assert _stray(_generator_sites({"nets.py": source})) != []
 
+    def test_the_guard_flags_an_unsalted_generator_in_init_params(self):
+        source = "def init_params(seed):\n    return np.random.default_rng(seed)\n"
+        assert _stray(_generator_sites({"nets.py": source})) != []
 
-_GENERATOR_CONSTRUCTORS = {"default_rng", "Generator", "PCG64", "SeedSequence"}
+
+_GENERATOR_CONSTRUCTORS = {"default_rng", "Generator", "PCG64", "SeedSequence",
+                           "RandomState"}
 
 
 def _generator_sites(sources):
@@ -525,11 +531,9 @@ def _generator_sites(sources):
 
 
 def _stray(sites):
-    """The sites other than the seeding helpers in ``transforms`` and the
-    unsalted model-initialisation generator."""
-    allowed = {("nets.py", "init_params", "np.random.default_rng(seed)")}
-    return [site for site in sites if site not in allowed
-            and not (site[0] == "transforms.py" and site[1] in ("rng", "rngs"))]
+    """The sites other than the seeding helpers in ``transforms``."""
+    return [site for site in sites
+            if not (site[0] == "transforms.py" and site[1] in ("rng", "rngs"))]
 
 
 class _GeneratorSites(ast.NodeVisitor):
