@@ -67,7 +67,7 @@ def main():
               f"target {np.round(mu_t, 2).tolist()}")
 
     print("\n=== outlier pool ===")
-    pool = outlier_pool("inverted_random", 6, seed=4)
+    pool = outlier_pool(6, seed=4)
     print(f"{len(pool)} images off the glyph manifold; one of them:")
     print(ascii_image(pool[0]))
 

@@ -62,7 +62,7 @@ def main():
 
     print("\n--- TwO: inject out-of-support rows ---")
     two_spec = BenchmarkSpec(kind="TwO", outlier_fraction=0.2, seed=0)
-    pool = outlier_pool("inverted_random", 250, seed=0)
+    pool = outlier_pool(250, seed=0)
     two_tgt = inject_two(tgt, pool, two_spec)
     n_out = int((two_tgt.labels == -1).sum())
     print(f"400 clean rows + {n_out} sentinels = {two_tgt.n_samples} rows "

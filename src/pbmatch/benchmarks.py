@@ -144,7 +144,7 @@ def _checked_target(target: DomainDataset, spec: BenchmarkSpec, kind: str,
     if n_out:
         raise ValueError(
             f"{kind} needs a target without outlier rows, got {n_out} rows labeled "
-            f"{OUTLIER_LABEL}; build TwO last, on the {kind} target")
+            f"{OUTLIER_LABEL}; build TwO last, once, on a target without outliers")
 
 
 # ---------------------------------------------------------------------------
@@ -247,8 +247,7 @@ def two_outlier_count(n: int, outlier_fraction: float) -> int:
 def inject_two(target: DomainDataset, pool: np.ndarray, spec: BenchmarkSpec) -> DomainDataset:
     """Append sentinel-labeled outliers, drawn from the [m, H, W] images
     ``pool``, so they form outlier_fraction of the result."""
-    if spec.kind != "TwO":
-        raise ValueError(f"inject_two needs kind TwO, got {spec.kind}")
+    _checked_target(target, spec, "TwO", "inject_two")
     if not target.is_image:
         raise ValueError("outlier injection needs an image dataset")
     rho = spec.outlier_fraction

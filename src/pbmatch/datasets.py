@@ -41,7 +41,6 @@ MAX_CLASSES = 6
 MAX_SUB_STYLES = 4
 DOMAIN_ROLES = ("source", "target")
 OUTLIER_LABEL = -1
-OUTLIER_STYLES = ("blank", "checker", "inverted_random")
 
 
 def _quantize(x: np.ndarray) -> np.ndarray:
@@ -532,25 +531,14 @@ def generate_blob_pair(k: Count, source_priors: Sequence[Weight],
 # outlier pools
 # ---------------------------------------------------------------------------
 
-def outlier_pool(style: str, n: int, seed: int) -> np.ndarray:
-    """[n, 16, 16] images far from the glyph manifold: flat fields,
-    checkerboards, or bright-skewed noise."""
-    if style not in OUTLIER_STYLES:
-        raise ValueError(f"style must be one of {OUTLIER_STYLES}, got {style!r}")
+def outlier_pool(n: int, seed: int) -> np.ndarray:
+    """[n, 16, 16] images far from the glyph manifold: squared-uniform
+    noise pulled toward 1, dense brightness, the inverse of the
+    sparse-ink glyph statistics."""
     if n < 1:
         raise ValueError("need n >= 1 outliers")
-    gen = rng(seed, OUTLIER_STYLES.index(style))
-    if style == "blank":
-        levels = gen.integers(0, 2, n).astype(np.float64)
-        images = np.broadcast_to(levels[:, None, None], (n, CANVAS, CANVAS)).copy()
-    elif style == "checker":
-        parity = (_ROWS + _COLS).astype(int) % 2
-        phases = gen.integers(0, 2, n)
-        images = np.stack([(parity == ph).astype(np.float64) for ph in phases])
-    else:
-        # squared-uniform pulled toward 1: dense brightness, inverse of the
-        # sparse-ink glyph statistics
-        images = 1.0 - gen.uniform(0.0, 1.0, (n, CANVAS, CANVAS)) ** 2
+    # the golden TwO cases pin this stream, salt 2 included
+    images = 1.0 - rng(seed, 2).uniform(0.0, 1.0, (n, CANVAS, CANVAS)) ** 2
     return _quantize(images)
 
 

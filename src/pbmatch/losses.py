@@ -15,12 +15,15 @@ record of their weighted sum, and ``backward`` maps it to every
 parameter's gradient: through the heads into the latent, then the trunk.
 
 One ``mmd_distance`` serves a step's batch and a whole data set, such as
-the label-shift probe's reading after each weight. It forms the distance
-matrix in row tiles: a matrix of up to 362 rows is one tile, shared by
-the median and the kernel; a larger one is never held whole. Its median
-is selected by radix on the distances' float64 bits, in a few passes
-over the tiles, and its kernel formed in one more, so the memory a call
-holds grows with the rows, not with the N(N-1)/2 pairs.
+the label-shift probe's reading after each weight. It reads the distance
+matrix through one tile walk, ``_tile_walk``, the only place the matrix
+is formed: it forms the squared norms once and yields the matrix in row
+tiles, pass after pass. A matrix of up to 362 rows is one tile, formed
+once for every pass; a larger one is formed afresh on each pass and
+never held whole. The median is selected by radix on the distances'
+float64 bits, in a few passes over the walk, and the kernel formed in
+one more, so the memory a call holds grows with the rows, not with the
+N(N-1)/2 pairs.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Annotated, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Annotated, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -502,18 +505,38 @@ def _sq_dist_rows(joint: np.ndarray, sq: np.ndarray, a: int, b: int) -> np.ndarr
     return d2
 
 
-def _pair_bits(joint: np.ndarray, sq: np.ndarray, tiles: List[Tuple[int, int]],
-               visit: Callable[[np.ndarray], None]) -> None:
-    """Call ``visit`` on the float64 bits, as uint64, of every pair's
-    squared distance, tile by tile. Each pair is read once, from the strict
-    upper triangle of the tile holding its first row: the diagonal block's
-    upper triangle through one mask, then the tile's columns right of it."""
-    for a, b in tiles:
-        d2 = _sq_dist_rows(joint, sq, a, b).view(np.uint64)
-        visit(d2[:, a:b][_UPPER[:b - a, :b - a]])
-        visit(d2[:, b:])
+# one pass over the distance matrix: its row tiles (a, b, rows [a, b)) in plan order
+Walk = Callable[[], Iterator[Tuple[int, int, np.ndarray]]]
+
+
+def _tile_walk(joint: np.ndarray, n: int) -> Walk:
+    """The passes over the distance matrix of ``joint``'s rows, split after
+    the first ``n``, in the row tiles of ``_tiles``; the only route to the
+    matrix. The squared norms are formed once. A one-tile matrix is formed
+    once and read by every pass; a larger one is formed afresh on each
+    pass, tile by tile, and never held whole. A pass reads its tiles and
+    leaves them unchanged."""
+    sq = np.sum(joint ** 2, axis=1)
+    tiles = _tiles(joint.shape[0], n)
+    whole = _sq_dist_rows(joint, sq, *tiles[0]) if len(tiles) == 1 else None
+
+    def walk() -> Iterator[Tuple[int, int, np.ndarray]]:
+        for a, b in tiles:
+            yield a, b, _sq_dist_rows(joint, sq, a, b) if whole is None else whole
+    return walk
+
+
+def _pair_bits(walk: Walk) -> Iterator[np.ndarray]:
+    """The float64 bits, as uint64, of every pair's squared distance, in
+    one pass. Each pair is read once, from the strict upper triangle of the
+    tile holding its first row: the diagonal block's upper triangle through
+    one mask, then the tile's columns right of it."""
+    for a, b, d2 in walk():
+        bits = d2.view(np.uint64)
+        yield bits[:, a:b][_UPPER[:b - a, :b - a]]
+        yield bits[:, b:]
         # free this tile before the next one is formed
-        del d2
+        del d2, bits
 
 
 # radix selection reads the float64 bits 16 at a time, most significant first
@@ -524,24 +547,27 @@ _BINS = 1 << _DIGIT
 _NAN_TOP = 0x7FF1
 
 
-def _middle_sq_dists(joint: np.ndarray, tiles: List[Tuple[int, int]], pairs: int
-                     ) -> Tuple[float, float]:
-    """The squared distances of ranks (P-1)//2 and P//2 among the P pairs
-    of ``joint``'s rows, found by radix selection without holding the P
-    values. For an even P the second is NaN if any pair is, as ``min``
-    over the ranks above the first gives.
+def _walk_median(walk: Walk, total: int) -> float:
+    """Median distance over the P = N(N-1)/2 distinct pairs of the N =
+    ``total`` rows the passes of ``walk`` read; 1.0 if degenerate.
 
-    A squared distance is >= +0.0, so its float64 bits sort as uint64 in
-    the order of the values, with NaN last, as in ``partition``. Each
-    middle rank keeps a prefix, its top 16 x depth bits, and its rank among
-    the pairs that share it. While more than a tile of pairs share the live
-    prefixes, one pass over the tiles counts the next digit of those pairs
-    in a 65,536-bin histogram, and each rank moves into the bin that holds
-    it. Then one more pass keeps only those pairs, at most a tile, and
-    partitions them. After four digits a prefix is the value itself, so
-    any number of ties costs no memory.
+    The two middle order statistics of the pair squared distances sit at
+    ranks (P-1)//2 and P//2; they are selected by radix without holding
+    the P values. A squared distance is >= +0.0, so its float64 bits sort
+    as uint64 in the order of the values, with NaN last, as in
+    ``partition``. Each middle rank keeps a prefix, its top 16 x depth
+    bits, and its rank among the pairs that share it. While more than a
+    tile of pairs share the live prefixes, one pass counts the next digit
+    of those pairs in a 65,536-bin histogram, and each rank moves into the
+    bin that holds it. Then one more pass keeps only those pairs, at most a
+    tile, and partitions them; a one-tile matrix's pairs all fit, so it
+    takes that pass alone. After four digits a prefix is the value itself,
+    so any number of ties costs no memory. For an even P the second is NaN
+    if any pair is, as ``min`` over the ranks above the first gives.
+    Taking square roots after selecting gives the same bits as taking them
+    first, since the square root is monotone.
     """
-    sq = np.sum(joint ** 2, axis=1)
+    pairs = total * (total - 1) // 2
     prefixes, ranks = [0, 0], [(pairs - 1) // 2, pairs // 2]
     sizes = {0: pairs}  # live prefix -> how many pairs share it
     nan = False
@@ -549,15 +575,14 @@ def _middle_sq_dists(joint: np.ndarray, tiles: List[Tuple[int, int]], pairs: int
     while depth < 64 // _DIGIT and sum(sizes.values()) > _TILE_ENTRIES:
         shift = 64 - _DIGIT * depth
         hists = {p: np.zeros(_BINS, dtype=np.int64) for p in sizes}
-
-        def count(bits: np.ndarray) -> None:
+        for bits in _pair_bits(walk):
             for p, hist in hists.items():
                 digits = (bits[(bits >> shift) == p] if depth else bits) >> (shift - _DIGIT)
                 digits &= _BINS - 1
                 # the digits fit int64, whose view bincount reads without a copy
                 hist += np.bincount(digits.view(np.int64).reshape(-1), minlength=_BINS)
-
-        _pair_bits(joint, sq, tiles, count)
+            # hold none of this tile while the next one is formed
+            del bits, digits
         if depth == 0:
             nan = bool(hists[0][_NAN_TOP:].any())
         sizes = {}
@@ -572,50 +597,28 @@ def _middle_sq_dists(joint: np.ndarray, tiles: List[Tuple[int, int]], pairs: int
         low, high = np.array(prefixes, dtype=np.uint64).view(np.float64)
     else:
         shift = 64 - _DIGIT * depth
-        kept = np.empty(sum(sizes.values()), dtype=np.uint64)
-        end = 0
-
-        def keep(bits: np.ndarray) -> None:
-            nonlocal end
+        kept = []
+        for bits in _pair_bits(walk):
             for p in sizes:
-                part = bits[(bits >> shift) == p] if depth else bits
-                kept[end:end + part.size].reshape(part.shape)[...] = part
-                end += part.size
-
-        _pair_bits(joint, sq, tiles, keep)
+                part = bits[(bits >> shift) == p] if depth else bits.reshape(-1)
+                if part.size:
+                    kept.append(part)
+            del bits  # as in the count pass
+        # a one-tile matrix's pairs are one masked copy of it, partitioned in place
+        flat = (kept[0] if len(kept) == 1 else np.concatenate(kept)).view(np.float64)
         # the lower prefix's pairs sort first, and the first rank is among them
-        flat, lo = kept.view(np.float64), ranks[0]
+        lo = ranks[0]
         flat.partition(lo)
         low, high = flat[lo], flat[lo] if pairs % 2 else flat[lo + 1:].min()
-    return low, math.nan if nan and pairs % 2 == 0 else high
-
-
-def _median_distance(joint: np.ndarray, n: int, whole: Optional[np.ndarray] = None) -> float:
-    """Median distance over the distinct pairs of ``joint``'s rows, split
-    after the first ``n``; 1.0 if degenerate. ``whole`` is the distance
-    matrix of a one-tile plan, when the caller has formed it already.
-
-    The two middle order statistics of the P = N(N-1)/2 pair squared
-    distances sit at ranks (P-1)//2 and P//2. A one-tile matrix gives its
-    strict upper triangle through one mask into one buffer, which is
-    partitioned; past one tile ``_middle_sq_dists`` selects them without
-    holding the P values. Taking square roots after selecting gives the
-    same bits as taking them first, since the square root is monotone.
-    """
-    total = joint.shape[0]
-    pairs = total * (total - 1) // 2
-    tiles = _tiles(total, n)
-    if len(tiles) > 1:
-        low, high = _middle_sq_dists(joint, tiles, pairs)
-    else:
-        if whole is None:
-            whole = _sq_dist_rows(joint, np.sum(joint ** 2, axis=1), 0, total)
-        flat = whole[_UPPER[:total, :total]]
-        lo = (pairs - 1) // 2
-        flat.partition(lo)
-        low, high = flat[lo], flat[lo] if pairs % 2 else flat[lo + 1:].min()
+    high = math.nan if nan and pairs % 2 == 0 else high
     med = (math.sqrt(low) + math.sqrt(high)) / 2.0
     return med if med > 0.0 else 1.0
+
+
+def _median_distance(joint: np.ndarray, n: int) -> float:
+    """Median distance over the distinct pairs of ``joint``'s rows, split
+    after the first ``n``; 1.0 if degenerate."""
+    return _walk_median(_tile_walk(joint, n), joint.shape[0])
 
 
 def _check_sides(joint: np.ndarray, n: int) -> int:
@@ -640,9 +643,10 @@ def mmd_distance(joint: np.ndarray, n: int, bandwidths: Optional[Sequence[float]
 
     The kernel is a sum of Gaussians over ``bandwidths`` (defaults:
     {0.5,1,2,4} x median pairwise distance of the joint rows, frozen per
-    call). The squared-distance matrix D of the rows Z of ``joint`` is
-    formed in the row tiles of ``_tiles`` and never held whole unless it
-    is one tile, whose distances then serve the median and the kernel.
+    call). The squared-distance matrix D of the rows Z of ``joint`` is read
+    through one ``_tile_walk``: the median's passes and one kernel pass. A
+    one-tile matrix (up to 362 rows) is formed once for all of them; a
+    larger one is formed tile by tile on each pass and never held whole.
     Each tile's kernel rows add to the block sums of mean(K_ss) +
     mean(K_tt) - 2 mean(K_st), its source rows to K_ss and K_st, its
     target rows to K_tt.
@@ -653,20 +657,16 @@ def mmd_distance(joint: np.ndarray, n: int, bandwidths: Optional[Sequence[float]
     the value; the returned map scales it by 4s in one multiply.
     """
     m = _check_sides(joint, n)
-    total = n + m
-    tiles = _tiles(total, n)
-    sq = np.sum(joint ** 2, axis=1)
-    whole = _sq_dist_rows(joint, sq, 0, total) if len(tiles) == 1 else None
+    walk = _tile_walk(joint, n)
     if bandwidths is None:
-        med = _median_distance(joint, n, whole)
+        med = _walk_median(walk, n + m)
         bandwidths = [s * med for s in DEFAULT_BANDWIDTH_SCALES]
     coefs = [-1.0 / (2.0 * bw * bw) for bw in _checked_bandwidths(bandwidths)]
 
-    kern = np.empty((max(b - a for a, b in tiles), total))
+    kern = np.empty((max(b - a for a, b in _tiles(n + m, n)), n + m))
     grad = np.empty_like(joint)
     k_ss = k_tt = k_st = 0.0
-    for a, b in tiles:
-        d2 = whole if whole is not None else _sq_dist_rows(joint, sq, a, b)
+    for a, b, d2 in walk():
         k = kern[:b - a]
         # local rows [0, s) are source rows and [t, b - a) target rows
         s, t = min(b, n) - a, max(a, n) - a

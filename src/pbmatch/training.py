@@ -217,9 +217,6 @@ class Metrics:
     def to_jsonl(self) -> str:
         return "".join(json.dumps(r, sort_keys=True) + "\n" for r in self.records)
 
-    def series(self, key: str) -> List:
-        return [r[key] for r in self.records]
-
 
 # ---------------------------------------------------------------------------
 # evaluation
@@ -522,7 +519,7 @@ def shift_pair(src: DomainDataset, tgt: DomainDataset, spec: BenchmarkSpec
         tgt = build_ilds(tgt, spec)  # first, so outlier rows are named as such
         return relabel_to_meta(src, spec), tgt, spec
     n_out = two_outlier_count(tgt.n_samples, spec.outlier_fraction)
-    pool = outlier_pool("inverted_random", max(2 * n_out, 8), seed=spec.seed)
+    pool = outlier_pool(max(2 * n_out, 8), seed=spec.seed)
     return src, inject_two(tgt, pool, spec), spec
 
 

@@ -216,7 +216,7 @@ def test_criterion_4_constructor_exactness(capsys):
         GlyphDomainSpec(n_classes=4, sub_styles=1, samples_per_class=225,
                         seed=1), "target")
     spec = BenchmarkSpec(kind="TwO", outlier_fraction=0.1, seed=2)
-    two = inject_two(base, outlier_pool("inverted_random", 200, seed=2), spec)
+    two = inject_two(base, outlier_pool(200, seed=2), spec)
 
     ok = (counts == [1000, 464, 215, 100] and byte_identical
           and two.n_samples == 1000)

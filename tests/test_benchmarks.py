@@ -433,21 +433,27 @@ def test_the_shared_resampler_matches_the_two_loops(classes, styles):
             _assert_same_dataset(build_ilds(ds, spec), _reference_ilds(ds, spec))
 
 
-@pytest.mark.parametrize("kind", ["LDS", "ILDS"])
+@pytest.mark.parametrize("kind", ["LDS", "ILDS", "TwO"])
 def test_a_target_holding_outlier_rows_is_refused_by_name(kind):
     clean = _balanced_glyphs(samples_per_class=10, seed=14)
-    two = inject_two(clean, outlier_pool("blank", 10, seed=0),
+    two = inject_two(clean, outlier_pool(10, seed=0),
                      BenchmarkSpec(kind="TwO", outlier_fraction=0.2))
     # the map a dispatcher reads off these sublabels sends -1 to -1, and the
     # outlier rows are named before the map is checked
     meta_map = {int(s): int(c) for s, c in zip(two.sublabels, two.labels)}
-    spec = BenchmarkSpec(kind=kind, imbalance_factor=2.0,
-                         meta_class_map=meta_map if kind == "ILDS" else None)
-    build = resample_lds if kind == "LDS" else build_ilds
+    builds = {
+        "LDS": lambda: resample_lds(two, BenchmarkSpec(kind="LDS", imbalance_factor=2.0)),
+        "ILDS": lambda: build_ilds(two, BenchmarkSpec(kind="ILDS", imbalance_factor=2.0,
+                                                      meta_class_map=meta_map)),
+        # a second injection would count the 10 outlier rows as inliers and
+        # leave more than the 20% asked
+        "TwO": lambda: inject_two(two, outlier_pool(20, seed=1),
+                                  BenchmarkSpec(kind="TwO", outlier_fraction=0.2)),
+    }
     with pytest.raises(ValueError, match=(
             f"^{kind} needs a target without outlier rows, got 10 rows labeled -1; "
             "build TwO last")):
-        build(two, spec)
+        builds[kind]()
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +462,7 @@ def test_a_target_holding_outlier_rows_is_refused_by_name(kind):
 
 def test_two_zero_fraction_is_identity():
     ds = _balanced_glyphs(samples_per_class=10, seed=13)
-    out = inject_two(ds, outlier_pool("blank", 4, seed=0),
+    out = inject_two(ds, outlier_pool(4, seed=0),
                      BenchmarkSpec(kind="TwO", outlier_fraction=0.0))
     assert np.array_equal(out.images, ds.images)
     assert np.array_equal(out.labels, ds.labels)
@@ -464,7 +470,7 @@ def test_two_zero_fraction_is_identity():
 
 def test_two_reference_arithmetic():
     ds = _balanced_glyphs(samples_per_class=225, seed=14)  # 900 samples
-    pool = outlier_pool("checker", 128, seed=1)
+    pool = outlier_pool(128, seed=1)
     out = inject_two(ds, pool, BenchmarkSpec(kind="TwO", outlier_fraction=0.1, seed=2))
     assert out.n_samples == 1000
     assert (out.labels == OUTLIER_LABEL).sum() == 100
@@ -474,7 +480,7 @@ def test_two_reference_arithmetic():
 
 def test_two_shuffles_outliers_into_the_stream():
     ds = _balanced_glyphs(samples_per_class=225, seed=15)
-    pool = outlier_pool("inverted_random", 128, seed=3)
+    pool = outlier_pool(128, seed=3)
     out = inject_two(ds, pool, BenchmarkSpec(kind="TwO", outlier_fraction=0.1, seed=4))
     assert (out.labels[:900] == OUTLIER_LABEL).any()
     assert (out.labels[900:] != OUTLIER_LABEL).any()
@@ -482,7 +488,7 @@ def test_two_shuffles_outliers_into_the_stream():
 
 def test_two_preserves_valid_rows_exactly():
     ds = _balanced_glyphs(samples_per_class=50, seed=16)
-    pool = outlier_pool("blank", 64, seed=5)
+    pool = outlier_pool(64, seed=5)
     out = inject_two(ds, pool, BenchmarkSpec(kind="TwO", outlier_fraction=0.2, seed=6))
     valid = out.images[out.labels != OUTLIER_LABEL]
     assert _row_multiset(valid) == _row_multiset(ds.images)
@@ -490,7 +496,7 @@ def test_two_preserves_valid_rows_exactly():
 
 def test_two_insufficient_pool_error():
     ds = _balanced_glyphs(samples_per_class=225, seed=17)
-    pool = outlier_pool("blank", 10, seed=7)
+    pool = outlier_pool(10, seed=7)
     with pytest.raises(ValueError, match="pool has 10"):
         inject_two(ds, pool, BenchmarkSpec(kind="TwO", outlier_fraction=0.1))
 
@@ -499,7 +505,7 @@ def test_two_rejects_point_datasets():
     src, _ = generate_blob_pair(2, [0.5, 0.5], [0.5, 0.5],
                                 [[-2, 0], [2, 0]], 0.5, 40, seed=1)
     with pytest.raises(ValueError, match="image"):
-        inject_two(src, outlier_pool("blank", 8, seed=0),
+        inject_two(src, outlier_pool(8, seed=0),
                    BenchmarkSpec(kind="TwO", outlier_fraction=0.1))
 
 
@@ -512,7 +518,7 @@ def test_two_rejects_shape_mismatch():
 
 def test_two_deterministic():
     ds = _balanced_glyphs(samples_per_class=30, seed=19)
-    pool = outlier_pool("checker", 32, seed=8)
+    pool = outlier_pool(32, seed=8)
     spec = BenchmarkSpec(kind="TwO", outlier_fraction=0.15, seed=9)
     a, b = inject_two(ds, pool, spec), inject_two(ds, pool, spec)
     assert np.array_equal(a.images, b.images)
@@ -574,7 +580,7 @@ def test_write_benchmark_round_trip(tmp_path):
 def test_report_counts_outliers_separately():
     ds = _balanced_glyphs(samples_per_class=225, seed=24)
     spec = BenchmarkSpec(kind="TwO", outlier_fraction=0.1, seed=3)
-    out = inject_two(ds, outlier_pool("blank", 128, seed=0), spec)
+    out = inject_two(ds, outlier_pool(128, seed=0), spec)
     report = benchmark_report(spec, _balanced_glyphs(samples_per_class=10, role="source"), out)
     assert report["target"]["n_outliers"] == 100
     assert sum(report["target"]["counts"]) == 900

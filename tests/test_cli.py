@@ -279,17 +279,20 @@ class TestBench:
                      "--out", str(tmp_path / "o")]) == 1
         assert_named_error(capsys, str(meta_path), "class_count")
 
-    @pytest.mark.parametrize("kind", ["lds", "ilds"])
+    @pytest.mark.parametrize("kind,name,shift", [
+        ("lds", "LDS", ["--if", "2"]), ("ilds", "ILDS", ["--if", "2"]),
+        ("two", "TwO", ["--rho", "0.2"])], ids=["lds", "ilds", "two"])
     def test_a_target_holding_outliers_exits_1_by_name(self, glyph_pair_dir, tmp_path, capsys,
-                                                       kind):
-        # a TwO output holds label -1 rows, which no long tail can place
+                                                       kind, name, shift):
+        # a TwO output holds label -1 rows, which no long tail can place and
+        # a second injection would leave at more than the fraction asked
         two = tmp_path / "two"
         assert main(["bench", "--kind", "two", "--in", str(glyph_pair_dir),
                      "--out", str(two), "--rho", "0.2"]) == 0
         capsys.readouterr()
         assert main(["bench", "--kind", kind, "--in", str(two),
-                     "--out", str(tmp_path / "o"), "--if", "2"]) == 1
-        assert_named_error(capsys, f"{kind.upper()} needs a target without outlier rows, "
+                     "--out", str(tmp_path / "o"), *shift]) == 1
+        assert_named_error(capsys, f"{name} needs a target without outlier rows, "
                                    "got 30 rows labeled -1; build TwO last")
         assert not (tmp_path / "o").exists()
 

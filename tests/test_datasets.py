@@ -18,7 +18,6 @@ from pbmatch.datasets import (
     CANVAS,
     INK_LEVEL,
     OUTLIER_LABEL,
-    OUTLIER_STYLES,
     DomainDataset,
     GlyphDomainSpec,
     _want,
@@ -635,43 +634,21 @@ def test_blob_pair_validation_errors(kwargs, msg):
 # outlier pools
 # ---------------------------------------------------------------------------
 
-def test_outlier_blank_images_are_constant_fields():
-    pool = outlier_pool("blank", 32, seed=0)
-    per_image = pool.reshape(32, -1)
-    assert all(np.unique(img).size == 1 for img in per_image)
-    levels = {img[0] for img in per_image}
-    assert levels <= {0.0, 1.0} and len(levels) == 2
-
-
-def test_outlier_checker_has_exactly_half_bright():
-    pool = outlier_pool("checker", 16, seed=1)
-    bright = pool.reshape(16, -1).sum(axis=1)
-    assert np.all(bright == CANVAS * CANVAS / 2)
-    # both phases occur and are complements
-    flat = pool.reshape(16, -1)
-    distinct = np.unique(flat, axis=0)
-    assert distinct.shape[0] == 2
-    assert np.array_equal(distinct[0], 1.0 - distinct[1])
-
-
-def test_outlier_inverted_random_is_bright_skewed():
-    pool = outlier_pool("inverted_random", 64, seed=2)
+def test_outlier_pool_is_bright_skewed():
+    pool = outlier_pool(64, seed=2)
     assert pool.min() >= 0.0 and pool.max() <= 1.0
     assert pool.mean() > 0.6  # mean of 1 - U^2 is 2/3
 
 
-@pytest.mark.parametrize("style", OUTLIER_STYLES)
-def test_outlier_pool_deterministic(style):
-    a = outlier_pool(style, 8, seed=5)
-    b = outlier_pool(style, 8, seed=5)
+def test_outlier_pool_deterministic():
+    a = outlier_pool(8, seed=5)
+    b = outlier_pool(8, seed=5)
     assert np.array_equal(a, b)
 
 
 def test_outlier_pool_rejects_bad_arguments():
-    with pytest.raises(ValueError, match="style"):
-        outlier_pool("plaid", 4, seed=0)
     with pytest.raises(ValueError, match="n >= 1"):
-        outlier_pool("blank", 0, seed=0)
+        outlier_pool(0, seed=0)
 
 
 # ---------------------------------------------------------------------------

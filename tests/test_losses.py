@@ -6,7 +6,9 @@ its value and gradient; the oracles in oracles.py rebuild it one tape
 node per op.
 """
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -943,15 +945,26 @@ class TestMmdMatchesTheWholeMatrixArithmetic:
 
     @staticmethod
     def _passes(monkeypatch):
-        """The passes the median makes over the tiles, by name, in order."""
+        """The passes over the tile walk, in order: "count" for a pass that
+        counts digits, else "keep"; the median's pass that counts no digit
+        keeps pairs."""
         passes = []
-        pair_bits = losses._pair_bits
+        tile_walk, bincount = losses._tile_walk, np.bincount
 
-        def counted(joint, sq, tiles, visit):
-            passes.append(visit.__name__)
-            pair_bits(joint, sq, tiles, visit)
+        def counted_walk(joint, n):
+            walk = tile_walk(joint, n)
 
-        monkeypatch.setattr(losses, "_pair_bits", counted)
+            def counted():
+                passes.append("keep")
+                yield from walk()
+            return counted
+
+        def counting(*args, **kwargs):
+            passes[-1] = "count"
+            return bincount(*args, **kwargs)
+
+        monkeypatch.setattr(losses, "_tile_walk", counted_walk)
+        monkeypatch.setattr(np, "bincount", counting)
         return passes
 
     @classmethod
@@ -991,6 +1004,31 @@ class TestMmdMatchesTheWholeMatrixArithmetic:
         want_value, want_grad = whole_matrix_mmd(joint, n)
         assert abs(value - want_value) <= 1e-14
         np.testing.assert_allclose(grad(1.0), want_grad, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("case,median_passes", [
+        ("one_tile", 1), ("normal", 3), ("collapsed", 4), ("two_spread_clusters", 2)])
+    def test_each_pass_forms_each_tile_once(self, case, median_passes, monkeypatch):
+        # a one-tile matrix is formed once for the median and the kernel; a
+        # larger one once per median pass plus once for the kernel
+        joint, n = (self._joint(64, 64, 16, False, seed=0), 64) if case == "one_tile" \
+            else self._latent(case)
+        passes = self._passes(monkeypatch)
+        formed = []
+        sq_dist_rows = losses._sq_dist_rows
+
+        def forming(joint, sq, a, b):
+            formed.append((a, b))
+            return sq_dist_rows(joint, sq, a, b)
+
+        monkeypatch.setattr(losses, "_sq_dist_rows", forming)
+        mmd_distance(joint, n)
+        tiles = _tiles(len(joint), n)
+        assert len(passes) == median_passes + 1
+        if case == "one_tile":
+            assert formed == tiles == [(0, 128)]
+        else:
+            assert len(tiles) > 1
+            assert formed == tiles * (median_passes + 1)
 
     @pytest.mark.parametrize("rows", [600, 602])
     def test_past_one_tile_a_nan_sorts_last(self, rows):
@@ -1037,6 +1075,45 @@ class TestMmdMatchesTheWholeMatrixArithmetic:
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(ValueError, match="bandwidths must be positive and finite"):
             mmd_distance(np.array([[-1e154], [1e154]]), 1)
+
+
+class TestOneRouteToTheDistanceMatrix:
+    """Only ``_tile_walk`` forms distance rows: the median and the kernel
+    read the matrix through it, and a second route fails here."""
+
+    def test_only_the_walk_forms_distance_rows(self):
+        source = Path(losses.__file__).read_text()
+        assert _distance_row_sites(source) == [("_tile_walk",), ("_tile_walk", "walk")]
+
+    @pytest.mark.parametrize("source", [
+        "def mmd_distance(joint, n):\n    return _sq_dist_rows(joint, sq, 0, 3)\n",
+        "def _median_distance(joint, n):\n    form = _sq_dist_rows\n    return form(joint, sq, 0, 3)\n",
+        "whole = lambda joint, sq: _sq_dist_rows(joint, sq, 0, len(joint))\n",
+    ])
+    def test_the_guard_flags_a_second_route(self, source):
+        assert [scope for scope in _distance_row_sites(source)
+                if scope[:1] != ("_tile_walk",)] != []
+
+
+def _distance_row_sites(source):
+    """The enclosing functions, outermost first, of every use of
+    ``_sq_dist_rows`` in ``source``."""
+    sites = []
+
+    class Sites(ast.NodeVisitor):
+        scope = ()
+
+        def visit_FunctionDef(self, node):
+            outer, self.scope = self.scope, (*self.scope, node.name)
+            self.generic_visit(node)
+            self.scope = outer
+
+        def visit_Name(self, node):
+            if node.id == "_sq_dist_rows":
+                sites.append(self.scope)
+
+    Sites().visit(ast.parse(source))
+    return sites
 
 
 # the parity of P = N(N-1)/2 follows N % 4: odd for 2 and 3, even for 0 and 1

@@ -357,7 +357,7 @@ class TestTrainLoop:
         src, tgt = blob_pair(n=300)
         cfg = small_cfg(method="mim", epochs=6, initial_marginal=(0.97, 0.03))
         _, metrics = train(cfg, src, tgt)
-        h = metrics.series("h_q")
+        h = [record["h_q"] for record in metrics.records]
         # the tracker leaves the collapsed start and heads toward the mix of
         # batch marginals; it never falls back toward H((0.97, 0.03)) = 0.13
         assert h[-1] > h[0]
@@ -788,9 +788,9 @@ class TestAblation:
         pools = []
         real_pool = training.outlier_pool
 
-        def recording_pool(style, n, seed):
+        def recording_pool(n, seed):
             pools.append(n)
-            return real_pool(style, n, seed)
+            return real_pool(n, seed)
 
         monkeypatch.setattr(training, "outlier_pool", recording_pool)
         spec = BenchmarkSpec(kind="TwO", outlier_fraction=rho, seed=1)
