@@ -86,8 +86,8 @@ Weight = Annotated[float, Range(0)]
 Positive = Annotated[float, Range(0, low_open=True)]
 Count = Annotated[int, Range(1)]
 Share = Annotated[float, Range(0, 1, high_open=True)]
-# a stream is named by its seed's low 32 bits (transforms.rng), so a wider seed
-# would alias; a glyph pair renders its target from its seed + 1
+# transforms.rng refuses a seed outside [0, 2**32), so a wider seed is refused,
+# not aliased; a glyph pair renders its target from its seed + 1
 Seed = Annotated[int, Range(0, 2**32 - 1)]
 PairSeed = Annotated[int, Range(0, 2**32 - 2)]
 
@@ -639,12 +639,16 @@ def load_dataset(path) -> DomainDataset:
                          f"{meta['kind']!r}: images are [n, H, W], points [n, d]")
     if not isinstance(meta.get("metadata", {}), dict):
         raise ValueError(f"{meta_path} key 'metadata' must be an object")
+    has_sublabels = meta.get("has_sublabels", False)
+    if not isinstance(has_sublabels, bool):
+        raise ValueError(f"{meta_path} key 'has_sublabels' must be true or false, "
+                         f"got {has_sublabels!r}")
     n = shape[0]
     raw = np.frombuffer(_read_exact(path / "images.f32le", 4 * math.prod(shape)),
                         dtype="<f4").astype(np.float64).reshape(shape)
     labels = _read_labels(path / "labels.u32le", n)
     sublabels = None
-    if meta.get("has_sublabels"):
+    if has_sublabels:
         sublabels = _read_labels(path / "sublabels.u32le", n)
     try:
         return DomainDataset(

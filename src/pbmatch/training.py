@@ -291,6 +291,11 @@ def _transform_token(seed_data: int, epoch: int, step_idx: int) -> int:
     return (int(seed_data) * 1_000_003 + epoch * 1_009 + step_idx) % (2 ** 31 - 1)
 
 
+# salt of a step's semantic-preserving views, under the step's token; a
+# pretext task's labels take salt 101 + its index in ST_TASKS
+SP_STREAM_SALT = 2**31
+
+
 def _effective_loss(base: LossConfig, method: str, tgt_is_image: bool) -> LossConfig:
     """``base`` with the weight of every term ``method`` does not train set to 0."""
     m = _METHODS[method]
@@ -440,7 +445,8 @@ def _build_bundle(cfg: TrainConfig, src: DomainDataset, adapt: DomainDataset,
 
     if loss_cfg.lambda_C > 0.0:
         bundle.tgt_x_aug = apply_semantic_preserving(
-            imgs_t, token, kinds=_METHODS[cfg.method].cpbm_kinds).reshape(len(rows_t), -1)
+            imgs_t, rng(token, SP_STREAM_SALT),
+            kinds=_METHODS[cfg.method].cpbm_kinds).reshape(len(rows_t), -1)
         bundle.pair_diff_mask = y_s != np.roll(y_s, 1)
 
     if loss_cfg.lambda_U > 0.0:
@@ -456,7 +462,8 @@ def _build_bundle(cfg: TrainConfig, src: DomainDataset, adapt: DomainDataset,
         both = np.concatenate([imgs_s, imgs_t])
         st: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
         for task in _METHODS[cfg.method].tasks:
-            x_task, labels = apply_semantic_transforming(both, task, token)
+            x_task, labels = apply_semantic_transforming(
+                both, task, rng(token, ST_TASKS.index(task) + 101))
             st[task] = (x_task.reshape(len(both), -1), labels)
         bundle.st_batches = st
 

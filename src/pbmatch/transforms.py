@@ -3,19 +3,21 @@
 All operations take a plain [n, H, W] array of [0,1]-valued grayscale
 images and return a new array; the values are checked once, where a
 ``DomainDataset`` is built, not on each call. They are deterministic: the
-same seed and the same batch give the same bytes. Each call draws every
-sample's random parameters as arrays from one generator seeded by (seed,
-family salt), so a sample's draw depends on its position and on the
+same generator state and the same batch give the same bytes. Each call
+draws every sample's random parameters as arrays from the generator its
+caller built, so a sample's draw depends on its position and on the
 batch's size and shape. The drawn operations are applied batch-wise, each
 kind to all the images that drew it at once, and give the same bytes as
 applying every sample's operations to it alone.
 
-The package's random streams are all named here: :func:`rng` builds one,
-and :func:`rngs` yields a run of per-index ones.
+Every generator in the package is built here: :func:`rng` builds the
+stream of a seed and its salts, and :func:`rngs` yields a run of per-index
+ones.
 """
 
 from __future__ import annotations
 
+import operator
 from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -37,19 +39,24 @@ MAX_CONTRAST_DELTA = 0.3
 CUTOUT_SIDE_FRACTION = 0.25
 
 
-# salt of the semantic-preserving stream; the other [seed, salt] streams use
-# small constants or per-sample indices, which stay far below it
-SP_STREAM_SALT = 2**31
+def _checked_words(seed: int, *salts: int) -> List[int]:
+    """The seed and the salts as entropy words, each refused by name unless
+    it lies in [0, 2**32): numpy would split a wider one into several words,
+    and a mask would alias it to another seed."""
+    words = [operator.index(w) for w in (seed, *salts)]
+    for what, word in zip(("seed",) + ("salt",) * len(salts), words):
+        if not 0 <= word < 2**32:
+            raise ValueError(f"random stream {what} {word} is outside [0, 2**32)")
+    return words
 
 
 def rng(seed: int, *salts: int) -> np.random.Generator:
     """Generator of the stream named by ``seed`` and ``salts``.
 
     Every salted stream in the package is built here or by :func:`rngs`,
-    from the seed's low 32 bits followed by the salts, so a salt names one
-    stream everywhere.
+    from the seed followed by the salts, every word in [0, 2**32).
     """
-    return np.random.default_rng([int(seed) & 0xFFFFFFFF, *salts])
+    return np.random.default_rng(_checked_words(seed, *salts))
 
 
 # numpy's SeedSequence constants (numpy/random/bit_generator.pyx)
@@ -73,7 +80,7 @@ class _SeedState(ISeedSequence):
 def _pcg64_seed_states(seed: int, n: int) -> np.ndarray:
     """[n, 4] uint64: the PCG64 seed state of ``rng(seed, i)`` for each i < n.
 
-    numpy's SeedSequence mixing of the entropy ``[seed & 0xFFFFFFFF, i]``
+    numpy's SeedSequence mixing of the entropy ``[seed, i]``
     into a 4-word pool, then the pool's 8 output words, run on all n pools
     at once in wrapping uint32 arithmetic.
     """
@@ -90,7 +97,7 @@ def _pcg64_seed_states(seed: int, n: int) -> np.ndarray:
         result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
         return result ^ (result >> np.uint32(_XSHIFT))
 
-    entropy = (np.full(n, int(seed) & _MASK32, dtype=np.uint32),
+    entropy = (np.full(n, seed, dtype=np.uint32),
                np.arange(n, dtype=np.uint32), np.zeros(n, dtype=np.uint32))
     pool = [hashmix(entropy[min(i, 2)]) for i in range(4)]
     for i_src in range(4):
@@ -116,6 +123,7 @@ def rngs(seed: int, n: int) -> Iterator[np.random.Generator]:
     """
     if not 0 <= n <= 2**32:
         raise ValueError(f"need 0 <= n <= 2**32 per-index streams, got {n}")
+    seed, = _checked_words(seed)
     for state in _pcg64_seed_states(seed, n):
         yield np.random.Generator(np.random.PCG64(_SeedState(state)))
 
@@ -161,19 +169,18 @@ def _sp_params(kind: str, u: np.ndarray, h: int, w: int) -> np.ndarray:
     return 0.02 + u[:, :1] * (MAX_NOISE_SIGMA - 0.02)
 
 
-def draw_semantic_preserving(seed: int, n: int, h: int, w: int,
+def draw_semantic_preserving(gen: np.random.Generator, n: int, h: int, w: int,
                              kinds: Sequence[str]) -> List[SpDraw]:
-    """Draw the ops of a batch of n H x W images from one generator.
+    """Draw the ops of a batch of n H x W images from the generator ``gen``.
 
     Every sample gets 1-2 distinct kinds (exactly 1 from a single kind) in
     a random order; slot 0 holds each sample's first op and slot 1 the
     second op of the samples that drew two. Returns one :class:`SpDraw` per
     (slot, kind) that some sample uses, by slot and then in ``kinds`` order
-    (repeats in ``kinds`` count once). The draws depend only on ``seed``,
-    the batch geometry and ``kinds``.
+    (repeats in ``kinds`` count once). The draws depend only on ``gen``'s
+    state, the batch geometry and ``kinds``.
     """
     kinds = tuple(dict.fromkeys(kinds))
-    gen = rng(seed, SP_STREAM_SALT)
     n_ops = gen.integers(1, 3, n) if len(kinds) > 1 else np.ones(n, dtype=np.int64)
     # a random order of the kinds per sample; its leading entries are distinct
     order = np.argsort(gen.random((n, len(kinds))), axis=1)
@@ -227,12 +234,12 @@ def _apply_sp_kind(kind: str, imgs: np.ndarray, p: np.ndarray,
     return imgs + p[:, 0, None, None] * noise
 
 
-def apply_semantic_preserving(x: np.ndarray, seed: int,
+def apply_semantic_preserving(x: np.ndarray, gen: np.random.Generator,
                               kinds: Sequence[str] = SP_KINDS) -> np.ndarray:
     """Random composition of 1-2 kinds per sample of the [n, H, W] images
     ``x``; returns a new array clamped to [0,1].
 
-    The ops are drawn for the whole batch by
+    The ops are drawn for the whole batch from ``gen`` by
     :func:`draw_semantic_preserving` and applied in two slots, every
     sample's first op and then the second op of the samples that drew two,
     so each sample keeps its drawn order. Within a slot each kind acts on
@@ -243,7 +250,7 @@ def apply_semantic_preserving(x: np.ndarray, seed: int,
             raise ValueError(f"unknown semantic-preserving kind: {k!r}")
     n, h, w = x.shape
     out = np.array(x, dtype=np.float64)
-    for draw in draw_semantic_preserving(seed, n, h, w, kinds):
+    for draw in draw_semantic_preserving(gen, n, h, w, kinds):
         out[draw.rows] = _apply_sp_kind(draw.kind, out[draw.rows], draw.params, draw.noise)
     np.clip(out, 0.0, 1.0, out=out)
     return out
@@ -297,13 +304,12 @@ _ST_OPS = {"rotate90": (rotate90_cw, 4), "vflip": (vflip, 2),
 
 
 def apply_semantic_transforming(x: np.ndarray, task: str,
-                                seed: int) -> Tuple[np.ndarray, np.ndarray]:
+                                gen: np.random.Generator) -> Tuple[np.ndarray, np.ndarray]:
     """Apply the pretext task to the [n, H, W] images ``x``; returns the
     transformed images, a new array, and their labels.
 
-    Labels come from one task-salted stream, so sample i's label depends
-    only on (seed, task, i) and each task sees a different sequence. The
-    images sharing a label are transformed together.
+    The labels are drawn from ``gen``, one per sample in order. The images
+    sharing a label are transformed together.
     """
     if task not in ST_TASKS:
         raise ValueError(f"unknown semantic-transforming task: {task!r}")
@@ -313,8 +319,7 @@ def apply_semantic_transforming(x: np.ndarray, task: str,
     if task == "patch_location" and (h % 2 or w % 2):
         raise ValueError(f"patch_location needs even dimensions, got {h}x{w}")
     op, n_classes = _ST_OPS[task]
-    labels = rng(seed, ST_TASKS.index(task) + 101).integers(0, n_classes, n)
-    labels = labels.astype(np.int64)
+    labels = gen.integers(0, n_classes, n).astype(np.int64)
     out = np.empty_like(x, dtype=np.float64)
     for label in range(n_classes):
         rows = np.flatnonzero(labels == label)

@@ -724,7 +724,9 @@ def test_load_names_a_key_missing_from_meta(tmp_path, key):
     ("metadata", 5, "'metadata' must be an object"),
     ("domain_role", "sideways", "domain_role must be one of"),
     ("class_count", 2, "labels must lie in"),
-], ids=["kind", "shape", "class_count", "metadata", "role", "labels_vs_classes"])
+    ("has_sublabels", "no", "'has_sublabels' must be true or false, got 'no'"),
+], ids=["kind", "shape", "class_count", "metadata", "role", "labels_vs_classes",
+        "has_sublabels"])
 def test_load_names_the_file_of_a_bad_meta_value(tmp_path, key, value, msg):
     path = _saved(tmp_path)
     meta = json.loads((path / "meta.json").read_text())
@@ -733,6 +735,14 @@ def test_load_names_the_file_of_a_bad_meta_value(tmp_path, key, value, msg):
     with pytest.raises(ValueError, match=msg) as err:
         load_dataset(path)
     assert str(path) in str(err.value)
+
+
+def test_load_reads_a_missing_has_sublabels_as_false(tmp_path):
+    path = _saved(tmp_path)
+    meta = json.loads((path / "meta.json").read_text())
+    del meta["has_sublabels"]
+    (path / "meta.json").write_text(json.dumps(meta))
+    assert load_dataset(path).sublabels is None
 
 
 @pytest.mark.parametrize("kind,shape", [("points", (8, 4, 4)), ("images", (8, 16))],

@@ -32,6 +32,14 @@ def test_init_deterministic_in_seed():
     assert not np.array_equal(a.phi[0][0], c.phi[0][0])
 
 
+@pytest.mark.parametrize("seed", [-1, 2**32, 2**32 + 5])
+def test_init_refuses_a_seed_outside_32_bits_instead_of_aliasing_it(seed):
+    # a masked seed once drew seed 2**32 - 1's weights for -1 and seed 5's
+    # for 2**32 + 5, and recorded a seed no checkpoint could load
+    with pytest.raises(ValueError, match=f"seed {seed} is outside"):
+        init_params([4, 3, 2], seed)
+
+
 def test_init_shapes():
     p = init_params([256, 64, 10], seed=0)
     assert p.phi[0][0].shape == (256, 64)

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 import pbmatch
+from pbmatch.training import SP_STREAM_SALT
 from pbmatch.transforms import (
     CUTOUT_SIDE_FRACTION,
     MAX_BRIGHTNESS_DELTA,
@@ -36,6 +37,17 @@ from pbmatch.transforms import (
 def _random_batch(n, h=16, w=16, seed=0):
     rng = np.random.default_rng(seed)
     return rng.uniform(0.0, 1.0, (n, h, w))
+
+
+def _views(seed):
+    """A fresh generator of the view stream that training builds from ``seed``."""
+    return rng(seed, SP_STREAM_SALT)
+
+
+def _pretext(seed, task):
+    """A fresh generator of the label stream that training builds for
+    ``task`` from ``seed``."""
+    return rng(seed, ST_TASKS.index(task) + 101)
 
 
 # ---------------------------------------------------------------------------
@@ -107,26 +119,27 @@ class TestPatchLocation:
 class TestSemanticTransforming:
     def test_deterministic_given_seed(self):
         x = _random_batch(32)
-        out1, lab1 = apply_semantic_transforming(x, "rotate90", seed=7)
-        out2, lab2 = apply_semantic_transforming(x, "rotate90", seed=7)
+        out1, lab1 = apply_semantic_transforming(x, "rotate90", _pretext(7, "rotate90"))
+        out2, lab2 = apply_semantic_transforming(x, "rotate90", _pretext(7, "rotate90"))
         assert np.array_equal(out1, out2)
         assert np.array_equal(lab1, lab2)
 
     def test_labels_match_applied_op(self):
         x = _random_batch(64)
-        out, labels = apply_semantic_transforming(x, "rotate90", seed=11)
+        out, labels = apply_semantic_transforming(x, "rotate90", _pretext(11, "rotate90"))
         for i in range(len(x)):
             assert np.array_equal(out[i], rotate90_cw(x[i], labels[i]))
 
     def test_vflip_labels_match(self):
         x = _random_batch(64)
-        out, labels = apply_semantic_transforming(x, "vflip", seed=5)
+        out, labels = apply_semantic_transforming(x, "vflip", _pretext(5, "vflip"))
         for i in range(len(x)):
             assert np.array_equal(out[i], vflip(x[i], labels[i]))
 
     def test_patch_labels_match(self):
         x = _random_batch(64)
-        out, labels = apply_semantic_transforming(x, "patch_location", seed=9)
+        out, labels = apply_semantic_transforming(x, "patch_location",
+                                                  _pretext(9, "patch_location"))
         for i in range(len(x)):
             assert np.array_equal(out[i], extract_quadrant(x[i], labels[i]))
 
@@ -134,21 +147,23 @@ class TestSemanticTransforming:
     def test_labels_close_to_uniform(self, task, k):
         # chi-square goodness of fit over a large stream
         x = _random_batch(4096)
-        _, labels = apply_semantic_transforming(x, task, seed=23)
+        _, labels = apply_semantic_transforming(x, task, _pretext(23, task))
         counts = np.bincount(labels, minlength=k)
         assert stats.chisquare(counts).pvalue > 0.01
 
     def test_rotate_requires_square(self):
         with pytest.raises(ValueError, match="square"):
-            apply_semantic_transforming(_random_batch(2, 8, 10), "rotate90", seed=0)
+            apply_semantic_transforming(_random_batch(2, 8, 10), "rotate90",
+                                        _pretext(0, "rotate90"))
 
     def test_patch_requires_even(self):
         with pytest.raises(ValueError, match="even"):
-            apply_semantic_transforming(_random_batch(2, 7, 7), "patch_location", seed=0)
+            apply_semantic_transforming(_random_batch(2, 7, 7), "patch_location",
+                                        _pretext(0, "patch_location"))
 
     def test_unknown_task_rejected(self):
         with pytest.raises(ValueError, match="unknown semantic-transforming task"):
-            apply_semantic_transforming(_random_batch(2), "colorize", seed=0)
+            apply_semantic_transforming(_random_batch(2), "colorize", _views(0))
 
 
 # ---------------------------------------------------------------------------
@@ -158,31 +173,31 @@ class TestSemanticTransforming:
 class TestSemanticPreserving:
     def test_output_in_unit_range(self):
         x = _random_batch(64)
-        out = apply_semantic_preserving(x, seed=3)
+        out = apply_semantic_preserving(x, _views(3))
         assert out.min() >= 0.0
         assert out.max() <= 1.0
 
     def test_deterministic_given_seed(self):
         x = _random_batch(32)
-        a = apply_semantic_preserving(x, seed=13)
-        b = apply_semantic_preserving(x, seed=13)
+        a = apply_semantic_preserving(x, _views(13))
+        b = apply_semantic_preserving(x, _views(13))
         assert np.array_equal(a, b)
 
     def test_different_seeds_differ(self):
         x = _random_batch(32)
-        a = apply_semantic_preserving(x, seed=1)
-        b = apply_semantic_preserving(x, seed=2)
+        a = apply_semantic_preserving(x, _views(1))
+        b = apply_semantic_preserving(x, _views(2))
         assert not np.array_equal(a, b)
 
     def test_does_not_mutate_input(self):
         x = _random_batch(16)
         before = x.copy()
-        apply_semantic_preserving(x, seed=5)
+        apply_semantic_preserving(x, _views(5))
         assert np.array_equal(x, before)
 
     def test_usually_changes_the_image(self):
         x = _random_batch(64)
-        out = apply_semantic_preserving(x, seed=21)
+        out = apply_semantic_preserving(x, _views(21))
         changed = sum(
             not np.array_equal(out[i], x[i]) for i in range(len(x))
         )
@@ -190,24 +205,24 @@ class TestSemanticPreserving:
 
     def test_kind_subsets(self):
         x = _random_batch(16)
-        ra = apply_semantic_preserving(x, seed=2, kinds=RA_KINDS)
-        ni = apply_semantic_preserving(x, seed=2, kinds=NI_KINDS)
+        ra = apply_semantic_preserving(x, _views(2), kinds=RA_KINDS)
+        ni = apply_semantic_preserving(x, _views(2), kinds=NI_KINDS)
         assert not np.array_equal(ra, ni)
 
     def test_noise_only_stays_close(self):
         # additive noise capped at sigma 0.15 cannot move pixels far
         x = _random_batch(8)
-        out = apply_semantic_preserving(x, seed=4, kinds=NI_KINDS)
+        out = apply_semantic_preserving(x, _views(4), kinds=NI_KINDS)
         assert np.abs(out - x).max() < 1.0
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown semantic-preserving kind"):
-            apply_semantic_preserving(_random_batch(2), seed=0, kinds=("sharpen",))
+            apply_semantic_preserving(_random_batch(2), _views(0), kinds=("sharpen",))
 
     @pytest.mark.parametrize("n", [0, 2])
     def test_unknown_kind_rejected_without_any_draw(self, n):
         with pytest.raises(ValueError, match="unknown semantic-preserving kind"):
-            apply_semantic_preserving(_random_batch(n), seed=0, kinds=("sharpen",))
+            apply_semantic_preserving(_random_batch(n), _views(0), kinds=("sharpen",))
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +304,7 @@ def _ops_per_sample(draws, n):
 def reference_semantic_preserving(data, seed, kinds):
     """Each sample's drawn ops applied to that image alone, one at a time."""
     n, h, w = data.shape
-    ops = _ops_per_sample(draw_semantic_preserving(seed, n, h, w, kinds), n)
+    ops = _ops_per_sample(draw_semantic_preserving(_views(seed), n, h, w, kinds), n)
     out = np.empty_like(data)
     for i in range(n):
         img = data[i]
@@ -301,8 +316,7 @@ def reference_semantic_preserving(data, seed, kinds):
 
 def reference_semantic_transforming(data, task, seed):
     n_classes = {"rotate90": 4, "vflip": 2, "patch_location": 4}[task]
-    rng = np.random.default_rng([int(seed) & 0xFFFFFFFF, ST_TASKS.index(task) + 101])
-    labels = rng.integers(0, n_classes, data.shape[0]).astype(np.int64)
+    labels = _pretext(seed, task).integers(0, n_classes, data.shape[0]).astype(np.int64)
     out = np.empty_like(data)
     h, w = data.shape[1:]
     for i in range(data.shape[0]):
@@ -324,13 +338,13 @@ def _same_bytes(a, b):
 
 
 def _assert_sp_matches_reference(data, seed, kinds):
-    got = apply_semantic_preserving(data, seed, kinds=kinds)
+    got = apply_semantic_preserving(data, _views(seed), kinds=kinds)
     want = reference_semantic_preserving(data, seed, kinds)
     assert _same_bytes(got, want), (seed, kinds, data.shape)
 
 
 def _assert_st_matches_reference(data, task, seed):
-    got, labels = apply_semantic_transforming(data, task, seed)
+    got, labels = apply_semantic_transforming(data, task, _pretext(seed, task))
     want, want_labels = reference_semantic_transforming(data, task, seed)
     assert _same_bytes(got, want), (task, seed, data.shape)
     assert np.array_equal(labels, want_labels)
@@ -355,12 +369,12 @@ class TestBatchedMatchesPerSampleReference:
             _assert_sp_matches_reference(data, seed, KIND_SETS[kinds])
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-    @given(seed=st.integers(-2**40, 2**40),
+    @given(seed=st.integers(0, 2**32 - 1),
            n=st.integers(0, 12),
            kinds=st.lists(st.sampled_from(SP_KINDS), min_size=1, max_size=6),
            shape=st.sampled_from([(16, 16), (12, 20), (9, 7), (4, 4)]))
     def test_semantic_preserving_property(self, seed, n, kinds, shape):
-        data = np.random.default_rng(abs(seed) % 997).uniform(size=(n,) + shape)
+        data = np.random.default_rng(seed % 997).uniform(size=(n,) + shape)
         _assert_sp_matches_reference(data, seed, tuple(kinds))
 
     @pytest.mark.parametrize("task", ST_TASKS)
@@ -373,10 +387,10 @@ class TestBatchedMatchesPerSampleReference:
                 _assert_st_matches_reference(rng.uniform(size=(n, 16, 16)), task, seed)
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
-    @given(seed=st.integers(-2**40, 2**40), n=st.integers(0, 40),
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 40),
            task=st.sampled_from(ST_TASKS), side=st.sampled_from([4, 8, 16, 22]))
     def test_semantic_transforming_property(self, seed, n, task, side):
-        data = np.random.default_rng(abs(seed) % 991).uniform(size=(n, side, side))
+        data = np.random.default_rng(seed % 991).uniform(size=(n, side, side))
         _assert_st_matches_reference(data, task, seed)
 
     def test_vflip_and_patch_location_on_non_square_images(self):
@@ -393,7 +407,7 @@ class TestSemanticPreservingDraws:
     def test_each_sample_gets_one_or_two_distinct_kinds(self, kinds):
         kinds = KIND_SETS.get(kinds, ("shift", "contrast"))
         for seed in range(30):
-            ops = _ops_per_sample(draw_semantic_preserving(seed, 40, 16, 16, kinds), 40)
+            ops = _ops_per_sample(draw_semantic_preserving(_views(seed), 40, 16, 16, kinds), 40)
             for sample in ops:
                 drawn = [kind for _, kind, _, _ in sample]
                 assert [slot for slot, _, _, _ in sample] == list(range(len(drawn)))
@@ -402,7 +416,7 @@ class TestSemanticPreservingDraws:
                 assert set(drawn) <= set(kinds)
 
     def test_repeated_kinds_count_once(self):
-        draws = draw_semantic_preserving(3, 50, 16, 16, ("shift", "shift"))
+        draws = draw_semantic_preserving(_views(3), 50, 16, 16, ("shift", "shift"))
         assert [d.slot for d in draws] == [0]
         assert np.array_equal(draws[0].rows, np.arange(50))
 
@@ -411,7 +425,7 @@ class TestSemanticPreservingDraws:
         h, w = shape
         seen = set()
         for seed in range(40):
-            for d in draw_semantic_preserving(seed, 64, h, w, SP_KINDS):
+            for d in draw_semantic_preserving(_views(seed), 64, h, w, SP_KINDS):
                 seen.add(d.kind)
                 p = d.params
                 if d.kind == "shift":
@@ -438,7 +452,7 @@ class TestSemanticPreservingDraws:
 
     def test_kinds_and_op_counts_are_balanced(self):
         # chi-square goodness of fit over a large batch
-        draws = draw_semantic_preserving(23, 6000, 16, 16, SP_KINDS)
+        draws = draw_semantic_preserving(_views(23), 6000, 16, 16, SP_KINDS)
         first = {d.kind: len(d.rows) for d in draws if d.slot == 0}
         assert sum(first.values()) == 6000
         assert stats.chisquare([first[k] for k in SP_KINDS]).pvalue > 0.01
@@ -447,15 +461,15 @@ class TestSemanticPreservingDraws:
 
     def test_output_depends_only_on_seed_and_batch(self):
         x = _random_batch(32)
-        first = apply_semantic_preserving(x, seed=13)
-        apply_semantic_preserving(_random_batch(32, seed=1), seed=14)
-        again = apply_semantic_preserving(x.copy(), seed=13)
+        first = apply_semantic_preserving(x, _views(13))
+        apply_semantic_preserving(_random_batch(32, seed=1), _views(14))
+        again = apply_semantic_preserving(x.copy(), _views(13))
         assert _same_bytes(first, again)
 
     @pytest.mark.parametrize("kinds", list(KIND_SETS), ids=list(KIND_SETS))
     def test_different_seeds_differ(self, kinds):
         x = _random_batch(16)
-        outs = {apply_semantic_preserving(x, seed, kinds=KIND_SETS[kinds]).tobytes()
+        outs = {apply_semantic_preserving(x, _views(seed), kinds=KIND_SETS[kinds]).tobytes()
                 for seed in range(40)}
         assert len(outs) == 40
 
@@ -466,18 +480,30 @@ class TestSemanticPreservingDraws:
 
 class TestSeedingHelper:
     @pytest.mark.parametrize("seed,salts", [
-        (0, (909,)), (17, (11, 3)), (-1, (2**31,)), (2**40 + 5, (17, 4, 2)),
+        (0, (909,)), (17, (11, 3)), (2**32 - 1, (2**31,)), (5, (17, 4, 2)),
         (3, (2**32 - 1,))])
-    def test_same_stream_as_the_masked_seed_list(self, seed, salts):
-        want = np.random.default_rng([seed & 0xFFFFFFFF, *salts]).random(8)
+    def test_same_stream_as_the_seed_list(self, seed, salts):
+        want = np.random.default_rng([seed, *salts]).random(8)
         assert _same_bytes(rng(seed, *salts).random(8), want)
 
+    @pytest.mark.parametrize("args,msg", [
+        ((-1,), "seed -1 is outside"), ((2**32,), "seed 4294967296 is outside"),
+        ((2**40 + 5, 17), "seed 1099511627781 is outside"),
+        ((0, 11, -1), "salt -1 is outside"), ((3, 2**32), "salt 4294967296 is outside"),
+    ], ids=["negative_seed", "wide_seed", "wider_seed", "negative_salt", "wide_salt"])
+    def test_a_word_outside_32_bits_is_refused_not_aliased(self, args, msg):
+        with pytest.raises(ValueError, match=msg):
+            rng(*args)
+        if len(args) == 1:
+            with pytest.raises(ValueError, match=msg):
+                next(rngs(args[0], 3))
+
     @pytest.mark.parametrize("n", [1, 2, 4097])
-    @pytest.mark.parametrize("seed", [0, 17, 2**31, 2**32 - 1, -1, 2**40 + 5])
+    @pytest.mark.parametrize("seed", [0, 17, 2**31, 2**32 - 1])
     def test_rngs_yields_the_per_index_streams_in_order(self, seed, n):
         count = 0
         for i, gen in enumerate(rngs(seed, n)):
-            seq = np.random.SeedSequence([seed & 0xFFFFFFFF, i])
+            seq = np.random.SeedSequence([seed, i])
             want = np.random.Generator(np.random.PCG64(seq))
             assert gen.bit_generator.state == want.bit_generator.state, (seed, i)
             assert gen.bit_generator.state == rng(seed, i).bit_generator.state, (seed, i)
