@@ -100,6 +100,8 @@ _SCALARS = {
     bool: (lambda v: isinstance(v, bool), "true or false", "true or false values"),
     str: (lambda v: isinstance(v, str), "a string", "strings"),
     type(None): (lambda v: v is None, "null", "nulls"),
+    # a free-form object, taken as it is
+    dict: (lambda v: isinstance(v, dict), "an object", "objects"),
 }
 
 
@@ -122,6 +124,8 @@ def _want(hint, plural: bool = False) -> str:
     if origin is abc.Sequence or origin is tuple and args[1:] == (...,):
         return f"{'lists' if plural else 'a list'} of {_want(args[0], True)}" + (
             "" if plural else " (not empty)")
+    if origin is tuple and not args:
+        return "empty lists" if plural else "an empty list"
     if origin is tuple and len(set(args)) == 1:
         return f"{'lists' if plural else 'a list'} of {len(args)} {_want(args[0], True)}"
     if origin is dict and args[0] is int:
@@ -161,7 +165,7 @@ def _fit(hint, v):
         # name the deepest part that fits no alternative
         raise _Misfit(next((p for p in parts if p is not v), v))
     if origin in (abc.Sequence, tuple):
-        if not (isinstance(v, (list, tuple, np.ndarray)) and len(v) > 0):
+        if not (isinstance(v, (list, tuple, np.ndarray)) and (len(v) > 0 or not args)):
             raise _Misfit(v)
         items = args[:1] * len(v) if origin is abc.Sequence or args[1:] == (...,) else args
         if len(items) != len(v):
@@ -189,9 +193,9 @@ def checked(target, d, what: str) -> Dict:
     An unknown key, a missing required key, or a value that does not fit
     its hint raises ``ValueError`` naming ``what`` and the key: an int
     takes no float or bool, a float is finite, a bool is only true or
-    false, a list is not empty, and a ``Literal`` or a :class:`Range` in
-    ``Annotated`` states the values a field takes. Lists come back as
-    tuples, and an object for a dataclass goes through its ``from_dict``.
+    false, a list is not empty (but ``Tuple[()]``), and a ``Literal`` or a
+    :class:`Range` in ``Annotated`` states the values a field takes. Lists
+    come back as tuples, and an object for a dataclass goes through its ``from_dict``.
     A keyword-only parameter is for Python callers and is no JSON key. A
     parameter whose hint cannot be checked raises ``TypeError`` on every
     call, whatever ``d`` holds.
@@ -222,6 +226,16 @@ def checked(target, d, what: str) -> Dict:
     return kwargs
 
 
+def checked_object(cls, d, what: str):
+    """The dataclass ``cls`` built from the JSON object ``d`` by :func:`checked`;
+    a rule of ``cls`` across its fields that refuses it names ``what`` too."""
+    kwargs = checked(cls, d, what)
+    try:
+        return cls(**kwargs)
+    except ValueError as e:
+        raise ValueError(f"{what}: {e}") from None
+
+
 def check_fields(obj) -> None:
     """Hold a dataclass built in Python to the JSON rules of
     :func:`checked`, rules in ``Literal`` and :class:`Range` included: a
@@ -239,9 +253,10 @@ def check_fields(obj) -> None:
 
 @functools.lru_cache(maxsize=None)
 def _field_checks(cls) -> Tuple[Tuple[str, object], ...]:
-    """(name, hint) of each field of ``cls``; resolved once per class, since
-    resolving hints is slow and configs are built at every run's start."""
-    return tuple(typing.get_type_hints(cls, include_extras=True).items())
+    """(name, hint) of each ``__init__`` field of ``cls``; resolved once per class,
+    since resolving hints is slow and configs are built at every run's start."""
+    hints = typing.get_type_hints(cls, include_extras=True)
+    return tuple((f.name, hints[f.name]) for f in dataclasses.fields(cls) if f.init)
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +285,8 @@ class DomainDataset:
     def __post_init__(self):
         if self.domain_role not in DOMAIN_ROLES:
             raise ValueError(f"domain_role must be one of {DOMAIN_ROLES}, got {self.domain_role!r}")
+        if not (_is_int(self.class_count) and self.class_count >= 1):
+            raise ValueError(f"class_count must be an integer >= 1, got {self.class_count!r}")
         x = self.images = np.asarray(self.images, dtype=np.float64)
         if x.ndim == 3:
             if x.shape[1] < 4 or x.shape[2] < 4:
@@ -411,7 +428,8 @@ def _render_glyph_mask(class_idx: int, style: int, thickness: int) -> np.ndarray
     return mask
 
 
-def generate_glyph_domain(spec: GlyphDomainSpec, domain_role: str) -> DomainDataset:
+def generate_glyph_domain(spec: GlyphDomainSpec,
+                          domain_role: Literal[DOMAIN_ROLES]) -> DomainDataset:
     """Render one glyph domain: balanced classes, round-robin sub-styles.
 
     Sample ``idx`` draws its shift ``(dy, dx)`` and then its noise field
@@ -492,16 +510,19 @@ def default_pair_specs(n_classes: Annotated[int, Range(2, MAX_CLASSES)] = 4,
 # blob pairs (pure label shift)
 # ---------------------------------------------------------------------------
 
-def _generate_blob_domain(k: int, priors: np.ndarray, means: np.ndarray,
-                          spread: float, n: int, seed: int, role: str) -> DomainDataset:
+def _generate_blob_domain(K: Count, priors: Tuple[Weight, ...],
+                          means: Tuple[Tuple[float, float], ...], spread: Weight,
+                          n: Count, seed: Seed, *, role: str) -> DomainDataset:
+    # the parameters are named as the keys of the metadata's "params", K included
+    priors, means = np.asarray(priors, dtype=np.float64), np.asarray(means, dtype=np.float64)
     gen = rng(seed, DOMAIN_ROLES.index(role))
-    labels = gen.choice(k, size=n, p=priors)
+    labels = gen.choice(K, size=n, p=priors)
     points = means[labels] + gen.normal(0.0, spread, (n, 2))
     return DomainDataset(
         images=_quantize(points), labels=labels.astype(np.int64),
-        class_count=k, domain_role=role,
+        class_count=K, domain_role=role,
         metadata={"generator": "blob", "domain_role": role,
-                  "params": {"K": k, "priors": priors.tolist(),
+                  "params": {"K": K, "priors": priors.tolist(),
                              "means": means.tolist(), "spread": spread,
                              "n": n, "seed": seed}})
 
@@ -523,8 +544,8 @@ def generate_blob_pair(k: Count, source_priors: Sequence[Weight],
     for name, p in (("source_priors", source_priors), ("target_priors", target_priors)):
         if p.shape != (k,) or np.any(p < 0.0) or abs(p.sum() - 1.0) > 1e-9:
             raise ValueError(f"{name} must be {k} non-negative values summing to 1")
-    return (_generate_blob_domain(k, source_priors, means_arr, spread, n, seed, "source"),
-            _generate_blob_domain(k, target_priors, means_arr, spread, n, seed, "target"))
+    return (_generate_blob_domain(k, source_priors, means_arr, spread, n, seed, role="source"),
+            _generate_blob_domain(k, target_priors, means_arr, spread, n, seed, role="target"))
 
 
 # ---------------------------------------------------------------------------
@@ -546,34 +567,55 @@ def outlier_pool(n: int, seed: int) -> np.ndarray:
 # regeneration and the on-disk format
 # ---------------------------------------------------------------------------
 
+def _regenerate_blob(domain_role: Literal[DOMAIN_ROLES], params: dict) -> DomainDataset:
+    return _generate_blob_domain(**checked(_generate_blob_domain, params, "blob metadata params"),
+                                 role=domain_role)
+
+
 def regenerate(metadata: Dict) -> DomainDataset:
-    """Rebuild a dataset from its recorded metadata, bit-identically."""
+    """Rebuild a dataset from its recorded metadata, bit-identically; a
+    missing or misfit key raises ``ValueError`` naming it."""
+    if not isinstance(metadata, dict):
+        raise ValueError(f"metadata must be an object, got {type(metadata).__name__}")
     gen = metadata.get("generator")
-    role = metadata.get("domain_role")
-    if gen == "glyph":
-        return generate_glyph_domain(GlyphDomainSpec.from_dict(metadata["spec"]), role)
-    if gen == "blob":
-        p = metadata["params"]
-        return _generate_blob_domain(
-            p["K"], np.asarray(p["priors"]), np.asarray(p["means"]),
-            p["spread"], p["n"], p["seed"], role)
-    raise ValueError(f"cannot regenerate from metadata with generator {gen!r}")
+    # each function's parameters are the other keys of its generator's metadata
+    build = {"glyph": generate_glyph_domain, "blob": _regenerate_blob}.get(gen)
+    if build is None:
+        raise ValueError(f"cannot regenerate from metadata with generator {gen!r}")
+    return build(**checked(build, {k: v for k, v in metadata.items() if k != "generator"},
+                           f"{gen} metadata"))
+
+
+@dataclass(frozen=True)
+class DatasetMeta:
+    """The ``meta.json`` of a dataset directory: what its data files hold."""
+
+    kind: Literal["images", "points"]
+    shape: Tuple[Annotated[int, Range(0)], ...]
+    class_count: Count
+    domain_role: Literal[DOMAIN_ROLES]
+    n: Annotated[int, Range(0)]
+    has_sublabels: bool = False
+    metadata: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        check_fields(self)
+        if len(self.shape) != (3 if self.kind == "images" else 2):
+            raise ValueError(f"field 'kind' is {self.kind!r}, but field 'shape' {list(self.shape)} "
+                             f"has rank {len(self.shape)}: images are [n, H, W], points [n, d]")
+        if self.n != self.shape[0]:
+            raise ValueError(f"field 'n' is {self.n}, but field 'shape' {list(self.shape)} "
+                             f"holds {self.shape[0]} samples")
 
 
 def save_dataset(ds: DomainDataset, path) -> None:
     """Write meta.json + images.f32le + labels.u32le (+ sublabels.u32le)."""
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
-    meta = {
-        "kind": "images" if ds.is_image else "points",
-        "shape": list(ds.images.shape),
-        "class_count": ds.class_count,
-        "domain_role": ds.domain_role,
-        "n": ds.n_samples,
-        "has_sublabels": ds.sublabels is not None,
-        "metadata": ds.metadata,
-    }
-    (path / "meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True))
+    meta = DatasetMeta(kind="images" if ds.is_image else "points", shape=ds.images.shape,
+                       class_count=ds.class_count, domain_role=ds.domain_role, n=ds.n_samples,
+                       has_sublabels=ds.sublabels is not None, metadata=ds.metadata)
+    (path / "meta.json").write_text(json.dumps(dataclasses.asdict(meta), indent=2, sort_keys=True))
     (path / "images.f32le").write_bytes(ds.images.astype("<f4").tobytes())
     (path / "labels.u32le").write_bytes(
         ds.labels.astype(np.int64).astype("<u4").tobytes())
@@ -582,19 +624,20 @@ def save_dataset(ds: DomainDataset, path) -> None:
             ds.sublabels.astype(np.int64).astype("<u4").tobytes())
 
 
-_META_RULES = {"kind": Literal["images", "points"], "shape": Tuple[Annotated[int, Range(0)], ...],
-               "class_count": int, "domain_role": str}
-
-
-def read_json(path: Path, name: str):
-    """The JSON value in ``path``; ``ValueError``, starting with ``name``, for
+def parse_json(text: Union[str, bytes], name: str):
+    """The JSON value in ``text``; ``ValueError``, starting with ``name``, for
     text that is not JSON, ``NaN``, ``Infinity`` and ``-Infinity`` included."""
     def refuse(token):
         raise ValueError(f"{name} holds {token}, which is not JSON")
     try:
-        return json.loads(path.read_text(), parse_constant=refuse)
-    except json.JSONDecodeError as e:
+        return json.loads(text, parse_constant=refuse)
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise ValueError(f"{name} is not valid JSON: {e}") from e
+
+
+def read_json(path: Path, name: str):
+    """The JSON value in the file ``path``, parsed by :func:`parse_json`."""
+    return parse_json(path.read_bytes(), name)
 
 
 def _read_exact(path: Path, n_bytes: int) -> bytes:
@@ -615,45 +658,20 @@ def _read_labels(path: Path, n: int) -> np.ndarray:
 def load_dataset(path) -> DomainDataset:
     """Read a directory written by :func:`save_dataset`.
 
-    A malformed ``meta.json``, a data file of the wrong byte length, or
-    contents the dataset rejects raise ``ValueError`` naming the file or
-    directory.
+    A ``meta.json`` that :class:`DatasetMeta` refuses, a data file of the
+    wrong byte length, or contents the dataset rejects raise ``ValueError``
+    naming the file or directory.
     """
     path = Path(path)
     meta_path = path / "meta.json"
-    meta = read_json(meta_path, str(meta_path))
-    if not isinstance(meta, dict):
-        raise ValueError(f"{meta_path} must hold a JSON object")
-    missing = [k for k in _META_RULES if k not in meta]
-    if missing:
-        raise ValueError(f"{meta_path} is missing keys: {missing}")
-    for key, hint in _META_RULES.items():
-        try:
-            _fit(hint, meta[key])
-        except _Misfit:
-            raise ValueError(f"{meta_path} key {key!r} must be {_want(hint)}, "
-                             f"got {meta[key]!r}") from None
-    shape = meta["shape"]
-    if len(shape) != (3 if meta["kind"] == "images" else 2):
-        raise ValueError(f"{meta_path} key 'shape' {shape} does not fit kind "
-                         f"{meta['kind']!r}: images are [n, H, W], points [n, d]")
-    if not isinstance(meta.get("metadata", {}), dict):
-        raise ValueError(f"{meta_path} key 'metadata' must be an object")
-    has_sublabels = meta.get("has_sublabels", False)
-    if not isinstance(has_sublabels, bool):
-        raise ValueError(f"{meta_path} key 'has_sublabels' must be true or false, "
-                         f"got {has_sublabels!r}")
-    n = shape[0]
-    raw = np.frombuffer(_read_exact(path / "images.f32le", 4 * math.prod(shape)),
-                        dtype="<f4").astype(np.float64).reshape(shape)
-    labels = _read_labels(path / "labels.u32le", n)
-    sublabels = None
-    if has_sublabels:
-        sublabels = _read_labels(path / "sublabels.u32le", n)
+    meta = checked_object(DatasetMeta, read_json(meta_path, str(meta_path)), str(meta_path))
+    raw = np.frombuffer(_read_exact(path / "images.f32le", 4 * math.prod(meta.shape)),
+                        dtype="<f4").astype(np.float64).reshape(meta.shape)
+    labels = _read_labels(path / "labels.u32le", meta.n)
+    sublabels = _read_labels(path / "sublabels.u32le", meta.n) if meta.has_sublabels else None
     try:
         return DomainDataset(
-            images=raw, labels=labels, class_count=meta["class_count"],
-            domain_role=meta["domain_role"], sublabels=sublabels,
-            metadata=meta.get("metadata", {}))
+            images=raw, labels=labels, class_count=meta.class_count,
+            domain_role=meta.domain_role, sublabels=sublabels, metadata=meta.metadata)
     except ValueError as e:
         raise ValueError(f"dataset {path}: {e}") from e

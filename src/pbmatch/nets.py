@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import asdict, dataclass, field
+from typing import Annotated, Dict, List, Literal, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from pbmatch.datasets import _is_int
+from pbmatch.datasets import (Count, Positive, Range, Seed, Share, Weight, check_fields,
+                              checked_object, parse_json)
 from pbmatch.transforms import ST_TASKS, _ST_OPS, rng
 
 # pretext task identifier -> number of prediction classes, one per task label
@@ -74,23 +75,25 @@ def _dense_init(gen: np.random.Generator, fan_in: int, fan_out: int) -> Pair:
     return gen.uniform(-limit, limit, (fan_in, fan_out)), np.zeros(fan_out)
 
 
-def _checked_spec(spec: Sequence[int], tasks: Sequence[str]) -> List[int]:
-    """The layer sizes as Python ints, once they and the task names are
-    usable: a size that is not an integer (a bool included) and a task
-    named twice are rejected, not coerced or doubled."""
-    if not all(map(_is_int, spec)):
-        raise ValueError(f"layer_spec sizes must be integers, got {list(spec)!r}")
-    spec = [int(s) for s in spec]
-    if len(spec) < 2:
-        raise ValueError("layer spec needs at least input and output sizes")
-    if any(s < 1 for s in spec):
-        raise ValueError(f"all layer sizes must be >= 1, got {spec}")
-    for i, task in enumerate(tasks):
-        if task not in TASK_CLASSES:
-            raise ValueError(f"unknown task: {task!r}")
-        if task in tasks[:i]:
-            raise ValueError(f"task {task!r} is named twice")
-    return spec
+@dataclass(frozen=True)
+class CheckpointHeader:
+    """A checkpoint's first line: layer sizes, seed, task heads and steps
+    taken. :func:`init_params` takes only what it holds, so a model that can
+    be built can be saved; a size of 4.7 or true is refused, not coerced."""
+
+    layer_spec: Tuple[Count, ...]
+    seed: Seed
+    tasks: Union[Tuple[Literal[ST_TASKS], ...], Tuple[()]]
+    step_count: Annotated[int, Range(0)]
+
+    def __post_init__(self):
+        check_fields(self)
+        if len(self.layer_spec) < 2:
+            raise ValueError(f"layer_spec needs at least input and output sizes, "
+                             f"got {self.layer_spec}")
+        for i, task in enumerate(self.tasks):
+            if task in self.tasks[:i]:
+                raise ValueError(f"task {task!r} is named twice")
 
 
 def _layer_shapes(spec: List[int], tasks: Sequence[str]) -> List[Tuple[int, int]]:
@@ -115,7 +118,8 @@ def init_params(spec: Sequence[int], seed: int,
     the label head. Auxiliary heads map the latent to each task's classes.
     Deterministic in the seed.
     """
-    spec = _checked_spec(spec, tasks)
+    CheckpointHeader(spec, seed, tasks, step_count=0)  # what no checkpoint could hold is refused
+    spec = [int(s) for s in spec]
     gen = rng(seed)
     return _assemble(spec, seed, tasks,
                      [_dense_init(gen, *shape) for shape in _layer_shapes(spec, tasks)])
@@ -195,19 +199,16 @@ OPTIMIZERS = ("adam", "sgd_momentum")
 class OptimState:
     """SGD-with-momentum or Adam state over a fixed parameter list."""
 
-    kind: str = "adam"
-    lr: float = 1e-3
-    momentum: float = 0.9
-    weight_decay: float = 1e-5
-    step_count: int = 0
-    _m: List[np.ndarray] = field(default_factory=list)
-    _v: List[np.ndarray] = field(default_factory=list)
+    kind: Literal[OPTIMIZERS] = "adam"
+    lr: Positive = 1e-3
+    momentum: Share = 0.9
+    weight_decay: Weight = 1e-5
+    step_count: Annotated[int, Range(0)] = 0
+    _m: List[np.ndarray] = field(default_factory=list, init=False)
+    _v: List[np.ndarray] = field(default_factory=list, init=False)
 
     def __post_init__(self):
-        if self.kind not in OPTIMIZERS:
-            raise ValueError(f"unknown optimizer kind: {self.kind!r}")
-        if not self.weight_decay >= 0:
-            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        check_fields(self)
 
 
 def step(params: ModelParams, opt: OptimState,
@@ -246,20 +247,14 @@ def step(params: ModelParams, opt: OptimState,
 # ---------------------------------------------------------------------------
 
 def save_checkpoint(path, params: ModelParams, step_count: int = 0) -> None:
-    header = {
-        "layer_spec": params.layer_spec,
-        "seed": params.seed,
-        "tasks": list(params.tasks),
-        "step_count": int(step_count),
-    }
+    header = CheckpointHeader(params.layer_spec, params.seed, params.tasks, step_count)
     with open(path, "wb") as f:
-        f.write(json.dumps(header).encode("utf-8"))
+        f.write(json.dumps(asdict(header)).encode("utf-8"))
         f.write(b"\n")
         for t in params.all_tensors():
             f.write(t.astype("<f8").tobytes())
 
 
-_HEADER_KEYS = ("layer_spec", "seed", "tasks", "step_count")
 # longest header line read, newline included; a real header is a few hundred bytes
 _MAX_HEADER_BYTES = 1 << 16
 
@@ -267,9 +262,9 @@ _MAX_HEADER_BYTES = 1 << 16
 def load_checkpoint(path) -> Tuple[ModelParams, int]:
     """Read a file written by :func:`save_checkpoint`.
 
-    A header line longer than ``_MAX_HEADER_BYTES``, a header that is not
-    a JSON object with every key and usable values, or a parameter blob of
-    the wrong byte length raises ``ValueError`` naming the file.
+    A header line longer than ``_MAX_HEADER_BYTES``, a header that
+    :class:`CheckpointHeader` refuses, or a parameter blob of the wrong
+    byte length raises ``ValueError`` naming the file.
     """
     with open(path, "rb") as f:
         line = f.readline(_MAX_HEADER_BYTES + 1)
@@ -278,26 +273,11 @@ def load_checkpoint(path) -> Tuple[ModelParams, int]:
             f"checkpoint {path} header line is longer than {_MAX_HEADER_BYTES} bytes")
     # the blob is sized before it is read
     blob_bytes = os.path.getsize(path) - len(line)
-    try:
-        header = json.loads(line.decode("utf-8"))
-    except ValueError as e:
-        raise ValueError(f"checkpoint {path} has no JSON header line: {e}") from e
-    if not isinstance(header, dict):
-        raise ValueError(f"checkpoint {path} header must be a JSON object")
-    missing = [k for k in _HEADER_KEYS if k not in header]
-    if missing:
-        raise ValueError(f"checkpoint {path} header is missing keys: {missing}")
-    try:
-        spec = _checked_spec(header["layer_spec"], header["tasks"])
-    except (TypeError, ValueError) as e:
-        raise ValueError(f"checkpoint {path} header is malformed: {e}") from e
-    for name in ("seed", "step_count"):
-        if not _is_int(header[name]) or header[name] < 0:
-            raise ValueError(f"checkpoint {path} header is malformed: {name} must be a "
-                             f"non-negative integer, got {header[name]!r}")
+    what = f"checkpoint {path} header"
+    header = checked_object(CheckpointHeader, parse_json(line, what), what)
     # the blob length the header implies, in Python ints: a header naming
     # huge layers fails here, before any parameter is allocated
-    layers = _layer_shapes(spec, header["tasks"])
+    layers = _layer_shapes(header.layer_spec, header.tasks)
     n_bytes = 8 * sum((fan_in + 1) * fan_out for fan_in, fan_out in layers)
     if blob_bytes != n_bytes:
         raise ValueError(
@@ -309,4 +289,4 @@ def load_checkpoint(path) -> Tuple[ModelParams, int]:
         pairs.append((flat[start:end].reshape(fan_in, fan_out).astype(np.float64),
                       flat[end:end + fan_out].astype(np.float64)))
         start = end + fan_out
-    return _assemble(spec, header["seed"], header["tasks"], pairs), header["step_count"]
+    return _assemble(list(header.layer_spec), header.seed, header.tasks, pairs), header.step_count

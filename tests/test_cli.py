@@ -24,6 +24,7 @@ import pytest
 import pbmatch
 from pbmatch.cli import main
 from pbmatch.datasets import DomainDataset, load_dataset, save_dataset
+from pbmatch.nets import init_params, save_checkpoint
 from pbmatch.benchmarks import BenchmarkSpec, load_pair
 from pbmatch.training import build_benchmark_pair
 
@@ -402,7 +403,8 @@ class TestTrainEval:
                                                  "hidden": [4]})
         assert main(["train", "--config", cfg, "--src", str(data), "--tgt", str(data),
                      "--out", str(tmp_path / "run")]) == 1
-        assert_named_error(capsys, str(data / "meta.json"), "does not fit kind 'points'")
+        assert_named_error(capsys, str(data / "meta.json"),
+                           "field 'kind' is 'points', but field 'shape'")
         assert not (tmp_path / "run").exists()
 
     def test_bad_method_exits_1(self, blob_pair_dir, tmp_path):
@@ -524,6 +526,33 @@ class TestTrainEval:
         assert main(["eval", "--checkpoint", str(ckpt),
                      "--data", str(blob_pair_dir / "target")]) == 1
         assert_named_error(capsys, str(ckpt), "holds 16 parameter bytes")
+
+    @pytest.mark.parametrize("key,value,named", [
+        ("tasks", "", "'tasks'"), ("tasks", {}, "'tasks'"), ("x", 1, "'x'"),
+        ("x", float("nan"), "NaN"), ("seed", 2**40, "'seed'"),
+    ], ids=["tasks_empty_string", "tasks_object", "unknown_key", "unknown_key_nan",
+            "seed_past_32_bits"])
+    def test_eval_refuses_a_checkpoint_header_value_by_name(self, blob_pair_dir, tmp_path,
+                                                            capsys, key, value, named):
+        ckpt = tmp_path / "checkpoint.bin"
+        save_checkpoint(ckpt, init_params([2, 4, 2], seed=0, tasks=()))
+        header, _, blob = ckpt.read_bytes().partition(b"\n")
+        header = {**json.loads(header), key: value}
+        ckpt.write_bytes(json.dumps(header).encode() + b"\n" + blob)
+        assert main(["eval", "--checkpoint", str(ckpt),
+                     "--data", str(blob_pair_dir / "target")]) == 1
+        assert_named_error(capsys, str(ckpt), named)
+
+    @pytest.mark.parametrize("key,value", [("n", 999), ("n", "x"), ("x", 1)],
+                             ids=["n_not_the_row_count", "n_str", "unknown_key"])
+    def test_train_refuses_a_meta_key_by_name(self, blob_pair_dir, tmp_path, capsys, key, value):
+        meta_path = blob_pair_dir / "source" / "meta.json"
+        meta_path.write_text(json.dumps({**json.loads(meta_path.read_text()), key: value}))
+        cfg = write_json(tmp_path / "cfg.json", {"method": "source_only", "epochs": 1})
+        assert main(["train", "--config", cfg, "--src", str(blob_pair_dir / "source"),
+                     "--tgt", str(blob_pair_dir / "target"), "--out", str(tmp_path / "run")]) == 1
+        assert_named_error(capsys, str(meta_path), f"'{key}'")
+        assert not (tmp_path / "run").exists()
 
 
 class TestAblate:

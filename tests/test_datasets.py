@@ -1,5 +1,6 @@
 """Synthetic domain generators: determinism, balance, and disk round-trips."""
 
+import ast
 import dataclasses
 import gc
 import inspect
@@ -9,15 +10,18 @@ import math
 import os
 import typing
 from collections import abc
+from pathlib import Path
 from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 import pytest
 
+import pbmatch
 from pbmatch.datasets import (
     CANVAS,
     INK_LEVEL,
     OUTLIER_LABEL,
+    DatasetMeta,
     DomainDataset,
     GlyphDomainSpec,
     _want,
@@ -34,7 +38,7 @@ from pbmatch.datasets import (
 from pbmatch.benchmarks import BenchmarkSpec
 from pbmatch.cli import _load_json
 from pbmatch.losses import LossConfig, backward
-from pbmatch.nets import OptimState, init_params, predict_logits, step
+from pbmatch.nets import CheckpointHeader, OptimState, init_params, predict_logits, step
 from pbmatch.training import TrainConfig, ablation_suite, lds_failure_probe
 
 from oracles import head_objective, oracle_glyph_domain, traced_peak
@@ -100,9 +104,10 @@ def test_spec_from_dict_names_the_bad_field(payload, msg):
 # the JSON boundary
 # ---------------------------------------------------------------------------
 
-# every dataclass and function a JSON config or spec is read into
+# every dataclass and function a JSON config, spec or file header is read into
 JSON_TARGETS = [GlyphDomainSpec, TrainConfig, LossConfig, BenchmarkSpec, default_pair_specs,
-                generate_glyph_pair, generate_blob_pair, ablation_suite, lds_failure_probe]
+                generate_glyph_pair, generate_blob_pair, ablation_suite, lds_failure_probe,
+                CheckpointHeader, DatasetMeta]
 
 
 @pytest.mark.parametrize("target", JSON_TARGETS, ids=lambda t: t.__name__)
@@ -124,6 +129,9 @@ _MINIMAL = {
                          "means": [[-2, 0], [2, 0]], "spread": 0.5, "n": 40, "seed": 0},
     ablation_suite: {"base_cfg": {}, "benchmarks": [{"kind": "LDS"}]},
     lds_failure_probe: {"priors_src": [0.5, 0.5], "priors_tgt": [0.7, 0.3]},
+    CheckpointHeader: {"layer_spec": [2, 2], "seed": 0, "tasks": ["vflip"], "step_count": 0},
+    DatasetMeta: {"kind": "points", "shape": [0, 2], "class_count": 2, "domain_role": "source",
+                  "n": 0},
 }
 # values no field takes (JSON spells the infinities 1e999 and -1e999, and has
 # no NaN), then values that only a bool or a string field takes
@@ -131,15 +139,18 @@ _NON_FINITE = [float("nan"), float("inf"), -float("inf")]
 _OTHER_TYPES = [True, "text"]
 
 
-def _leaf(hint):
+def _leaf(hint, like=None):
     """The first scalar or object hint inside ``hint``, and a function that
-    places a value there: inside a list, or in an Optional's first choice."""
+    places a value there: in an Optional's first choice, or at every place
+    of a list, a list of any length having as many places as ``like``, the
+    field's value in the minimal object, or else one."""
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin is Union:
-        return _leaf(args[0])
+        return _leaf(args[0], like)
     if origin in (abc.Sequence, tuple):
-        leaf, wrap = _leaf(args[0])
-        n = 1 if origin is abc.Sequence or args[1:] == (...,) else len(args)
+        leaf, wrap = _leaf(args[0], like[0] if like else None)
+        variadic = origin is abc.Sequence or args[1:] == (...,)
+        n = (len(like) if like else 1) if variadic else len(args)
         return leaf, lambda v: [wrap(v)] * n
     return hint, lambda v: v
 
@@ -170,7 +181,7 @@ def test_every_json_field_takes_what_its_rule_allows_or_refuses_it_by_name(targe
     for name, p in inspect.signature(target).parameters.items():
         if p.kind is not p.POSITIONAL_OR_KEYWORD:
             continue
-        leaf, wrap = _leaf(hints[name])
+        leaf, wrap = _leaf(hints[name], _MINIMAL[target].get(name))
         ruled = _rule_values(leaf)
         outcomes = {}
         junk = _NON_FINITE + _OTHER_TYPES
@@ -197,6 +208,51 @@ def test_every_json_field_takes_what_its_rule_allows_or_refuses_it_by_name(targe
             # a rule both takes and refuses some of its edge values
             assert {outcomes[repr(wrap(v))] for v in ruled} == {True, False}, (
                 target.__name__, name)
+
+
+def test_only_the_strict_parser_reads_json():
+    # nets.load_checkpoint once parsed its header with json.loads, which
+    # takes NaN and Infinity; every file is read through parse_json
+    sources = {path.name: path.read_text() for path in Path(pbmatch.__file__).parent.glob("*.py")}
+    assert _json_read_sites(sources) == [("datasets.py", "parse_json")]
+
+
+@pytest.mark.parametrize("source", [
+    "def load_checkpoint(path):\n    return json.loads(line.decode('utf-8'))\n",
+    "def load_checkpoint(f):\n    return json.load(f)\n",
+    "from json import loads\n",
+], ids=["loads", "load", "imported"])
+def test_the_parser_guard_flags_a_stray_json_read(source):
+    assert _json_read_sites({"nets.py": source}) != []
+
+
+def _json_read_sites(sources):
+    """(module, innermost function) of every use of ``json.load`` or
+    ``json.loads``, and of every import of either, in ``sources``, by
+    module name."""
+    sites = []
+
+    class Sites(ast.NodeVisitor):
+        scope = None
+
+        def visit_FunctionDef(self, node):
+            outer, self.scope = self.scope, node.name
+            self.generic_visit(node)
+            self.scope = outer
+
+        def visit_Attribute(self, node):
+            if (node.attr in ("load", "loads") and isinstance(node.value, ast.Name)
+                    and node.value.id == "json"):
+                sites.append((module, self.scope))
+            self.generic_visit(node)
+
+        def visit_ImportFrom(self, node):
+            if node.module == "json" and {a.name for a in node.names} & {"load", "loads"}:
+                sites.append((module, self.scope))
+
+    for module in sorted(sources):
+        Sites().visit(ast.parse(sources[module]))
+    return sites
 
 
 def test_checking_a_union_field_leaves_no_garbage_cycle():
@@ -290,9 +346,15 @@ def test_checked_raises_on_a_hint_it_cannot_check_whatever_the_value():
     (lambda: GlyphDomainSpec(invert="no"), "invert must be true or false"),
     (lambda: GlyphDomainSpec(samples_per_class=7.5), "samples_per_class must be an integer"),
     (lambda: TrainConfig(loss={"entropy_ceiling": 1.0}), "loss must be a LossConfig or None"),
+    # the optimizer took these, though a TrainConfig refuses each
+    (lambda: OptimState(lr=-1.0), "lr must be a finite number > 0, got -1.0"),
+    (lambda: OptimState(lr=float("nan")), "lr must be a finite number > 0, got nan"),
+    (lambda: OptimState(lr=True), "lr must be a finite number > 0, got True"),
+    (lambda: OptimState(momentum=5.0), r"momentum must be a finite number in \[0, 1\), got 5.0"),
 ], ids=["hidden_float_bool", "hidden_not_list", "batch_float", "epochs_bool", "seed_float",
         "lr_str", "marginal_bool", "marginal_str", "imbalance_bool", "spec_seed_float", "order_float", "order_int", "loss_bool", "invert_str",
-        "samples_float", "loss_dict"])
+        "samples_float", "loss_dict", "optim_lr_negative", "optim_lr_nan", "optim_lr_bool",
+        "optim_momentum_past_1"])
 def test_a_python_built_config_is_checked_not_coerced(build, msg):
     # int() once turned (4.7, True) into (4, 1), and the rest were stored as given
     with pytest.raises(ValueError, match=msg):
@@ -713,16 +775,16 @@ def test_load_names_a_key_missing_from_meta(tmp_path, key):
     meta = json.loads((path / "meta.json").read_text())
     del meta[key]
     (path / "meta.json").write_text(json.dumps(meta))
-    with pytest.raises(ValueError, match=rf"meta\.json is missing keys: \['{key}'\]"):
+    with pytest.raises(ValueError, match=rf"meta\.json is missing required keys: \['{key}'\]"):
         load_dataset(path)
 
 
 @pytest.mark.parametrize("key,value,msg", [
     ("kind", "voxels", "'kind' must be one of \\('images', 'points'\\), got 'voxels'"),
-    ("shape", [12, "16", 16], "'shape' must be a list of integers >= 0"),
+    ("shape", [12, "16", 16], "'shape' holds '16', but shape must be a list of integers >= 0"),
     ("class_count", "4", "'class_count' must be an integer"),
     ("metadata", 5, "'metadata' must be an object"),
-    ("domain_role", "sideways", "domain_role must be one of"),
+    ("domain_role", "sideways", "'domain_role' must be one of"),
     ("class_count", 2, "labels must lie in"),
     ("has_sublabels", "no", "'has_sublabels' must be true or false, got 'no'"),
 ], ids=["kind", "shape", "class_count", "metadata", "role", "labels_vs_classes",
@@ -759,14 +821,14 @@ def test_load_refuses_a_kind_that_disagrees_with_the_rank(tmp_path, kind, shape)
     assert meta["kind"] == other
     meta["kind"] = kind
     meta_path.write_text(json.dumps(meta))
-    with pytest.raises(ValueError, match="does not fit kind") as err:
+    with pytest.raises(ValueError, match=f"field 'kind' is '{kind}', but field 'shape'") as err:
         load_dataset(tmp_path / "d")
     assert str(meta_path) in str(err.value)
 
 
 @pytest.mark.parametrize("text,msg", [
     ("{not json", "not valid JSON"),
-    ("[1]", "JSON object"),
+    ("[1]", "must be an object"),
     # Python's reader takes these tokens, so a NaN in the metadata once loaded
     *[(f'{{"metadata": {{"noise": {t}}}}}', f"holds {t}, which is not JSON")
       for t in ("NaN", "Infinity", "-Infinity")],
@@ -813,6 +875,7 @@ def test_load_names_the_image_file_when_the_shape_product_overflows_int64(tmp_pa
     path = _saved(tmp_path)
     meta = json.loads((path / "meta.json").read_text())
     meta["shape"] = [2**32, 2**16, 2**16]
+    meta["n"] = 2**32
     (path / "meta.json").write_text(json.dumps(meta))
     (path / "images.f32le").write_bytes(b"")
     with pytest.raises(ValueError, match=f"holds 0 bytes, expected {4 * 2**64}") as err:
@@ -820,9 +883,68 @@ def test_load_names_the_image_file_when_the_shape_product_overflows_int64(tmp_pa
     assert str(path / "images.f32le") in str(err.value)
 
 
+@pytest.mark.parametrize("key,value,msg", [
+    ("n", 999, r"field 'n' is 999, but field 'shape' \[12, 16, 16\] holds 12 samples"),
+    ("n", "x", "field 'n' must be an integer >= 0, got 'x'"),
+    ("x", 1, r"unknown .*meta\.json keys: \['x'\]"),
+], ids=["n_not_the_row_count", "n_str", "unknown_key"])
+def test_load_refuses_a_meta_key_it_once_ignored(tmp_path, key, value, msg):
+    path = _saved(tmp_path)
+    meta = json.loads((path / "meta.json").read_text())
+    meta[key] = value
+    (path / "meta.json").write_text(json.dumps(meta))
+    with pytest.raises(ValueError, match=msg) as err:
+        load_dataset(path)
+    assert str(path / "meta.json") in str(err.value)
+
+
+@pytest.mark.parametrize("class_count", [2.5, True, 0, -3])
+def test_a_dataset_refuses_a_class_count_that_is_not_an_integer_from_1(class_count):
+    # rows of label -1 fit any of these; an empty dataset with -3 once saved and loaded
+    for n in (0, 2):
+        with pytest.raises(ValueError, match=f"class_count must be an integer >= 1, "
+                                             f"got {class_count!r}"):
+            DomainDataset(images=np.zeros((n, 2)), labels=np.full(n, OUTLIER_LABEL),
+                          class_count=class_count, domain_role="source")
+
+
+def test_load_refuses_an_empty_dataset_of_negative_class_count(tmp_path):
+    save_dataset(DomainDataset(images=np.zeros((0, 2)), labels=np.zeros(0), class_count=2,
+                               domain_role="source"), tmp_path / "d")
+    meta_path = tmp_path / "d" / "meta.json"
+    meta_path.write_text(meta_path.read_text().replace('"class_count": 2', '"class_count": -3'))
+    with pytest.raises(ValueError, match="field 'class_count' must be an integer >= 1, got -3"
+                       ) as err:
+        load_dataset(tmp_path / "d")
+    assert str(meta_path) in str(err.value)
+
+
 def test_regenerate_rejects_unknown_generator():
     with pytest.raises(ValueError, match="generator"):
         regenerate({"generator": "fractal", "domain_role": "source"})
+
+
+@pytest.mark.parametrize("metadata,msg", [
+    ({"generator": "blob", "domain_role": "source", "params": {"K": 2}},
+     r"blob metadata params is missing required keys: \['priors', 'means', 'spread', 'n', "
+     r"'seed'\]"),
+    ({"generator": "blob", "domain_role": "source",
+      "params": {"K": 2.5, "priors": [0.5, 0.5], "means": [[0, 0], [1, 1]], "spread": 0.5,
+                 "n": 4, "seed": 0}},
+     "blob metadata params field 'K' must be an integer >= 1, got 2.5"),
+    ({"generator": "blob", "domain_role": "source"},
+     r"blob metadata is missing required keys: \['params'\]"),
+    ({"generator": "glyph", "domain_role": "source"},
+     r"glyph metadata is missing required keys: \['spec'\]"),
+    ({"generator": "glyph", "spec": {}, "domain_role": "sideways"},
+     "glyph metadata field 'domain_role' must be one of"),
+    (None, "metadata must be an object, got NoneType"),
+], ids=["blob_without_priors", "blob_fractional_K", "blob_without_params",
+        "glyph_without_spec", "glyph_bad_role", "none"])
+def test_regenerate_names_the_key_it_cannot_use(metadata, msg):
+    # these raised KeyError or AttributeError, naming no metadata
+    with pytest.raises(ValueError, match=msg):
+        regenerate(metadata)
 
 
 # ---------------------------------------------------------------------------

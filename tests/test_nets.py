@@ -36,7 +36,8 @@ def test_init_deterministic_in_seed():
 def test_init_refuses_a_seed_outside_32_bits_instead_of_aliasing_it(seed):
     # a masked seed once drew seed 2**32 - 1's weights for -1 and seed 5's
     # for 2**32 + 5, and recorded a seed no checkpoint could load
-    with pytest.raises(ValueError, match=f"seed {seed} is outside"):
+    with pytest.raises(ValueError, match=rf"seed must be an integer in \[0, 4294967295\], "
+                                         rf"got {seed}"):
         init_params([4, 3, 2], seed)
 
 
@@ -171,7 +172,7 @@ def test_sgd_basic_update_rule():
 
 @pytest.mark.parametrize("weight_decay", [-1e-5, float("nan")])
 def test_optimizer_rejects_unusable_weight_decay(weight_decay):
-    with pytest.raises(ValueError, match="weight_decay must be >= 0"):
+    with pytest.raises(ValueError, match="weight_decay must be a finite number >= 0"):
         OptimState(kind="adam", weight_decay=weight_decay)
 
 
@@ -260,7 +261,7 @@ def test_checkpoint_header_missing_key_names_file_and_key(tmp_path, key):
     header = json.loads(header)
     del header[key]
     path.write_bytes(json.dumps(header).encode() + b"\n" + blob)
-    with pytest.raises(ValueError, match=rf"header is missing keys: \['{key}'\]") as err:
+    with pytest.raises(ValueError, match=rf"header is missing required keys: \['{key}'\]") as err:
         load_checkpoint(path)
     assert str(path) in str(err.value)
 
@@ -276,9 +277,28 @@ def test_checkpoint_header_bad_value_names_file(tmp_path, key, value):
     header = json.loads(header)
     header[key] = value
     path.write_bytes(json.dumps(header).encode() + b"\n" + blob)
-    with pytest.raises(ValueError, match="header is malformed") as err:
+    with pytest.raises(ValueError, match=f"header field '{key}'") as err:
         load_checkpoint(path)
     assert str(path) in str(err.value)
+
+
+@pytest.mark.parametrize("key,value,msg", [
+    ("tasks", "", "header field 'tasks' must be a list of one of"),
+    ("tasks", {}, "header field 'tasks' must be a list of one of"),
+    ("x", 1, r"unknown checkpoint .* header keys: \['x'\]"),
+    ("x", float("nan"), "header holds NaN, which is not JSON"),
+    ("seed", 2**40, rf"field 'seed' must be an integer in \[0, 4294967295\], "
+                    rf"got {2**40}"),
+], ids=["tasks_empty_string", "tasks_object", "unknown_key", "unknown_key_nan",
+        "seed_past_32_bits"])
+def test_checkpoint_header_refuses_a_value_it_once_loaded(tmp_path, key, value, msg):
+    # "" and {} once loaded as a model without task heads
+    path = tmp_path / "checkpoint.bin"
+    save_checkpoint(path, init_params([4, 3, 2], seed=1))
+    header, _, blob = path.read_bytes().partition(b"\n")
+    header = {**json.loads(header), key: value}
+    path.write_bytes(json.dumps(header).encode() + b"\n" + blob)
+    assert str(path) in str(_load_error(path, msg))
 
 
 @pytest.mark.parametrize("spec", [[4.7, 3, 2], [4, 3.0, 2], [True, 3, 2], [4, 3, False]],
@@ -292,7 +312,7 @@ def test_a_layer_size_that_is_no_integer_is_rejected_not_coerced(tmp_path, spec)
     header, _, blob = path.read_bytes().partition(b"\n")
     header = {**json.loads(header), "layer_spec": spec}
     path.write_bytes(json.dumps(header).encode() + b"\n" + blob)
-    with pytest.raises(ValueError, match="header is malformed: layer_spec") as err:
+    with pytest.raises(ValueError, match="header field 'layer_spec'") as err:
         load_checkpoint(path)
     assert str(path) in str(err.value)
 
@@ -315,14 +335,14 @@ def test_a_task_named_twice_is_rejected(tmp_path, tasks):
     header, _, blob = path.read_bytes().partition(b"\n")
     header = {**json.loads(header), "tasks": list(tasks)}
     path.write_bytes(json.dumps(header).encode() + b"\n" + blob)
-    with pytest.raises(ValueError, match=f"header is malformed: task '{repeated}'") as err:
+    with pytest.raises(ValueError, match=f"header: task '{repeated}'") as err:
         load_checkpoint(path)
     assert str(path) in str(err.value)
 
 
 @pytest.mark.parametrize("payload,msg", [
-    (b"not json\n", "no JSON header line"),
-    (b"[1, 2]\n", "header must be a JSON object"),
+    (b"not json\n", "header is not valid JSON"),
+    (b"[1, 2]\n", "header must be an object"),
 ])
 def test_checkpoint_bad_header_names_file(tmp_path, payload, msg):
     path = tmp_path / "checkpoint.bin"
@@ -408,7 +428,7 @@ def test_checkpoint_header_names_the_field_that_is_not_a_non_negative_integer(tm
     for key, value in (("seed", True), ("step_count", -1)):
         bad = {**json.loads(header), key: value}
         path.write_bytes(json.dumps(bad).encode() + b"\n" + blob)
-        _load_error(path, f"{key} must be a non-negative integer, got {value!r}")
+        _load_error(path, f"field '{key}' must be an integer (in|>=) .*, got {value!r}")
 
 
 def test_checkpoint_loads_from_the_blob_without_a_random_init(tmp_path, monkeypatch):
