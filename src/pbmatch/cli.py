@@ -35,6 +35,7 @@ from .datasets import (
     PairSeed,
     Seed,
     checked,
+    checked_object,
     default_pair_specs,
     generate_blob_pair,
     generate_glyph_domain,
@@ -115,7 +116,7 @@ def _cmd_generate(args) -> int:
         src, tgt = generate_glyph_pair(*default_pair_specs(**pair))
     elif kind == "glyph":
         role = spec.pop("domain_role", "source")
-        glyph = GlyphDomainSpec.from_dict(spec)
+        glyph = checked_object(GlyphDomainSpec, spec, "glyph spec")
         ds = generate_glyph_domain(glyph, role)
         save_dataset(ds, out)
         _echo({"out": str(out), "kind": "glyph", "n_samples": ds.n_samples,
@@ -159,7 +160,7 @@ def _cmd_bench(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_train(args) -> int:
-    cfg = TrainConfig.from_dict(_load_json(args.config, "config"))
+    cfg = checked_object(TrainConfig, _load_json(args.config, "config"), "train config")
     src = load_dataset(args.src)
     tgt = load_dataset(args.tgt)
     params, metrics = train(cfg, src, tgt)
@@ -186,8 +187,8 @@ def _cmd_ablate(args) -> int:
     # ablation_suite's base_cfg is the config's "train" entry, not a key of its own
     if "train" not in cfg or "base_cfg" in cfg:
         raise ValueError('ablate config needs a "train" entry, and takes no "base_cfg" key')
-    suite = checked(ablation_suite, {("base_cfg" if k == "train" else k): v
-                                     for k, v in cfg.items()}, "ablate config")
+    cfg["base_cfg"] = checked_object(TrainConfig, cfg.pop("train"), "ablate config train")
+    suite = checked(ablation_suite, cfg, "ablate config")
     table = ablation_suite(**suite, progress=lambda msg: print(msg, file=sys.stderr))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

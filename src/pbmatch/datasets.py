@@ -2,12 +2,15 @@
 
 Two families: 16x16 procedural glyph images whose rendering knobs create a
 controllable domain gap, and 2-D Gaussian blob pairs with identical
-class-conditionals but different label priors (pure label shift). Both
-regenerate bit-identically from their recorded metadata; pixel values are
-quantized to 32-bit float precision at generation time so the on-disk
-format round-trips exactly. A dataset holds its samples in one float64
-array, [n, H, W] images or [n, d] points, checked once when the dataset
-is built; outlier pools are plain [n, H, W] arrays.
+class-conditionals but different label priors (pure label shift).
+``regenerate`` rebuilds a glyph or blob domain bit-identically from its
+recorded metadata; a benchmark target's metadata (its ``benchmark`` key)
+is refused, and such a target is rebuilt by running its recorded spec on
+the regenerated pair. Pixel values are quantized to 32-bit float
+precision at generation time so the on-disk format round-trips exactly.
+A dataset holds its samples in one float64 array, [n, H, W] images or
+[n, d] points, checked once when the dataset is built; outlier pools are
+plain [n, H, W] arrays.
 
 A glyph sample's random draws, its shift and then its noise field, come
 from its own stream ``rng(seed, idx)`` (built by ``transforms.rngs``);
@@ -94,8 +97,9 @@ PairSeed = Annotated[int, Range(0, 2**32 - 2)]
 # hint -> (check, one value in words, several in words)
 _SCALARS = {
     int: (_is_int, "an integer", "integers"),
-    # finite: NaN, the infinities and an int past every float are no setting
-    float: (lambda v: abs(v) <= sys.float_info.max if _is_int(v) else
+    # finite: NaN, the infinities and an int past every float are no setting;
+    # an int is stored as a float, so it must be one that a float holds exactly
+    float: (lambda v: abs(v) <= sys.float_info.max and float(v) == int(v) if _is_int(v) else
             _is_float(v) and math.isfinite(v), "a finite number", "finite numbers"),
     bool: (lambda v: isinstance(v, bool), "true or false", "true or false values"),
     str: (lambda v: isinstance(v, str), "a string", "strings"),
@@ -130,21 +134,24 @@ def _want(hint, plural: bool = False) -> str:
         return f"{'lists' if plural else 'a list'} of {len(args)} {_want(args[0], True)}"
     if origin is dict and args[0] is int:
         return f"{'objects' if plural else 'an object'} mapping integers to {_want(args[1], True)}"
-    if dataclasses.is_dataclass(hint) and hasattr(hint, "from_dict"):
+    if dataclasses.is_dataclass(hint):
         return f"{hint.__name__} objects" if plural else f"a {hint.__name__} object"
     raise TypeError(f"no JSON check for the type hint {hint!r}")
 
 
-def _fit(hint, v):
-    """``v`` as a value of type ``hint``: a list (or numpy array) becomes a
-    tuple, and an object a dict or, through its ``from_dict``, a dataclass."""
+def _fit(hint, v, what: Optional[str]):
+    """``v`` in its JSON form as a value of type ``hint``: a number becomes
+    a Python int or float (a float field's int too), a list (or numpy
+    array) a tuple, and an object a dict or, through :func:`checked_object`
+    with ``what`` naming it, a dataclass; with ``what`` None, no object is
+    read as a dataclass."""
     origin = typing.get_origin(hint)
     if origin is None and hint in _SCALARS:
         if not _SCALARS[hint][0](v):
             raise _Misfit(v)
-        return v
+        return hint(v) if hint in (int, float) else v
     if origin is Annotated:
-        fitted = _fit(hint.__origin__, v)
+        fitted = _fit(hint.__origin__, v, what)
         if not hint.__metadata__[0](fitted):
             raise _Misfit(v)
         return fitted
@@ -159,7 +166,7 @@ def _fit(hint, v):
         parts = []  # not the exceptions, whose tracebacks would pin these frames in a cycle
         for h in args:
             try:
-                return _fit(h, v)
+                return _fit(h, v, what)
             except _Misfit as e:
                 parts.append(e.args[0])
         # name the deepest part that fits no alternative
@@ -170,19 +177,19 @@ def _fit(hint, v):
         items = args[:1] * len(v) if origin is abc.Sequence or args[1:] == (...,) else args
         if len(items) != len(v):
             raise _Misfit(v)
-        return tuple(map(_fit, items, v))
+        return tuple(_fit(h, x, what) for h, x in zip(items, v))
     if origin is dict:
         if not isinstance(v, dict):
             raise _Misfit(v)
         # a JSON object's keys are strings, so an int key is written as one
-        return {_fit(int, int(k) if re.fullmatch(r"-?[0-9]+", str(k)) else k): _fit(args[1], x)
-                for k, x in v.items()}
+        return {_fit(int, int(k) if re.fullmatch(r"-?[0-9]+", str(k)) else k, what):
+                _fit(args[1], x, what) for k, x in v.items()}
     if dataclasses.is_dataclass(hint):
         if isinstance(v, hint):
             return v
-        if not isinstance(v, dict):
+        if what is None or not isinstance(v, dict):
             raise _Misfit(v)
-        return hint.from_dict(v)
+        return checked_object(hint, v, what)
     raise TypeError(f"no JSON check for the type hint {hint!r}")
 
 
@@ -194,41 +201,41 @@ def checked(target, d, what: str) -> Dict:
     its hint raises ``ValueError`` naming ``what`` and the key: an int
     takes no float or bool, a float is finite, a bool is only true or
     false, a list is not empty (but ``Tuple[()]``), and a ``Literal`` or a
-    :class:`Range` in ``Annotated`` states the values a field takes. Lists
-    come back as tuples, and an object for a dataclass goes through its ``from_dict``.
+    :class:`Range` in ``Annotated`` states the values a field takes. Values
+    come back in their JSON form (see :func:`_fit`), and an object for a
+    dataclass is read by :func:`checked_object`, named ``what`` and its key.
     A keyword-only parameter is for Python callers and is no JSON key. A
     parameter whose hint cannot be checked raises ``TypeError`` on every
     call, whatever ``d`` holds.
     """
     if not isinstance(d, dict):
         raise ValueError(f"{what} must be an object, got {type(d).__name__}")
-    # without the extras, get_type_hints strips every Range from its hint
-    hints = typing.get_type_hints(target, include_extras=True)
-    params = {name: p for name, p in inspect.signature(target).parameters.items()
-              if p.kind is p.POSITIONAL_OR_KEYWORD}
-    wants = {name: _want(hints.get(name)) for name in params}
+    params = {name: (hint, required, want) for name, hint, required, want in _params(target)}
     unknown = sorted(set(d) - set(params))
     if unknown:
         raise ValueError(f"unknown {what} keys: {unknown}")
-    missing = [name for name, p in params.items() if p.default is p.empty and name not in d]
+    missing = [name for name, (_, required, _) in params.items() if required and name not in d]
     if missing:
         raise ValueError(f"{what} is missing required keys: {missing}")
     kwargs = {}
     for name, v in d.items():
+        hint, _, want = params[name]
         try:
-            kwargs[name] = _fit(hints[name], v)
+            kwargs[name] = _fit(hint, v, f"{what} {name}")
         except _Misfit as e:
             part = e.args[0]
             raise ValueError(
-                f"{what} field {name!r} must be {wants[name]}, got {v!r}" if part is v
-                else f"{what} field {name!r} holds {part!r}, but {name} must be "
-                     f"{wants[name]}") from None
+                f"{what} field {name!r} must be {want}, got {v!r}" if part is v
+                else f"{what} field {name!r} holds {part!r}, but {name} must be {want}"
+            ) from None
     return kwargs
 
 
 def checked_object(cls, d, what: str):
-    """The dataclass ``cls`` built from the JSON object ``d`` by :func:`checked`;
-    a rule of ``cls`` across its fields that refuses it names ``what`` too."""
+    """The dataclass ``cls`` built from the JSON object ``d`` by :func:`checked`,
+    the one route from JSON to a dataclass; a rule of ``cls`` across its
+    fields that refuses it names ``what`` too. ``dataclasses.asdict`` writes
+    it back."""
     kwargs = checked(cls, d, what)
     try:
         return cls(**kwargs)
@@ -241,22 +248,30 @@ def check_fields(obj) -> None:
     :func:`checked`, rules in ``Literal`` and :class:`Range` included: a
     field that does not fit its hint raises ``ValueError`` naming it and
     its rule, where ``int()`` or truthiness would turn a float or a bool
-    into another value. Values are checked, not converted: a list or a
-    numpy array stands for a tuple, and numpy numbers count as numbers."""
-    for name, hint in _field_checks(type(obj)):
+    into another value. Each value is checked, then stored in its JSON form
+    (see :func:`_fit`): a list or a numpy array becomes a tuple and a numpy
+    number a Python one, so ``dataclasses.asdict`` of ``obj`` is JSON. A
+    dict for a dataclass field is refused, not read."""
+    for name, hint, _, want in _params(type(obj)):
         v = getattr(obj, name)
         try:
-            _fit(hint, v)
+            # a frozen dataclass's __post_init__ sets fields this way too
+            object.__setattr__(obj, name, _fit(hint, v, None))
         except _Misfit:
-            raise ValueError(f"{name} must be {_want(hint)}, got {v!r}") from None
+            raise ValueError(f"{name} must be {want}, got {v!r}") from None
 
 
 @functools.lru_cache(maxsize=None)
-def _field_checks(cls) -> Tuple[Tuple[str, object], ...]:
-    """(name, hint) of each ``__init__`` field of ``cls``; resolved once per class,
-    since resolving hints is slow and configs are built at every run's start."""
-    hints = typing.get_type_hints(cls, include_extras=True)
-    return tuple((f.name, hints[f.name]) for f in dataclasses.fields(cls) if f.init)
+def _params(target) -> Tuple[Tuple[str, object, bool, str], ...]:
+    """(name, hint, required, the hint in words) of each JSON parameter of
+    ``target``, a function or a dataclass (its ``__init__`` fields); resolved
+    once per target, since resolving hints is slow and configs are built at
+    every run's start. A hint :func:`_want` cannot check raises each call."""
+    # without the extras, get_type_hints strips every Range from its hint
+    hints = typing.get_type_hints(target, include_extras=True)
+    return tuple((name, hints.get(name), p.default is p.empty, _want(hints.get(name)))
+                 for name, p in inspect.signature(target).parameters.items()
+                 if p.kind is p.POSITIONAL_OR_KEYWORD)
 
 
 # ---------------------------------------------------------------------------
@@ -357,13 +372,6 @@ class GlyphDomainSpec:
 
     def __post_init__(self):
         check_fields(self)
-
-    def to_dict(self) -> Dict:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: Dict) -> "GlyphDomainSpec":
-        return cls(**checked(cls, d, "glyph spec"))
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +474,7 @@ def generate_glyph_domain(spec: GlyphDomainSpec,
     return DomainDataset(
         images=_quantize(images), labels=labels,
         class_count=k, domain_role=domain_role, sublabels=labels * s + styles,
-        metadata={"generator": "glyph", "spec": spec.to_dict(),
+        metadata={"generator": "glyph", "spec": dataclasses.asdict(spec),
                   "domain_role": domain_role})
 
 
@@ -512,40 +520,42 @@ def default_pair_specs(n_classes: Annotated[int, Range(2, MAX_CLASSES)] = 4,
 
 def _generate_blob_domain(K: Count, priors: Tuple[Weight, ...],
                           means: Tuple[Tuple[float, float], ...], spread: Weight,
-                          n: Count, seed: Seed, *, role: str) -> DomainDataset:
-    # the parameters are named as the keys of the metadata's "params", K included
-    priors, means = np.asarray(priors, dtype=np.float64), np.asarray(means, dtype=np.float64)
+                          n: Count, seed: Seed, *, role: str, what: str,
+                          priors_key: str = "priors") -> DomainDataset:
+    """One blob domain from parameters already checked against these hints.
+    They are named as the keys of the metadata's "params", K included, and
+    recorded there as given. Every blob path passes here, so the rules
+    across them live here: a refusal names ``what`` and the key, the
+    priors by ``priors_key``."""
+    if len(priors) != K or abs(sum(priors) - 1.0) > 1e-9:
+        raise ValueError(f"{what} field {priors_key!r} must be {K} non-negative values "
+                         f"summing to 1, got {list(priors)}")
+    if len(means) != K:
+        raise ValueError(f"{what} field 'means' must be {K} 2-D points, got {len(means)}")
     gen = rng(seed, DOMAIN_ROLES.index(role))
-    labels = gen.choice(K, size=n, p=priors)
-    points = means[labels] + gen.normal(0.0, spread, (n, 2))
+    labels = gen.choice(K, size=n, p=np.asarray(priors))
+    points = np.asarray(means)[labels] + gen.normal(0.0, spread, (n, 2))
     return DomainDataset(
         images=_quantize(points), labels=labels.astype(np.int64),
         class_count=K, domain_role=role,
         metadata={"generator": "blob", "domain_role": role,
-                  "params": {"K": K, "priors": priors.tolist(),
-                             "means": means.tolist(), "spread": spread,
+                  "params": {"K": K, "priors": priors, "means": means, "spread": spread,
                              "n": n, "seed": seed}})
 
 
 def generate_blob_pair(k: Count, source_priors: Sequence[Weight],
                        target_priors: Sequence[Weight],
-                       means: Sequence[Sequence[float]], spread: Weight,
+                       means: Sequence[Tuple[float, float]], spread: Weight,
                        n: Count, seed: Seed) -> Tuple[DomainDataset, DomainDataset]:
     """2-D Gaussian clusters with shared class-conditionals and per-domain
-    label priors."""
-    source_priors = np.asarray(source_priors, dtype=np.float64)
-    target_priors = np.asarray(target_priors, dtype=np.float64)
-    means_arr = np.asarray(means, dtype=np.float64)
-    spread = float(spread)
-    if spread < 0.0:
-        raise ValueError(f"spread must be non-negative, got {spread}")
-    if means_arr.shape != (k, 2):
-        raise ValueError(f"means must be {k} 2-D points, got shape {means_arr.shape}")
-    for name, p in (("source_priors", source_priors), ("target_priors", target_priors)):
-        if p.shape != (k,) or np.any(p < 0.0) or abs(p.sum() - 1.0) > 1e-9:
-            raise ValueError(f"{name} must be {k} non-negative values summing to 1")
-    return (_generate_blob_domain(k, source_priors, means_arr, spread, n, seed, role="source"),
-            _generate_blob_domain(k, target_priors, means_arr, spread, n, seed, role="target"))
+    label priors; a refusal names the key of this function's arguments."""
+    args = checked(generate_blob_pair, {
+        "k": k, "source_priors": source_priors, "target_priors": target_priors,
+        "means": means, "spread": spread, "n": n, "seed": seed}, "blob pair")
+    return tuple(_generate_blob_domain(
+        args["k"], args[f"{role}_priors"], args["means"], args["spread"], args["n"],
+        args["seed"], role=role, what="blob pair", priors_key=f"{role}_priors")
+        for role in DOMAIN_ROLES)
 
 
 # ---------------------------------------------------------------------------
@@ -568,13 +578,16 @@ def outlier_pool(n: int, seed: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _regenerate_blob(domain_role: Literal[DOMAIN_ROLES], params: dict) -> DomainDataset:
-    return _generate_blob_domain(**checked(_generate_blob_domain, params, "blob metadata params"),
-                                 role=domain_role)
+    what = "blob metadata params"
+    return _generate_blob_domain(**checked(_generate_blob_domain, params, what),
+                                 role=domain_role, what=what)
 
 
 def regenerate(metadata: Dict) -> DomainDataset:
-    """Rebuild a dataset from its recorded metadata, bit-identically; a
-    missing or misfit key raises ``ValueError`` naming it."""
+    """Rebuild a glyph or blob domain from its recorded metadata,
+    bit-identically; a missing, unknown or misfit key raises ``ValueError``
+    naming it. A benchmark target's metadata holds a ``benchmark`` key and
+    is refused: rebuild the pair, then run the target's recorded spec."""
     if not isinstance(metadata, dict):
         raise ValueError(f"metadata must be an object, got {type(metadata).__name__}")
     gen = metadata.get("generator")

@@ -35,7 +35,7 @@ from typing import Annotated, Callable, Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
 
-from .datasets import Positive, Range, Weight, check_fields, checked
+from .datasets import Positive, Range, Weight, check_fields
 from .nets import Cache, ModelParams, forward, trunk_grads
 
 # per-pair clamp on the disagreement divergence; unbounded KL invites
@@ -131,10 +131,6 @@ class LossConfig:
                 f"entropy_ceiling {cfg.entropy_ceiling} exceeds ln {n_classes} "
                 f"= {math.log(n_classes):.6f}")
         return cfg
-
-    @classmethod
-    def from_dict(cls, d: Dict) -> "LossConfig":
-        return cls(**checked(cls, d, "loss config"))
 
 
 @dataclass

@@ -107,7 +107,7 @@ def _assemble(spec: List[int], seed: int, tasks: Sequence[str], pairs: List[Pair
     n_phi = len(spec) - 2
     return ModelParams(phi=pairs[:n_phi], psi=pairs[n_phi],
                        omega=dict(zip(tasks, pairs[n_phi + 1:])), layer_spec=spec,
-                       seed=int(seed), tasks=tuple(tasks))
+                       seed=seed, tasks=tuple(tasks))
 
 
 def init_params(spec: Sequence[int], seed: int,
@@ -118,10 +118,11 @@ def init_params(spec: Sequence[int], seed: int,
     the label head. Auxiliary heads map the latent to each task's classes.
     Deterministic in the seed.
     """
-    CheckpointHeader(spec, seed, tasks, step_count=0)  # what no checkpoint could hold is refused
-    spec = [int(s) for s in spec]
-    gen = rng(seed)
-    return _assemble(spec, seed, tasks,
+    # what no checkpoint could hold is refused, and the header holds Python ints
+    header = CheckpointHeader(spec, seed, tasks, step_count=0)
+    spec, tasks = list(header.layer_spec), header.tasks
+    gen = rng(header.seed)
+    return _assemble(spec, header.seed, tasks,
                      [_dense_init(gen, *shape) for shape in _layer_shapes(spec, tasks)])
 
 

@@ -50,7 +50,6 @@ from .datasets import (
     Share,
     Weight,
     check_fields,
-    checked,
     default_pair_specs,
     generate_blob_pair,
     generate_glyph_pair,
@@ -171,25 +170,12 @@ class TrainConfig:
 
     def __post_init__(self):
         check_fields(self)
-        if self.loss is not None and not isinstance(self.loss, LossConfig):
-            raise ValueError(f"loss must be a LossConfig or None, got {self.loss!r}")
-        self.hidden = tuple(int(h) for h in self.hidden)
         if self.initial_marginal is not None and not any(self.initial_marginal):
             raise ValueError(f"initial_marginal must not be all 0, got {self.initial_marginal!r}")
 
     def resolved_loss(self, n_classes: int) -> LossConfig:
         return LossConfig.for_classes(
             n_classes, **({} if self.loss is None else dataclasses.asdict(self.loss)))
-
-    def to_dict(self) -> Dict:
-        d = dataclasses.asdict(self)
-        if self.initial_marginal is not None:
-            d["initial_marginal"] = [float(v) for v in self.initial_marginal]
-        return d
-
-    @classmethod
-    def from_dict(cls, d: Dict) -> "TrainConfig":
-        return cls(**checked(cls, d, "train config"))
 
 
 @dataclass
@@ -288,7 +274,7 @@ def full_set_mmd(params: ModelParams, src_x: np.ndarray, tgt_x: np.ndarray) -> f
 
 
 def _transform_token(seed_data: int, epoch: int, step_idx: int) -> int:
-    return (int(seed_data) * 1_000_003 + epoch * 1_009 + step_idx) % (2 ** 31 - 1)
+    return (seed_data * 1_000_003 + epoch * 1_009 + step_idx) % (2 ** 31 - 1)
 
 
 # salt of a step's semantic-preserving views, under the step's token; a
@@ -480,7 +466,7 @@ def save_run(out_dir, cfg: TrainConfig, params: ModelParams,
     checkpoint.bin under one directory."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    resolved = cfg.to_dict()
+    resolved = dataclasses.asdict(cfg)
     resolved["loss"] = dataclasses.asdict(cfg.resolved_loss(params.n_classes))
     (out_dir / "config.json").write_text(json.dumps(resolved, indent=2, sort_keys=True))
     (out_dir / "metrics.jsonl").write_text(metrics.to_jsonl())
@@ -600,7 +586,7 @@ def lds_failure_probe(priors_src: Sequence[Weight], priors_tgt: Sequence[Weight]
                       dm_weight_schedule: Sequence[Weight] = DEFAULT_PROBE_SCHEDULE,
                       # the fewest rows that split into an eval row and an adapt pair
                       n: Annotated[int, Range(3)] = 1000, spread: Weight = 0.5,
-                      means: Sequence[Sequence[float]] = ((-2.0, 0.0), (2.0, 0.0)),
+                      means: Sequence[Tuple[float, float]] = ((-2.0, 0.0), (2.0, 0.0)),
                       seed_model: Seed = 17, seed_data: Seed = 0,
                       epochs: Count = 120, batch: Annotated[int, Range(2)] = 64,
                       hidden: Tuple[Count, ...] = (32, 16),

@@ -489,7 +489,7 @@ def oracle_glyph_domain(spec: GlyphDomainSpec, domain_role: str) -> DomainDatase
     return DomainDataset(
         images=_quantize(images), labels=labels,
         class_count=k, domain_role=domain_role, sublabels=sublabels,
-        metadata={"generator": "glyph", "spec": spec.to_dict(),
+        metadata={"generator": "glyph", "spec": dataclasses.asdict(spec),
                   "domain_role": domain_role})
 
 

@@ -1,5 +1,6 @@
 """Benchmark constructors: decay law, relabeling, outlier injection."""
 
+import dataclasses
 import json
 from collections import Counter
 
@@ -22,6 +23,7 @@ from pbmatch.datasets import (
     OUTLIER_LABEL,
     DomainDataset,
     GlyphDomainSpec,
+    checked_object,
     generate_blob_pair,
     generate_glyph_domain,
     outlier_pool,
@@ -77,7 +79,7 @@ def test_spec_rejects_the_field_its_kind_does_not_use(kwargs, msg):
     with pytest.raises(ValueError, match=msg):
         BenchmarkSpec(**kwargs)
     with pytest.raises(ValueError, match=msg):
-        BenchmarkSpec.from_dict(kwargs)
+        checked_object(BenchmarkSpec, kwargs, "benchmark spec")
 
 
 @pytest.mark.parametrize("payload,msg", [
@@ -92,9 +94,21 @@ def test_spec_rejects_the_field_its_kind_does_not_use(kwargs, msg):
     ({"kind": "ILDS", "meta_class_map": {"0": [0]}}, "'meta_class_map'"),
 ], ids=["not_object", "unknown_key", "no_kind", "float_str", "int_float",
         "order_not_list", "map_not_object", "map_key_not_int", "map_value_not_int"])
-def test_spec_from_dict_names_the_bad_field(payload, msg):
+def test_spec_read_from_json_names_the_bad_field(payload, msg):
     with pytest.raises(ValueError, match=msg):
-        BenchmarkSpec.from_dict(payload)
+        checked_object(BenchmarkSpec, payload, "benchmark spec")
+
+
+@pytest.mark.parametrize("read", [
+    lambda order: BenchmarkSpec(kind="LDS", class_order=order),
+    lambda order: checked_object(BenchmarkSpec, {"kind": "LDS", "class_order": order},
+                                 "benchmark spec"),
+], ids=["python", "json"])
+def test_class_order_takes_no_string_but_random(read):
+    with pytest.raises(ValueError, match=r"class_order'? must be a list of integers \(not "
+                                         r"empty\) or one of \('random',\), got 'shuffled'"):
+        read("shuffled")
+    assert read("random").class_order == "random"
 
 
 def test_spec_dict_round_trip():
@@ -102,7 +116,8 @@ def test_spec_dict_round_trip():
                          class_order=[1, 0, 3, 2],
                          meta_class_map={0: 0, 1: 0, 2: 1, 3: 1},
                          outlier_fraction=0.0, seed=5)
-    back = BenchmarkSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
+    back = checked_object(BenchmarkSpec, json.loads(json.dumps(dataclasses.asdict(spec))),
+                          "benchmark spec")
     assert back.kind == spec.kind
     assert back.meta_class_map == spec.meta_class_map
     assert list(back.class_order) == [1, 0, 3, 2]
@@ -575,6 +590,27 @@ def test_write_benchmark_round_trip(tmp_path):
     assert np.array_equal(src_back.images, src.images)
     assert np.array_equal(tgt_back.images, shifted.images)
     assert np.array_equal(tgt_back.labels, shifted.labels)
+
+
+def test_a_spec_of_numpy_numbers_is_written_and_read_back(tmp_path):
+    # json.dumps once failed here on the stored numpy numbers
+    spec = BenchmarkSpec(kind="LDS", imbalance_factor=np.int64(3), seed=np.uint8(2))
+    src = _balanced_glyphs(samples_per_class=6, seed=22, role="source")
+    shifted = resample_lds(_balanced_glyphs(samples_per_class=6, seed=23), spec)
+    write_benchmark(tmp_path, src, shifted, spec)
+    report = json.loads((tmp_path / "benchmark.json").read_text())
+    assert checked_object(BenchmarkSpec, report["spec"], "benchmark spec") == spec
+    src_back, tgt_back = load_pair(tmp_path)
+    assert np.array_equal(tgt_back.images, shifted.images)
+    assert tgt_back.metadata == json.loads(json.dumps(shifted.metadata))
+
+
+def test_report_keeps_meta_class_map_keys_in_text_order():
+    spec = BenchmarkSpec(kind="ILDS", meta_class_map={k: k % 2 for k in range(12)})
+    ds = _balanced_glyphs(samples_per_class=2, role="source")
+    text = json.dumps(benchmark_report(spec, ds, ds), sort_keys=True)
+    keys = list(json.loads(text)["spec"]["meta_class_map"])
+    assert keys == sorted(str(k) for k in range(12)) and keys[:3] == ["0", "1", "10"]
 
 
 def test_report_counts_outliers_separately():

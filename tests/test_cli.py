@@ -683,6 +683,23 @@ def test_every_json_reader_rejects_a_mistyped_value_by_name(tmp_path, capsys, re
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command,payload,path", [
+    ("train", {"loss": {"lambda_M": "x"}}, "train config loss field 'lambda_M'"),
+    ("ablate", {"train": {"epochs": "3"}, "benchmarks": [{"kind": "LDS"}]},
+     "ablate config train field 'epochs'"),
+    ("ablate", {"train": {}, "benchmarks": [{"kind": "LDS", "seed": "1"}]},
+     "ablate config benchmarks field 'seed'"),
+], ids=["loss_in_train", "train_in_ablate", "benchmarks_in_ablate"])
+def test_a_nested_refusal_names_the_path_of_its_key(tmp_path, capsys, command, payload, path):
+    config = write_json(tmp_path / "in.json", payload)
+    out = str(tmp_path / "o")
+    argv = {"train": ["train", "--config", config, "--src", str(tmp_path / "src"),
+                      "--tgt", str(tmp_path / "tgt"), "--out", out],
+            "ablate": ["ablate", "--config", config, "--out", out]}[command]
+    assert main(argv) == 1
+    assert_named_error(capsys, path)
+
+
 class TestGradcheck:
     def test_passes_and_reports(self, capsys):
         assert main(["gradcheck", "--tol", "1e-4", "--instances", "2"]) == 0

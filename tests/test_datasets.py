@@ -26,6 +26,7 @@ from pbmatch.datasets import (
     GlyphDomainSpec,
     _want,
     checked,
+    checked_object,
     default_pair_specs,
     generate_blob_pair,
     generate_glyph_domain,
@@ -86,7 +87,7 @@ def test_spec_dict_round_trip():
     spec = GlyphDomainSpec(n_classes=5, sub_styles=3, samples_per_class=7,
                            stroke_thickness=2, background=0.3, invert=True,
                            noise=0.2, jitter=2.0, seed=99)
-    assert GlyphDomainSpec.from_dict(spec.to_dict()) == spec
+    assert checked_object(GlyphDomainSpec, dataclasses.asdict(spec), "glyph spec") == spec
 
 
 @pytest.mark.parametrize("payload,msg", [
@@ -95,9 +96,9 @@ def test_spec_dict_round_trip():
     ({"n_classes": "4"}, "'n_classes'"),
     ({"noise": "0.1"}, "'noise'"),
 ], ids=["not_object", "unknown_key", "int_str", "float_str"])
-def test_spec_from_dict_names_the_bad_field(payload, msg):
+def test_spec_read_from_json_names_the_bad_field(payload, msg):
     with pytest.raises(ValueError, match=msg):
-        GlyphDomainSpec.from_dict(payload)
+        checked_object(GlyphDomainSpec, payload, "glyph spec")
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +227,80 @@ def test_the_parser_guard_flags_a_stray_json_read(source):
     assert _json_read_sites({"nets.py": source}) != []
 
 
+def test_no_class_keeps_its_own_json_codec():
+    # checked_object reads every JSON-fed dataclass and dataclasses.asdict writes it
+    sources = {path.name: path.read_text() for path in Path(pbmatch.__file__).parent.glob("*.py")}
+    assert _codec_methods(sources) == []
+
+
+def test_the_codec_guard_flags_a_from_dict():
+    source = "class Spec:\n    @classmethod\n    def from_dict(cls, d):\n        return cls(**d)\n"
+    assert _codec_methods({"x.py": source}) == [("x.py", "Spec", "from_dict")]
+
+
+def _codec_methods(sources):
+    """(module, class, method) of every ``from_dict`` or ``to_dict`` a class defines."""
+    return [(module, node.name, item.name) for module in sorted(sources)
+            for node in ast.walk(ast.parse(sources[module])) if isinstance(node, ast.ClassDef)
+            for item in node.body
+            if isinstance(item, ast.FunctionDef) and item.name in ("from_dict", "to_dict")]
+
+
+# one JSON object per dataclass target that sets its fields away from their defaults
+_FULL = {
+    GlyphDomainSpec: {"n_classes": 5, "sub_styles": 3, "samples_per_class": 7,
+                      "stroke_thickness": 2, "background": 0.3, "invert": True, "noise": 0.2,
+                      "jitter": 2, "seed": 99},
+    TrainConfig: {"method": "instapbm", "epochs": 3, "batch": 8, "lr": 0.01, "momentum": 0.5,
+                  "loss": {"entropy_ceiling": 1, "lambda_M": 0.5, "mixup_alpha": 0.3},
+                  "dm_weight": 2, "dm_ramp_steps": 4, "hidden": [8, 4], "seed_model": 5,
+                  "seed_data": 4294967295, "eval_fraction": 0.25,
+                  "initial_marginal": [0.25, 3]},
+    LossConfig: {"entropy_ceiling": 0.7, "lambda_C": 2, "marginal_momentum": 0.3},
+    BenchmarkSpec: {"kind": "ILDS", "imbalance_factor": 9, "class_order": [1, 0, 3, 2],
+                    "meta_class_map": {"0": 0, "1": 0, "2": 1, "3": 1}, "seed": 5},
+    CheckpointHeader: {"layer_spec": [6, 4, 2], "seed": 7, "tasks": ["vflip", "rotate90"],
+                       "step_count": 12},
+    DatasetMeta: {"kind": "images", "shape": [3, 4, 4], "class_count": 2,
+                  "domain_role": "target", "n": 3, "has_sublabels": True,
+                  "metadata": {"generator": "glyph", "spec": {"seed": 1}}},
+}
+
+
+def _as_python_caller(hint, v):
+    """The JSON value ``v`` as a Python caller may pass it for ``hint``: an
+    int as a numpy int, a float as a float32, a list of numbers as an array,
+    an object for a dataclass as that dataclass, a free-form object as it is."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is typing.Annotated:
+        return _as_python_caller(args[0], v)
+    if origin is Union:
+        return _as_python_caller(next(h for h in args if h is not type(None)), v)
+    if dataclasses.is_dataclass(hint):
+        kinds = typing.get_type_hints(hint, include_extras=True)
+        return hint(**{k: _as_python_caller(kinds[k], x) for k, x in v.items()})
+    if isinstance(v, bool) or isinstance(v, str) or hint is dict:
+        return v
+    if isinstance(v, int):
+        return np.int64(v)
+    if isinstance(v, float):
+        return np.float32(v)
+    if isinstance(v, dict):
+        return {np.int64(k): np.int64(x) for k, x in v.items()}
+    if all(isinstance(x, (int, float)) for x in v):
+        return np.array(v)
+    return [_as_python_caller(args[0], x) for x in v]
+
+
+@pytest.mark.parametrize("target", list(_FULL), ids=lambda t: t.__name__)
+def test_a_dataclass_built_from_numpy_values_is_written_and_read_back_equal(target):
+    # check_fields stores each field's JSON form, so asdict of the object is JSON
+    assert set(_FULL) == {t for t in JSON_TARGETS if dataclasses.is_dataclass(t)}
+    obj = _as_python_caller(target, _FULL[target])
+    text = json.dumps(dataclasses.asdict(obj))
+    assert checked_object(target, json.loads(text), "config") == obj
+
+
 def _json_read_sites(sources):
     """(module, innermost function) of every use of ``json.load`` or
     ``json.loads``, and of every import of either, in ``sources``, by
@@ -263,7 +338,7 @@ def test_checking_a_union_field_leaves_no_garbage_cycle():
     gc.disable()
     try:
         BenchmarkSpec(kind="LDS")
-        BenchmarkSpec.from_dict({"kind": "LDS", "class_order": "random"})
+        checked_object(BenchmarkSpec, {"kind": "LDS", "class_order": "random"}, "benchmark spec")
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -292,6 +367,7 @@ def test_checked_converts_what_fits():
     ({"a": 2.0}, "reader field 'a' must be an integer, got 2.0"),
     ({"a": True}, "reader field 'a' must be an integer, got True"),
     ({"a": 1, "b": False}, "reader field 'b' must be a finite number, got False"),
+    ({"a": 1, "b": 2**53 + 1}, "reader field 'b' must be a finite number, got 9007199254740993"),
     ({"a": 1, "c": 1}, "reader field 'c' must be true or false, got 1"),
     ({"a": 1, "c": "no"}, "reader field 'c' must be true or false, got 'no'"),
     ({"a": 1, "d": None}, "reader field 'd' must be a string, got None"),
@@ -307,8 +383,8 @@ def test_checked_converts_what_fits():
     ({"a": 1, "hook": None}, r"unknown reader keys: \['hook'\]"),
     ({"b": 1.0}, r"reader is missing required keys: \['a'\]"),
     ([1], "reader must be an object, got list"),
-], ids=["int_float", "int_bool", "float_bool", "bool_int", "bool_str", "str_null",
-        "list_empty", "list_item", "nested_empty", "pair_short", "key_not_int",
+], ids=["int_float", "int_bool", "float_bool", "float_inexact_int", "bool_int", "bool_str",
+        "str_null", "list_empty", "list_item", "nested_empty", "pair_short", "key_not_int",
         "value_not_int", "dataclass_not_object", "union", "keyword_only", "missing",
         "not_object"])
 def test_checked_names_the_field_and_the_rule(payload, msg):
@@ -345,7 +421,8 @@ def test_checked_raises_on_a_hint_it_cannot_check_whatever_the_value():
     (lambda: LossConfig(entropy_ceiling=1.0, lambda_M=True), "lambda_M must be a finite number"),
     (lambda: GlyphDomainSpec(invert="no"), "invert must be true or false"),
     (lambda: GlyphDomainSpec(samples_per_class=7.5), "samples_per_class must be an integer"),
-    (lambda: TrainConfig(loss={"entropy_ceiling": 1.0}), "loss must be a LossConfig or None"),
+    (lambda: TrainConfig(loss={"entropy_ceiling": 1.0}),
+     "loss must be a LossConfig object or null"),
     # the optimizer took these, though a TrainConfig refuses each
     (lambda: OptimState(lr=-1.0), "lr must be a finite number > 0, got -1.0"),
     (lambda: OptimState(lr=float("nan")), "lr must be a finite number > 0, got nan"),
@@ -365,12 +442,16 @@ def test_a_python_built_config_takes_lists_and_numpy_numbers():
     cfg = TrainConfig(hidden=[np.int64(8), 4], epochs=np.int32(3), lr=np.float32(0.5),
                       dm_weight=2, initial_marginal=[np.float32(0.25), 3])
     assert cfg.hidden == (8, 4) and all(type(h) is int for h in cfg.hidden)
-    assert cfg.to_dict()["initial_marginal"] == [0.25, 3.0]
-    assert cfg.epochs == 3 and cfg.lr == 0.5 and cfg.dm_weight == 2
+    # each field holds its JSON form: Python numbers, a float field's int as a float
+    assert cfg.initial_marginal == (0.25, 3.0)
+    assert [type(v) for v in cfg.initial_marginal] == [float, float]
+    assert (cfg.epochs, cfg.lr, cfg.dm_weight) == (3, 0.5, 2.0)
+    assert (type(cfg.epochs), type(cfg.lr), type(cfg.dm_weight)) == (int, float, float)
     spec = BenchmarkSpec(kind="LDS", imbalance_factor=np.int64(3), seed=np.uint8(2),
                          class_order=np.array([1, 0]))
-    assert spec.imbalance_factor == 3 and spec.seed == 2
-    assert spec.to_dict()["class_order"] == [1, 0]
+    assert spec.imbalance_factor == 3.0 and type(spec.imbalance_factor) is float
+    assert spec.seed == 2 and type(spec.seed) is int
+    assert spec.class_order == (1, 0) and all(type(c) is int for c in spec.class_order)
 
 
 # ---------------------------------------------------------------------------
@@ -690,6 +771,43 @@ def test_blob_regenerates_from_metadata():
 def test_blob_pair_validation_errors(kwargs, msg):
     with pytest.raises(ValueError, match=msg):
         generate_blob_pair(**kwargs)
+
+
+_BLOB_PARAMS = {"K": 2, "priors": [0.5, 0.5], "means": _MEANS, "spread": 0.5, "n": 4, "seed": 0}
+
+
+@pytest.mark.parametrize("change,msg", [
+    ({"priors": [0.6, 0.6]}, r"field 'priors' must be 2 non-negative values summing to 1, "
+                             r"got \[0.6, 0.6\]"),
+    ({"K": 3}, r"field 'priors' must be 3 non-negative values summing to 1, got \[0.5, 0.5\]"),
+    ({"means": [[0, 0]]}, "field 'means' must be 2 2-D points, got 1"),
+], ids=["priors_past_1", "priors_short_of_K", "means_short_of_K"])
+def test_regenerate_holds_blob_params_to_the_rules_across_them(change, msg):
+    # numpy's unnamed ValueError, or an IndexError, once came out of these
+    metadata = {"generator": "blob", "domain_role": "source", "params": {**_BLOB_PARAMS, **change}}
+    with pytest.raises(ValueError, match="^blob metadata params " + msg):
+        regenerate(metadata)
+
+
+def test_a_blob_pair_of_numpy_numbers_is_saved_and_read_back(tmp_path):
+    # the metadata once held the numpy numbers, and json.dumps refused them
+    src, tgt = generate_blob_pair(np.int64(2), np.array([0.5, 0.5]), [np.float64(0.7), 0.3],
+                                  np.array(_MEANS), np.float32(0.5), n=np.int64(40),
+                                  seed=np.uint32(6))
+    for ds in (src, tgt):
+        save_dataset(ds, tmp_path / ds.domain_role)
+        back = load_dataset(tmp_path / ds.domain_role)
+        assert back.metadata == json.loads(json.dumps(ds.metadata))
+        assert np.array_equal(back.images, ds.images)
+        assert np.array_equal(regenerate(back.metadata).images, ds.images)
+
+
+def test_a_glyph_spec_of_numpy_numbers_is_saved_and_read_back(tmp_path):
+    ds = generate_glyph_domain(GlyphDomainSpec(samples_per_class=np.int64(3)), "source")
+    save_dataset(ds, tmp_path / "d")
+    back = load_dataset(tmp_path / "d")
+    assert back.metadata == ds.metadata
+    assert np.array_equal(back.images, ds.images)
 
 
 # ---------------------------------------------------------------------------

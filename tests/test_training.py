@@ -14,6 +14,7 @@ import pytest
 from pbmatch.benchmarks import BenchmarkSpec, two_outlier_count
 from pbmatch.datasets import (
     DomainDataset,
+    checked_object,
     default_pair_specs,
     generate_blob_pair,
     generate_glyph_pair,
@@ -141,14 +142,15 @@ class TestTrainConfig:
 
     def test_dict_round_trip_plain(self):
         cfg = small_cfg(method="dm_mmd", dm_weight=2.5, eval_fraction=0.25)
-        again = TrainConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
+        again = checked_object(TrainConfig, json.loads(json.dumps(dataclasses.asdict(cfg))),
+                               "train config")
         assert again == cfg
 
     def test_dict_round_trip_with_loss_and_marginal(self):
         cfg = small_cfg(method="instapbm",
                         loss=LossConfig(entropy_ceiling=1.0, lambda_M=0.5),
                         initial_marginal=(0.25, 0.75))
-        again = TrainConfig.from_dict(cfg.to_dict())
+        again = checked_object(TrainConfig, dataclasses.asdict(cfg), "train config")
         assert again == cfg
         assert isinstance(again.loss, LossConfig)
 
@@ -157,9 +159,9 @@ class TestTrainConfig:
         ({"hidden": 5}, "hidden"),
         ({"initial_marginal": 0.5}, "initial_marginal"),
     ], ids=["zero_ceiling", "hidden_not_list", "marginal_not_list"])
-    def test_from_dict_names_a_malformed_field(self, payload, field):
+    def test_json_names_a_malformed_field(self, payload, field):
         with pytest.raises(ValueError, match=field):
-            TrainConfig.from_dict(payload)
+            checked_object(TrainConfig, payload, "train config")
 
     @pytest.mark.parametrize("payload,field", [
         ({"epochs": "3"}, "'epochs' must be an integer"),
@@ -176,13 +178,14 @@ class TestTrainConfig:
     ], ids=["int_str", "int_float", "int_bool", "int_null", "float_str", "float_bool",
             "loss_float_str", "loss_required_str", "hidden_str", "hidden_float",
             "marginal_str"])
-    def test_from_dict_rejects_a_mistyped_scalar(self, payload, field):
+    def test_json_rejects_a_mistyped_scalar(self, payload, field):
         with pytest.raises(ValueError, match=field):
-            TrainConfig.from_dict(payload)
+            checked_object(TrainConfig, payload, "train config")
 
-    def test_from_dict_takes_ints_for_floats(self):
-        cfg = TrainConfig.from_dict({"lr": 1, "dm_weight": 2, "initial_marginal": [0, 1],
-                                     "loss": {"entropy_ceiling": 1, "lambda_M": 0}})
+    def test_json_takes_ints_for_floats(self):
+        cfg = checked_object(TrainConfig, {"lr": 1, "dm_weight": 2, "initial_marginal": [0, 1],
+                                           "loss": {"entropy_ceiling": 1, "lambda_M": 0}},
+                             "train config")
         assert cfg.lr == 1.0 and cfg.dm_weight == 2.0 and cfg.loss.lambda_M == 0.0
 
     @pytest.mark.parametrize("marginal", [
@@ -340,12 +343,15 @@ class TestTrainLoop:
                                              "but the pair has 2 classes"):
             train(cfg, src, tgt)
 
-    def test_dm_mmd_on_matching_domains_stays_at_noise_floor(self):
+    # at lr 1e-3 only a few inits reach 0.95 source accuracy in 60 steps
+    @pytest.mark.parametrize("seed_model", range(7, 17))
+    def test_dm_mmd_on_matching_domains_stays_at_noise_floor(self, seed_model):
         src, _ = blob_pair(n=200, priors_t=(0.5, 0.5))
         twin = DomainDataset(images=src.images.copy(), labels=src.labels.copy(),
                              class_count=2, domain_role="target")
         seen = []
-        cfg = small_cfg(method="dm_mmd", epochs=20, batch=64, dm_weight=1.0)
+        cfg = small_cfg(method="dm_mmd", epochs=20, batch=64, dm_weight=1.0, lr=1e-2,
+                        seed_model=seed_model)
         _, metrics = train(cfg, src, twin,
                            on_step=lambda e, s, rep: seen.append(rep["mmd"]))
         # identical domains: batch-level distance is pure estimator bias
@@ -692,7 +698,7 @@ class TestSaveRun:
                          "confusion.csv", "checkpoint.bin"}
 
         stored = json.loads((tmp_path / "run" / "config.json").read_text())
-        assert TrainConfig.from_dict(stored) == dataclasses.replace(
+        assert checked_object(TrainConfig, stored, "train config") == dataclasses.replace(
             cfg, loss=cfg.resolved_loss(2))
 
         assert (tmp_path / "run" / "metrics.jsonl").read_text() == metrics.to_jsonl()
@@ -707,6 +713,17 @@ class TestSaveRun:
         loaded, _ = load_checkpoint(tmp_path / "run" / "checkpoint.bin")
         x = src.x_flat()[:5]
         assert np.array_equal(predict_logits(loaded, x), predict_logits(params, x))
+
+    def test_a_config_of_numpy_numbers_is_written_and_read_back(self, tmp_path):
+        # json.dumps once failed here, after the run, on the stored numpy numbers
+        src, tgt = blob_pair(n=100)
+        cfg = small_cfg(epochs=np.int32(1), lr=np.float32(0.01), seed_model=np.int64(3))
+        params, metrics = train(cfg, src, tgt)
+        save_run(tmp_path / "run", cfg, params, metrics)
+        stored = json.loads((tmp_path / "run" / "config.json").read_text())
+        assert stored["epochs"] == 1 and stored["lr"] == float(np.float32(0.01))
+        assert checked_object(TrainConfig, stored, "train config") == dataclasses.replace(
+            cfg, loss=cfg.resolved_loss(2))
 
 
 # ---------------------------------------------------------------------------
@@ -837,3 +854,19 @@ class TestProbe:
         assert out["ceiling"] == pytest.approx(1.0)
         for row in out["curve"]:
             assert row["target_acc"] >= reference - 0.02
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 17: _transform_token(seed, e, 1009) equals _transform_token(seed, e + 1, 0), "
+    "so step 1009 of an epoch draws the views and pretext labels of the next epoch's step 0"))
+def test_step_1009_and_the_next_epochs_first_step_draw_different_views():
+    src, tgt = _glyph_pair()
+    cfg = small_cfg(method="instapbm", seed_data=4, dm_ramp_steps=0)
+    # no mixup, whose stream is keyed by (epoch, step) and differs already
+    loss_cfg = LossConfig.for_classes(4, lambda_U=0.0)
+    rows = np.arange(8)
+    a, b = (training._build_bundle(cfg, src, tgt, rows, rows, loss_cfg, epoch, s, 0)
+            for epoch, s in ((0, 1009), (1, 0)))
+    assert not np.array_equal(a.tgt_x_aug, b.tgt_x_aug)
+    assert any(not np.array_equal(a.st_batches[t][1], b.st_batches[t][1])
+               for t in a.st_batches)
