@@ -239,34 +239,30 @@ def inject_two(target: DomainDataset, pool: np.ndarray, spec: BenchmarkSpec) -> 
     n_out = two_outlier_count(n, rho)
     if n_out == 0:
         out = target.take(np.arange(n))
-        out.metadata["benchmark"] = {
-            "kind": "TwO", "outlier_fraction": rho, "seed": spec.seed,
-            "n_outliers": 0, "n_total": n,
-        }
-        return out
-    if len(pool) < n_out:
-        raise ValueError(
-            f"outlier pool has {len(pool)} images but fraction {rho} of "
-            f"{n} target samples needs {n_out}")
-    if pool.shape[1:] != target.images.shape[1:]:
-        raise ValueError(
-            f"pool image shape {pool.shape[1:]} does not match "
-            f"target {target.images.shape[1:]}")
+    else:
+        if len(pool) < n_out:
+            raise ValueError(
+                f"outlier pool has {len(pool)} images but fraction {rho} of "
+                f"{n} target samples needs {n_out}")
+        if pool.shape[1:] != target.images.shape[1:]:
+            raise ValueError(
+                f"pool image shape {pool.shape[1:]} does not match "
+                f"target {target.images.shape[1:]}")
 
-    pick = rng(spec.seed, _SALT_TWO_POOL).permutation(len(pool))[:n_out]
-    images = np.concatenate([target.images, pool[pick]], axis=0)
-    labels = np.concatenate([target.labels,
-                             np.full(n_out, OUTLIER_LABEL, dtype=np.int64)])
-    sublabels = None
-    if target.sublabels is not None:
-        sublabels = np.concatenate([target.sublabels,
-                                    np.full(n_out, OUTLIER_LABEL, dtype=np.int64)])
-    perm = rng(spec.seed, _SALT_TWO_SHUFFLE).permutation(n + n_out)
-    out = DomainDataset(
-        images=images[perm], labels=labels[perm],
-        class_count=target.class_count, domain_role=target.domain_role,
-        sublabels=None if sublabels is None else sublabels[perm],
-        metadata=dict(target.metadata))
+        pick = rng(spec.seed, _SALT_TWO_POOL).permutation(len(pool))[:n_out]
+        images = np.concatenate([target.images, pool[pick]], axis=0)
+        labels = np.concatenate([target.labels,
+                                 np.full(n_out, OUTLIER_LABEL, dtype=np.int64)])
+        sublabels = None
+        if target.sublabels is not None:
+            sublabels = np.concatenate([target.sublabels,
+                                        np.full(n_out, OUTLIER_LABEL, dtype=np.int64)])
+        perm = rng(spec.seed, _SALT_TWO_SHUFFLE).permutation(n + n_out)
+        out = DomainDataset(
+            images=images[perm], labels=labels[perm],
+            class_count=target.class_count, domain_role=target.domain_role,
+            sublabels=None if sublabels is None else sublabels[perm],
+            metadata=dict(target.metadata))
     out.metadata["benchmark"] = {
         "kind": "TwO", "outlier_fraction": rho, "seed": spec.seed,
         "n_outliers": n_out, "n_total": n + n_out,

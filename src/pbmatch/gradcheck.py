@@ -254,7 +254,7 @@ def _distance_fn(distance, z_s: np.ndarray, z_t: np.ndarray, vary_target: bool):
 
     def fn(x: np.ndarray) -> Tuple[float, np.ndarray]:
         value, grad = distance(np.concatenate((z_s, x) if vary_target else (x, z_t)))
-        return value, grad(1.0)[rows]
+        return value, grad[rows]
 
     return fn, z_t if vary_target else z_s
 
@@ -293,7 +293,6 @@ def _build_total(rng, i):
         src_y=src_y,
         tgt_x=np.zeros((6, d)) if mixup else rng.normal(size=(6, d)),
         tgt_x_aug=rng.normal(size=(6, d)),
-        pair_diff_mask=src_y != np.roll(src_y, 1),
         mixed_x=rng.normal(size=(6, d)),
         mixed_partner=rng.permutation(6),
         mixed_beta=rng.uniform(0.0, 1.0, 6),

@@ -9,10 +9,11 @@ Every term is a function over plain arrays that returns its value
 together with its closed-form gradient. The classifier terms take
 row-wise log-probabilities and give the gradient with respect to the
 logits; the two distances take the stacked source and target latent rows
-and the source row count, and give a map from a scale to the scaled
-gradient with respect to those rows. ``total_objective`` returns a plain
-record of their weighted sum, and ``backward`` maps it to every
-parameter's gradient: through the heads into the latent, then the trunk.
+and the source row count, and give the gradient with respect to those
+rows. ``total_objective`` forms the consistency term's source pairs from
+the source labels and returns a plain record of the terms' weighted sum,
+and ``backward`` maps it to every parameter's gradient: through the heads
+into the latent, then the trunk.
 
 One ``mmd_distance`` serves a step's batch and a whole data set, such as
 the label-shift probe's reading after each weight. It reads the distance
@@ -46,12 +47,6 @@ DEFAULT_BANDWIDTH_SCALES = (0.5, 1.0, 2.0, 4.0)
 MARGINAL_FLOOR = 1e-6
 
 Grads = Tuple[Optional[np.ndarray], ...]
-# a scale s -> s times a distance's gradient with respect to its stacked rows
-GradMap = Callable[[float], np.ndarray]
-
-
-def _as_bool_mask(mask) -> np.ndarray:
-    return np.asarray(mask).astype(bool).reshape(-1)
 
 
 def _row_entropies(q: np.ndarray) -> np.ndarray:
@@ -282,10 +277,9 @@ class BatchBundle:
     """One step's inputs: source labeled batch, target batch, and the
     pre-applied transform outputs each active term consumes.
 
-    The consistency term's source pairs are the source rows and the same
-    rows rolled by one; ``pair_diff_mask`` marks the pairs whose labels
-    differ. ``mixed_x`` row r mixes target rows r and ``mixed_partner[r]``
-    with weight ``mixed_beta[r]``; its targets mix the two rows' detached
+    The objective forms the consistency term's source pairs from ``src_y``.
+    ``mixed_x`` row r mixes target rows r and ``mixed_partner[r]`` with
+    weight ``mixed_beta[r]``; its targets mix the two rows' detached
     predictions the same way. ``distance`` names a feature distance
     between the source and target latents, "mmd" or "coral", that enters
     the objective with weight ``distance_weight``.
@@ -295,7 +289,6 @@ class BatchBundle:
     src_y: np.ndarray
     tgt_x: Optional[np.ndarray] = None
     tgt_x_aug: Optional[np.ndarray] = None
-    pair_diff_mask: Optional[np.ndarray] = None
     mixed_x: Optional[np.ndarray] = None
     mixed_partner: Optional[np.ndarray] = None
     mixed_beta: Optional[np.ndarray] = None
@@ -331,7 +324,7 @@ class Objective:
     and what :func:`backward` takes back to the parameters: the latent
     ``z`` with its trunk ``cache``, each head in use as (head name, rows
     of ``z``, W, b) with the weighted gradient of its logit block, and the
-    feature distance as (rows of ``z``, gradient map, weight)."""
+    feature distance as (rows of ``z``, its weighted gradient)."""
 
     total: float
     report: Dict[str, float]
@@ -340,7 +333,7 @@ class Objective:
     cache: Cache
     heads: List[Tuple[str, slice, np.ndarray, np.ndarray]]
     dlogits: List[np.ndarray]
-    distance: Optional[Tuple[slice, GradMap, float]]
+    distance: Optional[Tuple[slice, np.ndarray]]
 
 
 def total_objective(batch_bundle: BatchBundle, params: ModelParams,
@@ -351,16 +344,18 @@ def total_objective(batch_bundle: BatchBundle, params: ModelParams,
     through the shared extractor once. The label head is applied to the
     label views' rows and each pretext head to its task's rows, and the
     terms' weighted closed-form logit gradients are added up row block by
-    row block; a feature distance keeps its gradient map over the latent
-    rows of the source and target views.
+    row block; a feature distance keeps its weighted gradient over the
+    latent rows of the source and target views. The consistency term's
+    source pairs are the source rows and the same rows rolled by one; it
+    pushes apart the pairs whose labels differ.
     """
     b = batch_bundle
     _check_bundle(b, cfg)
     dist = b.distance
-    use_pairs = cfg.lambda_C > 0.0 and b.pair_diff_mask is not None
     # label-head views first, then one block per pretext task; a distance
     # reads the source and target views, which stay the first two
-    label_views = [("src", b.src_x if cfg.supervised_weight > 0.0 or use_pairs or dist else None),
+    label_views = [("src", b.src_x if cfg.supervised_weight > 0.0 or cfg.lambda_C > 0.0
+                    or dist else None),
                    ("tgt", b.tgt_x if cfg.lambda_M > 0.0 or cfg.lambda_C > 0.0
                     or cfg.lambda_U > 0.0 or dist else None),
                    ("aug", b.tgt_x_aug if cfg.lambda_C > 0.0 else None),
@@ -395,12 +390,10 @@ def total_objective(batch_bundle: BatchBundle, params: ModelParams,
         dlabel[view["tgt"]] += cfg.lambda_M * grad
         terms.append(("mim", cfg.lambda_M, value))
     if cfg.lambda_C > 0.0:
-        # the source pairs are the source rows and the same rows rolled by one
-        src = label[view["src"]] if use_pairs else None
+        src = label[view["src"]]
         value, (g_tgt, g_aug, g_a, g_b) = cpbm_loss(
-            label[view["tgt"]], label[view["aug"]], src,
-            np.roll(src, 1, axis=0) if use_pairs else None,
-            _as_bool_mask(b.pair_diff_mask) if use_pairs else None, cfg.lambda_con)
+            label[view["tgt"]], label[view["aug"]], src, np.roll(src, 1, axis=0),
+            b.src_y != np.roll(b.src_y, 1), cfg.lambda_con)
         dlabel[view["tgt"]] += cfg.lambda_C * g_tgt
         dlabel[view["aug"]] += cfg.lambda_C * g_aug
         if g_a is not None:
@@ -422,7 +415,8 @@ def total_objective(batch_bundle: BatchBundle, params: ModelParams,
         terms.append(("tpbm", cfg.lambda_S, value))
     if dist is not None:
         joint = slice(0, view["tgt"].stop)
-        value, dist_grad = _DISTANCES[dist](z[joint], view["src"].stop)
+        value, grad = _DISTANCES[dist](z[joint], view["src"].stop)
+        dist_grad = b.distance_weight * grad
         terms.append((dist, b.distance_weight, value))
 
     total = None
@@ -437,7 +431,7 @@ def total_objective(batch_bundle: BatchBundle, params: ModelParams,
 
     return Objective(total=total, report=report, params=params, z=z, cache=cache,
                      heads=heads, dlogits=dlogits,
-                     distance=(joint, dist_grad, b.distance_weight) if dist else None)
+                     distance=(joint, dist_grad) if dist else None)
 
 
 def backward(obj: Objective) -> List[Optional[np.ndarray]]:
@@ -455,8 +449,8 @@ def backward(obj: Objective) -> List[Optional[np.ndarray]]:
         dz[rows] = dblock @ w.T
         head_grads[head] = [obj.z[rows].T @ dblock, dblock.sum(axis=0)]
     if obj.distance is not None:
-        joint, dist_grad, weight = obj.distance
-        dz[joint] += dist_grad(weight)
+        joint, dist_grad = obj.distance
+        dz[joint] += dist_grad
     grads: List[Optional[np.ndarray]] = [
         g for pair in trunk_grads(obj.cache, dz) for g in pair]
     for head in ("label", *obj.params.tasks):
@@ -633,7 +627,7 @@ def _checked_bandwidths(bandwidths: Sequence[float]) -> List[float]:
 
 
 def mmd_distance(joint: np.ndarray, n: int, bandwidths: Optional[Sequence[float]] = None
-                 ) -> Tuple[float, GradMap]:
+                 ) -> Tuple[float, np.ndarray]:
     """Squared maximum mean discrepancy (biased estimator) between the
     first ``n`` rows of ``joint`` and the rest.
 
@@ -650,7 +644,7 @@ def mmd_distance(joint: np.ndarray, n: int, bandwidths: Optional[Sequence[float]
     With C the block weights (1/n^2, 1/m^2, -1/nm) times sum over
     bandwidths of -exp(-D / 2bw^2) / 2bw^2, zero where D is 0, the gradient
     with respect to Z is 4 (diag(C 1) Z - C Z), formed tile by tile with
-    the value; the returned map scales it by 4s in one multiply.
+    the value.
     """
     m = _check_sides(joint, n)
     walk = _tile_walk(joint, n)
@@ -683,10 +677,11 @@ def mmd_distance(joint: np.ndarray, n: int, bandwidths: Optional[Sequence[float]
         np.multiply(c.sum(axis=1)[:, None], joint[a:b], out=grad[a:b])
         grad[a:b] -= c @ joint
     value = float(k_ss / (n * n) + k_tt / (m * m) - 2.0 * k_st / (n * m))
-    return value, lambda scale: grad * (4.0 * scale)
+    grad *= 4.0
+    return value, grad
 
 
-def coral_distance(joint: np.ndarray, n: int) -> Tuple[float, GradMap]:
+def coral_distance(joint: np.ndarray, n: int) -> Tuple[float, np.ndarray]:
     """||C_s - C_t||_F^2 / 4d^2 between the first ``n`` rows of ``joint``
     and the rest, over the sample covariances C = X^T X / (n - 1) of the
     centered rows X, with the gradients X_s (C_s - C_t) / (d^2 (n_s - 1))
@@ -703,7 +698,7 @@ def coral_distance(joint: np.ndarray, n: int) -> Tuple[float, GradMap]:
     diff = (x_s.T @ x_s) * c_s - (x_t.T @ x_t) * c_t
     value = (diff * diff).sum() * (1.0 / (4.0 * d * d))
     grad = np.concatenate([(x_s @ diff) * (c_s / (d * d)), (x_t @ diff) * (-c_t / (d * d))])
-    return float(value), lambda scale: scale * grad
+    return float(value), grad
 
 
 # the feature distances a BatchBundle may name, each over (joint rows, source count)

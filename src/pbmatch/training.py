@@ -273,8 +273,14 @@ def full_set_mmd(params: ModelParams, src_x: np.ndarray, tgt_x: np.ndarray) -> f
     return mmd_distance(np.concatenate([z_s, z_t]), z_s.shape[0])[0]
 
 
+# the token advances by TOKEN_STRIDE per epoch, so step s + TOKEN_STRIDE of
+# epoch e shares the token of step s of epoch e + 1; a step's views and
+# pretext labels also take the word s // TOKEN_STRIDE, which tells them apart
+TOKEN_STRIDE = 1_009
+
+
 def _transform_token(seed_data: int, epoch: int, step_idx: int) -> int:
-    return (seed_data * 1_000_003 + epoch * 1_009 + step_idx) % (2 ** 31 - 1)
+    return (seed_data * 1_000_003 + epoch * TOKEN_STRIDE + step_idx) % (2 ** 31 - 1)
 
 
 # salt of a step's semantic-preserving views, under the step's token; a
@@ -421,19 +427,18 @@ def _build_bundle(cfg: TrainConfig, src: DomainDataset, adapt: DomainDataset,
     weighted above 0 in ``loss_cfg`` consume, and the ramped feature distance."""
     token = _transform_token(cfg.seed_data, epoch, s)
     ramp = min(1.0, (global_step + 1) / cfg.dm_ramp_steps) if cfg.dm_ramp_steps > 0 else 1.0
-    y_s = src.labels[rows_s]
+    block = s // TOKEN_STRIDE
     # each side's rows, gathered once: images or points, then flat for the trunk
     imgs_s, imgs_t = src.images[rows_s], adapt.images[rows_t]
     x_t = imgs_t.reshape(len(rows_t), -1)
-    bundle = BatchBundle(src_x=imgs_s.reshape(len(rows_s), -1), src_y=y_s, tgt_x=x_t,
-                         distance=_METHODS[cfg.method].distance,
+    bundle = BatchBundle(src_x=imgs_s.reshape(len(rows_s), -1), src_y=src.labels[rows_s],
+                         tgt_x=x_t, distance=_METHODS[cfg.method].distance,
                          distance_weight=cfg.dm_weight * ramp)
 
     if loss_cfg.lambda_C > 0.0:
         bundle.tgt_x_aug = apply_semantic_preserving(
-            imgs_t, rng(token, SP_STREAM_SALT),
+            imgs_t, rng(token, SP_STREAM_SALT, block),
             kinds=_METHODS[cfg.method].cpbm_kinds).reshape(len(rows_t), -1)
-        bundle.pair_diff_mask = y_s != np.roll(y_s, 1)
 
     if loss_cfg.lambda_U > 0.0:
         gen = rng(cfg.seed_data, 17, epoch, s)
@@ -449,7 +454,7 @@ def _build_bundle(cfg: TrainConfig, src: DomainDataset, adapt: DomainDataset,
         st: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
         for task in _METHODS[cfg.method].tasks:
             x_task, labels = apply_semantic_transforming(
-                both, task, rng(token, ST_TASKS.index(task) + 101))
+                both, task, rng(token, ST_TASKS.index(task) + 101, block))
             st[task] = (x_task.reshape(len(both), -1), labels)
         bundle.st_batches = st
 

@@ -227,6 +227,19 @@ def test_lds_rejects_wrong_kind():
         resample_lds(ds, BenchmarkSpec(kind="TwO"))
 
 
+def test_lds_rejects_a_class_order_that_is_no_permutation():
+    ds = _balanced_glyphs(samples_per_class=10, seed=9)
+    spec = BenchmarkSpec(kind="LDS", imbalance_factor=2.0, class_order=(0, 0, 1, 2))
+    with pytest.raises(ValueError, match=r"class_order must be a permutation of 0\.\.3"):
+        resample_lds(ds, spec)
+
+
+def test_lds_rejects_an_empty_target():
+    empty = _balanced_glyphs(samples_per_class=10, seed=9).take(np.arange(0))
+    with pytest.raises(ValueError, match="no samples found for target classes"):
+        resample_lds(empty, BenchmarkSpec(kind="LDS", imbalance_factor=2.0))
+
+
 def test_lds_does_not_mutate_input():
     ds = _balanced_glyphs(samples_per_class=25, seed=10)
     before_imgs = ds.images.copy()
@@ -305,6 +318,12 @@ def test_ilds_requires_sublabels():
                          meta_class_map={0: 0, 1: 1})
     with pytest.raises(ValueError, match="sublabels"):
         build_ilds(src, spec)
+
+
+def test_ilds_requires_a_meta_class_map():
+    spec = BenchmarkSpec(kind="ILDS", imbalance_factor=2.0)
+    with pytest.raises(ValueError, match="ILDS needs a BenchmarkSpec with meta_class_map set"):
+        build_ilds(_balanced_glyphs(samples_per_class=10), spec)
 
 
 def test_ilds_rejects_missing_sublabel_in_map():

@@ -577,6 +577,11 @@ class TestAblate:
         cfg = write_json(tmp_path / "abl.json", {"train": {}})
         assert main(["ablate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
 
+    def test_config_without_train_exits_1_naming_it(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "abl.json", {"benchmarks": [{"kind": "LDS"}]})
+        assert main(["ablate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert_named_error(capsys, 'ablate config needs a "train" entry')
+
     def test_unknown_train_key_exits_1(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "abl.json", {
             "train": {"method": "source_only", "epoch": 3},
@@ -835,6 +840,10 @@ class TestEntryPoints:
                               capture_output=True, text=True)
         assert proc.returncode == 0
         assert "probe-lds" in proc.stdout
+
+    def test_help_exits_0(self, capsys):
+        assert main(["--help"]) == 0
+        assert "probe-lds" in capsys.readouterr().out
 
     def test_console_script_installed(self, tmp_path):
         entry = declared_console_script()

@@ -630,6 +630,12 @@ def test_dataset_rejects_out_of_range_labels():
                       domain_role="source")
 
 
+def test_dataset_rejects_labels_of_another_length():
+    with pytest.raises(ValueError, match=r"labels shape \(2,\) does not match 3 samples"):
+        DomainDataset(images=np.zeros((3, 4, 4)), labels=[0, 1], class_count=2,
+                      domain_role="source")
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_dataset_rejects_non_finite_points(bad):
     src, _ = generate_blob_pair(2, (0.5, 0.5), (0.5, 0.5), ((-2, 0), (2, 0)),

@@ -28,6 +28,16 @@ def test_grad_check_rejects_a_gradient_of_another_shape():
         grad_check(lambda x: (float(x.sum()), np.ones(2)), np.ones(3))
 
 
+@pytest.mark.parametrize("fn,msg", [
+    (lambda x: (math.nan, np.zeros_like(x)), "not finite at the given point"),
+    (lambda x: (0.0 if not x.any() else math.nan, np.zeros_like(x)),
+     "not finite near the given point"),
+], ids=["at_the_point", "off_the_point"])
+def test_grad_check_refuses_a_value_that_is_not_finite(fn, msg):
+    with pytest.raises(ValueError, match=msg):
+        grad_check(fn, np.zeros(3))
+
+
 def test_grad_check_report_fields():
     w = np.array([2.0, 3.0])
     report = grad_check(lambda x: (float(np.maximum(x, 0.0) @ w), w * (x > 0)),

@@ -102,8 +102,7 @@ def _term(fn, *logits):
 def _distance(fn, a, b, **kw):
     """A distance on the stacked rows of a and b: its value, then its
     gradient to each side."""
-    value, grad = fn(np.concatenate([a, b]), len(a), **kw)
-    g = grad(1.0)
+    value, g = fn(np.concatenate([a, b]), len(a), **kw)
     return value, g[:len(a)], g[len(a):]
 
 
@@ -134,7 +133,7 @@ def _distance_fn(fn, a, b, vary_target, **kw):
 
     def checked(x):
         value, grad = fn(np.concatenate([a, x] if vary_target else [x, b]), n, **kw)
-        return value, grad(1.0)[n:] if vary_target else grad(1.0)[:n]
+        return value, grad[n:] if vary_target else grad[:n]
 
     return checked
 
@@ -204,6 +203,15 @@ class TestMarginalTracker:
         t = MarginalTracker.uniform(3)
         with pytest.raises(ValueError, match="shape"):
             t.update(np.array([0.5, 0.5]))
+
+    @pytest.mark.parametrize("q,momentum,msg", [
+        ([1.0], 0.1, r"vector of >= 2 probabilities, got \(1,\)"),
+        ([0.5, 0.5], 1.0, r"momentum must lie in \(0,1\), got 1.0"),
+        ([0.5, -0.5, 1.0], 0.1, "marginal entries must be non-negative"),
+    ], ids=["one_entry", "momentum_one", "negative_entry"])
+    def test_an_unusable_marginal_is_refused_by_name(self, q, momentum, msg):
+        with pytest.raises(ValueError, match=msg):
+            MarginalTracker(q=np.array(q), momentum=momentum)
 
 
 # ---------------------------------------------------------------------------
@@ -571,18 +579,23 @@ class TestTermsMatchPerOpOracles:
             (cross_entropy(la, labels), [(4, 3)]),
             (mim_loss(la, MarginalTracker.uniform(3), float("inf")), [(4, 3)]),
             (cpbm_loss(la, lb, la, lb, mask, 0.1), [(4, 3)] * 4),
+            (cpbm_loss(la, lb, la, lb, mask, 0.0), [(4, 3)] * 2 + [None] * 2),
             (mupbm_loss(la, q), [(4, 3)]),
             (tpbm_loss([la, lb[:, :2]], [labels, labels % 2]), [(4, 3), (4, 2)]),
             (coral_distance(joint, 4), [(8, 3)]),
             (mmd_distance(joint, 4), [(8, 3)]),
         ]:
-            # a plain float and plain arrays: a distance gives a map from a
-            # scale to its gradient over the stacked rows
-            grads = grads(1.0) if callable(grads) else grads
+            # a plain float and plain arrays, a distance's over the stacked
+            # rows, or None for an input the term leaves alone; never a callable
             grads = grads if isinstance(grads, (tuple, list)) else (grads,)
             assert type(value) is float
-            assert [type(g) for g in grads] == [np.ndarray] * len(shapes)
-            assert [g.shape for g in grads] == shapes
+            assert [type(g) for g in grads] == [
+                np.ndarray if shape else type(None) for shape in shapes]
+            assert [g.shape if shape else g for g, shape in zip(grads, shapes)] == shapes
+
+    def test_cross_entropy_refuses_labels_of_another_length(self):
+        with pytest.raises(ValueError, match=r"labels shape \(4,\) does not match logits \(5, 2\)"):
+            cross_entropy(_logp(np.zeros((5, 2))), np.zeros(4, dtype=np.int64))
 
     def test_cross_entropy_is_stable_for_huge_logit_gaps(self):
         value, grad = cross_entropy(_logp([[1000.0, 0.0]]), np.array([1]))
@@ -610,7 +623,6 @@ def _full_bundle(params, rng, n_src=8, n_tgt=6):
     return BatchBundle(
         src_x=src_x, src_y=src_y, tgt_x=tgt_x,
         tgt_x_aug=np.clip(tgt_x + rng.normal(0, 0.05, tgt_x.shape), 0, 1),
-        pair_diff_mask=src_y != np.roll(src_y, 1),
         mixed_x=mix_x, mixed_partner=partner, mixed_beta=mix_b, st_batches=st)
 
 
@@ -635,7 +647,8 @@ def _per_view_terms(bundle, params, cfg):
                                              cfg.entropy_ceiling)),
         (cfg.lambda_C, lambda tp: oracle_cpbm(
             view(tp, b.tgt_x), view(tp, b.tgt_x_aug), view(tp, b.src_x),
-            view(tp, np.roll(b.src_x, 1, axis=0)), b.pair_diff_mask, cfg.lambda_con)),
+            view(tp, np.roll(b.src_x, 1, axis=0)), b.src_y != np.roll(b.src_y, 1),
+            cfg.lambda_con)),
         (cfg.lambda_U, lambda tp: oracle_mupbm(view(tp, b.mixed_x), targets)),
         (cfg.lambda_S, lambda tp: oracle_tpbm(
             {t: view(tp, x, head=t) for t, (x, _) in b.st_batches.items()},
@@ -739,6 +752,24 @@ class TestTotalObjective:
         with pytest.raises(ValueError, match="target batch"):
             total_objective(bundle, params, cfg, MarginalTracker.uniform(3))
 
+    @pytest.mark.parametrize("field,msg", [
+        ("tgt_x_aug", "lambda_C > 0 requires a target batch and its transformed view"),
+        ("mixed_x", "lambda_U > 0 requires a target batch, interpolated inputs and their mixing"),
+        ("st_batches", "lambda_S > 0 requires pretext-task batches"),
+    ])
+    def test_a_weighted_term_without_its_view_is_refused_by_name(self, field, msg):
+        params, bundle = self._setup(seed=16)
+        setattr(bundle, field, None)
+        with pytest.raises(ValueError, match=msg):
+            total_objective(bundle, params, LossConfig.for_classes(3), MarginalTracker.uniform(3))
+
+    def test_a_one_class_label_head_is_refused(self):
+        params = init_params([12, 8, 1], seed=0)
+        bundle = BatchBundle(src_x=np.zeros((2, 12)), src_y=np.zeros(2, dtype=np.int64))
+        cfg = LossConfig(entropy_ceiling=1.0, lambda_M=0, lambda_C=0, lambda_U=0, lambda_S=0)
+        with pytest.raises(ValueError, match=r"logits must be \[batch, K\] with K >= 2"):
+            total_objective(bundle, params, cfg, MarginalTracker.uniform(2))
+
     def test_zero_weight_skips_missing_fields(self):
         params, bundle = self._setup(seed=5)
         bundle.mixed_x = None
@@ -785,7 +816,9 @@ class TestTotalObjective:
         # the latent rows of the source and target views, under the label head only
         assert [head for head, *_ in obj.heads] == ["label"]
         assert obj.distance[0] == slice(0, len(bundle.src_x) + len(bundle.tgt_x))
-        assert obj.distance[2] == 1.7
+        distance_fn = {"mmd": mmd_distance, "coral": coral_distance}[distance]
+        _, grad = distance_fn(obj.z[obj.distance[0]], len(bundle.src_x))
+        assert np.array_equal(_bits(obj.distance[1]), _bits(1.7 * grad))
 
     @pytest.mark.parametrize("distance", ["mmd", "coral"])
     def test_distance_adds_to_every_other_term(self, distance):
@@ -926,7 +959,7 @@ class TestMmdMatchesTheWholeMatrixArithmetic:
                 value, grad = mmd_distance(joint, n, bandwidths)
                 want_value, want_grad = whole_matrix_mmd(joint, n, bandwidths)
                 assert _bits(value) == _bits(want_value)
-                assert np.array_equal(_bits(grad(1.0)), _bits(want_grad))
+                assert np.array_equal(_bits(grad), _bits(want_grad))
 
     @pytest.mark.parametrize("rows,n,width", [
         (362, 181, 16), (363, 181, 16), (363, 1, 32), (363, 362, 1),
@@ -941,7 +974,7 @@ class TestMmdMatchesTheWholeMatrixArithmetic:
         value, grad = mmd_distance(joint, n)
         want_value, want_grad = whole_matrix_mmd(joint, n)
         assert abs(value - want_value) <= 1e-14
-        np.testing.assert_allclose(grad(1.0), want_grad, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(grad, want_grad, rtol=0, atol=1e-14)
 
     @staticmethod
     def _passes(monkeypatch):
@@ -1003,7 +1036,7 @@ class TestMmdMatchesTheWholeMatrixArithmetic:
         value, grad = mmd_distance(joint, n)
         want_value, want_grad = whole_matrix_mmd(joint, n)
         assert abs(value - want_value) <= 1e-14
-        np.testing.assert_allclose(grad(1.0), want_grad, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(grad, want_grad, rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("case,median_passes", [
         ("one_tile", 1), ("normal", 3), ("collapsed", 4), ("two_spread_clusters", 2)])
@@ -1068,7 +1101,7 @@ class TestMmdMatchesTheWholeMatrixArithmetic:
         assert _median_distance(joint, 2) == 1.0
         value, grad = mmd_distance(joint, 2)
         assert value == 0.0
-        assert not grad(1.0).any()
+        assert not grad.any()
 
     def test_infinite_median_is_rejected(self):
         # the two rows' squared distance overflows, so the median is inf

@@ -64,6 +64,8 @@ def test_init_rejects_bad_spec():
         init_params([], seed=0)
     with pytest.raises(ValueError):
         init_params([256, 0, 4], seed=0)
+    with pytest.raises(ValueError, match="at least input and output sizes"):
+        init_params([4], seed=0)
     with pytest.raises(ValueError):
         init_params([4, 4, 4], seed=0, tasks=("spin",))
 

@@ -400,6 +400,22 @@ class TestTrainLoop:
         with pytest.raises(ValueError):
             train(small_cfg(), src, glyph_src)
 
+    @pytest.mark.parametrize("src_images,src_labels,tgt_images,msg", [
+        (np.zeros((4, 4, 4)), [0, 1, 0, 1], np.zeros((4, 5, 5)),
+         "input geometry differs: 16 vs 25 features"),
+        (np.zeros((4, 4, 4)), [0, 1, 0, 1], np.zeros((4, 16)),
+         "domains must both be images or both be points"),
+        (np.zeros((4, 4, 4)), [-1] * 4, np.zeros((4, 4, 4)), "source dataset has no labeled samples"),
+        (np.zeros((1, 4, 4)), [0], np.zeros((4, 4, 4)), "need at least 2 samples per domain"),
+    ], ids=["image_sizes", "images_and_points", "only_outliers", "one_source_row"])
+    def test_an_unusable_pair_is_refused_by_name(self, src_images, src_labels, tgt_images, msg):
+        src = DomainDataset(images=src_images, labels=src_labels, class_count=2,
+                            domain_role="source")
+        tgt = DomainDataset(images=tgt_images, labels=[0, 1, 0, 1], class_count=2,
+                            domain_role="target")
+        with pytest.raises(ValueError, match=msg):
+            train(small_cfg(method="source_only"), src, tgt)
+
     def test_image_transforms_rejected_on_point_data(self):
         src, tgt = blob_pair(n=60)
         for method in ("cpbm_ra", "tpbm_rot", "cpbm_all", "tpbm_all"):
@@ -856,17 +872,24 @@ class TestProbe:
             assert row["target_acc"] >= reference - 0.02
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 17: _transform_token(seed, e, 1009) equals _transform_token(seed, e + 1, 0), "
-    "so step 1009 of an epoch draws the views and pretext labels of the next epoch's step 0"))
 def test_step_1009_and_the_next_epochs_first_step_draw_different_views():
     src, tgt = _glyph_pair()
     cfg = small_cfg(method="instapbm", seed_data=4, dm_ramp_steps=0)
     # no mixup, whose stream is keyed by (epoch, step) and differs already
     loss_cfg = LossConfig.for_classes(4, lambda_U=0.0)
     rows = np.arange(8)
-    a, b = (training._build_bundle(cfg, src, tgt, rows, rows, loss_cfg, epoch, s, 0)
-            for epoch, s in ((0, 1009), (1, 0)))
-    assert not np.array_equal(a.tgt_x_aug, b.tgt_x_aug)
-    assert any(not np.array_equal(a.st_batches[t][1], b.st_batches[t][1])
-               for t in a.st_batches)
+    for first, second in (((0, 1009), (1, 0)), ((0, 1010), (1, 1)), ((0, 2018), (2, 0))):
+        # the two steps share a transform token
+        assert training._transform_token(4, *first) == training._transform_token(4, *second)
+        a, b = (training._build_bundle(cfg, src, tgt, rows, rows, loss_cfg, epoch, s, 0)
+                for epoch, s in (first, second))
+        assert not np.array_equal(a.tgt_x_aug, b.tgt_x_aug)
+        assert any(not np.array_equal(a.st_batches[t][1], b.st_batches[t][1])
+                   for t in a.st_batches)
+
+
+def test_steps_below_the_token_stride_keep_their_two_word_streams():
+    # numpy pads entropy shorter than its 4-word pool with zeros, so the
+    # word s // TOKEN_STRIDE, 0 below the stride, leaves those streams as they were
+    for salt in (training.SP_STREAM_SALT, 101, 102, 103):
+        assert np.array_equal(rng(2**31 - 2, salt, 0).random(4), rng(2**31 - 2, salt).random(4))
