@@ -300,6 +300,8 @@ class BatchBundle:
 def _check_bundle(b: BatchBundle, cfg: LossConfig) -> None:
     if cfg.entropy_ceiling is None:
         raise ValueError("entropy_ceiling is unresolved; build it with LossConfig.for_classes")
+    if len(b.src_y) != len(b.src_x):
+        raise ValueError(f"src_y has {len(b.src_y)} labels for {len(b.src_x)} source rows")
     if b.distance is not None and b.distance not in _DISTANCES:
         raise ValueError(
             f"distance must be one of {sorted(_DISTANCES)} or None, got {b.distance!r}")

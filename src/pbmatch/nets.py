@@ -5,9 +5,13 @@ ReLU dense layers; the label head and each pretext-task head are single
 dense layers on the latent. All heads share the extractor parameters, so
 a step driven by any head moves the shared trunk.
 
-Parameters are plain float64 arrays. ``forward`` caches what
-``trunk_grads`` needs to map the latent's gradient to every layer's
-(dW, db) in closed form; ``step`` applies one gradient per parameter.
+A model's parameters live in one float64 buffer, ``ModelParams.flat``:
+each ``W`` and ``b`` is a reshaped view into it, in ``all_tensors``
+order, and the optimizer's moments are buffers of the same length.
+``forward`` caches what ``trunk_grads`` needs to map the latent's
+gradient to every layer's (dW, db) in closed form; ``step`` takes one
+gradient per parameter and updates each run of adjacent parameters
+whose gradient is set as one slice of the buffer.
 """
 
 from __future__ import annotations
@@ -36,7 +40,14 @@ Cache = List[Tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 @dataclass
 class ModelParams:
-    """Parameters of the feature extractor (phi), label head (psi), and task heads (omega)."""
+    """Parameters of the feature extractor (phi), label head (psi), and task heads (omega).
+
+    Every array is a view into ``flat``, the model's one float64 buffer, in
+    :meth:`all_tensors` order. :func:`step`, :func:`clone_params` and
+    :func:`save_checkpoint` read the buffer, so they refuse a model holding
+    an array that is not such a view (one swapped in by
+    ``dataclasses.replace``), naming it.
+    """
 
     phi: List[Pair]
     psi: Pair
@@ -44,6 +55,7 @@ class ModelParams:
     layer_spec: List[int]
     seed: int
     tasks: Tuple[str, ...]
+    flat: np.ndarray = field(repr=False)
 
     @property
     def input_dim(self) -> int:
@@ -68,11 +80,16 @@ class ModelParams:
             return list(self.omega[head])
         raise ValueError(f"unknown head: {head!r} (have label, {', '.join(self.omega)})")
 
-
-def _dense_init(gen: np.random.Generator, fan_in: int, fan_out: int) -> Pair:
-    # Kaiming-style fan-in scaling: uniform with std sqrt(2/fan_in)
-    limit = np.sqrt(6.0 / fan_in)
-    return gen.uniform(-limit, limit, (fan_in, fan_out)), np.zeros(fan_out)
+    def buffer(self) -> np.ndarray:
+        """``flat``, once every parameter is checked to be a view of it."""
+        for i, t in enumerate(self.all_tensors()):
+            if t.base is not self.flat:
+                layer = ([f"phi[{j}]" for j in range(len(self.phi))] + ["psi"]
+                         + [f"omega[{task!r}]" for task in self.tasks])[i // 2]
+                raise ValueError(f"parameter {layer}.{'Wb'[i % 2]} is not a view of the "
+                                 f"model's buffer; a model with swapped-in arrays cannot be "
+                                 f"stepped, cloned or saved")
+        return self.flat
 
 
 @dataclass(frozen=True)
@@ -102,12 +119,23 @@ def _layer_shapes(spec: List[int], tasks: Sequence[str]) -> List[Tuple[int, int]
     return list(zip(spec[:-1], spec[1:])) + [(spec[-2], TASK_CLASSES[t]) for t in tasks]
 
 
-def _assemble(spec: List[int], seed: int, tasks: Sequence[str], pairs: List[Pair]
+def _n_params(spec: List[int], tasks: Sequence[str]) -> int:
+    """Length of the buffer, in Python ints: the sizes of every W and b."""
+    return sum((fan_in + 1) * fan_out for fan_in, fan_out in _layer_shapes(spec, tasks))
+
+
+def _assemble(spec: List[int], seed: int, tasks: Sequence[str], flat: np.ndarray
               ) -> ModelParams:
+    """The model whose every W and b is a view of ``flat``, in ``all_tensors`` order."""
+    pairs, start = [], 0
+    for fan_in, fan_out in _layer_shapes(spec, tasks):
+        end = start + fan_in * fan_out
+        pairs.append((flat[start:end].reshape(fan_in, fan_out), flat[end:end + fan_out]))
+        start = end + fan_out
     n_phi = len(spec) - 2
     return ModelParams(phi=pairs[:n_phi], psi=pairs[n_phi],
                        omega=dict(zip(tasks, pairs[n_phi + 1:])), layer_spec=spec,
-                       seed=seed, tasks=tuple(tasks))
+                       seed=seed, tasks=tuple(tasks), flat=flat)
 
 
 def init_params(spec: Sequence[int], seed: int,
@@ -121,15 +149,19 @@ def init_params(spec: Sequence[int], seed: int,
     # what no checkpoint could hold is refused, and the header holds Python ints
     header = CheckpointHeader(spec, seed, tasks, step_count=0)
     spec, tasks = list(header.layer_spec), header.tasks
+    params = _assemble(spec, header.seed, tasks, np.zeros(_n_params(spec, tasks)))
     gen = rng(header.seed)
-    return _assemble(spec, header.seed, tasks,
-                     [_dense_init(gen, *shape) for shape in _layer_shapes(spec, tasks)])
+    for w, _ in params.pairs():
+        # Kaiming-style fan-in scaling: uniform with std sqrt(2/fan_in)
+        limit = np.sqrt(6.0 / w.shape[0])
+        w[...] = gen.uniform(-limit, limit, w.shape)
+    return params
 
 
 def clone_params(params: ModelParams) -> ModelParams:
-    """Deep-copy parameters so further training leaves the original intact."""
+    """Copy the buffer so further training leaves the original intact."""
     return _assemble(list(params.layer_spec), params.seed, params.tasks,
-                     [(w.copy(), b.copy()) for w, b in params.pairs()])
+                     params.buffer().copy())
 
 
 def _checked_input(params: ModelParams, x) -> np.ndarray:
@@ -168,8 +200,14 @@ def trunk_grads(cache: Cache, dz: np.ndarray) -> List[Pair]:
 
 
 def features(params: ModelParams, x: np.ndarray) -> np.ndarray:
-    """The latent g(x) of :func:`forward`, without its layer cache (evaluation)."""
-    return forward(params, x)[0]
+    """The latent g(x) of :func:`forward`, bit for bit, without its layer
+    cache (evaluation): each layer's output is formed in place."""
+    h = _checked_input(params, x)
+    for w, b in params.phi:
+        h = h @ w
+        h += b
+        np.maximum(h, 0.0, out=h)
+    return h
 
 
 def predict_logits(params: ModelParams, x: np.ndarray, head: str = "label") -> np.ndarray:
@@ -198,15 +236,23 @@ OPTIMIZERS = ("adam", "sgd_momentum")
 
 @dataclass
 class OptimState:
-    """SGD-with-momentum or Adam state over a fixed parameter list."""
+    """SGD-with-momentum or Adam settings and state for one model.
+
+    The state is laid out like ``ModelParams.flat``: ``_m`` (SGD's momentum
+    or Adam's first moment) and Adam's ``_v`` are float64 buffers of the
+    buffer's length, entry for entry, allocated by the first :func:`step`,
+    as is ``_work``, two rows of that length that hold the update's
+    intermediates, so a step allocates no array the size of the model.
+    """
 
     kind: Literal[OPTIMIZERS] = "adam"
     lr: Positive = 1e-3
     momentum: Share = 0.9
     weight_decay: Weight = 1e-5
     step_count: Annotated[int, Range(0)] = 0
-    _m: List[np.ndarray] = field(default_factory=list, init=False)
-    _v: List[np.ndarray] = field(default_factory=list, init=False)
+    _m: Optional[np.ndarray] = field(default=None, init=False, repr=False)
+    _v: Optional[np.ndarray] = field(default=None, init=False, repr=False)
+    _work: Optional[np.ndarray] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         check_fields(self)
@@ -216,31 +262,71 @@ def step(params: ModelParams, opt: OptimState,
          grads: Sequence[Optional[np.ndarray]]) -> None:
     """Apply one optimizer update in place from one gradient per parameter,
     in :meth:`ModelParams.all_tensors` order; a head the objective did not
-    use has None and is left as it is."""
+    use has None and is left as it is, its moments too.
+
+    Each maximal run of adjacent parameters whose gradient is set is one
+    slice of the buffer, updated in place from the run's gradients joined
+    end to end. Every entry goes through the operations of the per-array
+    update, ``g + wd * t``, ``b1 * m + (1 - b1) * g``, ...,
+    ``t - lr * m_hat / (sqrt(v_hat) + eps)``, in their order; each product
+    and sum is formed with its operands swapped where that lets it land in
+    place, which rounds to the same double, so the bytes are the same.
+    """
     tensors = params.all_tensors()
     if len(grads) != len(tensors):
         raise ValueError(f"got {len(grads)} gradients for {len(tensors)} parameters")
-    if all(g is None for g in grads):
-        raise ValueError("no parameter has a gradient")
-    if not opt._m:
-        opt._m = [np.zeros_like(t) for t in tensors]
-        opt._v = [np.zeros_like(t) for t in tensors]
-    opt.step_count += 1
-    t_count = opt.step_count
-    for i, (t, g) in enumerate(zip(tensors, grads)):
+    flat = params.buffer()
+    # [start, end) of the buffer and the gradients of each run
+    runs: List[list] = []
+    end = 0
+    for t, g in zip(tensors, grads):
+        start, end = end, end + t.size
         if g is None:
             continue
-        if opt.weight_decay > 0:
-            g = g + opt.weight_decay * t
-        if opt.kind == "sgd_momentum":
-            opt._m[i] = opt.momentum * opt._m[i] + g
-            t -= opt.lr * opt._m[i]
+        if g.shape != t.shape:
+            raise ValueError(f"gradient of shape {g.shape} for a parameter of shape {t.shape}")
+        if runs and runs[-1][1] == start:
+            runs[-1][1] = end
+            runs[-1][2].append(g.ravel())
         else:
-            opt._m[i] = ADAM_BETA1 * opt._m[i] + (1 - ADAM_BETA1) * g
-            opt._v[i] = ADAM_BETA2 * opt._v[i] + (1 - ADAM_BETA2) * g * g
-            m_hat = opt._m[i] / (1 - ADAM_BETA1 ** t_count)
-            v_hat = opt._v[i] / (1 - ADAM_BETA2 ** t_count)
-            t -= opt.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+            runs.append([start, end, [g.ravel()]])
+    if not runs:
+        raise ValueError("no parameter has a gradient")
+    if opt._m is None:
+        opt._m = np.zeros_like(flat)
+        opt._v = np.zeros_like(flat) if opt.kind == "adam" else None
+        opt._work = np.empty((2, flat.size))
+    elif opt._m.size != flat.size:
+        raise ValueError(f"optimizer state holds moments for {opt._m.size} parameters, "
+                         f"the model has {flat.size}")
+    opt.step_count += 1
+    m_scale = 1 - ADAM_BETA1 ** opt.step_count
+    v_scale = 1 - ADAM_BETA2 ** opt.step_count
+    for start, end, run in runs:
+        t, m = flat[start:end], opt._m[start:end]
+        a, c = opt._work[0, start:end], opt._work[1, start:end]
+        # g is the caller's array or c, which is free again once the moments have it
+        g = run[0] if len(run) == 1 else np.concatenate(run, out=c)
+        if opt.weight_decay > 0:
+            np.multiply(t, opt.weight_decay, out=a)
+            g = np.add(g, a, out=c)
+        if opt.kind == "sgd_momentum":
+            m *= opt.momentum
+            m += g
+            t -= np.multiply(m, opt.lr, out=a)
+        else:
+            v = opt._v[start:end]
+            m *= ADAM_BETA1
+            m += np.multiply(g, 1 - ADAM_BETA1, out=a)
+            v *= ADAM_BETA2
+            np.multiply(g, 1 - ADAM_BETA2, out=a)
+            v += np.multiply(a, g, out=a)
+            # a: sqrt(v_hat) + eps; c: lr * m_hat, then the step
+            np.sqrt(np.divide(v, v_scale, out=a), out=a)
+            a += ADAM_EPS
+            np.divide(m, m_scale, out=c)
+            c *= opt.lr
+            t -= np.divide(c, a, out=c)
 
 
 # ---------------------------------------------------------------------------
@@ -252,8 +338,7 @@ def save_checkpoint(path, params: ModelParams, step_count: int = 0) -> None:
     with open(path, "wb") as f:
         f.write(json.dumps(asdict(header)).encode("utf-8"))
         f.write(b"\n")
-        for t in params.all_tensors():
-            f.write(t.astype("<f8").tobytes())
+        f.write(params.buffer().astype("<f8", copy=False).tobytes())
 
 
 # longest header line read, newline included; a real header is a few hundred bytes
@@ -278,16 +363,10 @@ def load_checkpoint(path) -> Tuple[ModelParams, int]:
     header = checked_object(CheckpointHeader, parse_json(line, what), what)
     # the blob length the header implies, in Python ints: a header naming
     # huge layers fails here, before any parameter is allocated
-    layers = _layer_shapes(header.layer_spec, header.tasks)
-    n_bytes = 8 * sum((fan_in + 1) * fan_out for fan_in, fan_out in layers)
+    n_bytes = 8 * _n_params(header.layer_spec, header.tasks)
     if blob_bytes != n_bytes:
         raise ValueError(
             f"checkpoint {path} holds {blob_bytes} parameter bytes, expected {n_bytes}")
-    flat = np.fromfile(path, dtype="<f8", offset=len(line))
-    pairs, start = [], 0
-    for fan_in, fan_out in layers:
-        end = start + fan_in * fan_out
-        pairs.append((flat[start:end].reshape(fan_in, fan_out).astype(np.float64),
-                      flat[end:end + fan_out].astype(np.float64)))
-        start = end + fan_out
-    return _assemble(list(header.layer_spec), header.seed, header.tasks, pairs), header.step_count
+    # the blob is read once into the buffer; a big-endian host converts it
+    flat = np.fromfile(path, dtype="<f8", offset=len(line)).astype(np.float64, copy=False)
+    return _assemble(list(header.layer_spec), header.seed, header.tasks, flat), header.step_count

@@ -16,6 +16,9 @@ The glyph oracle renders a domain one sample at a time, each from its own
 ``rng(seed, idx)``, as the library did before it built the images with
 array ops.
 
+``per_array_step`` is the optimizer update one parameter array at a time,
+as the library made it before it updated runs of the model's flat buffer.
+
 ``traced_peak`` measures the memory a call allocates, for the tests that
 bound it.
 """
@@ -31,6 +34,7 @@ from pbmatch.datasets import (
 from pbmatch.losses import (
     DEFAULT_BANDWIDTH_SCALES, KL_MARGIN, BatchBundle, LossConfig, MarginalTracker,
     _log_softmax, total_objective)
+from pbmatch.nets import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 from pbmatch.transforms import rng
 
 
@@ -491,6 +495,37 @@ def oracle_glyph_domain(spec: GlyphDomainSpec, domain_role: str) -> DomainDatase
         class_count=k, domain_role=domain_role, sublabels=sublabels,
         metadata={"generator": "glyph", "spec": dataclasses.asdict(spec),
                   "domain_role": domain_role})
+
+
+# ---------------------------------------------------------------------------
+# the per-array optimizer
+# ---------------------------------------------------------------------------
+
+def per_array_step(params, opt, moments: list, grads) -> None:
+    """One update of ``opt``'s kind, in place, array by array: each
+    parameter whose gradient is set gets weight decay and its moments'
+    update; one that has None is left as it is. ``moments`` holds each
+    array's [m, v] and starts empty; ``opt`` gives the settings and counts
+    the step."""
+    tensors = params.all_tensors()
+    if not moments:
+        moments.extend([np.zeros_like(t), np.zeros_like(t)] for t in tensors)
+    opt.step_count += 1
+    t_count = opt.step_count
+    for t, g, mv in zip(tensors, grads, moments):
+        if g is None:
+            continue
+        if opt.weight_decay > 0:
+            g = g + opt.weight_decay * t
+        if opt.kind == "sgd_momentum":
+            mv[0] = opt.momentum * mv[0] + g
+            t -= opt.lr * mv[0]
+        else:
+            mv[0] = ADAM_BETA1 * mv[0] + (1 - ADAM_BETA1) * g
+            mv[1] = ADAM_BETA2 * mv[1] + (1 - ADAM_BETA2) * g * g
+            m_hat = mv[0] / (1 - ADAM_BETA1 ** t_count)
+            v_hat = mv[1] / (1 - ADAM_BETA2 ** t_count)
+            t -= opt.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 # ---------------------------------------------------------------------------

@@ -763,6 +763,21 @@ class TestTotalObjective:
         with pytest.raises(ValueError, match=msg):
             total_objective(bundle, params, LossConfig.for_classes(3), MarginalTracker.uniform(3))
 
+    @pytest.mark.parametrize("lambda_C, distance", [(1.0, None), (0.0, "coral")],
+                             ids=["consistency", "distance_only"])
+    def test_labels_of_another_length_are_refused_by_name(self, lambda_C, distance):
+        # the consistency term once failed on a mask the caller never
+        # passed, and a distance alone never read the labels
+        params, bundle = self._setup(seed=17)
+        bundle.src_y = bundle.src_y[:-1]
+        bundle.distance = distance
+        weights = dict(supervised_weight=0.0, lambda_M=0.0, lambda_C=lambda_C,
+                       lambda_U=0.0, lambda_S=0.0)
+        with pytest.raises(ValueError, match=rf"src_y has {len(bundle.src_x) - 1} labels "
+                                             rf"for {len(bundle.src_x)} source rows"):
+            total_objective(bundle, params, LossConfig.for_classes(3, **weights),
+                            MarginalTracker.uniform(3))
+
     def test_a_one_class_label_head_is_refused(self):
         params = init_params([12, 8, 1], seed=0)
         bundle = BatchBundle(src_x=np.zeros((2, 12)), src_y=np.zeros(2, dtype=np.int64))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -117,6 +118,25 @@ def _bits(a) -> bytes:
     return np.asarray(a, dtype=np.float64).tobytes()
 
 
+@pytest.mark.parametrize("spec, rows", [([6, 3], 4), ([6, 4, 2], 1), ([9, 7, 5, 3, 2], 11),
+                                        ([30, 16, 8, 4], 64)])
+def test_features_equals_forwards_latent_bit_for_bit(spec, rows):
+    p = init_params(spec, seed=len(spec))
+    # negative inputs put pre-activations on both sides of the ReLU
+    x = np.random.default_rng(rows).uniform(-2, 2, (rows, spec[0]))
+    before = x.copy()
+    assert _bits(features(p, x)) == _bits(forward(p, x)[0])
+    assert _bits(x) == _bits(before)
+
+
+def test_features_peak_is_below_forwards():
+    p = init_params([256, 128, 64, 4], seed=0)
+    x = np.random.default_rng(0).uniform(0, 1, (2000, 256))
+    _, forward_peak = traced_peak(lambda: forward(p, x))
+    _, features_peak = traced_peak(lambda: features(p, x))
+    assert features_peak < forward_peak
+
+
 @pytest.mark.parametrize("hidden", [(5,), (5, 4), (6, 5, 4)], ids=["1", "2", "3"])
 def test_trunk_rule_equals_the_per_op_chain_bit_for_bit(hidden):
     rng = np.random.default_rng(len(hidden))
@@ -193,6 +213,73 @@ def test_step_requires_gradients():
         step(p, OptimState(), [None] * len(p.all_tensors()))
     with pytest.raises(ValueError, match="got 2 gradients for 10 parameters"):
         step(p, OptimState(), [np.zeros(1)] * 2)
+
+
+# which parameters of a [6, 5, 4, 3] model with every task head get a
+# gradient: phi's two layers, psi, then rotate90, vflip and patch_location
+_GRADIENT_PATTERNS = {
+    "all": range(12),
+    "trunk_and_label": range(6),
+    "trunk_and_one_task": [0, 1, 2, 3, 8, 9],
+    "label_and_patch_location": [4, 5, 10, 11],
+}
+
+
+@pytest.mark.parametrize("pattern", sorted(_GRADIENT_PATTERNS))
+@pytest.mark.parametrize("weight_decay", [0.0, 1e-2])
+@pytest.mark.parametrize("kind", ["adam", "sgd_momentum"])
+def test_step_updates_the_buffer_bit_for_bit_as_the_per_array_update(kind, weight_decay,
+                                                                     pattern):
+    flat_model = init_params([6, 5, 4, 3], seed=4)
+    reference = init_params([6, 5, 4, 3], seed=4)
+    settings = dict(kind=kind, lr=0.05, momentum=0.8, weight_decay=weight_decay)
+    opt, ref_opt, ref_moments = OptimState(**settings), OptimState(**settings), []
+    gen = np.random.default_rng(6)
+    for _ in range(6):
+        grads = [gen.standard_normal(t.shape) * 10.0 ** gen.integers(-3, 3)
+                 if i in _GRADIENT_PATTERNS[pattern] else None
+                 for i, t in enumerate(flat_model.all_tensors())]
+        step(flat_model, opt, grads)
+        oracles.per_array_step(reference, ref_opt, ref_moments, grads)
+    assert _bits(flat_model.flat) == _bits(np.concatenate(
+        [t.ravel() for t in reference.all_tensors()]))
+    assert not np.array_equal(flat_model.flat, init_params([6, 5, 4, 3], seed=4).flat)
+
+
+def test_step_refuses_a_model_with_an_array_outside_its_buffer():
+    p = init_params([4, 3, 2], seed=0)
+    swapped = dataclasses.replace(p, phi=[(p.phi[0][0].copy(), p.phi[0][1])])
+    grads = [np.ones_like(t) for t in p.all_tensors()]
+    with pytest.raises(ValueError, match=r"parameter phi\[0\]\.W is not a view of the "
+                                         r"model's buffer"):
+        step(swapped, OptimState(), grads)
+    task = dataclasses.replace(p, omega={**p.omega, "vflip": (p.omega["vflip"][0],
+                                                               np.zeros(2))})
+    with pytest.raises(ValueError, match=r"parameter omega\['vflip'\]\.b is not a view"):
+        step(task, OptimState(), grads)
+    for refused in (nets.clone_params, lambda m: nets.save_checkpoint(os.devnull, m)):
+        with pytest.raises(ValueError, match="is not a view of the model's buffer"):
+            refused(swapped)
+
+
+def test_step_refuses_moments_sized_for_another_model():
+    small, large = init_params([4, 3, 2], seed=0), init_params([4, 5, 2], seed=0)
+    opt = OptimState()
+    step(small, opt, [np.ones_like(t) for t in small.all_tensors()])
+    with pytest.raises(ValueError, match=f"optimizer state holds moments for "
+                                         f"{small.flat.size} parameters, the model "
+                                         f"has {large.flat.size}"):
+        step(large, opt, [np.ones_like(t) for t in large.all_tensors()])
+    assert opt.step_count == 1
+
+
+def test_step_refuses_a_gradient_of_another_shape():
+    p = init_params([4, 3, 2], seed=0)
+    grads = [np.ones_like(t) for t in p.all_tensors()]
+    grads[1] = np.ones((1, 3))
+    with pytest.raises(ValueError, match=r"gradient of shape \(1, 3\) for a parameter "
+                                         r"of shape \(3,\)"):
+        step(p, OptimState(), grads)
 
 
 def test_adam_first_step_magnitude_is_lr():
@@ -442,4 +529,5 @@ def test_checkpoint_loads_from_the_blob_without_a_random_init(tmp_path, monkeypa
     loaded, steps = load_checkpoint(path)
     assert (steps, loaded.seed, loaded.tasks) == (7, 2, ("vflip", "rotate90"))
     assert [_bits(t) for t in loaded.all_tensors()] == [_bits(t) for t in p.all_tensors()]
-    assert all(t.flags.owndata for t in loaded.all_tensors())
+    assert all(t.base is loaded.flat for t in loaded.all_tensors())
+    assert loaded.flat.flags.owndata

@@ -504,6 +504,22 @@ class TestTrainLoop:
         assert any(not np.array_equal(a, b)
                    for a, b in zip(donor.all_tensors(), trained.all_tensors()))
 
+    def test_every_parameter_stays_a_view_of_its_buffer(self, tmp_path):
+        def views(params):
+            return (params.flat.flags.owndata
+                    and all(t.base is params.flat for t in params.all_tensors()))
+
+        src, tgt = blob_pair(n=80)
+        cfg = small_cfg(method="instapbm", epochs=2, optimizer="adam")
+        path = tmp_path / "checkpoint.bin"
+        nets.save_checkpoint(path, init_params([2, 16, 8, 2], seed=7))
+        trained, _ = train(cfg, src, tgt)
+        warm, _ = train(cfg, src, tgt, warm_start=trained)
+        for params in (init_params([2, 16, 8, 2], seed=7), nets.clone_params(trained),
+                       load_checkpoint(path)[0], trained, warm):
+            assert views(params)
+        assert trained.flat is not warm.flat
+
     @pytest.mark.parametrize("method", METHODS)
     def test_one_trunk_pass_per_step(self, method, monkeypatch):
         calls = []
