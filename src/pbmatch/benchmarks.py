@@ -53,9 +53,9 @@ _SALT_TWO_SHUFFLE = 3001
 class BenchmarkSpec:
     """Recipe for one benchmark constructor run.
 
-    ``class_order`` is either an explicit permutation of the class indices
-    (tail position -> class) or the string "random" for a seeded draw.
-    ``meta_class_map`` sends every sublabel to its meta-class (ILDS only).
+    ``class_order`` (LDS only) is an explicit permutation of the class
+    indices (tail position -> class) or "random" for a seeded draw.
+    ``meta_class_map`` (ILDS only) sends every sublabel to its meta-class.
     """
 
     kind: Literal[BENCHMARK_KINDS]
@@ -75,6 +75,12 @@ class BenchmarkSpec:
             raise ValueError(
                 f"outlier_fraction is for TwO; an {self.kind} spec leaves it at 0, "
                 f"got {self.outlier_fraction}")
+        if self.kind != "LDS" and self.class_order != "random":
+            raise ValueError(f"class_order is for LDS; {self.kind} specs leave it "
+                             f"\"random\", got {list(self.class_order)}")
+        if self.kind != "ILDS" and self.meta_class_map is not None:
+            raise ValueError(f"meta_class_map is for ILDS; {self.kind} specs leave it "
+                             f"null, got {self.meta_class_map}")
 
 
 def decay_counts(n_max: int, positions: int, factor: float) -> np.ndarray:

@@ -44,7 +44,7 @@ from .datasets import (
     read_json,
     save_dataset,
 )
-from .gradcheck import run_gradient_suite, suite_text
+from .gradcheck import DEFAULT_INSTANCES, DEFAULT_TOL, run_gradient_suite, suite_text
 from .nets import load_checkpoint
 from .training import (
     NumericalAbort,
@@ -289,8 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_ablate)
 
     p = sub.add_parser("gradcheck", help="verify gradients against central differences")
-    p.add_argument("--tol", type=float, default=1e-4)
-    p.add_argument("--instances", type=int, default=20)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--instances", type=int, default=DEFAULT_INSTANCES)
     p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=_cmd_gradcheck)
 

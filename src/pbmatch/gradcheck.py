@@ -160,8 +160,9 @@ def _build_features(rng, i):
     def fn(p: np.ndarray) -> Tuple[float, np.ndarray]:
         phi = list(params.phi)
         phi[layer] = (p, phi[layer][1]) if part == 0 else (phi[layer][0], p)
-        z, cache = forward(dataclasses.replace(params, phi=phi), x)
-        return float(np.sum(z * readout)), trunk_grads(cache, readout)[layer][part]
+        varied = dataclasses.replace(params, phi=phi)
+        z, acts = forward(varied, x)
+        return float(np.sum(z * readout)), trunk_grads(varied, acts, readout)[layer][part]
 
     return fn, params.phi[layer][part]
 

@@ -37,7 +37,7 @@ from typing import Annotated, Callable, Dict, Iterator, List, Optional, Sequence
 import numpy as np
 
 from .datasets import Positive, Range, Weight, check_fields
-from .nets import Cache, ModelParams, forward, trunk_grads
+from .nets import ModelParams, forward, trunk_grads
 
 # per-pair clamp on the disagreement divergence; unbounded KL invites
 # divergence-chasing on easy pairs
@@ -323,16 +323,15 @@ def _check_bundle(b: BatchBundle, cfg: LossConfig) -> None:
 class Objective:
     """One step's objective: the weighted ``total``, the ``report`` of each
     computed term's unweighted value (plus ``dm_weight`` and ``total``),
-    and what :func:`backward` takes back to the parameters: the latent
-    ``z`` with its trunk ``cache``, each head in use as (head name, rows
-    of ``z``, W, b) with the weighted gradient of its logit block, and the
-    feature distance as (rows of ``z``, its weighted gradient)."""
+    and what :func:`backward` takes back to the parameters: the trunk's
+    ``acts``, the last being the latent z, each head in use as (head name,
+    rows of z, W, b) with the weighted gradient of its logit block, and the
+    feature distance as (rows of z, its weighted gradient)."""
 
     total: float
     report: Dict[str, float]
     params: ModelParams
-    z: np.ndarray
-    cache: Cache
+    acts: List[np.ndarray]
     heads: List[Tuple[str, slice, np.ndarray, np.ndarray]]
     dlogits: List[np.ndarray]
     distance: Optional[Tuple[slice, np.ndarray]]
@@ -367,7 +366,7 @@ def total_objective(batch_bundle: BatchBundle, params: ModelParams,
     stacked = [x for _, x in label_views] + [x for _, (x, _) in task_views]
     if not stacked:
         raise ValueError("all objective weights are zero; nothing to optimize")
-    z, cache = forward(params, np.concatenate(stacked))
+    z, acts = forward(params, np.concatenate(stacked))
 
     # one GEMM per head: the label head over every label view, then each task's
     bounds = [0, *accumulate(x.shape[0] for x in stacked)]
@@ -431,7 +430,7 @@ def total_objective(batch_bundle: BatchBundle, params: ModelParams,
         report["dm_weight"] = b.distance_weight
     report["total"] = total
 
-    return Objective(total=total, report=report, params=params, z=z, cache=cache,
+    return Objective(total=total, report=report, params=params, acts=acts,
                      heads=heads, dlogits=dlogits,
                      distance=(joint, dist_grad) if dist else None)
 
@@ -445,16 +444,17 @@ def backward(obj: Objective) -> List[Optional[np.ndarray]]:
     and adds the distance's weighted gradient to its rows; the trunk rule,
     ``nets.trunk_grads``, takes the latent's gradient to every layer.
     """
-    dz = np.zeros_like(obj.z)
+    z = obj.acts[-1]
+    dz = np.zeros_like(z)
     head_grads: Dict[str, List[np.ndarray]] = {}
     for (head, rows, w, _), dblock in zip(obj.heads, obj.dlogits):
         dz[rows] = dblock @ w.T
-        head_grads[head] = [obj.z[rows].T @ dblock, dblock.sum(axis=0)]
+        head_grads[head] = [z[rows].T @ dblock, dblock.sum(axis=0)]
     if obj.distance is not None:
         joint, dist_grad = obj.distance
         dz[joint] += dist_grad
     grads: List[Optional[np.ndarray]] = [
-        g for pair in trunk_grads(obj.cache, dz) for g in pair]
+        g for pair in trunk_grads(obj.params, obj.acts, dz) for g in pair]
     for head in ("label", *obj.params.tasks):
         grads += head_grads.get(head, [None, None])
     return grads

@@ -8,10 +8,10 @@ a step driven by any head moves the shared trunk.
 A model's parameters live in one float64 buffer, ``ModelParams.flat``:
 each ``W`` and ``b`` is a reshaped view into it, in ``all_tensors``
 order, and the optimizer's moments are buffers of the same length.
-``forward`` caches what ``trunk_grads`` needs to map the latent's
-gradient to every layer's (dW, db) in closed form; ``step`` takes one
-gradient per parameter and updates each run of adjacent parameters
-whose gradient is set as one slice of the buffer.
+``forward`` keeps the activations it forms, which ``trunk_grads`` maps
+the latent's gradient back through to every layer's (dW, db) in closed
+form; ``step`` takes one gradient per parameter and updates each run of
+adjacent parameters whose gradient is set as one slice of the buffer.
 """
 
 from __future__ import annotations
@@ -33,9 +33,6 @@ TASK_CLASSES = {task: _ST_OPS[task][1] for task in ST_TASKS}
 
 # a dense layer's weight and bias
 Pair = Tuple[np.ndarray, np.ndarray]
-# per extractor layer: its input, its weight and the mask of its positive
-# pre-activations, the trunk rule's inputs
-Cache = List[Tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 
 @dataclass
@@ -164,55 +161,46 @@ def clone_params(params: ModelParams) -> ModelParams:
                      params.buffer().copy())
 
 
-def _checked_input(params: ModelParams, x) -> np.ndarray:
+def forward(params: ModelParams, x: np.ndarray) -> Tuple[np.ndarray, List[np.ndarray]]:
+    """Latent representation g(x), ReLU after every extractor layer, and
+    the activations :func:`trunk_grads` takes it back through: the input,
+    then each layer's output, the last being the latent. Each output is
+    formed in place, so the pass holds nothing else."""
     h = np.asarray(x, dtype=np.float64)
     if h.ndim != 2 or h.shape[1] != params.input_dim:
         raise ValueError(f"input width {h.shape} does not match input dim {params.input_dim}")
-    return h
-
-
-def forward(params: ModelParams, x: np.ndarray) -> Tuple[np.ndarray, Cache]:
-    """Latent representation g(x), ReLU after every extractor layer, and
-    the layer cache :func:`trunk_grads` takes it back through."""
-    h = _checked_input(params, x)
-    cache: Cache = []
-    for w, b in params.phi:
-        a = h @ w + b
-        mask = a > 0.0
-        cache.append((h, w, mask))
-        h = np.maximum(a, 0.0)
-    return h, cache
-
-
-def trunk_grads(cache: Cache, dz: np.ndarray) -> List[Pair]:
-    """Each extractor layer's (dW, db), given the gradient ``dz`` of the
-    latent that :func:`forward` cached: walking the layers back, the mask
-    of positive pre-activations, then db = sum of g's rows, dW = h^T g and,
-    below every layer but the first, g W^T. The input gets no gradient."""
-    g = dz
-    grads: List[Pair] = []
-    for i in reversed(range(len(cache))):
-        h_in, w, mask = cache[i]
-        g = g * mask
-        grads.append((h_in.T @ g, g.sum(axis=0)))
-        g = g @ w.T if i > 0 else None
-    return grads[::-1]
-
-
-def features(params: ModelParams, x: np.ndarray) -> np.ndarray:
-    """The latent g(x) of :func:`forward`, bit for bit, without its layer
-    cache (evaluation): each layer's output is formed in place."""
-    h = _checked_input(params, x)
+    acts = [h]
     for w, b in params.phi:
         h = h @ w
         h += b
         np.maximum(h, 0.0, out=h)
-    return h
+        acts.append(h)
+    return h, acts
 
 
-def predict_logits(params: ModelParams, x: np.ndarray, head: str = "label") -> np.ndarray:
-    """Logits of the requested head on g(x) (evaluation)."""
-    w, b = params.head_tensors(head)
+def trunk_grads(params: ModelParams, acts: List[np.ndarray], dz: np.ndarray) -> List[Pair]:
+    """Each extractor layer's (dW, db), given the gradient ``dz`` of the
+    latent of :func:`forward`'s ``acts``: walking the layers back, the mask
+    of the layer's positive outputs (those of its pre-activations), then
+    db = sum of g's rows, dW = h^T g and, below every layer but the first,
+    g W^T. The input gets no gradient."""
+    g = dz
+    grads: List[Pair] = []
+    for i in reversed(range(len(params.phi))):
+        g = g * (acts[i + 1] > 0.0)
+        grads.append((acts[i].T @ g, g.sum(axis=0)))
+        g = g @ params.phi[i][0].T if i > 0 else None
+    return grads[::-1]
+
+
+def features(params: ModelParams, x: np.ndarray) -> np.ndarray:
+    """The latent g(x) of :func:`forward` (evaluation)."""
+    return forward(params, x)[0]
+
+
+def predict_logits(params: ModelParams, x: np.ndarray) -> np.ndarray:
+    """Label-head logits on g(x) (evaluation)."""
+    w, b = params.psi
     return features(params, x) @ w + b
 
 

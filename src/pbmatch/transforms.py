@@ -316,8 +316,6 @@ def apply_semantic_transforming(x: np.ndarray, task: str,
     n, h, w = x.shape
     if task == "rotate90" and h != w:
         raise ValueError(f"rotate90 needs square images, got {h}x{w}")
-    if task == "patch_location" and (h % 2 or w % 2):
-        raise ValueError(f"patch_location needs even dimensions, got {h}x{w}")
     op, n_classes = _ST_OPS[task]
     labels = gen.integers(0, n_classes, n).astype(np.int64)
     out = np.empty_like(x, dtype=np.float64)

@@ -74,6 +74,11 @@ def test_spec_rejects_invalid_fields(kwargs, msg):
     (dict(kind="TwO", imbalance_factor=10.0, outlier_fraction=0.2), "imbalance_factor"),
     (dict(kind="LDS", imbalance_factor=4.0, outlier_fraction=0.5), "outlier_fraction"),
     (dict(kind="ILDS", outlier_fraction=0.1), "outlier_fraction"),
+    (dict(kind="ILDS", class_order=[1, 0, 3, 2], meta_class_map={0: 0, 1: 0, 2: 1, 3: 1}),
+     "class_order is for LDS"),
+    (dict(kind="TwO", class_order=[0, 1]), "class_order is for LDS"),
+    (dict(kind="LDS", meta_class_map={0: 0, 1: 1}), "meta_class_map is for ILDS"),
+    (dict(kind="TwO", meta_class_map={0: 0}), "meta_class_map is for ILDS"),
 ])
 def test_spec_rejects_the_field_its_kind_does_not_use(kwargs, msg):
     with pytest.raises(ValueError, match=msg):
@@ -113,14 +118,12 @@ def test_class_order_takes_no_string_but_random(read):
 
 def test_spec_dict_round_trip():
     spec = BenchmarkSpec(kind="ILDS", imbalance_factor=9.0,
-                         class_order=[1, 0, 3, 2],
                          meta_class_map={0: 0, 1: 0, 2: 1, 3: 1},
                          outlier_fraction=0.0, seed=5)
     back = checked_object(BenchmarkSpec, json.loads(json.dumps(dataclasses.asdict(spec))),
                           "benchmark spec")
     assert back.kind == spec.kind
     assert back.meta_class_map == spec.meta_class_map
-    assert list(back.class_order) == [1, 0, 3, 2]
 
 
 # ---------------------------------------------------------------------------

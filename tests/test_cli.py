@@ -620,12 +620,14 @@ class TestAblate:
         ({"benchmarks": [{"kind": "LDS", "bogus": 1}]}, "bogus"),
         ({"benchmarks": [{"imbalance_factor": 4.0}]}, "kind"),
         ({"benchmarks": [{"kind": "LDS", "seed": "1"}]}, "seed"),
+        ({"benchmarks": [{"kind": "ILDS", "class_order": [1, 0, 3, 2]}]}, "class_order"),
         ({"benchmarks": "LDS"}, "benchmarks"),
         ({"seeds": 5}, "seeds"),
         ({"rows": [["full"]]}, "rows"),
         ({"samples_per_class": "10"}, "samples_per_class"),
         ({"seed": 1}, "seed"),
-    ], ids=["bench_unknown_key", "bench_no_kind", "bench_mistyped", "benchmarks_not_list",
+    ], ids=["bench_unknown_key", "bench_no_kind", "bench_mistyped", "bench_other_kinds_field",
+            "benchmarks_not_list",
             "seeds_not_list", "row_not_pair", "samples_mistyped", "unknown_key"])
     def test_malformed_matrix_field_exits_1(self, tmp_path, capsys, change, name):
         cfg = write_json(tmp_path / "abl.json", {

@@ -257,8 +257,8 @@ _FULL = {
                   "seed_data": 4294967295, "eval_fraction": 0.25,
                   "initial_marginal": [0.25, 3]},
     LossConfig: {"entropy_ceiling": 0.7, "lambda_C": 2, "marginal_momentum": 0.3},
-    BenchmarkSpec: {"kind": "ILDS", "imbalance_factor": 9, "class_order": [1, 0, 3, 2],
-                    "meta_class_map": {"0": 0, "1": 0, "2": 1, "3": 1}, "seed": 5},
+    BenchmarkSpec: {"kind": "LDS", "imbalance_factor": 9, "class_order": [1, 0, 3, 2],
+                    "seed": 5},
     CheckpointHeader: {"layer_spec": [6, 4, 2], "seed": 7, "tasks": ["vflip", "rotate90"],
                        "step_count": 12},
     DatasetMeta: {"kind": "images", "shape": [3, 4, 4], "class_count": 2,

@@ -806,11 +806,12 @@ class TestTotalObjective:
         obj = total_objective(bundle, params, LossConfig.for_classes(3),
                               MarginalTracker.uniform(3))
         assert [head for head, *_ in obj.heads] == ["label", "rotate90", "vflip"]
-        assert obj.z.shape[0] == sum(len(x) for x in (
+        z = obj.acts[-1]
+        assert z.shape[0] == sum(len(x) for x in (
             bundle.src_x, bundle.tgt_x, bundle.tgt_x_aug, bundle.mixed_x,
             *(x for x, _ in bundle.st_batches.values())))
         assert [block.shape for block in obj.dlogits] == [
-            (obj.z[rows].shape[0], w.shape[1]) for _, rows, w, _ in obj.heads]
+            (z[rows].shape[0], w.shape[1]) for _, rows, w, _ in obj.heads]
         # a head the objective does not use gets no gradient
         grads = backward(obj)
         unused = {id(t) for t in params.omega["patch_location"]}
@@ -832,7 +833,7 @@ class TestTotalObjective:
         assert [head for head, *_ in obj.heads] == ["label"]
         assert obj.distance[0] == slice(0, len(bundle.src_x) + len(bundle.tgt_x))
         distance_fn = {"mmd": mmd_distance, "coral": coral_distance}[distance]
-        _, grad = distance_fn(obj.z[obj.distance[0]], len(bundle.src_x))
+        _, grad = distance_fn(obj.acts[-1][obj.distance[0]], len(bundle.src_x))
         assert np.array_equal(_bits(obj.distance[1]), _bits(1.7 * grad))
 
     @pytest.mark.parametrize("distance", ["mmd", "coral"])

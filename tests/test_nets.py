@@ -84,13 +84,14 @@ def test_forward_zero_params_gives_uniform_softmax():
 def test_forward_shapes_and_heads():
     p = init_params([16, 8, 4], seed=1)
     x = np.random.default_rng(0).uniform(0, 1, (8, 16))
-    z, cache = forward(p, x)
-    assert z.shape == (8, 8) and len(cache) == 1
-    assert predict_logits(p, x, "label").shape == (8, 4)
-    assert predict_logits(p, x, "rotate90").shape == (8, 4)
-    assert predict_logits(p, x, "vflip").shape == (8, 2)
+    z, acts = forward(p, x)
+    assert z.shape == (8, 8) and len(acts) == 2 and acts[-1] is z
+    assert predict_logits(p, x).shape == (8, 4)
+    assert p.head_tensors("label")[0].shape == (8, 4)
+    assert p.head_tensors("rotate90")[0].shape == (8, 4)
+    assert p.head_tensors("vflip")[0].shape == (8, 2)
     with pytest.raises(ValueError, match="unknown head"):
-        predict_logits(p, x, "jigsaw")
+        p.head_tensors("jigsaw")
     for run in (forward, features, predict_logits):
         with pytest.raises(ValueError, match="input width"):
             run(p, np.ones((2, 7)))
@@ -129,12 +130,28 @@ def test_features_equals_forwards_latent_bit_for_bit(spec, rows):
     assert _bits(x) == _bits(before)
 
 
-def test_features_peak_is_below_forwards():
+def test_forward_holds_little_beyond_the_activations_it_returns():
+    # each layer's output is formed in place and is what the trunk rule
+    # reads, so the pass allocates no pre-activation and no mask
     p = init_params([256, 128, 64, 4], seed=0)
     x = np.random.default_rng(0).uniform(0, 1, (2000, 256))
-    _, forward_peak = traced_peak(lambda: forward(p, x))
-    _, features_peak = traced_peak(lambda: features(p, x))
-    assert features_peak < forward_peak
+    (_, acts), peak = traced_peak(lambda: forward(p, x))
+    # 2000 rows of 128 + 64 doubles: 3.07 MB
+    assert peak <= 1.05 * x.shape[0] * sum(p.layer_spec[1:-1]) * 8
+    assert acts[0] is x and sum(a.nbytes for a in acts[1:]) == 3_072_000
+
+
+def _assert_trunk_rule_matches_the_tape(p, x, rng):
+    z, acts = forward(p, x)
+    readout = rng.normal(size=z.shape)
+    got = [z] + [g for pair in trunk_grads(p, acts, readout) for g in pair]
+    tp = leaves(p)
+    out = oracle_forward(tp, Tensor(x), head=None)
+    oracles.backward(dot(out, readout))
+    want = [out.data] + [t.grad for t in tp.all_tensors()[:2 * len(p.phi)]]
+    assert len(got) == len(want) == 1 + 2 * len(p.phi)
+    for g, w in zip(got, want):
+        assert _bits(g) == _bits(w)
 
 
 @pytest.mark.parametrize("hidden", [(5,), (5, 4), (6, 5, 4)], ids=["1", "2", "3"])
@@ -144,16 +161,31 @@ def test_trunk_rule_equals_the_per_op_chain_bit_for_bit(hidden):
     p = init_params([6, *hidden, 3], seed=4)
     for _, b in p.phi:
         b[...] = np.random.default_rng(1).normal(0.0, 0.5, b.shape)
-    z, cache = forward(p, x)
-    readout = rng.normal(size=z.shape)
-    got = [z] + [g for pair in trunk_grads(cache, readout) for g in pair]
-    tp = leaves(p)
-    out = oracle_forward(tp, Tensor(x), head=None)
-    oracles.backward(dot(out, readout))
-    want = [out.data] + [t.grad for t in tp.all_tensors()[:2 * len(hidden)]]
-    assert len(got) == len(want) == 1 + 2 * len(hidden)
-    for g, w in zip(got, want):
-        assert _bits(g) == _bits(w)
+    _assert_trunk_rule_matches_the_tape(p, x, rng)
+
+
+def test_trunk_rule_at_the_relu_edge_equals_the_per_op_chain_bit_for_bit():
+    # the rule reads each mask off the layer's output, the tape off its
+    # pre-activation: relu(a) > 0 is a > 0 for every double (a GEMM plus a
+    # bias does not sum to -0.0 here, so that case is checked on the ReLU)
+    edge = np.array([-np.inf, -1.0, -5e-324, -0.0, 0.0, 5e-324, 1.0, np.inf, np.nan])
+    assert np.array_equal(np.maximum(edge, 0.0) > 0.0, edge > 0.0)
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=(7, 6))
+    p = init_params([6, 5, 4, 3, 3], seed=4)
+    h = x
+    for w, b in p.phi:
+        # each bias cancels its column's median product exactly, so every
+        # column holds a zero pre-activation and rows on both sides; the
+        # zero column's bias is -0.0
+        w[:, 0] = 0.0
+        hw = h @ w
+        b[...] = -np.sort(hw, axis=0)[len(x) // 2]
+        assert np.signbit(b[0])
+        a = hw + b
+        assert (a == 0.0).any(axis=0).all() and (a < 0.0).any() and (a > 0.0).any()
+        h = np.maximum(a, 0.0)
+    _assert_trunk_rule_matches_the_tape(p, x, rng)
 
 
 @pytest.mark.parametrize("head", ["label", "rotate90"])
@@ -179,8 +211,8 @@ def test_objective_rule_through_a_head_equals_the_per_op_chain_bit_for_bit(hidde
 def test_trunk_rule_gives_one_pair_per_layer_and_no_input_gradient():
     rng = np.random.default_rng(13)
     p = init_params([5, 4, 3, 2], seed=1)
-    z, cache = forward(p, rng.uniform(-2, 2, (6, 5)))
-    grads = trunk_grads(cache, rng.uniform(-1, 1, z.shape))
+    z, acts = forward(p, rng.uniform(-2, 2, (6, 5)))
+    grads = trunk_grads(p, acts, rng.uniform(-1, 1, z.shape))
     assert [(dw.shape, db.shape) for dw, db in grads] == [(w.shape, b.shape) for w, b in p.phi]
 
 
