@@ -132,6 +132,8 @@ def _want(hint, plural: bool = False) -> str:
         return "empty lists" if plural else "an empty list"
     if origin is tuple and len(set(args)) == 1:
         return f"{'lists' if plural else 'a list'} of {len(args)} {_want(args[0], True)}"
+    if origin is tuple:
+        return f"{'lists' if plural else 'a list'} of {' and '.join(map(_want, args))}"
     if origin is dict and args[0] is int:
         return f"{'objects' if plural else 'an object'} mapping integers to {_want(args[1], True)}"
     if dataclasses.is_dataclass(hint):

@@ -16,7 +16,6 @@ at zero), since a subgradient mismatch there is not a bug.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import zlib
 from dataclasses import dataclass
@@ -41,7 +40,7 @@ from .losses import (
     tpbm_loss,
     total_objective,
 )
-from .nets import ModelParams, forward, init_params, trunk_grads
+from .nets import ModelParams, clone_params, forward, init_params, trunk_grads
 from .transforms import rng
 
 DEFAULT_INSTANCES = 20
@@ -158,9 +157,8 @@ def _build_features(rng, i):
     layer, part = divmod(i % 6, 2)
 
     def fn(p: np.ndarray) -> Tuple[float, np.ndarray]:
-        phi = list(params.phi)
-        phi[layer] = (p, phi[layer][1]) if part == 0 else (phi[layer][0], p)
-        varied = dataclasses.replace(params, phi=phi)
+        varied = clone_params(params)
+        varied.phi[layer][part][...] = p
         z, acts = forward(varied, x)
         return float(np.sum(z * readout)), trunk_grads(varied, acts, readout)[layer][part]
 
@@ -176,9 +174,9 @@ def _build_head(rng, i):
     slot = i % 2
 
     def fn(p: np.ndarray) -> Tuple[float, np.ndarray]:
-        psi = (p, params.psi[1]) if slot == 0 else (params.psi[0], p)
-        obj = total_objective(bundle, dataclasses.replace(params, psi=psi), cfg,
-                              MarginalTracker.uniform(2))
+        varied = clone_params(params)
+        varied.psi[slot][...] = p
+        obj = total_objective(bundle, varied, cfg, MarginalTracker.uniform(2))
         # the label head's W and b are the last two parameters
         return obj.total, backward(obj)[slot - 2]
 
@@ -306,11 +304,10 @@ def _build_total(rng, i):
     )
     cfg = LossConfig.for_classes(k, **({} if mixup else {"lambda_U": 0.0}))
     q0 = rng.dirichlet(np.full(k, 0.5))
-    rest = params.phi[1:]
-    bias0 = params.phi[0][1]
 
     def fn(x: np.ndarray) -> Tuple[float, np.ndarray]:
-        p = dataclasses.replace(params, phi=[(x, bias0)] + rest)
+        p = clone_params(params)
+        p.phi[0][0][...] = x
         tracker = MarginalTracker(q=q0.copy(), momentum=cfg.marginal_momentum)
         obj = total_objective(bundle, p, cfg, tracker)
         return obj.total, backward(obj)[0]

@@ -222,6 +222,11 @@ def cpbm_loss(orig: np.ndarray, aug: np.ndarray, pair_a: Optional[np.ndarray],
     """
     if orig.shape != aug.shape:
         raise ValueError(f"original and transformed logits differ: {orig.shape} vs {aug.shape}")
+    if pair_a is not None and pair_b is not None:
+        if pair_a.shape != pair_b.shape:
+            raise ValueError(f"pair sides differ: {pair_a.shape} vs {pair_b.shape}")
+        if mask is not None and mask.shape[0] != pair_a.shape[0]:
+            raise ValueError(f"mask length {mask.shape[0]} != pair count {pair_a.shape[0]}")
     n = orig.shape[0]
     kl, g_orig, g_aug = _kl_rows(orig, aug)
     value = kl.mean()
@@ -229,8 +234,6 @@ def cpbm_loss(orig: np.ndarray, aug: np.ndarray, pair_a: Optional[np.ndarray],
     g_aug /= n
     if pair_a is None or pair_b is None or mask is None or not mask.any() or lambda_con == 0.0:
         return float(value), (g_orig, g_aug, None, None)
-    if mask.shape[0] != pair_a.shape[0]:
-        raise ValueError(f"mask length {mask.shape[0]} != pair count {pair_a.shape[0]}")
     kl_pair, g_a, g_b = _kl_rows(pair_a, pair_b)
     m = int(mask.sum())
     value = value - lambda_con * (np.minimum(kl_pair, KL_MARGIN)[mask].sum() / m)

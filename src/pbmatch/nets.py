@@ -5,9 +5,9 @@ ReLU dense layers; the label head and each pretext-task head are single
 dense layers on the latent. All heads share the extractor parameters, so
 a step driven by any head moves the shared trunk.
 
-A model's parameters live in one float64 buffer, ``ModelParams.flat``:
-each ``W`` and ``b`` is a reshaped view into it, in ``all_tensors``
-order, and the optimizer's moments are buffers of the same length.
+A model is one float64 buffer, ``ModelParams.flat``, from which it makes
+each ``W`` and ``b`` as a reshaped view, in ``all_tensors`` order; the
+optimizer's moments are buffers of the same length.
 ``forward`` keeps the activations it forms, which ``trunk_grads`` maps
 the latent's gradient back through to every layer's (dW, db) in closed
 form; ``step`` takes one gradient per parameter and updates each run of
@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, field
-from typing import Annotated, Dict, List, Literal, Optional, Sequence, Tuple, Union
+from dataclasses import asdict, dataclass, field, replace
+from types import MappingProxyType
+from typing import Annotated, List, Literal, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -35,24 +36,41 @@ TASK_CLASSES = {task: _ST_OPS[task][1] for task in ST_TASKS}
 Pair = Tuple[np.ndarray, np.ndarray]
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelParams:
     """Parameters of the feature extractor (phi), label head (psi), and task heads (omega).
 
-    Every array is a view into ``flat``, the model's one float64 buffer, in
-    :meth:`all_tensors` order. :func:`step`, :func:`clone_params` and
-    :func:`save_checkpoint` read the buffer, so they refuse a model holding
-    an array that is not such a view (one swapped in by
-    ``dataclasses.replace``), naming it.
+    The model is its buffer: ``flat`` holds every parameter in
+    :meth:`all_tensors` order, and each ``W`` and ``b`` is a view of it made
+    here, no init field, so the model can hold no other array.
+    ``dataclasses.replace(params, flat=buf)`` is the model over ``buf``; a
+    ``flat`` that is not 1-D float64 of the model's length is refused.
     """
 
-    phi: List[Pair]
-    psi: Pair
-    omega: Dict[str, Pair]
     layer_spec: List[int]
     seed: int
     tasks: Tuple[str, ...]
     flat: np.ndarray = field(repr=False)
+    phi: Tuple[Pair, ...] = field(init=False, repr=False)
+    psi: Pair = field(init=False, repr=False)
+    omega: Mapping[str, Pair] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        flat, n = self.flat, _n_params(self.layer_spec, self.tasks)
+        if not (isinstance(flat, np.ndarray) and flat.dtype == np.float64 and flat.shape == (n,)):
+            raise ValueError(f"flat must be a 1-D float64 buffer of the model's {n} parameters, "
+                             f"got {getattr(flat, 'dtype', None)} of shape {np.shape(flat)}")
+        pairs, start = [], 0
+        for fan_in, fan_out in _layer_shapes(self.layer_spec, self.tasks):
+            end = start + fan_in * fan_out
+            pairs.append((flat[start:end].reshape(fan_in, fan_out), flat[end:end + fan_out]))
+            start = end + fan_out
+        n_phi = len(self.layer_spec) - 2
+        # a frozen dataclass's __post_init__ sets fields this way
+        object.__setattr__(self, "phi", tuple(pairs[:n_phi]))
+        object.__setattr__(self, "psi", pairs[n_phi])
+        omega = dict(zip(self.tasks, pairs[n_phi + 1:]))
+        object.__setattr__(self, "omega", MappingProxyType(omega))
 
     @property
     def input_dim(self) -> int:
@@ -76,17 +94,6 @@ class ModelParams:
         if head in self.omega:
             return list(self.omega[head])
         raise ValueError(f"unknown head: {head!r} (have label, {', '.join(self.omega)})")
-
-    def buffer(self) -> np.ndarray:
-        """``flat``, once every parameter is checked to be a view of it."""
-        for i, t in enumerate(self.all_tensors()):
-            if t.base is not self.flat:
-                layer = ([f"phi[{j}]" for j in range(len(self.phi))] + ["psi"]
-                         + [f"omega[{task!r}]" for task in self.tasks])[i // 2]
-                raise ValueError(f"parameter {layer}.{'Wb'[i % 2]} is not a view of the "
-                                 f"model's buffer; a model with swapped-in arrays cannot be "
-                                 f"stepped, cloned or saved")
-        return self.flat
 
 
 @dataclass(frozen=True)
@@ -121,20 +128,6 @@ def _n_params(spec: List[int], tasks: Sequence[str]) -> int:
     return sum((fan_in + 1) * fan_out for fan_in, fan_out in _layer_shapes(spec, tasks))
 
 
-def _assemble(spec: List[int], seed: int, tasks: Sequence[str], flat: np.ndarray
-              ) -> ModelParams:
-    """The model whose every W and b is a view of ``flat``, in ``all_tensors`` order."""
-    pairs, start = [], 0
-    for fan_in, fan_out in _layer_shapes(spec, tasks):
-        end = start + fan_in * fan_out
-        pairs.append((flat[start:end].reshape(fan_in, fan_out), flat[end:end + fan_out]))
-        start = end + fan_out
-    n_phi = len(spec) - 2
-    return ModelParams(phi=pairs[:n_phi], psi=pairs[n_phi],
-                       omega=dict(zip(tasks, pairs[n_phi + 1:])), layer_spec=spec,
-                       seed=seed, tasks=tuple(tasks), flat=flat)
-
-
 def init_params(spec: Sequence[int], seed: int,
                 tasks: Sequence[str] = ST_TASKS) -> ModelParams:
     """Build model parameters for a layer-size chain like [256, 128, 64, K].
@@ -146,7 +139,7 @@ def init_params(spec: Sequence[int], seed: int,
     # what no checkpoint could hold is refused, and the header holds Python ints
     header = CheckpointHeader(spec, seed, tasks, step_count=0)
     spec, tasks = list(header.layer_spec), header.tasks
-    params = _assemble(spec, header.seed, tasks, np.zeros(_n_params(spec, tasks)))
+    params = ModelParams(spec, header.seed, tasks, np.zeros(_n_params(spec, tasks)))
     gen = rng(header.seed)
     for w, _ in params.pairs():
         # Kaiming-style fan-in scaling: uniform with std sqrt(2/fan_in)
@@ -156,9 +149,9 @@ def init_params(spec: Sequence[int], seed: int,
 
 
 def clone_params(params: ModelParams) -> ModelParams:
-    """Copy the buffer so further training leaves the original intact."""
-    return _assemble(list(params.layer_spec), params.seed, params.tasks,
-                     params.buffer().copy())
+    """The model over a copy of the buffer, so further training leaves the
+    original intact."""
+    return replace(params, flat=params.flat.copy())
 
 
 def forward(params: ModelParams, x: np.ndarray) -> Tuple[np.ndarray, List[np.ndarray]]:
@@ -263,7 +256,7 @@ def step(params: ModelParams, opt: OptimState,
     tensors = params.all_tensors()
     if len(grads) != len(tensors):
         raise ValueError(f"got {len(grads)} gradients for {len(tensors)} parameters")
-    flat = params.buffer()
+    flat = params.flat
     # [start, end) of the buffer and the gradients of each run
     runs: List[list] = []
     end = 0
@@ -326,7 +319,7 @@ def save_checkpoint(path, params: ModelParams, step_count: int = 0) -> None:
     with open(path, "wb") as f:
         f.write(json.dumps(asdict(header)).encode("utf-8"))
         f.write(b"\n")
-        f.write(params.buffer().astype("<f8", copy=False).tobytes())
+        f.write(params.flat.astype("<f8", copy=False).tobytes())
 
 
 # longest header line read, newline included; a real header is a few hundred bytes
@@ -357,4 +350,4 @@ def load_checkpoint(path) -> Tuple[ModelParams, int]:
             f"checkpoint {path} holds {blob_bytes} parameter bytes, expected {n_bytes}")
     # the blob is read once into the buffer; a big-endian host converts it
     flat = np.fromfile(path, dtype="<f8", offset=len(line)).astype(np.float64, copy=False)
-    return _assemble(list(header.layer_spec), header.seed, header.tasks, flat), header.step_count
+    return ModelParams(list(header.layer_spec), header.seed, header.tasks, flat), header.step_count

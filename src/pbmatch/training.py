@@ -535,7 +535,7 @@ def ablation_suite(base_cfg: TrainConfig, benchmarks: Sequence[BenchmarkSpec],
                    samples_per_class: Count = 250,
                    data_seed: PairSeed = 0,
                    seeds: Sequence[Seed] = DEFAULT_SEEDS,
-                   rows: Sequence[Tuple[str, str]] = ABLATION_ROWS, *,
+                   rows: Sequence[Tuple[str, Literal[METHODS]]] = ABLATION_ROWS, *,
                    progress: Optional[Callable[[str], None]] = None) -> Dict:
     """Run every component row on every benchmark; report per-seed and mean
     target accuracies in a row-major table."""
@@ -591,7 +591,8 @@ def lds_failure_probe(priors_src: Sequence[Weight], priors_tgt: Sequence[Weight]
                       dm_weight_schedule: Sequence[Weight] = DEFAULT_PROBE_SCHEDULE,
                       # the fewest rows that split into an eval row and an adapt pair
                       n: Annotated[int, Range(3)] = 1000, spread: Weight = 0.5,
-                      means: Sequence[Tuple[float, float]] = ((-2.0, 0.0), (2.0, 0.0)),
+                      means: Tuple[Tuple[float, float], Tuple[float, float]] = (
+                          (-2.0, 0.0), (2.0, 0.0)),
                       seed_model: Seed = 17, seed_data: Seed = 0,
                       epochs: Count = 120, batch: Annotated[int, Range(2)] = 64,
                       hidden: Tuple[Count, ...] = (32, 16),

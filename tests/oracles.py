@@ -34,7 +34,7 @@ from pbmatch.datasets import (
 from pbmatch.losses import (
     DEFAULT_BANDWIDTH_SCALES, KL_MARGIN, BatchBundle, LossConfig, MarginalTracker,
     _log_softmax, total_objective)
-from pbmatch.nets import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
+from pbmatch.nets import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, ModelParams
 from pbmatch.transforms import rng
 
 
@@ -116,14 +116,29 @@ def replayed(fn):
     return checked
 
 
-def leaves(params):
+@dataclasses.dataclass
+class TapeParams:
+    """A model over tape leaves: ``phi``, ``psi`` and ``omega`` as in
+    ``ModelParams``, each array a :class:`Tensor`. The layer order comes
+    from ``ModelParams``'s own methods, so it has one definition."""
+
+    phi: tuple
+    psi: tuple
+    omega: dict
+    tasks: tuple
+    pairs = ModelParams.pairs
+    all_tensors = ModelParams.all_tensors
+    head_tensors = ModelParams.head_tensors
+
+
+def leaves(params) -> TapeParams:
     """``params`` with every array wrapped in a tensor that wants a gradient."""
     def pair(p):
         return Tensor(p[0], requires_grad=True), Tensor(p[1], requires_grad=True)
 
-    return dataclasses.replace(params, phi=[pair(p) for p in params.phi],
-                               psi=pair(params.psi),
-                               omega={t: pair(p) for t, p in params.omega.items()})
+    return TapeParams(phi=tuple(pair(p) for p in params.phi), psi=pair(params.psi),
+                      omega={t: pair(p) for t, p in params.omega.items()},
+                      tasks=params.tasks)
 
 
 # ---------------------------------------------------------------------------

@@ -638,6 +638,20 @@ class TestAblate:
         assert_named_error(capsys, name)
         assert not (tmp_path / "o").exists()
 
+    def test_a_row_of_an_unknown_method_exits_1_before_any_row_trains(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "abl.json", {
+            "train": {"method": "source_only", "epochs": 1},
+            "benchmarks": [{"kind": "LDS", "imbalance_factor": 4.0}],
+            "samples_per_class": 10, "seeds": [1],
+            "rows": [["Baseline", "source_only"], ["X", "nonsense"]]})
+        assert main(["ablate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "ablate config field 'rows' holds 'nonsense'" in err
+        assert "must be a list of lists of a string and one of (" in err
+        # no progress line: nothing trained
+        assert "Baseline on" not in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
 
 # Every JSON reader, a field it feeds and the payload that puts a value there.
 _BLOB = {"kind": "blob_pair", "k": 2, "source_priors": [0.5, 0.5],
@@ -775,6 +789,13 @@ class TestProbe:
         cfg = write_json(tmp_path / "p.json", {name: [0.6, 0.6], "n": 40, "epochs": 1})
         assert main(["probe-lds", "--out", str(tmp_path / "o"), "--config", cfg]) == 1
         assert_named_error(capsys, f"{name} must be 2 values summing to 1")
+        assert not (tmp_path / "o").exists()
+
+    def test_means_of_one_point_exit_1_by_the_probes_own_key(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "p.json", {"means": [[0, 0]], "n": 40, "epochs": 1})
+        assert main(["probe-lds", "--out", str(tmp_path / "o"), "--config", cfg]) == 1
+        assert_named_error(capsys, "probe config field 'means' must be a list of 2 lists of "
+                                   "2 finite numbers")
         assert not (tmp_path / "o").exists()
 
 

@@ -347,6 +347,18 @@ class TestCpbmLoss:
         with pytest.raises(ValueError, match="mask length"):
             cpbm_loss(z, z, pair, pair, np.array([True, True, False]), 0.5)
 
+    def test_an_all_false_mask_of_another_length_is_refused(self):
+        z = _logp(np.zeros((3, 2)))
+        pair = _logp(np.ones((4, 2)))
+        with pytest.raises(ValueError, match="mask length 7 != pair count 4"):
+            cpbm_loss(z, z, pair, pair, np.zeros(7, dtype=bool), 0.5)
+
+    def test_pair_sides_of_unlike_shapes_are_refused(self):
+        z = _logp(np.zeros((3, 3)))
+        with pytest.raises(ValueError, match=r"pair sides differ: \(4, 3\) vs \(1, 3\)"):
+            cpbm_loss(z, z, _logp(np.ones((4, 3))), _logp(np.ones((1, 3))),
+                      np.ones(4, dtype=bool), 0.5)
+
     def test_gradient_reaches_both_views(self):
         rng = np.random.default_rng(4)
         orig, aug = rng.uniform(-1, 1, (4, 3)), rng.uniform(-1, 1, (4, 3))

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -278,20 +279,28 @@ def test_step_updates_the_buffer_bit_for_bit_as_the_per_array_update(kind, weigh
     assert not np.array_equal(flat_model.flat, init_params([6, 5, 4, 3], seed=4).flat)
 
 
-def test_step_refuses_a_model_with_an_array_outside_its_buffer():
+def test_a_model_is_its_buffer_and_holds_no_other_array():
     p = init_params([4, 3, 2], seed=0)
-    swapped = dataclasses.replace(p, phi=[(p.phi[0][0].copy(), p.phi[0][1])])
-    grads = [np.ones_like(t) for t in p.all_tensors()]
-    with pytest.raises(ValueError, match=r"parameter phi\[0\]\.W is not a view of the "
-                                         r"model's buffer"):
-        step(swapped, OptimState(), grads)
-    task = dataclasses.replace(p, omega={**p.omega, "vflip": (p.omega["vflip"][0],
-                                                               np.zeros(2))})
-    with pytest.raises(ValueError, match=r"parameter omega\['vflip'\]\.b is not a view"):
-        step(task, OptimState(), grads)
-    for refused in (nets.clone_params, lambda m: nets.save_checkpoint(os.devnull, m)):
-        with pytest.raises(ValueError, match="is not a view of the model's buffer"):
-            refused(swapped)
+    for name, value in (("phi", ((p.phi[0][0].copy(), p.phi[0][1]),)), ("psi", p.psi),
+                        ("omega", dict(p.omega))):
+        with pytest.raises(ValueError, match=name):
+            dataclasses.replace(p, **{name: value})
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.flat = p.flat.copy()
+    with pytest.raises(TypeError):
+        p.omega["vflip"] = (p.omega["vflip"][0], np.zeros(2))
+    assert isinstance(p.phi, tuple)
+    buf = np.arange(p.flat.size, dtype=np.float64)
+    over = dataclasses.replace(p, flat=buf)
+    assert all(t.base is buf for t in over.all_tensors())
+    assert _bits(np.concatenate([t.ravel() for t in over.all_tensors()])) == _bits(buf)
+    n = p.flat.size
+    for flat in (np.zeros(n - 1), np.zeros(n + 1), np.zeros(n, dtype=np.float32),
+                 np.zeros((1, n))):
+        with pytest.raises(ValueError, match=f"flat must be a 1-D float64 buffer of the "
+                                             f"model's {n} parameters, got "
+                                             f"{flat.dtype} of shape {re.escape(str(flat.shape))}"):
+            nets.ModelParams(p.layer_spec, p.seed, p.tasks, flat)
 
 
 def test_step_refuses_moments_sized_for_another_model():
