@@ -207,27 +207,26 @@ def _build_mim(rng, i):
 
 def _build_cpbm(rng, i):
     # instance i varies the original view, the transformed view or the
-    # first side of the source pairs
+    # source rows, whose labels give pairs that differ and a pair that agrees
     k = 3
-    blocks = [_rng_logits(rng, 5, k), _rng_logits(rng, 5, k),
-              _rng_logits(rng, 4, k), _rng_logits(rng, 4, k)]
-    mask = np.array([True, False, True, True])
+    blocks = [_rng_logits(rng, 5, k), _rng_logits(rng, 5, k), _rng_logits(rng, 4, k)]
+    src_y = np.array([0, 1, 1, 2])
     slot = i % 3
 
     def fn(x: np.ndarray) -> Tuple[float, np.ndarray]:
         logp = [_log_softmax(x if j == slot else z) for j, z in enumerate(blocks)]
-        value, grads = cpbm_loss(*logp, mask, 0.3)
+        value, grads = cpbm_loss(*logp, src_y, 0.3)
         return value, grads[slot]
 
     return fn, blocks[slot]
 
 
 def _build_mupbm(rng, i):
+    # the target predictions are detached, so they stay fixed
     k = 3
-    lam = rng.uniform(0.1, 0.9, (5, 1))
-    eye = np.eye(k)
-    targets = lam * eye[rng.integers(0, k, 5)] + (1 - lam) * eye[rng.integers(0, k, 5)]
-    return (lambda x: mupbm_loss(_log_softmax(x), targets)), _rng_logits(rng, 5, k)
+    tgt = _log_softmax(_rng_logits(rng, 5, k))
+    partner, beta = rng.permutation(5), rng.uniform(0.1, 0.9, 5)
+    return (lambda x: mupbm_loss(_log_softmax(x), tgt, partner, beta)), _rng_logits(rng, 5, k)
 
 
 def _build_tpbm(rng, i):

@@ -10,10 +10,12 @@ together with its closed-form gradient. The classifier terms take
 row-wise log-probabilities and give the gradient with respect to the
 logits; the two distances take the stacked source and target latent rows
 and the source row count, and give the gradient with respect to those
-rows. ``total_objective`` forms the consistency term's source pairs from
-the source labels and returns a plain record of the terms' weighted sum,
-and ``backward`` maps it to every parameter's gradient: through the heads
-into the latent, then the trunk.
+rows. A term forms what it can derive from the blocks and labels it is
+given: the consistency term pairs the source rows by their labels, and
+the interpolation term mixes its own targets from the target
+predictions. ``total_objective`` returns a plain record of the terms'
+weighted sum, and ``backward`` maps it to every parameter's gradient:
+through the heads into the latent, then the trunk.
 
 One ``mmd_distance`` serves a step's batch and a whole data set, such as
 the label-shift probe's reading after each weight. It reads the distance
@@ -134,7 +136,6 @@ class MarginalTracker:
 
     q: np.ndarray
     momentum: float = 0.1
-    count: int = 0
 
     def __post_init__(self):
         self.q = np.asarray(self.q, dtype=np.float64)
@@ -160,7 +161,6 @@ class MarginalTracker:
             raise ValueError(f"mean prediction shape {mean_p.shape} != marginal {self.q.shape}")
         self.q = (1.0 - self.momentum) * self.q + self.momentum * mean_p
         self._normalize()
-        self.count += 1
 
     def entropy(self) -> float:
         return _entropy(self.q)
@@ -209,53 +209,58 @@ def _kl_rows(logp_a: np.ndarray, logp_b: np.ndarray
     return kl, p_a * (gap - kl[:, None]), np.exp(logp_b) - p_a
 
 
-def cpbm_loss(orig: np.ndarray, aug: np.ndarray, pair_a: Optional[np.ndarray],
-              pair_b: Optional[np.ndarray], mask: Optional[np.ndarray],
+def cpbm_loss(orig: np.ndarray, aug: np.ndarray, src: np.ndarray, src_y: np.ndarray,
               lambda_con: float) -> Tuple[float, Grads]:
     """Mean KL agreement of the two views, minus lambda_con times the mean
-    of min(KL, KL_MARGIN) over the masked source pairs, from the four
-    blocks' log-probabilities.
+    of min(KL, KL_MARGIN) over the source pairs whose labels differ, from
+    the three blocks' log-probabilities and the source labels ``src_y``.
 
-    The disagreement part is off without pairs, with an empty mask or with
-    lambda_con 0; then the pair gradients are None. A pair whose KL reaches
-    the margin gets no gradient.
+    Source row i is paired with row i - 1, the first with the last. The
+    gradients are to the two views and to the source rows, each of which
+    sits on two pairs. The disagreement part is off when no pair's labels
+    differ or with lambda_con 0; then the source gradient is None. A pair
+    whose KL reaches the margin gets no gradient.
     """
     if orig.shape != aug.shape:
         raise ValueError(f"original and transformed logits differ: {orig.shape} vs {aug.shape}")
-    if pair_a is not None and pair_b is not None:
-        if pair_a.shape != pair_b.shape:
-            raise ValueError(f"pair sides differ: {pair_a.shape} vs {pair_b.shape}")
-        if mask is not None and mask.shape[0] != pair_a.shape[0]:
-            raise ValueError(f"mask length {mask.shape[0]} != pair count {pair_a.shape[0]}")
+    if len(src_y) != len(src):
+        raise ValueError(f"src_y has {len(src_y)} labels for {len(src)} source rows")
     n = orig.shape[0]
     kl, g_orig, g_aug = _kl_rows(orig, aug)
     value = kl.mean()
     g_orig /= n
     g_aug /= n
-    if pair_a is None or pair_b is None or mask is None or not mask.any() or lambda_con == 0.0:
-        return float(value), (g_orig, g_aug, None, None)
-    kl_pair, g_a, g_b = _kl_rows(pair_a, pair_b)
+    mask = src_y != np.roll(src_y, 1)
+    if not mask.any() or lambda_con == 0.0:
+        return float(value), (g_orig, g_aug, None)
+    kl_pair, g_a, g_b = _kl_rows(src, np.roll(src, 1, axis=0))
     m = int(mask.sum())
     value = value - lambda_con * (np.minimum(kl_pair, KL_MARGIN)[mask].sum() / m)
     live = np.where(mask & (kl_pair < KL_MARGIN), -lambda_con / m, 0.0)[:, None]
-    return float(value), (g_orig, g_aug, g_a * live, g_b * live)
+    # pair i's second side is row i - 1
+    return float(value), (g_orig, g_aug, g_a * live + np.roll(g_b * live, -1, axis=0))
 
 
-def mupbm_loss(logp: np.ndarray, q: np.ndarray) -> Tuple[float, np.ndarray]:
-    """Mean KL(q || p) of predictions on interpolated inputs from the
-    interpolated target rows ``q``, as cross-entropy minus the constant
-    target entropy, so one-hot target rows stay finite; gradient
-    (p - q) / n, since the rows of q must be distributions. The targets
-    get no gradient."""
-    if q.shape != logp.shape:
-        raise ValueError(f"target shape {q.shape} does not match logits {logp.shape}")
-    row_sums = q.sum(axis=1)
-    if np.any(np.abs(row_sums - 1.0) > 1e-6):
-        bad = int(np.argmax(np.abs(row_sums - 1.0)))
-        raise ValueError(f"target row {bad} sums to {row_sums[bad]}, not 1")
+def mupbm_loss(logp: np.ndarray, tgt: np.ndarray, partner: np.ndarray, beta: np.ndarray
+               ) -> Tuple[float, np.ndarray]:
+    """Mean KL(q || p) of the predictions ``logp`` on interpolated inputs,
+    whose row r mixes target rows r and ``partner[r]`` with weight
+    ``beta[r]``, from the same mix q of the target rows' log-probabilities
+    ``tgt``. The KL is cross-entropy minus the constant target entropy, so
+    one-hot target rows stay finite; gradient (p - q) / n. The targets are
+    detached predictions and get no gradient."""
+    n = logp.shape[0]
+    if tgt.shape != logp.shape:
+        raise ValueError(f"target shape {tgt.shape} does not match logits {logp.shape}")
+    if not (partner.shape == beta.shape == (n,)):
+        raise ValueError(f"partner {partner.shape} and beta {beta.shape} must hold one "
+                         f"entry per row, {n}")
+    probs = np.exp(tgt)
+    beta = beta[:, None]
+    q = beta * probs + (1.0 - beta) * probs[partner]
     ce = -(q * logp).sum(axis=1).mean()
     value = ce - float(np.mean(_row_entropies(q)))
-    return float(value), (np.exp(logp) - q) / logp.shape[0]
+    return float(value), (np.exp(logp) - q) / n
 
 
 def tpbm_loss(logp_by_task: Sequence[np.ndarray], labels_by_task: Sequence[np.ndarray]
@@ -280,10 +285,8 @@ class BatchBundle:
     """One step's inputs: source labeled batch, target batch, and the
     pre-applied transform outputs each active term consumes.
 
-    The objective forms the consistency term's source pairs from ``src_y``.
     ``mixed_x`` row r mixes target rows r and ``mixed_partner[r]`` with
-    weight ``mixed_beta[r]``; its targets mix the two rows' detached
-    predictions the same way. ``distance`` names a feature distance
+    weight ``mixed_beta[r]``. ``distance`` names a feature distance
     between the source and target latents, "mmd" or "coral", that enters
     the objective with weight ``distance_weight``.
     """
@@ -349,9 +352,7 @@ def total_objective(batch_bundle: BatchBundle, params: ModelParams,
     label views' rows and each pretext head to its task's rows, and the
     terms' weighted closed-form logit gradients are added up row block by
     row block; a feature distance keeps its weighted gradient over the
-    latent rows of the source and target views. The consistency term's
-    source pairs are the source rows and the same rows rolled by one; it
-    pushes apart the pairs whose labels differ.
+    latent rows of the source and target views.
     """
     b = batch_bundle
     _check_bundle(b, cfg)
@@ -394,21 +395,17 @@ def total_objective(batch_bundle: BatchBundle, params: ModelParams,
         dlabel[view["tgt"]] += cfg.lambda_M * grad
         terms.append(("mim", cfg.lambda_M, value))
     if cfg.lambda_C > 0.0:
-        src = label[view["src"]]
-        value, (g_tgt, g_aug, g_a, g_b) = cpbm_loss(
-            label[view["tgt"]], label[view["aug"]], src, np.roll(src, 1, axis=0),
-            b.src_y != np.roll(b.src_y, 1), cfg.lambda_con)
+        value, (g_tgt, g_aug, g_src) = cpbm_loss(
+            label[view["tgt"]], label[view["aug"]], label[view["src"]], b.src_y,
+            cfg.lambda_con)
         dlabel[view["tgt"]] += cfg.lambda_C * g_tgt
         dlabel[view["aug"]] += cfg.lambda_C * g_aug
-        if g_a is not None:
-            dlabel[view["src"]] += cfg.lambda_C * (g_a + np.roll(g_b, -1, axis=0))
+        if g_src is not None:
+            dlabel[view["src"]] += cfg.lambda_C * g_src
         terms.append(("cpbm", cfg.lambda_C, value))
     if cfg.lambda_U > 0.0:
-        # targets mix the detached target predictions; they get no gradient
-        probs = np.exp(label[view["tgt"]])
-        beta = b.mixed_beta[:, None]
-        targets = beta * probs + (1.0 - beta) * probs[b.mixed_partner]
-        value, grad = mupbm_loss(label[view["mixed"]], targets)
+        value, grad = mupbm_loss(label[view["mixed"]], label[view["tgt"]], b.mixed_partner,
+                                 b.mixed_beta)
         dlabel[view["mixed"]] += cfg.lambda_U * grad
         terms.append(("mupbm", cfg.lambda_U, value))
     if cfg.lambda_S > 0.0:

@@ -267,10 +267,9 @@ def split_target(labels: np.ndarray, eval_fraction: float,
 
 def full_set_mmd(params: ModelParams, src_x: np.ndarray, tgt_x: np.ndarray) -> float:
     """Squared kernel distance between the two domains' full latent sets:
-    ``mmd_distance``'s value, formed in row tiles; its gradient is unused."""
-    z_s = features(params, src_x)
-    z_t = features(params, tgt_x)
-    return mmd_distance(np.concatenate([z_s, z_t]), z_s.shape[0])[0]
+    ``mmd_distance``'s value on one trunk pass over both sets, formed in
+    row tiles; its gradient is unused."""
+    return mmd_distance(features(params, np.concatenate([src_x, tgt_x])), src_x.shape[0])[0]
 
 
 # the token advances by TOKEN_STRIDE per epoch, so step s + TOKEN_STRIDE of

@@ -223,6 +223,16 @@ def scale(a: Tensor, c: float) -> Tensor:
     return node(a.data * c, (a,), lambda g: (g * c,))
 
 
+def row(a: Tensor, i: int) -> Tensor:
+    """Row ``i`` of ``a`` as a one-row block; a negative ``i`` counts from the end."""
+    def rule(g):
+        grad = np.zeros_like(a.data)
+        grad[i] = g[0]
+        return (grad,)
+
+    return node(a.data[[i]], (a,), rule)
+
+
 def transpose(a: Tensor) -> Tensor:
     return node(a.data.T.copy(), (a,), lambda g: (g.T.copy(),))
 
@@ -292,19 +302,31 @@ def oracle_mim(logits: Tensor, tracker: MarginalTracker, ceiling: float) -> Tens
     return loss
 
 
-def oracle_cpbm(orig, aug, pair_a, pair_b, mask, lambda_con) -> Tensor:
+def oracle_cpbm(orig, aug, src, src_y, lambda_con) -> Tensor:
+    """Agreement of the two views, minus lambda_con times the mean clamped
+    KL over the pairs of source row i and row i - 1 (row 0 and the last)
+    whose labels differ, one pair at a time."""
     agreement = reduce("mean", _kl_rows(log_softmax(orig), log_softmax(aug)))
-    if pair_a is None or mask is None or not np.any(mask) or lambda_con == 0.0:
+    pairs = [i for i in range(len(src_y)) if src_y[i] != src_y[i - 1]]
+    if not pairs or lambda_con == 0.0:
         return agreement
-    kl = _kl_rows(log_softmax(pair_a), log_softmax(pair_b))
-    # min(kl, margin) as margin - relu(margin - kl)
-    clamped = sub(Tensor(KL_MARGIN), relu(sub(Tensor(KL_MARGIN), kl)))
-    masked_sum = reduce("sum", mul(clamped, Tensor(np.asarray(mask, dtype=np.float64))))
-    disagreement = scale(masked_sum, 1.0 / int(np.sum(mask)))
+    logp = log_softmax(src)
+    total = None
+    for i in pairs:
+        kl = _kl_rows(row(logp, i), row(logp, i - 1))
+        # min(kl, margin) as margin - relu(margin - kl)
+        clamped = sub(Tensor(KL_MARGIN), relu(sub(Tensor(KL_MARGIN), kl)))
+        total = clamped if total is None else add(total, clamped)
+    disagreement = scale(reduce("sum", total), 1.0 / len(pairs))
     return sub(agreement, scale(disagreement, lambda_con))
 
 
-def oracle_mupbm(logits: Tensor, q: np.ndarray) -> Tensor:
+def oracle_mupbm(logits: Tensor, probs: np.ndarray, partner, beta) -> Tensor:
+    """KL from the targets, whose row r mixes the detached target
+    predictions ``probs`` of rows r and ``partner[r]`` with weight
+    ``beta[r]``, formed one row at a time."""
+    q = np.array([beta[r] * probs[r] + (1.0 - beta[r]) * probs[partner[r]]
+                  for r in range(len(beta))])
     ce = neg(_mean_row_dot(Tensor(q), log_softmax(logits)))
     return sub(ce, Tensor(_row_entropy_mean(q)))
 

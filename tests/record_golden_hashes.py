@@ -16,7 +16,8 @@ Each case writes into its own directory and is hashed file by file:
 (numpy, BLAS, Python, machine), since another BLAS build may round
 differently. ``tests/test_golden_hashes.py`` recomputes every case and
 names each file whose hash moved. A change that moves bytes on purpose
-re-records the entry for this environment and lists the moved cases:
+re-records the entry for this environment, which prints each ``case:
+file`` that moved from the entry it replaces, and lists them:
 
     PYTHONPATH=src python tests/record_golden_hashes.py
 """
@@ -32,7 +33,7 @@ import platform
 import sys
 import tempfile
 from pathlib import Path
-from typing import Dict
+from typing import Dict, List
 
 import numpy as np
 
@@ -134,9 +135,26 @@ def load() -> Dict[str, Hashes]:
     return json.loads(GOLDEN.read_text()) if GOLDEN.is_file() else {}
 
 
+def moved(want: Hashes, got: Hashes) -> List[str]:
+    """Each ``case: file`` whose hash differs between ``want`` and ``got``,
+    a file on one side only included."""
+    return [f"{case}: {name}"
+            for case in sorted(set(want) | set(got))
+            for name in sorted(set(want.get(case, {})) | set(got.get(case, {})))
+            if want.get(case, {}).get(name) != got.get(case, {}).get(name)]
+
+
 def record() -> None:
+    """Re-record this environment's entry and print to stderr what moved
+    from the entry it replaces."""
     entries = load()
-    entries[fingerprint()] = compute()
+    got = compute()
+    previous = entries.get(fingerprint())
+    if previous is None:
+        print("no previous entry for this environment", file=sys.stderr)
+    else:
+        print("\n".join(moved(previous, got)) or "nothing moved", file=sys.stderr)
+    entries[fingerprint()] = got
     GOLDEN.write_text(json.dumps(entries, indent=1, sort_keys=True) + "\n")
 
 

@@ -87,8 +87,8 @@ def test_criterion_2_analytic_values(capsys):
                            ceiling=float("inf"))
     # agreement term on a single row pair vs direct summation
     p, q = np.array([0.5, 0.5]), np.array([0.25, 0.75])
-    kl, _ = cpbm_loss(_log_softmax(np.log(p)[None, :]), _log_softmax(np.log(q)[None, :]),
-                      None, None, None, 0.0)
+    a, b = _log_softmax(np.log(p)[None, :]), _log_softmax(np.log(q)[None, :])
+    kl, _ = cpbm_loss(a, b, a, np.zeros(1, dtype=np.int64), 0.0)
     kl_oracle = float(np.sum(p * np.log(p / q)))
     # indifferent rotation head: cross entropy is ln 4 for any labels
     rot, _ = tpbm_loss([_log_softmax(np.zeros((8, 4)))], [np.arange(8) % 4])

@@ -179,13 +179,11 @@ class TestMarginalTracker:
     def test_starts_uniform(self):
         t = MarginalTracker.uniform(5)
         assert np.allclose(t.q, 0.2)
-        assert t.count == 0
 
     def test_update_arithmetic(self):
         t = MarginalTracker(q=np.array([0.5, 0.5]), momentum=0.1)
         t.update(np.array([0.9, 0.1]))
         assert np.allclose(t.q, [0.54, 0.46])
-        assert t.count == 1
 
     def test_floor_keeps_entries_positive(self):
         t = MarginalTracker(q=np.array([1.0, 0.0]))
@@ -250,7 +248,6 @@ class TestMimLoss:
         probs = np.array([[0.9, 0.1]] * 4)
         mim_loss(_logp_for(probs), tracker, ceiling=float("inf"))
         assert np.allclose(tracker.q, [0.54, 0.46])
-        assert tracker.count == 1
 
     def test_class_count_mismatch_rejected(self):
         with pytest.raises(ValueError, match="classes"):
@@ -286,97 +283,119 @@ class TestMimLoss:
 # consistency + disagreement term
 # ---------------------------------------------------------------------------
 
+def _per_row_cpbm(orig, aug, src, src_y, lambda_con):
+    """cpbm_loss's value and source gradient from log-probabilities, formed
+    one row and one pair at a time: source row i pairs with row i - 1 (row
+    0 with the last), and a pair counts where its two labels differ."""
+    agreement = np.mean([(np.exp(orig[i]) * (orig[i] - aug[i])).sum()
+                         for i in range(len(orig))])
+    pairs = [i for i in range(len(src)) if src_y[i] != src_y[i - 1]]
+    share = -lambda_con / len(pairs)
+    clamped = []
+    g_src = np.zeros_like(src)
+    for i in pairs:
+        p, gap = np.exp(src[i]), src[i] - src[i - 1]
+        kl = (p * gap).sum()
+        clamped.append(min(kl, KL_MARGIN))
+        if kl < KL_MARGIN:
+            g_src[i] += (p * (gap - kl)) * share
+            g_src[i - 1] += (np.exp(src[i - 1]) - p) * share
+    return agreement - lambda_con * (np.sum(clamped) / len(pairs)), g_src
+
+
 class TestCpbmLoss:
     def test_identical_views_give_zero(self):
         rng = np.random.default_rng(0)
         z = rng.uniform(-2, 2, (6, 4))
-        value, _ = cpbm_loss(_logp(z), _logp(z.copy()), None, None, None, 0.1)
+        value, _ = cpbm_loss(_logp(z), _logp(z.copy()), _logp(z), np.zeros(6, dtype=np.int64),
+                             0.1)
         assert abs(value) < 1e-12
 
     def test_two_class_agreement_oracle(self):
-        value, _ = cpbm_loss(_logp_for([[0.5, 0.5]]), _logp_for([[0.25, 0.75]]),
-                             None, None, None, 0.0)
+        one = _logp_for([[0.5, 0.5]])
+        value, _ = cpbm_loss(one, _logp_for([[0.25, 0.75]]), one, np.zeros(1, dtype=np.int64),
+                             0.0)
         expected = 0.5 * math.log(2) + 0.5 * math.log(2 / 3)
         assert value == pytest.approx(expected, abs=1e-12)
         assert value == pytest.approx(0.1438, abs=1e-4)
 
     def test_identical_pair_contributes_nothing(self):
         z = np.random.default_rng(1).uniform(-1, 1, (4, 3))
-        pair = np.random.default_rng(2).uniform(-1, 1, (5, 3))
-        mask = np.array([True, True, False, True, False])
-        with_pairs, _ = cpbm_loss(_logp(z), _logp(z + 0.3), _logp(pair), _logp(pair.copy()),
-                                  mask, 0.7)
-        without, _ = cpbm_loss(_logp(z), _logp(z + 0.3), None, None, None, 0.7)
+        src = np.tile(np.random.default_rng(2).uniform(-1, 1, (1, 3)), (5, 1))
+        with_pairs, _ = cpbm_loss(_logp(z), _logp(z + 0.3), _logp(src), np.array([0, 1, 0, 2, 1]),
+                                  0.7)
+        without, _ = cpbm_loss(_logp(z), _logp(z + 0.3), _logp(src), np.ones(5, dtype=np.int64),
+                               0.7)
         assert with_pairs == pytest.approx(without, abs=1e-12)
 
     def test_full_loss_matches_direct_summation(self):
         rng = np.random.default_rng(3)
         zo, za = rng.uniform(-2, 2, (6, 4)), rng.uniform(-2, 2, (6, 4))
-        pa, pb = rng.uniform(-2, 2, (5, 4)), rng.uniform(-2, 2, (5, 4))
-        mask = np.array([True, False, True, True, False])
+        src = rng.uniform(-2, 2, (5, 4))
+        src_y = np.array([1, 0, 0, 2, 2])
         lam = 0.3
-        value, _ = cpbm_loss(_logp(zo), _logp(za), _logp(pa), _logp(pb), mask, lam)
-        po, paug = _softmax(zo), _softmax(za)
+        value, _ = cpbm_loss(_logp(zo), _logp(za), _logp(src), src_y, lam)
+        po, paug, ps = _softmax(zo), _softmax(za), _softmax(src)
         first = np.mean([_kl(po[i], paug[i]) for i in range(6)])
-        pairs = [_softmax(pa[i]) for i in range(5)], [_softmax(pb[i]) for i in range(5)]
-        second = np.mean([min(_kl(pairs[0][i], pairs[1][i]), KL_MARGIN)
-                          for i in range(5) if mask[i]])
+        # rows 0, 1 and 3 differ from the row before them (row 0 from row 4)
+        second = np.mean([min(_kl(ps[i], ps[i - 1]), KL_MARGIN) for i in (0, 1, 3)])
         assert value == pytest.approx(first - lam * second, abs=1e-10)
+
+    def test_pairs_each_source_row_with_the_one_before_it_bitwise(self):
+        # labels 0, 1, 1, 2: rows 0, 1 and 3 differ from the row before them
+        # (row 0 from row 3), row 2 agrees with row 1
+        rng = np.random.default_rng(13)
+        src_y = np.array([0, 1, 1, 2])
+        for trial in range(50):
+            orig, aug, src = (_logp(rng.normal(0, 2.0, (4, 3))) for _ in range(3))
+            value, (_, _, g_src) = cpbm_loss(orig, aug, src, src_y, 0.3)
+            want_value, want_g = _per_row_cpbm(orig, aug, src, src_y, 0.3)
+            assert np.float64(value).view(np.uint64) == np.float64(want_value).view(np.uint64)
+            np.testing.assert_array_equal(g_src, want_g)
 
     def test_disagreement_clamped_at_margin(self):
         zero = _logp(np.zeros((1, 2)))
-        a = _logp(np.array([[30.0, 0.0]]))
-        b = _logp(np.array([[0.0, 30.0]]))
-        value, _ = cpbm_loss(zero, zero.copy(), a, b, np.array([True]), 1.0)
-        # first term 0; pair KL is ~30 nats but enters as the margin
+        src = _logp(np.array([[30.0, 0.0], [0.0, 30.0]]))
+        value, (_, _, g_src) = cpbm_loss(zero, zero.copy(), src, np.array([0, 1]), 1.0)
+        # first term 0; both pairs' KL is ~30 nats but enters as the margin
         assert value == pytest.approx(-KL_MARGIN, abs=1e-6)
+        assert not np.any(g_src)
 
     def test_empty_mask_is_not_an_error(self):
         z = _logp(np.zeros((3, 2)))
-        pair = _logp(np.ones((2, 2)))
-        value, _ = cpbm_loss(z, z, pair, pair, np.array([False, False]), 0.5)
-        assert value == 0.0
+        value, (_, _, g_src) = cpbm_loss(z, z, _logp(np.ones((2, 2))), np.array([4, 4]), 0.5)
+        assert value == 0.0 and g_src is None
 
     def test_misaligned_views_rejected(self):
+        z = _logp(np.zeros((3, 2)))
         with pytest.raises(ValueError, match="logits differ"):
-            cpbm_loss(_logp(np.zeros((3, 2))), _logp(np.zeros((4, 2))), None, None, None, 0.1)
+            cpbm_loss(z, _logp(np.zeros((4, 2))), z, np.zeros(3, dtype=np.int64), 0.1)
 
-    def test_mask_length_mismatch_rejected(self):
+    @pytest.mark.parametrize("n_labels", [3, 5])
+    def test_labels_of_another_length_are_refused(self, n_labels):
         z = _logp(np.zeros((3, 2)))
-        pair = _logp(np.ones((2, 2)))
-        with pytest.raises(ValueError, match="mask length"):
-            cpbm_loss(z, z, pair, pair, np.array([True, True, False]), 0.5)
-
-    def test_an_all_false_mask_of_another_length_is_refused(self):
-        z = _logp(np.zeros((3, 2)))
-        pair = _logp(np.ones((4, 2)))
-        with pytest.raises(ValueError, match="mask length 7 != pair count 4"):
-            cpbm_loss(z, z, pair, pair, np.zeros(7, dtype=bool), 0.5)
-
-    def test_pair_sides_of_unlike_shapes_are_refused(self):
-        z = _logp(np.zeros((3, 3)))
-        with pytest.raises(ValueError, match=r"pair sides differ: \(4, 3\) vs \(1, 3\)"):
-            cpbm_loss(z, z, _logp(np.ones((4, 3))), _logp(np.ones((1, 3))),
-                      np.ones(4, dtype=bool), 0.5)
+        with pytest.raises(ValueError, match=f"src_y has {n_labels} labels for 4 source rows"):
+            cpbm_loss(z, z, _logp(np.ones((4, 2))), np.arange(n_labels), 0.5)
 
     def test_gradient_reaches_both_views(self):
         rng = np.random.default_rng(4)
         orig, aug = rng.uniform(-1, 1, (4, 3)), rng.uniform(-1, 1, (4, 3))
-        _, (g_orig, g_aug, g_a, g_b) = cpbm_loss(_logp(orig), _logp(aug), None, None, None, 0.1)
+        _, (g_orig, g_aug, g_src) = cpbm_loss(_logp(orig), _logp(aug), _logp(orig),
+                                              np.array([0, 1, 0, 1]), 0.0)
         assert g_orig.shape == orig.shape and np.any(g_orig != 0.0)
         assert g_aug.shape == aug.shape and np.any(g_aug != 0.0)
-        assert g_a is None and g_b is None
+        assert g_src is None
 
     def test_gradcheck_each_argument(self):
         rng = np.random.default_rng(5)
         blocks = [rng.uniform(-2, 2, (4, 3)), rng.uniform(-2, 2, (4, 3)),
-                  rng.uniform(-2, 2, (3, 3)), rng.uniform(-2, 2, (3, 3))]
-        mask = np.array([True, False, True])
+                  rng.uniform(-2, 2, (4, 3))]
+        src_y = np.array([0, 1, 1, 2])
 
         def build(slot):
             def fn(x):
                 logp = [_logp(x if i == slot else z) for i, z in enumerate(blocks)]
-                value, grads = cpbm_loss(*logp, mask, 0.4)
+                value, grads = cpbm_loss(*logp, src_y, 0.4)
                 return value, grads[slot]
             return fn
 
@@ -389,33 +408,51 @@ class TestCpbmLoss:
 # interpolation term
 # ---------------------------------------------------------------------------
 
+def _keep(n):
+    """Mixing draws that keep every row's own target: partner r, weight 1."""
+    return np.arange(n), np.ones(n)
+
+
 class TestMupbmLoss:
     def test_one_hot_target_equals_cross_entropy(self):
         rng = np.random.default_rng(0)
         z = rng.uniform(-2, 2, (6, 4))
         labels = rng.integers(0, 4, 6)
-        onehot = np.eye(4)[labels]
-        value, _ = mupbm_loss(_logp(z), onehot)
+        # exp(-1000) is 0: the target rows are exactly one-hot
+        value, _ = mupbm_loss(_logp(z), _logp(1000.0 * np.eye(4)[labels]), *_keep(6))
         ce, _ = cross_entropy(_logp(z), labels)
         assert value == pytest.approx(ce, abs=1e-9)
 
     def test_matching_distributions_give_zero(self):
-        probs = np.array([[0.2, 0.3, 0.5], [0.6, 0.1, 0.3]])
-        value, _ = mupbm_loss(_logp_for(probs), probs)
+        logp = _logp_for([[0.2, 0.3, 0.5], [0.6, 0.1, 0.3]])
+        value, _ = mupbm_loss(logp, logp.copy(), np.array([0, 1]), np.array([0.3, 0.8]))
         assert abs(value) < 1e-12
 
     def test_two_class_oracle(self):
-        value, _ = mupbm_loss(_logp_for([[0.25, 0.75]]), np.array([[0.5, 0.5]]))
+        value, _ = mupbm_loss(_logp_for([[0.25, 0.75]]), _logp_for([[0.5, 0.5]]), *_keep(1))
         assert value == pytest.approx(0.1438, abs=1e-4)
 
-    def test_rejects_non_distribution_rows(self):
-        with pytest.raises(ValueError, match="sums to"):
-            mupbm_loss(_logp(np.zeros((2, 3))), np.array([[0.5, 0.5, 0.5],
-                                                          [0.2, 0.3, 0.5]]))
+    def test_targets_mix_two_rows_predictions(self):
+        # row 0 mixes one-hot rows 0 and 1 half and half, row 1 takes a
+        # quarter of its own and three quarters of row 0's
+        tgt = _logp(1000.0 * np.eye(2))
+        logp = _logp_for([[0.25, 0.75], [0.75, 0.25]])
+        value, grad = mupbm_loss(logp, tgt, np.array([1, 0]), np.array([0.5, 0.25]))
+        assert value == pytest.approx((0.5 * math.log(2) + 0.5 * math.log(2 / 3)) / 2, abs=1e-12)
+        np.testing.assert_allclose(grad, [[-0.125, 0.125], [0.0, 0.0]], rtol=0, atol=1e-15)
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape"):
-            mupbm_loss(_logp(np.zeros((2, 3))), np.full((3, 3), 1 / 3))
+            mupbm_loss(_logp(np.zeros((2, 3))), _logp(np.zeros((3, 3))), *_keep(2))
+
+    @pytest.mark.parametrize("partner,beta", [
+        (np.array([1, 0, 2]), np.array([0.5])), (np.array([1, 0]), np.full(3, 0.5)),
+        (np.array([[1, 0, 2]]), np.full((1, 3), 0.5)),
+    ], ids=["one_beta", "short_partner", "draws_of_rank_2"])
+    def test_refuses_mixing_draws_that_are_not_one_per_row(self, partner, beta):
+        z = _logp(np.zeros((3, 2)))
+        with pytest.raises(ValueError, match="must hold one entry per row, 3"):
+            mupbm_loss(z, z, partner, beta)
 
     def test_target_entropy_matches_per_row_reference_bitwise(self):
         rng = np.random.default_rng(12)
@@ -426,29 +463,37 @@ class TestMupbmLoss:
 
         for trial in range(400):
             k, n = int(rng.integers(2, 7)), int(rng.integers(1, 130))
-            q = _softmax(rng.normal(0.0, 3.0, (n, k)))
+            tgt = _logp(rng.normal(0.0, 3.0, (n, k)))
+            partner, beta = rng.permutation(n), rng.uniform(0.0, 1.0, n)
             if trial % 3 == 0:
-                q[rng.integers(0, n)] = np.eye(k)[rng.integers(0, k)]
+                # a one-hot row kept whole: its target entropy is 0
+                r = rng.integers(0, n)
+                tgt[r] = _logp(1000.0 * np.eye(k)[[rng.integers(0, k)]])
+                beta[r] = 1.0
+            probs = np.exp(tgt)
+            q = np.array([beta[r] * probs[r] + (1.0 - beta[r]) * probs[partner[r]]
+                          for r in range(n)])
             z = rng.normal(size=(n, k))
             want = sub(neg(reduce("mean", reduce("sum", mul(Tensor(q), log_softmax(Tensor(z))),
                                                  axis=1))),
                        Tensor(np.mean([row_entropy(row) for row in q])))
-            got, _ = mupbm_loss(_logp(z), q)
+            got, _ = mupbm_loss(_logp(z), tgt, partner, beta)
             assert np.float64(got).view(np.uint64) == want.data.view(np.uint64), trial
 
     def test_targets_never_receive_gradient(self):
         # the one gradient is the logits' (p - q) / n; the targets are constants
         rng = np.random.default_rng(1)
         logits = rng.uniform(-1, 1, (4, 3))
-        targets = np.full((4, 3), 1 / 3)
-        _, grad = mupbm_loss(_logp(logits), targets)
-        np.testing.assert_allclose(grad, (_softmax(logits) - targets) / 4, rtol=0, atol=1e-15)
+        _, grad = mupbm_loss(_logp(logits), _logp(np.zeros((4, 3))), rng.permutation(4),
+                             rng.uniform(0, 1, 4))
+        np.testing.assert_allclose(grad, (_softmax(logits) - 1 / 3) / 4, rtol=0, atol=1e-15)
 
     def test_gradcheck(self):
         rng = np.random.default_rng(3)
-        q = _softmax(rng.uniform(-1, 1, (5, 4)))
+        tgt = _logp(rng.uniform(-1, 1, (5, 4)))
+        partner, beta = rng.permutation(5), rng.uniform(0, 1, 5)
         point = rng.uniform(-2, 2, (5, 4))
-        report = grad_check(lambda x: mupbm_loss(_logp(x), q), point)
+        report = grad_check(lambda x: mupbm_loss(_logp(x), tgt, partner, beta), point)
         assert report.passed, str(report)
 
 
@@ -522,47 +567,49 @@ class TestTermsMatchPerOpOracles:
         mim_loss(_logp(logits), got, float("inf"))
         oracle_mim(Tensor(logits), want, float("inf"))
         np.testing.assert_allclose(got.q, want.q, rtol=0, atol=1e-15)
-        assert got.count == want.count == 1
 
     @pytest.mark.parametrize("lambda_con", [0.3, 1.0])
     def test_cpbm_with_rows_where_the_clamp_binds(self, lambda_con):
         rng = np.random.default_rng(5)
         orig, aug = rng.normal(0, 2.0, (6, 4)), rng.normal(0, 2.0, (6, 4))
-        pair_a, pair_b = rng.normal(0, 2.0, (5, 4)), rng.normal(0, 2.0, (5, 4))
-        # rows 0 and 3 are far past the margin; row 3 is masked out
-        pair_a[[0, 3]] = [30.0, 0.0, 0.0, 0.0]
-        pair_b[[0, 3]] = [0.0, 30.0, 0.0, 0.0]
-        mask = np.array([True, True, False, False, True])
-        kl = np.sum(_softmax(pair_a) * (np.log(_softmax(pair_a)) - np.log(_softmax(pair_b))),
-                    axis=1)
-        assert kl[0] > KL_MARGIN and kl[[1, 4]].max() < KL_MARGIN
-        got = _term(lambda *p: cpbm_loss(*p, mask, lambda_con), orig, aug, pair_a, pair_b)
+        src = rng.normal(0, 2.0, (5, 4))
+        # labels 0, 1, 1, 2, 2: pairs 2 and 4 agree. Rows 1 and 2 sit far
+        # apart, so pair 2 (masked out) and pair 3 (counted) are past the margin
+        src[1] = [0.0, 30.0, 0.0, 0.0]
+        src[2] = [0.0, 0.0, 30.0, 0.0]
+        src_y = np.array([0, 1, 1, 2, 2])
+        p = _softmax(src)
+        kl = np.sum(p * (np.log(p) - np.log(np.roll(p, 1, axis=0))), axis=1)
+        assert kl[[2, 3]].min() > KL_MARGIN and kl[[0, 1]].max() < KL_MARGIN
+        got = _term(lambda *p: cpbm_loss(*p, src_y, lambda_con), orig, aug, src)
         _assert_matches_oracle(
-            got, _oracle(lambda *t: oracle_cpbm(*t, mask, lambda_con), orig, aug, pair_a, pair_b))
-        # the binding row passes no gradient to either side
-        _, _, _, g_a, g_b = got
-        assert not np.any(g_a[[0, 2, 3]]) and not np.any(g_b[[0, 2, 3]])
+            got, _oracle(lambda *t: oracle_cpbm(*t, src_y, lambda_con), orig, aug, src))
+        # rows 2 and 3 sit only on pairs 2, 3 and 4, which pass no gradient
+        g_src = got[3]
+        assert not np.any(g_src[[2, 3]]) and np.all(np.any(g_src[[0, 1, 4]], axis=1))
 
-    @pytest.mark.parametrize("mask,lambda_con", [
-        (np.array([False, False, False]), 0.5), (np.array([True, False, True]), 0.0),
-    ], ids=["empty_mask", "zero_lambda"])
-    def test_cpbm_without_the_disagreement_part(self, mask, lambda_con):
+    @pytest.mark.parametrize("src_y,lambda_con", [
+        (np.array([2, 2, 2]), 0.5), (np.array([0, 1, 1]), 0.0),
+    ], ids=["labels_agree", "zero_lambda"])
+    def test_cpbm_without_the_disagreement_part(self, src_y, lambda_con):
         rng = np.random.default_rng(6)
         orig, aug = rng.normal(0, 2.0, (4, 3)), rng.normal(0, 2.0, (4, 3))
-        pair = rng.normal(0, 2.0, (3, 3))
+        src = rng.normal(0, 2.0, (3, 3))
         _assert_matches_oracle(
-            _term(lambda o, a: cpbm_loss(o, a, _logp(pair), _logp(pair[::-1].copy()), mask,
-                                         lambda_con), orig, aug),
-            _oracle(lambda o, a: oracle_cpbm(o, a, None, None, mask, lambda_con), orig, aug))
+            _term(lambda *p: cpbm_loss(*p, src_y, lambda_con), orig, aug, src),
+            _oracle(lambda *t: oracle_cpbm(*t, src_y, lambda_con), orig, aug, src))
 
     @pytest.mark.parametrize("n,k", [(1, 2), (5, 3), (64, 4)])
     def test_mupbm(self, n, k):
         rng = np.random.default_rng(n * 7 + k)
-        q = _softmax(rng.normal(0, 3.0, (n, k)))
-        q[0] = np.eye(k)[rng.integers(0, k)]
+        t = rng.normal(0, 3.0, (n, k))
+        partner, beta = rng.permutation(n), rng.uniform(0, 1, n)
+        # row 0 keeps a one-hot target whole
+        t[0] = 1000.0 * np.eye(k)[rng.integers(0, k)]
+        beta[0] = 1.0
         z = rng.normal(0, 2.0, (n, k))
-        _assert_matches_oracle(_term(lambda p: mupbm_loss(p, q), z),
-                               _oracle(lambda t: oracle_mupbm(t, q), z))
+        _assert_matches_oracle(_term(lambda p: mupbm_loss(p, _logp(t), partner, beta), z),
+                               _oracle(lambda x: oracle_mupbm(x, _softmax(t), partner, beta), z))
 
     def test_tpbm(self):
         rng = np.random.default_rng(8)
@@ -583,16 +630,15 @@ class TestTermsMatchPerOpOracles:
         rng = np.random.default_rng(9)
         a, b = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
         la, lb = _logp(a), _logp(b)
-        q = _softmax(rng.normal(size=(4, 3)))
+        partner, beta = rng.permutation(4), rng.uniform(0, 1, 4)
         labels = np.array([0, 2, 1, 1])
-        mask = np.array([True, False, True, True])
         joint = np.concatenate([a, b])
         for (value, grads), shapes in [
             (cross_entropy(la, labels), [(4, 3)]),
             (mim_loss(la, MarginalTracker.uniform(3), float("inf")), [(4, 3)]),
-            (cpbm_loss(la, lb, la, lb, mask, 0.1), [(4, 3)] * 4),
-            (cpbm_loss(la, lb, la, lb, mask, 0.0), [(4, 3)] * 2 + [None] * 2),
-            (mupbm_loss(la, q), [(4, 3)]),
+            (cpbm_loss(la, lb, la, labels, 0.1), [(4, 3)] * 3),
+            (cpbm_loss(la, lb, la, labels, 0.0), [(4, 3)] * 2 + [None]),
+            (mupbm_loss(la, lb, partner, beta), [(4, 3)]),
             (tpbm_loss([la, lb[:, :2]], [labels, labels % 2]), [(4, 3), (4, 2)]),
             (coral_distance(joint, 4), [(8, 3)]),
             (mmd_distance(joint, 4), [(8, 3)]),
@@ -640,15 +686,14 @@ def _full_bundle(params, rng, n_src=8, n_tgt=6):
 
 def _per_view_terms(bundle, params, cfg):
     """The objective's weighted terms built the way it was first written:
-    one per-op extractor pass per view, the per-op term oracles, the source
-    pairs as their own inputs, the mixup targets from a prediction of the
-    target batch, and the feature distance on the two latent batches. Each
-    term is built over the parameter leaves it is given."""
+    one per-op extractor pass per view, the per-op term oracles, which form
+    the source pairs and the mixup targets row by row, the mixup targets
+    from a prediction of the target batch, and the feature distance on the
+    two latent batches. Each term is built over the parameter leaves it is
+    given."""
     b = bundle
     oracle_distance = {"mmd": oracle_mmd, "coral": oracle_coral}.get(b.distance)
     probs = softmax_probs(predict_logits(params, b.tgt_x))
-    beta = b.mixed_beta[:, None]
-    targets = beta * probs + (1 - beta) * probs[b.mixed_partner]
 
     def view(tp, x, head="label"):
         return oracle_forward(tp, Tensor(x), head=head)
@@ -658,10 +703,10 @@ def _per_view_terms(bundle, params, cfg):
         (cfg.lambda_M, lambda tp: oracle_mim(view(tp, b.tgt_x), MarginalTracker.uniform(3),
                                              cfg.entropy_ceiling)),
         (cfg.lambda_C, lambda tp: oracle_cpbm(
-            view(tp, b.tgt_x), view(tp, b.tgt_x_aug), view(tp, b.src_x),
-            view(tp, np.roll(b.src_x, 1, axis=0)), b.src_y != np.roll(b.src_y, 1),
+            view(tp, b.tgt_x), view(tp, b.tgt_x_aug), view(tp, b.src_x), b.src_y,
             cfg.lambda_con)),
-        (cfg.lambda_U, lambda tp: oracle_mupbm(view(tp, b.mixed_x), targets)),
+        (cfg.lambda_U, lambda tp: oracle_mupbm(view(tp, b.mixed_x), probs, b.mixed_partner,
+                                               b.mixed_beta)),
         (cfg.lambda_S, lambda tp: oracle_tpbm(
             {t: view(tp, x, head=t) for t, (x, _) in b.st_batches.items()},
             {t: lab for t, (_, lab) in b.st_batches.items()})),
@@ -1144,7 +1189,7 @@ class TestOneRouteToTheDistanceMatrix:
 
     def test_only_the_walk_forms_distance_rows(self):
         source = Path(losses.__file__).read_text()
-        assert _distance_row_sites(source) == [("_tile_walk",), ("_tile_walk", "walk")]
+        assert _use_sites(source, "_sq_dist_rows") == [("_tile_walk",), ("_tile_walk", "walk")]
 
     @pytest.mark.parametrize("source", [
         "def mmd_distance(joint, n):\n    return _sq_dist_rows(joint, sq, 0, 3)\n",
@@ -1152,13 +1197,13 @@ class TestOneRouteToTheDistanceMatrix:
         "whole = lambda joint, sq: _sq_dist_rows(joint, sq, 0, len(joint))\n",
     ])
     def test_the_guard_flags_a_second_route(self, source):
-        assert [scope for scope in _distance_row_sites(source)
+        assert [scope for scope in _use_sites(source, "_sq_dist_rows")
                 if scope[:1] != ("_tile_walk",)] != []
 
 
-def _distance_row_sites(source):
-    """The enclosing functions, outermost first, of every use of
-    ``_sq_dist_rows`` in ``source``."""
+def _use_sites(source, name):
+    """The enclosing functions, outermost first, of every use of ``name``
+    in ``source``, bare or as an attribute such as ``np.roll``."""
     sites = []
 
     class Sites(ast.NodeVisitor):
@@ -1170,11 +1215,34 @@ def _distance_row_sites(source):
             self.scope = outer
 
         def visit_Name(self, node):
-            if node.id == "_sq_dist_rows":
+            if node.id == name:
                 sites.append(self.scope)
+
+        def visit_Attribute(self, node):
+            if node.attr == name:
+                sites.append(self.scope)
+            self.generic_visit(node)
 
     Sites().visit(ast.parse(source))
     return sites
+
+
+class TestOnePairingRule:
+    """The consistency term's pairing, source row i with row i - 1, lives
+    in ``cpbm_loss`` alone: no other function in the library rolls rows."""
+
+    def test_only_cpbm_loss_rolls_rows(self):
+        sites = {(path.stem, *scope) for path in Path(losses.__file__).parent.glob("*.py")
+                 for scope in _use_sites(path.read_text(), "roll")}
+        assert sites == {("losses", "cpbm_loss")}
+
+    @pytest.mark.parametrize("source", [
+        "def total_objective(b):\n    return np.roll(b.src_y, 1)\n",
+        "from numpy import roll\ndef total_objective(b):\n    return roll(b.src_y, 1)\n",
+        "shift = lambda a: numpy.roll(a, -1, axis=0)\n",
+    ])
+    def test_the_guard_flags_a_second_pairing(self, source):
+        assert _use_sites(source, "roll") != []
 
 
 # the parity of P = N(N-1)/2 follows N % 4: odd for 2 and 3, even for 0 and 1
@@ -1318,9 +1386,10 @@ class TestSharedProperties:
             n = int(rng.integers(2, 9))
             zo = _logp(rng.uniform(-3, 3, (n, k)))
             za = _logp(rng.uniform(-3, 3, (n, k)))
-            assert cpbm_loss(zo, za, None, None, None, 0.0)[0] >= -1e-12
-            q = _softmax(rng.uniform(-3, 3, (n, k)))
-            assert mupbm_loss(_logp(rng.uniform(-3, 3, (n, k))), q)[0] >= -1e-12
+            assert cpbm_loss(zo, za, zo, np.zeros(n, dtype=np.int64), 0.0)[0] >= -1e-12
+            tgt = _logp(rng.uniform(-3, 3, (n, k)))
+            partner, beta = rng.permutation(n), rng.uniform(0, 1, n)
+            assert mupbm_loss(_logp(rng.uniform(-3, 3, (n, k))), tgt, partner, beta)[0] >= -1e-12
 
     def test_distances_nonnegative_on_random_batches(self):
         rng = np.random.default_rng(11)
