@@ -29,7 +29,6 @@ from pbmatch.transforms import (
 from pbmatch.losses import (
     BatchBundle,
     LossConfig,
-    MarginalTracker,
     coral_distance,
     cpbm_loss,
     cross_entropy,
@@ -89,9 +88,8 @@ __all__ = [
     "init_params", "load_checkpoint", "predict_logits", "save_checkpoint",
     "softmax_probs", "step",
     "apply_semantic_preserving", "apply_semantic_transforming", "sample_mixup_beta",
-    "BatchBundle", "LossConfig", "MarginalTracker", "coral_distance",
-    "cpbm_loss", "cross_entropy", "mim_loss",
-    "mmd_distance", "mupbm_loss", "total_objective", "tpbm_loss",
+    "BatchBundle", "LossConfig", "coral_distance", "cpbm_loss", "cross_entropy",
+    "mim_loss", "mmd_distance", "mupbm_loss", "total_objective", "tpbm_loss",
     "OUTLIER_LABEL", "DomainDataset", "GlyphDomainSpec", "default_pair_specs",
     "generate_blob_pair", "generate_glyph_domain", "generate_glyph_pair",
     "load_dataset", "outlier_pool", "regenerate", "save_dataset",

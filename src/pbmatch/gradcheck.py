@@ -27,7 +27,7 @@ from .losses import (
     DEFAULT_BANDWIDTH_SCALES,
     BatchBundle,
     LossConfig,
-    MarginalTracker,
+    _floor_marginal,
     _log_softmax,
     _median_distance,
     backward,
@@ -176,7 +176,7 @@ def _build_head(rng, i):
     def fn(p: np.ndarray) -> Tuple[float, np.ndarray]:
         varied = clone_params(params)
         varied.psi[slot][...] = p
-        obj = total_objective(bundle, varied, cfg, MarginalTracker.uniform(2))
+        obj = total_objective(bundle, varied, cfg, np.full(2, 0.5))
         # the label head's W and b are the last two parameters
         return obj.total, backward(obj)[slot - 2]
 
@@ -196,13 +196,9 @@ def _build_mim(rng, i):
         q = np.full(k, 1.0 / k)             # entropy above ceiling: confidence only
     else:
         q = rng.dirichlet(np.full(k, 0.3))  # usually skewed: both terms active
-    momentum = 0.1
-
-    def fn(x: np.ndarray) -> Tuple[float, np.ndarray]:
-        tracker = MarginalTracker(q=q.copy(), momentum=momentum)
-        return mim_loss(_log_softmax(x), tracker, ceiling)
-
-    return fn, _rng_logits(rng, 6, k)
+    # a training run's marginal is floored; a draw can hold a 0
+    q = _floor_marginal(q)
+    return (lambda x: mim_loss(_log_softmax(x), q, ceiling)), _rng_logits(rng, 6, k)
 
 
 def _build_cpbm(rng, i):
@@ -302,13 +298,12 @@ def _build_total(rng, i):
         distance_weight=1.5,
     )
     cfg = LossConfig.for_classes(k, **({} if mixup else {"lambda_U": 0.0}))
-    q0 = rng.dirichlet(np.full(k, 0.5))
+    q = _floor_marginal(rng.dirichlet(np.full(k, 0.5)))
 
     def fn(x: np.ndarray) -> Tuple[float, np.ndarray]:
         p = clone_params(params)
         p.phi[0][0][...] = x
-        tracker = MarginalTracker(q=q0.copy(), momentum=cfg.marginal_momentum)
-        obj = total_objective(bundle, p, cfg, tracker)
+        obj = total_objective(bundle, p, cfg, q)
         return obj.total, backward(obj)[0]
 
     return fn, params.phi[0][0]
@@ -332,7 +327,8 @@ def run_gradient_suite(tol: float = DEFAULT_TOL,
                        instances: int = DEFAULT_INSTANCES,
                        seed: int = 0,
                        names=None) -> List[CheckResult]:
-    """Run every named check on ``instances`` fresh random instances.
+    """Run each check of ``names``, a list of ``CHECKS`` keys (all of
+    them when None), on ``instances`` fresh random instances.
 
     Returns one result per check with the worst relative error seen. A
     result with ``passed == False`` means some instance's analytic gradient
@@ -342,9 +338,13 @@ def run_gradient_suite(tol: float = DEFAULT_TOL,
         raise ValueError(f"instances must be >= 1, got {instances}")
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and > 0, got {tol}")
-    selected = CHECKS if names is None else {n: CHECKS[n] for n in names}
+    selected = list(CHECKS) if names is None else names
+    if isinstance(selected, str) or not set(selected) <= set(CHECKS):
+        raise ValueError(f"names must be a list of check names from {list(CHECKS)}, "
+                         f"got {names!r}")
     results = []
-    for name, build in selected.items():
+    for name in selected:
+        build = CHECKS[name]
         gen = rng(seed, zlib.crc32(name.encode()))
         # a NaN error anywhere makes the worst case NaN, which fails
         worst = float(np.max([grad_check(*build(gen, i), tol=tol).max_rel_error

@@ -13,9 +13,12 @@ and the source row count, and give the gradient with respect to those
 rows. A term forms what it can derive from the blocks and labels it is
 given: the consistency term pairs the source rows by their labels, and
 the interpolation term mixes its own targets from the target
-predictions. ``total_objective`` returns a plain record of the terms'
-weighted sum, and ``backward`` maps it to every parameter's gradient:
-through the heads into the latent, then the trunk.
+predictions. A term changes none of its inputs and holds no state: the
+marginal-matching term reads the moving-average estimate ``q`` of the
+target label marginal as an array, and the objective returns the next
+estimate. ``total_objective`` returns a plain record of the terms'
+weighted sum and that estimate, and ``backward`` maps it to every
+parameter's gradient: through the heads into the latent, then the trunk.
 
 One ``mmd_distance`` serves a step's batch and a whole data set, such as
 the label-shift probe's reading after each weight. It reads the distance
@@ -89,7 +92,7 @@ def cross_entropy(logp: np.ndarray, labels) -> Tuple[float, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# configuration and marginal state
+# configuration and the marginal's floor
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -130,72 +133,44 @@ class LossConfig:
         return cfg
 
 
-@dataclass
-class MarginalTracker:
-    """Moving average of the predicted label marginal."""
-
-    q: np.ndarray
-    momentum: float = 0.1
-
-    def __post_init__(self):
-        self.q = np.asarray(self.q, dtype=np.float64)
-        if self.q.ndim != 1 or self.q.shape[0] < 2:
-            raise ValueError(f"marginal must be a vector of >= 2 probabilities, got {self.q.shape}")
-        if not (0.0 < self.momentum < 1.0):
-            raise ValueError(f"momentum must lie in (0,1), got {self.momentum}")
-        self._normalize()
-
-    @classmethod
-    def uniform(cls, n_classes: int, momentum: float = 0.1) -> "MarginalTracker":
-        return cls(q=np.full(n_classes, 1.0 / n_classes), momentum=momentum)
-
-    def _normalize(self) -> None:
-        if np.any(self.q < 0.0):
-            raise ValueError("marginal entries must be non-negative")
-        self.q = np.maximum(self.q, MARGINAL_FLOOR)
-        self.q = self.q / self.q.sum()
-
-    def update(self, mean_p: np.ndarray) -> None:
-        mean_p = np.asarray(mean_p, dtype=np.float64)
-        if mean_p.shape != self.q.shape:
-            raise ValueError(f"mean prediction shape {mean_p.shape} != marginal {self.q.shape}")
-        self.q = (1.0 - self.momentum) * self.q + self.momentum * mean_p
-        self._normalize()
-
-    def entropy(self) -> float:
-        return _entropy(self.q)
+def _floor_marginal(q: np.ndarray) -> np.ndarray:
+    """The marginal ``q`` with every entry raised to ``MARGINAL_FLOOR``,
+    renormalized to sum to 1."""
+    q = np.maximum(np.asarray(q, dtype=np.float64), MARGINAL_FLOOR)
+    return q / q.sum()
 
 
 # ---------------------------------------------------------------------------
 # the four target-side terms
 # ---------------------------------------------------------------------------
 
-def mim_loss(logp: np.ndarray, tracker: MarginalTracker, ceiling: float
+def mim_loss(logp: np.ndarray, q: np.ndarray, ceiling: float
              ) -> Tuple[float, np.ndarray]:
     """Confidence E_x H(p(.|x)), plus the diversity E_x sum_y p(y|x) log q(y)
-    while the tracker's marginal entropy is below ``ceiling``; then the
-    tracker advances with the batch mean prediction.
+    while the entropy of the marginal estimate ``q`` is below ``ceiling``.
+    It reads ``q`` and changes nothing; ``total_objective`` forms the next
+    estimate.
 
     Per row the confidence gradient is -p (log p + H) / n. With q held
     fixed, the diversity gradient p (log q - p . log q) / n is the
     moving-average estimator of the marginal-entropy derivative.
     """
-    if logp.shape[1] != tracker.q.shape[0]:
-        raise ValueError(
-            f"logits shape {logp.shape} does not match marginal of "
-            f"{tracker.q.shape[0]} classes")
+    q = np.asarray(q, dtype=np.float64)
+    k = logp.shape[1]
+    if q.shape != (k,) or not np.all(q > 0.0):
+        raise ValueError(f"q must be a vector of {k} positive entries, one per class, "
+                         f"got {q.tolist()}")
     n = logp.shape[0]
     p = np.exp(logp)
     h = -(p * logp).sum(axis=1)
     value = h.mean()
     grad = -p * (logp + h[:, None])
-    if tracker.entropy() < ceiling:
-        log_q = np.log(tracker.q)
+    if _entropy(q) < ceiling:
+        log_q = np.log(q)
         dot = p @ log_q
         value = dot.mean() + value
         grad += p * (log_q - dot[:, None])
     grad /= n
-    tracker.update(p.mean(axis=0))
     return float(value), grad
 
 
@@ -223,6 +198,8 @@ def cpbm_loss(orig: np.ndarray, aug: np.ndarray, src: np.ndarray, src_y: np.ndar
     """
     if orig.shape != aug.shape:
         raise ValueError(f"original and transformed logits differ: {orig.shape} vs {aug.shape}")
+    if np.ndim(src_y) != 1:
+        raise ValueError(f"src_y must be a vector of labels, got shape {np.shape(src_y)}")
     if len(src_y) != len(src):
         raise ValueError(f"src_y has {len(src_y)} labels for {len(src)} source rows")
     n = orig.shape[0]
@@ -245,16 +222,21 @@ def mupbm_loss(logp: np.ndarray, tgt: np.ndarray, partner: np.ndarray, beta: np.
                ) -> Tuple[float, np.ndarray]:
     """Mean KL(q || p) of the predictions ``logp`` on interpolated inputs,
     whose row r mixes target rows r and ``partner[r]`` with weight
-    ``beta[r]``, from the same mix q of the target rows' log-probabilities
-    ``tgt``. The KL is cross-entropy minus the constant target entropy, so
-    one-hot target rows stay finite; gradient (p - q) / n. The targets are
-    detached predictions and get no gradient."""
+    ``beta[r]`` in [0, 1], from the same mix q of the target rows'
+    log-probabilities ``tgt``. The KL is cross-entropy minus the constant
+    target entropy, so one-hot target rows stay finite; gradient
+    (p - q) / n. The targets are detached predictions and get no
+    gradient."""
     n = logp.shape[0]
     if tgt.shape != logp.shape:
         raise ValueError(f"target shape {tgt.shape} does not match logits {logp.shape}")
     if not (partner.shape == beta.shape == (n,)):
         raise ValueError(f"partner {partner.shape} and beta {beta.shape} must hold one "
                          f"entry per row, {n}")
+    if not np.all((partner >= 0) & (partner < n)):
+        raise ValueError(f"partner entries must lie in [0, {n}), got {partner.tolist()}")
+    if not np.all((beta >= 0.0) & (beta <= 1.0)):
+        raise ValueError(f"beta entries must lie in [0, 1], got {beta.tolist()}")
     probs = np.exp(tgt)
     beta = beta[:, None]
     q = beta * probs + (1.0 - beta) * probs[partner]
@@ -329,13 +311,15 @@ def _check_bundle(b: BatchBundle, cfg: LossConfig) -> None:
 class Objective:
     """One step's objective: the weighted ``total``, the ``report`` of each
     computed term's unweighted value (plus ``dm_weight`` and ``total``),
-    and what :func:`backward` takes back to the parameters: the trunk's
-    ``acts``, the last being the latent z, each head in use as (head name,
-    rows of z, W, b) with the weighted gradient of its logit block, and the
+    the next label-marginal estimate ``marginal``, and what
+    :func:`backward` takes back to the parameters: the trunk's ``acts``,
+    the last being the latent z, each head in use as (head name, rows of
+    z, W, b) with the weighted gradient of its logit block, and the
     feature distance as (rows of z, its weighted gradient)."""
 
     total: float
     report: Dict[str, float]
+    marginal: np.ndarray
     params: ModelParams
     acts: List[np.ndarray]
     heads: List[Tuple[str, slice, np.ndarray, np.ndarray]]
@@ -344,7 +328,7 @@ class Objective:
 
 
 def total_objective(batch_bundle: BatchBundle, params: ModelParams,
-                    cfg: LossConfig, tracker: MarginalTracker) -> Objective:
+                    cfg: LossConfig, q: np.ndarray) -> Objective:
     """Weighted sum of the active terms; zero-weight terms are never built.
 
     Every view the active terms score is stacked into one batch and run
@@ -353,9 +337,16 @@ def total_objective(batch_bundle: BatchBundle, params: ModelParams,
     terms' weighted closed-form logit gradients are added up row block by
     row block; a feature distance keeps its weighted gradient over the
     latent rows of the source and target views.
+
+    ``q`` is the moving-average estimate of the target label marginal that
+    the MIM term reads. While that term is weighted, the record's
+    ``marginal`` is the next estimate, (1 - m) q + m times the target
+    rows' mean prediction for ``cfg.marginal_momentum`` m, floored and
+    renormalized; otherwise it is ``q``. No input is changed.
     """
     b = batch_bundle
     _check_bundle(b, cfg)
+    q = np.asarray(q, dtype=np.float64)
     dist = b.distance
     # label-head views first, then one block per pretext task; a distance
     # reads the source and target views, which stay the first two
@@ -386,14 +377,18 @@ def total_objective(batch_bundle: BatchBundle, params: ModelParams,
     dlabel = dlogits[0] if label_views else None
 
     terms: List[Tuple[str, float, float]] = []
+    marginal = q
     if cfg.supervised_weight > 0.0:
         value, grad = cross_entropy(label[view["src"]], b.src_y)
         dlabel[view["src"]] += cfg.supervised_weight * grad
         terms.append(("supervised", cfg.supervised_weight, value))
     if cfg.lambda_M > 0.0:
-        value, grad = mim_loss(label[view["tgt"]], tracker, cfg.entropy_ceiling)
+        tgt = label[view["tgt"]]
+        value, grad = mim_loss(tgt, q, cfg.entropy_ceiling)
         dlabel[view["tgt"]] += cfg.lambda_M * grad
         terms.append(("mim", cfg.lambda_M, value))
+        m = cfg.marginal_momentum
+        marginal = _floor_marginal((1.0 - m) * q + m * np.exp(tgt).mean(axis=0))
     if cfg.lambda_C > 0.0:
         value, (g_tgt, g_aug, g_src) = cpbm_loss(
             label[view["tgt"]], label[view["aug"]], label[view["src"]], b.src_y,
@@ -430,7 +425,7 @@ def total_objective(batch_bundle: BatchBundle, params: ModelParams,
         report["dm_weight"] = b.distance_weight
     report["total"] = total
 
-    return Objective(total=total, report=report, params=params, acts=acts,
+    return Objective(total=total, report=report, marginal=marginal, params=params, acts=acts,
                      heads=heads, dlogits=dlogits,
                      distance=(joint, dist_grad) if dist else None)
 

@@ -60,8 +60,8 @@ from .datasets import (
 from .losses import (
     BatchBundle,
     LossConfig,
-    MarginalTracker,
     _entropy,
+    _floor_marginal,
     backward,
     coral_distance,
     cross_entropy,
@@ -353,10 +353,8 @@ def train(cfg: TrainConfig, src: DomainDataset, tgt: DomainDataset,
     if cfg.initial_marginal is not None and len(cfg.initial_marginal) != k:
         raise ValueError(f"initial_marginal has {len(cfg.initial_marginal)} entries, "
                          f"but the pair has {k} classes")
-    tracker = MarginalTracker(
-        q=np.asarray(cfg.initial_marginal, dtype=np.float64)
-        if cfg.initial_marginal is not None else np.full(k, 1.0 / k),
-        momentum=loss_cfg.marginal_momentum)
+    q = _floor_marginal(cfg.initial_marginal if cfg.initial_marginal is not None
+                        else np.full(k, 1.0 / k))
 
     n_src, n_adapt = src.n_samples, adapt.n_samples
     pair_min = min(n_src, n_adapt)
@@ -378,10 +376,11 @@ def train(cfg: TrainConfig, src: DomainDataset, tgt: DomainDataset,
             rows_t = perm_tgt[s * batch:(s + 1) * batch]
             bundle = _build_bundle(cfg, src, adapt, rows_s, rows_t, loss_cfg,
                                    epoch, s, global_step)
-            obj = total_objective(bundle, params, loss_cfg, tracker)
+            obj = total_objective(bundle, params, loss_cfg, q)
             if not np.isfinite(obj.total):
                 raise NumericalAbort(_first_bad_term(obj.report), epoch, s)
             step(params, opt, backward(obj))
+            q = obj.marginal
             global_step += 1
 
             for name, value in obj.report.items():
@@ -403,8 +402,8 @@ def train(cfg: TrainConfig, src: DomainDataset, tgt: DomainDataset,
             "tgt_acc_transductive": trans_rep.accuracy,
             "per_class_tgt_acc": eval_rep.per_class,
             "prediction_marginal": [float(v) for v in marginal],
-            # the tracker only advances while the MIM term is weighted
-            "h_q": tracker.entropy() if loss_cfg.lambda_M > 0.0 else _entropy(marginal),
+            # q only advances while the MIM term is weighted
+            "h_q": _entropy(q if loss_cfg.lambda_M > 0.0 else marginal),
         }
         metrics.records.append(record)
         metrics.confusion = eval_rep.confusion

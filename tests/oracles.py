@@ -32,8 +32,8 @@ import numpy as np
 from pbmatch.datasets import (
     CANVAS, INK_LEVEL, DomainDataset, GlyphDomainSpec, _quantize, _render_glyph_mask)
 from pbmatch.losses import (
-    DEFAULT_BANDWIDTH_SCALES, KL_MARGIN, BatchBundle, LossConfig, MarginalTracker,
-    _log_softmax, total_objective)
+    DEFAULT_BANDWIDTH_SCALES, KL_MARGIN, MARGINAL_FLOOR, BatchBundle, LossConfig,
+    _entropy, _log_softmax, total_objective)
 from pbmatch.nets import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, ModelParams
 from pbmatch.transforms import rng
 
@@ -292,14 +292,28 @@ def oracle_ce(logits: Tensor, labels) -> Tensor:
     return neg(_mean_row_dot(Tensor(onehot), log_softmax(logits)))
 
 
-def oracle_mim(logits: Tensor, tracker: MarginalTracker, ceiling: float) -> Tensor:
+def oracle_mim(logits: Tensor, q: np.ndarray, ceiling: float) -> Tensor:
     logp = log_softmax(logits)
     loss = neg(_mean_row_dot(exp(logp), logp))
-    if tracker.entropy() < ceiling:
-        diversity = _mean_row_dot(exp(log_softmax(logits)), Tensor(np.log(tracker.q)))
+    if _entropy(q) < ceiling:
+        diversity = _mean_row_dot(exp(log_softmax(logits)), Tensor(np.log(q)))
         loss = add(diversity, loss)
-    tracker.update(np.exp(logp.data).mean(axis=0))
     return loss
+
+
+def oracle_next_marginal(logits: np.ndarray, q: np.ndarray, momentum: float) -> np.ndarray:
+    """(1 - momentum) q + momentum times the mean of the logit rows'
+    softmax, each entry raised to the floor and the whole renormalized,
+    one row and one entry at a time."""
+    k = len(q)
+    mean_p = np.zeros(k)
+    for row in logits:
+        e = [math.exp(v - max(row)) for v in row]
+        mean_p += [v / sum(e) for v in e]
+    mean_p /= len(logits)
+    mixed = [max((1.0 - momentum) * q[j] + momentum * mean_p[j], MARGINAL_FLOOR)
+             for j in range(k)]
+    return np.array([v / sum(mixed) for v in mixed])
 
 
 def oracle_cpbm(orig, aug, src, src_y, lambda_con) -> Tensor:
@@ -370,7 +384,7 @@ def head_objective(params, x, labels, head="label"):
     else:
         cfg = LossConfig.for_classes(k, supervised_weight=0.0, lambda_S=1.0, **off)
         bundle = BatchBundle(src_x=x, src_y=labels, st_batches={head: (x, labels)})
-    return total_objective(bundle, params, cfg, MarginalTracker.uniform(k))
+    return total_objective(bundle, params, cfg, np.full(k, 1.0 / k))
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from pbmatch.datasets import (
     outlier_pool,
 )
 from pbmatch.gradcheck import run_gradient_suite
-from pbmatch.losses import MarginalTracker, _log_softmax, cpbm_loss, mim_loss, tpbm_loss
+from pbmatch.losses import _log_softmax, cpbm_loss, mim_loss, tpbm_loss
 from pbmatch.training import (
     ABLATION_ROWS,
     TrainConfig,
@@ -78,12 +78,12 @@ def test_criterion_2_analytic_values(capsys):
     # uniform predictions: diversity -ln K cancels confidence +ln K
     # each term takes the log-probabilities of its logits
     uniform, _ = mim_loss(_log_softmax(np.zeros((8, k))),
-                          MarginalTracker.uniform(k),
+                          np.full(k, 1.0 / k),
                           ceiling=float("inf"))
     # confident balanced predictions reach the -ln K minimum
     one_hot_logits = 200.0 * np.eye(k)[np.arange(8) % k]
     balanced, _ = mim_loss(_log_softmax(one_hot_logits),
-                           MarginalTracker.uniform(k),
+                           np.full(k, 1.0 / k),
                            ceiling=float("inf"))
     # agreement term on a single row pair vs direct summation
     p, q = np.array([0.5, 0.5]), np.array([0.25, 0.75])

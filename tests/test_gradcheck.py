@@ -59,6 +59,14 @@ def test_gradient_suite_rejects_an_unusable_tol(tol):
         run_gradient_suite(tol=tol, instances=1, names=["term.coral"])
 
 
+@pytest.mark.parametrize("names", [["term.mimm"], ["term.mim", "net.head2"], "term.mim"],
+                         ids=["misspelt", "one_of_two", "a_string"])
+def test_gradient_suite_refuses_an_unknown_check_name(names):
+    with pytest.raises(ValueError, match=r"names must be a list of check names from "
+                                         r"\['net.features', 'net.head', "):
+        run_gradient_suite(instances=1, names=names)
+
+
 def test_a_nan_error_in_any_instance_fails_the_check(monkeypatch):
     def build(rng, i):
         # the second instance's analytic gradient is NaN

@@ -20,7 +20,8 @@ from pbmatch.losses import (
     DEFAULT_BANDWIDTH_SCALES,
     KL_MARGIN,
     LossConfig,
-    MarginalTracker,
+    _entropy,
+    _floor_marginal,
     _log_softmax,
     _TILE_ROWS,
     _median_distance,
@@ -54,6 +55,7 @@ from oracles import (
     oracle_mim,
     oracle_mmd,
     oracle_mupbm,
+    oracle_next_marginal,
     oracle_tpbm,
     reduce,
     sub,
@@ -81,6 +83,11 @@ def _logp(logits):
 def _logp_for(probs):
     """log p recovers p exactly through log-softmax (logsumexp(log p) = 0)."""
     return _logp(np.log(np.asarray(probs, dtype=np.float64)))
+
+
+def _uniform(k):
+    """The uniform marginal over k classes."""
+    return np.full(k, 1.0 / k)
 
 
 def _median(a, b):
@@ -175,41 +182,75 @@ class TestLossConfig:
             LossConfig.for_classes(1)
 
 
-class TestMarginalTracker:
-    def test_starts_uniform(self):
-        t = MarginalTracker.uniform(5)
-        assert np.allclose(t.q, 0.2)
+def _constant_prediction(probs, momentum=0.1):
+    """A model whose label head predicts ``probs`` on every row, a bundle
+    with a target batch, and a config that weights the MIM term beside the
+    supervised one, with marginal momentum ``momentum``."""
+    k = len(probs)
+    params = init_params([3, 4, k], seed=0)
+    w, b = params.head_tensors("label")
+    w[...] = 0.0
+    b[...] = np.log(probs)
+    rng = np.random.default_rng(0)
+    bundle = BatchBundle(src_x=rng.normal(size=(4, 3)), src_y=np.arange(4) % k,
+                         tgt_x=rng.normal(size=(4, 3)))
+    cfg = LossConfig.for_classes(k, lambda_C=0.0, lambda_U=0.0, lambda_S=0.0,
+                                 marginal_momentum=momentum)
+    return params, bundle, cfg
 
-    def test_update_arithmetic(self):
-        t = MarginalTracker(q=np.array([0.5, 0.5]), momentum=0.1)
-        t.update(np.array([0.9, 0.1]))
-        assert np.allclose(t.q, [0.54, 0.46])
+
+class TestMarginal:
+    """The label-marginal estimate q: a plain array that the objective
+    advances, floored at MARGINAL_FLOOR."""
+
+    def test_the_floor_keeps_uniform_uniform(self):
+        q = _floor_marginal(_uniform(5))
+        assert np.allclose(q, 0.2)
+        assert _entropy(_floor_marginal(_uniform(4))) == pytest.approx(math.log(4))
+
+    def test_advance_arithmetic(self):
+        params, bundle, cfg = _constant_prediction([0.9, 0.1], momentum=0.1)
+        q = np.array([0.5, 0.5])
+        marginal = total_objective(bundle, params, cfg, q).marginal
+        assert np.allclose(marginal, [0.54, 0.46])
+        np.testing.assert_array_equal(q, [0.5, 0.5])
+        # a list is read as the same array
+        assert np.array_equal(_bits(total_objective(bundle, params, cfg, [0.5, 0.5]).marginal),
+                              _bits(marginal))
 
     def test_floor_keeps_entries_positive(self):
-        t = MarginalTracker(q=np.array([1.0, 0.0]))
-        assert t.q.min() > 0.0
-        assert abs(t.q.sum() - 1.0) < 1e-9
+        q = _floor_marginal(np.array([1.0, 0.0]))
+        assert q.min() > 0.0
+        assert abs(q.sum() - 1.0) < 1e-9
+        # every row predicts class 0 with probability 1 - 2e-22
+        params, bundle, cfg = _constant_prediction(np.exp([50.0, 0.0]))
         for _ in range(50):
-            t.update(np.array([1.0, 0.0]))
-        assert t.q.min() > 0.0
-        assert abs(t.q.sum() - 1.0) < 1e-9
+            q = total_objective(bundle, params, cfg, q).marginal
+        assert q.min() > 0.0
+        assert abs(q.sum() - 1.0) < 1e-9
 
-    def test_entropy_of_uniform(self):
-        assert MarginalTracker.uniform(4).entropy() == pytest.approx(math.log(4))
+    def test_a_marginal_of_another_length_is_refused(self):
+        params, bundle, cfg = _constant_prediction([0.5, 0.3, 0.2])
+        with pytest.raises(ValueError, match=r"q must be a vector of 3 positive entries"):
+            total_objective(bundle, params, cfg, np.array([0.5, 0.5]))
 
-    def test_shape_mismatch_rejected(self):
-        t = MarginalTracker.uniform(3)
-        with pytest.raises(ValueError, match="shape"):
-            t.update(np.array([0.5, 0.5]))
+    def test_without_the_mim_weight_q_is_returned_as_it_is(self):
+        params, bundle, cfg = _constant_prediction([0.9, 0.1])
+        cfg.lambda_M = 0.0
+        q = np.array([0.7, 0.3])
+        assert total_objective(bundle, params, cfg, q).marginal is q
 
-    @pytest.mark.parametrize("q,momentum,msg", [
-        ([1.0], 0.1, r"vector of >= 2 probabilities, got \(1,\)"),
-        ([0.5, 0.5], 1.0, r"momentum must lie in \(0,1\), got 1.0"),
-        ([0.5, -0.5, 1.0], 0.1, "marginal entries must be non-negative"),
+    @pytest.mark.parametrize("call,msg", [
+        (lambda: mim_loss(_logp(np.zeros((4, 2))), np.array([1.0]), 1.0),
+         r"q must be a vector of 2 positive entries, one per class, got \[1.0\]"),
+        (lambda: LossConfig(entropy_ceiling=1.0, marginal_momentum=1.0),
+         r"marginal_momentum must be a finite number in \(0, 1\), got 1.0"),
+        (lambda: mim_loss(_logp(np.zeros((4, 3))), np.array([0.5, -0.5, 1.0]), 1.0),
+         r"q must be a vector of 3 positive entries, one per class, got \[0.5, -0.5, 1.0\]"),
     ], ids=["one_entry", "momentum_one", "negative_entry"])
-    def test_an_unusable_marginal_is_refused_by_name(self, q, momentum, msg):
+    def test_an_unusable_marginal_is_refused_by_name(self, call, msg):
         with pytest.raises(ValueError, match=msg):
-            MarginalTracker(q=np.array(q), momentum=momentum)
+            call()
 
 
 # ---------------------------------------------------------------------------
@@ -219,45 +260,49 @@ class TestMarginalTracker:
 class TestMimLoss:
     def test_uniform_predictions_give_zero(self):
         k = 4
-        value, _ = mim_loss(_logp(np.zeros((8, k))), MarginalTracker.uniform(k),
+        value, _ = mim_loss(_logp(np.zeros((8, k))), _uniform(k),
                             ceiling=float("inf"))
         assert abs(value) < 1e-9
 
     def test_balanced_one_hot_hits_minimum(self):
         k = 4
         value, _ = mim_loss(_logp(40.0 * np.eye(k)[np.arange(8) % k]),
-                            MarginalTracker.uniform(k), ceiling=float("inf"))
+                            _uniform(k), ceiling=float("inf"))
         assert value == pytest.approx(-math.log(k), abs=1e-9)
 
     def test_collapsed_one_hot_scores_zero(self):
         # all mass on class 0 and a matching collapsed marginal: no reward
         k = 4
-        tracker = MarginalTracker(q=np.array([1.0, 0.0, 0.0, 0.0]))
-        value, _ = mim_loss(_logp(40.0 * np.eye(k)[np.zeros(8, dtype=int)]), tracker,
+        q = _floor_marginal(np.array([1.0, 0.0, 0.0, 0.0]))
+        value, _ = mim_loss(_logp(40.0 * np.eye(k)[np.zeros(8, dtype=int)]), q,
                             ceiling=float("inf"))
         assert abs(value) < 1e-4
 
     def test_ceiling_drops_diversity(self):
         k = 3
-        value, _ = mim_loss(_logp(np.zeros((6, k))), MarginalTracker.uniform(k), ceiling=0.01)
+        value, _ = mim_loss(_logp(np.zeros((6, k))), _uniform(k), ceiling=0.01)
         # only the confidence part survives: mean conditional entropy = ln K
         assert value == pytest.approx(math.log(k))
 
-    def test_tracker_advances_after_loss(self):
-        tracker = MarginalTracker(q=np.array([0.5, 0.5]), momentum=0.1)
-        probs = np.array([[0.9, 0.1]] * 4)
-        mim_loss(_logp_for(probs), tracker, ceiling=float("inf"))
-        assert np.allclose(tracker.q, [0.54, 0.46])
+    def test_reads_q_and_changes_nothing(self):
+        q = np.array([0.5, 0.5])
+        logp = _logp_for(np.array([[0.9, 0.1]] * 4))
+        first = mim_loss(logp, q, ceiling=float("inf"))
+        second = mim_loss(logp, q, ceiling=float("inf"))
+        np.testing.assert_array_equal(q, [0.5, 0.5])
+        assert first[0] == second[0]
+        np.testing.assert_array_equal(first[1], second[1])
 
     def test_class_count_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="classes"):
-            mim_loss(_logp(np.zeros((4, 3))), MarginalTracker.uniform(4), 1.0)
+        with pytest.raises(ValueError, match=r"q must be a vector of 3 positive entries, "
+                                             r"one per class, got \[0.25, 0.25, 0.25, 0.25\]"):
+            mim_loss(_logp(np.zeros((4, 3))), _uniform(4), 1.0)
 
     def test_gradcheck_full_loss(self):
         rng = np.random.default_rng(0)
         point = rng.uniform(-2, 2, (5, 4))
         report = grad_check(
-            lambda x: mim_loss(_logp(x), MarginalTracker.uniform(4), float("inf")), point)
+            lambda x: mim_loss(_logp(x), _uniform(4), float("inf")), point)
         assert report.passed, str(report)
 
     def test_gradcheck_diversity_estimator(self):
@@ -267,14 +312,14 @@ class TestMimLoss:
         point = rng.uniform(-2, 2, (6, 3))
         q = np.array([0.2, 0.5, 0.3])
         report = grad_check(
-            lambda x: mim_loss(_logp(x), MarginalTracker(q=q.copy()), float("inf")), point)
+            lambda x: mim_loss(_logp(x), q, float("inf")), point)
         assert report.passed, str(report)
 
     def test_confidence_term_bounded_by_ln_k(self):
         rng = np.random.default_rng(2)
         for trial in range(20):
             k = int(rng.integers(2, 6))
-            value, _ = mim_loss(_logp(rng.uniform(-4, 4, (7, k))), MarginalTracker.uniform(k),
+            value, _ = mim_loss(_logp(rng.uniform(-4, 4, (7, k))), _uniform(k),
                                 ceiling=0.0)
             assert -1e-12 <= value <= math.log(k) + 1e-12
 
@@ -377,6 +422,13 @@ class TestCpbmLoss:
         with pytest.raises(ValueError, match=f"src_y has {n_labels} labels for 4 source rows"):
             cpbm_loss(z, z, _logp(np.ones((4, 2))), np.arange(n_labels), 0.5)
 
+    def test_labels_of_another_shape_are_refused_by_name(self):
+        # a (4, 1) column of differing labels once failed inside the pairing
+        z = _logp(np.zeros((3, 2)))
+        with pytest.raises(ValueError,
+                           match=r"src_y must be a vector of labels, got shape \(4, 1\)"):
+            cpbm_loss(z, z, _logp(np.ones((4, 2))), np.array([[0], [1], [0], [1]]), 0.5)
+
     def test_gradient_reaches_both_views(self):
         rng = np.random.default_rng(4)
         orig, aug = rng.uniform(-1, 1, (4, 3)), rng.uniform(-1, 1, (4, 3))
@@ -453,6 +505,19 @@ class TestMupbmLoss:
         z = _logp(np.zeros((3, 2)))
         with pytest.raises(ValueError, match="must hold one entry per row, 3"):
             mupbm_loss(z, z, partner, beta)
+
+    @pytest.mark.parametrize("beta", [[2.0, 0.5, 0.5, -1.0], [0.5, np.nan, 0.5, 0.5]],
+                             ids=["outside", "nan"])
+    def test_refuses_a_mixing_weight_outside_the_unit_interval(self, beta):
+        z = _logp(np.zeros((4, 2)))
+        with pytest.raises(ValueError, match=r"beta entries must lie in \[0, 1\]"):
+            mupbm_loss(z, z, np.arange(4), np.array(beta))
+
+    @pytest.mark.parametrize("partner", [[1, 0, 3, 4], [1, 0, -1, 2]], ids=["past_n", "negative"])
+    def test_refuses_a_partner_outside_the_rows(self, partner):
+        z = _logp(np.zeros((4, 2)))
+        with pytest.raises(ValueError, match=r"partner entries must lie in \[0, 4\)"):
+            mupbm_loss(z, z, np.array(partner), np.full(4, 0.5))
 
     def test_target_entropy_matches_per_row_reference_bitwise(self):
         rng = np.random.default_rng(12)
@@ -555,18 +620,23 @@ class TestTermsMatchPerOpOracles:
         ceiling = float("inf") if diversity else 0.0
 
         def term(fn):
-            return lambda x: fn(x, MarginalTracker(q=q.copy(), momentum=0.1), ceiling)
+            return lambda x: fn(x, _floor_marginal(q), ceiling)
 
         z = rng.normal(0, 2.0, (n, k))
         _assert_matches_oracle(_term(term(mim_loss), z), _oracle(term(oracle_mim), z))
 
-    def test_mim_advances_the_tracker_like_the_oracle(self):
+    @pytest.mark.parametrize("skewed", [False, True], ids=["uniform", "skewed"])
+    def test_the_objective_advances_the_marginal_like_the_oracle(self, skewed):
         rng = np.random.default_rng(3)
-        logits = rng.normal(0, 2.0, (8, 3))
-        got, want = MarginalTracker.uniform(3), MarginalTracker.uniform(3)
-        mim_loss(_logp(logits), got, float("inf"))
-        oracle_mim(Tensor(logits), want, float("inf"))
-        np.testing.assert_allclose(got.q, want.q, rtol=0, atol=1e-15)
+        params = init_params([5, 6, 3], seed=3)
+        bundle = BatchBundle(src_x=rng.normal(size=(4, 5)), src_y=rng.integers(0, 3, 4),
+                             tgt_x=rng.normal(0, 2.0, (8, 5)))
+        cfg = LossConfig.for_classes(3, lambda_C=0.0, lambda_U=0.0, lambda_S=0.0)
+        q = _floor_marginal(rng.dirichlet(np.full(3, 0.4)) if skewed else _uniform(3))
+        got = total_objective(bundle, params, cfg, q).marginal
+        want = oracle_next_marginal(predict_logits(params, bundle.tgt_x), q,
+                                    cfg.marginal_momentum)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("lambda_con", [0.3, 1.0])
     def test_cpbm_with_rows_where_the_clamp_binds(self, lambda_con):
@@ -633,16 +703,23 @@ class TestTermsMatchPerOpOracles:
         partner, beta = rng.permutation(4), rng.uniform(0, 1, 4)
         labels = np.array([0, 2, 1, 1])
         joint = np.concatenate([a, b])
-        for (value, grads), shapes in [
-            (cross_entropy(la, labels), [(4, 3)]),
-            (mim_loss(la, MarginalTracker.uniform(3), float("inf")), [(4, 3)]),
-            (cpbm_loss(la, lb, la, labels, 0.1), [(4, 3)] * 3),
-            (cpbm_loss(la, lb, la, labels, 0.0), [(4, 3)] * 2 + [None]),
-            (mupbm_loss(la, lb, partner, beta), [(4, 3)]),
-            (tpbm_loss([la, lb[:, :2]], [labels, labels % 2]), [(4, 3), (4, 2)]),
-            (coral_distance(joint, 4), [(8, 3)]),
-            (mmd_distance(joint, 4), [(8, 3)]),
+        q = _floor_marginal(np.array([0.2, 0.5, 0.3]))
+        for term, args, shapes in [
+            (cross_entropy, (la, labels), [(4, 3)]),
+            (mim_loss, (la, q, float("inf")), [(4, 3)]),
+            (cpbm_loss, (la, lb, la, labels, 0.1), [(4, 3)] * 3),
+            (cpbm_loss, (la, lb, la, labels, 0.0), [(4, 3)] * 2 + [None]),
+            (mupbm_loss, (la, lb, partner, beta), [(4, 3)]),
+            (tpbm_loss, ([la, lb[:, :2]], [labels, labels % 2]), [(4, 3), (4, 2)]),
+            (coral_distance, (joint, 4), [(8, 3)]),
+            (mmd_distance, (joint, 4), [(8, 3)]),
         ]:
+            arrays = [x for arg in args for x in (arg if isinstance(arg, list) else [arg])
+                      if isinstance(x, np.ndarray)]
+            before = [x.tobytes() for x in arrays]
+            value, grads = term(*args)
+            # the term leaves every array it is given as it found it
+            assert [x.tobytes() for x in arrays] == before, term.__name__
             # a plain float and plain arrays, a distance's over the stacked
             # rows, or None for an input the term leaves alone; never a callable
             grads = grads if isinstance(grads, (tuple, list)) else (grads,)
@@ -700,7 +777,7 @@ def _per_view_terms(bundle, params, cfg):
 
     return [
         (cfg.supervised_weight, lambda tp: oracle_ce(view(tp, b.src_x), b.src_y)),
-        (cfg.lambda_M, lambda tp: oracle_mim(view(tp, b.tgt_x), MarginalTracker.uniform(3),
+        (cfg.lambda_M, lambda tp: oracle_mim(view(tp, b.tgt_x), _uniform(3),
                                              cfg.entropy_ceiling)),
         (cfg.lambda_C, lambda tp: oracle_cpbm(
             view(tp, b.tgt_x), view(tp, b.tgt_x_aug), view(tp, b.src_x), b.src_y,
@@ -719,7 +796,7 @@ def _per_view_terms(bundle, params, cfg):
 def _assert_matches_per_view(bundle, params, cfg):
     """Loss to 1e-12 and every gradient at atol 1e-12 against the sum of
     the per-view oracle terms, each backpropagated on its own."""
-    obj = total_objective(bundle, params, cfg, MarginalTracker.uniform(3))
+    obj = total_objective(bundle, params, cfg, _uniform(3))
     combined = backward(obj)
 
     want_loss = 0.0
@@ -753,8 +830,7 @@ class TestTotalObjective:
         params, bundle = self._setup()
         cfg = LossConfig(entropy_ceiling=1.0, lambda_M=0, lambda_C=0,
                          lambda_U=0, lambda_S=0, supervised_weight=1.0)
-        tracker = MarginalTracker.uniform(3)
-        obj = total_objective(bundle, params, cfg, tracker)
+        obj = total_objective(bundle, params, cfg, _uniform(3))
         direct, _ = cross_entropy(_logp(predict_logits(params, bundle.src_x)), bundle.src_y)
         assert obj.total == direct
         assert set(obj.report) == {"supervised", "total"}
@@ -763,7 +839,7 @@ class TestTotalObjective:
         params, bundle = self._setup(seed=1)
         cfg = LossConfig(entropy_ceiling=1.0, lambda_M=0, lambda_C=0,
                          lambda_U=0, lambda_S=0)
-        got = backward(total_objective(bundle, params, cfg, MarginalTracker.uniform(3)))
+        got = backward(total_objective(bundle, params, cfg, _uniform(3)))
         tp = leaves(params)
         oracles.backward(closed_form_node(oracle_forward(tp, Tensor(bundle.src_x)),
                                           cross_entropy, bundle.src_y))
@@ -776,7 +852,7 @@ class TestTotalObjective:
     def test_report_reweights_to_total(self):
         params, bundle = self._setup(seed=2)
         cfg = LossConfig.for_classes(3)
-        obj = total_objective(bundle, params, cfg, MarginalTracker.uniform(3))
+        obj = total_objective(bundle, params, cfg, _uniform(3))
         weights = {"supervised": cfg.supervised_weight, "mim": cfg.lambda_M,
                    "cpbm": cfg.lambda_C, "mupbm": cfg.lambda_U, "tpbm": cfg.lambda_S}
         recombined = sum(weights[k] * v for k, v in obj.report.items() if k != "total")
@@ -807,7 +883,7 @@ class TestTotalObjective:
         bundle.tgt_x = None
         cfg = LossConfig.for_classes(3)
         with pytest.raises(ValueError, match="target batch"):
-            total_objective(bundle, params, cfg, MarginalTracker.uniform(3))
+            total_objective(bundle, params, cfg, _uniform(3))
 
     @pytest.mark.parametrize("field,msg", [
         ("tgt_x_aug", "lambda_C > 0 requires a target batch and its transformed view"),
@@ -818,7 +894,7 @@ class TestTotalObjective:
         params, bundle = self._setup(seed=16)
         setattr(bundle, field, None)
         with pytest.raises(ValueError, match=msg):
-            total_objective(bundle, params, LossConfig.for_classes(3), MarginalTracker.uniform(3))
+            total_objective(bundle, params, LossConfig.for_classes(3), _uniform(3))
 
     @pytest.mark.parametrize("lambda_C, distance", [(1.0, None), (0.0, "coral")],
                              ids=["consistency", "distance_only"])
@@ -833,14 +909,14 @@ class TestTotalObjective:
         with pytest.raises(ValueError, match=rf"src_y has {len(bundle.src_x) - 1} labels "
                                              rf"for {len(bundle.src_x)} source rows"):
             total_objective(bundle, params, LossConfig.for_classes(3, **weights),
-                            MarginalTracker.uniform(3))
+                            _uniform(3))
 
     def test_a_one_class_label_head_is_refused(self):
         params = init_params([12, 8, 1], seed=0)
         bundle = BatchBundle(src_x=np.zeros((2, 12)), src_y=np.zeros(2, dtype=np.int64))
         cfg = LossConfig(entropy_ceiling=1.0, lambda_M=0, lambda_C=0, lambda_U=0, lambda_S=0)
         with pytest.raises(ValueError, match=r"logits must be \[batch, K\] with K >= 2"):
-            total_objective(bundle, params, cfg, MarginalTracker.uniform(2))
+            total_objective(bundle, params, cfg, _uniform(2))
 
     def test_zero_weight_skips_missing_fields(self):
         params, bundle = self._setup(seed=5)
@@ -848,7 +924,7 @@ class TestTotalObjective:
         bundle.mixed_partner = None
         bundle.mixed_beta = None
         cfg = LossConfig.for_classes(3, lambda_U=0.0)
-        report = total_objective(bundle, params, cfg, MarginalTracker.uniform(3)).report
+        report = total_objective(bundle, params, cfg, _uniform(3)).report
         assert "mupbm" not in report
 
     def test_all_zero_weights_rejected(self):
@@ -856,12 +932,12 @@ class TestTotalObjective:
         cfg = LossConfig(entropy_ceiling=1.0, lambda_M=0, lambda_C=0,
                          lambda_U=0, lambda_S=0, supervised_weight=0)
         with pytest.raises(ValueError, match="zero"):
-            total_objective(bundle, params, cfg, MarginalTracker.uniform(3))
+            total_objective(bundle, params, cfg, _uniform(3))
 
     def test_record_holds_one_latent_and_the_heads_in_use(self):
         params, bundle = self._setup(seed=10)
         obj = total_objective(bundle, params, LossConfig.for_classes(3),
-                              MarginalTracker.uniform(3))
+                              _uniform(3))
         assert [head for head, *_ in obj.heads] == ["label", "rotate90", "vflip"]
         z = obj.acts[-1]
         assert z.shape[0] == sum(len(x) for x in (
@@ -882,7 +958,7 @@ class TestTotalObjective:
         cfg = LossConfig.for_classes(3, lambda_M=0.0, lambda_C=0.0, lambda_U=0.0,
                                      lambda_S=0.0, supervised_weight=supervised_weight)
         _assert_matches_per_view(bundle, params, cfg)
-        obj = total_objective(bundle, params, cfg, MarginalTracker.uniform(3))
+        obj = total_objective(bundle, params, cfg, _uniform(3))
         names = ["supervised"] if supervised_weight > 0.0 else []
         assert list(obj.report) == names + [distance, "dm_weight", "total"]
         assert obj.report["dm_weight"] == 1.7
@@ -904,26 +980,46 @@ class TestTotalObjective:
         bundle.tgt_x, bundle.distance = None, "coral"
         cfg = LossConfig.for_classes(3, lambda_M=0.0, lambda_C=0.0, lambda_U=0.0)
         with pytest.raises(ValueError, match="coral distance requires a target batch"):
-            total_objective(bundle, params, cfg, MarginalTracker.uniform(3))
+            total_objective(bundle, params, cfg, _uniform(3))
 
     def test_an_unresolved_ceiling_is_refused_by_name(self):
         params, bundle = self._setup(seed=15)
         with pytest.raises(ValueError, match="entropy_ceiling is unresolved"):
-            total_objective(bundle, params, LossConfig(), MarginalTracker.uniform(3))
+            total_objective(bundle, params, LossConfig(), _uniform(3))
 
     def test_unknown_distance_rejected(self):
         params, bundle = self._setup(seed=14)
         bundle.distance = "wasserstein"
         with pytest.raises(ValueError, match="distance must be one of"):
             total_objective(bundle, params, LossConfig.for_classes(3),
-                            MarginalTracker.uniform(3))
+                            _uniform(3))
 
     def test_deterministic_across_calls(self):
+        # two calls on one q agree bitwise and leave every input alone; q is
+        # skewed below the ceiling, so the diversity term reads it
         params, bundle = self._setup(seed=7)
         cfg = LossConfig.for_classes(3)
-        a = total_objective(bundle, params, cfg, MarginalTracker.uniform(3))
-        b = total_objective(bundle, params, cfg, MarginalTracker.uniform(3))
-        assert a.total == b.total
+        q = _floor_marginal(np.array([0.7, 0.2, 0.1]))
+        assert _entropy(q) < cfg.entropy_ceiling
+
+        def inputs():
+            arrays = [q, params.flat, bundle.src_x, bundle.src_y, bundle.tgt_x,
+                      bundle.tgt_x_aug, bundle.mixed_x, bundle.mixed_partner,
+                      bundle.mixed_beta,
+                      *(x for pair in bundle.st_batches.values() for x in pair)]
+            return [x.tobytes() for x in arrays]
+
+        kept = inputs()
+        a = total_objective(bundle, params, cfg, q)
+        b = total_objective(bundle, params, cfg, q)
+        assert inputs() == kept
+        assert list(a.report) == list(b.report)
+        assert all(_bits(a.report[k]) == _bits(b.report[k]) for k in a.report)
+        assert len(a.dlogits) == len(b.dlogits)
+        for ga, gb in zip(a.dlogits, b.dlogits):
+            assert np.array_equal(_bits(ga), _bits(gb))
+        assert np.array_equal(_bits(a.marginal), _bits(b.marginal))
+        assert not np.array_equal(a.marginal, q)
 
 
 # ---------------------------------------------------------------------------

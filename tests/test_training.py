@@ -364,7 +364,7 @@ class TestTrainLoop:
         cfg = small_cfg(method="mim", epochs=6, initial_marginal=(0.97, 0.03))
         _, metrics = train(cfg, src, tgt)
         h = [record["h_q"] for record in metrics.records]
-        # the tracker leaves the collapsed start and heads toward the mix of
+        # q leaves the collapsed start and heads toward the mix of
         # batch marginals; it never falls back toward H((0.97, 0.03)) = 0.13
         assert h[-1] > h[0]
         assert max(h) > 0.64
