@@ -264,8 +264,8 @@ def tpbm_loss(logp_by_task: Sequence[np.ndarray], labels_by_task: Sequence[np.nd
 
 @dataclass
 class BatchBundle:
-    """One step's inputs: source labeled batch, target batch, and the
-    pre-applied transform outputs each active term consumes.
+    """One step's inputs: the source labeled batch, and the target batch and
+    pre-applied transform outputs that ``TERM_READS`` names for its terms.
 
     ``mixed_x`` row r mixes target rows r and ``mixed_partner[r]`` with
     weight ``mixed_beta[r]``. ``distance`` names a feature distance
@@ -285,26 +285,42 @@ class BatchBundle:
     distance_weight: float = 1.0
 
 
-def _check_bundle(b: BatchBundle, cfg: LossConfig) -> None:
+# the BatchBundle fields read by each term, keyed by its weight, and by a distance
+TERM_READS: Dict[str, Tuple[str, ...]] = {
+    "supervised_weight": ("src_x",),
+    "lambda_M": ("tgt_x",),
+    "lambda_C": ("src_x", "tgt_x", "tgt_x_aug"),
+    "lambda_U": ("tgt_x", "mixed_x", "mixed_partner", "mixed_beta"),
+    "lambda_S": ("st_batches",),
+    "distance": ("src_x", "tgt_x"),
+}
+
+
+def bundle_reads(cfg: LossConfig, distance: Optional[str]) -> Dict[str, str]:
+    """Each field ``TERM_READS`` names for the terms weighted above 0 in
+    ``cfg`` and for the feature ``distance``, if any, mapped to its first reader."""
+    reads: Dict[str, str] = {}
+    for key, fields in TERM_READS.items():
+        if (distance is not None) if key == "distance" else getattr(cfg, key) > 0.0:
+            for field in fields:
+                reads.setdefault(field, key)
+    return reads
+
+
+def _check_bundle(b: BatchBundle, cfg: LossConfig) -> Dict[str, str]:
+    """``b``'s ``bundle_reads``, once ``b`` holds each of them."""
     if cfg.entropy_ceiling is None:
         raise ValueError("entropy_ceiling is unresolved; build it with LossConfig.for_classes")
-    if len(b.src_y) != len(b.src_x):
-        raise ValueError(f"src_y has {len(b.src_y)} labels for {len(b.src_x)} source rows")
     if b.distance is not None and b.distance not in _DISTANCES:
         raise ValueError(
             f"distance must be one of {sorted(_DISTANCES)} or None, got {b.distance!r}")
-    if b.distance is not None and b.tgt_x is None:
-        raise ValueError(f"the {b.distance} distance requires a target batch")
-    if cfg.lambda_M > 0.0 and b.tgt_x is None:
-        raise ValueError("lambda_M > 0 requires a target batch")
-    if cfg.lambda_C > 0.0 and (b.tgt_x is None or b.tgt_x_aug is None):
-        raise ValueError("lambda_C > 0 requires a target batch and its transformed view")
-    if cfg.lambda_U > 0.0 and (b.tgt_x is None or b.mixed_x is None
-                               or b.mixed_partner is None or b.mixed_beta is None):
-        raise ValueError(
-            "lambda_U > 0 requires a target batch, interpolated inputs and their mixing")
-    if cfg.lambda_S > 0.0 and not b.st_batches:
-        raise ValueError("lambda_S > 0 requires pretext-task batches")
+    reads = bundle_reads(cfg, b.distance)
+    for field, reader in reads.items():
+        if getattr(b, field) is None or len(getattr(b, field)) == 0:
+            raise ValueError(f"{reader} reads {field}, which the bundle does not hold")
+    if len(b.src_y) != len(b.src_x):
+        raise ValueError(f"src_y has {len(b.src_y)} labels for {len(b.src_x)} source rows")
+    return reads
 
 
 @dataclass
@@ -331,12 +347,12 @@ def total_objective(batch_bundle: BatchBundle, params: ModelParams,
                     cfg: LossConfig, q: np.ndarray) -> Objective:
     """Weighted sum of the active terms; zero-weight terms are never built.
 
-    Every view the active terms score is stacked into one batch and run
-    through the shared extractor once. The label head is applied to the
-    label views' rows and each pretext head to its task's rows, and the
-    terms' weighted closed-form logit gradients are added up row block by
-    row block; a feature distance keeps its weighted gradient over the
-    latent rows of the source and target views.
+    Every view that ``bundle_reads`` names is stacked into one batch, in a
+    fixed order, and run through the shared extractor once. The label head
+    is applied to the label views' rows and each pretext head to its
+    task's rows, and the terms' weighted closed-form logit gradients are
+    added up row block by row block; a feature distance keeps its weighted
+    gradient over the latent rows of the source and target views.
 
     ``q`` is the moving-average estimate of the target label marginal that
     the MIM term reads. While that term is weighted, the record's
@@ -345,20 +361,13 @@ def total_objective(batch_bundle: BatchBundle, params: ModelParams,
     renormalized; otherwise it is ``q``. No input is changed.
     """
     b = batch_bundle
-    _check_bundle(b, cfg)
+    reads = _check_bundle(b, cfg)
     q = np.asarray(q, dtype=np.float64)
     dist = b.distance
-    # label-head views first, then one block per pretext task; a distance
-    # reads the source and target views, which stay the first two
-    label_views = [("src", b.src_x if cfg.supervised_weight > 0.0 or cfg.lambda_C > 0.0
-                    or dist else None),
-                   ("tgt", b.tgt_x if cfg.lambda_M > 0.0 or cfg.lambda_C > 0.0
-                    or cfg.lambda_U > 0.0 or dist else None),
-                   ("aug", b.tgt_x_aug if cfg.lambda_C > 0.0 else None),
-                   ("mixed", b.mixed_x if cfg.lambda_U > 0.0 else None)]
-    label_views = [(name, x) for name, x in label_views if x is not None]
-    task_views = sorted(b.st_batches.items()) if cfg.lambda_S > 0.0 else []
-    stacked = [x for _, x in label_views] + [x for _, (x, _) in task_views]
+    # label views in a fixed order, then the tasks; a distance's two views lead
+    label_views = [name for name in ("src_x", "tgt_x", "tgt_x_aug", "mixed_x") if name in reads]
+    task_views = sorted(b.st_batches.items()) if "st_batches" in reads else []
+    stacked = [getattr(b, name) for name in label_views] + [x for _, (x, _) in task_views]
     if not stacked:
         raise ValueError("all objective weights are zero; nothing to optimize")
     z, acts = forward(params, np.concatenate(stacked))
@@ -372,36 +381,36 @@ def total_objective(batch_bundle: BatchBundle, params: ModelParams,
     heads = [(head, rows, *params.head_tensors(head)) for head, rows in heads]
     logp = [_log_softmax(z[rows] @ w + bias) for _, rows, w, bias in heads]
     dlogits = [np.zeros_like(block) for block in logp]
-    view = {name: slice(bounds[i], bounds[i + 1]) for i, (name, _) in enumerate(label_views)}
+    view = {name: slice(bounds[i], bounds[i + 1]) for i, name in enumerate(label_views)}
     label = logp[0] if label_views else None
     dlabel = dlogits[0] if label_views else None
 
     terms: List[Tuple[str, float, float]] = []
     marginal = q
     if cfg.supervised_weight > 0.0:
-        value, grad = cross_entropy(label[view["src"]], b.src_y)
-        dlabel[view["src"]] += cfg.supervised_weight * grad
+        value, grad = cross_entropy(label[view["src_x"]], b.src_y)
+        dlabel[view["src_x"]] += cfg.supervised_weight * grad
         terms.append(("supervised", cfg.supervised_weight, value))
     if cfg.lambda_M > 0.0:
-        tgt = label[view["tgt"]]
+        tgt = label[view["tgt_x"]]
         value, grad = mim_loss(tgt, q, cfg.entropy_ceiling)
-        dlabel[view["tgt"]] += cfg.lambda_M * grad
+        dlabel[view["tgt_x"]] += cfg.lambda_M * grad
         terms.append(("mim", cfg.lambda_M, value))
         m = cfg.marginal_momentum
         marginal = _floor_marginal((1.0 - m) * q + m * np.exp(tgt).mean(axis=0))
     if cfg.lambda_C > 0.0:
         value, (g_tgt, g_aug, g_src) = cpbm_loss(
-            label[view["tgt"]], label[view["aug"]], label[view["src"]], b.src_y,
+            label[view["tgt_x"]], label[view["tgt_x_aug"]], label[view["src_x"]], b.src_y,
             cfg.lambda_con)
-        dlabel[view["tgt"]] += cfg.lambda_C * g_tgt
-        dlabel[view["aug"]] += cfg.lambda_C * g_aug
+        dlabel[view["tgt_x"]] += cfg.lambda_C * g_tgt
+        dlabel[view["tgt_x_aug"]] += cfg.lambda_C * g_aug
         if g_src is not None:
-            dlabel[view["src"]] += cfg.lambda_C * g_src
+            dlabel[view["src_x"]] += cfg.lambda_C * g_src
         terms.append(("cpbm", cfg.lambda_C, value))
     if cfg.lambda_U > 0.0:
-        value, grad = mupbm_loss(label[view["mixed"]], label[view["tgt"]], b.mixed_partner,
+        value, grad = mupbm_loss(label[view["mixed_x"]], label[view["tgt_x"]], b.mixed_partner,
                                  b.mixed_beta)
-        dlabel[view["mixed"]] += cfg.lambda_U * grad
+        dlabel[view["mixed_x"]] += cfg.lambda_U * grad
         terms.append(("mupbm", cfg.lambda_U, value))
     if cfg.lambda_S > 0.0:
         first = len(heads) - len(task_views)
@@ -410,8 +419,8 @@ def total_objective(batch_bundle: BatchBundle, params: ModelParams,
             dtask += cfg.lambda_S * grad
         terms.append(("tpbm", cfg.lambda_S, value))
     if dist is not None:
-        joint = slice(0, view["tgt"].stop)
-        value, grad = _DISTANCES[dist](z[joint], view["src"].stop)
+        joint = slice(0, view["tgt_x"].stop)
+        value, grad = _DISTANCES[dist](z[joint], view["src_x"].stop)
         dist_grad = b.distance_weight * grad
         terms.append((dist, b.distance_weight, value))
 

@@ -63,6 +63,7 @@ from .losses import (
     _entropy,
     _floor_marginal,
     backward,
+    bundle_reads,
     coral_distance,
     cross_entropy,
     mmd_distance,
@@ -363,7 +364,6 @@ def train(cfg: TrainConfig, src: DomainDataset, tgt: DomainDataset,
     batch = min(cfg.batch, pair_min)
     steps_per_epoch = max(1, pair_min // batch)
 
-    global_step = 0
     metrics = Metrics()
 
     for epoch in range(cfg.epochs):
@@ -375,13 +375,12 @@ def train(cfg: TrainConfig, src: DomainDataset, tgt: DomainDataset,
             rows_s = perm_src[s * batch:(s + 1) * batch]
             rows_t = perm_tgt[s * batch:(s + 1) * batch]
             bundle = _build_bundle(cfg, src, adapt, rows_s, rows_t, loss_cfg,
-                                   epoch, s, global_step)
+                                   epoch, s, opt.step_count)
             obj = total_objective(bundle, params, loss_cfg, q)
             if not np.isfinite(obj.total):
                 raise NumericalAbort(_first_bad_term(obj.report), epoch, s)
             step(params, opt, backward(obj))
             q = obj.marginal
-            global_step += 1
 
             for name, value in obj.report.items():
                 term_sums[name] = term_sums.get(name, 0.0) + value
@@ -420,25 +419,27 @@ def _first_bad_term(report: Dict[str, float]) -> str:
 
 def _build_bundle(cfg: TrainConfig, src: DomainDataset, adapt: DomainDataset,
                   rows_s: np.ndarray, rows_t: np.ndarray, loss_cfg: LossConfig,
-                  epoch: int, s: int, global_step: int) -> BatchBundle:
-    """The step's source and target rows, exactly the views that the terms
-    weighted above 0 in ``loss_cfg`` consume, and the ramped feature distance."""
+                  epoch: int, s: int, step_count: int) -> BatchBundle:
+    """The step's source rows, exactly the target views ``bundle_reads`` names,
+    and the method's feature distance, ramped by the optimizer's ``step_count``."""
     token = _transform_token(cfg.seed_data, epoch, s)
-    ramp = min(1.0, (global_step + 1) / cfg.dm_ramp_steps) if cfg.dm_ramp_steps > 0 else 1.0
+    ramp = min(1.0, (step_count + 1) / cfg.dm_ramp_steps) if cfg.dm_ramp_steps > 0 else 1.0
     block = s // TOKEN_STRIDE
+    distance = _METHODS[cfg.method].distance
+    reads = bundle_reads(loss_cfg, distance)
     # each side's rows, gathered once: images or points, then flat for the trunk
     imgs_s, imgs_t = src.images[rows_s], adapt.images[rows_t]
     x_t = imgs_t.reshape(len(rows_t), -1)
     bundle = BatchBundle(src_x=imgs_s.reshape(len(rows_s), -1), src_y=src.labels[rows_s],
-                         tgt_x=x_t, distance=_METHODS[cfg.method].distance,
+                         tgt_x=x_t if "tgt_x" in reads else None, distance=distance,
                          distance_weight=cfg.dm_weight * ramp)
 
-    if loss_cfg.lambda_C > 0.0:
+    if "tgt_x_aug" in reads:
         bundle.tgt_x_aug = apply_semantic_preserving(
             imgs_t, rng(token, SP_STREAM_SALT, block),
             kinds=_METHODS[cfg.method].cpbm_kinds).reshape(len(rows_t), -1)
 
-    if loss_cfg.lambda_U > 0.0:
+    if "mixed_x" in reads:
         gen = rng(cfg.seed_data, 17, epoch, s)
         partner = gen.permutation(x_t.shape[0])
         betas = sample_mixup_beta(x_t.shape[0], loss_cfg.mixup_alpha, gen)
@@ -447,7 +448,7 @@ def _build_bundle(cfg: TrainConfig, src: DomainDataset, adapt: DomainDataset,
         bundle.mixed_partner = partner
         bundle.mixed_beta = betas
 
-    if loss_cfg.lambda_S > 0.0:
+    if "st_batches" in reads:
         both = np.concatenate([imgs_s, imgs_t])
         st: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
         for task in _METHODS[cfg.method].tasks:

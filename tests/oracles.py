@@ -8,6 +8,10 @@ node per elementary op instead, so a test can compare a closed-form
 value and gradient against an independent chain of simple rules.
 ``head_objective`` is how a test trains one head through the library.
 
+``oracle_stacked_views`` is the objective's stacking rule as it was
+written before one table said which view each term reads: a weight test
+per view.
+
 ``whole_matrix_mmd`` is the MMD on one whole N x N distance matrix, the
 arithmetic the library's row-tiled ``mmd_distance`` must reproduce bit
 for bit whenever the matrix is one tile.
@@ -385,6 +389,29 @@ def head_objective(params, x, labels, head="label"):
         cfg = LossConfig.for_classes(k, supervised_weight=0.0, lambda_S=1.0, **off)
         bundle = BatchBundle(src_x=x, src_y=labels, st_batches={head: (x, labels)})
     return total_objective(bundle, params, cfg, np.full(k, 1.0 / k))
+
+
+def oracle_stacked_views(bundle, cfg):
+    """The rows ``total_objective`` runs through the trunk, in order, and
+    its heads as (head, rows): each label view kept under the weights that
+    read it, then the pretext tasks by name."""
+    b, dist = bundle, bundle.distance
+    label_views = [("src", b.src_x if cfg.supervised_weight > 0.0 or cfg.lambda_C > 0.0
+                    or dist else None),
+                   ("tgt", b.tgt_x if cfg.lambda_M > 0.0 or cfg.lambda_C > 0.0
+                    or cfg.lambda_U > 0.0 or dist else None),
+                   ("aug", b.tgt_x_aug if cfg.lambda_C > 0.0 else None),
+                   ("mixed", b.mixed_x if cfg.lambda_U > 0.0 else None)]
+    label_views = [(name, x) for name, x in label_views if x is not None]
+    task_views = sorted(b.st_batches.items()) if cfg.lambda_S > 0.0 else []
+    stacked = [x for _, x in label_views] + [x for _, (x, _) in task_views]
+    n_label = sum(len(x) for _, x in label_views)
+    heads = [("label", slice(0, n_label))] if label_views else []
+    start = n_label
+    for task, (x, _) in task_views:
+        heads.append((task, slice(start, start + len(x))))
+        start += len(x)
+    return np.concatenate(stacked), heads
 
 
 # ---------------------------------------------------------------------------

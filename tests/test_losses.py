@@ -7,19 +7,22 @@ node per op.
 """
 
 import ast
+import itertools
 import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pbmatch import losses
+from pbmatch import losses, training
 from pbmatch.losses import (
     BatchBundle,
     DEFAULT_BANDWIDTH_SCALES,
     KL_MARGIN,
     LossConfig,
+    TERM_READS,
     _entropy,
     _floor_marginal,
     _log_softmax,
@@ -56,6 +59,7 @@ from oracles import (
     oracle_mmd,
     oracle_mupbm,
     oracle_next_marginal,
+    oracle_stacked_views,
     oracle_tpbm,
     reduce,
     sub,
@@ -820,6 +824,19 @@ def _assert_matches_per_view(bundle, params, cfg):
             assert np.allclose(got, want, rtol=0.0, atol=1e-12)
 
 
+# the weights of the objective's terms, and each (reader, field) row of TERM_READS
+_WEIGHTS = ("supervised_weight", "lambda_M", "lambda_C", "lambda_U", "lambda_S")
+_READ_ROWS = [
+    ("supervised_weight", "src_x"),
+    ("lambda_M", "tgt_x"),
+    ("lambda_C", "src_x"), ("lambda_C", "tgt_x"), ("lambda_C", "tgt_x_aug"),
+    ("lambda_U", "tgt_x"), ("lambda_U", "mixed_x"), ("lambda_U", "mixed_partner"),
+    ("lambda_U", "mixed_beta"),
+    ("lambda_S", "st_batches"),
+    ("distance", "src_x"), ("distance", "tgt_x"),
+]
+
+
 class TestTotalObjective:
     def _setup(self, seed=0):
         params = init_params([12, 8, 3], seed=seed)
@@ -878,23 +895,46 @@ class TestTotalObjective:
         params, bundle = self._setup(seed=seed)
         _assert_matches_per_view(bundle, params, LossConfig.for_classes(3, **weights))
 
-    def test_missing_target_batch_rejected(self):
-        params, bundle = self._setup(seed=4)
-        bundle.tgt_x = None
-        cfg = LossConfig.for_classes(3)
-        with pytest.raises(ValueError, match="target batch"):
-            total_objective(bundle, params, cfg, _uniform(3))
+    def test_the_refusal_cases_cover_the_whole_table(self):
+        assert {(reader, field) for reader, fields in TERM_READS.items()
+                for field in fields} == set(_READ_ROWS)
 
-    @pytest.mark.parametrize("field,msg", [
-        ("tgt_x_aug", "lambda_C > 0 requires a target batch and its transformed view"),
-        ("mixed_x", "lambda_U > 0 requires a target batch, interpolated inputs and their mixing"),
-        ("st_batches", "lambda_S > 0 requires pretext-task batches"),
-    ])
-    def test_a_weighted_term_without_its_view_is_refused_by_name(self, field, msg):
+    @pytest.mark.parametrize("reader,field", _READ_ROWS)
+    def test_a_read_field_left_out_is_refused_by_reader_and_field(self, reader, field):
+        # the reader alone is weighted, so it is the field's first reader
         params, bundle = self._setup(seed=16)
         setattr(bundle, field, None)
-        with pytest.raises(ValueError, match=msg):
-            total_objective(bundle, params, LossConfig.for_classes(3), _uniform(3))
+        weights = {key: 0.0 for key in _WEIGHTS}
+        if reader == "distance":
+            bundle.distance = "coral"
+        else:
+            weights[reader] = 1.0
+        with pytest.raises(ValueError, match=rf"^{reader} reads {field}, "
+                                             rf"which the bundle does not hold$"):
+            total_objective(bundle, params, LossConfig.for_classes(3, **weights), _uniform(3))
+
+    @pytest.mark.parametrize("field,empty", [("st_batches", {}), ("tgt_x", np.zeros((0, 12)))])
+    def test_an_empty_read_field_is_refused_too(self, field, empty):
+        params, bundle = self._setup(seed=19)
+        setattr(bundle, field, empty)
+        reader = {"st_batches": "lambda_S", "tgt_x": "lambda_M"}[field]
+        weights = {key: 1.0 if key == reader else 0.0 for key in _WEIGHTS}
+        with pytest.raises(ValueError, match=rf"^{reader} reads {field}, "):
+            total_objective(bundle, params, LossConfig.for_classes(3, **weights), _uniform(3))
+
+    @pytest.mark.parametrize("distance", [None, "mmd", "coral"])
+    def test_the_stack_and_heads_follow_the_per_view_weight_rule(self, distance):
+        params, bundle = self._setup(seed=18)
+        bundle.distance = distance
+        for on in itertools.product([False, True], repeat=len(_WEIGHTS)):
+            if not any(on) and distance is None:
+                continue  # the objective refuses a step with nothing to optimize
+            cfg = LossConfig.for_classes(3, **{key: 0.5 if lit else 0.0
+                                               for key, lit in zip(_WEIGHTS, on)})
+            obj = total_objective(bundle, params, cfg, _uniform(3))
+            stacked, heads = oracle_stacked_views(bundle, cfg)
+            assert [(head, rows) for head, rows, *_ in obj.heads] == heads, on
+            assert np.array_equal(_bits(obj.acts[0]), _bits(stacked)), on
 
     @pytest.mark.parametrize("lambda_C, distance", [(1.0, None), (0.0, "coral")],
                              ids=["consistency", "distance_only"])
@@ -974,13 +1014,6 @@ class TestTotalObjective:
         params, bundle = self._setup(seed=12)
         bundle.distance, bundle.distance_weight = distance, 0.6
         _assert_matches_per_view(bundle, params, LossConfig.for_classes(3))
-
-    def test_distance_without_target_batch_rejected(self):
-        params, bundle = self._setup(seed=13)
-        bundle.tgt_x, bundle.distance = None, "coral"
-        cfg = LossConfig.for_classes(3, lambda_M=0.0, lambda_C=0.0, lambda_U=0.0)
-        with pytest.raises(ValueError, match="coral distance requires a target batch"):
-            total_objective(bundle, params, cfg, _uniform(3))
 
     def test_an_unresolved_ceiling_is_refused_by_name(self):
         params, bundle = self._setup(seed=15)
@@ -1339,6 +1372,36 @@ class TestOnePairingRule:
     ])
     def test_the_guard_flags_a_second_pairing(self, source):
         assert _use_sites(source, "roll") != []
+
+
+class TestOneTableOfReads:
+    """Which views a step builds and checks is decided by ``TERM_READS``
+    alone: the bundle builder and the bundle check read no term weight."""
+
+    @pytest.mark.parametrize("module,function", [(training, "_build_bundle"),
+                                                 (losses, "_check_bundle")])
+    def test_reads_no_weight(self, module, function):
+        assert _weight_reads(Path(module.__file__).read_text(), function) == []
+
+    @pytest.mark.parametrize("source", [
+        "def _build_bundle(cfg, loss_cfg):\n    if loss_cfg.lambda_C > 0.0:\n        pass\n",
+        "def _build_bundle(loss_cfg):\n    def inner():\n        return loss_cfg.lambda_S\n",
+        "def _build_bundle(loss_cfg):\n    return getattr(loss_cfg, 'supervised_weight')\n",
+    ])
+    def test_the_guard_flags_a_weight_test(self, source):
+        assert _weight_reads(source, "_build_bundle") != []
+
+
+def _weight_reads(source, function):
+    """The term weights, ``lambda_*`` or ``supervised_weight``, that the
+    function ``function`` in ``source`` names, as an attribute or a string."""
+    names = []
+    for fn in ast.walk(ast.parse(source)):
+        if isinstance(fn, ast.FunctionDef) and fn.name == function:
+            names += [node.attr for node in ast.walk(fn) if isinstance(node, ast.Attribute)]
+            names += [node.value for node in ast.walk(fn)
+                      if isinstance(node, ast.Constant) and isinstance(node.value, str)]
+    return [name for name in names if re.fullmatch(r"lambda_\w+|supervised_weight", name)]
 
 
 # the parity of P = N(N-1)/2 follows N % 4: odd for 2 and 3, even for 0 and 1

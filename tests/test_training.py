@@ -640,6 +640,26 @@ def test_bundle_mixes_each_target_row_with_its_partner(pair):
     assert np.array_equal(bundle.mixed_x.view(np.uint64), want.view(np.uint64))
 
 
+@pytest.mark.parametrize("pair", ["images", "points"])
+@pytest.mark.parametrize("method", METHODS)
+def test_bundle_holds_exactly_the_fields_its_terms_read(method, pair):
+    src, tgt = _glyph_pair() if pair == "images" else blob_pair(n=40)
+    cfg = small_cfg(method=method)
+    try:
+        loss_cfg = training._effective_loss(cfg.resolved_loss(src.class_count), method,
+                                            tgt.is_image)
+    except ValueError:
+        assert pair == "points"  # the method needs image data
+        return
+    rows = np.arange(8)
+    bundle = training._build_bundle(cfg, src, tgt, rows, rows, loss_cfg, 0, 0, 0)
+    optional = [f.name for f in dataclasses.fields(losses.BatchBundle)
+                if f.default is None and f.name != "distance"]
+    reads = losses.bundle_reads(loss_cfg, bundle.distance)
+    assert {name for name in optional if getattr(bundle, name) is not None} == (
+        set(reads) - {"src_x"})
+
+
 @pytest.mark.parametrize("weights,sp_calls,st_calls", [
     ({}, 3, 9),
     ({"lambda_C": 0.0}, 0, 9),
