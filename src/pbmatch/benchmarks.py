@@ -14,6 +14,11 @@ the standard single-knob long-tail construction, which one resampler
 applies for LDS and ILDS; both refuse a target holding outlier rows, so
 TwO comes last. Everything is deterministic in (input, spec). Each
 constructor returns a new ``DomainDataset``, checked as it is built.
+
+LDS and ILDS first plan the rows they keep and the ``benchmark`` metadata
+from the target's labels, sublabels and the spec alone, and then take
+those rows: from a dataset, or from a ``datasets.LazyGlyphDomain``, which
+renders only them.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ import numpy as np
 from .datasets import (
     OUTLIER_LABEL,
     DomainDataset,
+    LazyGlyphDomain,
     Range,
     Seed,
     Share,
@@ -141,22 +147,33 @@ def _checked_target(target: DomainDataset, spec: BenchmarkSpec, kind: str,
 # LDS: long-tail the label marginal
 # ---------------------------------------------------------------------------
 
-def resample_lds(target: DomainDataset, spec: BenchmarkSpec) -> DomainDataset:
-    """Keep a decaying sample count per class, majority first in class_order."""
-    _checked_target(target, spec, "LDS", "resample_lds")
-    k = target.class_count
-    order = _resolve_class_order(spec, k)
-    rows, _ = _long_tail(target.labels, order, spec.imbalance_factor, spec.seed,
+def _lds_plan(labels: np.ndarray, class_count: int,
+              spec: BenchmarkSpec) -> Tuple[np.ndarray, Dict]:
+    """The rows an LDS target keeps, ascending, and its ``benchmark``
+    metadata, from its labels and ``spec`` alone."""
+    order = _resolve_class_order(spec, class_count)
+    rows, _ = _long_tail(labels, order, spec.imbalance_factor, spec.seed,
                          _SALT_LDS_ROWS, "target classes")
-    out = target.take(np.sort(rows))
-    out.metadata["benchmark"] = {
+    rows = np.sort(rows)
+    counts = np.bincount(labels[rows], minlength=class_count)
+    return rows, {
         "kind": "LDS",
         "imbalance_factor": spec.imbalance_factor,
         "class_order": [int(c) for c in order],
         "seed": spec.seed,
-        "achieved_histogram": np.bincount(out.labels, minlength=k).tolist(),
-        "tv_vs_uniform": label_histogram(out)[1],
+        "achieved_histogram": counts.tolist(),
+        "tv_vs_uniform": _tv_vs_uniform(counts),
     }
+
+
+def resample_lds(target: Union[DomainDataset, LazyGlyphDomain],
+                 spec: BenchmarkSpec) -> DomainDataset:
+    """Keep a decaying sample count per class, majority first in class_order;
+    a lazy target renders only the rows kept."""
+    _checked_target(target, spec, "LDS", "resample_lds")
+    rows, benchmark = _lds_plan(target.labels, target.class_count, spec)
+    out = target.take(rows)
+    out.metadata["benchmark"] = benchmark
     return out
 
 
@@ -170,7 +187,7 @@ def relabel_to_meta(ds: DomainDataset, spec: BenchmarkSpec) -> DomainDataset:
     The source-side half of the ILDS construction and the target side's
     last step: pixels carry over byte-identically, only the labels change.
     """
-    mapping, meta_count = _validated_meta_map(ds, spec)
+    mapping, meta_count = _validated_meta_map(ds.sublabels, spec)
     labels = np.array([mapping[int(s)] for s in ds.sublabels], dtype=np.int64)
     return DomainDataset(
         images=ds.images, labels=labels, class_count=meta_count,
@@ -178,13 +195,14 @@ def relabel_to_meta(ds: DomainDataset, spec: BenchmarkSpec) -> DomainDataset:
         metadata=dict(ds.metadata))
 
 
-def _validated_meta_map(ds: DomainDataset, spec: BenchmarkSpec) -> Tuple[Dict[int, int], int]:
-    if ds.sublabels is None:
+def _validated_meta_map(sublabels: Optional[np.ndarray],
+                        spec: BenchmarkSpec) -> Tuple[Dict[int, int], int]:
+    if sublabels is None:
         raise ValueError("ILDS needs a dataset with sublabels")
     if spec.meta_class_map is None:
         raise ValueError("ILDS needs a BenchmarkSpec with meta_class_map set")
     mapping = spec.meta_class_map
-    present = np.unique(ds.sublabels)
+    present = np.unique(sublabels)
     missing = [int(s) for s in present if int(s) not in mapping]
     if missing:
         raise ValueError(f"sublabels missing from meta_class_map: {missing}")
@@ -194,33 +212,44 @@ def _validated_meta_map(ds: DomainDataset, spec: BenchmarkSpec) -> Tuple[Dict[in
     return mapping, len(metas)
 
 
-def build_ilds(target: DomainDataset, spec: BenchmarkSpec) -> DomainDataset:
-    """Long-tail the sub-classes of each meta-class, in a seeded order per
-    meta-class, then relabel to meta-classes."""
-    _checked_target(target, spec, "ILDS", "build_ilds")
-    mapping, meta_count = _validated_meta_map(target, spec)
-    present = np.unique(target.sublabels).tolist()
+def _ilds_plan(sublabels: Optional[np.ndarray],
+               spec: BenchmarkSpec) -> Tuple[np.ndarray, Dict]:
+    """The rows an ILDS target keeps, ascending, and its ``benchmark``
+    metadata, from its sublabels and ``spec`` alone."""
+    mapping, meta_count = _validated_meta_map(sublabels, spec)
+    present = np.unique(sublabels).tolist()
     selected = []
+    counts = np.zeros(meta_count, dtype=np.int64)
     sub_histograms: Dict[str, Dict[str, int]] = {}
     for meta in range(meta_count):
         subs = [s for s in present if mapping[s] == meta]
         order = rng(spec.seed, _SALT_ILDS_ORDER + meta).permutation(len(subs))
         groups = [subs[i] for i in order]
-        rows, kept = _long_tail(target.sublabels, groups, spec.imbalance_factor,
+        rows, kept = _long_tail(sublabels, groups, spec.imbalance_factor,
                                 spec.seed, _SALT_ILDS_ROWS, f"meta-class {meta} sub-classes")
         selected.append(rows)
+        counts[meta] = kept.sum()
         sub_histograms[str(meta)] = {str(s): int(n) for s, n in zip(groups, kept)}
-
-    out = relabel_to_meta(target.take(np.sort(np.concatenate(selected))), spec)
-    out.metadata["benchmark"] = {
+    return np.sort(np.concatenate(selected)), {
         "kind": "ILDS",
         "imbalance_factor": spec.imbalance_factor,
         "meta_class_map": {str(k): v for k, v in mapping.items()},
         "seed": spec.seed,
-        "achieved_histogram": np.bincount(out.labels, minlength=meta_count).tolist(),
+        "achieved_histogram": counts.tolist(),
         "sub_histograms": sub_histograms,
-        "tv_vs_uniform": label_histogram(out)[1],
+        "tv_vs_uniform": _tv_vs_uniform(counts),
     }
+
+
+def build_ilds(target: Union[DomainDataset, LazyGlyphDomain],
+               spec: BenchmarkSpec) -> DomainDataset:
+    """Long-tail the sub-classes of each meta-class, in a seeded order per
+    meta-class, then relabel to meta-classes; a lazy target renders only
+    the rows kept."""
+    _checked_target(target, spec, "ILDS", "build_ilds")
+    rows, benchmark = _ilds_plan(target.sublabels, spec)
+    out = relabel_to_meta(target.take(rows), spec)
+    out.metadata["benchmark"] = benchmark
     return out
 
 
@@ -284,11 +313,15 @@ def label_histogram(ds: DomainDataset) -> Tuple[np.ndarray, float]:
     """Per-class counts (sentinel rows excluded) and TV distance vs uniform."""
     valid = ds.labels[ds.labels >= 0]
     counts = np.bincount(valid, minlength=ds.class_count)
+    return counts, _tv_vs_uniform(counts)
+
+
+def _tv_vs_uniform(counts: np.ndarray) -> float:
+    """TV distance of a per-class histogram from uniform; 0 when it is empty."""
     if counts.sum() == 0:
-        return counts, 0.0
+        return 0.0
     p = counts / counts.sum()
-    tv = 0.5 * float(np.abs(p - 1.0 / ds.class_count).sum())
-    return counts, tv
+    return 0.5 * float(np.abs(p - 1.0 / counts.size).sum())
 
 
 def benchmark_report(spec: BenchmarkSpec, source: DomainDataset,

@@ -14,8 +14,11 @@ plain [n, H, W] arrays.
 
 A glyph sample's random draws, its shift and then its noise field, come
 from its own stream ``rng(seed, idx)`` (built by ``transforms.rngs``);
-everything else about the images is built for the whole domain at once,
-with the same bytes as rendering each sample alone.
+everything else about the images is built for all the rendered rows at
+once, with the same bytes as rendering each sample alone. So any subset of
+a domain's rows renders alone, from the same per-sample streams, to the
+bytes of those rows of the whole domain: a benchmark target built from a
+``LazyGlyphDomain`` renders only the rows its constructor keeps.
 """
 
 from __future__ import annotations
@@ -438,46 +441,90 @@ def _render_glyph_mask(class_idx: int, style: int, thickness: int) -> np.ndarray
     return mask
 
 
-def generate_glyph_domain(spec: GlyphDomainSpec,
-                          domain_role: Literal[DOMAIN_ROLES]) -> DomainDataset:
+def _glyph_layout(spec: GlyphDomainSpec) -> Tuple[np.ndarray, np.ndarray]:
+    """Each row's label and sub-style: balanced classes, class-major, with
+    the sub-styles round-robin inside each class."""
+    labels = np.repeat(np.arange(spec.n_classes, dtype=np.int64), spec.samples_per_class)
+    styles = np.tile(np.arange(spec.samples_per_class, dtype=np.int64) % spec.sub_styles,
+                     spec.n_classes)
+    return labels, styles
+
+
+def generate_glyph_domain(spec: GlyphDomainSpec, domain_role: Literal[DOMAIN_ROLES], *,
+                          rows: Optional[Sequence[int]] = None) -> DomainDataset:
     """Render one glyph domain: balanced classes, round-robin sub-styles.
 
     Sample ``idx`` draws its shift ``(dy, dx)`` and then its noise field
     from its own stream ``rng(spec.seed, idx)``; the images are then built
-    for the whole domain at once.
+    for all the rendered rows at once. With ``rows``, a vector of indices
+    in [0, n), only those samples are rendered, in that order: the bytes of
+    ``generate_glyph_domain(spec, domain_role).take(rows)``.
     """
-    k, s = spec.n_classes, spec.sub_styles
-    n = k * spec.samples_per_class
-    labels = np.repeat(np.arange(k, dtype=np.int64), spec.samples_per_class)
-    styles = np.tile(np.arange(spec.samples_per_class, dtype=np.int64) % s, k)
-    jit = int(round(spec.jitter))
-    shifts = np.zeros((n, 2), dtype=np.int64)
-    noise = np.zeros((n, CANVAS, CANVAS)) if spec.noise > 0.0 else None
-    if jit > 0 or noise is not None:
-        for idx, gen in enumerate(rngs(spec.seed, n)):
+    labels, styles = _glyph_layout(spec)
+    n = labels.size
+    if rows is not None:
+        rows = np.asarray(rows)
+        if rows.ndim != 1 or rows.size and not np.issubdtype(rows.dtype, np.integer):
+            raise ValueError(f"rows must be a vector of row indices, got {rows.dtype} "
+                             f"of shape {rows.shape}")
+        outside = rows[(rows < 0) | (rows >= n)]
+        if outside.size:
+            raise ValueError(f"rows holds {outside[0]}, outside the domain's [0, {n})")
+        labels, styles = labels[rows], styles[rows]
+    s, jit = spec.sub_styles, int(round(spec.jitter))
+    shifts = np.zeros((labels.size, 2), dtype=np.int64)
+    # the noise fields first, each drawn into its image, then the levels added
+    images = np.zeros((labels.size, CANVAS, CANVAS))
+    if jit > 0 or spec.noise > 0.0:
+        for i, gen in enumerate(rngs(spec.seed, np.arange(n) if rows is None else rows)):
             if jit > 0:
-                shifts[idx] = gen.integers(-jit, jit + 1, 2)
-            if noise is not None:
-                noise[idx] = gen.normal(0.0, spec.noise, (CANVAS, CANVAS))
+                # two scalar draws give the values of one draw of size 2
+                shifts[i] = gen.integers(-jit, jit + 1), gen.integers(-jit, jit + 1)
+            if spec.noise > 0.0:
+                gen.standard_normal(out=images[i])
+    if spec.noise > 0.0:
+        # sigma * z is normal(0, sigma) but for its "0.0 +", which moves no
+        # byte once the non-negative level is added
+        images *= spec.noise
     # every (dy, dx) shift of every base mask, zero-filled where it moves in
     padded = np.pad(np.array([[_render_glyph_mask(c, st, spec.stroke_thickness)
-                               for st in range(s)] for c in range(k)]),
+                               for st in range(s)] for c in range(spec.n_classes)]),
                     ((0, 0), (0, 0), (jit, jit), (jit, jit)))
     windows = np.lib.stride_tricks.sliding_window_view(padded, (CANVAS, CANVAS), axis=(2, 3))
-    images = np.where(windows[labels, styles, jit - shifts[:, 0], jit - shifts[:, 1]],
-                      INK_LEVEL, spec.background)
+    ink = windows[labels, styles, jit - shifts[:, 0], jit - shifts[:, 1]]
+    levels = (INK_LEVEL, spec.background)
     if spec.invert:
-        np.subtract(1.0, images, out=images)
-    if noise is not None:
-        # noise + ink gives the bytes of ink + noise; the ink buffer is freed here
-        noise += images
-        images = noise
+        levels = tuple(1.0 - level for level in levels)
+    np.add(images, levels[0], out=images, where=ink)
+    np.add(images, levels[1], out=images, where=~ink)
     np.clip(images, 0.0, 1.0, out=images)
+    images[...] = images.astype(np.float32)  # _quantize, in place
     return DomainDataset(
-        images=_quantize(images), labels=labels,
-        class_count=k, domain_role=domain_role, sublabels=labels * s + styles,
+        images=images, labels=labels,
+        class_count=spec.n_classes, domain_role=domain_role,
+        sublabels=labels * s + styles,
         metadata={"generator": "glyph", "spec": dataclasses.asdict(spec),
                   "domain_role": domain_role})
+
+
+class LazyGlyphDomain:
+    """A glyph domain's labels, with its images rendered only for the rows
+    taken: ``take(rows)`` is ``generate_glyph_domain(spec,
+    domain_role).take(rows)``, byte for byte, rendering just those rows.
+
+    The long-tail constructors read its labels, sublabels and class count
+    and call ``take`` as they do on a dataset, so a generated benchmark
+    target renders only the rows it keeps.
+    """
+
+    def __init__(self, spec: GlyphDomainSpec, domain_role: Literal[DOMAIN_ROLES]):
+        self.spec, self.domain_role = spec, domain_role
+        self.labels, styles = _glyph_layout(spec)
+        self.sublabels = self.labels * spec.sub_styles + styles
+        self.class_count = spec.n_classes
+
+    def take(self, rows: Sequence[int]) -> DomainDataset:
+        return generate_glyph_domain(self.spec, self.domain_role, rows=rows)
 
 
 def generate_glyph_pair(source: GlyphDomainSpec,

@@ -28,7 +28,7 @@ import dataclasses
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Annotated, Callable, Dict, List, Literal, Optional, Sequence, Tuple
+from typing import Annotated, Callable, Dict, List, Literal, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -43,6 +43,7 @@ from .benchmarks import (
 from .datasets import (
     Count,
     DomainDataset,
+    LazyGlyphDomain,
     PairSeed,
     Positive,
     Range,
@@ -52,11 +53,13 @@ from .datasets import (
     check_fields,
     default_pair_specs,
     generate_blob_pair,
+    generate_glyph_domain,
     generate_glyph_pair,
     outlier_pool,
 )
-# coral_distance and cross_entropy are not called here; they stay bound
-# because perfbench/spans.py LAYER_CALLS times these names in this module
+# coral_distance, cross_entropy and generate_glyph_pair are not called here;
+# they stay bound because perfbench/spans.py LAYER_CALLS times these names
+# in this module
 from .losses import (
     BatchBundle,
     LossConfig,
@@ -496,37 +499,54 @@ def save_run(out_dir, cfg: TrainConfig, params: ModelParams,
 # the ablation matrix
 # ---------------------------------------------------------------------------
 
-def shift_pair(src: DomainDataset, tgt: DomainDataset, spec: BenchmarkSpec
+def shift_pair(src: Union[DomainDataset, LazyGlyphDomain],
+               tgt: Union[DomainDataset, LazyGlyphDomain], spec: BenchmarkSpec
                ) -> Tuple[DomainDataset, DomainDataset, BenchmarkSpec]:
     """Push the target of a pair through the constructor of ``spec.kind``.
 
     Returns the shifted pair and the spec as run. An ILDS spec without a
     meta-class map gets the one the target's sublabels carry, and only ILDS
     relabels the source. A TwO outlier pool holds twice the outliers the
-    target needs, and at least 8.
+    target needs, and at least 8. Either side may be a ``LazyGlyphDomain``:
+    an LDS or ILDS target then renders only the rows it keeps, a TwO target
+    renders whole, and the source renders last, so a spec that is refused
+    renders nothing.
     """
     if spec.kind == "LDS":
-        return src, resample_lds(tgt, spec), spec
-    if spec.kind == "ILDS":
+        tgt = resample_lds(tgt, spec)
+    elif spec.kind == "ILDS":
         if spec.meta_class_map is None:
             if tgt.sublabels is None:
                 raise ValueError("ILDS needs a dataset with sublabels")
             spec = dataclasses.replace(spec, meta_class_map={
                 int(s): int(c) for s, c in zip(tgt.sublabels, tgt.labels)})
         tgt = build_ilds(tgt, spec)  # first, so outlier rows are named as such
-        return relabel_to_meta(src, spec), tgt, spec
-    n_out = two_outlier_count(tgt.n_samples, spec.outlier_fraction)
-    pool = outlier_pool(max(2 * n_out, 8), seed=spec.seed)
-    return src, inject_two(tgt, pool, spec), spec
+    else:
+        tgt = _whole(tgt)
+        n_out = two_outlier_count(tgt.n_samples, spec.outlier_fraction)
+        pool = outlier_pool(max(2 * n_out, 8), seed=spec.seed)
+        tgt = inject_two(tgt, pool, spec)
+    src = _whole(src)
+    return relabel_to_meta(src, spec) if spec.kind == "ILDS" else src, tgt, spec
+
+
+def _whole(ds: Union[DomainDataset, LazyGlyphDomain]) -> DomainDataset:
+    """A lazy glyph domain rendered whole; a dataset as it is."""
+    if isinstance(ds, LazyGlyphDomain):
+        return generate_glyph_domain(ds.spec, ds.domain_role)
+    return ds
 
 
 def build_benchmark_pair(spec: BenchmarkSpec, samples_per_class: int = 250,
                          data_seed: int = 0) -> Tuple[DomainDataset, DomainDataset]:
-    """Generate the canonical glyph pair and push the target through the
-    requested constructor."""
-    src, tgt = generate_glyph_pair(*default_pair_specs(
-        samples_per_class=samples_per_class, seed=data_seed))
-    src, tgt, _ = shift_pair(src, tgt, spec)
+    """The canonical glyph pair with its target pushed through the requested
+    constructor; an LDS or ILDS target renders only the rows it keeps, from
+    the same per-sample streams, so the pair holds the bytes of
+    ``shift_pair`` on the whole rendered pair."""
+    src_spec, tgt_spec = default_pair_specs(samples_per_class=samples_per_class,
+                                            seed=data_seed)
+    src, tgt, _ = shift_pair(LazyGlyphDomain(src_spec, "source"),
+                             LazyGlyphDomain(tgt_spec, "target"), spec)
     return src, tgt
 
 

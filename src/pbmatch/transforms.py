@@ -11,8 +11,8 @@ kind to all the images that drew it at once, and give the same bytes as
 applying every sample's operations to it alone.
 
 Every generator in the package is built here: :func:`rng` builds the
-stream of a seed and its salts, and :func:`rngs` yields a run of per-index
-ones.
+stream of a seed and its salts, and :func:`rngs` yields the per-index ones
+of a vector of indices.
 """
 
 from __future__ import annotations
@@ -77,8 +77,9 @@ class _SeedState(ISeedSequence):
         return self.words
 
 
-def _pcg64_seed_states(seed: int, n: int) -> np.ndarray:
-    """[n, 4] uint64: the PCG64 seed state of ``rng(seed, i)`` for each i < n.
+def _pcg64_seed_states(seed: int, indices: np.ndarray) -> np.ndarray:
+    """[n, 4] uint64: the PCG64 seed state of ``rng(seed, i)`` for each of
+    the n uint32 ``indices``.
 
     numpy's SeedSequence mixing of the entropy ``[seed, i]``
     into a 4-word pool, then the pool's 8 output words, run on all n pools
@@ -97,8 +98,8 @@ def _pcg64_seed_states(seed: int, n: int) -> np.ndarray:
         result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
         return result ^ (result >> np.uint32(_XSHIFT))
 
-    entropy = (np.full(n, seed, dtype=np.uint32),
-               np.arange(n, dtype=np.uint32), np.zeros(n, dtype=np.uint32))
+    n = len(indices)
+    entropy = (np.full(n, seed, dtype=np.uint32), indices, np.zeros(n, dtype=np.uint32))
     pool = [hashmix(entropy[min(i, 2)]) for i in range(4)]
     for i_src in range(4):
         for i_dst in range(4):
@@ -115,16 +116,22 @@ def _pcg64_seed_states(seed: int, n: int) -> np.ndarray:
     return words.astype("<u4").view("<u8").astype(np.uint64)
 
 
-def rngs(seed: int, n: int) -> Iterator[np.random.Generator]:
-    """``rng(seed, 0)``, ..., ``rng(seed, n - 1)``, in order.
+def rngs(seed: int, indices: Sequence[int]) -> Iterator[np.random.Generator]:
+    """``rng(seed, i)`` for each i of the vector ``indices``, in its order.
 
-    The n seed states are computed together; each generator is built only
-    when it is asked for.
+    The seed states are computed together, so a caller that needs the
+    streams of some rows pays only for those; each generator is built only
+    when it is asked for. An index outside [0, 2**32) is refused by name.
     """
-    if not 0 <= n <= 2**32:
-        raise ValueError(f"need 0 <= n <= 2**32 per-index streams, got {n}")
     seed, = _checked_words(seed)
-    for state in _pcg64_seed_states(seed, n):
+    idx = np.asarray(indices)
+    if idx.ndim != 1 or idx.size and not np.issubdtype(idx.dtype, np.integer):
+        raise ValueError(f"indices must be a vector of integers, got {idx.dtype} "
+                         f"of shape {idx.shape}")
+    outside = idx[(idx < 0) | (idx >= 2**32)]
+    if outside.size:
+        raise ValueError(f"random stream index {outside[0]} is outside [0, 2**32)")
+    for state in _pcg64_seed_states(seed, idx.astype(np.uint32)):
         yield np.random.Generator(np.random.PCG64(_SeedState(state)))
 
 

@@ -549,6 +549,36 @@ def test_glyph_domain_equals_the_per_sample_oracle_byte_for_byte(samples_per_cla
         assert got.metadata == want.metadata, spec
 
 
+@pytest.mark.parametrize("rows", [[], [0], [-1], [13, 2, 13, 0, 9, 5]],
+                         ids=["empty", "first", "last", "shuffled_with_a_repeat"])
+def test_glyph_rows_render_the_bytes_of_those_rows_of_the_whole_domain(rows):
+    for (k, noise, jitter), (s, thickness, invert) in _oracle_grid(7):
+        spec = GlyphDomainSpec(n_classes=k, sub_styles=s, samples_per_class=7,
+                               stroke_thickness=thickness, background=0.15, invert=invert,
+                               noise=noise, jitter=jitter, seed=2**32 - 3)
+        n = k * 7
+        # -1 names the last row; the others lie inside the smallest domain
+        r = np.array([n - 1 if i < 0 else i for i in rows], dtype=np.int64)
+        got = generate_glyph_domain(spec, "target", rows=r)
+        want = generate_glyph_domain(spec, "target").take(r)
+        assert got.images.shape == (len(r), CANVAS, CANVAS)
+        assert np.array_equal(got.images.view(np.uint64), want.images.view(np.uint64)), spec
+        assert np.array_equal(got.labels, want.labels), spec
+        assert np.array_equal(got.sublabels, want.sublabels), spec
+        assert got.metadata == want.metadata, spec
+
+
+@pytest.mark.parametrize("rows,msg", [
+    ([0, 8], "rows holds 8, outside the domain's \\[0, 8\\)"),
+    ([-1], "rows holds -1, outside"),
+    ([0.0], "rows must be a vector of row indices"),
+    ([[0, 1]], "rows must be a vector of row indices")])
+def test_glyph_rows_outside_the_domain_are_refused_by_name(rows, msg):
+    spec = GlyphDomainSpec(n_classes=2, samples_per_class=4)
+    with pytest.raises(ValueError, match=msg):
+        generate_glyph_domain(spec, "source", rows=rows)
+
+
 def test_glyph_pixels_survive_f32_quantization():
     spec = GlyphDomainSpec(samples_per_class=10, noise=0.1, seed=7)
     ds = generate_glyph_domain(spec, "source")

@@ -829,6 +829,41 @@ class TestAblation:
         assert np.array_equal(src.labels, plain_src.labels)
         assert "benchmark" in tgt.metadata
 
+    @pytest.mark.parametrize("kind,knobs", [
+        ("LDS", {"imbalance_factor": 10.0}),
+        ("LDS", {"imbalance_factor": 4.0, "class_order": (2, 0, 3, 1)}),
+        ("ILDS", {"imbalance_factor": 3.0})], ids=["lds", "lds_order", "ilds"])
+    @pytest.mark.parametrize("samples,data_seed", [(12, 0), (40, 3), (500, 1), (6, 2)])
+    def test_benchmark_pair_holds_the_bytes_of_the_whole_pair_shifted(
+            self, kind, knobs, samples, data_seed):
+        spec = BenchmarkSpec(kind=kind, seed=data_seed + 5, **knobs)
+        got = build_benchmark_pair(spec, samples_per_class=samples, data_seed=data_seed)
+        whole = generate_glyph_pair(*default_pair_specs(samples_per_class=samples,
+                                                        seed=data_seed))
+        want = training.shift_pair(*whole, spec)[:2]
+        for g, w in zip(got, want):
+            assert np.array_equal(g.images.view(np.uint64), w.images.view(np.uint64))
+            assert np.array_equal(g.labels, w.labels)
+            assert np.array_equal(g.sublabels, w.sublabels)
+            assert g.metadata == w.metadata
+            assert (g.class_count, g.domain_role) == (w.class_count, w.domain_role)
+
+    @pytest.mark.parametrize("kind", ["LDS", "ILDS"])
+    def test_a_zero_tail_is_refused_before_anything_renders(self, monkeypatch, kind):
+        from pbmatch import datasets
+        rendered = []
+
+        def recording(spec, role, **kw):
+            rendered.append(role)
+            raise AssertionError("rendered")
+
+        monkeypatch.setattr(datasets, "generate_glyph_domain", recording)
+        monkeypatch.setattr(training, "generate_glyph_domain", recording)
+        spec = BenchmarkSpec(kind=kind, imbalance_factor=100.0)
+        with pytest.raises(ValueError, match="drives the tail to 0 of"):
+            build_benchmark_pair(spec, samples_per_class=12)
+        assert rendered == []
+
     @pytest.mark.parametrize("samples,seed", [(6, 0), (16, 3), (250, 0), (16, 0)])
     def test_ilds_map_read_off_sublabels_is_the_canonical_map(self, samples, seed):
         src, tgt = generate_glyph_pair(*default_pair_specs(

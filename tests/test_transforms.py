@@ -496,13 +496,15 @@ class TestSeedingHelper:
             rng(*args)
         if len(args) == 1:
             with pytest.raises(ValueError, match=msg):
-                next(rngs(args[0], 3))
+                next(rngs(args[0], [0, 1, 2]))
 
     @pytest.mark.parametrize("n", [1, 2, 4097])
     @pytest.mark.parametrize("seed", [0, 17, 2**31, 2**32 - 1])
     def test_rngs_yields_the_per_index_streams_in_order(self, seed, n):
+        indices = np.concatenate([np.arange(n), 2**32 - 1 - np.arange(n),
+                                  rng(n).permutation(n)])
         count = 0
-        for i, gen in enumerate(rngs(seed, n)):
+        for i, gen in zip(indices.tolist(), rngs(seed, indices)):
             seq = np.random.SeedSequence([seed, i])
             want = np.random.Generator(np.random.PCG64(seq))
             assert gen.bit_generator.state == want.bit_generator.state, (seed, i)
@@ -510,12 +512,21 @@ class TestSeedingHelper:
             assert _same_bytes(gen.random(8), want.random(8)), (seed, i)
             assert _same_bytes(gen.normal(size=8), want.normal(size=8)), (seed, i)
             count += 1
-        assert count == n
+        assert count == 3 * n
 
-    def test_rngs_of_no_index_is_empty_and_a_negative_count_is_rejected(self):
-        assert list(rngs(3, 0)) == []
-        with pytest.raises(ValueError, match="n"):
-            next(rngs(3, -1))
+    @pytest.mark.parametrize("indices", [[], np.array([], dtype=np.uint32), range(0)])
+    def test_rngs_of_no_index_is_empty(self, indices):
+        assert list(rngs(3, indices)) == []
+
+    @pytest.mark.parametrize("indices,msg", [
+        ([0, -1], "index -1 is outside"), ([2**32], "index 4294967296 is outside"),
+        (np.array([5, 2**40], dtype=np.uint64), "index 1099511627776 is outside"),
+        ([0.0, 1.0], "indices must be a vector of integers"),
+        ([[0, 1]], "indices must be a vector of integers"),
+        (3, "indices must be a vector of integers")])
+    def test_rngs_refuses_an_index_outside_32_bits_by_name(self, indices, msg):
+        with pytest.raises(ValueError, match=msg):
+            next(rngs(3, indices))
 
     def test_no_site_outside_transforms_builds_a_generator(self):
         sites = _generator_sites({path.name: path.read_text()
